@@ -37,8 +37,9 @@ use crate::error::{error_response_for, ErrorCode, NetError};
 use crate::telemetry::{ConnTelemetry, NetMetricsSnapshot, NetTelemetry};
 use crate::transport::{ByteStream, EventLoop, TcpTransport, ThreadPerConnection, Transport};
 use crate::wire::{
-    decode_payload, encode_error_lossy, encode_rows, FrameError, FrameReader, Message, ReadEvent,
-    WireError, CONNECTION_REQUEST_ID, DEFAULT_MAX_FRAME_LEN,
+    decode_payload, encode_error_lossy, encode_rows, ErrorResponse, FrameError, FrameReader,
+    LookupRequest, Message, ReadEvent, RowsResponse, WireError, CONNECTION_REQUEST_ID,
+    DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Server tuning knobs.
@@ -283,6 +284,7 @@ fn serve_connection<T: Transport>(shared: &Shared<T>, mut stream: T::Stream, con
                     &mut ctx,
                     CONNECTION_REQUEST_ID,
                     ErrorCode::Malformed,
+                    Duration::ZERO,
                     &err.to_string(),
                 );
                 drain_eligible = false;
@@ -349,59 +351,35 @@ fn handle_frame<T: Transport>(
     if let Some(started) = started {
         conn.record_stage(|s| &mut s.frame_decode, started);
     }
-    match decoded {
-        Ok(Message::Lookup(req)) => {
-            if draining {
-                conn.shutdown_rejected.fetch_add(1, Ordering::Relaxed);
-                return send_error(
-                    stream,
-                    conn,
-                    ctx,
-                    req.request_id,
-                    ErrorCode::ShuttingDown,
-                    "server is draining",
-                );
-            }
-            serve_lookup(shared, stream, conn, ctx, &req)
-        }
-        Ok(Message::Score(req)) => {
-            if draining {
-                conn.shutdown_rejected.fetch_add(1, Ordering::Relaxed);
-                return send_error(
-                    stream,
-                    conn,
-                    ctx,
-                    req.request_id,
-                    ErrorCode::ShuttingDown,
-                    "server is draining",
-                );
-            }
-            serve_score(shared, stream, conn, ctx, &req)
-        }
+    let (req, score) = match decoded {
+        Ok(Message::Lookup(req)) => (req, false),
+        // A score frame has the lookup frame's layout; only the kind
+        // byte — carried on as `score` — differs.
+        Ok(Message::Score(req)) => (
+            LookupRequest {
+                request_id: req.request_id,
+                model: req.model,
+                ids: req.ids,
+                dtype_hint: req.dtype_hint,
+                deadline: req.deadline,
+            },
+            true,
+        ),
         // Rows/Error frames flow server→client only; a client sending
         // one is confused but the framing is intact, so answer typed
         // and keep the connection.
-        Ok(Message::Rows(r)) => {
+        Ok(Message::Rows(RowsResponse { request_id, .. }))
+        | Ok(Message::Error(ErrorResponse { request_id, .. })) => {
             conn.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            send_error(
+            return send_error(
                 stream,
                 conn,
                 ctx,
-                r.request_id,
+                request_id,
                 ErrorCode::Unsupported,
-                "rows frames are server-to-client only",
-            )
-        }
-        Ok(Message::Error(e)) => {
-            conn.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            send_error(
-                stream,
-                conn,
-                ctx,
-                e.request_id,
-                ErrorCode::Unsupported,
-                "error frames are server-to-client only",
-            )
+                Duration::ZERO,
+                "rows and error frames are server-to-client only",
+            );
         }
         Err(err) => {
             // The payload did not parse: answer once at connection
@@ -418,24 +396,44 @@ fn handle_frame<T: Transport>(
                 ctx,
                 CONNECTION_REQUEST_ID,
                 code,
+                Duration::ZERO,
                 &err.to_string(),
             );
-            false
+            return false;
         }
+    };
+    if draining {
+        conn.shutdown_rejected.fetch_add(1, Ordering::Relaxed);
+        return send_error(
+            stream,
+            conn,
+            ctx,
+            req.request_id,
+            ErrorCode::ShuttingDown,
+            Duration::ZERO,
+            "server is draining",
+        );
     }
+    serve_request(shared, stream, conn, ctx, &req, score)
 }
 
-fn serve_lookup<T: Transport>(
+/// Serves one lookup (`score == false`: rows through
+/// `get_batch_into`) or score (`score == true`: ids through the model's
+/// inference backend, answered as a single-row slab of `dim = K` output
+/// scores) — same handle caching, deregistration retry, and
+/// downgrade-to-typed-error paths for both.
+fn serve_request<T: Transport>(
     shared: &Shared<T>,
     stream: &mut T::Stream,
     conn: &ConnTelemetry,
     ctx: &mut ConnCtx,
-    req: &crate::wire::LookupRequest,
+    req: &LookupRequest,
+    score: bool,
 ) -> bool {
     ctx.ids.clear();
     ctx.ids.extend(req.ids.iter().map(|&id| id as usize));
     // The dtype hint is advisory (a cache/runtime prefetch hint); the
-    // server always answers decoded f32 rows regardless.
+    // server always answers decoded f32 values regardless.
     let mut retried = false;
     let result = loop {
         let handle = match ctx.handles.get(&req.model) {
@@ -445,7 +443,11 @@ fn serve_lookup<T: Transport>(
                 Err(e) => break Err(e),
             },
         };
-        let r = handle.get_batch_into_with_deadline(&ctx.ids, &mut ctx.batch, req.deadline);
+        let r = if score {
+            handle.score_batch_into_with_deadline(&ctx.ids, &mut ctx.score_batch, req.deadline)
+        } else {
+            handle.get_batch_into_with_deadline(&ctx.ids, &mut ctx.batch, req.deadline)
+        };
         // A cached handle outlives deregistration; drop it and resolve
         // once more so a re-registered model under the same name is
         // picked up.
@@ -456,145 +458,51 @@ fn serve_lookup<T: Transport>(
         }
         break r;
     };
-    match result {
-        Ok(()) => {
-            ctx.write_buf.clear();
-            let started = ctx.stages_on.then(Instant::now);
-            let encoded = u32::try_from(ctx.batch.dim())
-                .map_err(|_| WireError::TooLarge {
-                    payload: ctx.batch.dim() as u64,
-                    max: DEFAULT_MAX_FRAME_LEN,
-                })
-                .and_then(|dim| {
-                    encode_rows(req.request_id, dim, ctx.batch.data(), &mut ctx.write_buf)
-                });
-            if let Err(wire_err) = encoded {
-                // The slab cannot travel (e.g. a batch over the frame
-                // cap): the client still deserves an answer on this
-                // request id, so downgrade to a typed error frame.
-                ctx.write_buf.clear();
-                encode_error_lossy(
-                    req.request_id,
-                    ErrorCode::Internal,
-                    Duration::ZERO,
-                    &wire_err.to_string(),
-                    &mut ctx.write_buf,
-                );
-                if let Some(started) = started {
-                    conn.record_stage(|s| &mut s.response_encode, started);
-                }
-                conn.errors_sent.fetch_add(1, Ordering::Relaxed);
-                return send_buffered(stream, conn, ctx);
-            }
-            if let Some(started) = started {
-                conn.record_stage(|s| &mut s.response_encode, started);
-            }
-            conn.served.fetch_add(1, Ordering::Relaxed);
-            send_buffered(stream, conn, ctx)
-        }
-        Err(err) => {
-            let resp = error_response_for(req.request_id, &err);
-            ctx.write_buf.clear();
-            let started = ctx.stages_on.then(Instant::now);
-            encode_error_lossy(
-                resp.request_id,
-                resp.code,
-                resp.retry_after,
-                &resp.message,
-                &mut ctx.write_buf,
-            );
-            if let Some(started) = started {
-                conn.record_stage(|s| &mut s.response_encode, started);
-            }
-            conn.errors_sent.fetch_add(1, Ordering::Relaxed);
-            send_buffered(stream, conn, ctx)
-        }
+    if let Err(err) = result {
+        let resp = error_response_for(req.request_id, &err);
+        return send_error(
+            stream,
+            conn,
+            ctx,
+            resp.request_id,
+            resp.code,
+            resp.retry_after,
+            &resp.message,
+        );
     }
-}
-
-/// Serves one score request: ids through the model's inference backend,
-/// answered as a single-row slab of `dim = K` output scores. Mirrors
-/// [`serve_lookup`]'s handle caching, deregistration retry, and
-/// downgrade-to-typed-error paths exactly.
-fn serve_score<T: Transport>(
-    shared: &Shared<T>,
-    stream: &mut T::Stream,
-    conn: &ConnTelemetry,
-    ctx: &mut ConnCtx,
-    req: &crate::wire::ScoreRequest,
-) -> bool {
-    ctx.ids.clear();
-    ctx.ids.extend(req.ids.iter().map(|&id| id as usize));
-    let mut retried = false;
-    let result = loop {
-        let handle = match ctx.handles.get(&req.model) {
-            Some(h) => h,
-            None => match shared.router.handle(&req.model) {
-                Ok(h) => ctx.handles.entry(req.model.clone()).or_insert(h),
-                Err(e) => break Err(e),
-            },
-        };
-        let r = handle.score_batch_into_with_deadline(&ctx.ids, &mut ctx.score_batch, req.deadline);
-        // A cached handle outlives deregistration; drop it and resolve
-        // once more so a re-registered model under the same name is
-        // picked up.
-        if !retried && matches!(r, Err(ServeError::ModelNotFound { .. })) {
-            ctx.handles.remove(&req.model);
-            retried = true;
-            continue;
-        }
-        break r;
+    let (dim, data) = if score {
+        let scores = ctx.score_batch.scores();
+        (scores.len(), scores)
+    } else {
+        (ctx.batch.dim(), ctx.batch.data())
     };
-    match result {
-        Ok(()) => {
-            ctx.write_buf.clear();
-            let started = ctx.stages_on.then(Instant::now);
-            let scores = ctx.score_batch.scores();
-            let encoded = u32::try_from(scores.len())
-                .map_err(|_| WireError::TooLarge {
-                    payload: scores.len() as u64,
-                    max: DEFAULT_MAX_FRAME_LEN,
-                })
-                .and_then(|dim| encode_rows(req.request_id, dim, scores, &mut ctx.write_buf));
-            if let Err(wire_err) = encoded {
-                ctx.write_buf.clear();
-                encode_error_lossy(
-                    req.request_id,
-                    ErrorCode::Internal,
-                    Duration::ZERO,
-                    &wire_err.to_string(),
-                    &mut ctx.write_buf,
-                );
-                if let Some(started) = started {
-                    conn.record_stage(|s| &mut s.response_encode, started);
-                }
-                conn.errors_sent.fetch_add(1, Ordering::Relaxed);
-                return send_buffered(stream, conn, ctx);
-            }
-            if let Some(started) = started {
-                conn.record_stage(|s| &mut s.response_encode, started);
-            }
-            conn.served.fetch_add(1, Ordering::Relaxed);
-            send_buffered(stream, conn, ctx)
-        }
-        Err(err) => {
-            let resp = error_response_for(req.request_id, &err);
-            ctx.write_buf.clear();
-            let started = ctx.stages_on.then(Instant::now);
-            encode_error_lossy(
-                resp.request_id,
-                resp.code,
-                resp.retry_after,
-                &resp.message,
-                &mut ctx.write_buf,
-            );
-            if let Some(started) = started {
-                conn.record_stage(|s| &mut s.response_encode, started);
-            }
-            conn.errors_sent.fetch_add(1, Ordering::Relaxed);
-            send_buffered(stream, conn, ctx)
-        }
+    ctx.write_buf.clear();
+    let started = ctx.stages_on.then(Instant::now);
+    let encoded = u32::try_from(dim)
+        .map_err(|_| WireError::TooLarge {
+            payload: dim as u64,
+            max: DEFAULT_MAX_FRAME_LEN,
+        })
+        .and_then(|dim| encode_rows(req.request_id, dim, data, &mut ctx.write_buf));
+    if let Err(wire_err) = encoded {
+        // The slab cannot travel (e.g. a batch over the frame cap): the
+        // client still deserves an answer on this request id, so
+        // downgrade to a typed error frame.
+        return send_error(
+            stream,
+            conn,
+            ctx,
+            req.request_id,
+            ErrorCode::Internal,
+            Duration::ZERO,
+            &wire_err.to_string(),
+        );
     }
+    if let Some(started) = started {
+        conn.record_stage(|s| &mut s.response_encode, started);
+    }
+    conn.served.fetch_add(1, Ordering::Relaxed);
+    send_buffered(stream, conn, ctx)
 }
 
 fn send_error<S: ByteStream>(
@@ -603,17 +511,12 @@ fn send_error<S: ByteStream>(
     ctx: &mut ConnCtx,
     request_id: u64,
     code: ErrorCode,
+    retry_after: Duration,
     message: &str,
 ) -> bool {
     ctx.write_buf.clear();
     let started = ctx.stages_on.then(Instant::now);
-    encode_error_lossy(
-        request_id,
-        code,
-        Duration::ZERO,
-        message,
-        &mut ctx.write_buf,
-    );
+    encode_error_lossy(request_id, code, retry_after, message, &mut ctx.write_buf);
     if let Some(started) = started {
         conn.record_stage(|s| &mut s.response_encode, started);
     }

@@ -3,15 +3,44 @@
 //! [`EmbedBatch`] is the response slab for the zero-copy batch API
 //! ([`crate::RouterHandle::get_batch_into`]): one flat `Vec<f32>` holds
 //! all rows, and every auxiliary buffer the call needs — per-shard id
-//! lists, per-shard output slabs, position maps — lives here too and is
-//! recycled call over call. After a warm-up call at a given batch shape,
-//! lookups perform **no per-row heap allocation**: the only steady-state
-//! allocation on the whole path is one response-slot `Arc` per shard
-//! touched.
+//! lists, per-shard output slabs, position maps — lives in its
+//! [`Flight`] and is recycled call over call. After a warm-up call at a
+//! given batch shape, lookups perform **no per-row heap allocation**:
+//! the only steady-state allocation on the whole path is one
+//! response-slot `Arc` per shard touched.
 
 use std::sync::Arc;
 
 use crate::batcher::SlabSlot;
+
+/// Reusable client-side state of one logical request in flight through
+/// the router's single request path: which caller positions ride which
+/// shard queue, the `(ids, out)` buffer pairs that round-trip through
+/// the shard workers, and the response slots still awaited. Embedded in
+/// [`EmbedBatch`] and [`crate::ScoreBatch`], so both paths reuse it call
+/// over call.
+#[derive(Debug, Default)]
+pub(crate) struct Flight {
+    /// Per-shard positions into the caller's id order.
+    pub(crate) shard_pos: Vec<Vec<usize>>,
+    /// Pool of `(ids, out)` buffers round-tripped through shard workers.
+    pub(crate) pool: Vec<(Vec<usize>, Vec<f32>)>,
+    /// In-flight shard slots (empty between calls).
+    pub(crate) pending: Vec<(usize, Arc<SlabSlot>)>,
+}
+
+impl Flight {
+    /// Prepares `n_shards` empty position lists, reusing prior capacity.
+    pub(crate) fn begin(&mut self, n_shards: usize) {
+        if self.shard_pos.len() < n_shards {
+            self.shard_pos.resize_with(n_shards, Vec::new);
+        }
+        for pos in &mut self.shard_pos {
+            pos.clear();
+        }
+        debug_assert!(self.pending.is_empty(), "pending cleared between calls");
+    }
+}
 
 /// A reusable batch of embedding rows, filled by
 /// [`crate::RouterHandle::get_batch_into`].
@@ -45,12 +74,8 @@ pub struct EmbedBatch {
     pub(crate) data: Vec<f32>,
     /// Row width of the current batch.
     pub(crate) dim: usize,
-    /// Per-shard positions into the caller's id order (scratch).
-    pub(crate) shard_pos: Vec<Vec<usize>>,
-    /// Pool of `(ids, out)` buffers round-tripped through shard workers.
-    pub(crate) pool: Vec<(Vec<usize>, Vec<f32>)>,
-    /// In-flight shard slots (scratch, empty between calls).
-    pub(crate) pending: Vec<(usize, Arc<SlabSlot>)>,
+    /// Fan-out scratch and buffer pool, reused across calls.
+    pub(crate) flight: Flight,
 }
 
 impl EmbedBatch {
@@ -98,31 +123,14 @@ impl EmbedBatch {
         self.data.chunks_exact(self.dim.max(1))
     }
 
-    /// Resets for a new fill: records the ids, sizes the data slab, and
-    /// prepares `n_shards` position lists — all reusing prior capacity.
-    pub(crate) fn begin(&mut self, ids: &[usize], dim: usize, n_shards: usize) {
+    /// Resets for a new fill: records the ids and sizes the data slab,
+    /// reusing prior capacity.
+    pub(crate) fn begin(&mut self, ids: &[usize], dim: usize) {
         self.ids.clear();
         self.ids.extend_from_slice(ids);
         self.dim = dim;
         self.data.clear();
         self.data.resize(ids.len() * dim, 0.0);
-        if self.shard_pos.len() < n_shards {
-            self.shard_pos.resize_with(n_shards, Vec::new);
-        }
-        for pos in &mut self.shard_pos {
-            pos.clear();
-        }
-        debug_assert!(self.pending.is_empty(), "pending cleared between calls");
-    }
-
-    /// Takes a pooled `(ids, out)` buffer pair (or a fresh one).
-    pub(crate) fn take_buffers(&mut self) -> (Vec<usize>, Vec<f32>) {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer pair to the pool for the next call.
-    pub(crate) fn recycle_buffers(&mut self, ids: Vec<usize>, out: Vec<f32>) {
-        self.pool.push((ids, out));
     }
 }
 
@@ -144,25 +152,24 @@ mod tests {
     #[test]
     fn begin_sizes_and_resets() {
         let mut batch = EmbedBatch::new();
-        batch.begin(&[5, 9, 1], 4, 2);
+        batch.begin(&[5, 9, 1], 4);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.data().len(), 12);
-        assert_eq!(batch.shard_pos.len(), 2);
         // Shrinking reuses capacity and clears stale rows.
         batch.data[0] = 7.0;
-        batch.begin(&[2], 4, 2);
+        batch.begin(&[2], 4);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.data(), &[0.0; 4]);
     }
 
     #[test]
-    fn buffer_pool_round_trip() {
-        let mut batch = EmbedBatch::new();
-        let (ids, out) = batch.take_buffers();
-        assert!(ids.is_empty() && out.is_empty());
-        batch.recycle_buffers(vec![1, 2], vec![0.5; 8]);
-        let (ids, out) = batch.take_buffers();
-        assert!(ids.capacity() >= 2);
-        assert_eq!(out.len(), 8);
+    fn flight_begin_clears_positions_and_keeps_the_pool() {
+        let mut flight = Flight::default();
+        flight.begin(2);
+        flight.shard_pos[1].push(3);
+        flight.pool.push((vec![1, 2], vec![0.5; 8]));
+        flight.begin(2);
+        assert!(flight.shard_pos.iter().all(Vec::is_empty));
+        assert_eq!(flight.pool.len(), 1);
     }
 }

@@ -6,11 +6,9 @@
 //! the batch opened — the classic throughput/latency micro-batching
 //! trade-off, made observable through [`FlushReason`] counters.
 //!
-//! Two response cells cover the two request shapes the router enqueues
-//! (see [`crate::router`]): a [`ResponseSlot`] carries one owned row
-//! back to a single-id requester, and a [`SlabSlot`] round-trips the
-//! caller's id/output buffers for the zero-copy batch path, so the
-//! buffers can be pooled and reused across calls.
+//! One response cell answers every request the router enqueues (see
+//! [`crate::router`]): a [`SlabSlot`] round-trips the caller's id/output
+//! buffers, so they can be pooled and reused across calls.
 //!
 //! Producers pick their overload behavior per push: [`ShardQueue::push`]
 //! blocks while the queue is full (backpressure), while
@@ -57,51 +55,6 @@ pub enum FlushReason {
     Drain,
 }
 
-/// A single-consumer response cell the requester blocks on.
-#[derive(Debug)]
-pub struct ResponseSlot {
-    state: Mutex<Option<Result<Vec<f32>>>>,
-    ready: Condvar,
-}
-
-impl ResponseSlot {
-    /// Creates an unfilled slot.
-    pub fn new() -> Self {
-        ResponseSlot {
-            state: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Publishes the outcome, waking the waiting requester. The first
-    /// write wins: a later fill (e.g. the worker's panic-recovery path
-    /// blanketing a batch with errors) cannot clobber a real answer.
-    pub fn fill(&self, outcome: Result<Vec<f32>>) {
-        let mut state = self.state.lock();
-        if state.is_none() {
-            *state = Some(outcome);
-            self.ready.notify_all();
-        }
-    }
-
-    /// Blocks until the outcome arrives and takes it.
-    pub fn wait(&self) -> Result<Vec<f32>> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(outcome) = state.take() {
-                return outcome;
-            }
-            self.ready.wait(&mut state);
-        }
-    }
-}
-
-impl Default for ResponseSlot {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// What a [`SlabSlot`] carries back: the request's id list and output
 /// slab (returned so the caller can recycle both buffers) plus the
 /// serving outcome. On a worker-lost blanket the buffers come back
@@ -116,8 +69,8 @@ pub struct SlabOutcome {
     pub result: Result<()>,
 }
 
-/// Response cell for the slab (batch) path: round-trips the caller's
-/// buffers so the steady state allocates nothing per row.
+/// The single-consumer response cell a requester blocks on: round-trips
+/// the caller's buffers so the steady state allocates nothing per row.
 #[derive(Debug)]
 pub struct SlabSlot {
     state: Mutex<Option<SlabOutcome>>,
@@ -133,7 +86,9 @@ impl SlabSlot {
         }
     }
 
-    /// Publishes the outcome (first write wins, as for [`ResponseSlot`]).
+    /// Publishes the outcome, waking the waiting requester. The first
+    /// write wins: a later fill (e.g. the worker's panic-recovery path
+    /// blanketing a batch with errors) cannot clobber a real answer.
     pub fn fill(&self, outcome: SlabOutcome) {
         let mut state = self.state.lock();
         if state.is_none() {
@@ -612,24 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_is_first_write_wins() {
-        let slot = ResponseSlot::new();
-        slot.fill(Ok(vec![1.0]));
-        // The panic-recovery blanket must not clobber a real answer.
-        slot.fill(Err(ServeError::WorkerLost));
-        assert_eq!(slot.wait().unwrap(), vec![1.0]);
-    }
-
-    #[test]
-    fn response_slot_round_trip() {
-        let slot = Arc::new(ResponseSlot::new());
-        let slot2 = Arc::clone(&slot);
-        let filler = std::thread::spawn(move || slot2.fill(Ok(vec![1.0, 2.0])));
-        assert_eq!(slot.wait().unwrap(), vec![1.0, 2.0]);
-        filler.join().unwrap();
-    }
-
-    #[test]
     fn slab_slot_round_trips_buffers() {
         let slot = Arc::new(SlabSlot::new());
         let slot2 = Arc::clone(&slot);
@@ -645,7 +582,7 @@ mod tests {
         assert_eq!(outcome.ids, vec![3, 9]);
         assert_eq!(outcome.out, vec![1.0, 2.0, 3.0, 4.0]);
         assert!(outcome.result.is_ok());
-        // First write wins here too.
+        // First write wins: a later fill cannot replace an earlier one.
         slot.fail(ServeError::WorkerLost);
         slot.fill(SlabOutcome {
             ids: Vec::new(),

@@ -59,6 +59,7 @@ use std::sync::Arc;
 use memcom_ondevice::HeadScratch;
 use parking_lot::RwLock;
 
+use crate::batch::Flight;
 use crate::store::ShardedStore;
 use crate::{Result, ServeError};
 
@@ -219,17 +220,17 @@ impl InferScratch {
 /// ([`RouterHandle::score_batch_into`](crate::RouterHandle::score_batch_into)).
 ///
 /// The request's id and output buffers round-trip through the response
-/// slot and come back warm, so at a steady request shape a score call
-/// allocates only its response-slot `Arc` — the same discipline as the
-/// lookup batch path's [`EmbedBatch`](crate::EmbedBatch).
+/// slot and come back warm — a served output buffer is swapped in as the
+/// current scores and the previous scores buffer rotates into the pool —
+/// so at a steady request shape a score call allocates only its
+/// response-slot `Arc`, the same discipline as the lookup batch path's
+/// [`EmbedBatch`](crate::EmbedBatch).
 #[derive(Debug, Default)]
 pub struct ScoreBatch {
-    /// Warm id buffer for the next request.
-    ids: Vec<usize>,
-    /// Warm output buffer for the next request.
-    spare: Vec<f32>,
     /// The most recent call's scores.
-    scores: Vec<f32>,
+    pub(crate) scores: Vec<f32>,
+    /// Routing scratch and warm request buffers, reused across calls.
+    pub(crate) flight: Flight,
 }
 
 impl ScoreBatch {
@@ -243,32 +244,6 @@ impl ScoreBatch {
     /// call (unspecified after a failed one).
     pub fn scores(&self) -> &[f32] {
         &self.scores
-    }
-
-    /// Hands out the warm request buffers (replaced by empties).
-    pub(crate) fn take_buffers(&mut self) -> (Vec<usize>, Vec<f32>) {
-        (
-            std::mem::take(&mut self.ids),
-            std::mem::take(&mut self.spare),
-        )
-    }
-
-    /// Returns buffers from a rejected request (nothing was served).
-    pub(crate) fn recycle_buffers(&mut self, ids: Vec<usize>, out: Vec<f32>) {
-        self.ids = ids;
-        self.spare = out;
-    }
-
-    /// Installs a served outcome: `out` becomes the current scores and
-    /// the previous scores buffer rotates in as the next spare.
-    pub(crate) fn accept_outcome(&mut self, ids: Vec<usize>, out: Vec<f32>) {
-        self.ids = ids;
-        self.spare = std::mem::replace(&mut self.scores, out);
-    }
-
-    /// Takes the scores out, leaving an empty buffer behind.
-    pub(crate) fn take_scores(&mut self) -> Vec<f32> {
-        std::mem::take(&mut self.scores)
     }
 }
 

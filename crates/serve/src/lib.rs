@@ -22,13 +22,16 @@
 //!   [`Router::apply_delta`] flips it in atomically under traffic.
 //! * [`batcher`] — **queueing**: bounded per-shard [`batcher::ShardQueue`]s
 //!   coalesce concurrent requests into micro-batches (flushing on
-//!   `max_batch`/`max_wait`), answered through [`batcher::ResponseSlot`]
-//!   (one owned row) or [`batcher::SlabSlot`] (round-tripped batch
-//!   buffers). Overload behavior is an [`AdmissionPolicy`]: block
+//!   `max_batch`/`max_wait`), answered through [`batcher::SlabSlot`]
+//!   (round-tripped request buffers). Overload behavior is an
+//!   [`AdmissionPolicy`]: block
 //!   producers on full queues (backpressure), or shed with bounded
 //!   enqueue waits and per-request deadlines enforced at dequeue.
 //! * [`router`] — **routing**: the [`Router`] owns the shard workers and
-//!   a registry of named models. Requests capture their model's current
+//!   a registry of named models. Lookups and scores are one request
+//!   shape on one submit → queue → worker path; they differ only in
+//!   routing (per shard touched vs first id's shard) and in the call
+//!   that fills the output. Requests capture their model's current
 //!   store `Arc` at enqueue time, so [`Router::swap`] (whole-table) and
 //!   [`Router::apply_delta`] (row-level) refresh tables atomically
 //!   while in-flight lookups finish on the old snapshot, and one worker
@@ -45,9 +48,10 @@
 //!   response slab for the zero-copy batch API
 //!   ([`RouterHandle::get_batch_into`]), and [`ScoreBatch`], its
 //!   score-path counterpart ([`RouterHandle::score_batch_into`]).
-//! * [`server`] — **single-model facade**: [`EmbedServer`]/[`ServeHandle`],
-//!   the PR-1 API kept source-compatible as a thin wrapper over one
-//!   router model ([`DEFAULT_MODEL`]).
+//! * [`server`] — **single-model facade**: [`EmbedServer`], the PR-1
+//!   API kept source-compatible as a thin wrapper over one router model
+//!   ([`DEFAULT_MODEL`]); its [`ServeHandle`] is that model's
+//!   [`RouterHandle`].
 //! * [`loadgen`] — **measurement**: open/closed-loop Zipf traffic
 //!   ([`run_load`]) and mixed multi-model traffic ([`run_mixed_load`])
 //!   with per-model QPS/latency reporting; [`histogram`] holds the

@@ -9,14 +9,16 @@
 //! requests finish against the snapshot they were routed to; the next
 //! request sees the new table — online refresh without stopping traffic.
 //!
-//! Two request shapes flow through the queues:
-//!
-//! * **One** — a single id answered with an owned row through a
-//!   [`ResponseSlot`] (the legacy [`crate::ServeHandle::get`] path).
-//! * **Slab** — a per-shard id list answered by writing rows into a
-//!   caller-provided flat buffer that round-trips through a
-//!   [`SlabSlot`], so the batch path ([`RouterHandle::get_batch_into`])
-//!   performs no per-row heap allocation.
+//! One request shape flows through the queues: an id list answered by
+//! writing f32s into a caller-provided flat buffer that round-trips
+//! through a [`SlabSlot`], so no call performs per-row heap allocation
+//! at a steady shape. A lookup ([`RouterHandle::get_batch_into`]) fans
+//! out into one such request per shard touched, each filled with the
+//! owning shard's rows; a score ([`RouterHandle::score_batch_into`]) is
+//! one request on its first id's shard, filled by the model's
+//! [`InferBackend`]. Everything else — validation, `issued` counting,
+//! admission, deadlines, buffer recycling, the worker's serve loop — is
+//! written once, in `RouterHandle::submit` and `serve_batch`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,13 +29,14 @@ use std::time::{Duration, Instant};
 use memcom_ondevice::engine::RunStats;
 use parking_lot::RwLock;
 
-use crate::batcher::{FlushReason, PushError, ResponseSlot, ShardQueue, SlabOutcome, SlabSlot};
+use crate::batch::Flight;
+use crate::batcher::{FlushReason, PushError, ShardQueue, SlabOutcome, SlabSlot};
 use crate::config::AdmissionPolicy;
 use crate::infer::{BackendRegistry, InferBackend, InferScratch, ScoreBatch, LOOKUP_BACKEND};
 use crate::store::{CacheStats, ShardCacheStats, ShardedStore};
 use crate::telemetry::{
     dtype_idx, MetricsRegistry, MetricsSnapshot, ModelMetrics, PendingSpan, Span, SpanOutcome,
-    SpanSeed, SIZE_SCALE,
+    SIZE_SCALE,
 };
 use crate::{EmbedBatch, Result, ServeConfig, ServeError, StoreDelta};
 
@@ -183,10 +186,11 @@ struct BatchCounters {
 ///
 /// # Consistency
 ///
-/// The row counters are maintained with relaxed-order atomic adds from
-/// many threads and read individually per snapshot, so a snapshot taken
-/// mid-traffic is *eventually exact*, not linearizable: it may lag
-/// in-flight increments. Every snapshot does guarantee
+/// The row counters are maintained with atomic adds from many threads
+/// (`issued` relaxed, the three outcomes `Release`) and read
+/// individually per snapshot, so a snapshot taken mid-traffic is
+/// *eventually exact*, not linearizable: it may lag in-flight
+/// increments. Every snapshot does guarantee
 /// `issued >= requests + shed + expired` — an outcome is never visible
 /// before the issue that produced it (outcome increments are
 /// `Release`, snapshots read outcomes with `Acquire` before `issued`).
@@ -294,139 +298,26 @@ impl ModelEntry {
     }
 }
 
-/// A single-id request: one row back through a [`ResponseSlot`].
+/// What shard queues carry: `ids` in, `out` filled, both buffers
+/// round-tripped through the [`SlabSlot`] for reuse.
+///
+/// `backend: None` is a lookup sub-request — `ids` all route to the
+/// queue's shard and `out` (`ids.len() * dim` values) receives their
+/// rows. `backend: Some(_)` is a score — the whole id list rides one
+/// shard queue (its first id's) and the captured [`InferBackend`] turns
+/// N ids into `out.len()` scores. Same micro-batching, admission, and
+/// counter contract either way.
 #[derive(Debug)]
-pub(crate) struct OneRequest {
-    pub(crate) id: usize,
-    pub(crate) store: Arc<ShardedStore>,
-    pub(crate) counters: Arc<ModelCounters>,
-    pub(crate) slot: Arc<ResponseSlot>,
-    pub(crate) admission: Admission,
-    /// Sampled-tracing stamp (full telemetry only).
-    pub(crate) span: Option<PendingSpan>,
-}
-
-/// A slab request: `ids` all route to one shard, rows land in `out`
-/// (`ids.len() * dim` values), and both buffers round-trip through the
-/// [`SlabSlot`] for reuse.
-#[derive(Debug)]
-pub(crate) struct SlabRequest {
+pub(crate) struct Request {
     pub(crate) ids: Vec<usize>,
     pub(crate) out: Vec<f32>,
     pub(crate) store: Arc<ShardedStore>,
+    pub(crate) backend: Option<Arc<dyn InferBackend>>,
     pub(crate) counters: Arc<ModelCounters>,
     pub(crate) slot: Arc<SlabSlot>,
     pub(crate) admission: Admission,
     /// Sampled-tracing stamp (full telemetry only).
     pub(crate) span: Option<PendingSpan>,
-}
-
-/// A score request: the whole id list rides one shard queue (routed by
-/// its first id), the captured [`InferBackend`] turns N ids into
-/// `out.len()` scores, and the buffers round-trip through the
-/// [`SlabSlot`] for reuse — same micro-batching, admission, and counter
-/// contract as lookups.
-#[derive(Debug)]
-pub(crate) struct ScoreRequest {
-    pub(crate) ids: Vec<usize>,
-    pub(crate) out: Vec<f32>,
-    pub(crate) store: Arc<ShardedStore>,
-    pub(crate) backend: Arc<dyn InferBackend>,
-    pub(crate) counters: Arc<ModelCounters>,
-    pub(crate) slot: Arc<SlabSlot>,
-    pub(crate) admission: Admission,
-    /// Sampled-tracing stamp (full telemetry only).
-    pub(crate) span: Option<PendingSpan>,
-}
-
-/// What shard queues carry.
-#[derive(Debug)]
-pub(crate) enum Request {
-    One(OneRequest),
-    Slab(SlabRequest),
-    Score(ScoreRequest),
-}
-
-impl Request {
-    fn rows(&self) -> usize {
-        match self {
-            Request::One(_) => 1,
-            Request::Slab(s) => s.ids.len(),
-            Request::Score(s) => s.ids.len(),
-        }
-    }
-
-    fn counters(&self) -> &ModelCounters {
-        match self {
-            Request::One(r) => &r.counters,
-            Request::Slab(s) => &s.counters,
-            Request::Score(s) => &s.counters,
-        }
-    }
-
-    fn admission(&self) -> &Admission {
-        match self {
-            Request::One(r) => &r.admission,
-            Request::Slab(s) => &s.admission,
-            Request::Score(s) => &s.admission,
-        }
-    }
-
-    fn span(&self) -> Option<PendingSpan> {
-        match self {
-            Request::One(r) => r.span,
-            Request::Slab(s) => s.span,
-            Request::Score(s) => s.span,
-        }
-    }
-
-    fn slot_ref(&self) -> SlotRef {
-        match self {
-            Request::One(r) => SlotRef::One(Arc::clone(&r.slot)),
-            Request::Slab(s) => SlotRef::Slab(Arc::clone(&s.slot)),
-            Request::Score(s) => SlotRef::Slab(Arc::clone(&s.slot)),
-        }
-    }
-
-    /// Fails the request at dequeue because its deadline passed while it
-    /// was queued, counting the drop and — for slab/score requests —
-    /// handing the caller's buffers back (the worker still owns them
-    /// here).
-    fn expire(self, now: Instant) {
-        self.counters()
-            .expired
-            .fetch_add(self.rows() as u64, Ordering::Release);
-        match self {
-            Request::One(r) => {
-                let error = r.admission.deadline_error(now);
-                r.slot.fill(Err(error));
-            }
-            Request::Slab(s) => {
-                let error = s.admission.deadline_error(now);
-                s.slot.fail_with_buffers(s.ids, s.out, error);
-            }
-            Request::Score(s) => {
-                let error = s.admission.deadline_error(now);
-                s.slot.fail_with_buffers(s.ids, s.out, error);
-            }
-        }
-    }
-}
-
-/// A cheap handle to either slot kind, kept aside so a panicking batch
-/// can be blanketed with errors without keeping the requests alive.
-enum SlotRef {
-    One(Arc<ResponseSlot>),
-    Slab(Arc<SlabSlot>),
-}
-
-impl SlotRef {
-    fn fail(&self, error: ServeError) {
-        match self {
-            SlotRef::One(slot) => slot.fill(Err(error)),
-            SlotRef::Slab(slot) => slot.fail(error),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -525,22 +416,22 @@ impl RouterInner {
             Err(PushError::Closed(request)) => Err((ServeError::ShuttingDown, request)),
             Err(PushError::Full(request)) => {
                 request
-                    .counters()
+                    .counters
                     .shed
-                    .fetch_add(request.rows() as u64, Ordering::Release);
+                    .fetch_add(request.ids.len() as u64, Ordering::Release);
                 // A sampled shed completes its span client-side: it
                 // never reaches a worker. `queue_wait` is the time
                 // spent failing admission; there is no service time.
-                if let (Some(t0), Some(pending)) = (admit_t0, request.span()) {
+                if let (Some(t0), Some(pending)) = (admit_t0, request.span) {
                     let total = request
-                        .admission()
+                        .admission
                         .issued_at()
                         .map(|issued_at| issued_at.elapsed())
                         .unwrap_or_else(|| t0.elapsed());
                     self.telemetry.complete(Span {
                         seq: pending.seq,
                         shard,
-                        rows: request.rows(),
+                        rows: request.ids.len(),
                         queue_wait_nanos: t0.elapsed().as_nanos() as u64,
                         service_nanos: 0,
                         total_nanos: total.as_nanos() as u64,
@@ -1108,62 +999,12 @@ impl RouterHandle {
     /// request whose `request_deadline` passes while queued is answered
     /// with [`ServeError::DeadlineExceeded`] instead of a row.
     pub fn get(&self, id: usize) -> Result<Vec<f32>> {
-        self.get_with_deadline(id, None)
+        let mut batch = EmbedBatch::new();
+        self.get_batch_into(&[id], &mut batch)?;
+        Ok(batch.data)
     }
 
-    /// [`get`](Self::get) with a per-request deadline override.
-    ///
-    /// Under [`AdmissionPolicy::Shed`] the effective deadline is the
-    /// tightest of the policy's `request_deadline` and `deadline`;
-    /// under [`AdmissionPolicy::Block`] the override is ignored, so a
-    /// blocking router still never expires requests. Remote callers
-    /// (the `memcom-net` tier) use this to map wire-level deadlines
-    /// onto admission control without reconfiguring the router.
-    pub fn get_with_deadline(
-        &self,
-        id: usize,
-        deadline: Option<std::time::Duration>,
-    ) -> Result<Vec<f32>> {
-        let store = self.store()?;
-        store.check_id(id)?;
-        // ORDERING: issue increments stay Relaxed; the matching outcome
-        // (request/shed/expired) is Release-published after this, and
-        // snapshot readers load outcomes with Acquire before `issued`,
-        // which keeps `issued >= requests + shed + expired` observable.
-        self.model.counters.issued.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(ResponseSlot::new());
-        let shard = store.shard_of(id);
-        let request = Request::One(OneRequest {
-            id,
-            store,
-            counters: Arc::clone(&self.model.counters),
-            slot: Arc::clone(&slot),
-            admission: Admission::stamp_with(
-                self.inner.config.admission,
-                self.inner.telemetry.stages_on(),
-                deadline,
-            ),
-            span: self.inner.telemetry.sample(),
-        });
-        self.inner.admit(shard, request).map_err(|(e, _)| e)?;
-        slot.wait()
-    }
-
-    /// Counts rows on shards never attempted because an earlier shard
-    /// shed the fanned-out request: they were refused admission along
-    /// with it, so `requests + shed + expired` stays equal to the rows
-    /// issued even for partially-admitted multi-shard requests
-    /// (already-admitted sub-requests still run and count as served).
-    fn count_skipped_as_shed(&self, rows: usize) {
-        if rows > 0 {
-            self.model
-                .counters
-                .shed
-                .fetch_add(rows as u64, Ordering::Release);
-        }
-    }
-
-    /// Looks up many ids, pipelining one slab request per shard before
+    /// Looks up many ids, pipelining one request per shard before
     /// blocking, and returns owned per-row vectors.
     ///
     /// For the allocation-free variant feed a reusable [`EmbedBatch`] to
@@ -1173,90 +1014,9 @@ impl RouterHandle {
     ///
     /// Same conditions as [`get`](Self::get); the first failure wins.
     pub fn get_many(&self, ids: &[usize]) -> Result<Vec<Vec<f32>>> {
-        self.get_many_with_deadline(ids, None)
-    }
-
-    /// [`get_many`](Self::get_many) with a per-request deadline
-    /// override; see [`get_with_deadline`](Self::get_with_deadline)
-    /// for the override semantics.
-    pub fn get_many_with_deadline(
-        &self,
-        ids: &[usize],
-        deadline: Option<std::time::Duration>,
-    ) -> Result<Vec<Vec<f32>>> {
-        let store = self.store()?;
-        for &id in ids {
-            store.check_id(id)?;
-        }
-        // ORDERING: issue increments stay Relaxed; outcomes are
-        // Release-published after them and snapshots read outcomes
-        // Acquire-first (see `stats_for`).
-        self.model
-            .counters
-            .issued
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
-        let dim = store.dim();
-        let n_shards = store.n_shards();
-        let mut shard_ids: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        let mut shard_pos: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for (pos, &id) in ids.iter().enumerate() {
-            let s = store.shard_of(id);
-            shard_ids[s].push(id);
-            shard_pos[s].push(pos);
-        }
-        let admission = Admission::stamp_with(
-            self.inner.config.admission,
-            self.inner.telemetry.stages_on(),
-            deadline,
-        );
-        let mut pending: Vec<(usize, Arc<SlabSlot>)> = Vec::new();
-        let mut first_err = None;
-        let mut failed_at = None;
-        for (s, slab_ids) in shard_ids.iter_mut().enumerate() {
-            if slab_ids.is_empty() {
-                continue;
-            }
-            let out = vec![0f32; slab_ids.len() * dim];
-            let slot = Arc::new(SlabSlot::new());
-            let request = Request::Slab(SlabRequest {
-                ids: std::mem::take(slab_ids),
-                out,
-                store: Arc::clone(&store),
-                counters: Arc::clone(&self.model.counters),
-                slot: Arc::clone(&slot),
-                admission,
-                span: self.inner.telemetry.sample(),
-            });
-            if let Err((e, _)) = self.inner.admit(s, request) {
-                first_err = Some(e);
-                failed_at = Some(s);
-                break;
-            }
-            pending.push((s, slot));
-        }
-        if let (Some(ServeError::Overloaded { .. }), Some(s)) = (&first_err, failed_at) {
-            self.count_skipped_as_shed(shard_ids[s + 1..].iter().map(Vec::len).sum());
-        }
-        let mut rows: Vec<Vec<f32>> = vec![Vec::new(); ids.len()];
-        for (s, slot) in pending {
-            let outcome = slot.wait();
-            match outcome.result {
-                Ok(()) => {
-                    for (j, &pos) in shard_pos[s].iter().enumerate() {
-                        rows[pos] = outcome.out[j * dim..(j + 1) * dim].to_vec();
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(rows),
-        }
+        let mut batch = EmbedBatch::new();
+        self.get_batch_into(ids, &mut batch)?;
+        Ok(batch.rows().map(<[f32]>::to_vec).collect())
     }
 
     /// Looks up many ids into the caller-owned, reusable `batch` slab —
@@ -1274,102 +1034,36 @@ impl RouterHandle {
     }
 
     /// [`get_batch_into`](Self::get_batch_into) with a per-request
-    /// deadline override; see
-    /// [`get_with_deadline`](Self::get_with_deadline) for the override
-    /// semantics.
+    /// deadline override.
+    ///
+    /// Under [`AdmissionPolicy::Shed`] the effective deadline is the
+    /// tightest of the policy's `request_deadline` and `deadline`;
+    /// under [`AdmissionPolicy::Block`] the override is ignored, so a
+    /// blocking router still never expires requests. Remote callers
+    /// (the `memcom-net` tier) use this to map wire-level deadlines
+    /// onto admission control without reconfiguring the router.
     pub fn get_batch_into_with_deadline(
         &self,
         ids: &[usize],
         batch: &mut EmbedBatch,
-        deadline: Option<std::time::Duration>,
+        deadline: Option<Duration>,
     ) -> Result<()> {
         let store = self.store()?;
-        for &id in ids {
-            store.check_id(id)?;
-        }
-        // ORDERING: issue increments stay Relaxed; outcomes are
-        // Release-published after them and snapshots read outcomes
-        // Acquire-first (see `stats_for`).
-        self.model
-            .counters
-            .issued
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
         let dim = store.dim();
-        let n_shards = store.n_shards();
-        batch.begin(ids, dim, n_shards);
-        for (pos, &id) in ids.iter().enumerate() {
-            batch.shard_pos[store.shard_of(id)].push(pos);
-        }
-        let admission = Admission::stamp_with(
-            self.inner.config.admission,
-            self.inner.telemetry.stages_on(),
+        batch.begin(ids, dim);
+        let data = &mut batch.data;
+        self.submit(
+            store,
+            ids,
+            None,
             deadline,
-        );
-        let mut first_err = None;
-        let mut failed_at = None;
-        for s in 0..n_shards {
-            if batch.shard_pos[s].is_empty() {
-                continue;
-            }
-            let (mut slab_ids, mut out) = batch.take_buffers();
-            slab_ids.clear();
-            slab_ids.extend(batch.shard_pos[s].iter().map(|&pos| ids[pos]));
-            out.clear();
-            out.resize(slab_ids.len() * dim, 0.0);
-            let slot = Arc::new(SlabSlot::new());
-            let request = Request::Slab(SlabRequest {
-                ids: slab_ids,
-                out,
-                store: Arc::clone(&store),
-                counters: Arc::clone(&self.model.counters),
-                slot: Arc::clone(&slot),
-                admission,
-                span: self.inner.telemetry.sample(),
-            });
-            match self.inner.admit(s, request) {
-                Ok(()) => batch.pending.push((s, slot)),
-                Err((e, rejected)) => {
-                    // A shed (or shutdown-rejected) slab comes back whole
-                    // — recycle its buffers so the shedding hot path
-                    // allocates nothing.
-                    if let Request::Slab(s) = rejected {
-                        batch.recycle_buffers(s.ids, s.out);
-                    }
-                    first_err = Some(e);
-                    failed_at = Some(s);
-                    break;
+            &mut batch.flight,
+            |positions, out| {
+                for (j, &pos) in positions.iter().enumerate() {
+                    data[pos * dim..(pos + 1) * dim].copy_from_slice(&out[j * dim..(j + 1) * dim]);
                 }
-            }
-        }
-        if let (Some(ServeError::Overloaded { .. }), Some(s)) = (&first_err, failed_at) {
-            self.count_skipped_as_shed(batch.shard_pos[s + 1..].iter().map(Vec::len).sum());
-        }
-        while let Some((s, slot)) = batch.pending.pop() {
-            let outcome = slot.wait();
-            match outcome.result {
-                Ok(()) => {
-                    for (j, &pos) in batch.shard_pos[s].iter().enumerate() {
-                        batch.data[pos * dim..(pos + 1) * dim]
-                            .copy_from_slice(&outcome.out[j * dim..(j + 1) * dim]);
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-            // A worker-lost blanket returns capacity-less placeholders
-            // (the real buffers died with the panicking batch) — keep
-            // those out of the pool so it only ever holds warm buffers.
-            if outcome.out.capacity() > 0 || outcome.ids.capacity() > 0 {
-                batch.recycle_buffers(outcome.ids, outcome.out);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            },
+        )
     }
 
     /// Scores `ids` through the model's [`InferBackend`] — N item ids
@@ -1384,20 +1078,9 @@ impl RouterHandle {
     /// Same conditions as [`get`](Self::get), plus
     /// [`ServeError::BadConfig`] for an empty id list.
     pub fn score(&self, ids: &[usize]) -> Result<Vec<f32>> {
-        self.score_with_deadline(ids, None)
-    }
-
-    /// [`score`](Self::score) with a per-request deadline override; see
-    /// [`get_with_deadline`](Self::get_with_deadline) for the override
-    /// semantics.
-    pub fn score_with_deadline(
-        &self,
-        ids: &[usize],
-        deadline: Option<std::time::Duration>,
-    ) -> Result<Vec<f32>> {
         let mut batch = ScoreBatch::new();
-        self.score_batch_into_with_deadline(ids, &mut batch, deadline)?;
-        Ok(batch.take_scores())
+        self.score_batch_into(ids, &mut batch)?;
+        Ok(batch.scores)
     }
 
     /// Scores `ids` into the caller-owned, reusable `batch` — the
@@ -1417,16 +1100,51 @@ impl RouterHandle {
 
     /// [`score_batch_into`](Self::score_batch_into) with a per-request
     /// deadline override; see
-    /// [`get_with_deadline`](Self::get_with_deadline) for the override
-    /// semantics.
+    /// [`get_batch_into_with_deadline`](Self::get_batch_into_with_deadline)
+    /// for the override semantics.
     pub fn score_batch_into_with_deadline(
         &self,
         ids: &[usize],
         batch: &mut ScoreBatch,
-        deadline: Option<std::time::Duration>,
+        deadline: Option<Duration>,
     ) -> Result<()> {
         let store = self.store()?;
-        if ids.is_empty() {
+        let backend = Some(Arc::clone(&self.model.backend));
+        let scores = &mut batch.scores;
+        // The served output buffer becomes the scores; the previous
+        // scores buffer rotates into the pool as the next spare.
+        self.submit(
+            store,
+            ids,
+            backend,
+            deadline,
+            &mut batch.flight,
+            |_, out| std::mem::swap(scores, out),
+        )
+    }
+
+    /// The one request path every entry point above wraps: validate →
+    /// count `issued` → plan sub-requests → admit → wait → deliver.
+    ///
+    /// `backend: None` looks rows up, one sub-request per shard touched;
+    /// `Some` scores the whole id list as one sub-request on its first
+    /// id's shard (the executing worker gathers rows across shards — the
+    /// store is thread-safe). That routing choice is the only
+    /// difference between the two. `deliver` receives each served
+    /// sub-request's positions in `ids` and its filled output buffer,
+    /// which it may read or swap out; whatever buffer it leaves behind
+    /// returns to `flight`'s pool.
+    // memcom-lint: hot-path
+    fn submit(
+        &self,
+        store: Arc<ShardedStore>,
+        ids: &[usize],
+        backend: Option<Arc<dyn InferBackend>>,
+        deadline: Option<Duration>,
+        flight: &mut Flight,
+        mut deliver: impl FnMut(&[usize], &mut Vec<f32>),
+    ) -> Result<()> {
+        if backend.is_some() && ids.is_empty() {
             return Err(ServeError::BadConfig {
                 context: "a score request needs at least one id".to_string(),
             });
@@ -1434,77 +1152,104 @@ impl RouterHandle {
         for &id in ids {
             store.check_id(id)?;
         }
-        // ORDERING: issue increments stay Relaxed; outcomes are
-        // Release-published after them and snapshots read outcomes
-        // Acquire-first (see `stats_for`).
-        self.model
-            .counters
+        let counters = &self.model.counters;
+        // ORDERING: issue increments stay Relaxed; the matching outcome
+        // (request/shed/expired) is Release-published after this, and
+        // snapshot readers load outcomes with Acquire before `issued`,
+        // which keeps `issued >= requests + shed + expired` observable.
+        counters
             .issued
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
-        let backend = Arc::clone(&self.model.backend);
-        let out_len = backend.out_len(ids.len(), &store);
-        // The whole request rides one shard queue — its first id's —
-        // for admission/batching; the executing worker gathers rows
-        // across shards (the store is thread-safe).
-        let shard = store.shard_of(ids[0]);
-        let (mut req_ids, mut out) = batch.take_buffers();
-        req_ids.clear();
-        req_ids.extend_from_slice(ids);
-        out.clear();
-        out.resize(out_len, 0.0);
-        let slot = Arc::new(SlabSlot::new());
-        let request = Request::Score(ScoreRequest {
-            ids: req_ids,
-            out,
-            store,
-            backend,
-            counters: Arc::clone(&self.model.counters),
-            slot: Arc::clone(&slot),
-            admission: Admission::stamp_with(
-                self.inner.config.admission,
-                self.inner.telemetry.stages_on(),
-                deadline,
-            ),
-            span: self.inner.telemetry.sample(),
-        });
-        match self.inner.admit(shard, request) {
-            Ok(()) => {}
-            Err((e, rejected)) => {
-                // A shed (or shutdown-rejected) request comes back whole
-                // — recycle its buffers so the shedding path allocates
-                // nothing.
-                if let Request::Score(s) = rejected {
-                    batch.recycle_buffers(s.ids, s.out);
-                }
-                return Err(e);
+        let n_shards = store.n_shards();
+        flight.begin(n_shards);
+        if backend.is_some() {
+            flight.shard_pos[store.shard_of(ids[0])].extend(0..ids.len());
+        } else {
+            for (pos, &id) in ids.iter().enumerate() {
+                flight.shard_pos[store.shard_of(id)].push(pos);
             }
         }
-        let outcome = slot.wait();
-        // A worker-lost blanket returns capacity-less placeholders —
-        // keep those out of the batch so it only holds warm buffers.
-        if outcome.out.capacity() > 0 || outcome.ids.capacity() > 0 {
-            batch.accept_outcome(outcome.ids, outcome.out);
+        let admission = Admission::stamp_with(
+            self.inner.config.admission,
+            self.inner.telemetry.stages_on(),
+            deadline,
+        );
+        let mut first_err = None;
+        for shard in 0..n_shards {
+            let positions = &flight.shard_pos[shard];
+            if positions.is_empty() {
+                continue;
+            }
+            let (mut sub_ids, mut out) = flight.pool.pop().unwrap_or_default();
+            sub_ids.clear();
+            sub_ids.extend(positions.iter().map(|&pos| ids[pos]));
+            out.clear();
+            let out_len = match &backend {
+                Some(backend) => backend.out_len(sub_ids.len(), &store),
+                None => sub_ids.len() * store.dim(),
+            };
+            out.resize(out_len, 0.0);
+            let slot = Arc::new(SlabSlot::new());
+            let request = Request {
+                ids: sub_ids,
+                out,
+                store: Arc::clone(&store),
+                backend: backend.clone(),
+                counters: Arc::clone(counters),
+                slot: Arc::clone(&slot),
+                admission,
+                span: self.inner.telemetry.sample(),
+            };
+            match self.inner.admit(shard, request) {
+                Ok(()) => flight.pending.push((shard, slot)),
+                Err((e, rejected)) => {
+                    // A shed (or shutdown-rejected) request comes back
+                    // whole — recycle its buffers so the shedding hot
+                    // path allocates nothing.
+                    flight.pool.push((rejected.ids, rejected.out));
+                    if matches!(e, ServeError::Overloaded { .. }) {
+                        // Rows on shards never attempted were refused
+                        // admission along with this one: counting them
+                        // shed keeps `requests + shed + expired` equal
+                        // to the rows issued for partially-admitted
+                        // fan-outs (admitted sub-requests still run and
+                        // count as served).
+                        let skipped: usize =
+                            flight.shard_pos[shard + 1..].iter().map(Vec::len).sum();
+                        counters.shed.fetch_add(skipped as u64, Ordering::Release);
+                    }
+                    first_err = Some(e);
+                    break;
+                }
+            }
         }
-        outcome.result
+        while let Some((shard, slot)) = flight.pending.pop() {
+            let mut outcome = slot.wait();
+            match outcome.result {
+                Ok(()) => deliver(&flight.shard_pos[shard], &mut outcome.out),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+            // A worker-lost blanket returns capacity-less placeholders
+            // (the real buffers died with the panicking batch) — keep
+            // those out of the pool so it only ever holds warm buffers.
+            if outcome.out.capacity() > 0 || outcome.ids.capacity() > 0 {
+                flight.pool.push((outcome.ids, outcome.out));
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
+    // memcom-lint: end-hot-path
 }
 
-fn worker_loop(
-    inner: &RouterInner,
-    shard_idx: usize,
-    max_batch: usize,
-    max_wait: std::time::Duration,
-) {
+fn worker_loop(inner: &RouterInner, shard_idx: usize, max_batch: usize, max_wait: Duration) {
     let queue = &inner.queues[shard_idx];
-    // Reusable scratch: the popped batch and its panic-blanket slot list
-    // (refilled per flush), the single-id run coalescing buffers, and
-    // the inference-backend scratch — the worker allocates nothing per
-    // batch at a steady shape.
+    // Reusable scratch: the popped batch, its panic-blanket slot list
+    // (refilled per flush), and the inference-backend scratch — the
+    // worker allocates nothing per batch at a steady shape.
     let mut batch: Vec<Request> = Vec::new();
-    let mut slots: Vec<SlotRef> = Vec::new();
-    let mut one_ids: Vec<usize> = Vec::new();
-    let mut one_slots: Vec<Arc<ResponseSlot>> = Vec::new();
-    let mut one_spans: Vec<SpanSeed> = Vec::new();
+    let mut slots: Vec<Arc<SlabSlot>> = Vec::new();
     let mut infer_scratch = InferScratch::new();
     while let Some((reason, assembly)) = queue.pop_batch_into_timed(&mut batch, max_batch, max_wait)
     {
@@ -1512,7 +1257,7 @@ fn worker_loop(
         // the slots, answer `WorkerLost` to any left unfilled (fill is
         // first-write-wins), and keep the worker alive for later batches.
         slots.clear();
-        slots.extend(batch.iter().map(Request::slot_ref));
+        slots.extend(batch.iter().map(|request| Arc::clone(&request.slot)));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             serve_batch(
                 inner,
@@ -1520,9 +1265,6 @@ fn worker_loop(
                 &mut batch,
                 reason,
                 assembly,
-                &mut one_ids,
-                &mut one_slots,
-                &mut one_spans,
                 &mut infer_scratch,
             );
         }));
@@ -1531,14 +1273,10 @@ fn worker_loop(
                 slot.fail(ServeError::WorkerLost);
             }
             batch.clear();
-            one_ids.clear();
-            one_slots.clear();
-            one_spans.clear();
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 // memcom-lint: hot-path
 fn serve_batch(
     inner: &RouterInner,
@@ -1546,13 +1284,10 @@ fn serve_batch(
     batch: &mut Vec<Request>,
     reason: FlushReason,
     assembly: Duration,
-    one_ids: &mut Vec<usize>,
-    one_slots: &mut Vec<Arc<ResponseSlot>>,
-    one_spans: &mut Vec<SpanSeed>,
     infer_scratch: &mut InferScratch,
 ) {
     let c = &inner.batch;
-    let rows: usize = batch.iter().map(Request::rows).sum();
+    let rows: usize = batch.iter().map(|request| request.ids.len()).sum();
     // ORDERING: this is the batcher-wide rows tally (BatchCounters),
     // not the per-model contract counter of the same name; worker
     // threads only race on the total, which needs no ordering.
@@ -1571,7 +1306,7 @@ fn serve_batch(
     // costing a store read (or the simulated store latency).
     // memcom-lint: allow(L002) -- one read per flushed batch, amortized over every request in it; deadline evaluation needs a wall-clock anchor
     let now = Instant::now();
-    let live = |request: &Request| match request.admission().expires_at() {
+    let live = |request: &Request| match request.admission.expires_at() {
         Some(expires_at) => now < expires_at,
         None => true,
     };
@@ -1586,7 +1321,7 @@ fn serve_batch(
         stages.batch_assembly.record(assembly.as_nanos() as u64);
         stages.batch_size.record(rows as u64 * SIZE_SCALE);
         for request in batch.iter() {
-            if let Some(issued_at) = request.admission().issued_at() {
+            if let Some(issued_at) = request.admission.issued_at() {
                 let waited = now.saturating_duration_since(issued_at);
                 stages.queue_wait.record(waited.as_nanos() as u64);
             }
@@ -1601,248 +1336,102 @@ fn serve_batch(
         std::thread::sleep(store_latency);
     }
 
-    // Serve in arrival order, coalescing runs of single-id requests that
-    // target the same store snapshot (the common single-model case) into
-    // one store batch, so the legacy path keeps its lock amortization.
-    let mut run: Option<(Arc<ShardedStore>, Arc<ModelCounters>)> = None;
-    for request in batch.drain(..) {
+    // Serve in arrival order.
+    for mut request in batch.drain(..) {
+        let n_rows = request.ids.len();
+        let issued_at = request.admission.issued_at();
         if !live(&request) {
-            // A sampled expired request's span ends here: queued its
+            // Failed at dequeue because the deadline passed while queued:
+            // count the drop, hand the caller's buffers back (the worker
+            // still owns them here), and end a sampled span — queued its
             // whole life, no service.
-            if let Some(pending) = request.span() {
-                if let Some(issued_at) = request.admission().issued_at() {
-                    let waited = now.saturating_duration_since(issued_at).as_nanos() as u64;
-                    telemetry.complete(Span {
-                        seq: pending.seq,
-                        shard: shard_idx,
-                        rows: request.rows(),
-                        queue_wait_nanos: waited,
-                        service_nanos: 0,
-                        total_nanos: waited,
-                        outcome: SpanOutcome::Expired,
-                    });
-                }
+            request
+                .counters
+                .expired
+                .fetch_add(n_rows as u64, Ordering::Release);
+            if let (Some(pending), Some(issued_at)) = (request.span, issued_at) {
+                let waited = now.saturating_duration_since(issued_at).as_nanos() as u64;
+                telemetry.complete(Span {
+                    seq: pending.seq,
+                    shard: shard_idx,
+                    rows: n_rows,
+                    queue_wait_nanos: waited,
+                    service_nanos: 0,
+                    total_nanos: waited,
+                    outcome: SpanOutcome::Expired,
+                });
             }
-            request.expire(now);
+            let error = request.admission.deadline_error(now);
+            request
+                .slot
+                .fail_with_buffers(request.ids, request.out, error);
             continue;
         }
-        match request {
-            Request::One(r) => {
-                let same_run = matches!(&run, Some((s, _)) if Arc::ptr_eq(s, &r.store));
-                if !same_run {
-                    flush_one_run(inner, shard_idx, run.take(), one_ids, one_slots, one_spans);
-                    run = Some((r.store, r.counters));
-                }
-                if let (Some(pending), Some(issued_at)) = (r.span, r.admission.issued_at()) {
-                    one_spans.push(SpanSeed {
-                        seq: pending.seq,
-                        issued_at,
-                        queue_wait_nanos: now.saturating_duration_since(issued_at).as_nanos()
-                            as u64,
-                        rows: 1,
-                    });
-                }
-                one_ids.push(r.id);
-                one_slots.push(r.slot);
-            }
-            Request::Slab(mut s) => {
-                flush_one_run(inner, shard_idx, run.take(), one_ids, one_slots, one_spans);
-                let decode_before = stages_on.then(|| s.store.shard_hit_miss(shard_idx));
-                let started = stages_on.then(Instant::now);
-                let result = s.store.lookup_batch(shard_idx, &s.ids, &mut s.out);
-                if result.is_ok() {
-                    s.counters
-                        .requests
-                        .fetch_add(s.ids.len() as u64, Ordering::Release);
-                }
-                // Capture telemetry inputs before the fill consumes the
-                // request's buffers.
-                let slab_rows = s.ids.len();
-                let dtype = s.store.dtype();
-                let span = s.span;
-                let issued_at = s.admission.issued_at();
-                let decode_after = decode_before.map(|_| s.store.shard_hit_miss(shard_idx));
-                let decoded = started.map(|_| Instant::now());
-                s.slot.fill(SlabOutcome {
-                    ids: s.ids,
-                    out: s.out,
-                    result,
-                });
-                if let (Some(started), Some(decoded)) = (started, decoded) {
-                    // memcom-lint: allow(L002) -- reached only when stages are on: `started` is `stages_on.then(Instant::now)`
-                    let finished = Instant::now();
-                    let shard_t = telemetry.shard(shard_idx);
-                    {
-                        let mut stages = shard_t.stages();
-                        stages.decode[dtype_idx(dtype)]
-                            .record(decoded.saturating_duration_since(started).as_nanos() as u64);
-                        stages
-                            .slab_write
-                            .record(finished.saturating_duration_since(decoded).as_nanos() as u64);
-                    }
-                    if let (Some((hit0, miss0)), Some((hit1, miss1))) =
-                        (decode_before, decode_after)
-                    {
-                        // The worker owns this shard, so the before/after
-                        // counter delta is exactly this lookup's rows.
-                        shard_t.add_decode_rows(hit1 - hit0, miss1 - miss0);
-                    }
-                    if let (Some(pending), Some(issued_at)) = (span, issued_at) {
-                        telemetry.complete(Span {
-                            seq: pending.seq,
-                            shard: shard_idx,
-                            rows: slab_rows,
-                            queue_wait_nanos: started
-                                .saturating_duration_since(issued_at)
-                                .as_nanos() as u64,
-                            service_nanos: finished.saturating_duration_since(started).as_nanos()
-                                as u64,
-                            total_nanos: finished.saturating_duration_since(issued_at).as_nanos()
-                                as u64,
-                            outcome: SpanOutcome::Served,
-                        });
-                    }
-                }
-            }
-            Request::Score(mut s) => {
-                flush_one_run(inner, shard_idx, run.take(), one_ids, one_slots, one_spans);
-                let started = stages_on.then(Instant::now);
-                let result = s
-                    .backend
-                    .score_into(&s.store, &s.ids, infer_scratch, &mut s.out);
-                if result.is_ok() {
-                    s.counters
-                        .requests
-                        .fetch_add(s.ids.len() as u64, Ordering::Release);
-                }
-                // Capture telemetry inputs before the fill consumes the
-                // request's buffers.
-                let score_rows = s.ids.len();
-                let span = s.span;
-                let issued_at = s.admission.issued_at();
-                let scored = started.map(|_| Instant::now());
-                s.slot.fill(SlabOutcome {
-                    ids: s.ids,
-                    out: s.out,
-                    result,
-                });
-                if let (Some(started), Some(scored)) = (started, scored) {
-                    // memcom-lint: allow(L002) -- reached only when stages are on: `started` is `stages_on.then(Instant::now)`
-                    let finished = Instant::now();
-                    let shard_t = telemetry.shard(shard_idx);
-                    {
-                        // The whole backend execution — gather + NN
-                        // forward — lands in the `forward` stage; the
-                        // reply hand-back stays in `slab_write` like
-                        // every other response.
-                        let mut stages = shard_t.stages();
-                        stages
-                            .forward
-                            .record(scored.saturating_duration_since(started).as_nanos() as u64);
-                        stages
-                            .slab_write
-                            .record(finished.saturating_duration_since(scored).as_nanos() as u64);
-                    }
-                    if let (Some(pending), Some(issued_at)) = (span, issued_at) {
-                        telemetry.complete(Span {
-                            seq: pending.seq,
-                            shard: shard_idx,
-                            rows: score_rows,
-                            queue_wait_nanos: started
-                                .saturating_duration_since(issued_at)
-                                .as_nanos() as u64,
-                            service_nanos: finished.saturating_duration_since(started).as_nanos()
-                                as u64,
-                            total_nanos: finished.saturating_duration_since(issued_at).as_nanos()
-                                as u64,
-                            outcome: SpanOutcome::Served,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    flush_one_run(inner, shard_idx, run.take(), one_ids, one_slots, one_spans);
-}
-
-fn flush_one_run(
-    inner: &RouterInner,
-    shard_idx: usize,
-    run: Option<(Arc<ShardedStore>, Arc<ModelCounters>)>,
-    ids: &mut Vec<usize>,
-    slots: &mut Vec<Arc<ResponseSlot>>,
-    spans: &mut Vec<SpanSeed>,
-) {
-    let Some((store, counters)) = run else {
-        debug_assert!(ids.is_empty());
-        return;
-    };
-    let telemetry = &inner.telemetry;
-    let stages_on = telemetry.stages_on();
-    let decode_before = stages_on.then(|| store.shard_hit_miss(shard_idx));
-    let started = stages_on.then(Instant::now);
-    match store.get_shard_batch(shard_idx, ids) {
-        Ok(rows) => {
-            counters
+        let started = stages_on.then(Instant::now);
+        // The only per-kind difference: which call fills `out`. A lookup
+        // reports its own cache hits/misses — the shard's shared counters
+        // also move under score requests gathering from other workers.
+        let mut decode_rows = None;
+        let result = match &request.backend {
+            None => request
+                .store
+                .lookup_batch_counted(shard_idx, &request.ids, &mut request.out)
+                .map(|hit_miss| decode_rows = Some(hit_miss)),
+            Some(backend) => backend.score_into(
+                &request.store,
+                &request.ids,
+                infer_scratch,
+                &mut request.out,
+            ),
+        };
+        if result.is_ok() {
+            request
+                .counters
                 .requests
-                .fetch_add(ids.len() as u64, Ordering::Release);
-            let decoded = started.map(|_| Instant::now());
-            for (slot, row) in slots.drain(..).zip(rows) {
-                slot.fill(Ok(row));
-            }
-            if let (Some(started), Some(decoded)) = (started, decoded) {
-                // memcom-lint: allow(L002) -- reached only when stages are on: `started` is `stages_on.then(Instant::now)`
-                let finished = Instant::now();
-                let shard_t = telemetry.shard(shard_idx);
-                {
-                    let mut stages = shard_t.stages();
-                    stages.decode[dtype_idx(store.dtype())]
-                        .record(decoded.saturating_duration_since(started).as_nanos() as u64);
-                    stages
-                        .slab_write
-                        .record(finished.saturating_duration_since(decoded).as_nanos() as u64);
-                }
-                if let Some((hit0, miss0)) = decode_before {
-                    let (hit1, miss1) = store.shard_hit_miss(shard_idx);
-                    // The worker owns this shard, so the before/after
-                    // delta is exactly this run's rows.
-                    shard_t.add_decode_rows(hit1 - hit0, miss1 - miss0);
-                }
-                // Service time is the whole coalesced run — the latency
-                // each sampled request actually experienced, not its
-                // pro-rata share.
-                let service = finished.saturating_duration_since(started).as_nanos() as u64;
-                for seed in spans.drain(..) {
-                    telemetry.complete(Span {
-                        seq: seed.seq,
-                        shard: shard_idx,
-                        rows: seed.rows,
-                        queue_wait_nanos: seed.queue_wait_nanos,
-                        service_nanos: service,
-                        total_nanos: finished
-                            .saturating_duration_since(seed.issued_at)
-                            .as_nanos() as u64,
-                        outcome: SpanOutcome::Served,
-                    });
-                }
-            }
+                .fetch_add(n_rows as u64, Ordering::Release);
         }
-        Err(_) => {
-            // A bad id poisons only its own batch; answer every
-            // requester individually so none hangs — and only the rows
-            // actually served count as served. Sampled spans are dropped
-            // on this rare path: tracing is best-effort.
-            for (slot, &id) in slots.drain(..).zip(ids.iter()) {
-                let outcome = store.get(id);
-                if outcome.is_ok() {
-                    counters.requests.fetch_add(1, Ordering::Release);
-                }
-                slot.fill(outcome);
+        let timed = started.map(|started| (started, Instant::now()));
+        request.slot.fill(SlabOutcome {
+            ids: request.ids,
+            out: request.out,
+            result,
+        });
+        if let Some((started, filled)) = timed {
+            // memcom-lint: allow(L002) -- reached only when stages are on: `started` is `stages_on.then(Instant::now)`
+            let finished = Instant::now();
+            let shard_t = telemetry.shard(shard_idx);
+            {
+                // A lookup's store read lands in `decode[dtype]`; a
+                // score's whole backend execution — gather + NN forward
+                // — in `forward`. The reply hand-back is `slab_write`
+                // for both.
+                let mut stages = shard_t.stages();
+                let fill_stage = match request.backend {
+                    None => &mut stages.decode[dtype_idx(request.store.dtype())],
+                    Some(_) => &mut stages.forward,
+                };
+                fill_stage.record(filled.saturating_duration_since(started).as_nanos() as u64);
+                stages
+                    .slab_write
+                    .record(finished.saturating_duration_since(filled).as_nanos() as u64);
+            }
+            if let Some((hit, miss)) = decode_rows {
+                shard_t.add_decode_rows(hit, miss);
+            }
+            if let (Some(pending), Some(issued_at)) = (request.span, issued_at) {
+                telemetry.complete(Span {
+                    seq: pending.seq,
+                    shard: shard_idx,
+                    rows: n_rows,
+                    queue_wait_nanos: started.saturating_duration_since(issued_at).as_nanos()
+                        as u64,
+                    service_nanos: finished.saturating_duration_since(started).as_nanos() as u64,
+                    total_nanos: finished.saturating_duration_since(issued_at).as_nanos() as u64,
+                    outcome: SpanOutcome::Served,
+                });
             }
         }
     }
-    ids.clear();
-    spans.clear();
 }
 // memcom-lint: end-hot-path
 
@@ -1879,15 +1468,16 @@ mod tests {
         // Hand-craft a poisoned request: 2 ids but a 1-value slab.
         let slot = Arc::new(SlabSlot::new());
         router.inner.queues[0]
-            .push(Request::Slab(SlabRequest {
+            .push(Request {
                 ids: vec![0, 1],
                 out: vec![0f32; 1],
                 store: Arc::clone(&store),
+                backend: None,
                 counters: Arc::new(ModelCounters::default()),
                 slot: Arc::clone(&slot),
                 admission: Admission::stamp_with(AdmissionPolicy::Block, false, None),
                 span: None,
-            }))
+            })
             .unwrap();
         let outcome = slot.wait();
         assert!(matches!(outcome.result, Err(ServeError::WorkerLost)));

@@ -1,17 +1,18 @@
 //! Single-model serving facade over the multi-model [`Router`].
 //!
-//! [`EmbedServer`] and [`ServeHandle`] are the original (PR 1) serving
-//! API, kept source-compatible: they start a [`Router`], register one
-//! model under [`DEFAULT_MODEL`], and forward every call. New code that
-//! needs several models, snapshot swaps, or per-model statistics should
-//! use [`Router`] directly — [`EmbedServer::router`] is the escape
-//! hatch from an existing server.
+//! [`EmbedServer`] is the original (PR 1) serving API, kept
+//! source-compatible: it starts a [`Router`], registers one model under
+//! [`DEFAULT_MODEL`], and hands out that model's [`RouterHandle`] (under
+//! its PR-1 name, [`ServeHandle`]). New code that needs several models,
+//! snapshot swaps, or per-model statistics should use [`Router`]
+//! directly — [`EmbedServer::router`] is the escape hatch from an
+//! existing server.
 
 use std::sync::Arc;
 
 use crate::router::{Router, RouterHandle, DEFAULT_MODEL};
 use crate::store::ShardedStore;
-use crate::{EmbedBatch, Result, ServeConfig};
+use crate::{Result, ServeConfig};
 
 pub use crate::router::ServeStats;
 
@@ -87,9 +88,7 @@ impl EmbedServer {
     /// requests after shutdown fail with
     /// [`crate::ServeError::ShuttingDown`].
     pub fn handle(&self) -> ServeHandle {
-        ServeHandle {
-            inner: self.handle.clone(),
-        }
+        self.handle.clone()
     }
 
     /// Current aggregated statistics.
@@ -112,73 +111,14 @@ impl EmbedServer {
     }
 }
 
-/// A cheap, cloneable, thread-safe client to an [`EmbedServer`].
-///
-/// Thin wrapper over a [`RouterHandle`] bound to [`DEFAULT_MODEL`].
-#[derive(Debug, Clone)]
-pub struct ServeHandle {
-    inner: RouterHandle,
-}
-
-impl ServeHandle {
-    /// Looks up one embedding row, blocking until the answer arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::ServeError::IdOutOfVocab`] for bad ids and
-    /// [`crate::ServeError::ShuttingDown`] after shutdown.
-    pub fn get(&self, id: usize) -> Result<Vec<f32>> {
-        self.inner.get(id)
-    }
-
-    /// Looks up many ids, pipelining across shards before blocking, and
-    /// returns owned per-row vectors. Prefer
-    /// [`get_batch_into`](Self::get_batch_into) on hot paths — it reuses
-    /// one flat buffer instead of allocating a `Vec` per row.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`get`](Self::get); the first failure wins.
-    pub fn get_many(&self, ids: &[usize]) -> Result<Vec<Vec<f32>>> {
-        self.inner.get_many(ids)
-    }
-
-    /// Looks up many ids into the caller-owned, reusable `batch` slab —
-    /// no per-row heap allocation at a steady batch shape.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`get`](Self::get).
-    pub fn get_batch_into(&self, ids: &[usize], batch: &mut EmbedBatch) -> Result<()> {
-        self.inner.get_batch_into(ids, batch)
-    }
-
-    /// The model name this handle routes to ([`DEFAULT_MODEL`]).
-    pub fn model_name(&self) -> &str {
-        self.inner.model_name()
-    }
-
-    /// The current store snapshot (footprint / dtype / error-bound
-    /// inspection), regardless of registration state.
-    pub fn snapshot(&self) -> Arc<ShardedStore> {
-        self.inner.snapshot()
-    }
-
-    /// Served vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.inner.vocab()
-    }
-
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-}
+/// A cheap, cloneable, thread-safe client to an [`EmbedServer`]: the
+/// [`RouterHandle`] bound to [`DEFAULT_MODEL`].
+pub type ServeHandle = RouterHandle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ServeError;
+    use crate::{EmbedBatch, ServeError};
     use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -485,13 +485,17 @@ impl Shard {
     /// buys. Nothing here allocates per row: hits copy out of the LRU,
     /// misses decode in place, duplicate ids copy within the slab, and
     /// cache fills recycle LRU storage via `insert_from`.
+    ///
+    /// Returns this call's own `(hits, misses)` row counts — the same
+    /// amounts it adds to the shard's shared counters, which other
+    /// accessors bump concurrently.
     fn lookup_into(
         &self,
         ids: &[usize],
         n_shards: usize,
         dim: usize,
         out: &mut [f32],
-    ) -> Result<()> {
+    ) -> Result<(u64, u64)> {
         assert_eq!(
             out.len(),
             ids.len() * dim,
@@ -511,6 +515,7 @@ impl Shard {
             }
         }
         let mut hits = (ids.len() - missing.len()) as u64;
+        let mut misses = 0;
 
         if !missing.is_empty() {
             // Ascending-id order keeps reads page-local within the batch
@@ -547,11 +552,11 @@ impl Shard {
             // Duplicates served from the batch count as hits: they never
             // touched the store.
             hits += dup_hits;
-            self.misses
-                .fetch_add(missing.len() as u64 - dup_hits, Ordering::Relaxed);
+            misses = missing.len() as u64 - dup_hits;
+            self.misses.fetch_add(misses, Ordering::Relaxed);
         }
         self.hits.fetch_add(hits, Ordering::Relaxed);
-        Ok(())
+        Ok((hits, misses))
     }
 }
 
@@ -1066,6 +1071,18 @@ impl ShardedStore {
     /// panic recovery fail the whole batch loudly.
     // memcom-lint: hot-path
     pub fn lookup_batch(&self, shard_idx: usize, ids: &[usize], out: &mut [f32]) -> Result<()> {
+        self.lookup_batch_counted(shard_idx, ids, out).map(drop)
+    }
+
+    /// [`lookup_batch`](Self::lookup_batch), additionally reporting the
+    /// `(cache hits, cache misses)` of *this* call — exact even while
+    /// score requests on other workers gather through the same shard.
+    pub(crate) fn lookup_batch_counted(
+        &self,
+        shard_idx: usize,
+        ids: &[usize],
+        out: &mut [f32],
+    ) -> Result<(u64, u64)> {
         for &id in ids {
             self.check_id(id)?;
             if self.shard_of(id) != shard_idx {
@@ -1077,18 +1094,6 @@ impl ShardedStore {
         self.shards[shard_idx].lookup_into(ids, self.shards.len(), self.dim, out)
     }
 
-    /// Serves a batch of ids that all route to `shard_idx`, allocating
-    /// one `Vec` per row (legacy convenience over
-    /// [`lookup_batch`](Self::lookup_batch)).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`lookup_batch`](Self::lookup_batch).
-    pub fn get_shard_batch(&self, shard_idx: usize, ids: &[usize]) -> Result<Vec<Vec<f32>>> {
-        let mut flat = vec![0f32; ids.len() * self.dim];
-        self.lookup_batch(shard_idx, ids, &mut flat)?;
-        Ok(flat.chunks_exact(self.dim).map(<[f32]>::to_vec).collect())
-    }
     // memcom-lint: end-hot-path
 
     /// Page clone-on-write events while building this snapshot — the
@@ -1135,17 +1140,6 @@ impl ShardedStore {
         (0..self.shards.len())
             .map(|idx| self.shard_cache_stats(idx))
             .collect()
-    }
-
-    /// Decode hit/miss row counts for one shard without touching the
-    /// cache lock — the worker's before/after read around a store batch,
-    /// exact under the one-worker-per-shard discipline.
-    pub(crate) fn shard_hit_miss(&self, shard_idx: usize) -> (u64, u64) {
-        let shard = &self.shards[shard_idx];
-        (
-            shard.hits.load(Ordering::Relaxed),
-            shard.misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Aggregate cache counters across shards.
@@ -1370,15 +1364,22 @@ mod tests {
         let emb = memcom(40, 4, 8, false);
         let store = ShardedStore::build(&emb, 4, 8, 64).unwrap();
         // Shard 1 owns 1, 5, 9, ...
-        let rows = store.get_shard_batch(1, &[1, 5, 9, 5]).unwrap();
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[1], rows[3], "duplicate ids in a batch get equal rows");
+        let mut rows = vec![0f32; 4 * 4];
+        let counted = store
+            .lookup_batch_counted(1, &[1, 5, 9, 5], &mut rows)
+            .unwrap();
+        assert_eq!(
+            rows[4..8],
+            rows[12..16],
+            "duplicate ids in a batch get equal rows"
+        );
+        assert_eq!(counted, (1, 3), "the call reports its own hits/misses");
         // The duplicate is served from the batch: one store read, counted
         // as a hit rather than a second miss.
         let cache = store.cache_stats();
         assert_eq!((cache.hits, cache.misses), (1, 3), "dedup within the batch");
         assert!(matches!(
-            store.get_shard_batch(0, &[1]),
+            store.lookup_batch(0, &[1], &mut rows[..4]),
             Err(ServeError::BadConfig { .. })
         ));
         assert!(matches!(

@@ -27,4 +27,4 @@ pub use export::{MetricsSnapshot, ModelMetrics, ShardStageMetrics, SizeStats, St
 pub use trace::{Span, SpanOutcome};
 
 pub(crate) use registry::{dtype_idx, MetricsRegistry, SIZE_SCALE};
-pub(crate) use trace::{PendingSpan, SpanSeed};
+pub(crate) use trace::PendingSpan;

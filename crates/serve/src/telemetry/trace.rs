@@ -9,8 +9,6 @@
 //! retention list, so a p99 outlier can be explained long after the
 //! recent ring cycled past it.
 
-use std::time::Instant;
-
 /// How a traced request ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanOutcome {
@@ -40,11 +38,10 @@ impl SpanOutcome {
 /// independently).
 ///
 /// `queue_wait_nanos` runs from the issue stamp to the moment a worker
-/// dequeued the request, so it *includes* the admission wait (the
-/// per-stage histograms split the two). `service_nanos` is the duration
-/// of the store micro-batch the request rode in — decode plus response
-/// write for the whole coalesced run, which is the latency the request
-/// actually experienced, not its pro-rata share.
+/// started on the request, so it *includes* the admission wait (the
+/// per-stage histograms split the two) and the service of requests
+/// ahead of it in its micro-batch. `service_nanos` is the request's own
+/// fill (store decode or backend forward) plus response write.
 #[derive(Debug, Clone, Copy)]
 pub struct Span {
     /// Sample sequence number (global, monotonically increasing).
@@ -56,8 +53,8 @@ pub struct Span {
     /// Issue → dequeue, including the admission wait. For a shed
     /// request this is the time spent failing admission.
     pub queue_wait_nanos: u64,
-    /// Duration of the store micro-batch that answered the request
-    /// (decode + response write). `0` for shed and expired requests.
+    /// The request's own fill (decode or forward) + response write.
+    /// `0` for shed and expired requests.
     pub service_nanos: u64,
     /// Issue → completion, end to end.
     pub total_nanos: u64,
@@ -70,16 +67,6 @@ pub struct Span {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingSpan {
     pub(crate) seq: u64,
-}
-
-/// Everything a worker needs to finish a sampled span once the store
-/// micro-batch it rode in completes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SpanSeed {
-    pub(crate) seq: u64,
-    pub(crate) issued_at: Instant,
-    pub(crate) queue_wait_nanos: u64,
-    pub(crate) rows: usize,
 }
 
 /// Fixed-size retention for completed spans: a most-recent ring plus a

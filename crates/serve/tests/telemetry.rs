@@ -481,14 +481,14 @@ fn stage_breakdown_reconciles_with_loadgen() {
     assert_eq!(sum_count(|s| s.queue_wait.count()), total);
     assert_eq!(sum_count(|s| s.batch_size.sum), total);
     assert_eq!(sum_count(|s| s.decode_rows_hit + s.decode_rows_miss), total);
-    // Single-id closed-loop traffic serves one coalesced run per batch,
-    // so per-run stages fire once per flush.
+    // Batch assembly fires once per flush; every served request records
+    // exactly one decode-or-forward sample and one slab_write sample.
     let batches = sum_count(|s| s.batch_size.count);
     assert_eq!(sum_count(|s| s.batch_assembly.count()), batches);
-    assert_eq!(sum_count(|s| s.slab_write.count()), batches);
+    assert_eq!(sum_count(|s| s.slab_write.count()), total);
     assert_eq!(
-        sum_count(|s| s.decode.iter().map(|(_, h)| h.count()).sum()),
-        batches
+        sum_count(|s| s.decode.iter().map(|(_, h)| h.count()).sum::<u64>() + s.forward.count()),
+        total
     );
 
     // Every row was sampled (rate 1.0) and every span served.
