@@ -406,7 +406,7 @@ fn measure(quick: bool) -> Vec<(&'static str, f64)> {
     router.register("default", &emb).expect("registers");
     let net_server = memcom_net::NetServer::start(router, memcom_net::NetServerConfig::default())
         .expect("net server starts");
-    let net_report = memcom_net::run_net_load(
+    let (net_report, _) = memcom_net::run_net_load(
         net_server.local_addr(),
         "default",
         vocab,
@@ -459,7 +459,7 @@ fn measure(quick: bool) -> Vec<(&'static str, f64)> {
         .expect("scorer registers");
     let net_server = memcom_net::NetServer::start(router, memcom_net::NetServerConfig::default())
         .expect("net server starts");
-    let score_report = memcom_net::run_net_score_load(
+    let (score_report, _) = memcom_net::run_net_score_load(
         net_server.local_addr(),
         "scorer",
         vocab,

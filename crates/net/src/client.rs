@@ -10,10 +10,12 @@
 //!
 //! Overload rejections carry the server's `retry_after` hint. With
 //! [`NetClientConfig::honor_backoff`] set (the default) the client
-//! sleeps out the most recent hint before its next send — the same
-//! pacing contract the in-process load generator follows — and
+//! sleeps out the most recent hint before its next send, and
 //! [`NetClientStats`] reports both the hinted and the actually-slept
-//! backoff so experiments can prove the hints were honored.
+//! backoff so experiments can prove the hints were honored. That sleep
+//! happens *inside* `send`, so a caller timing its calls sees it as
+//! latency; the load driver ([`crate::loadgen`]) therefore connects with
+//! it off and paces between requests itself.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,12 +88,17 @@ pub struct NetClientStats {
     pub backoff_slept_nanos: u64,
 }
 
-impl NetClientStats {
-    /// Mean server backoff hint per shed request.
-    pub fn mean_backoff(&self) -> Duration {
-        self.backoff_hint_nanos
-            .checked_div(self.shed)
-            .map_or(Duration::ZERO, Duration::from_nanos)
+/// Folds another connection's tallies in (a load run sums its clients).
+impl std::ops::AddAssign for NetClientStats {
+    fn add_assign(&mut self, other: Self) {
+        self.sent += other.sent;
+        self.served += other.served;
+        self.shed += other.shed;
+        self.expired += other.expired;
+        self.shutdown_rejected += other.shutdown_rejected;
+        self.other_errors += other.other_errors;
+        self.backoff_hint_nanos += other.backoff_hint_nanos;
+        self.backoff_slept_nanos += other.backoff_slept_nanos;
     }
 }
 

@@ -123,7 +123,8 @@ pub enum NetError {
         /// The server's human-readable detail.
         message: String,
     },
-    /// A degenerate configuration (zero clients, bad rates, …).
+    /// A degenerate load-run configuration (zero clients, bad rates, …),
+    /// as rejected by [`memcom_serve::drive`].
     BadConfig(String),
     /// The connection closed with this request still pending — the
     /// request may or may not have been served; nothing was received
@@ -191,6 +192,17 @@ impl std::error::Error for NetError {
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)
+    }
+}
+
+/// The only serve-tier error raised *locally* in this crate (remote ones
+/// arrive as [`NetError::Remote`]) is the load driver refusing a config.
+impl From<ServeError> for NetError {
+    fn from(e: ServeError) -> Self {
+        NetError::BadConfig(match e {
+            ServeError::BadConfig { context } => context,
+            other => other.to_string(),
+        })
     }
 }
 

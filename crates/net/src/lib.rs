@@ -17,13 +17,11 @@
 //!   `retry_after` nanos. Strict decode: every malformation is a typed
 //!   [`WireError`], never a panic; oversized length prefixes are
 //!   rejected before allocation.
-//! * [`transport`] — runtime-agnostic [`Transport`] (how bytes move)
-//!   and [`EventLoop`] (how connections are driven) traits. The stock
-//!   backend is `std::net` TCP with a thread per connection; a
-//!   poll/mio-style reactor slots in behind the same traits without
-//!   touching the server core.
-//! * [`NetServer`] — accepts many concurrent clients and feeds the
-//!   existing [`Router`](memcom_serve::Router)'s shard queues; wire
+//! * [`transport`] — the [`Transport`] / [`ByteStream`] seam (how
+//!   bytes move), so both endpoints can run over a substituted stream;
+//!   the stock backend is `std::net` TCP.
+//! * [`NetServer`] — accepts many concurrent clients, one OS thread
+//!   per connection, and feeds the existing [`Router`](memcom_serve::Router)'s shard queues; wire
 //!   deadlines map onto admission control via the serve tier's
 //!   per-request deadline hooks. Graceful shutdown drains connections
 //!   (in-flight responses flushed, already-sent frames answered with a
@@ -31,9 +29,11 @@
 //! * [`NetClient`] — request pipelining over one connection, blocking
 //!   or ticket-based, honoring server `retry_after` hints
 //!   automatically.
-//! * [`loadgen`] — the serve tier's Zipf load generator over real
-//!   sockets, with identical seeding and traffic digests so networked
-//!   and in-process runs are directly comparable.
+//! * [`loadgen`] — [`memcom_serve::drive`], the serve tier's load
+//!   driver, submitting through one [`NetClient`] per client thread:
+//!   the traffic, schedule, pacing, and [`memcom_serve::LoadReport`]
+//!   are the in-process generator's own, so networked and in-process
+//!   runs are directly comparable.
 //! * [`telemetry`] — network-stage histograms (`frame_decode`,
 //!   `response_encode`, `socket_write`) and always-on per-connection
 //!   counters, exported as `memcom_net_*` Prometheus series or JSON
@@ -62,10 +62,10 @@ pub mod wire;
 
 pub use client::{NetClient, NetClientConfig, NetClientStats, Pending};
 pub use error::{error_response_for, ErrorCode, NetError, Result};
-pub use loadgen::{run_net_load, run_net_score_load, NetLoadReport};
+pub use loadgen::{run_net_load, run_net_score_load};
 pub use server::{NetServer, NetServerConfig};
 pub use telemetry::{ConnectionMetrics, NetMetricsSnapshot};
-pub use transport::{ByteStream, EventLoop, TcpTransport, ThreadPerConnection, Transport};
+pub use transport::{ByteStream, TcpTransport, Transport};
 pub use wire::{
     ErrorResponse, FrameReader, LookupRequest, Message, ReadEvent, RowsResponse, ScoreRequest,
     WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,

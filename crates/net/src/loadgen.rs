@@ -1,164 +1,28 @@
-//! Networked load generation: the serve tier's Zipf loadgen driven
+//! Networked load generation: `memcom_serve`'s load driver submitting
 //! through real sockets.
 //!
-//! [`run_net_load`] mirrors [`memcom_serve::loadgen`] deliberately —
-//! same [`LoadGenConfig`], same per-client seeding (`seed +
-//! client_idx`), same FNV traffic digest, same open-loop
-//! scheduled-send pacing (latency measured from the *scheduled*
-//! arrival, charging queueing to the system) — so a networked run's
-//! `traffic_checksum` is directly comparable with an in-process run of
-//! the same config, and any throughput difference is attributable to
-//! the wire, not to different traffic.
-//!
-//! Each client thread opens its own connection. Closed-loop clients
-//! honor the server's `retry_after` hints (the [`NetClient`] sleeps
-//! them out before the next send); open-loop clients keep their
-//! arrival schedule and only record the hints, exactly like the
-//! in-process generator.
+//! [`memcom_serve::drive`] owns the traffic (seeding, Zipf sampling,
+//! digest), the schedule, the pacing, and the report; this module only
+//! supplies what a client *is* over the wire — one [`NetClient`]
+//! connection per client thread, blocking lookups or scores, and typed
+//! error frames classified into [`Outcome`]s. The connections run with
+//! `honor_backoff: false`: the driver sleeps a shed's `retry_after`
+//! between requests, so closed-loop latency covers the request alone on
+//! this tier exactly as it does in-process. Each run hands back the
+//! summed [`NetClientStats`] of its connections next to the report —
+//! the client half of the client/server reconciliation.
 
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use memcom_data::Zipf;
-use memcom_serve::{LatencyHistogram, LoadGenConfig, LoadMode};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use memcom_serve::{drive, LoadGenConfig, LoadReport, Outcome};
+use parking_lot::Mutex;
 
 use crate::client::{NetClient, NetClientConfig, NetClientStats};
-use crate::error::{ErrorCode, NetError};
+use crate::error::ErrorCode;
 use crate::Result;
 
-/// What a networked load run observed.
-#[derive(Debug, Clone)]
-pub struct NetLoadReport {
-    /// Completed requests (answered with rows).
-    pub requests: u64,
-    /// `overloaded` rejections.
-    pub shed: u64,
-    /// `deadline_exceeded` rejections.
-    pub expired: u64,
-    /// `shutting_down` rejections (server drain answers).
-    pub shutdown_rejected: u64,
-    /// Ids embedded per request.
-    pub ids_per_request: usize,
-    /// Wall-clock span of the run.
-    pub elapsed: Duration,
-    /// Per-request latency distribution (completed requests, measured
-    /// from the scheduled send under open loop).
-    pub histogram: LatencyHistogram,
-    /// Order-independent digest of the issued traffic; equals the
-    /// in-process generator's checksum for the same config and vocab.
-    pub traffic_checksum: u64,
-    /// Aggregated client-side tallies across every connection — the
-    /// client half of the client/server reconciliation.
-    pub client: NetClientStats,
-}
-
-impl NetLoadReport {
-    /// *Completed* requests per second (the goodput).
-    pub fn qps(&self) -> f64 {
-        per_second(self.requests, self.elapsed)
-    }
-
-    /// Synonym for [`qps`](Self::qps), for overload tables read
-    /// against [`offered_qps`](Self::offered_qps).
-    pub fn goodput(&self) -> f64 {
-        self.qps()
-    }
-
-    /// Requests issued: completed + shed + expired + drain-rejected.
-    pub fn offered(&self) -> u64 {
-        self.requests + self.shed + self.expired + self.shutdown_rejected
-    }
-
-    /// Issued requests per second (the offered load).
-    pub fn offered_qps(&self) -> f64 {
-        per_second(self.offered(), self.elapsed)
-    }
-
-    /// Fraction of issued requests rejected instead of answered with
-    /// rows.
-    pub fn shed_rate(&self) -> f64 {
-        let offered = self.offered();
-        if offered == 0 {
-            0.0
-        } else {
-            (offered - self.requests) as f64 / offered as f64
-        }
-    }
-
-    /// Mean server backoff hint per shed request.
-    pub fn mean_backoff(&self) -> Duration {
-        self.client.mean_backoff()
-    }
-}
-
-fn per_second(count: u64, elapsed: Duration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs == 0.0 {
-        0.0
-    } else {
-        count as f64 / secs
-    }
-}
-
-fn arrival_tick(mode: LoadMode) -> Result<Duration> {
-    match mode {
-        LoadMode::Closed => Ok(Duration::ZERO),
-        LoadMode::Open { target_qps } => {
-            if !target_qps.is_finite() || target_qps <= 0.0 {
-                return Err(NetError::BadConfig(format!(
-                    "open-loop target_qps must be positive, got {target_qps}"
-                )));
-            }
-            Ok(Duration::from_secs_f64(1.0 / target_qps))
-        }
-    }
-}
-
-/// When request `k` of `client_idx` starts — identical to the
-/// in-process generator's schedule so latency semantics match.
-fn request_start(
-    mode: LoadMode,
-    tick: Duration,
-    started: Instant,
-    client_idx: usize,
-    clients: usize,
-    k: usize,
-) -> Instant {
-    match mode {
-        LoadMode::Closed => Instant::now(),
-        LoadMode::Open { .. } => {
-            let index = (client_idx + k * clients) as f64;
-            let scheduled = started + Duration::from_secs_f64(tick.as_secs_f64() * index);
-            let now = Instant::now();
-            if scheduled > now {
-                std::thread::sleep(scheduled - now);
-            }
-            scheduled
-        }
-    }
-}
-
-/// The in-process generator's FNV request digest, bit for bit, so
-/// checksums agree across tiers.
-fn request_digest(model_idx: usize, ids: &[usize]) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (model_idx as u64).wrapping_mul(FNV_PRIME);
-    for &id in ids {
-        h ^= id as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-struct ClientNetTally {
-    histogram: LatencyHistogram,
-    checksum: u64,
-    stats: NetClientStats,
-}
-
-/// Runs Zipf traffic against a network server at `addr`, one
-/// connection per client thread.
+/// Runs Zipf lookup traffic against the network server at `addr`.
 ///
 /// `vocab` is the served model's vocabulary size (the Zipf support);
 /// `deadline` is attached to every request and mapped onto the
@@ -166,25 +30,23 @@ struct ClientNetTally {
 ///
 /// # Errors
 ///
-/// [`NetError::BadConfig`] for degenerate configs; connection failures
-/// and non-overload server errors propagate from the first client that
-/// hits one.
+/// [`crate::NetError::BadConfig`] for degenerate configs; connection failures
+/// and server errors other than `overloaded` / `deadline_exceeded` /
+/// `shutting_down` propagate from the first client that hits one.
 pub fn run_net_load(
     addr: &str,
     model: &str,
     vocab: usize,
     config: &LoadGenConfig,
     deadline: Option<Duration>,
-) -> Result<NetLoadReport> {
-    run_net_load_inner(addr, model, vocab, config, deadline, false)
+) -> Result<(LoadReport, NetClientStats)> {
+    run_over_wire(addr, model, vocab, config, deadline, false)
 }
 
-/// [`run_net_load`] over the **score path**: identical Zipf traffic,
-/// seeding, pacing, and FNV digest, but every request is a full-model
-/// [`NetClient::score`] instead of a row lookup — so a score run's
-/// `traffic_checksum` matches a lookup run of the same config and any
-/// throughput delta is attributable to the inference backend, not to
-/// different traffic.
+/// [`run_net_load`] over the **score path**: the same traffic (same
+/// `traffic_checksum`), but every request is a full-model
+/// [`NetClient::score`] instead of a row lookup, so any throughput
+/// delta is the inference backend's.
 ///
 /// # Errors
 ///
@@ -195,140 +57,54 @@ pub fn run_net_score_load(
     vocab: usize,
     config: &LoadGenConfig,
     deadline: Option<Duration>,
-) -> Result<NetLoadReport> {
-    run_net_load_inner(addr, model, vocab, config, deadline, true)
+) -> Result<(LoadReport, NetClientStats)> {
+    run_over_wire(addr, model, vocab, config, deadline, true)
 }
 
-fn run_net_load_inner(
+fn run_over_wire(
     addr: &str,
     model: &str,
     vocab: usize,
     config: &LoadGenConfig,
     deadline: Option<Duration>,
     score: bool,
-) -> Result<NetLoadReport> {
-    if config.clients == 0 || config.requests_per_client == 0 || config.ids_per_request == 0 {
-        return Err(NetError::BadConfig(
-            "load generation needs >= 1 client, request, and id per request".into(),
-        ));
-    }
-    let zipf = Zipf::new(vocab, config.zipf_exponent)
-        .map_err(|e| NetError::BadConfig(format!("zipf construction failed: {e}")))?;
-    let tick = arrival_tick(config.mode)?;
+) -> Result<(LoadReport, NetClientStats)> {
     let client_config = NetClientConfig {
         deadline,
-        // Closed-loop clients control their own pacing, so they honor
-        // the hints; open-loop clients must keep their schedule.
-        honor_backoff: config.mode == LoadMode::Closed,
+        honor_backoff: false,
         ..NetClientConfig::default()
     };
-
-    let started = Instant::now();
-    let outcomes: Vec<Result<ClientNetTally>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..config.clients)
-            .map(|client_idx| {
-                let zipf = &zipf;
-                let client_config = &client_config;
-                scope.spawn(move || {
-                    net_client_loop(
-                        addr,
-                        model,
-                        zipf,
-                        config,
-                        client_config,
-                        tick,
-                        client_idx,
-                        started,
-                        deadline,
-                        score,
-                    )
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("networked load-generator client panicked"))
-            .collect()
-    });
-    let elapsed = started.elapsed();
-
-    let mut histogram = LatencyHistogram::new();
-    let mut checksum = 0u64;
-    let mut totals = NetClientStats::default();
-    for outcome in outcomes {
-        let tally = outcome?;
-        histogram.merge(&tally.histogram);
-        checksum = checksum.wrapping_add(tally.checksum);
-        add_stats(&mut totals, &tally.stats);
+    let connections = Mutex::new(Vec::with_capacity(config.clients));
+    let report = drive(config, &[(model, vocab, 1.0)], |_| -> Result<_> {
+        let client = Arc::new(NetClient::connect(addr, client_config.clone())?);
+        connections.lock().push(Arc::clone(&client));
+        let mut wire_ids: Vec<u64> = Vec::with_capacity(config.ids_per_request);
+        Ok(move |_, ids: &[usize]| {
+            wire_ids.clear();
+            wire_ids.extend(ids.iter().map(|&id| id as u64));
+            let reply = if score {
+                client.score_with_deadline(model, &wire_ids, deadline)
+            } else {
+                client.lookup_with_deadline(model, &wire_ids, deadline)
+            };
+            match reply {
+                Ok(_) => Ok(Outcome::Served),
+                Err(e) => match e.code() {
+                    Some(ErrorCode::Overloaded) => Ok(Outcome::Shed {
+                        retry_after: e.retry_after().unwrap_or_default(),
+                    }),
+                    Some(ErrorCode::DeadlineExceeded) => Ok(Outcome::Expired),
+                    Some(ErrorCode::ShuttingDown) => Ok(Outcome::Refused),
+                    _ => Err(e),
+                },
+            }
+        })
+    })?;
+    // Every blocking call has returned, so each connection's counters
+    // are final.
+    let mut stats = NetClientStats::default();
+    for client in connections.into_inner() {
+        stats += client.stats();
     }
-    Ok(NetLoadReport {
-        requests: histogram.count(),
-        shed: totals.shed,
-        expired: totals.expired,
-        shutdown_rejected: totals.shutdown_rejected,
-        ids_per_request: config.ids_per_request,
-        elapsed,
-        histogram,
-        traffic_checksum: checksum,
-        client: totals,
-    })
-}
-
-fn add_stats(into: &mut NetClientStats, from: &NetClientStats) {
-    into.sent += from.sent;
-    into.served += from.served;
-    into.shed += from.shed;
-    into.expired += from.expired;
-    into.shutdown_rejected += from.shutdown_rejected;
-    into.other_errors += from.other_errors;
-    into.backoff_hint_nanos += from.backoff_hint_nanos;
-    into.backoff_slept_nanos += from.backoff_slept_nanos;
-}
-
-#[allow(clippy::too_many_arguments)]
-fn net_client_loop(
-    addr: &str,
-    model: &str,
-    zipf: &Zipf,
-    config: &LoadGenConfig,
-    client_config: &NetClientConfig,
-    tick: Duration,
-    client_idx: usize,
-    started: Instant,
-    deadline: Option<Duration>,
-    score: bool,
-) -> Result<ClientNetTally> {
-    let client = NetClient::connect(addr, client_config.clone())?;
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(client_idx as u64));
-    let mut histogram = LatencyHistogram::new();
-    let mut checksum = 0u64;
-    let mut wire_ids: Vec<u64> = Vec::with_capacity(config.ids_per_request);
-    for k in 0..config.requests_per_client {
-        let ids = zipf.sample_many(config.ids_per_request, &mut rng);
-        checksum = checksum.wrapping_add(request_digest(0, &ids));
-        wire_ids.clear();
-        wire_ids.extend(ids.iter().map(|&id| id as u64));
-        let t0 = request_start(config.mode, tick, started, client_idx, config.clients, k);
-        let outcome = if score {
-            client.score_with_deadline(model, &wire_ids, deadline)
-        } else {
-            client.lookup_with_deadline(model, &wire_ids, deadline)
-        };
-        match outcome {
-            Ok(_) => histogram.record(t0.elapsed().as_nanos() as u64),
-            // Overload outcomes *are* the measurement; the client's
-            // reader thread already tallied them (and set the backoff).
-            Err(NetError::Remote {
-                code: ErrorCode::Overloaded | ErrorCode::DeadlineExceeded | ErrorCode::ShuttingDown,
-                ..
-            }) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let stats = client.close();
-    Ok(ClientNetTally {
-        histogram,
-        checksum,
-        stats,
-    })
+    Ok((report, stats))
 }

@@ -12,7 +12,7 @@
 //!    is flushed), then spends up to `drain_grace` answering any frames
 //!    already on the wire with a typed `shutting_down` error — an
 //!    answer, not silence — before closing.
-//! 3. The event loop joins every connection, and only then is the
+//! 3. Every connection thread is joined, and only then is the
 //!    router shut down (workers drain their queues per the serve
 //!    tier's own guarantees).
 //!
@@ -32,10 +32,11 @@ use std::time::{Duration, Instant};
 use memcom_serve::{
     EmbedBatch, Router, RouterHandle, ScoreBatch, ServeError, ServeStats, TelemetryConfig,
 };
+use parking_lot::Mutex;
 
 use crate::error::{error_response_for, ErrorCode, NetError};
 use crate::telemetry::{ConnTelemetry, NetMetricsSnapshot, NetTelemetry};
-use crate::transport::{ByteStream, EventLoop, TcpTransport, ThreadPerConnection, Transport};
+use crate::transport::{ByteStream, TcpTransport, Transport};
 use crate::wire::{
     decode_payload, encode_error_lossy, encode_rows, ErrorResponse, FrameError, FrameReader,
     LookupRequest, Message, ReadEvent, RowsResponse, WireError, CONNECTION_REQUEST_ID,
@@ -90,45 +91,72 @@ struct Shared<T: Transport> {
     transport: T,
 }
 
+/// The live connection threads: one OS thread per accepted connection,
+/// reaped as new ones are dispatched, joined at shutdown.
+#[derive(Default)]
+struct ConnThreads {
+    handles: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl ConnThreads {
+    fn dispatch(&self, serve: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+        let mut handles = self.handles.lock();
+        // Long-lived servers churn connections: reap finished threads
+        // here so the vector tracks live connections, not history.
+        handles.retain(|h| !h.is_finished());
+        handles.push(
+            std::thread::Builder::new()
+                .name("memcom-net-conn".into())
+                .spawn(serve)?,
+        );
+        Ok(())
+    }
+
+    /// Blocks until every dispatched connection has finished. Called
+    /// after the acceptor has exited, so no dispatch races the drain.
+    fn drain(&self) {
+        for handle in std::mem::take(&mut *self.handles.lock()) {
+            let _ = handle.join();
+        }
+    }
+}
+
 /// A running network front-end over a [`Router`].
 ///
-/// Generic over [`Transport`] (how bytes move) and [`EventLoop`] (how
-/// connections are driven); [`NetServer::start`] wires the stock
-/// TCP + thread-per-connection backend.
+/// Generic over [`Transport`] (how bytes move); [`NetServer::start`]
+/// wires the stock TCP backend. Each accepted connection is served on
+/// its own OS thread.
 ///
 /// Dropping the server without calling
 /// [`shutdown`](NetServer::shutdown) leaks the acceptor thread until
 /// process exit — always shut down explicitly to get the drain
 /// guarantees (and the final stats) described in the module docs.
-pub struct NetServer<T: Transport = TcpTransport, E: EventLoop = ThreadPerConnection> {
+pub struct NetServer<T: Transport = TcpTransport> {
     shared: Arc<Shared<T>>,
-    event_loop: Arc<E>,
+    connections: Arc<ConnThreads>,
     acceptor: Option<JoinHandle<()>>,
     local_addr: String,
 }
 
-impl NetServer<TcpTransport, ThreadPerConnection> {
-    /// Binds and starts serving with the stock TCP,
-    /// thread-per-connection backend.
+impl NetServer<TcpTransport> {
+    /// Binds and starts serving over TCP.
     ///
     /// # Errors
     ///
     /// Fails on bind errors or a zero `poll_tick`.
     pub fn start(router: Router, config: NetServerConfig) -> crate::Result<Self> {
-        Self::start_with(TcpTransport, ThreadPerConnection::new(), router, config)
+        Self::start_with(TcpTransport, router, config)
     }
 }
 
-impl<T: Transport, E: EventLoop> NetServer<T, E> {
-    /// [`start`](NetServer::start) with explicit transport and
-    /// event-loop backends.
+impl<T: Transport> NetServer<T> {
+    /// [`start`](NetServer::start) over an explicit [`Transport`].
     ///
     /// # Errors
     ///
     /// Fails on bind errors or a zero `poll_tick`.
     pub fn start_with(
         transport: T,
-        event_loop: E,
         router: Router,
         config: NetServerConfig,
     ) -> crate::Result<Self> {
@@ -148,10 +176,10 @@ impl<T: Transport, E: EventLoop> NetServer<T, E> {
             draining: AtomicBool::new(false),
             transport,
         });
-        let event_loop = Arc::new(event_loop);
+        let connections = Arc::new(ConnThreads::default());
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let event_loop = Arc::clone(&event_loop);
+            let connections = Arc::clone(&connections);
             std::thread::Builder::new()
                 .name("memcom-net-accept".into())
                 .spawn(move || loop {
@@ -164,10 +192,15 @@ impl<T: Transport, E: EventLoop> NetServer<T, E> {
                                 return;
                             }
                             let conn = shared.telemetry.connection_opened(stream.peer_label());
-                            let shared = Arc::clone(&shared);
-                            event_loop.dispatch(Box::new(move || {
-                                serve_connection(&shared, stream, &conn);
-                            }));
+                            let (shared, served) = (Arc::clone(&shared), Arc::clone(&conn));
+                            let spawned = connections
+                                .dispatch(move || serve_connection(&shared, stream, &served));
+                            if spawned.is_err() {
+                                // Out of threads: the stream went down
+                                // with the closure, so the peer sees a
+                                // close, like any refused connection.
+                                conn.open.store(false, Ordering::Relaxed);
+                            }
                         }
                         Err(_) if shared.draining.load(Ordering::Acquire) => return,
                         // Transient accept failures (e.g. the peer reset
@@ -179,7 +212,7 @@ impl<T: Transport, E: EventLoop> NetServer<T, E> {
         };
         Ok(NetServer {
             shared,
-            event_loop,
+            connections,
             acceptor: Some(acceptor),
             local_addr,
         })
@@ -216,7 +249,7 @@ impl<T: Transport, E: EventLoop> NetServer<T, E> {
             let _ = handle.join();
         }
         // No new dispatches can happen now; join every connection.
-        self.event_loop.drain();
+        self.connections.drain();
         let snapshot = self.shared.telemetry.snapshot(self.shared.router.metrics());
         let Ok(shared) = Arc::try_unwrap(self.shared) else {
             // memcom-lint: allow(L003) -- not a wire path: shutdown() consumed self after joining every connection thread, so this Arc is provably unique
@@ -543,3 +576,26 @@ fn send_buffered<S: ByteStream>(stream: &mut S, conn: &ConnTelemetry, ctx: &mut 
     ok
 }
 // memcom-lint: end-hot-path
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn connection_threads_run_and_drain() {
+        let pool = ConnThreads::default();
+        let ran = Arc::new(AtomicUsize::new(0));
+        for _ in 0..8 {
+            let ran = Arc::clone(&ran);
+            pool.dispatch(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
+        }
+        pool.drain();
+        assert_eq!(ran.load(Ordering::SeqCst), 8);
+        // Drain on an empty pool is a no-op.
+        pool.drain();
+    }
+}

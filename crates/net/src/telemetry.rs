@@ -19,6 +19,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use memcom_serve::telemetry::{escape_json, escape_label, family, json_hist, render_hist};
 use memcom_serve::{LatencyHistogram, MetricsSnapshot, TelemetryConfig, TelemetryLevel};
 use parking_lot::Mutex;
 
@@ -196,34 +197,6 @@ pub struct NetMetricsSnapshot {
     pub serve: MetricsSnapshot,
 }
 
-fn escape_label(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-}
-
-fn render_hist(out: &mut String, name: &str, labels: &str, h: &LatencyHistogram) {
-    let mut cumulative = 0u64;
-    for (le, count) in h.iter_buckets() {
-        cumulative += count;
-        out.push_str(&format!(
-            "{name}_bucket{{{labels}le=\"{le}\"}} {cumulative}\n"
-        ));
-    }
-    out.push_str(&format!(
-        "{name}_bucket{{{labels}le=\"+Inf\"}} {}\n{name}_sum{{{l}}} {}\n{name}_count{{{l}}} {}\n",
-        h.count(),
-        h.sum_nanos(),
-        h.count(),
-        l = labels.trim_end_matches(','),
-    ));
-}
-
 impl NetMetricsSnapshot {
     /// Aggregate totals across every connection: `(frames_in,
     /// frames_out, bytes_in, bytes_out, served, errors_sent,
@@ -357,7 +330,7 @@ impl NetMetricsSnapshot {
                 render_hist(
                     &mut out,
                     "memcom_net_stage_latency_nanos",
-                    &format!("stage=\"{stage}\","),
+                    &format!("stage=\"{stage}\""),
                     hist,
                 );
             }
@@ -371,15 +344,6 @@ impl NetMetricsSnapshot {
     /// under `serve`.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let hist_json = |h: &LatencyHistogram| {
-            format!(
-                "{{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-                h.count(),
-                h.p50(),
-                h.p99(),
-                h.max_nanos()
-            )
-        };
         let mut out = String::from("{\n  \"net\": {\n");
         let _ = writeln!(
             out,
@@ -391,9 +355,9 @@ impl NetMetricsSnapshot {
         let _ = writeln!(
             out,
             "    \"stages\": {{\"frame_decode\": {}, \"response_encode\": {}, \"socket_write\": {}}},",
-            hist_json(&self.frame_decode),
-            hist_json(&self.response_encode),
-            hist_json(&self.socket_write)
+            json_hist(&self.frame_decode),
+            json_hist(&self.response_encode),
+            json_hist(&self.socket_write)
         );
         out.push_str("    \"connections\": [");
         for (i, c) in self.connections.iter().enumerate() {
@@ -406,7 +370,7 @@ impl NetMetricsSnapshot {
                  \"bytes_in\": {}, \"bytes_out\": {}, \"served\": {}, \"errors_sent\": {}, \
                  \"protocol_errors\": {}, \"shutdown_rejected\": {}, \"open\": {}}}",
                 c.id,
-                escape_label(&c.peer),
+                escape_json(&c.peer),
                 c.frames_in,
                 c.frames_out,
                 c.bytes_in,

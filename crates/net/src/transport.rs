@@ -1,28 +1,18 @@
-//! Runtime-agnostic transport and connection-scheduling traits.
+//! The transport seam: how bytes move.
 //!
-//! This container has no async runtime (no tokio, no mio), so the
-//! server's concurrency model is abstracted behind two small traits and
-//! shipped with the one backend the environment supports:
-//!
-//! * [`Transport`] — how bytes move: bind/accept/connect over some
-//!   stream type. [`TcpTransport`] is the `std::net` implementation.
-//! * [`EventLoop`] — how accepted connections are *driven*:
-//!   [`ThreadPerConnection`] runs each connection's service loop on its
-//!   own OS thread. A poll/epoll reactor (mio-style readiness loop
-//!   multiplexing many connections on few threads) slots in behind the
-//!   same trait later: `dispatch` registers the connection with the
-//!   reactor instead of spawning, `drain` parks until the reactor's
-//!   ready-set empties.
-//!
-//! The server core ([`crate::NetServer`]) only speaks these traits, so
-//! neither the wire protocol nor the shutdown ordering knows which
-//! backend is underneath.
+//! [`Transport`] is the bind/accept/connect factory for one
+//! [`ByteStream`] type; [`TcpTransport`] is the `std::net`
+//! implementation and the only one shipped. Both ends are generic over
+//! it ([`crate::NetServer::start_with`],
+//! [`crate::NetClient::connect_with`]) so a test can substitute a
+//! stream that misbehaves on purpose (short reads, resets, stalls).
+//! How accepted connections are *driven* is not a seam: the server runs
+//! one OS thread per connection (this container has no async runtime),
+//! and that lives in `server.rs`.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 /// A bidirectional byte stream (one client connection).
 pub trait ByteStream: Read + Write + Send + 'static {
@@ -119,83 +109,9 @@ impl Transport for TcpTransport {
     }
 }
 
-/// How accepted connections are driven to completion.
-pub trait EventLoop: Send + Sync + 'static {
-    /// Hands one accepted connection's service loop to the backend;
-    /// `serve` returns when the connection has fully drained (peer
-    /// closed, or the server finished its shutdown drain).
-    fn dispatch(&self, serve: Box<dyn FnOnce() + Send + 'static>);
-
-    /// Blocks until every dispatched connection has finished. Called
-    /// after the accept loop has stopped, so no new dispatch races the
-    /// drain.
-    fn drain(&self);
-}
-
-/// The thread-per-connection scheduler: one OS thread per accepted
-/// connection, joined at drain. Simple, predictable, and fine for the
-/// connection counts the loopback experiments use; a reactor backend
-/// replaces it without touching the server core.
-#[derive(Debug, Default)]
-pub struct ThreadPerConnection {
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl ThreadPerConnection {
-    /// A fresh scheduler with no live connections.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EventLoop for ThreadPerConnection {
-    fn dispatch(&self, serve: Box<dyn FnOnce() + Send + 'static>) {
-        let mut handles = self.handles.lock();
-        // Long-lived servers churn connections: reap finished threads
-        // here so the vector tracks live connections, not history.
-        handles.retain(|h| !h.is_finished());
-        handles.push(
-            std::thread::Builder::new()
-                .name("memcom-net-conn".into())
-                .spawn(serve)
-                .expect("spawning a connection thread"),
-        );
-    }
-
-    fn drain(&self) {
-        loop {
-            let Some(handle) = self.handles.lock().pop() else {
-                return;
-            };
-            // Joining outside the lock: the handler may itself call
-            // dispatch-free telemetry, never dispatch, so no deadlock —
-            // but keep the lock window minimal anyway.
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn thread_per_connection_runs_and_drains() {
-        let pool = ThreadPerConnection::new();
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let ran = Arc::clone(&ran);
-            pool.dispatch(Box::new(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        pool.drain();
-        assert_eq!(ran.load(Ordering::SeqCst), 8);
-        // Drain on an empty pool is a no-op.
-        pool.drain();
-    }
 
     #[test]
     fn tcp_transport_binds_accepts_and_connects() {

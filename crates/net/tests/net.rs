@@ -16,8 +16,8 @@ use memcom_net::{
     NetServerConfig,
 };
 use memcom_serve::{
-    run_load, AdmissionPolicy, Dtype, EmbedServer, LoadGenConfig, LoadMode, RankNetBackend, Router,
-    ServeConfig, TelemetryConfig, DEFAULT_MODEL,
+    run_load, run_mixed_load, AdmissionPolicy, Dtype, LoadGenConfig, LoadMode, ModelMix,
+    RankNetBackend, Router, ServeConfig, TelemetryConfig, DEFAULT_MODEL,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -224,7 +224,8 @@ fn overload_sheds_cross_the_wire_with_backoff_hints() {
         },
         seed: 7,
     };
-    let report = run_net_load(server.local_addr(), DEFAULT_MODEL, VOCAB, &load, None).unwrap();
+    let (report, client) =
+        run_net_load(server.local_addr(), DEFAULT_MODEL, VOCAB, &load, None).unwrap();
     let (per_model, snapshot) = server.shutdown();
     let stats = &per_model[0].1;
 
@@ -236,7 +237,7 @@ fn overload_sheds_cross_the_wire_with_backoff_hints() {
     );
     assert!(report.shed > 0, "4x-capacity traffic must shed");
     assert!(
-        !report.mean_backoff().is_zero(),
+        !report.mean_backoff.is_zero(),
         "sheds must carry retry_after hints"
     );
 
@@ -244,7 +245,7 @@ fn overload_sheds_cross_the_wire_with_backoff_hints() {
     assert_eq!(stats.requests, report.requests);
     assert_eq!(stats.shed, report.shed);
     assert_eq!(stats.expired, report.expired);
-    assert_eq!(report.client.sent, report.offered());
+    assert_eq!(client.sent, report.offered());
 
     // The network tier saw every frame: served + errors == sent.
     let totals = snapshot.totals();
@@ -252,6 +253,66 @@ fn overload_sheds_cross_the_wire_with_backoff_hints() {
     assert_eq!(totals.errors_sent, report.shed + report.expired);
 }
 
+/// Closed-loop latency means the same thing over the wire as in
+/// process: the driver sleeps a shed's `retry_after` *between*
+/// requests, so no timed interval contains a backoff sleep. A client
+/// thread is therefore either inside a timed request or sleeping a hint,
+/// never both at once — completed latency plus slept time fits inside
+/// `clients × elapsed`. (With the connection sleeping the hint inside
+/// the next send, the same sleep was billed to both terms.)
+#[test]
+fn closed_loop_latency_excludes_backoff_sleeps() {
+    // The serve tier's `closed_loop_honors_retry_after_…` set-up: 50
+    // rows/s behind a depth-1 queue, three clients, so most arrivals
+    // are shed with a 20–40 ms hint.
+    let server = start_server(
+        ServeConfig {
+            n_shards: 1,
+            max_batch: 1,
+            max_wait: Duration::from_micros(10),
+            queue_depth: 1,
+            store_latency: Duration::from_millis(20),
+            admission: AdmissionPolicy::Shed {
+                enqueue_timeout: Duration::ZERO,
+                request_deadline: None,
+            },
+            ..ServeConfig::default()
+        },
+        NetServerConfig::default(),
+    );
+    let load = LoadGenConfig {
+        clients: 3,
+        requests_per_client: 10,
+        ids_per_request: 1,
+        zipf_exponent: 1.1,
+        mode: LoadMode::Closed,
+        seed: 3,
+    };
+    let (report, client) =
+        run_net_load(server.local_addr(), DEFAULT_MODEL, VOCAB, &load, None).unwrap();
+    server.shutdown();
+
+    assert!(report.shed > 0, "the saturated depth-1 queue must shed");
+    assert!(!report.slept.is_zero(), "closed-loop sheds must be paced");
+    assert_eq!(
+        client.backoff_slept_nanos, 0,
+        "the driver paces; the connections must not sleep as well"
+    );
+    let completed = Duration::from_nanos(report.histogram.sum_nanos() as u64);
+    let budget = report.elapsed * load.clients as u32;
+    assert!(
+        completed + report.slept <= budget,
+        "completed {completed:?} + slept {:?} exceeds {} clients x {:?}",
+        report.slept,
+        load.clients,
+        report.elapsed
+    );
+}
+
+/// One config through all four entry points issues one traffic stream:
+/// the driver owns seeding, the model pick, and sampling, so a handle, a
+/// one-model mix, lookups over the wire, and scores over the wire differ
+/// only in how a request is submitted.
 #[test]
 fn networked_traffic_checksum_matches_in_process_generator() {
     let load = LoadGenConfig {
@@ -262,20 +323,30 @@ fn networked_traffic_checksum_matches_in_process_generator() {
         mode: LoadMode::Closed,
         seed: 11,
     };
-    let emb = memcom(3);
+    let (router, model) = ranknet_router(7);
+    router
+        .register_with_dtype(DEFAULT_MODEL, model.embedding(), Dtype::F32)
+        .unwrap();
 
-    let in_process = EmbedServer::start(&emb, ServeConfig::default()).unwrap();
-    let baseline = run_load(&in_process.handle(), &load).unwrap();
-    in_process.shutdown();
-
-    let router = Router::start(ServeConfig::default()).unwrap();
-    router.register(DEFAULT_MODEL, &emb).unwrap();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
+    let single = run_load(&handle, &load).unwrap();
+    let mixed = run_mixed_load(&router, &[ModelMix::new(DEFAULT_MODEL, 1.0)], &load).unwrap();
     let server = NetServer::start(router, NetServerConfig::default()).unwrap();
-    let networked = run_net_load(server.local_addr(), DEFAULT_MODEL, VOCAB, &load, None).unwrap();
+    let addr = server.local_addr();
+    let (lookups, _) = run_net_load(addr, DEFAULT_MODEL, VOCAB, &load, None).unwrap();
+    let (scores, _) = run_net_score_load(addr, "scorer", VOCAB, &load, None).unwrap();
     server.shutdown();
 
-    assert_eq!(networked.traffic_checksum, baseline.traffic_checksum);
-    assert_eq!(networked.requests, baseline.requests);
+    for (entry, report) in [
+        ("run_load", &single),
+        ("run_mixed_load", &mixed),
+        ("run_net_load", &lookups),
+        ("run_net_score_load", &scores),
+    ] {
+        assert_eq!(report.traffic_checksum, single.traffic_checksum, "{entry}");
+        assert_eq!(report.offered(), 120, "{entry}");
+        assert_eq!(report.requests, 120, "{entry}");
+    }
 }
 
 #[test]
@@ -382,6 +453,21 @@ fn telemetry_full_records_network_stages() {
     assert!(prom.contains("memcom_net_stage_latency_nanos_bucket"));
     // The embedded serve-tier exposition rides along in one scrape.
     assert!(prom.contains("memcom_requests_total"));
+    // One histogram renderer per scrape: a net stage and a serve stage
+    // in the same JSON document carry the same key set.
+    let json = snapshot.to_json();
+    let keys_of = |stage: &str| -> Vec<String> {
+        let at = json.find(&format!("\"{stage}\":")).expect(stage);
+        let object = &json[at..at + json[at..].find('}').unwrap()];
+        object
+            .split('"')
+            .skip(3)
+            .step_by(2)
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(keys_of("frame_decode"), keys_of("queue_wait"));
+    assert!(keys_of("frame_decode").contains(&"p99_nanos".to_string()));
 }
 
 /// The networked mirror of the serve tier's
@@ -587,8 +673,10 @@ fn networked_score_load_reconciles_with_router_counters() {
         mode: LoadMode::Closed,
         seed: 11,
     };
-    let lookups = run_net_load(server.local_addr(), DEFAULT_MODEL, VOCAB, &load, None).unwrap();
-    let scores = run_net_score_load(server.local_addr(), "scorer", VOCAB, &load, None).unwrap();
+    let (lookups, _) =
+        run_net_load(server.local_addr(), DEFAULT_MODEL, VOCAB, &load, None).unwrap();
+    let (scores, _) =
+        run_net_score_load(server.local_addr(), "scorer", VOCAB, &load, None).unwrap();
     let (per_model, snapshot) = server.shutdown();
 
     // Identical issued traffic: only the kind byte differs.
@@ -597,10 +685,7 @@ fn networked_score_load_reconciles_with_router_counters() {
     // No overload was configured, so every request completed.
     let offered = (load.clients * load.requests_per_client) as u64;
     assert_eq!(scores.requests, offered);
-    assert_eq!(
-        (scores.shed, scores.expired, scores.shutdown_rejected),
-        (0, 0, 0)
-    );
+    assert_eq!((scores.shed, scores.expired, scores.refused), (0, 0, 0));
 
     // Exact reconciliation: the router counts rows (ids per request).
     let scorer = per_model.iter().find(|(name, _)| name == "scorer").unwrap();

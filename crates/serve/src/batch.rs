@@ -4,7 +4,7 @@
 //! ([`crate::RouterHandle::get_batch_into`]): one flat `Vec<f32>` holds
 //! all rows, and every auxiliary buffer the call needs — per-shard id
 //! lists, per-shard output slabs, position maps — lives in its
-//! [`Flight`] and is recycled call over call. After a warm-up call at a
+//! `Flight` and is recycled call over call. After a warm-up call at a
 //! given batch shape, lookups perform **no per-row heap allocation**:
 //! the only steady-state allocation on the whole path is one
 //! response-slot `Arc` per shard touched.

@@ -52,15 +52,17 @@
 //!   API kept source-compatible as a thin wrapper over one router model
 //!   ([`DEFAULT_MODEL`]); its [`ServeHandle`] is that model's
 //!   [`RouterHandle`].
-//! * [`loadgen`] — **measurement**: open/closed-loop Zipf traffic
-//!   ([`run_load`]) and mixed multi-model traffic ([`run_mixed_load`])
-//!   with per-model QPS/latency reporting; [`histogram`] holds the
-//!   mergeable latency histogram.
+//! * [`loadgen`] — **measurement**: one open/closed-loop Zipf load
+//!   driver ([`drive`]: schedule, pacing, traffic digest, and a
+//!   [`LoadReport`] with per-model QPS/latency) that submits through a
+//!   caller-supplied closure; [`run_load`] and [`run_mixed_load`] point
+//!   it at a handle or a router, `memcom-net` points it at a socket.
+//!   [`histogram`] holds the mergeable latency histogram.
 //! * [`telemetry`] — **observability**: a dependency-free metrics
 //!   registry behind [`TelemetryConfig`] (off / minimal / full), with
 //!   per-stage latency histograms, sampled request tracing, and
 //!   Prometheus/JSON exporters over [`Router::metrics`]'s
-//!   [`MetricsSnapshot`]; [`StatsReporter`] dumps them periodically.
+//!   [`MetricsSnapshot`].
 //!
 //! Sharding exploits the structure of MEmCom itself: the *small shared
 //! table* is replicated per shard while the *large per-entity tables*
@@ -123,13 +125,13 @@ pub use infer::{
     LOOKUP_BACKEND,
 };
 pub use loadgen::{
-    run_load, run_mixed_load, LoadGenConfig, LoadMode, LoadReport, ModelLoadReport, ModelMix,
+    drive, run_load, run_mixed_load, LoadGenConfig, LoadMode, LoadReport, ModelMix, Outcome,
 };
 pub use router::{Router, RouterHandle, ServeStats, DEFAULT_MODEL};
 pub use server::{EmbedServer, ServeHandle};
 pub use store::{CacheStats, ShardCacheStats, ShardedStore};
 pub use telemetry::{
-    MetricsSnapshot, ModelMetrics, ShardStageMetrics, SizeStats, Span, SpanOutcome, StatsReporter,
+    MetricsSnapshot, ModelMetrics, ShardStageMetrics, SizeStats, Span, SpanOutcome,
 };
 
 /// Storage dtype for shard row bytes (re-exported from

@@ -1,40 +1,42 @@
-//! Zipf-driven load generation.
+//! Zipf-driven load generation: one driver, four entry points.
 //!
 //! Replays the paper's traffic assumption — power-law id popularity over
-//! a frequency-sorted vocabulary (§4, §5.1) — against a running server,
-//! in either of the two canonical load-testing disciplines:
+//! a frequency-sorted vocabulary (§4, §5.1) — against a running server.
+//! [`drive`] owns everything that is *policy*: config validation,
+//! per-client seeding (`seed + client_idx`), the weighted model pick,
+//! Zipf sampling, the traffic digest, the arrival schedule, pacing, the
+//! client fan-out, and the merge into one [`LoadReport`]. What it does
+//! not own is *how a request is submitted*: each client thread gets a
+//! closure from `connect(client_idx)` that turns `(model_idx, ids)` into
+//! an [`Outcome`]. [`run_load`] and [`run_mixed_load`] connect that
+//! closure to [`RouterHandle::get_batch_into`]; `memcom-net`'s
+//! `run_net_load` / `run_net_score_load` connect it to a socket. Same
+//! config and targets ⇒ same `traffic_checksum` through every one of
+//! them, so a throughput difference is the tier's, not the traffic's.
 //!
-//! * **Closed loop** — each client issues its next request as soon as
-//!   the previous one completes. Measures the system's saturated
-//!   throughput; latency excludes queueing you didn't create.
-//! * **Open loop** — requests fire on a fixed schedule regardless of
-//!   completion, and latency is measured from the *scheduled* send time,
-//!   so queueing delay under overload is charged to the system
-//!   (avoiding coordinated omission).
+//! The two arrival disciplines, stated once for every tier:
 //!
-//! Overload rejections interact with the discipline: under
-//! [`crate::AdmissionPolicy::Shed`], [`ServeError::Overloaded`] and
-//! [`ServeError::DeadlineExceeded`] outcomes don't abort a run — they
-//! are tallied as `shed`/`expired` in the report, so a saturating
-//! open-loop run measures goodput, shed rate, and the (bounded) latency
-//! of completed requests. Under [`crate::AdmissionPolicy::Block`] the
-//! same traffic blocks producers on full queues, which silently
-//! serializes the "open" arrival process on backpressure — exactly the
-//! coordinated-omission failure the shed policy exists to avoid; the
-//! report's schedule-based latencies make that collapse visible.
+//! * **Closed loop** — a client issues its next request when the
+//!   previous one resolves. Latency is timed around the submit call
+//!   alone. A shed's `retry_after` hint is slept *after* the outcome is
+//!   recorded, so pacing never lands inside a timed interval.
+//! * **Open loop** — request `k` of client `c` is due at
+//!   `(c + k·clients) / target_qps` regardless of completions, and
+//!   latency is measured from that *scheduled* send, so queueing delay
+//!   under overload is charged to the system (no coordinated omission).
+//!   Hints are recorded but never slept: the schedule is the pacing.
 //!
-//! Two entry points: [`run_load`] drives one model through a
-//! [`ServeHandle`], and [`run_mixed_load`] drives several models of a
-//! [`Router`] at once, each request sampling its target model from a
-//! per-model weight vector — the multi-model analogue of production
-//! traffic where per-country or A/B table variants share one serving
-//! tier. Both report per-model throughput and latency in
-//! [`LoadReport::per_model`].
+//! Overload rejections don't abort a run — under
+//! [`crate::AdmissionPolicy::Shed`] they *are* the measurement, tallied
+//! as `shed`/`expired` next to the latency of completed requests. Under
+//! [`crate::AdmissionPolicy::Block`] the same traffic blocks producers
+//! on full queues, silently serializing the "open" arrival process on
+//! backpressure; the schedule-based latencies make that collapse
+//! visible.
 
 use std::time::{Duration, Instant};
 
 use memcom_data::Zipf;
-use memcom_ondevice::Dtype;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,7 +44,6 @@ use crate::batch::EmbedBatch;
 use crate::histogram::LatencyHistogram;
 use crate::router::{Router, RouterHandle};
 use crate::server::ServeHandle;
-use crate::store::ShardedStore;
 use crate::{Result, ServeError};
 
 /// Arrival discipline for the generated load.
@@ -108,81 +109,109 @@ impl ModelMix {
     }
 }
 
-/// Per-model slice of a load run.
-#[derive(Debug, Clone)]
-pub struct ModelLoadReport {
-    /// The model name.
-    pub model: String,
-    /// Requests routed to this model that *completed* (answered with
-    /// rows).
-    pub requests: u64,
-    /// Requests shed at admission ([`ServeError::Overloaded`]) — queue
-    /// full past the enqueue budget. Always `0` under
-    /// [`crate::AdmissionPolicy::Block`].
-    pub shed: u64,
-    /// Requests accepted but expired in queue
-    /// ([`ServeError::DeadlineExceeded`]).
-    pub expired: u64,
-    /// Wall-clock span of the whole run (shared across models).
-    pub elapsed: Duration,
-    /// This model's per-request latency distribution (p50/p95/p99 in
-    /// nanoseconds via [`LatencyHistogram`]).
-    pub histogram: LatencyHistogram,
-    /// Storage dtype of the model's store snapshot at the end of the run.
-    pub dtype: Dtype,
-    /// Total bytes held by the model's shard stores (on-"disk" size).
-    pub store_bytes: usize,
-    /// Bytes of store pages resident after the run (the runtime memory
-    /// the traffic actually touched).
-    pub resident_bytes: usize,
-    /// Certified worst-case absolute dequantization error of any row the
-    /// model served ([`ShardedStore::error_bound`]; `0.0` for fp32).
-    pub dequant_error_bound: f32,
-    /// Mean backoff the server *suggested* across this model's shed
-    /// requests (the [`ServeError::Overloaded`] `retry_after` hint —
-    /// queue depth ÷ calibrated shard capacity at rejection time).
-    /// Closed-loop clients honor it by sleeping before their next
-    /// request; open-loop clients record it but keep their arrival
-    /// schedule. Zero when nothing was shed.
-    pub mean_backoff: Duration,
+/// How one submitted request resolved — the only thing [`drive`] needs
+/// to know about the tier it is driving. Anything that is not one of
+/// these (an unknown model, a dead connection) is the submit closure's
+/// `Err` and aborts the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Answered with rows or scores; its latency is recorded.
+    Served,
+    /// Rejected at admission ([`ServeError::Overloaded`], or the wire's
+    /// `overloaded`), carrying the server's suggested backoff.
+    Shed {
+        /// The server's hint: queue depth ÷ calibrated shard capacity
+        /// at rejection time.
+        retry_after: Duration,
+    },
+    /// Accepted but dropped past its deadline
+    /// ([`ServeError::DeadlineExceeded`] / `deadline_exceeded`).
+    Expired,
+    /// Answered `shutting_down` by a draining network server; such a
+    /// request never entered the router. In-process runs never produce
+    /// it.
+    Refused,
 }
 
-impl ModelLoadReport {
-    /// *Completed* requests per second for this model (the goodput).
+/// What a load run observed — for the whole run, and again (same type,
+/// same methods) for each target's slice of it in
+/// [`per_model`](Self::per_model).
+#[derive(Debug, Clone)]
+pub struct LoadReport {
+    /// The model this slice covers; on the total of a multi-model run,
+    /// the target names joined by `+`.
+    pub model: String,
+    /// Requests that *completed* ([`Outcome::Served`]).
+    pub requests: u64,
+    /// Requests shed at admission ([`Outcome::Shed`]). Always `0` under
+    /// [`crate::AdmissionPolicy::Block`].
+    pub shed: u64,
+    /// Requests accepted but expired in queue ([`Outcome::Expired`]).
+    pub expired: u64,
+    /// Requests a draining network server answered `shutting_down`
+    /// ([`Outcome::Refused`]); always `0` in-process.
+    pub refused: u64,
+    /// Ids embedded per request.
+    pub ids_per_request: usize,
+    /// Wall-clock span of the whole run (shared across models).
+    pub elapsed: Duration,
+    /// Latency distribution of completed requests (p50/p95/p99 in
+    /// nanoseconds via [`LatencyHistogram`]).
+    pub histogram: LatencyHistogram,
+    /// Mean backoff the server *suggested* per shed request. Zero when
+    /// nothing was shed.
+    pub mean_backoff: Duration,
+    /// Total time clients spent sleeping out those hints between
+    /// requests (closed loop only; never inside a timed interval).
+    pub slept: Duration,
+    /// Order-independent digest of the issued traffic (which target
+    /// each request went to and which ids it asked for). Clients
+    /// accumulate per-request hashes with wrapping adds, so thread
+    /// scheduling cannot perturb it: the same config and targets
+    /// reproduce the same checksum through every entry point, making
+    /// loadgen regressions (Zipf sampling, weighted model picks,
+    /// per-client seeding) detectable as a value change.
+    pub traffic_checksum: u64,
+    /// Per-target breakdown, ordered as the targets were given (one
+    /// entry for a single-model run). Empty on the entries themselves.
+    pub per_model: Vec<LoadReport>,
+}
+
+impl LoadReport {
+    /// *Completed* requests per second (the goodput).
     pub fn qps(&self) -> f64 {
         per_second(self.requests, self.elapsed)
     }
 
     /// Synonym for [`qps`](Self::qps), named for overload tables where
-    /// the completed rate must be read against
+    /// the completed rate is read against
     /// [`offered_qps`](Self::offered_qps).
     pub fn goodput(&self) -> f64 {
         self.qps()
     }
 
-    /// Requests issued to this model: completed + shed + expired.
+    /// Requests issued: completed + shed + expired + refused.
     pub fn offered(&self) -> u64 {
-        self.requests + self.shed + self.expired
+        self.requests + self.shed + self.expired + self.refused
     }
 
-    /// Issued requests per second (the offered load this model saw).
+    /// Issued requests per second (the offered load).
     pub fn offered_qps(&self) -> f64 {
         per_second(self.offered(), self.elapsed)
     }
 
-    /// Fraction of issued requests that were shed or expired instead of
-    /// answered (`0.0` when nothing was issued).
+    /// Fraction of issued requests rejected instead of answered
+    /// (`0.0` when nothing was issued).
     pub fn shed_rate(&self) -> f64 {
-        shed_rate(self.requests, self.shed, self.expired)
+        match self.offered() {
+            0 => 0.0,
+            offered => (offered - self.requests) as f64 / offered as f64,
+        }
     }
 
-    fn snapshot_fields(store: &ShardedStore) -> (Dtype, usize, usize, f32) {
-        (
-            store.dtype(),
-            store.stored_bytes(),
-            store.run_stats().resident_model_bytes,
-            store.error_bound(),
-        )
+    /// Achieved single-id lookups per second (completed requests).
+    pub fn lookups_per_sec(&self) -> f64 {
+        self.qps() * self.ids_per_request as f64
     }
 }
 
@@ -195,126 +224,23 @@ fn per_second(count: u64, elapsed: Duration) -> f64 {
     }
 }
 
-fn shed_rate(completed: u64, shed: u64, expired: u64) -> f64 {
-    let offered = completed + shed + expired;
-    if offered == 0 {
-        0.0
-    } else {
-        (shed + expired) as f64 / offered as f64
-    }
+fn bad_config(context: String) -> ServeError {
+    ServeError::BadConfig { context }
 }
 
-/// What a load run observed.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Completed requests (answered with rows).
-    pub requests: u64,
-    /// Requests shed at admission across all models
-    /// ([`ServeError::Overloaded`]).
-    pub shed: u64,
-    /// Requests that expired in queue across all models
-    /// ([`ServeError::DeadlineExceeded`]).
-    pub expired: u64,
-    /// Ids embedded per request.
-    pub ids_per_request: usize,
-    /// Wall-clock span of the run.
-    pub elapsed: Duration,
-    /// Per-request latency distribution across all models.
-    pub histogram: LatencyHistogram,
-    /// Per-model breakdown (one entry per mixed model; a single entry
-    /// for [`run_load`]).
-    pub per_model: Vec<ModelLoadReport>,
-    /// Order-independent digest of the issued traffic (which model each
-    /// request targeted and which ids it asked for). Clients accumulate
-    /// per-request hashes with wrapping adds, so thread scheduling cannot
-    /// perturb it: the same config and seed must reproduce the same
-    /// checksum, making loadgen regressions (Zipf sampling, weighted
-    /// model picks, per-client seeding) detectable as a value change.
-    pub traffic_checksum: u64,
-}
-
-impl LoadReport {
-    /// *Completed* requests per second (the goodput).
-    pub fn qps(&self) -> f64 {
-        per_second(self.requests, self.elapsed)
-    }
-
-    /// Synonym for [`qps`](Self::qps), for overload tables read against
-    /// [`offered_qps`](Self::offered_qps).
-    pub fn goodput(&self) -> f64 {
-        self.qps()
-    }
-
-    /// Requests issued: completed + shed + expired.
-    pub fn offered(&self) -> u64 {
-        self.requests + self.shed + self.expired
-    }
-
-    /// Issued requests per second (the offered load).
-    pub fn offered_qps(&self) -> f64 {
-        per_second(self.offered(), self.elapsed)
-    }
-
-    /// Fraction of issued requests shed or expired instead of answered.
-    pub fn shed_rate(&self) -> f64 {
-        shed_rate(self.requests, self.shed, self.expired)
-    }
-
-    /// Achieved single-id lookups per second (completed requests).
-    pub fn lookups_per_sec(&self) -> f64 {
-        self.qps() * self.ids_per_request as f64
-    }
-}
-
-fn check_common(config: &LoadGenConfig) -> Result<()> {
-    if config.clients == 0 || config.requests_per_client == 0 || config.ids_per_request == 0 {
-        return Err(ServeError::BadConfig {
-            context: "load generation needs >= 1 client, request, and id per request".into(),
-        });
-    }
-    Ok(())
-}
-
-fn arrival_tick(mode: LoadMode, clients: usize) -> Result<Duration> {
-    match mode {
-        LoadMode::Closed => Ok(Duration::ZERO),
-        LoadMode::Open { target_qps } => {
-            if !target_qps.is_finite() || target_qps <= 0.0 {
-                return Err(ServeError::BadConfig {
-                    context: format!("open-loop target_qps must be positive, got {target_qps}"),
-                });
-            }
-            let _ = clients; // clients interleave on the aggregate schedule
-            Ok(Duration::from_secs_f64(1.0 / target_qps))
-        }
-    }
-}
-
-/// When request `k` of `client_idx` starts, under the configured
-/// discipline. Open loop sleeps until the scheduled arrival and measures
-/// from it, charging queueing delay to the server, not the sleeping
-/// client.
-fn request_start(
-    mode: LoadMode,
-    tick: Duration,
-    started: Instant,
-    client_idx: usize,
-    clients: usize,
-    k: usize,
-) -> Instant {
-    match mode {
-        LoadMode::Closed => Instant::now(),
-        LoadMode::Open { .. } => {
-            // u32 Duration multiplication would wrap on long soaks;
-            // scale in f64 seconds instead.
-            let index = (client_idx + k * clients) as f64;
-            let scheduled = started + Duration::from_secs_f64(tick.as_secs_f64() * index);
-            let now = Instant::now();
-            if scheduled > now {
-                std::thread::sleep(scheduled - now);
-            }
-            scheduled
-        }
+/// Spacing of the aggregate open-loop schedule (zero for closed loop).
+fn arrival_tick(mode: LoadMode) -> Result<Duration> {
+    let LoadMode::Open { target_qps } = mode else {
+        return Ok(Duration::ZERO);
+    };
+    // `try_from`: a positive rate can still be so small (1e-300) that
+    // its period overflows a `Duration`, which `from_secs_f64` panics on.
+    match Duration::try_from_secs_f64(1.0 / target_qps) {
+        Ok(tick) if target_qps.is_finite() && target_qps > 0.0 => Ok(tick),
+        _ => Err(bad_config(format!(
+            "open-loop target_qps must be positive with a representable period, \
+             got {target_qps}"
+        ))),
     }
 }
 
@@ -331,27 +257,209 @@ fn request_digest(model_idx: usize, ids: &[usize]) -> u64 {
     h
 }
 
-/// Runs Zipf traffic against `handle` and collects latency + throughput.
+/// One target's running totals, per client and then merged.
+#[derive(Clone, Default)]
+struct Tally {
+    histogram: LatencyHistogram,
+    shed: u64,
+    expired: u64,
+    refused: u64,
+    /// Sum of `retry_after` hints over shed requests.
+    backoff_nanos: u64,
+    checksum: u64,
+}
+
+impl Tally {
+    fn merge(&mut self, other: &Tally) {
+        self.histogram.merge(&other.histogram);
+        self.shed += other.shed;
+        self.expired += other.expired;
+        self.refused += other.refused;
+        self.backoff_nanos += other.backoff_nanos;
+        self.checksum = self.checksum.wrapping_add(other.checksum);
+    }
+
+    fn report(
+        self,
+        model: String,
+        config: &LoadGenConfig,
+        elapsed: Duration,
+        per_model: Vec<LoadReport>,
+    ) -> LoadReport {
+        let hinted = Duration::from_nanos(self.backoff_nanos);
+        LoadReport {
+            model,
+            requests: self.histogram.count(),
+            shed: self.shed,
+            expired: self.expired,
+            refused: self.refused,
+            ids_per_request: config.ids_per_request,
+            elapsed,
+            histogram: self.histogram,
+            mean_backoff: Duration::from_nanos(
+                self.backoff_nanos.checked_div(self.shed).unwrap_or(0),
+            ),
+            // A closed loop sleeps every hint it is given, an open loop
+            // none.
+            slept: match config.mode {
+                LoadMode::Closed => hinted,
+                LoadMode::Open { .. } => Duration::ZERO,
+            },
+            traffic_checksum: self.checksum,
+            per_model,
+        }
+    }
+}
+
+/// The validated schedule every client thread of one run shares.
+struct Plan<'a> {
+    config: &'a LoadGenConfig,
+    /// One id sampler per target.
+    zipfs: Vec<Zipf>,
+    /// Running sum of the target weights (the last entry is the total).
+    cumulative: Vec<f64>,
+    tick: Duration,
+    started: Instant,
+}
+
+impl<'a> Plan<'a> {
+    fn new(config: &'a LoadGenConfig, targets: &[(&str, usize, f64)]) -> Result<Self> {
+        if config.clients == 0 || config.requests_per_client == 0 || config.ids_per_request == 0 {
+            return Err(bad_config(
+                "load generation needs >= 1 client, request, and id per request".into(),
+            ));
+        }
+        if targets.is_empty() {
+            return Err(bad_config("load generation needs >= 1 target model".into()));
+        }
+        let mut zipfs = Vec::with_capacity(targets.len());
+        let mut cumulative = Vec::with_capacity(targets.len());
+        let mut total_weight = 0.0f64;
+        for &(model, vocab, weight) in targets {
+            if !weight.is_finite() || weight <= 0.0 {
+                return Err(bad_config(format!(
+                    "model {model:?} has non-positive weight {weight}"
+                )));
+            }
+            total_weight += weight;
+            cumulative.push(total_weight);
+            zipfs.push(
+                Zipf::new(vocab, config.zipf_exponent)
+                    .map_err(|e| bad_config(format!("zipf construction failed: {e}")))?,
+            );
+        }
+        Ok(Plan {
+            config,
+            zipfs,
+            cumulative,
+            tick: arrival_tick(config.mode)?,
+            started: Instant::now(),
+        })
+    }
+
+    /// When request `k` of `client_idx` starts, under the configured
+    /// discipline. Open loop sleeps until the scheduled arrival and
+    /// measures from it, charging queueing delay to the server, not the
+    /// sleeping client.
+    fn request_start(&self, client_idx: usize, k: usize) -> Instant {
+        match self.config.mode {
+            LoadMode::Closed => Instant::now(),
+            LoadMode::Open { .. } => {
+                // u32 Duration multiplication would wrap on long soaks;
+                // scale in f64 seconds instead.
+                let index = (client_idx + k * self.config.clients) as f64;
+                let due = Duration::from_secs_f64(self.tick.as_secs_f64() * index);
+                let scheduled = self.started + due;
+                let now = Instant::now();
+                if scheduled > now {
+                    std::thread::sleep(scheduled - now);
+                }
+                scheduled
+            }
+        }
+    }
+
+    /// Issues one client's requests through `submit` and returns its
+    /// per-target tallies.
+    fn run_client<S, E>(
+        &self,
+        client_idx: usize,
+        mut submit: S,
+    ) -> std::result::Result<Vec<Tally>, E>
+    where
+        S: FnMut(usize, &[usize]) -> std::result::Result<Outcome, E>,
+    {
+        let config = self.config;
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(client_idx as u64));
+        let mut tallies = vec![Tally::default(); self.zipfs.len()];
+        for k in 0..config.requests_per_client {
+            let model_idx = match self.cumulative.as_slice() {
+                // A single target spends no draw on the pick, so a
+                // one-model mix issues exactly `run_load`'s stream.
+                [_] => 0,
+                cumulative => {
+                    let draw = rng.gen::<f64>() * cumulative[cumulative.len() - 1];
+                    cumulative
+                        .iter()
+                        .position(|&c| draw < c)
+                        .unwrap_or(cumulative.len() - 1)
+                }
+            };
+            let ids = self.zipfs[model_idx].sample_many(config.ids_per_request, &mut rng);
+            let tally = &mut tallies[model_idx];
+            tally.checksum = tally.checksum.wrapping_add(request_digest(model_idx, &ids));
+            let t0 = self.request_start(client_idx, k);
+            let outcome = submit(model_idx, &ids)?;
+            let latency_nanos = t0.elapsed().as_nanos() as u64;
+            match outcome {
+                Outcome::Served => tally.histogram.record(latency_nanos),
+                Outcome::Shed { retry_after } => {
+                    tally.shed += 1;
+                    tally.backoff_nanos += retry_after.as_nanos().min(u64::MAX as u128) as u64;
+                    // Cooperative pacing instead of hammering the
+                    // admission gate — but only where the client owns
+                    // its pacing; an open loop keeps its schedule.
+                    if config.mode == LoadMode::Closed {
+                        std::thread::sleep(retry_after);
+                    }
+                }
+                Outcome::Expired => tally.expired += 1,
+                Outcome::Refused => tally.refused += 1,
+            }
+        }
+        Ok(tallies)
+    }
+}
+
+/// Runs `config`'s traffic against `targets` — `(model name, vocabulary
+/// size, relative weight)` each — on `config.clients` threads. Client
+/// `i` calls `connect(i)` once, on its own thread, for the closure that
+/// submits its requests: `(target index, ids) -> Outcome`. See the
+/// module docs for everything the driver decides on the closure's
+/// behalf.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::BadConfig`] for a zero client/request count or a
-/// non-positive Zipf exponent, and propagates the first request failure
-/// from any client.
-pub fn run_load(handle: &ServeHandle, config: &LoadGenConfig) -> Result<LoadReport> {
-    check_common(config)?;
-    let zipf =
-        Zipf::new(handle.vocab(), config.zipf_exponent).map_err(|e| ServeError::BadConfig {
-            context: format!("zipf construction failed: {e}"),
-        })?;
-    let tick = arrival_tick(config.mode, config.clients)?;
-
-    let started = Instant::now();
-    let outcomes: Vec<Result<ClientTally>> = std::thread::scope(|scope| {
+/// [`ServeError::BadConfig`] (through `E::from`) for a zero
+/// client/request/id count, no targets, a non-positive weight or Zipf
+/// exponent, an empty vocabulary, or an unusable open-loop rate;
+/// otherwise the first `Err` any `connect` or submit call returned.
+pub fn drive<C, S, E>(
+    config: &LoadGenConfig,
+    targets: &[(&str, usize, f64)],
+    connect: C,
+) -> std::result::Result<LoadReport, E>
+where
+    C: Fn(usize) -> std::result::Result<S, E> + Sync,
+    S: FnMut(usize, &[usize]) -> std::result::Result<Outcome, E>,
+    E: From<ServeError> + Send,
+{
+    let plan = Plan::new(config, targets)?;
+    let clients: Vec<std::result::Result<Vec<Tally>, E>> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..config.clients)
             .map(|client_idx| {
-                let zipf = &zipf;
-                scope.spawn(move || client_loop(handle, zipf, config, tick, client_idx, started))
+                let (plan, connect) = (&plan, &connect);
+                scope.spawn(move || plan.run_client(client_idx, connect(client_idx)?))
             })
             .collect();
         workers
@@ -361,341 +469,78 @@ pub fn run_load(handle: &ServeHandle, config: &LoadGenConfig) -> Result<LoadRepo
             .map(|w| w.join().expect("load-generator client panicked"))
             .collect()
     });
-    let elapsed = started.elapsed();
+    let elapsed = plan.started.elapsed();
 
-    let mut histogram = LatencyHistogram::new();
-    let (mut shed, mut expired, mut backoff_nanos) = (0u64, 0u64, 0u64);
-    let mut traffic_checksum = 0u64;
-    for outcome in outcomes {
-        let tally = outcome?;
-        histogram.merge(&tally.histogram);
-        shed += tally.shed;
-        expired += tally.expired;
-        backoff_nanos += tally.backoff_nanos;
-        traffic_checksum = traffic_checksum.wrapping_add(tally.checksum);
+    let mut merged = vec![Tally::default(); targets.len()];
+    for client in clients {
+        for (into, from) in merged.iter_mut().zip(&client?) {
+            into.merge(from);
+        }
     }
-    let (dtype, store_bytes, resident_bytes, dequant_error_bound) =
-        ModelLoadReport::snapshot_fields(&handle.snapshot());
-    Ok(LoadReport {
-        requests: histogram.count(),
-        shed,
-        expired,
-        ids_per_request: config.ids_per_request,
-        elapsed,
-        per_model: vec![ModelLoadReport {
-            model: handle.model_name().to_string(),
-            requests: histogram.count(),
-            shed,
-            expired,
-            elapsed,
-            histogram: histogram.clone(),
-            dtype,
-            store_bytes,
-            resident_bytes,
-            dequant_error_bound,
-            mean_backoff: mean_backoff(backoff_nanos, shed),
-        }],
-        histogram,
-        traffic_checksum,
-    })
+    let mut total = Tally::default();
+    let mut per_model = Vec::with_capacity(targets.len());
+    for (tally, &(model, ..)) in merged.into_iter().zip(targets) {
+        total.merge(&tally);
+        per_model.push(tally.report(model.to_string(), config, elapsed, Vec::new()));
+    }
+    let names: Vec<&str> = targets.iter().map(|&(model, ..)| model).collect();
+    Ok(total.report(names.join("+"), config, elapsed, per_model))
 }
 
-/// One client's contribution to a load run: completed-request
-/// latencies plus its shed/expired counts and traffic digest.
-struct ClientTally {
-    histogram: LatencyHistogram,
-    shed: u64,
-    expired: u64,
-    /// Sum of suggested `retry_after` hints over shed requests.
-    backoff_nanos: u64,
-    checksum: u64,
-}
-
-/// Folds one request outcome into a client's tally: completed requests
-/// record their scheduled-send latency, overload rejections count as
-/// shed/expired without aborting the run (they *are* the measurement
-/// under a shedding policy), and anything else is a real failure.
-///
-/// A shed outcome carries the server's `retry_after` hint; its
-/// suggestion is always recorded, and when `honor_backoff` is set (the
-/// closed-loop discipline, where the client controls its own pacing) the
-/// client additionally sleeps it out before issuing its next request —
-/// cooperative pacing instead of hammering the admission gate. Open-loop
-/// clients must keep their arrival schedule, so they only record it.
-fn tally_outcome<T>(
-    outcome: Result<T>,
-    latency_nanos: u64,
-    honor_backoff: bool,
-    histogram: &mut LatencyHistogram,
-    shed: &mut u64,
-    expired: &mut u64,
-    backoff_nanos: &mut u64,
-) -> Result<()> {
-    match outcome {
-        Ok(_) => {
-            histogram.record(latency_nanos);
-            Ok(())
-        }
-        Err(ServeError::Overloaded { retry_after, .. }) => {
-            *shed += 1;
-            *backoff_nanos += retry_after.as_nanos().min(u64::MAX as u128) as u64;
-            if honor_backoff {
-                std::thread::sleep(retry_after);
-            }
-            Ok(())
-        }
-        Err(ServeError::DeadlineExceeded { .. }) => {
-            *expired += 1;
-            Ok(())
-        }
+/// A client's submit closure over in-process handles (one per target):
+/// every request rides the zero-copy slab path into one reused
+/// [`EmbedBatch`].
+fn submit_in_process(
+    handles: &[RouterHandle],
+) -> impl FnMut(usize, &[usize]) -> Result<Outcome> + '_ {
+    let mut batch = EmbedBatch::new();
+    move |model_idx, ids| match handles[model_idx].get_batch_into(ids, &mut batch) {
+        Ok(()) => Ok(Outcome::Served),
+        Err(ServeError::Overloaded { retry_after, .. }) => Ok(Outcome::Shed { retry_after }),
+        Err(ServeError::DeadlineExceeded { .. }) => Ok(Outcome::Expired),
         Err(e) => Err(e),
     }
 }
 
-/// Mean suggested backoff over `shed` rejections.
-fn mean_backoff(backoff_nanos: u64, shed: u64) -> Duration {
-    backoff_nanos
-        .checked_div(shed)
-        .map_or(Duration::ZERO, Duration::from_nanos)
-}
-
-fn client_loop(
-    handle: &ServeHandle,
-    zipf: &Zipf,
-    config: &LoadGenConfig,
-    tick: Duration,
-    client_idx: usize,
-    started: Instant,
-) -> Result<ClientTally> {
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(client_idx as u64));
-    let mut tally = ClientTally {
-        histogram: LatencyHistogram::new(),
-        shed: 0,
-        expired: 0,
-        backoff_nanos: 0,
-        checksum: 0,
-    };
-    let honor_backoff = config.mode == LoadMode::Closed;
-    for k in 0..config.requests_per_client {
-        let ids = zipf.sample_many(config.ids_per_request, &mut rng);
-        tally.checksum = tally.checksum.wrapping_add(request_digest(0, &ids));
-        let t0 = request_start(config.mode, tick, started, client_idx, config.clients, k);
-        let outcome = if let [id] = ids.as_slice() {
-            handle.get(*id).map(drop)
-        } else {
-            handle.get_many(&ids).map(drop)
-        };
-        tally_outcome(
-            outcome,
-            t0.elapsed().as_nanos() as u64,
-            honor_backoff,
-            &mut tally.histogram,
-            &mut tally.shed,
-            &mut tally.expired,
-            &mut tally.backoff_nanos,
-        )?;
-    }
-    Ok(tally)
-}
-
-/// Runs mixed multi-model Zipf traffic against a [`Router`]: each
-/// request picks its target model from `mix`'s weight vector, samples
-/// that model's Zipf id distribution, and goes through the model's
-/// handle — single-id requests via `get`, larger requests via the
-/// zero-copy [`RouterHandle::get_batch_into`] slab path with one
-/// reusable [`EmbedBatch`] per client. The report carries a per-model
-/// QPS/latency breakdown in [`LoadReport::per_model`] (ordered as
-/// `mix`).
+/// Runs Zipf traffic against one model through its handle.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::BadConfig`] for degenerate configs, an empty
-/// mix, or non-positive weights; [`ServeError::ModelNotFound`] for
-/// unregistered mix entries; and propagates the first request failure
-/// from any client.
+/// As [`drive`]; any request failure other than an overload rejection
+/// aborts the run.
+pub fn run_load(handle: &ServeHandle, config: &LoadGenConfig) -> Result<LoadReport> {
+    let target = (handle.model_name(), handle.vocab(), 1.0);
+    drive(config, &[target], |_| {
+        Ok(submit_in_process(std::slice::from_ref(handle)))
+    })
+}
+
+/// Runs mixed multi-model Zipf traffic against a [`Router`]: each
+/// request picks its target model from `mix`'s weight vector and
+/// samples that model's own Zipf id distribution — the multi-model
+/// analogue of production traffic where per-country or A/B table
+/// variants share one serving tier. [`LoadReport::per_model`] is ordered
+/// as `mix`.
+///
+/// # Errors
+///
+/// As [`drive`], plus [`ServeError::ModelNotFound`] for unregistered
+/// mix entries.
 pub fn run_mixed_load(
     router: &Router,
     mix: &[ModelMix],
     config: &LoadGenConfig,
 ) -> Result<LoadReport> {
-    check_common(config)?;
-    if mix.is_empty() {
-        return Err(ServeError::BadConfig {
-            context: "mixed load needs >= 1 model in the mix".into(),
-        });
-    }
-    let mut cumulative = Vec::with_capacity(mix.len());
-    let mut total_weight = 0.0f64;
-    for share in mix {
-        if !share.weight.is_finite() || share.weight <= 0.0 {
-            return Err(ServeError::BadConfig {
-                context: format!(
-                    "model {:?} has non-positive weight {}",
-                    share.model, share.weight
-                ),
-            });
-        }
-        total_weight += share.weight;
-        cumulative.push(total_weight);
-    }
     let handles: Vec<RouterHandle> = mix
         .iter()
         .map(|share| router.handle(&share.model))
         .collect::<Result<_>>()?;
-    let zipfs: Vec<Zipf> = handles
+    let targets: Vec<(&str, usize, f64)> = mix
         .iter()
-        .map(|h| {
-            Zipf::new(h.vocab(), config.zipf_exponent).map_err(|e| ServeError::BadConfig {
-                context: format!("zipf construction failed: {e}"),
-            })
-        })
-        .collect::<Result<_>>()?;
-    let tick = arrival_tick(config.mode, config.clients)?;
-
-    let started = Instant::now();
-    let outcomes: Vec<Result<MixedTally>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..config.clients)
-            .map(|client_idx| {
-                let (handles, zipfs, cumulative) = (&handles, &zipfs, &cumulative);
-                scope.spawn(move || {
-                    mixed_client_loop(
-                        handles,
-                        zipfs,
-                        cumulative,
-                        total_weight,
-                        config,
-                        tick,
-                        client_idx,
-                        started,
-                    )
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("load-generator client panicked"))
-            .collect()
-    });
-    let elapsed = started.elapsed();
-
-    let mut per_model_hists: Vec<LatencyHistogram> =
-        (0..mix.len()).map(|_| LatencyHistogram::new()).collect();
-    let mut per_model_shed = vec![0u64; mix.len()];
-    let mut per_model_expired = vec![0u64; mix.len()];
-    let mut per_model_backoff = vec![0u64; mix.len()];
-    let mut traffic_checksum = 0u64;
-    for outcome in outcomes {
-        let tally = outcome?;
-        traffic_checksum = traffic_checksum.wrapping_add(tally.checksum);
-        for (merged, client_hist) in per_model_hists.iter_mut().zip(&tally.histograms) {
-            merged.merge(client_hist);
-        }
-        for (total, n) in per_model_shed.iter_mut().zip(&tally.shed) {
-            *total += n;
-        }
-        for (total, n) in per_model_expired.iter_mut().zip(&tally.expired) {
-            *total += n;
-        }
-        for (total, n) in per_model_backoff.iter_mut().zip(&tally.backoff_nanos) {
-            *total += n;
-        }
-    }
-    let mut histogram = LatencyHistogram::new();
-    for h in &per_model_hists {
-        histogram.merge(h);
-    }
-    let per_model: Vec<ModelLoadReport> = mix
-        .iter()
-        .zip(per_model_hists)
         .zip(&handles)
-        .enumerate()
-        .map(|(idx, ((share, h), handle))| {
-            let (dtype, store_bytes, resident_bytes, dequant_error_bound) =
-                ModelLoadReport::snapshot_fields(&handle.snapshot());
-            ModelLoadReport {
-                model: share.model.clone(),
-                requests: h.count(),
-                shed: per_model_shed[idx],
-                expired: per_model_expired[idx],
-                elapsed,
-                histogram: h,
-                dtype,
-                store_bytes,
-                resident_bytes,
-                dequant_error_bound,
-                mean_backoff: mean_backoff(per_model_backoff[idx], per_model_shed[idx]),
-            }
-        })
+        .map(|(share, handle)| (share.model.as_str(), handle.vocab(), share.weight))
         .collect();
-    Ok(LoadReport {
-        requests: histogram.count(),
-        shed: per_model.iter().map(|m| m.shed).sum(),
-        expired: per_model.iter().map(|m| m.expired).sum(),
-        ids_per_request: config.ids_per_request,
-        elapsed,
-        histogram,
-        per_model,
-        traffic_checksum,
-    })
-}
-
-/// A mixed-load client's contribution, broken down per model.
-struct MixedTally {
-    histograms: Vec<LatencyHistogram>,
-    shed: Vec<u64>,
-    expired: Vec<u64>,
-    backoff_nanos: Vec<u64>,
-    checksum: u64,
-}
-
-#[allow(clippy::too_many_arguments)] // internal fan-out helper
-fn mixed_client_loop(
-    handles: &[RouterHandle],
-    zipfs: &[Zipf],
-    cumulative: &[f64],
-    total_weight: f64,
-    config: &LoadGenConfig,
-    tick: Duration,
-    client_idx: usize,
-    started: Instant,
-) -> Result<MixedTally> {
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(client_idx as u64));
-    let mut tally = MixedTally {
-        histograms: (0..handles.len())
-            .map(|_| LatencyHistogram::new())
-            .collect(),
-        shed: vec![0; handles.len()],
-        expired: vec![0; handles.len()],
-        backoff_nanos: vec![0; handles.len()],
-        checksum: 0,
-    };
-    let honor_backoff = config.mode == LoadMode::Closed;
-    let mut batch = EmbedBatch::new();
-    for k in 0..config.requests_per_client {
-        let draw = rng.gen::<f64>() * total_weight;
-        let model_idx = cumulative
-            .iter()
-            .position(|&c| draw < c)
-            .unwrap_or(handles.len() - 1);
-        let ids = zipfs[model_idx].sample_many(config.ids_per_request, &mut rng);
-        tally.checksum = tally.checksum.wrapping_add(request_digest(model_idx, &ids));
-        let t0 = request_start(config.mode, tick, started, client_idx, config.clients, k);
-        let outcome = if let [id] = ids.as_slice() {
-            handles[model_idx].get(*id).map(drop)
-        } else {
-            handles[model_idx].get_batch_into(&ids, &mut batch)
-        };
-        tally_outcome(
-            outcome,
-            t0.elapsed().as_nanos() as u64,
-            honor_backoff,
-            &mut tally.histograms[model_idx],
-            &mut tally.shed[model_idx],
-            &mut tally.expired[model_idx],
-            &mut tally.backoff_nanos[model_idx],
-        )?;
-    }
-    Ok(tally)
+    drive(config, &targets, |_| Ok(submit_in_process(&handles)))
 }
 
 #[cfg(test)]
@@ -791,6 +636,11 @@ mod tests {
             },
             LoadGenConfig {
                 mode: LoadMode::Open { target_qps: 0.0 },
+                ..LoadGenConfig::default()
+            },
+            // A positive rate whose period overflows a `Duration`.
+            LoadGenConfig {
+                mode: LoadMode::Open { target_qps: 1e-300 },
                 ..LoadGenConfig::default()
             },
         ] {
@@ -892,9 +742,7 @@ mod tests {
         for (a, b) in first.per_model.iter().zip(&second.per_model) {
             assert_eq!(a.model, b.model);
             assert_eq!(a.requests, b.requests, "model {}", a.model);
-            assert_eq!(a.store_bytes, b.store_bytes);
-            assert_eq!(a.dtype, b.dtype);
-            assert_eq!(a.dequant_error_bound, b.dequant_error_bound);
+            assert_eq!(a.traffic_checksum, b.traffic_checksum);
         }
 
         // A different seed must actually change the traffic.
@@ -908,23 +756,6 @@ mod tests {
         )
         .unwrap();
         assert_ne!(first.traffic_checksum, reseeded.traffic_checksum);
-    }
-
-    #[test]
-    fn single_model_report_carries_store_snapshot() {
-        let server = test_server();
-        let config = LoadGenConfig {
-            clients: 2,
-            requests_per_client: 100,
-            ..LoadGenConfig::default()
-        };
-        let report = run_load(&server.handle(), &config).unwrap();
-        let model = &report.per_model[0];
-        assert_eq!(model.dtype, crate::Dtype::F32);
-        assert_eq!(model.dequant_error_bound, 0.0);
-        assert_eq!(model.store_bytes, server.store().stored_bytes());
-        assert!(model.resident_bytes > 0, "traffic must touch pages");
-        assert_ne!(report.traffic_checksum, 0);
     }
 
     #[test]

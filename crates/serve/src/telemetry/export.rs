@@ -1,18 +1,18 @@
 //! Exporters: point-in-time snapshots of the metrics registry, rendered
-//! as Prometheus text exposition or JSON, plus a periodic
-//! [`StatsReporter`].
+//! as Prometheus text exposition or JSON.
 //!
 //! A [`MetricsSnapshot`] is plain owned data — taking one clones the
 //! shard-local accumulators under their (uncontended) locks and reads
 //! the counters once, so rendering never blocks the serving path and a
 //! snapshot stays internally consistent while being formatted.
+//!
+//! The rendering primitives ([`family`], [`render_hist`],
+//! [`escape_label`], [`escape_json`], [`json_hist`]) are public so a tier
+//! that embeds this exposition in its own scrape (`memcom-net`) renders
+//! its families with the same rules instead of a second copy of them.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::config::TelemetryLevel;
 use crate::histogram::LatencyHistogram;
@@ -187,7 +187,7 @@ pub struct MetricsSnapshot {
 }
 
 /// Escapes a Prometheus label value (`\`, `"`, and newlines).
-fn escape_label(value: &str) -> String {
+pub fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -201,7 +201,7 @@ fn escape_label(value: &str) -> String {
 }
 
 /// Escapes a JSON string value.
-fn escape_json(value: &str) -> String {
+pub fn escape_json(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -220,7 +220,7 @@ fn escape_json(value: &str) -> String {
 }
 
 /// `# HELP` / `# TYPE` preamble for one metric family.
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+pub fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
@@ -229,7 +229,7 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 /// under `labels` (no trailing comma). Zero-count buckets are elided —
 /// a valid exposition, since `le` boundaries are cumulative — and the
 /// open-above top bucket folds into `+Inf`.
-fn render_hist(out: &mut String, name: &str, labels: &str, h: &LatencyHistogram) {
+pub fn render_hist(out: &mut String, name: &str, labels: &str, h: &LatencyHistogram) {
     let buckets: Vec<(u64, u64)> = h.iter_buckets().collect();
     let mut cumulative = 0u64;
     for (idx, &(upper, count)) in buckets.iter().enumerate() {
@@ -245,7 +245,7 @@ fn render_hist(out: &mut String, name: &str, labels: &str, h: &LatencyHistogram)
 }
 
 /// Summary stats of one latency histogram for the JSON rendering.
-fn json_hist(h: &LatencyHistogram) -> String {
+pub fn json_hist(h: &LatencyHistogram) -> String {
     format!(
         "{{\"count\":{},\"mean_nanos\":{:.1},\"p50_nanos\":{},\"p99_nanos\":{},\"max_nanos\":{}}}",
         h.count(),
@@ -595,87 +595,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// A background thread that invokes a report callback at a fixed
-/// interval — periodic stats dumps without wiring a scrape endpoint.
-///
-/// The callback typically captures a router and prints or ships
-/// [`crate::Router::metrics`] output. The reporter stops (and joins its
-/// thread) on [`stop`](Self::stop) or drop.
-///
-/// ```
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
-/// use std::time::Duration;
-/// use memcom_serve::StatsReporter;
-///
-/// let ticks = Arc::new(AtomicUsize::new(0));
-/// let seen = Arc::clone(&ticks);
-/// let reporter = StatsReporter::spawn(Duration::from_millis(5), move || {
-///     seen.fetch_add(1, Ordering::Relaxed);
-/// });
-/// std::thread::sleep(Duration::from_millis(50));
-/// reporter.stop();
-/// assert!(ticks.load(Ordering::Relaxed) >= 1);
-/// ```
-#[derive(Debug)]
-pub struct StatsReporter {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl StatsReporter {
-    /// Spawns the reporter thread; `report` runs every `interval` until
-    /// the reporter is stopped or dropped.
-    pub fn spawn(interval: Duration, mut report: impl FnMut() + Send + 'static) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("memcom-stats".to_string())
-            .spawn(move || {
-                let (lock, condvar) = &*flag;
-                let mut stopped = lock.lock();
-                while !*stopped {
-                    let timed_out = condvar.wait_for(&mut stopped, interval).timed_out();
-                    if *stopped {
-                        break;
-                    }
-                    if timed_out {
-                        // Report outside the lock so `stop()` never
-                        // waits on a slow callback to acquire it.
-                        drop(stopped);
-                        report();
-                        stopped = lock.lock();
-                    }
-                }
-            })
-            .expect("spawn stats reporter");
-        StatsReporter {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the reporter and joins its thread (also happens on drop).
-    pub fn stop(self) {
-        // Drop runs the shutdown.
-    }
-
-    fn shutdown(&mut self) {
-        let (lock, condvar) = &*self.stop;
-        *lock.lock() = true;
-        condvar.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for StatsReporter {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::trace::SpanOutcome;
@@ -802,27 +721,6 @@ mod tests {
         assert_eq!(
             SizeStats::from_scaled(&LatencyHistogram::new()),
             SizeStats::default()
-        );
-    }
-
-    #[test]
-    fn reporter_ticks_and_stops() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let ticks = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&ticks);
-        let reporter = StatsReporter::spawn(Duration::from_millis(2), move || {
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
-        while ticks.load(Ordering::Relaxed) < 3 {
-            std::thread::yield_now();
-        }
-        reporter.stop();
-        let after_stop = ticks.load(Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(
-            ticks.load(Ordering::Relaxed),
-            after_stop,
-            "no ticks after stop"
         );
     }
 }

@@ -16,14 +16,16 @@
 //!   uncontended lock, and a snapshot merges per-shard state on demand.
 //!
 //! Entry points: [`crate::Router::metrics`] returns a
-//! [`MetricsSnapshot`] renderable as Prometheus text or JSON;
-//! [`StatsReporter`] periodically dumps either.
+//! [`MetricsSnapshot`] renderable as Prometheus text or JSON.
 
 mod export;
 mod registry;
 mod trace;
 
-pub use export::{MetricsSnapshot, ModelMetrics, ShardStageMetrics, SizeStats, StatsReporter};
+pub use export::{
+    escape_json, escape_label, family, json_hist, render_hist, MetricsSnapshot, ModelMetrics,
+    ShardStageMetrics, SizeStats,
+};
 pub use trace::{Span, SpanOutcome};
 
 pub(crate) use registry::{dtype_idx, MetricsRegistry, SIZE_SCALE};

@@ -8,9 +8,9 @@
 //!    [`ShardedStore::error_bound`] (the serving analogue of the core
 //!    crate's `embed_into` cross-method equivalence test).
 //! 2. **Footprint** — an fp32-vs-int8 A/B of the *same* table behind one
-//!    router reports ≥3× smaller store *and* resident bytes for int8 in
-//!    [`memcom_serve::LoadReport::per_model`], while every served row
-//!    stays within the advertised bound.
+//!    router leaves ≥3× smaller store *and* resident bytes for int8 in
+//!    the two [`Router::snapshot`]s after a mixed load run, while every
+//!    served row stays within the advertised bound.
 
 use memcom_core::{MethodSpec, QrCombiner};
 use memcom_serve::{
@@ -124,29 +124,31 @@ fn int8_ab_reports_3x_smaller_bytes_within_bound() {
     ];
     let report = run_mixed_load(&router, &mix, &load).unwrap();
     assert_eq!(report.requests, 3_000);
-    let (fp32, int8) = (&report.per_model[0], &report.per_model[1]);
-    assert_eq!(fp32.dtype, Dtype::F32);
-    assert_eq!(int8.dtype, Dtype::Int8);
-    assert_eq!(fp32.dequant_error_bound, 0.0);
-    assert!(int8.dequant_error_bound > 0.0);
+    // The footprint the traffic left behind, read off each variant's
+    // store snapshot.
+    let exact = router.snapshot("emb/fp32").unwrap();
+    let quant = router.snapshot("emb/int8").unwrap();
+    assert_eq!(exact.dtype(), Dtype::F32);
+    assert_eq!(quant.dtype(), Dtype::Int8);
+    assert_eq!(exact.error_bound(), 0.0);
+    assert!(quant.error_bound() > 0.0);
     assert!(
-        int8.store_bytes * 3 <= fp32.store_bytes,
+        quant.stored_bytes() * 3 <= exact.stored_bytes(),
         "store bytes: int8 {} vs fp32 {}",
-        int8.store_bytes,
-        fp32.store_bytes
+        quant.stored_bytes(),
+        exact.stored_bytes()
+    );
+    let (fp32_resident, int8_resident) = (
+        exact.run_stats().resident_model_bytes,
+        quant.run_stats().resident_model_bytes,
     );
     assert!(
-        int8.resident_bytes * 3 <= fp32.resident_bytes,
-        "resident bytes: int8 {} vs fp32 {}",
-        int8.resident_bytes,
-        fp32.resident_bytes
+        int8_resident * 3 <= fp32_resident,
+        "resident bytes: int8 {int8_resident} vs fp32 {fp32_resident}"
     );
 
     // Every served row of the int8 variant stays within its advertised
     // bound of the fp32 truth.
-    let exact = router.snapshot("emb/fp32").unwrap();
-    let quant = router.snapshot("emb/int8").unwrap();
-    assert_eq!(quant.error_bound(), int8.dequant_error_bound);
     let bound = quant.error_bound() + 1e-6;
     for id in 0..VOCAB {
         let want = exact.get(id).unwrap();

@@ -276,15 +276,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "model", "store", "resident", "req/s", "p50", "p99", "max|err|"
     );
     for per_model in &quant_report.per_model {
+        let store = quant_router.snapshot(&per_model.model)?;
         println!(
             "{:<12} {:>7.2}MB {:>8.2}MB {:>8.0} {:>9} {:>9} {:>10.2e}",
             per_model.model,
-            per_model.store_bytes as f64 / 1_048_576.0,
-            per_model.resident_bytes as f64 / 1_048_576.0,
+            store.stored_bytes() as f64 / 1_048_576.0,
+            store.run_stats().resident_model_bytes as f64 / 1_048_576.0,
             per_model.qps(),
             fmt_nanos(per_model.histogram.p50()),
             fmt_nanos(per_model.histogram.p99()),
-            per_model.dequant_error_bound,
+            store.error_bound(),
         );
     }
 
@@ -639,7 +640,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net_router = Router::start(serve_config(4))?;
     net_router.register("default", overload_table.as_ref())?;
     let net_server = NetServer::start(net_router, NetServerConfig::default())?;
-    let wire = run_net_load(net_server.local_addr(), "default", vocab, &load, None)?;
+    let (wire, _) = run_net_load(net_server.local_addr(), "default", vocab, &load, None)?;
     net_server.shutdown();
 
     println!(
@@ -702,7 +703,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let router = Router::start(shed_serve())?;
         router.register("default", overload_table.as_ref())?;
         let server = NetServer::start(router, NetServerConfig::default())?;
-        let report = run_net_load(
+        let (report, _) = run_net_load(
             server.local_addr(),
             "default",
             vocab,
@@ -738,9 +739,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if label == "open" {
             open_reconciled = Some((report.requests, report.shed, report.expired));
         }
-        let slept_per_shed = report
-            .client
-            .backoff_slept_nanos
+        let slept_per_shed = (report.slept.as_nanos() as u64)
             .checked_div(report.shed)
             .map_or(Duration::ZERO, Duration::from_nanos);
         println!(
@@ -751,7 +750,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             100.0 * report.shed_rate(),
             fmt_nanos(report.histogram.p50()),
             fmt_nanos(report.histogram.p99()),
-            fmt_nanos(report.mean_backoff().as_nanos() as u64),
+            fmt_nanos(report.mean_backoff.as_nanos() as u64),
             fmt_nanos(slept_per_shed.as_nanos() as u64),
         );
     }
@@ -794,10 +793,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .score_error_bound(infer_router.snapshot("score/int8")?.as_ref());
     let infer_server = NetServer::start(infer_router, NetServerConfig::default())?;
 
-    let lookup_run = run_net_load(infer_server.local_addr(), "rows", vocab, &load, None)?;
-    let score_fp32 =
+    let (lookup_run, _) = run_net_load(infer_server.local_addr(), "rows", vocab, &load, None)?;
+    let (score_fp32, _) =
         run_net_score_load(infer_server.local_addr(), "score/fp32", vocab, &load, None)?;
-    let score_int8 =
+    let (score_int8, _) =
         run_net_score_load(infer_server.local_addr(), "score/int8", vocab, &load, None)?;
     infer_server.shutdown();
     assert_eq!(
