@@ -40,7 +40,7 @@ fn bench_page_sizes(c: &mut Criterion) {
         eprintln!(
             "page {page:>6}: resident {} bytes, faults {}",
             stats.resident_model_bytes,
-            session.mmap().faults()
+            session.faults()
         );
         group.bench_with_input(BenchmarkId::from_parameter(page), &session, |b, s| {
             b.iter(|| {

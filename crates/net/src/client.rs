@@ -46,8 +46,6 @@ pub struct NetClientConfig {
     pub honor_backoff: bool,
     /// Largest accepted response frame.
     pub max_frame_len: u32,
-    /// Disable write coalescing on the connection.
-    pub nodelay: bool,
     /// Advisory dtype hint attached to requests (the compressed
     /// representation the caller expects the server to be holding).
     pub dtype_hint: Option<Dtype>,
@@ -59,7 +57,6 @@ impl Default for NetClientConfig {
             deadline: None,
             honor_backoff: true,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            nodelay: true,
             dtype_hint: None,
         }
     }
@@ -280,7 +277,8 @@ impl<S: ByteStream> NetClient<S> {
         config: NetClientConfig,
     ) -> Result<Self> {
         let stream = transport.connect(addr)?;
-        stream.set_nodelay(config.nodelay)?;
+        // Latency-bound RPC: frames go on the wire immediately.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(None)?;
         let read_half = stream.try_clone_stream()?;
         let max_frame_len = config.max_frame_len;

@@ -52,9 +52,6 @@ pub struct NetServerConfig {
     /// Largest accepted frame payload; larger length prefixes are
     /// rejected before any allocation.
     pub max_frame_len: u32,
-    /// Disable write coalescing (`TCP_NODELAY`) — latency-bound RPC
-    /// wants frames on the wire immediately.
-    pub nodelay: bool,
     /// Read-timeout granularity for idle connections: how quickly a
     /// blocked connection notices the draining flag. Must be non-zero.
     pub poll_tick: Duration,
@@ -75,7 +72,6 @@ impl Default for NetServerConfig {
         NetServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            nodelay: true,
             poll_tick: Duration::from_millis(10),
             drain_grace: Duration::from_millis(50),
             telemetry: TelemetryConfig::off(),
@@ -277,7 +273,8 @@ struct ConnCtx {
 
 // memcom-lint: hot-path
 fn serve_connection<T: Transport>(shared: &Shared<T>, mut stream: T::Stream, conn: &ConnTelemetry) {
-    let _ = stream.set_nodelay(shared.config.nodelay);
+    // Latency-bound RPC: frames go on the wire immediately.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.poll_tick));
     let mut ctx = ConnCtx {
         reader: FrameReader::new(shared.config.max_frame_len),

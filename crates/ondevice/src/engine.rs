@@ -1,8 +1,9 @@
 //! The on-device inference engines.
 //!
-//! [`InferenceSession`] executes a parsed [`OnDeviceModel`] over the
-//! simulated mmap, counting the work that the compute-unit models convert
-//! into Table-3 milliseconds and megabytes. Two embedding front ends:
+//! [`InferenceSession`] executes a parsed [`OnDeviceModel`] over lazily
+//! paged tables ([`PagedTable`], one per serialized table), counting the
+//! work that the compute-unit models convert into Table-3 milliseconds
+//! and megabytes. Two embedding front ends:
 //!
 //! * **lookup** (full / naive-hash / MEmCom / truncate-rare): reads only
 //!   the embedding rows the query touches — `O(L)` row faults;
@@ -20,7 +21,7 @@ use memcom_core::one_hot_hash::ONE_HOT_SEED;
 
 use crate::compute::{ComputeUnit, WorkCounts};
 use crate::format::{EmbeddingKind, HeadOp, OnDeviceModel, TableMeta};
-use crate::mmap_sim::MmapSim;
+use crate::pages::{PagedTable, DEFAULT_PAGE_SIZE};
 use crate::quant::decode_row_into;
 use crate::{OnDeviceError, Result};
 
@@ -29,7 +30,7 @@ use crate::{OnDeviceError, Result};
 pub struct RunStats {
     /// Counted work (flops, cold/warm bytes, activations).
     pub work: WorkCounts,
-    /// Model file pages resident after the run.
+    /// Bytes of model table pages resident after the run.
     pub resident_model_bytes: usize,
     /// Host wall-clock time of the simulated run (for Criterion benches;
     /// not the Table-3 number).
@@ -94,37 +95,60 @@ impl HeadScratch {
 
 /// A loaded model ready for repeated inference over simulated mmap.
 ///
-/// `run` takes `&self` and the underlying [`MmapSim`] is thread-safe, so
-/// one session can serve concurrent inferences from many worker threads
-/// (the `memcom-serve` crate builds its per-shard stores on the same
-/// thread-safe `MmapSim` machinery). Results are always correct under
-/// concurrency; per-run byte *attribution* in [`RunStats`] is exact only
-/// for non-overlapping runs — overlapping runs may observe each other's
-/// page faults in their cold/warm deltas, and a concurrent `reset`
-/// clamps the deltas to zero rather than corrupting them.
+/// The file's tables are copied once, at load, into one [`PagedTable`]
+/// each — the same lazily-resident pages `memcom-serve`'s stores sit on.
+/// Pages are row-aligned per table, so the file header and the table
+/// headers are not part of any page and never count as resident.
+///
+/// `run` takes `&self` and [`PagedTable`] reads are lock-free, so one
+/// session can serve concurrent inferences from many worker threads.
+/// Results are always correct under concurrency; per-run byte
+/// *attribution* in [`RunStats`] is exact only for non-overlapping runs —
+/// overlapping runs may observe each other's page faults in their
+/// cold/warm deltas, and a concurrent `reset` clamps the deltas to zero
+/// rather than corrupting them.
 #[derive(Debug)]
 pub struct InferenceSession {
     meta: OnDeviceModel,
-    mmap: MmapSim,
+    /// One paged table per serialized table, at its [`TableMeta::index`].
+    tables: Vec<PagedTable>,
 }
 
 impl InferenceSession {
-    /// Loads a parsed model into a session (the model's bytes become the
-    /// mapped file).
-    pub fn new(mut model: OnDeviceModel) -> Self {
-        let bytes = std::mem::take(&mut model.bytes);
-        InferenceSession {
-            meta: model,
-            mmap: MmapSim::new(bytes),
-        }
+    /// Loads a parsed model into a session with the default page size.
+    pub fn new(model: OnDeviceModel) -> Self {
+        Self::with_page_size(model, DEFAULT_PAGE_SIZE)
     }
 
     /// Loads with a custom page size (ablation: footprint sensitivity).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `page_size == 0`, or when `model` did not come from
+    /// [`OnDeviceModel::parse`] and its table metadata misdescribes it.
     pub fn with_page_size(mut model: OnDeviceModel, page_size: usize) -> Self {
         let bytes = std::mem::take(&mut model.bytes);
+        let mut metas: Vec<&TableMeta> = Vec::new();
+        for op in &model.head_ops {
+            match op {
+                HeadOp::AveragePool | HeadOp::Relu => {}
+                HeadOp::BatchNorm { tables, .. } => metas.extend(tables),
+                HeadOp::Dense { weight, bias, .. } => metas.extend([weight, bias]),
+            }
+        }
+        metas.extend(&model.emb_tables);
+        let tables = metas
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                assert_eq!(t.index, i, "tables are numbered in file order");
+                let payload = &bytes[t.payload_offset..t.payload_offset + t.payload_len];
+                PagedTable::from_rows(payload, t.dtype.row_bytes(t.cols), page_size)
+            })
+            .collect();
         InferenceSession {
             meta: model,
-            mmap: MmapSim::with_page_size(bytes, page_size),
+            tables,
         }
     }
 
@@ -133,14 +157,22 @@ impl InferenceSession {
         &self.meta
     }
 
-    /// The underlying simulated mapping.
-    pub fn mmap(&self) -> &MmapSim {
-        &self.mmap
+    /// Page faults since load (or the last [`reset`](Self::reset)),
+    /// over every table.
+    pub fn faults(&self) -> u64 {
+        self.tables.iter().map(PagedTable::faults).sum()
     }
 
     /// Evicts all pages (cold-start state).
     pub fn reset(&self) {
-        self.mmap.reset();
+        self.tables.iter().for_each(PagedTable::reset);
+    }
+
+    /// `(cold, total)` bytes read so far, over every table.
+    fn read_bytes(&self) -> (u64, u64) {
+        self.tables.iter().fold((0, 0), |(cold, total), t| {
+            (cold + t.cold_read_bytes(), total + t.total_read_bytes())
+        })
     }
 
     /// Runs one batch-1 inference over `ids` (must be `input_len` long).
@@ -161,8 +193,7 @@ impl InferenceSession {
                 context: format!("id {bad} out of vocabulary {}", self.meta.vocab),
             });
         }
-        let cold_before = self.mmap.cold_read_bytes();
-        let total_before = self.mmap.total_read_bytes();
+        let (cold_before, total_before) = self.read_bytes();
         let mut work = WorkCounts::default();
 
         // Embedding front end → [L, e] activation, then the shared head
@@ -177,15 +208,14 @@ impl InferenceSession {
         // Saturating: a concurrent `reset` can rewind the shared counters
         // below the snapshot taken at the top of this run; clamping to 0
         // keeps the stats sane instead of wrapping.
-        work.cold_bytes = self.mmap.cold_read_bytes().saturating_sub(cold_before);
-        work.warm_bytes = self
-            .mmap
-            .total_read_bytes()
+        let (cold, total) = self.read_bytes();
+        work.cold_bytes = cold.saturating_sub(cold_before);
+        work.warm_bytes = total
             .saturating_sub(total_before)
             .saturating_sub(work.cold_bytes);
         let stats = RunStats {
             work,
-            resident_model_bytes: self.mmap.resident_bytes(),
+            resident_model_bytes: self.tables.iter().map(PagedTable::resident_bytes).sum(),
             wall_nanos: start.elapsed().as_nanos(),
         };
         Ok((logits, stats))
@@ -408,11 +438,17 @@ impl InferenceSession {
         }
     }
 
-    /// Reads and dequantizes one table row through the mmap, straight
-    /// into `out` (`table.cols` values) — no intermediate allocation.
-    fn read_row_into(&self, table: &TableMeta, r: usize, out: &mut [f32]) -> Result<()> {
-        let (offset, len) = table.row_range(r);
-        let bytes = self.mmap.read(offset, len)?;
+    /// Reads and dequantizes row `r` of `table` through its pages,
+    /// straight into `out` (`table.cols` values) — no intermediate
+    /// allocation. Row indices past the end are
+    /// [`OnDeviceError::OutOfBounds`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `table` is not one of this session's model's tables
+    /// or `out` is longer than `table.cols`.
+    pub fn read_row_into(&self, table: &TableMeta, r: usize, out: &mut [f32]) -> Result<()> {
+        let bytes = self.tables[table.index].read_row(r)?;
         decode_row_into(bytes, table.dtype, table.scale, out);
         Ok(())
     }
@@ -552,6 +588,54 @@ mod tests {
         session.reset();
         let (_, third) = session.run(&ids).unwrap();
         assert!(third.work.cold_bytes > 0, "reset must re-cool the pages");
+    }
+
+    #[test]
+    fn reset_re_cools_every_table() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let emb = MemCom::new(MemComConfig::with_bias(300, 8, 30), &mut rng).unwrap();
+        let session = session_for(&emb, 4, 3);
+        let ids = [7usize, 70, 170, 299];
+        let (_, first) = session.run(&ids).unwrap();
+        assert!(session.faults() > 0);
+        session.reset();
+        assert_eq!(session.faults(), 0);
+        assert_eq!(session.read_bytes(), (0, 0));
+        assert!(session.tables.iter().all(|t| t.resident_bytes() == 0));
+        // Head and embedding tables alike fault back in: the same run
+        // pays the same cold bytes and ends at the same footprint.
+        let (_, again) = session.run(&ids).unwrap();
+        assert_eq!(again.work.cold_bytes, first.work.cold_bytes);
+        assert_eq!(again.work.warm_bytes, first.work.warm_bytes);
+        assert_eq!(again.resident_model_bytes, first.resident_model_bytes);
+    }
+
+    #[test]
+    fn concurrent_runs_fault_each_page_exactly_once() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let emb = MemCom::new(MemComConfig::with_bias(2_000, 16, 200), &mut rng).unwrap();
+        let bytes = OnDeviceModel::serialize(&emb, &head(16, 5), 8, Dtype::F32).unwrap();
+        // Small pages, so the threads race on many first touches.
+        let session = InferenceSession::with_page_size(OnDeviceModel::parse(bytes).unwrap(), 64);
+        let threads = 8;
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (session, start) = (&session, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for q in 0..32 {
+                        // Overlapping id sets: every thread touches the
+                        // pages its neighbours are faulting in.
+                        let ids: Vec<usize> =
+                            (0..8).map(|i| (q * 61 + i * 13 + t) % 2_000).collect();
+                        session.run(&ids).unwrap();
+                    }
+                });
+            }
+        });
+        let resident = session.tables.iter().map(PagedTable::resident_page_count);
+        assert_eq!(session.faults() as usize, resident.sum::<usize>());
     }
 
     #[test]

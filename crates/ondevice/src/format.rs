@@ -10,10 +10,15 @@
 //!
 //! Head ops are `u8 kind` followed by op payload; tables are
 //! `u8 dtype | u64 rows | u64 cols | f32 scale | payload`. Embedding
-//! tables come **last** so that the header and (small) head weights share
-//! the file's first pages — one fault warms them, while the big embedding
-//! payload pages fault row-by-row, exactly the access pattern the mmap
-//! discussion in §5.3 relies on.
+//! tables come **last**, after the (small) head weights. The engine pages
+//! each table's payload on its own, row-aligned
+//! ([`PagedTable`](crate::PagedTable)): the head tables fault once and
+//! stay warm, while the big embedding payload faults row-by-row, exactly
+//! the access pattern the mmap discussion in §5.3 relies on.
+//!
+//! A model file is input from outside the program: [`OnDeviceModel::parse`]
+//! checks every size it reads and every table's shape against the
+//! manifest, so the engine indexes a parsed model without re-checking.
 
 use memcom_core::EmbeddingCompressor;
 use memcom_nn::{BatchNorm1d, Dense, Sequential};
@@ -26,6 +31,12 @@ use crate::{OnDeviceError, Result};
 pub const MAGIC: [u8; 4] = *b"MEMC";
 /// Current format version.
 pub const VERSION: u32 = 1;
+
+fn bad_format(context: impl Into<String>) -> OnDeviceError {
+    OnDeviceError::BadFormat {
+        context: context.into(),
+    }
+}
 
 /// Which embedding front end the file carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,11 +75,7 @@ impl EmbeddingKind {
             3 => EmbeddingKind::MemComBias,
             4 => EmbeddingKind::OneHotHash,
             5 => EmbeddingKind::TruncateRare,
-            _ => {
-                return Err(OnDeviceError::BadFormat {
-                    context: format!("unknown embedding kind {tag}"),
-                })
-            }
+            _ => return Err(bad_format(format!("unknown embedding kind {tag}"))),
         })
     }
 
@@ -112,6 +119,9 @@ pub struct TableMeta {
     pub payload_offset: usize,
     /// Payload length in bytes.
     pub payload_len: usize,
+    /// Ordinal of this table in the file (head-op tables in op order,
+    /// then the embedding tables) — its slot in a loaded session.
+    pub index: usize,
 }
 
 impl TableMeta {
@@ -203,14 +213,17 @@ impl Writer {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Tables read so far (the next [`TableMeta::index`]).
+    tables: usize,
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(OnDeviceError::BadFormat {
-                context: format!("truncated file at offset {}", self.pos),
-            });
+        if n > self.remaining() {
+            return Err(bad_format(format!("truncated file at offset {}", self.pos)));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -224,24 +237,37 @@ impl<'a> Reader<'a> {
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+    /// A `u64` count field, rejected when this target cannot address it.
+    fn count(&mut self) -> Result<usize> {
+        let v = u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"));
+        usize::try_from(v).map_err(|_| bad_format(format!("count {v} exceeds the address space")))
     }
     fn f32(&mut self) -> Result<f32> {
         Ok(f32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
-    fn table_meta(&mut self) -> Result<TableMeta> {
+    /// Reads one table whose shape the manifest fixes at `rows × cols`
+    /// (`what` names it in the error). Every table the engine indexes
+    /// comes through here, so a parsed model holds whole, non-empty rows
+    /// of exactly the width its reader decodes.
+    fn table_meta(&mut self, what: &str, rows: usize, cols: usize) -> Result<TableMeta> {
         let dtype = Dtype::from_tag(self.u8()?)?;
-        let rows = self.u64()? as usize;
-        let cols = self.u64()? as usize;
+        let (file_rows, file_cols) = (self.count()?, self.count()?);
         let scale = self.f32()?;
-        let payload_len = rows * dtype.row_bytes(cols);
+        if (file_rows, file_cols) != (rows, cols) || rows == 0 || cols == 0 {
+            return Err(bad_format(format!(
+                "{what} table is {file_rows}x{file_cols}, manifest needs a non-empty {rows}x{cols}"
+            )));
+        }
+        let payload_len = cols
+            .checked_mul(dtype.bits())
+            .and_then(|bits| bits.div_ceil(8).checked_mul(rows))
+            .ok_or_else(|| bad_format(format!("{what} table size overflows")))?;
         let payload_offset = self.pos;
         self.take(payload_len)?;
+        let index = self.tables;
+        self.tables += 1;
         Ok(TableMeta {
             dtype,
             rows,
@@ -249,6 +275,7 @@ impl<'a> Reader<'a> {
             scale,
             payload_offset,
             payload_len,
+            index,
         })
     }
 }
@@ -353,25 +380,24 @@ impl OnDeviceModel {
         let mut r = Reader {
             buf: &bytes,
             pos: 0,
+            tables: 0,
         };
         if r.take(4)? != MAGIC {
-            return Err(OnDeviceError::BadFormat {
-                context: "bad magic".into(),
-            });
+            return Err(bad_format("bad magic"));
         }
         let version = r.u32()?;
         if version != VERSION {
-            return Err(OnDeviceError::BadFormat {
-                context: format!("unsupported version {version}"),
-            });
+            return Err(bad_format(format!("unsupported version {version}")));
         }
         let embedding_kind = EmbeddingKind::from_tag(r.u8()?)?;
         let input_len = r.u32()? as usize;
-        let vocab = r.u64()? as usize;
-        let hash_size = r.u64()? as usize;
+        let vocab = r.count()?;
+        let hash_size = r.count()?;
         let emb_dim = r.u32()? as usize;
         let n_ops = r.u32()? as usize;
-        let mut head_ops = Vec::with_capacity(n_ops);
+        // Every op is at least its one-byte kind, so the bytes left bound
+        // how many a well-formed file can still hold.
+        let mut head_ops = Vec::with_capacity(n_ops.min(r.remaining()));
         for _ in 0..n_ops {
             let kind = r.u8()?;
             head_ops.push(match kind {
@@ -381,18 +407,18 @@ impl OnDeviceModel {
                     let dim = r.u32()? as usize;
                     let eps = r.f32()?;
                     let tables = [
-                        r.table_meta()?,
-                        r.table_meta()?,
-                        r.table_meta()?,
-                        r.table_meta()?,
+                        r.table_meta("batch-norm gamma", 1, dim)?,
+                        r.table_meta("batch-norm beta", 1, dim)?,
+                        r.table_meta("batch-norm mean", 1, dim)?,
+                        r.table_meta("batch-norm var", 1, dim)?,
                     ];
                     HeadOp::BatchNorm { dim, tables, eps }
                 }
                 3 => {
                     let in_dim = r.u32()? as usize;
                     let out_dim = r.u32()? as usize;
-                    let weight = r.table_meta()?;
-                    let bias = r.table_meta()?;
+                    let weight = r.table_meta("dense weight", in_dim, out_dim)?;
+                    let bias = r.table_meta("dense bias", 1, out_dim)?;
                     HeadOp::Dense {
                         in_dim,
                         out_dim,
@@ -400,29 +426,25 @@ impl OnDeviceModel {
                         bias,
                     }
                 }
-                other => {
-                    return Err(OnDeviceError::BadFormat {
-                        context: format!("unknown op {other}"),
-                    })
-                }
+                other => return Err(bad_format(format!("unknown op {other}"))),
             });
         }
-        let n_emb_tables = match embedding_kind {
-            EmbeddingKind::Full
-            | EmbeddingKind::NaiveHash
-            | EmbeddingKind::OneHotHash
-            | EmbeddingKind::TruncateRare => 1,
-            EmbeddingKind::MemCom => 2,
-            EmbeddingKind::MemComBias => 3,
+        if embedding_kind == EmbeddingKind::Full && hash_size != vocab {
+            return Err(bad_format(format!(
+                "full embedding has {hash_size} rows for a vocabulary of {vocab}"
+            )));
+        }
+        let mut emb_tables = vec![r.table_meta("embedding", hash_size, emb_dim)?];
+        let per_id_scalars = match embedding_kind {
+            EmbeddingKind::MemCom => 1,
+            EmbeddingKind::MemComBias => 2,
+            _ => 0,
         };
-        let mut emb_tables = Vec::with_capacity(n_emb_tables);
-        for _ in 0..n_emb_tables {
-            emb_tables.push(r.table_meta()?);
+        for _ in 0..per_id_scalars {
+            emb_tables.push(r.table_meta("per-id scalar", vocab, 1)?);
         }
-        if r.pos != bytes.len() {
-            return Err(OnDeviceError::BadFormat {
-                context: format!("{} trailing bytes", bytes.len() - r.pos),
-            });
+        if r.remaining() != 0 {
+            return Err(bad_format(format!("{} trailing bytes", r.remaining())));
         }
         Ok(OnDeviceModel {
             embedding_kind,

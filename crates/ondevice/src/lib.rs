@@ -6,13 +6,13 @@
 //!
 //! * [`format`](mod@format) — a flat binary model format (the "on-disk model" whose
 //!   size the paper's compression ratios govern).
-//! * [`mmap_sim`] — a page-granular lazy-residency simulation of
-//!   memory-mapped model loading ("CoreML and TF-Lite implement the lookup
-//!   operator in the embedding layer using mmap", §5.3).
-//! * [`pages`] — structurally-shared, copy-on-write page storage for
-//!   row tables: the serving tier's substrate for row-level delta
+//! * [`pages`] — row tables stored as lazily-resident pages: the one
+//!   model of memory-mapped loading ("CoreML and TF-Lite implement the
+//!   lookup operator in the embedding layer using mmap", §5.3) under both
+//!   the engine here and the serving tier's stores, where its
+//!   structurally-shared, copy-on-write pages also carry row-level delta
 //!   updates (a snapshot clone shares every untouched page).
-//! * [`engine`] — two inference engines over the mapped bytes: the
+//! * [`engine`] — two inference engines over the paged tables: the
 //!   **lookup engine** (MEmCom-style: touches only the embedding rows a
 //!   query needs) and the **one-hot engine** (Weinberger-style: builds the
 //!   `L × m` one-hot activation and multiplies against the whole kernel).
@@ -34,7 +34,6 @@ pub mod compute;
 pub mod engine;
 pub mod error;
 pub mod format;
-pub mod mmap_sim;
 pub mod pages;
 pub mod quant;
 pub mod simd;
@@ -43,7 +42,6 @@ pub use compute::ComputeUnit;
 pub use engine::{HeadScratch, InferenceSession, RunStats};
 pub use error::OnDeviceError;
 pub use format::{OnDeviceModel, MAGIC};
-pub use mmap_sim::MmapSim;
 pub use pages::PagedTable;
 pub use quant::{decode_row_into, dequant_error_bound, quantize_row, Dtype, QuantizedTable};
 pub use simd::{active_kernel, Kernel};

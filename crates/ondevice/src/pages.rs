@@ -1,37 +1,44 @@
-//! Structurally-shared, copy-on-write page storage for row tables.
+//! Paged row-table storage: the one residency model in the workspace.
 //!
-//! [`crate::MmapSim`] models a read-only mapped file as one owned byte
-//! buffer — the right shape for a model that only ever changes by
-//! *replacing the whole file*. A serving tier refreshing tables online
-//! needs the opposite: row-level updates that do **not** rebuild (or
-//! even copy) the parts of the table that did not change. This module
-//! provides that storage primitive:
+//! §5.3: "on-device frameworks such as CoreML and TensorFlow-Lite use
+//! memory-mapped IO (via mmap) rather than loading the entire embedding
+//! table into the memory". [`PagedTable`] models that at page
+//! granularity — reads fault pages in lazily, and the **resident set**
+//! (the pages an inference actually touched) is the memory footprint
+//! Table 3 contrasts between MEmCom's row lookups and Weinberger's
+//! whole-kernel matmul. Both consumers sit on it: the on-device
+//! [`crate::InferenceSession`] holds one table per serialized table of
+//! the model file, and `memcom-serve`'s `ShardedStore` one per shard.
 //!
 //! * Rows of a fixed `stride` are packed into fixed-size **pages**, each
 //!   its own `Arc<Vec<u8>>` allocation. Pages are row-aligned (a page
 //!   holds a whole number of rows), so a row read is always one
 //!   contiguous in-page slice.
+//! * First touch of a page counts one fault and the page's cold bytes;
+//!   the resident set and the cold/total byte split feed the on-device
+//!   cost model. [`PagedTable::reset`] evicts everything again.
 //! * [`PagedTable::shared_clone`] is O(pages) pointer copies: the clone
 //!   *shares* every page with the original. Writing a row through
 //!   [`PagedTable::write_row`] copy-on-writes only the covering page
 //!   (`Arc::make_mut`), leaving every untouched page physically shared —
-//!   a delta touching 0.1% of rows copies ~0.1% of the bytes.
-//! * The same lazy-residency accounting as [`crate::MmapSim`]: first
-//!   touch of a page counts a fault and the page's cold bytes, so the
-//!   resident set and the cold/warm byte split plug into the on-device
-//!   cost model unchanged. Cloning carries the residency over (shared
-//!   pages that were resident still are — they are the same memory),
-//!   while the work counters start from zero for the new snapshot.
+//!   a delta touching 0.1% of rows copies ~0.1% of the bytes. Cloning
+//!   carries the residency over (shared pages that were resident still
+//!   are — they are the same memory), while the work counters start
+//!   from zero for the new snapshot.
 //!
 //! Readers hold `&PagedTable` and writers `&mut PagedTable`, so Rust's
 //! aliasing rules make torn reads impossible by construction: a snapshot
 //! being prepared with `write_row` is not yet visible to any reader, and
 //! once published (behind an `Arc` swap) it is never written again.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::{OnDeviceError, Result};
+
+/// Default page size (16 KiB — the page size of Apple Silicon / modern
+/// Android kernels).
+pub const DEFAULT_PAGE_SIZE: usize = 16 * 1024;
 
 /// A fixed-stride row table stored as structurally-shared pages.
 #[derive(Debug)]
@@ -47,7 +54,6 @@ pub struct PagedTable {
     pages: Vec<Arc<Vec<u8>>>,
     /// Lazy-residency flag per page (first touch = fault).
     resident: Vec<AtomicBool>,
-    resident_pages: AtomicUsize,
     faults: AtomicU64,
     total_read_bytes: AtomicU64,
     cold_read_bytes: AtomicU64,
@@ -88,7 +94,6 @@ impl PagedTable {
             rows_per_page,
             pages,
             resident: (0..n_pages).map(|_| AtomicBool::new(false)).collect(),
-            resident_pages: AtomicUsize::new(0),
             faults: AtomicU64::new(0),
             total_read_bytes: AtomicU64::new(0),
             cold_read_bytes: AtomicU64::new(0),
@@ -140,11 +145,7 @@ impl PagedTable {
     /// Returns [`OnDeviceError::OutOfBounds`] for `r >= rows()`.
     pub fn read_row(&self, r: usize) -> Result<&[u8]> {
         if r >= self.rows {
-            return Err(OnDeviceError::OutOfBounds {
-                offset: r * self.stride,
-                len: self.stride,
-                size: self.rows * self.stride,
-            });
+            return Err(self.out_of_bounds(r));
         }
         let page = r / self.rows_per_page;
         let offset = (r % self.rows_per_page) * self.stride;
@@ -157,7 +158,6 @@ impl PagedTable {
             && !self.resident[page].swap(true, Ordering::Relaxed)
         {
             self.faults.fetch_add(1, Ordering::Relaxed);
-            self.resident_pages.fetch_add(1, Ordering::Relaxed);
             self.cold_read_bytes
                 .fetch_add(self.pages[page].len() as u64, Ordering::Relaxed);
         }
@@ -170,22 +170,17 @@ impl PagedTable {
     /// while the fault/read-byte counters and the copy-on-write tally
     /// start from zero for the new snapshot.
     pub fn shared_clone(&self) -> Self {
-        let resident: Vec<AtomicBool> = self
+        let resident = self
             .resident
             .iter()
             .map(|r| AtomicBool::new(r.load(Ordering::Relaxed)))
             .collect();
-        let resident_count = resident
-            .iter()
-            .filter(|r| r.load(Ordering::Relaxed))
-            .count();
         PagedTable {
             stride: self.stride,
             rows: self.rows,
             rows_per_page: self.rows_per_page,
             pages: self.pages.iter().map(Arc::clone).collect(),
             resident,
-            resident_pages: AtomicUsize::new(resident_count),
             faults: AtomicU64::new(0),
             total_read_bytes: AtomicU64::new(0),
             cold_read_bytes: AtomicU64::new(0),
@@ -211,11 +206,7 @@ impl PagedTable {
     pub fn write_row(&mut self, r: usize, bytes: &[u8]) -> Result<()> {
         assert_eq!(bytes.len(), self.stride, "row write must be stride bytes");
         if r >= self.rows {
-            return Err(OnDeviceError::OutOfBounds {
-                offset: r * self.stride,
-                len: self.stride,
-                size: self.rows * self.stride,
-            });
+            return Err(self.out_of_bounds(r));
         }
         let page = r / self.rows_per_page;
         let offset = (r % self.rows_per_page) * self.stride;
@@ -224,7 +215,7 @@ impl PagedTable {
             self.cow_touched_pages += 1;
         }
         Arc::make_mut(&mut self.pages[page])[offset..offset + self.stride].copy_from_slice(bytes);
-        self.mark_resident(page);
+        self.resident[page].store(true, Ordering::Relaxed);
         Ok(())
     }
 
@@ -256,7 +247,7 @@ impl PagedTable {
                     }
                     remaining -= fit;
                     let idx = self.pages.len() - 1;
-                    self.mark_resident(idx);
+                    self.resident[idx].store(true, Ordering::Relaxed);
                 }
             }
         }
@@ -269,16 +260,32 @@ impl PagedTable {
             }
             self.pages.push(Arc::new(page));
             self.resident.push(AtomicBool::new(true));
-            self.resident_pages.fetch_add(1, Ordering::Relaxed);
             remaining -= fit;
         }
         self.rows += extra;
     }
 
-    fn mark_resident(&self, page: usize) {
-        if !self.resident[page].swap(true, Ordering::Relaxed) {
-            self.resident_pages.fetch_add(1, Ordering::Relaxed);
+    /// The error for a row index past the end. `r` comes from the
+    /// caller, so its byte offset saturates instead of overflowing.
+    fn out_of_bounds(&self, r: usize) -> OnDeviceError {
+        OnDeviceError::OutOfBounds {
+            offset: r.saturating_mul(self.stride),
+            len: self.stride,
+            size: self.rows * self.stride,
         }
+    }
+
+    /// Evicts every page and zeroes the fault/read-byte counters (a
+    /// fresh process, the state Table 3's averaged runs begin from).
+    /// Callers that need the zeroing to be atomic with respect to
+    /// in-flight reads quiesce them first.
+    pub fn reset(&self) {
+        for flag in &self.resident {
+            flag.store(false, Ordering::Relaxed);
+        }
+        self.faults.store(0, Ordering::Relaxed);
+        self.total_read_bytes.store(0, Ordering::Relaxed);
+        self.cold_read_bytes.store(0, Ordering::Relaxed);
     }
 
     /// Bytes of pages physically shared (same allocation) between `self`
@@ -309,7 +316,8 @@ impl PagedTable {
 
     /// Number of resident (touched or written) pages.
     pub fn resident_page_count(&self) -> usize {
-        self.resident_pages.load(Ordering::Relaxed)
+        let resident = |r: &&AtomicBool| r.load(Ordering::Relaxed);
+        self.resident.iter().filter(resident).count()
     }
 
     /// Bytes of resident pages.
@@ -358,6 +366,10 @@ mod tests {
             assert_eq!(t.read_row(r).unwrap(), want.as_slice(), "row {r}");
         }
         assert!(t.read_row(10).is_err());
+        assert!(matches!(
+            t.read_row(usize::MAX),
+            Err(OnDeviceError::OutOfBounds { size: 30, .. })
+        ));
     }
 
     #[test]
@@ -381,6 +393,29 @@ mod tests {
         t.read_row(7).unwrap();
         assert_eq!(t.faults(), 2);
         assert_eq!(t.resident_bytes(), 16);
+    }
+
+    #[test]
+    fn full_scan_then_reset_re_cools_every_page() {
+        let t = table(9, 4, 8); // 2 rows/page: four 8-byte pages + one of 4
+        t.read_row(8).unwrap();
+        assert_eq!(t.resident_bytes(), 4, "the partial last page");
+        for r in 0..9 {
+            let before = t.resident_page_count();
+            t.read_row(r).unwrap();
+            assert!(t.resident_page_count() >= before, "monotone");
+        }
+        assert_eq!((t.faults(), t.resident_page_count()), (5, t.n_pages()));
+        // A full scan holds the whole table, and faulted each byte once.
+        assert_eq!(t.resident_bytes(), t.len());
+        assert_eq!(t.cold_read_bytes(), t.len() as u64);
+
+        t.reset();
+        assert_eq!((t.resident_page_count(), t.resident_bytes()), (0, 0));
+        assert_eq!((t.faults(), t.total_read_bytes()), (0, 0));
+        assert_eq!(t.cold_read_bytes(), 0);
+        assert_eq!(t.read_row(0).unwrap(), &[0, 1, 2, 3], "data survives");
+        assert_eq!((t.faults(), t.cold_read_bytes()), (1, 8), "re-faults");
     }
 
     #[test]
@@ -413,6 +448,7 @@ mod tests {
         clone.write_row(3, &[7, 7, 7, 7]).unwrap();
         assert_eq!(clone.cow_copied_bytes(), 8, "no second copy");
         assert!(clone.write_row(8, &[0; 4]).is_err());
+        assert!(clone.write_row(usize::MAX, &[0; 4]).is_err());
     }
 
     #[test]

@@ -183,7 +183,8 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Hot-row LRU capacity per shard, in rows. `0` disables caching.
     pub cache_capacity: usize,
-    /// Page size for each shard's simulated mmap.
+    /// Page size of each shard's [`memcom_ondevice::PagedTable`]s (the
+    /// lazily-resident pages the on-device engine also runs on).
     pub page_size: usize,
     /// Storage dtype for shard row bytes — models registered through
     /// [`crate::Router::register`] (and [`crate::EmbedServer::start`])
@@ -195,7 +196,7 @@ pub struct ServeConfig {
     pub admission: AdmissionPolicy,
     /// Simulated backing-store service time, charged once per flushed
     /// batch before the shard worker touches its store. The in-memory
-    /// [`memcom_ondevice::MmapSim`] costs nanoseconds per row, so a real
+    /// [`memcom_ondevice::PagedTable`] costs nanoseconds per row, so a real
     /// on-device backing store (flash/NVMe page reads) is modeled here;
     /// a non-zero value gives each shard a calibrated service capacity
     /// of `max_batch / store_latency` rows per second, which is what
@@ -215,7 +216,7 @@ impl Default for ServeConfig {
             max_wait: Duration::from_micros(200),
             queue_depth: 4096,
             cache_capacity: 1024,
-            page_size: memcom_ondevice::mmap_sim::DEFAULT_PAGE_SIZE,
+            page_size: memcom_ondevice::pages::DEFAULT_PAGE_SIZE,
             dtype: Dtype::F32,
             admission: AdmissionPolicy::Block,
             store_latency: Duration::ZERO,

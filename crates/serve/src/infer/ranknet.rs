@@ -3,8 +3,8 @@
 
 use memcom_models::RecModel;
 use memcom_ondevice::compute::WorkCounts;
-use memcom_ondevice::format::{HeadOp, OnDeviceModel, TableMeta};
-use memcom_ondevice::{decode_row_into, Dtype, InferenceSession};
+use memcom_ondevice::format::{HeadOp, OnDeviceModel};
+use memcom_ondevice::{Dtype, InferenceSession};
 
 use crate::store::ShardedStore;
 use crate::{Result, ServeError};
@@ -119,7 +119,7 @@ impl InferBackend for RankNetBackend {
         gather_rows(store, ids, gather, act)?;
         // Work counts are still tallied (the head executor charges
         // flops/activations) but a score request reports no per-run
-        // stats; the mmap-level counters aggregate on the session.
+        // stats; the page-level counters aggregate on the session.
         let mut work = WorkCounts::default();
         self.session
             .forward_head(ids.len(), head, logits, &mut work)?;
@@ -144,15 +144,17 @@ impl InferBackend for RankNetBackend {
 /// ones).
 fn head_error_amplification(session: &InferenceSession) -> Result<f32> {
     let mut amp = 1.0f32;
-    let mut buf = Vec::new();
     for op in &session.model().head_ops {
         match op {
             // Mean over rows of per-element errors ≤ the max error;
             // ReLU is 1-Lipschitz.
             HeadOp::AveragePool | HeadOp::Relu => {}
-            HeadOp::BatchNorm { tables, eps, .. } => {
-                let gamma = read_table_row(session, &tables[0], 0, &mut buf)?.to_vec();
-                let var = read_table_row(session, &tables[3], 0, &mut buf)?;
+            HeadOp::BatchNorm {
+                dim, tables, eps, ..
+            } => {
+                let (mut gamma, mut var) = (vec![0.0f32; *dim], vec![0.0f32; *dim]);
+                session.read_row_into(&tables[0], 0, &mut gamma)?;
+                session.read_row_into(&tables[3], 0, &mut var)?;
                 let mut factor = 0.0f32;
                 for (g, v) in gamma.iter().zip(var.iter()) {
                     factor = factor.max(g.abs() / (v + eps).sqrt());
@@ -167,8 +169,9 @@ fn head_error_amplification(session: &InferenceSession) -> Result<f32> {
             } => {
                 // |sum_i w[i][o] * err_i| ≤ δ · max_o Σ_i |w[i][o]|.
                 let mut col_l1 = vec![0.0f32; *out_dim];
+                let mut row = vec![0.0f32; *out_dim];
                 for i in 0..*in_dim {
-                    let row = read_table_row(session, weight, i, &mut buf)?;
+                    session.read_row_into(weight, i, &mut row)?;
                     for (acc, w) in col_l1.iter_mut().zip(row.iter()) {
                         *acc += w.abs();
                     }
@@ -178,20 +181,4 @@ fn head_error_amplification(session: &InferenceSession) -> Result<f32> {
         }
     }
     Ok(amp)
-}
-
-/// Decodes one parameter-table row into `buf` (resized to the table
-/// width), returning it as a slice.
-fn read_table_row<'a>(
-    session: &InferenceSession,
-    table: &TableMeta,
-    r: usize,
-    buf: &'a mut Vec<f32>,
-) -> Result<&'a [f32]> {
-    let (offset, len) = table.row_range(r);
-    let bytes = session.mmap().read(offset, len)?;
-    buf.clear();
-    buf.resize(table.cols, 0.0);
-    decode_row_into(bytes, table.dtype, table.scale, buf);
-    Ok(buf)
 }

@@ -112,7 +112,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
         &emb,
         1,
         0, // no LRU: every lookup exercises dequantization
-        memcom_ondevice::mmap_sim::DEFAULT_PAGE_SIZE,
+        memcom_ondevice::pages::DEFAULT_PAGE_SIZE,
         Dtype::Int8,
     )
     .unwrap();

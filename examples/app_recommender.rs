@@ -55,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Ship it: serialize → parse → run through the mmap-backed engine.
     let bytes =
         OnDeviceModel::serialize(model.embedding(), model.head(), spec.input_len, Dtype::F32)?;
-    println!("\non-disk model: {} KB", bytes.len() / 1024);
+    let file_kb = bytes.len() / 1024;
+    println!("\non-disk model: {file_kb} KB");
     let session = InferenceSession::new(OnDeviceModel::parse(bytes)?);
 
     let user = &data.eval[0];
@@ -89,9 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\nresident model pages after one query: {} KB of {} KB file",
-        stats.resident_model_bytes / 1024,
-        session.mmap().len() / 1024
+        "\nresident model pages after one query: {} KB of {file_kb} KB file",
+        stats.resident_model_bytes / 1024
     );
     Ok(())
 }

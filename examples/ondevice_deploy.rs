@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nafter one query: {:.2} MB of the {:.2} MB file resident ({} page faults)",
         stats.resident_model_bytes as f64 / 1_048_576.0,
         file_mb,
-        session.mmap().faults()
+        session.faults()
     );
 
     // 3. Table-3-style comparison at FP32.
