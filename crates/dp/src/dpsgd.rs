@@ -16,7 +16,7 @@
 //! TF-Privacy treats `tf.IndexedSlices` — noise must land on *every*
 //! coordinate, touched or not, for the Gaussian mechanism's guarantee.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use memcom_nn::{NnError, Optimizer, ParamId};
 use memcom_tensor::Tensor;
@@ -59,10 +59,13 @@ pub struct DpSgd {
     config: DpSgdConfig,
     phase: Phase,
     rng: StdRng,
-    /// Gradients of the example currently being collected.
-    example: HashMap<ParamId, Tensor>,
+    /// Gradients of the example currently being collected. Both maps are
+    /// walked in `ParamId` order: the norm's float sum and the noise
+    /// draws must not depend on a hasher's per-process iteration order,
+    /// or a seeded run would not repeat.
+    example: BTreeMap<ParamId, Tensor>,
     /// Clipped, accumulated lot gradients.
-    lot: HashMap<ParamId, Tensor>,
+    lot: BTreeMap<ParamId, Tensor>,
     lot_examples: usize,
     applied_steps: u64,
 }
@@ -75,8 +78,8 @@ impl DpSgd {
             config,
             phase: Phase::Collect,
             rng,
-            example: HashMap::new(),
-            lot: HashMap::new(),
+            example: BTreeMap::new(),
+            lot: BTreeMap::new(),
             lot_examples: 0,
             applied_steps: 0,
         }
@@ -102,7 +105,7 @@ impl DpSgd {
         } else {
             1.0
         };
-        for (id, grad) in self.example.drain() {
+        for (id, grad) in std::mem::take(&mut self.example) {
             let entry = self
                 .lot
                 .entry(id)
@@ -382,6 +385,44 @@ mod tests {
         assert_ne!(a, c);
         // Noise is substantial at σ=2.
         assert!(a.norm() > 0.1);
+    }
+
+    #[test]
+    fn same_seed_runs_over_many_parameters_are_bit_identical() {
+        // Six parameters with distinct gradients: the clip norm is a float
+        // sum over all of them and each draws its own noise, so any
+        // per-instance iteration order shows up in the bits.
+        let run = || {
+            let mut opt = DpSgd::new(DpSgdConfig {
+                clip_norm: 0.5,
+                noise_multiplier: 1.0,
+                lr: 1.0,
+                seed: 7,
+            });
+            let ids: Vec<ParamId> = (0..6).map(|_| id()).collect();
+            let mut weights: Vec<Tensor> = (1..=6).map(|n| Tensor::zeros(&[n])).collect();
+            for lot in 0..3 {
+                for example in 0..2 {
+                    for (k, (&pid, w)) in ids.iter().zip(&mut weights).enumerate() {
+                        let g = 0.1 + (lot + 2 * example + 3 * k) as f32 * 0.37;
+                        let grad = Tensor::full(w.shape().dims(), g);
+                        opt.step_dense(pid, w, &grad).unwrap();
+                    }
+                    opt.end_example();
+                }
+                opt.begin_apply();
+                for (&pid, w) in ids.iter().zip(&mut weights) {
+                    let zero = Tensor::zeros(w.shape().dims());
+                    opt.step_dense(pid, w, &zero).unwrap();
+                }
+            }
+            assert_eq!(opt.applied_steps(), 3);
+            weights
+                .iter()
+                .flat_map(|w| w.as_slice().iter().map(|x| x.to_bits()))
+                .collect::<Vec<u32>>()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
