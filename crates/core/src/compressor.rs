@@ -1,4 +1,73 @@
-//! The [`EmbeddingCompressor`] trait and sparse-gradient plumbing.
+//! The compressor skeleton: [`ParamTable`], [`CompressorState`] and the
+//! [`EmbeddingCompressor`] trait.
+//!
+//! The paper presents MEmCom and every baseline it beats as the same
+//! lookup — one or two tables, an id → row map, a combine (Algorithms
+//! 1–3) — and this module writes that shape down once. A technique
+//! supplies
+//!
+//! 1. its **tables**, as [`ParamTable`]s inside a [`CompressorState`]
+//!    (each table owns its gradient accumulator and optimizer key),
+//! 2. its **row map and combine**, as
+//!    [`row_into`](EmbeddingCompressor::row_into): which rows one id reads
+//!    and how they become the embedding,
+//! 3. its **per-row backward**, as
+//!    [`accumulate_row`](EmbeddingCompressor::accumulate_row): the same
+//!    combine differentiated for one id,
+//!
+//! and the trait provides the rest — bounds checks, the batched `lookup`,
+//! the `forward`/`backward` id cache, per-table optimizer application,
+//! table enumeration and the parameter count.
+//!
+//! # Adding a technique
+//!
+//! Naive hashing (`E(i) = T[i mod m]`) is the worked example; it is what
+//! [`NaiveHashEmbedding`](crate::NaiveHashEmbedding) amounts to:
+//!
+//! ```
+//! use memcom_core::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
+//! use memcom_core::Result;
+//! use memcom_tensor::Tensor;
+//!
+//! struct NaiveHash {
+//!     state: CompressorState,
+//!     m: usize,
+//! }
+//!
+//! impl NaiveHash {
+//!     fn new(vocab: usize, dim: usize, m: usize) -> Self {
+//!         // 1. the tables (real code draws the initial values from an RNG)
+//!         let table = ParamTable::sparse("hashed", Tensor::ones(&[m, dim]));
+//!         NaiveHash { state: CompressorState::new(vocab, dim, vec![table]), m }
+//!     }
+//! }
+//!
+//! impl EmbeddingCompressor for NaiveHash {
+//!     fn state(&self) -> &CompressorState { &self.state }
+//!     fn state_mut(&mut self) -> &mut CompressorState { &mut self.state }
+//!     // 2. row map (`id % m`) + combine (copy the row)
+//!     fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
+//!         out.copy_from_slice(self.state.tables[0].row(id % self.m)?);
+//!         Ok(())
+//!     }
+//!     // 3. per-row backward: the whole gradient lands on the row read
+//!     fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()> {
+//!         self.state.tables[0].add_grad(id % self.m, grad);
+//!         Ok(())
+//!     }
+//!     fn method_name(&self) -> &'static str { "naive_hash" }
+//!     fn as_any(&self) -> &dyn std::any::Any { self }
+//! }
+//!
+//! let mut layer = NaiveHash::new(100, 4, 10);
+//! assert_eq!(layer.param_count(), 40);
+//! assert_eq!(layer.lookup(&[7, 17])?.shape().dims(), &[2, 4]);
+//! layer.forward(&[7, 17])?;
+//! layer.backward(&Tensor::ones(&[2, 4]))?;
+//! layer.apply_gradients(&mut memcom_nn::Sgd::new(0.5))?;
+//! assert_eq!(layer.lookup(&[7])?.as_slice(), &[0.0; 4]); // 1 − 0.5·(1 + 1)
+//! # Ok::<(), memcom_core::CoreError>(())
+//! ```
 
 use std::collections::HashMap;
 
@@ -17,18 +86,176 @@ pub struct NamedTable<'a> {
     pub tensor: &'a Tensor,
 }
 
-/// Mutable variant of [`NamedTable`], used by post-training quantization
-/// to rewrite weights in place.
+/// Gradient storage of one [`ParamTable`].
 #[derive(Debug)]
-pub struct NamedTableMut<'a> {
-    /// Stable table name (matches [`NamedTable::name`]).
-    pub name: &'static str,
-    /// The mutable table contents.
-    pub tensor: &'a mut Tensor,
+enum Grads {
+    /// Per-row accumulator for tables indexed by (a function of) the id:
+    /// only the rows a batch touched reach the optimizer.
+    Sparse(RowGrads),
+    /// Same-shape accumulator for tables every id reads (a projection, a
+    /// one-hot kernel): the whole table steps on every application.
+    Dense(Tensor),
+}
+
+/// One trainable table of a compressor: its serialized name, its weights,
+/// its gradient accumulator and the [`ParamId`] optimizers key its state
+/// by.
+#[derive(Debug)]
+pub struct ParamTable {
+    name: &'static str,
+    tensor: Tensor,
+    grads: Grads,
+    id: ParamId,
+}
+
+impl ParamTable {
+    /// A rank-2 table trained row by row (embedding tables, per-entity
+    /// scalars as `[v, 1]`).
+    pub fn sparse(name: &'static str, tensor: Tensor) -> Self {
+        let grads = Grads::Sparse(RowGrads::new(tensor.shape().dims()[1]));
+        ParamTable {
+            name,
+            tensor,
+            grads,
+            id: ParamId::fresh(),
+        }
+    }
+
+    /// A table trained densely: every application steps the whole tensor,
+    /// touched or not.
+    pub fn dense(name: &'static str, tensor: Tensor) -> Self {
+        let grads = Grads::Dense(Tensor::zeros(tensor.shape().dims()));
+        ParamTable {
+            name,
+            tensor,
+            grads,
+            id: ParamId::fresh(),
+        }
+    }
+
+    /// The weights.
+    pub fn tensor(&self) -> &Tensor {
+        &self.tensor
+    }
+
+    /// Row `r` of the weights.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Tensor`] when `r` is past the last row.
+    pub fn row(&self, r: usize) -> Result<&[f32]> {
+        Ok(self.tensor.row(r)?)
+    }
+
+    /// Replaces the weights (deserialization).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BadConfig`] when the shape differs.
+    pub fn set_tensor(&mut self, tensor: Tensor) -> Result<()> {
+        if tensor.shape() != self.tensor.shape() {
+            return Err(CoreError::BadConfig {
+                context: format!(
+                    "{} table shape {} does not match {}",
+                    self.name,
+                    tensor.shape(),
+                    self.tensor.shape()
+                ),
+            });
+        }
+        self.tensor = tensor;
+        Ok(())
+    }
+
+    /// Adds `grad` into the accumulator for row `r` of a
+    /// [`sparse`](Self::sparse) table.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`dense`](Self::dense) table or a gradient of the wrong
+    /// width — the compressor controls both sides, so either is a bug.
+    pub fn add_grad(&mut self, r: usize, grad: &[f32]) {
+        match &mut self.grads {
+            Grads::Sparse(rows) => rows.add(r, grad),
+            Grads::Dense(_) => panic!("{} is trained densely", self.name),
+        }
+    }
+
+    /// The weights and the gradient accumulator of a
+    /// [`dense`](Self::dense) table, borrowed together so a backward pass
+    /// can read one while adding into the other.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`sparse`](Self::sparse) table.
+    pub fn dense_grad(&mut self) -> (&Tensor, &mut Tensor) {
+        match &mut self.grads {
+            Grads::Dense(grad) => (&self.tensor, grad),
+            Grads::Sparse(_) => panic!("{} is trained row by row", self.name),
+        }
+    }
+
+    /// Applies and clears the accumulated gradient through `opt`.
+    fn apply(&mut self, opt: &mut dyn Optimizer) -> Result<()> {
+        match &mut self.grads {
+            Grads::Sparse(rows) => rows.apply(opt, self.id, &mut self.tensor),
+            Grads::Dense(grad) => {
+                opt.step_dense(self.id, &mut self.tensor, grad)?;
+                grad.map_inplace(|_| 0.0);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// What every compressor holds besides its own hyperparameters: the
+/// tables, the output geometry, and the ids cached between `forward` and
+/// `backward`.
+#[derive(Debug)]
+pub struct CompressorState {
+    /// The trainable tables, in serialization and optimizer-call order.
+    pub tables: Vec<ParamTable>,
+    vocab: usize,
+    dim: usize,
+    cached_ids: Option<Vec<usize>>,
+}
+
+impl CompressorState {
+    /// State for a compressor embedding `vocab` ids into `dim` values
+    /// from `tables`.
+    pub fn new(vocab: usize, dim: usize, tables: Vec<ParamTable>) -> Self {
+        CompressorState {
+            tables,
+            vocab,
+            dim,
+            cached_ids: None,
+        }
+    }
+
+    /// Takes the ids cached by the last `forward` and checks `grad_out`
+    /// against them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BackwardBeforeForward`] without a cached id
+    /// list, or [`CoreError::BadGradient`] when `grad_out` is not
+    /// `[ids.len(), dim]`.
+    pub fn take_ids(&mut self, grad_out: &Tensor) -> Result<Vec<usize>> {
+        let ids = self
+            .cached_ids
+            .take()
+            .ok_or(CoreError::BackwardBeforeForward)?;
+        check_grad(grad_out, ids.len(), self.dim)?;
+        Ok(ids)
+    }
 }
 
 /// A compressed (or uncompressed) embedding layer: the common interface of
 /// MEmCom and every baseline in the paper's evaluation.
+///
+/// The required methods are what differs between techniques (see the
+/// [module docs](self)); everything a caller uses is provided on top of
+/// them.
 ///
 /// Lifecycle per training step:
 /// 1. [`forward`](EmbeddingCompressor::forward) with the batch's flat id
@@ -44,12 +271,36 @@ pub struct NamedTableMut<'a> {
 /// trait's contract so concurrent read paths (serving-side comparisons,
 /// multi-threaded evaluation) can borrow one without wrappers.
 pub trait EmbeddingCompressor: Send + Sync {
-    /// Embeds `ids`, returning `[ids.len(), output_dim]`.
+    /// The shared state (tables, geometry, id cache).
+    fn state(&self) -> &CompressorState;
+
+    /// Mutable access to the shared state.
+    fn state_mut(&mut self) -> &mut CompressorState;
+
+    /// The technique's row map and combine: writes the embedding of one
+    /// `id` into `out`, overwriting it. Callers have checked
+    /// `id < vocab_size()` and `out.len() == output_dim()`.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::IdOutOfVocab`] for ids `>= vocab_size()`.
-    fn lookup(&self, ids: &[usize]) -> Result<Tensor>;
+    /// Propagates table-read errors (which indicate internal bugs).
+    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()>;
+
+    /// The technique's per-row backward: accumulates into its tables the
+    /// gradients of one looked-up `id`, given `grad = ∂L/∂E(id)`
+    /// (`output_dim()` values).
+    ///
+    /// # Errors
+    ///
+    /// Propagates table-read errors (which indicate internal bugs).
+    fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()>;
+
+    /// Short technique name used in experiment output (e.g. `"memcom"`).
+    fn method_name(&self) -> &'static str;
+
+    /// Upcast for downcasting to the concrete compressor type (used by
+    /// audits and serialization round-trips).
+    fn as_any(&self) -> &dyn std::any::Any;
 
     /// Writes the embedding row for one `id` into `out` without
     /// allocating. `out.len()` must equal
@@ -57,19 +308,31 @@ pub trait EmbeddingCompressor: Send + Sync {
     ///
     /// This is the serving-side hot path: batch slabs reuse one flat
     /// buffer across calls, so per-row `Vec` construction would dominate
-    /// the lookup itself. The default implementation delegates to the
-    /// allocating [`lookup`](Self::lookup) path; every technique in this
-    /// crate overrides it with a direct write.
+    /// the lookup itself.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::IdOutOfVocab`] for `id >= vocab_size()` and
     /// [`CoreError::BadConfig`] when `out` has the wrong length.
     fn embed_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
+        check_ids(std::slice::from_ref(&id), self.vocab_size())?;
         check_out(out.len(), self.output_dim())?;
-        let row = self.lookup(std::slice::from_ref(&id))?;
-        out.copy_from_slice(row.as_slice());
-        Ok(())
+        self.row_into(id, out)
+    }
+
+    /// Embeds `ids`, returning `[ids.len(), output_dim]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::IdOutOfVocab`] for ids `>= vocab_size()`.
+    fn lookup(&self, ids: &[usize]) -> Result<Tensor> {
+        check_ids(ids, self.vocab_size())?;
+        let dim = self.output_dim();
+        let mut data = vec![0f32; ids.len() * dim];
+        for (&id, out) in ids.iter().zip(data.chunks_exact_mut(dim)) {
+            self.row_into(id, out)?;
+        }
+        Ok(Tensor::from_vec(data, &[ids.len(), dim])?)
     }
 
     /// Training-mode lookup: same as [`lookup`](Self::lookup) but caches
@@ -78,7 +341,11 @@ pub trait EmbeddingCompressor: Send + Sync {
     /// # Errors
     ///
     /// Same conditions as [`lookup`](Self::lookup).
-    fn forward(&mut self, ids: &[usize]) -> Result<Tensor>;
+    fn forward(&mut self, ids: &[usize]) -> Result<Tensor> {
+        let out = self.lookup(ids)?;
+        self.state_mut().cached_ids = Some(ids.to_vec());
+        Ok(out)
+    }
 
     /// Accumulates parameter gradients given `∂L/∂output` of shape
     /// `[ids.len(), output_dim]` from the last `forward`.
@@ -87,41 +354,53 @@ pub trait EmbeddingCompressor: Send + Sync {
     ///
     /// Returns [`CoreError::BackwardBeforeForward`] without a prior
     /// `forward`, or [`CoreError::BadGradient`] on shape mismatch.
-    fn backward(&mut self, grad_out: &Tensor) -> Result<()>;
+    fn backward(&mut self, grad_out: &Tensor) -> Result<()> {
+        let ids = self.state_mut().take_ids(grad_out)?;
+        for (k, &id) in ids.iter().enumerate() {
+            self.accumulate_row(id, grad_out.row(k)?)?;
+        }
+        Ok(())
+    }
 
-    /// Applies and clears accumulated gradients through `opt`.
+    /// Applies and clears accumulated gradients through `opt`, table by
+    /// table in [`tables`](Self::tables) order.
     ///
     /// # Errors
     ///
     /// Propagates optimizer shape errors (which indicate internal bugs).
-    fn apply_gradients(&mut self, opt: &mut dyn Optimizer) -> Result<()>;
+    fn apply_gradients(&mut self, opt: &mut dyn Optimizer) -> Result<()> {
+        self.state_mut()
+            .tables
+            .iter_mut()
+            .try_for_each(|table| table.apply(opt))
+    }
 
     /// Dimensionality of each produced embedding vector.
-    fn output_dim(&self) -> usize;
+    fn output_dim(&self) -> usize {
+        self.state().dim
+    }
 
     /// Number of distinct input entities supported (`v` in the paper).
-    fn vocab_size(&self) -> usize;
+    fn vocab_size(&self) -> usize {
+        self.state().vocab
+    }
 
     /// Total trainable scalars in the embedding stage — the quantity the
     /// paper's compression ratios are computed from.
-    fn param_count(&self) -> usize;
-
-    /// Short technique name used in experiment output (e.g. `"memcom"`).
-    fn method_name(&self) -> &'static str;
+    fn param_count(&self) -> usize {
+        self.state().tables.iter().map(|t| t.tensor.len()).sum()
+    }
 
     /// Enumerates the weight tables for serialization/quantization.
-    fn tables(&self) -> Vec<NamedTable<'_>>;
-
-    /// Mutable access to the weight tables (post-training quantization
-    /// rewrites weights through this).
-    fn tables_mut(&mut self) -> Vec<NamedTableMut<'_>>;
-
-    /// Upcast for downcasting to the concrete compressor type (used by
-    /// audits and serialization round-trips).
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable variant of [`EmbeddingCompressor::as_any`].
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
+    fn tables(&self) -> Vec<NamedTable<'_>> {
+        let tables = self.state().tables.iter();
+        tables
+            .map(|t| NamedTable {
+                name: t.name,
+                tensor: &t.tensor,
+            })
+            .collect()
+    }
 }
 
 /// Sparse per-row gradient accumulator shared by every compressor.
@@ -242,7 +521,81 @@ pub(crate) fn check_out(out_len: usize, dim: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MethodSpec, QrCombiner};
     use memcom_nn::Sgd;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Every technique's backward is the derivative of its `row_into`.
+    /// The analytic gradient is read off as the movement of each table
+    /// under `Sgd::new(1.0)`; the numeric one is a central difference of
+    /// `loss = Σ lookup(ids) ⊙ w` in every single table element.
+    #[test]
+    fn backward_matches_finite_differences_for_every_technique() {
+        let hash_size = 10;
+        let specs = [
+            MethodSpec::Uncompressed,
+            MethodSpec::MemCom {
+                hash_size,
+                bias: true,
+            },
+            MethodSpec::MemCom {
+                hash_size,
+                bias: false,
+            },
+            MethodSpec::NaiveHash { hash_size },
+            MethodSpec::DoubleHash { hash_size },
+            MethodSpec::QuotientRemainder {
+                hash_size,
+                combiner: QrCombiner::Multiply,
+            },
+            MethodSpec::QuotientRemainder {
+                hash_size,
+                combiner: QrCombiner::Concat,
+            },
+            MethodSpec::Factorized { hidden: 3 },
+            MethodSpec::ReduceDim { dim: 4 },
+            MethodSpec::TruncateRare { keep: 10 },
+            MethodSpec::WeinbergerOneHot { hash_size },
+        ];
+        // 3 repeats, 3 and 13 share every hashed row, 30 is past `keep`.
+        let ids = [3usize, 13, 9, 3, 30];
+        let eps = 1e-3f32;
+        for spec in specs {
+            let mut emb = spec.build(50, 8, &mut StdRng::seed_from_u64(1)).unwrap();
+            let snapshot = |emb: &dyn EmbeddingCompressor| -> Vec<Tensor> {
+                emb.tables().iter().map(|t| t.tensor.clone()).collect()
+            };
+            let before = snapshot(emb.as_ref());
+            let out = emb.forward(&ids).unwrap();
+            let w =
+                Tensor::rand_uniform(out.shape().dims(), -1.0, 1.0, &mut StdRng::seed_from_u64(5));
+            emb.backward(&w).unwrap();
+            emb.apply_gradients(&mut Sgd::new(1.0)).unwrap();
+            let after = snapshot(emb.as_ref());
+            for (k, table) in before.iter().enumerate() {
+                emb.state_mut().tables[k].set_tensor(table.clone()).unwrap();
+            }
+            for (k, table) in before.iter().enumerate() {
+                for idx in 0..table.len() {
+                    let mut loss_at = |delta: f32| {
+                        let mut probe = table.clone();
+                        probe.as_mut_slice()[idx] += delta;
+                        emb.state_mut().tables[k].set_tensor(probe).unwrap();
+                        emb.lookup(&ids).unwrap().mul(&w).unwrap().sum()
+                    };
+                    let numeric = (loss_at(eps) - loss_at(-eps)) / (2.0 * eps);
+                    let analytic = table.as_slice()[idx] - after[k].as_slice()[idx];
+                    assert!(
+                        (numeric - analytic).abs() < 1e-2,
+                        "{} table {k}[{idx}]: numeric {numeric} vs analytic {analytic}",
+                        spec.label()
+                    );
+                }
+                emb.state_mut().tables[k].set_tensor(table.clone()).unwrap();
+            }
+        }
+    }
 
     #[test]
     fn row_grads_aggregate_duplicates() {

@@ -1,13 +1,10 @@
 //! Double hashing baseline (Zhang et al., RecSys 2020).
 
-use memcom_nn::{Optimizer, ParamId};
-use memcom_tensor::{init, Tensor};
+use memcom_tensor::init;
 use rand::Rng;
 
-use crate::compressor::{
-    check_grad, check_ids, check_out, EmbeddingCompressor, NamedTable, NamedTableMut, RowGrads,
-};
-use crate::hashing::seeded_hash;
+use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
+use crate::hashing::RowMap;
 use crate::{CoreError, Result};
 
 /// Frequency-based double hashing: two *independent* hash functions index
@@ -17,19 +14,10 @@ use crate::{CoreError, Result};
 /// guaranteed, unlike MEmCom.
 #[derive(Debug)]
 pub struct DoubleHashEmbedding {
-    table_a: Tensor,
-    table_b: Tensor,
-    grads_a: RowGrads,
-    grads_b: RowGrads,
-    id_a: ParamId,
-    id_b: ParamId,
-    vocab: usize,
-    dim: usize,
+    /// The two `m × e/2` tables, each read through its own map.
+    state: CompressorState,
+    maps: [RowMap; 2],
     half: usize,
-    hash_size: usize,
-    seed_a: u64,
-    seed_b: u64,
-    cached_ids: Option<Vec<usize>>,
 }
 
 impl DoubleHashEmbedding {
@@ -64,126 +52,50 @@ impl DoubleHashEmbedding {
             });
         }
         let half = dim / 2;
+        let tables = ["hashed_a", "hashed_b"]
+            .map(|name| ParamTable::sparse(name, init::embedding_uniform(&[hash_size, half], rng)));
+        let maps = [0x5EEDA, 0x5EEDB].map(|seed| RowMap::Seeded { m: hash_size, seed });
         Ok(DoubleHashEmbedding {
-            table_a: init::embedding_uniform(&[hash_size, half], rng),
-            table_b: init::embedding_uniform(&[hash_size, half], rng),
-            grads_a: RowGrads::new(half),
-            grads_b: RowGrads::new(half),
-            id_a: ParamId::fresh(),
-            id_b: ParamId::fresh(),
-            vocab,
-            dim,
+            state: CompressorState::new(vocab, dim, tables.into()),
+            maps,
             half,
-            hash_size,
-            seed_a: 0x5EEDA,
-            seed_b: 0x5EEDB,
-            cached_ids: None,
         })
     }
 
     /// The two bucket indices for `id`.
     pub fn buckets(&self, id: usize) -> (usize, usize) {
-        (
-            seeded_hash(id, self.hash_size, self.seed_a),
-            seeded_hash(id, self.hash_size, self.seed_b),
-        )
+        (self.maps[0].row(id), self.maps[1].row(id))
     }
 }
 
 impl EmbeddingCompressor for DoubleHashEmbedding {
-    fn lookup(&self, ids: &[usize]) -> Result<Tensor> {
-        check_ids(ids, self.vocab)?;
-        let mut data = Vec::with_capacity(ids.len() * self.dim);
-        for &id in ids {
-            let (a, b) = self.buckets(id);
-            data.extend_from_slice(self.table_a.row(a)?);
-            data.extend_from_slice(self.table_b.row(b)?);
-        }
-        Ok(Tensor::from_vec(data, &[ids.len(), self.dim])?)
+    fn state(&self) -> &CompressorState {
+        &self.state
     }
 
-    fn embed_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        check_ids(std::slice::from_ref(&id), self.vocab)?;
-        check_out(out.len(), self.dim)?;
+    fn state_mut(&mut self) -> &mut CompressorState {
+        &mut self.state
+    }
+
+    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
         let (a, b) = self.buckets(id);
-        out[..self.half].copy_from_slice(self.table_a.row(a)?);
-        out[self.half..].copy_from_slice(self.table_b.row(b)?);
+        out[..self.half].copy_from_slice(self.state.tables[0].row(a)?);
+        out[self.half..].copy_from_slice(self.state.tables[1].row(b)?);
         Ok(())
     }
 
-    fn forward(&mut self, ids: &[usize]) -> Result<Tensor> {
-        let out = self.lookup(ids)?;
-        self.cached_ids = Some(ids.to_vec());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<()> {
-        let ids = self
-            .cached_ids
-            .take()
-            .ok_or(CoreError::BackwardBeforeForward)?;
-        check_grad(grad_out, ids.len(), self.dim)?;
-        for (k, &id) in ids.iter().enumerate() {
-            let (a, b) = self.buckets(id);
-            let g = grad_out.row(k)?;
-            self.grads_a.add(a, &g[..self.half]);
-            self.grads_b.add(b, &g[self.half..]);
-        }
+    fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
+        let (a, b) = self.buckets(id);
+        self.state.tables[0].add_grad(a, &g[..self.half]);
+        self.state.tables[1].add_grad(b, &g[self.half..]);
         Ok(())
-    }
-
-    fn apply_gradients(&mut self, opt: &mut dyn Optimizer) -> Result<()> {
-        self.grads_a.apply(opt, self.id_a, &mut self.table_a)?;
-        self.grads_b.apply(opt, self.id_b, &mut self.table_b)
-    }
-
-    fn output_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.vocab
-    }
-
-    fn param_count(&self) -> usize {
-        2 * self.hash_size * self.half
     }
 
     fn method_name(&self) -> &'static str {
         "double_hash"
     }
 
-    fn tables(&self) -> Vec<NamedTable<'_>> {
-        vec![
-            NamedTable {
-                name: "hashed_a",
-                tensor: &self.table_a,
-            },
-            NamedTable {
-                name: "hashed_b",
-                tensor: &self.table_b,
-            },
-        ]
-    }
-
-    fn tables_mut(&mut self) -> Vec<NamedTableMut<'_>> {
-        vec![
-            NamedTableMut {
-                name: "hashed_a",
-                tensor: &mut self.table_a,
-            },
-            NamedTableMut {
-                name: "hashed_b",
-                tensor: &mut self.table_b,
-            },
-        ]
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 }
@@ -191,9 +103,14 @@ impl EmbeddingCompressor for DoubleHashEmbedding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memcom_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
+
+    fn table(emb: &DoubleHashEmbedding, k: usize) -> &Tensor {
+        emb.state.tables[k].tensor()
+    }
 
     fn make() -> DoubleHashEmbedding {
         let mut rng = StdRng::seed_from_u64(0);
@@ -205,8 +122,8 @@ mod tests {
         let emb = make();
         let out = emb.lookup(&[42]).unwrap();
         let (a, b) = emb.buckets(42);
-        assert_eq!(&out.row(0).unwrap()[..4], emb.table_a.row(a).unwrap());
-        assert_eq!(&out.row(0).unwrap()[4..], emb.table_b.row(b).unwrap());
+        assert_eq!(&out.row(0).unwrap()[..4], table(&emb, 0).row(a).unwrap());
+        assert_eq!(&out.row(0).unwrap()[4..], table(&emb, 1).row(b).unwrap());
     }
 
     #[test]
@@ -232,8 +149,8 @@ mod tests {
     fn gradients_split_between_tables() {
         let mut emb = make();
         let (a, b) = emb.buckets(5);
-        let before_a = emb.table_a.row(a).unwrap().to_vec();
-        let before_b = emb.table_b.row(b).unwrap().to_vec();
+        let before_a = table(&emb, 0).row(a).unwrap().to_vec();
+        let before_b = table(&emb, 1).row(b).unwrap().to_vec();
         emb.forward(&[5]).unwrap();
         let mut g = Tensor::zeros(&[1, 8]);
         for i in 0..4 {
@@ -243,14 +160,13 @@ mod tests {
         let mut opt = memcom_nn::Sgd::new(0.1);
         emb.apply_gradients(&mut opt).unwrap();
         // Table A moved, table B untouched.
-        assert!(emb
-            .table_a
+        assert!(table(&emb, 0)
             .row(a)
             .unwrap()
             .iter()
             .zip(&before_a)
             .all(|(x, y)| (x - (y - 0.1)).abs() < 1e-6));
-        assert_eq!(emb.table_b.row(b).unwrap(), &before_b[..]);
+        assert_eq!(table(&emb, 1).row(b).unwrap(), &before_b[..]);
     }
 
     #[test]

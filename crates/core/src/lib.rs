@@ -15,9 +15,18 @@
 //! | [`TruncateRareEmbedding`] | "truncate rare" |
 //! | [`OneHotHashEncoder`] | Weinberger feature hashing (Table 3 baseline) |
 //!
-//! All implementations share the [`EmbeddingCompressor`] trait: an id-batch
-//! lookup in `forward`, a sparse gradient path in `backward`, and optimizer
-//! application that touches only the rows used in the batch.
+//! All implementations share one skeleton ([`compressor`]): a technique is
+//! its tables ([`ParamTable`]), its id → row map and combine
+//! ([`EmbeddingCompressor::row_into`]) and the same combine differentiated
+//! for one id ([`EmbeddingCompressor::accumulate_row`]). The
+//! [`EmbeddingCompressor`] trait provides everything else once — the
+//! id-batch `lookup`, the `forward`/`backward` id cache, the sparse
+//! gradient path, optimizer application that touches only the rows used in
+//! the batch, and table enumeration. The four one-table techniques
+//! (uncompressed, naive hashing, truncate-rare, reduced dim) are one type,
+//! [`SingleTable`], parameterised by a [`hashing::RowMap`]. Adding a
+//! technique is a constructor plus those two methods; the [`compressor`]
+//! module docs walk through naive hashing as the worked example.
 //!
 //! Supporting analysis lives alongside: closed-form collision rates from §4
 //! ([`collision`]), the fixed-model-size budget solver from §A.1
@@ -47,29 +56,25 @@ pub mod compressor;
 pub mod double_hash;
 pub mod error;
 pub mod factorized;
-pub mod full;
 pub mod hashing;
 pub mod memcom;
-pub mod naive_hash;
 pub mod one_hot_hash;
 pub mod quotient_remainder;
-pub mod reduced_dim;
+pub mod single_table;
 pub mod spec;
-pub mod truncate_rare;
 pub mod uniqueness;
 
-pub use compressor::{EmbeddingCompressor, NamedTable, NamedTableMut, RowGrads};
+pub use compressor::{CompressorState, EmbeddingCompressor, NamedTable, ParamTable, RowGrads};
 pub use double_hash::DoubleHashEmbedding;
 pub use error::CoreError;
 pub use factorized::FactorizedEmbedding;
-pub use full::FullEmbedding;
 pub use memcom::{MemCom, MemComConfig};
-pub use naive_hash::NaiveHashEmbedding;
 pub use one_hot_hash::OneHotHashEncoder;
 pub use quotient_remainder::{QrCombiner, QuotientRemainder};
-pub use reduced_dim::ReducedDimEmbedding;
+pub use single_table::{
+    FullEmbedding, NaiveHashEmbedding, ReducedDimEmbedding, SingleTable, TruncateRareEmbedding,
+};
 pub use spec::MethodSpec;
-pub use truncate_rare::TruncateRareEmbedding;
 
 /// Convenience alias for results returned throughout this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -14,14 +14,11 @@
 //! model learns `v` distinct functions `f_i = V[i]·U[i mod m]` — a unique
 //! embedding per entity at `O(m·e + v)` storage instead of `O(v·e)`.
 
-use memcom_nn::{Optimizer, ParamId};
 use memcom_tensor::{init, Tensor};
 use rand::Rng;
 
-use crate::compressor::{
-    check_grad, check_ids, check_out, EmbeddingCompressor, NamedTable, NamedTableMut, RowGrads,
-};
-use crate::hashing::mod_hash;
+use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
+use crate::hashing::RowMap;
 use crate::{CoreError, Result};
 
 /// Configuration for a [`MemCom`] layer.
@@ -82,19 +79,9 @@ impl MemComConfig {
 #[derive(Debug)]
 pub struct MemCom {
     config: MemComConfig,
-    /// `U ∈ ℝ^{m×e}`: hashed shared table.
-    shared: Tensor,
-    /// `V ∈ ℝ^{v×1}`: per-entity multiplier.
-    multiplier: Tensor,
-    /// `W ∈ ℝ^{v×1}`: per-entity bias (present iff `config.bias`).
-    bias: Option<Tensor>,
-    shared_grads: RowGrads,
-    multiplier_grads: RowGrads,
-    bias_grads: RowGrads,
-    shared_id: ParamId,
-    multiplier_id: ParamId,
-    bias_id: ParamId,
-    cached_ids: Option<Vec<usize>>,
+    /// `U ∈ ℝ^{m×e}` (hashed, shared), `V ∈ ℝ^{v×1}` (per-entity
+    /// multiplier) and, iff `config.bias`, `W ∈ ℝ^{v×1}` (per-entity bias).
+    state: CompressorState,
 }
 
 impl MemCom {
@@ -123,18 +110,18 @@ impl MemCom {
         }
         let shared = init::embedding_uniform(&[config.hash_size, config.dim], rng);
         let multiplier = init::multiplier_ones(config.vocab, config.multiplier_jitter, rng);
-        let bias = config.bias.then(|| Tensor::zeros(&[config.vocab, 1]));
+        let mut tables = vec![
+            ParamTable::sparse("shared", shared),
+            ParamTable::sparse("multiplier", multiplier),
+        ];
+        if config.bias {
+            tables.push(ParamTable::sparse(
+                "bias",
+                Tensor::zeros(&[config.vocab, 1]),
+            ));
+        }
         Ok(MemCom {
-            shared_grads: RowGrads::new(config.dim),
-            multiplier_grads: RowGrads::new(1),
-            bias_grads: RowGrads::new(1),
-            shared_id: ParamId::fresh(),
-            multiplier_id: ParamId::fresh(),
-            bias_id: ParamId::fresh(),
-            cached_ids: None,
-            shared,
-            multiplier,
-            bias,
+            state: CompressorState::new(config.vocab, config.dim, tables),
             config,
         })
     }
@@ -146,22 +133,22 @@ impl MemCom {
 
     /// Borrows the shared hashed table `U`.
     pub fn shared_table(&self) -> &Tensor {
-        &self.shared
+        self.state.tables[0].tensor()
     }
 
     /// Borrows the multiplier table `V`.
     pub fn multiplier_table(&self) -> &Tensor {
-        &self.multiplier
+        self.state.tables[1].tensor()
     }
 
     /// Borrows the bias table `W` when configured.
     pub fn bias_table(&self) -> Option<&Tensor> {
-        self.bias.as_ref()
+        self.state.tables.get(2).map(ParamTable::tensor)
     }
 
     /// The hash bucket for entity `i` (`i mod m`, Algorithm 2 line 2).
     pub fn bucket(&self, id: usize) -> usize {
-        mod_hash(id, self.config.hash_size)
+        RowMap::Mod(self.config.hash_size).row(id)
     }
 
     /// Restores table contents (deserialization).
@@ -169,71 +156,43 @@ impl MemCom {
     /// # Errors
     ///
     /// Returns [`CoreError::BadConfig`] when any shape mismatches or a bias
-    /// is supplied for a no-bias layer (and vice versa).
+    /// is supplied for a no-bias layer (and vice versa); the layer is then
+    /// left as it was.
     pub fn set_tables(
         &mut self,
         shared: Tensor,
         multiplier: Tensor,
         bias: Option<Tensor>,
     ) -> Result<()> {
-        if shared.shape().dims() != [self.config.hash_size, self.config.dim] {
+        let new: Vec<Tensor> = [shared, multiplier].into_iter().chain(bias).collect();
+        let tables = &mut self.state.tables;
+        let fits = new.len() == tables.len()
+            && (tables.iter().zip(&new)).all(|(old, new)| old.tensor().shape() == new.shape());
+        if !fits {
             return Err(CoreError::BadConfig {
-                context: format!("shared table shape {} invalid", shared.shape()),
+                context: "table shapes or bias presence do not match the configuration".into(),
             });
         }
-        if multiplier.shape().dims() != [self.config.vocab, 1] {
-            return Err(CoreError::BadConfig {
-                context: format!("multiplier table shape {} invalid", multiplier.shape()),
-            });
+        for (table, tensor) in tables.iter_mut().zip(new) {
+            table.set_tensor(tensor)?;
         }
-        match (&bias, self.config.bias) {
-            (Some(b), true) => {
-                if b.shape().dims() != [self.config.vocab, 1] {
-                    return Err(CoreError::BadConfig {
-                        context: format!("bias table shape {} invalid", b.shape()),
-                    });
-                }
-            }
-            (None, false) => {}
-            _ => {
-                return Err(CoreError::BadConfig {
-                    context: "bias presence does not match configuration".into(),
-                })
-            }
-        }
-        self.shared = shared;
-        self.multiplier = multiplier;
-        self.bias = bias;
         Ok(())
     }
 }
 
 impl EmbeddingCompressor for MemCom {
-    fn lookup(&self, ids: &[usize]) -> Result<Tensor> {
-        check_ids(ids, self.config.vocab)?;
-        let e = self.config.dim;
-        let mut data = Vec::with_capacity(ids.len() * e);
-        for &id in ids {
-            let j = self.bucket(id);
-            let u = self.shared.row(j)?;
-            let v = self.multiplier.as_slice()[id];
-            match &self.bias {
-                Some(w) => {
-                    let b = w.as_slice()[id];
-                    data.extend(u.iter().map(|&x| x * v + b));
-                }
-                None => data.extend(u.iter().map(|&x| x * v)),
-            }
-        }
-        Ok(Tensor::from_vec(data, &[ids.len(), e])?)
+    fn state(&self) -> &CompressorState {
+        &self.state
     }
 
-    fn embed_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        check_ids(std::slice::from_ref(&id), self.config.vocab)?;
-        check_out(out.len(), self.config.dim)?;
-        let u = self.shared.row(self.bucket(id))?;
-        let v = self.multiplier.as_slice()[id];
-        match &self.bias {
+    fn state_mut(&mut self) -> &mut CompressorState {
+        &mut self.state
+    }
+
+    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
+        let u = self.state.tables[0].row(self.bucket(id))?;
+        let v = self.multiplier_table().as_slice()[id];
+        match self.bias_table() {
             Some(w) => {
                 let b = w.as_slice()[id];
                 for (o, &x) in out.iter_mut().zip(u) {
@@ -249,64 +208,22 @@ impl EmbeddingCompressor for MemCom {
         Ok(())
     }
 
-    fn forward(&mut self, ids: &[usize]) -> Result<Tensor> {
-        let out = self.lookup(ids)?;
-        self.cached_ids = Some(ids.to_vec());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<()> {
-        let ids = self
-            .cached_ids
-            .take()
-            .ok_or(CoreError::BackwardBeforeForward)?;
-        let e = self.config.dim;
-        check_grad(grad_out, ids.len(), e)?;
-        for (k, &id) in ids.iter().enumerate() {
-            let j = self.bucket(id);
-            let g = grad_out.row(k)?;
-            let u = self.shared.row(j)?;
-            let v = self.multiplier.as_slice()[id];
-            // ∂L/∂U[j] = g · V[i]  (broadcast multiply back through ⊙)
-            let du: Vec<f32> = g.iter().map(|&x| x * v).collect();
-            self.shared_grads.add(j, &du);
-            // ∂L/∂V[i] = ⟨g, U[j]⟩  (the broadcast sums over e)
-            let dv: f32 = g.iter().zip(u).map(|(&a, &b)| a * b).sum();
-            self.multiplier_grads.add_scalar(id, dv);
-            // ∂L/∂W[i] = Σ_e g
-            if self.bias.is_some() {
-                self.bias_grads.add_scalar(id, g.iter().sum());
-            }
+    fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
+        let j = self.bucket(id);
+        let u = self.state.tables[0].row(j)?;
+        let v = self.multiplier_table().as_slice()[id];
+        // ∂L/∂U[j] = g · V[i]  (broadcast multiply back through ⊙)
+        let du: Vec<f32> = g.iter().map(|&x| x * v).collect();
+        // ∂L/∂V[i] = ⟨g, U[j]⟩  (the broadcast sums over e)
+        let dv: f32 = g.iter().zip(u).map(|(&a, &b)| a * b).sum();
+        let tables = &mut self.state.tables;
+        tables[0].add_grad(j, &du);
+        tables[1].add_grad(id, &[dv]);
+        // ∂L/∂W[i] = Σ_e g
+        if let Some(bias) = tables.get_mut(2) {
+            bias.add_grad(id, &[g.iter().sum()]);
         }
         Ok(())
-    }
-
-    fn apply_gradients(&mut self, opt: &mut dyn Optimizer) -> Result<()> {
-        self.shared_grads
-            .apply(opt, self.shared_id, &mut self.shared)?;
-        self.multiplier_grads
-            .apply(opt, self.multiplier_id, &mut self.multiplier)?;
-        if let Some(bias) = self.bias.as_mut() {
-            self.bias_grads.apply(opt, self.bias_id, bias)?;
-        }
-        Ok(())
-    }
-
-    fn output_dim(&self) -> usize {
-        self.config.dim
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.config.vocab
-    }
-
-    fn param_count(&self) -> usize {
-        let base = self.config.hash_size * self.config.dim + self.config.vocab;
-        if self.config.bias {
-            base + self.config.vocab
-        } else {
-            base
-        }
     }
 
     fn method_name(&self) -> &'static str {
@@ -317,51 +234,7 @@ impl EmbeddingCompressor for MemCom {
         }
     }
 
-    fn tables(&self) -> Vec<NamedTable<'_>> {
-        let mut v = vec![
-            NamedTable {
-                name: "shared",
-                tensor: &self.shared,
-            },
-            NamedTable {
-                name: "multiplier",
-                tensor: &self.multiplier,
-            },
-        ];
-        if let Some(b) = &self.bias {
-            v.push(NamedTable {
-                name: "bias",
-                tensor: b,
-            });
-        }
-        v
-    }
-
-    fn tables_mut(&mut self) -> Vec<NamedTableMut<'_>> {
-        let mut v = vec![
-            NamedTableMut {
-                name: "shared",
-                tensor: &mut self.shared,
-            },
-            NamedTableMut {
-                name: "multiplier",
-                tensor: &mut self.multiplier,
-            },
-        ];
-        if let Some(b) = self.bias.as_mut() {
-            v.push(NamedTableMut {
-                name: "bias",
-                tensor: b,
-            });
-        }
-        v
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 }
@@ -442,74 +315,6 @@ mod tests {
         assert!(MemCom::new(MemComConfig::new(10, 4, 11), &mut rng).is_err());
         // equal is allowed (degenerates to full table + multipliers).
         assert!(MemCom::new(MemComConfig::new(10, 4, 10), &mut rng).is_ok());
-    }
-
-    #[test]
-    fn backward_gradients_match_finite_difference() {
-        let mut layer = make(true);
-        let ids = [3usize, 13, 9];
-        let out = layer.forward(&ids).unwrap();
-        // Loss = weighted sum of outputs.
-        let w = Tensor::rand_uniform(out.shape().dims(), -1.0, 1.0, &mut StdRng::seed_from_u64(5));
-        layer.backward(&w).unwrap();
-
-        // Collect analytic grads before application.
-        let (rows_u, gu) = layer.shared_grads.drain().unwrap();
-        let (rows_v, gv) = layer.multiplier_grads.drain().unwrap();
-        let (rows_w, gw) = layer.bias_grads.drain().unwrap();
-
-        let eps = 1e-3f32;
-        let loss = |l: &MemCom| -> f32 { l.lookup(&ids).unwrap().mul(&w).unwrap().sum() };
-
-        // Check one U element per touched row.
-        for (ri, &r) in rows_u.iter().enumerate() {
-            let mut pert = make(true);
-            copy_tables(&layer, &mut pert);
-            pert.shared.row_mut(r).unwrap()[0] += eps;
-            let lp = loss(&pert);
-            pert.shared.row_mut(r).unwrap()[0] -= 2.0 * eps;
-            let lm = loss(&pert);
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = gu.row(ri).unwrap()[0];
-            assert!(
-                (numeric - analytic).abs() < 1e-2,
-                "U[{r}]: {numeric} vs {analytic}"
-            );
-        }
-        // Check every V and W scalar.
-        for (ri, &r) in rows_v.iter().enumerate() {
-            let mut pert = make(true);
-            copy_tables(&layer, &mut pert);
-            pert.multiplier.as_mut_slice()[r] += eps;
-            let lp = loss(&pert);
-            pert.multiplier.as_mut_slice()[r] -= 2.0 * eps;
-            let lm = loss(&pert);
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = gv.row(ri).unwrap()[0];
-            assert!(
-                (numeric - analytic).abs() < 1e-2,
-                "V[{r}]: {numeric} vs {analytic}"
-            );
-        }
-        for (ri, &r) in rows_w.iter().enumerate() {
-            let mut pert = make(true);
-            copy_tables(&layer, &mut pert);
-            pert.bias.as_mut().unwrap().as_mut_slice()[r] += eps;
-            let lp = loss(&pert);
-            pert.bias.as_mut().unwrap().as_mut_slice()[r] -= 2.0 * eps;
-            let lm = loss(&pert);
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = gw.row(ri).unwrap()[0];
-            assert!(
-                (numeric - analytic).abs() < 1e-2,
-                "W[{r}]: {numeric} vs {analytic}"
-            );
-        }
-    }
-
-    fn copy_tables(src: &MemCom, dst: &mut MemCom) {
-        dst.set_tables(src.shared.clone(), src.multiplier.clone(), src.bias.clone())
-            .unwrap();
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Weinberger feature hashing over one-hot inputs (Table 3 baseline).
 
-use memcom_nn::{Optimizer, ParamId};
 use memcom_tensor::{init, ops, Tensor};
 use rand::Rng;
 
-use crate::compressor::{check_grad, check_ids, EmbeddingCompressor, NamedTable, NamedTableMut};
-use crate::hashing::seeded_hash;
+use crate::compressor::{check_ids, CompressorState, EmbeddingCompressor, ParamTable};
+use crate::hashing::RowMap;
 use crate::{CoreError, Result};
 
 /// The fixed hash seed used by every [`OneHotHashEncoder`]; exposed so the
@@ -26,14 +25,9 @@ pub const ONE_HOT_SEED: u64 = 0x0E1_407;
 /// measures the honest cost.
 #[derive(Debug)]
 pub struct OneHotHashEncoder {
-    kernel: Tensor,
-    grad_kernel: Tensor,
-    param_id: ParamId,
-    vocab: usize,
-    dim: usize,
-    hash_size: usize,
-    seed: u64,
-    cached_ids: Option<Vec<usize>>,
+    /// The dense `m × e` kernel.
+    state: CompressorState,
+    map: RowMap,
 }
 
 impl OneHotHashEncoder {
@@ -55,99 +49,77 @@ impl OneHotHashEncoder {
                 ),
             });
         }
+        let kernel = ParamTable::dense("kernel", init::glorot_uniform(hash_size, dim, rng));
         Ok(OneHotHashEncoder {
-            kernel: init::glorot_uniform(hash_size, dim, rng),
-            grad_kernel: Tensor::zeros(&[hash_size, dim]),
-            param_id: ParamId::fresh(),
-            vocab,
-            dim,
-            hash_size,
-            seed: ONE_HOT_SEED,
-            cached_ids: None,
+            state: CompressorState::new(vocab, dim, vec![kernel]),
+            map: RowMap::Seeded {
+                m: hash_size,
+                seed: ONE_HOT_SEED,
+            },
         })
     }
 
     /// The hash bucket for `id`.
     pub fn bucket(&self, id: usize) -> usize {
-        seeded_hash(id, self.hash_size, self.seed)
+        self.map.row(id)
     }
 
     /// Materializes the `[ids.len(), hash_size]` one-hot matrix — the
     /// memory hog Table 3 measures.
     pub fn encode_one_hot(&self, ids: &[usize]) -> Result<Tensor> {
-        check_ids(ids, self.vocab)?;
+        check_ids(ids, self.vocab_size())?;
         let hashed: Vec<usize> = ids.iter().map(|&i| self.bucket(i)).collect();
-        Ok(ops::one_hot(&hashed, self.hash_size))
+        let hash_size = self.state.tables[0].tensor().shape().dims()[0];
+        Ok(ops::one_hot(&hashed, hash_size))
     }
 }
 
+/// The only technique that overrides the skeleton's `lookup` and
+/// `backward`: the one-hot matmul *is* the §5.3 cost being reproduced, so
+/// a batch goes through it whole instead of row by row.
 impl EmbeddingCompressor for OneHotHashEncoder {
+    fn state(&self) -> &CompressorState {
+        &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut CompressorState {
+        &mut self.state
+    }
+
     fn lookup(&self, ids: &[usize]) -> Result<Tensor> {
         // Deliberate full one-hot × kernel matmul; see the type docs.
         let one_hot = self.encode_one_hot(ids)?;
-        Ok(ops::matmul(&one_hot, &self.kernel)?)
+        Ok(ops::matmul(&one_hot, self.state.tables[0].tensor())?)
     }
 
-    fn forward(&mut self, ids: &[usize]) -> Result<Tensor> {
-        let out = self.lookup(ids)?;
-        self.cached_ids = Some(ids.to_vec());
-        Ok(out)
+    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
+        out.copy_from_slice(self.lookup(&[id])?.as_slice());
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<()> {
-        let ids = self
-            .cached_ids
-            .take()
-            .ok_or(CoreError::BackwardBeforeForward)?;
-        check_grad(grad_out, ids.len(), self.dim)?;
+        let ids = self.state.take_ids(grad_out)?;
         // dK = one_hotᵀ · dy, accumulated densely (the kernel is dense).
         let one_hot = self.encode_one_hot(&ids)?;
         let dk = ops::matmul(&one_hot.transpose()?, grad_out)?;
-        self.grad_kernel.axpy(1.0, &dk)?;
+        self.state.tables[0].dense_grad().1.axpy(1.0, &dk)?;
         Ok(())
     }
 
-    fn apply_gradients(&mut self, opt: &mut dyn Optimizer) -> Result<()> {
-        opt.step_dense(self.param_id, &mut self.kernel, &self.grad_kernel)?;
-        self.grad_kernel.map_inplace(|_| 0.0);
+    fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()> {
+        let bucket = self.bucket(id);
+        let row = self.state.tables[0].dense_grad().1.row_mut(bucket)?;
+        for (o, &g) in row.iter_mut().zip(grad) {
+            *o += g;
+        }
         Ok(())
-    }
-
-    fn output_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.vocab
-    }
-
-    fn param_count(&self) -> usize {
-        self.hash_size * self.dim
     }
 
     fn method_name(&self) -> &'static str {
         "weinberger_onehot"
     }
 
-    fn tables(&self) -> Vec<NamedTable<'_>> {
-        vec![NamedTable {
-            name: "kernel",
-            tensor: &self.kernel,
-        }]
-    }
-
-    fn tables_mut(&mut self) -> Vec<NamedTableMut<'_>> {
-        vec![NamedTableMut {
-            name: "kernel",
-            tensor: &mut self.kernel,
-        }]
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 }
@@ -163,12 +135,16 @@ mod tests {
         OneHotHashEncoder::new(100, 4, 16, &mut rng).unwrap()
     }
 
+    fn kernel(enc: &OneHotHashEncoder) -> &Tensor {
+        enc.state.tables[0].tensor()
+    }
+
     #[test]
     fn matmul_equals_row_selection() {
         // The one-hot matmul must produce exactly the hashed kernel row.
         let enc = make();
         let out = enc.lookup(&[42]).unwrap();
-        let expect = enc.kernel.row(enc.bucket(42)).unwrap();
+        let expect = kernel(&enc).row(enc.bucket(42)).unwrap();
         assert_eq!(out.row(0).unwrap(), expect);
     }
 
@@ -187,14 +163,19 @@ mod tests {
     fn gradient_flows_to_hashed_row() {
         let mut enc = make();
         let bucket = enc.bucket(7);
-        let before = enc.kernel.row(bucket).unwrap().to_vec();
+        let before = kernel(&enc).row(bucket).unwrap().to_vec();
         enc.forward(&[7]).unwrap();
         enc.backward(&Tensor::ones(&[1, 4])).unwrap();
         let mut opt = memcom_nn::Sgd::new(0.1);
         enc.apply_gradients(&mut opt).unwrap();
-        for (b, a) in before.iter().zip(enc.kernel.row(bucket).unwrap()) {
+        for (b, a) in before.iter().zip(kernel(&enc).row(bucket).unwrap()) {
             assert!((a - (b - 0.1)).abs() < 1e-6);
         }
+        // The row-wise accumulate is the same gradient without the matmul.
+        let mut row_wise = make();
+        row_wise.accumulate_row(7, &[1.0; 4]).unwrap();
+        row_wise.apply_gradients(&mut opt).unwrap();
+        assert_eq!(kernel(&row_wise), kernel(&enc));
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Quotient–remainder trick (Shi et al., 2019; Algorithm 1 of the paper).
 
-use memcom_nn::{Optimizer, ParamId};
 use memcom_tensor::{init, Tensor};
 use rand::Rng;
 
-use crate::compressor::{
-    check_grad, check_ids, check_out, EmbeddingCompressor, NamedTable, NamedTableMut, RowGrads,
-};
+use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
 use crate::{CoreError, Result};
 
 /// How the remainder and quotient embeddings are composed.
@@ -27,19 +24,11 @@ pub enum QrCombiner {
 /// embedding function.
 #[derive(Debug)]
 pub struct QuotientRemainder {
-    remainder_table: Tensor,
-    quotient_table: Tensor,
-    grads_rem: RowGrads,
-    grads_quo: RowGrads,
-    id_rem: ParamId,
-    id_quo: ParamId,
+    /// `U` (remainder, `m × e'`) then `V` (quotient, `⌈v/m⌉ × e'`).
+    state: CompressorState,
     combiner: QrCombiner,
-    vocab: usize,
-    dim: usize,
     part_dim: usize,
     m: usize,
-    quotient_rows: usize,
-    cached_ids: Option<Vec<usize>>,
 }
 
 impl QuotientRemainder {
@@ -81,30 +70,27 @@ impl QuotientRemainder {
             }
         };
         let quotient_rows = vocab.div_ceil(m);
+        let remainder = init::embedding_uniform(&[m, part_dim], rng);
+        // Multiplicative composition wants the quotient side near 1 so
+        // the product starts at embedding scale (ALBERT-style init
+        // would start products at ~1e-3, stalling training).
+        let quotient = match combiner {
+            QrCombiner::Multiply => {
+                let mut t = Tensor::rand_uniform(&[quotient_rows, part_dim], -0.05, 0.05, rng);
+                t.map_inplace(|x| 1.0 + x);
+                t
+            }
+            QrCombiner::Concat => init::embedding_uniform(&[quotient_rows, part_dim], rng),
+        };
+        let tables = vec![
+            ParamTable::sparse("remainder", remainder),
+            ParamTable::sparse("quotient", quotient),
+        ];
         Ok(QuotientRemainder {
-            remainder_table: init::embedding_uniform(&[m, part_dim], rng),
-            // Multiplicative composition wants the quotient side near 1 so
-            // the product starts at embedding scale (ALBERT-style init
-            // would start products at ~1e-3, stalling training).
-            quotient_table: match combiner {
-                QrCombiner::Multiply => {
-                    let mut t = Tensor::rand_uniform(&[quotient_rows, part_dim], -0.05, 0.05, rng);
-                    t.map_inplace(|x| 1.0 + x);
-                    t
-                }
-                QrCombiner::Concat => init::embedding_uniform(&[quotient_rows, part_dim], rng),
-            },
-            grads_rem: RowGrads::new(part_dim),
-            grads_quo: RowGrads::new(part_dim),
-            id_rem: ParamId::fresh(),
-            id_quo: ParamId::fresh(),
+            state: CompressorState::new(vocab, dim, tables),
             combiner,
-            vocab,
-            dim,
             part_dim,
             m,
-            quotient_rows,
-            cached_ids: None,
         })
     }
 
@@ -120,32 +106,18 @@ impl QuotientRemainder {
 }
 
 impl EmbeddingCompressor for QuotientRemainder {
-    fn lookup(&self, ids: &[usize]) -> Result<Tensor> {
-        check_ids(ids, self.vocab)?;
-        let mut data = Vec::with_capacity(ids.len() * self.dim);
-        for &id in ids {
-            let (q, r) = self.decompose(id);
-            let rem = self.remainder_table.row(r)?;
-            let quo = self.quotient_table.row(q)?;
-            match self.combiner {
-                QrCombiner::Multiply => {
-                    data.extend(rem.iter().zip(quo).map(|(&a, &b)| a * b));
-                }
-                QrCombiner::Concat => {
-                    data.extend_from_slice(rem);
-                    data.extend_from_slice(quo);
-                }
-            }
-        }
-        Ok(Tensor::from_vec(data, &[ids.len(), self.dim])?)
+    fn state(&self) -> &CompressorState {
+        &self.state
     }
 
-    fn embed_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        check_ids(std::slice::from_ref(&id), self.vocab)?;
-        check_out(out.len(), self.dim)?;
+    fn state_mut(&mut self) -> &mut CompressorState {
+        &mut self.state
+    }
+
+    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
         let (q, r) = self.decompose(id);
-        let rem = self.remainder_table.row(r)?;
-        let quo = self.quotient_table.row(q)?;
+        let rem = self.state.tables[0].row(r)?;
+        let quo = self.state.tables[1].row(q)?;
         match self.combiner {
             QrCombiner::Multiply => {
                 for (o, (&a, &b)) in out.iter_mut().zip(rem.iter().zip(quo)) {
@@ -160,57 +132,24 @@ impl EmbeddingCompressor for QuotientRemainder {
         Ok(())
     }
 
-    fn forward(&mut self, ids: &[usize]) -> Result<Tensor> {
-        let out = self.lookup(ids)?;
-        self.cached_ids = Some(ids.to_vec());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<()> {
-        let ids = self
-            .cached_ids
-            .take()
-            .ok_or(CoreError::BackwardBeforeForward)?;
-        check_grad(grad_out, ids.len(), self.dim)?;
-        for (k, &id) in ids.iter().enumerate() {
-            let (q, r) = self.decompose(id);
-            let g = grad_out.row(k)?;
-            match self.combiner {
-                QrCombiner::Multiply => {
-                    let rem = self.remainder_table.row(r)?;
-                    let quo = self.quotient_table.row(q)?;
-                    // d/dU = g ⊙ V, d/dV = g ⊙ U (product rule per element).
-                    let du: Vec<f32> = g.iter().zip(quo).map(|(&a, &b)| a * b).collect();
-                    let dv: Vec<f32> = g.iter().zip(rem).map(|(&a, &b)| a * b).collect();
-                    self.grads_rem.add(r, &du);
-                    self.grads_quo.add(q, &dv);
-                }
-                QrCombiner::Concat => {
-                    self.grads_rem.add(r, &g[..self.part_dim]);
-                    self.grads_quo.add(q, &g[self.part_dim..]);
-                }
+    fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
+        let (q, r) = self.decompose(id);
+        let tables = &mut self.state.tables;
+        match self.combiner {
+            // d/dU = g ⊙ V, d/dV = g ⊙ U (product rule per element).
+            QrCombiner::Multiply => {
+                let (rem, quo) = (tables[0].row(r)?, tables[1].row(q)?);
+                let du: Vec<f32> = g.iter().zip(quo).map(|(&a, &b)| a * b).collect();
+                let dv: Vec<f32> = g.iter().zip(rem).map(|(&a, &b)| a * b).collect();
+                tables[0].add_grad(r, &du);
+                tables[1].add_grad(q, &dv);
+            }
+            QrCombiner::Concat => {
+                tables[0].add_grad(r, &g[..self.part_dim]);
+                tables[1].add_grad(q, &g[self.part_dim..]);
             }
         }
         Ok(())
-    }
-
-    fn apply_gradients(&mut self, opt: &mut dyn Optimizer) -> Result<()> {
-        self.grads_rem
-            .apply(opt, self.id_rem, &mut self.remainder_table)?;
-        self.grads_quo
-            .apply(opt, self.id_quo, &mut self.quotient_table)
-    }
-
-    fn output_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.vocab
-    }
-
-    fn param_count(&self) -> usize {
-        (self.m + self.quotient_rows) * self.part_dim
     }
 
     fn method_name(&self) -> &'static str {
@@ -220,37 +159,7 @@ impl EmbeddingCompressor for QuotientRemainder {
         }
     }
 
-    fn tables(&self) -> Vec<NamedTable<'_>> {
-        vec![
-            NamedTable {
-                name: "remainder",
-                tensor: &self.remainder_table,
-            },
-            NamedTable {
-                name: "quotient",
-                tensor: &self.quotient_table,
-            },
-        ]
-    }
-
-    fn tables_mut(&mut self) -> Vec<NamedTableMut<'_>> {
-        vec![
-            NamedTableMut {
-                name: "remainder",
-                tensor: &mut self.remainder_table,
-            },
-            NamedTableMut {
-                name: "quotient",
-                tensor: &mut self.quotient_table,
-            },
-        ]
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 }
@@ -279,8 +188,8 @@ mod tests {
         let qr = make(QrCombiner::Multiply);
         let out = qr.lookup(&[37]).unwrap();
         let (q, r) = qr.decompose(37);
-        let rem = qr.remainder_table.row(r).unwrap();
-        let quo = qr.quotient_table.row(q).unwrap();
+        let rem = qr.state.tables[0].row(r).unwrap();
+        let quo = qr.state.tables[1].row(q).unwrap();
         for ((o, &a), &b) in out.row(0).unwrap().iter().zip(rem).zip(quo) {
             assert!((o - a * b).abs() < 1e-6);
         }
@@ -293,9 +202,12 @@ mod tests {
         let (q, r) = qr.decompose(37);
         assert_eq!(
             &out.row(0).unwrap()[..4],
-            qr.remainder_table.row(r).unwrap()
+            qr.state.tables[0].row(r).unwrap()
         );
-        assert_eq!(&out.row(0).unwrap()[4..], qr.quotient_table.row(q).unwrap());
+        assert_eq!(
+            &out.row(0).unwrap()[4..],
+            qr.state.tables[1].row(q).unwrap()
+        );
     }
 
     #[test]
@@ -319,16 +231,16 @@ mod tests {
         qr.forward(&ids).unwrap();
         let g = Tensor::ones(&[1, 8]);
         let (q, r) = qr.decompose(37);
-        let rem_before = qr.remainder_table.row(r).unwrap().to_vec();
-        let quo_before = qr.quotient_table.row(q).unwrap().to_vec();
+        let rem_before = qr.state.tables[0].row(r).unwrap().to_vec();
+        let quo_before = qr.state.tables[1].row(q).unwrap().to_vec();
         qr.backward(&g).unwrap();
         let mut opt = memcom_nn::Sgd::new(1.0);
         qr.apply_gradients(&mut opt).unwrap();
         for i in 0..8 {
             let want_rem = rem_before[i] - quo_before[i];
             let want_quo = quo_before[i] - rem_before[i];
-            assert!((qr.remainder_table.row(r).unwrap()[i] - want_rem).abs() < 1e-6);
-            assert!((qr.quotient_table.row(q).unwrap()[i] - want_quo).abs() < 1e-6);
+            assert!((qr.state.tables[0].row(r).unwrap()[i] - want_rem).abs() < 1e-6);
+            assert!((qr.state.tables[1].row(q).unwrap()[i] - want_quo).abs() < 1e-6);
         }
     }
 

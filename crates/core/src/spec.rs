@@ -9,13 +9,12 @@ use rand::Rng;
 use crate::compressor::EmbeddingCompressor;
 use crate::double_hash::DoubleHashEmbedding;
 use crate::factorized::FactorizedEmbedding;
-use crate::full::FullEmbedding;
 use crate::memcom::{MemCom, MemComConfig};
-use crate::naive_hash::NaiveHashEmbedding;
 use crate::one_hot_hash::OneHotHashEncoder;
 use crate::quotient_remainder::{QrCombiner, QuotientRemainder};
-use crate::reduced_dim::ReducedDimEmbedding;
-use crate::truncate_rare::TruncateRareEmbedding;
+use crate::single_table::{
+    FullEmbedding, NaiveHashEmbedding, ReducedDimEmbedding, TruncateRareEmbedding,
+};
 use crate::Result;
 
 /// One embedding-compression configuration, as plotted in Figures 1–3.

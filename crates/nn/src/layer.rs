@@ -102,9 +102,6 @@ pub trait Layer {
     /// running statistics).
     fn as_any(&self) -> &dyn std::any::Any;
 
-    /// Mutable variant of [`Layer::as_any`].
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-
     /// Total number of trainable scalars in this layer.
     ///
     /// Takes `&mut self` because parameter access is routed through

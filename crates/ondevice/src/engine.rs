@@ -16,9 +16,6 @@
 
 use std::time::Instant;
 
-use memcom_core::hashing::seeded_hash;
-use memcom_core::one_hot_hash::ONE_HOT_SEED;
-
 use crate::compute::{ComputeUnit, WorkCounts};
 use crate::format::{EmbeddingKind, HeadOp, OnDeviceModel, TableMeta};
 use crate::pages::{PagedTable, DEFAULT_PAGE_SIZE};
@@ -366,17 +363,13 @@ impl InferenceSession {
         let e = self.meta.emb_dim;
         let m = self.meta.hash_size;
         debug_assert_eq!(act.len(), l * e);
+        // The id → row map is the one the compressor trained with.
+        let map = self.meta.embedding_kind.row_map(m);
         match self.meta.embedding_kind {
             EmbeddingKind::Full | EmbeddingKind::NaiveHash | EmbeddingKind::TruncateRare => {
                 let table = &self.meta.emb_tables[0];
                 for (pos, &id) in ids.iter().enumerate() {
-                    let row = match self.meta.embedding_kind {
-                        EmbeddingKind::Full => id,
-                        EmbeddingKind::NaiveHash => id % m,
-                        EmbeddingKind::TruncateRare => id.min(table.rows - 1),
-                        _ => unreachable!(),
-                    };
-                    self.read_row_into(table, row, &mut act[pos * e..(pos + 1) * e])?;
+                    self.read_row_into(table, map.row(id), &mut act[pos * e..(pos + 1) * e])?;
                 }
                 Ok(())
             }
@@ -387,7 +380,7 @@ impl InferenceSession {
                 let mut scalar = [0f32; 1];
                 for (pos, &id) in ids.iter().enumerate() {
                     let slot = &mut act[pos * e..(pos + 1) * e];
-                    self.read_row_into(shared, id % m, slot)?;
+                    self.read_row_into(shared, map.row(id), slot)?;
                     self.read_row_into(mult, id, &mut scalar)?;
                     let v = scalar[0];
                     match bias {
@@ -412,7 +405,7 @@ impl InferenceSession {
                 // representation").
                 let mut one_hot = vec![0f32; l * m];
                 for (pos, &id) in ids.iter().enumerate() {
-                    one_hot[pos * m + seeded_hash(id, m, ONE_HOT_SEED)] = 1.0;
+                    one_hot[pos * m + map.row(id)] = 1.0;
                 }
                 track_activation(work, one_hot.len());
                 // Dense [L, m] × [m, e] matmul: every kernel row is read

@@ -20,6 +20,8 @@
 //! checks every size it reads and every table's shape against the
 //! manifest, so the engine indexes a parsed model without re-checking.
 
+use memcom_core::hashing::RowMap;
+use memcom_core::one_hot_hash::ONE_HOT_SEED;
 use memcom_core::EmbeddingCompressor;
 use memcom_nn::{BatchNorm1d, Dense, Sequential};
 use memcom_tensor::Tensor;
@@ -77,6 +79,24 @@ impl EmbeddingKind {
             5 => EmbeddingKind::TruncateRare,
             _ => return Err(bad_format(format!("unknown embedding kind {tag}"))),
         })
+    }
+
+    /// The id → row map of this front end over a first table of
+    /// `hash_size` rows: the same [`RowMap`] the compressor behind
+    /// [`from_method_name`](Self::from_method_name) trains with.
+    pub fn row_map(self, hash_size: usize) -> RowMap {
+        match self {
+            EmbeddingKind::Full => RowMap::Identity,
+            EmbeddingKind::NaiveHash | EmbeddingKind::MemCom | EmbeddingKind::MemComBias => {
+                RowMap::Mod(hash_size)
+            }
+            EmbeddingKind::OneHotHash => RowMap::Seeded {
+                m: hash_size,
+                seed: ONE_HOT_SEED,
+            },
+            // `keep` kept rows, then the shared OOV row.
+            EmbeddingKind::TruncateRare => RowMap::Clamp(hash_size - 1),
+        }
     }
 
     /// Maps a compressor's `method_name` to a serializable kind.

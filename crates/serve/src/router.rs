@@ -74,6 +74,27 @@ pub(crate) struct ModelCounters {
     pub(crate) expired: AtomicU64,
 }
 
+impl ModelCounters {
+    /// The reader side of the contract: `(issued, requests, shed,
+    /// expired)` with the outcomes read first under `Acquire`, then
+    /// `issued`, so the inequality holds in what is returned.
+    fn read(&self) -> (u64, u64, u64, u64) {
+        let requests = self.requests.load(Ordering::Acquire);
+        let shed = self.shed.load(Ordering::Acquire);
+        let expired = self.expired.load(Ordering::Acquire);
+        // ORDERING: Relaxed is sufficient for `issued` *after* the
+        // Acquire loads above — every outcome increment was published
+        // with Release after its issue increment, so this load already
+        // observes at least the issues behind the outcomes read above.
+        let issued = self.issued.load(Ordering::Relaxed);
+        debug_assert!(
+            issued >= requests + shed + expired,
+            "counter contract violated: issued={issued} < requests={requests} + shed={shed} + expired={expired}"
+        );
+        (issued, requests, shed, expired)
+    }
+}
+
 /// Admission metadata every request carries: under
 /// [`AdmissionPolicy::Shed`] with a `request_deadline`, when the
 /// request was issued (stamped once per logical request, *before* any
@@ -344,22 +365,7 @@ impl RouterInner {
     fn stats_for(&self, entry: &ModelEntry) -> ServeStats {
         let b = &self.batch;
         let store = entry.snapshot();
-        // Outcomes first with `Acquire`, then `issued`: an observed
-        // outcome increment implies its issue increment is observed,
-        // so `issued >= requests + shed + expired` holds in every
-        // snapshot (see [`ModelCounters`]).
-        let requests = entry.counters.requests.load(Ordering::Acquire);
-        let shed = entry.counters.shed.load(Ordering::Acquire);
-        let expired = entry.counters.expired.load(Ordering::Acquire);
-        // ORDERING: Relaxed is sufficient for `issued` *after* the
-        // Acquire loads above — every outcome increment was published
-        // with Release after its issue increment, so this load already
-        // observes at least the issues behind the outcomes read above.
-        let issued = entry.counters.issued.load(Ordering::Relaxed);
-        debug_assert!(
-            issued >= requests + shed + expired,
-            "counter contract violated: issued={issued} < requests={requests} + shed={shed} + expired={expired}"
-        );
+        let (issued, requests, shed, expired) = entry.counters.read();
         ServeStats {
             issued,
             requests,
@@ -855,22 +861,7 @@ impl Router {
         let mut models: Vec<ModelMetrics> = entries
             .iter()
             .map(|entry| {
-                let c = &entry.counters;
-                // Same read discipline as `stats_for`: outcomes first
-                // with `Acquire`, then `issued`.
-                let requests = c.requests.load(Ordering::Acquire);
-                let shed = c.shed.load(Ordering::Acquire);
-                let expired = c.expired.load(Ordering::Acquire);
-                // ORDERING: Relaxed after the Acquire outcome loads —
-                // every outcome was Release-published after its issue,
-                // so this load covers the outcomes above (contract
-                // `issued >= requests + shed + expired`).
-                let issued = c.issued.load(Ordering::Relaxed);
-                debug_assert!(
-                    issued >= requests + shed + expired,
-                    "counter contract violated for {}: issued={issued} < requests={requests} + shed={shed} + expired={expired}",
-                    entry.name
-                );
+                let (issued, requests, shed, expired) = entry.counters.read();
                 let control = &entry.control;
                 ModelMetrics {
                     name: entry.name.clone(),
@@ -1362,6 +1353,7 @@ fn serve_batch(
                 });
             }
             let error = request.admission.deadline_error(now);
+            drop(request.store);
             request
                 .slot
                 .fail_with_buffers(request.ids, request.out, error);
@@ -1391,6 +1383,11 @@ fn serve_batch(
                 .fetch_add(n_rows as u64, Ordering::Release);
         }
         let timed = started.map(|started| (started, Instant::now()));
+        // Filling the slot wakes the caller, who may then expect a
+        // superseded snapshot to be gone: let go of this request's
+        // reference first, keeping only the dtype the stage timing needs.
+        let dtype = request.store.dtype();
+        drop(request.store);
         request.slot.fill(SlabOutcome {
             ids: request.ids,
             out: request.out,
@@ -1407,7 +1404,7 @@ fn serve_batch(
                 // for both.
                 let mut stages = shard_t.stages();
                 let fill_stage = match request.backend {
-                    None => &mut stages.decode[dtype_idx(request.store.dtype())],
+                    None => &mut stages.decode[dtype_idx(dtype)],
                     Some(_) => &mut stages.forward,
                 };
                 fill_stage.record(filled.saturating_duration_since(started).as_nanos() as u64);
