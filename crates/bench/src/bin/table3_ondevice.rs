@@ -4,6 +4,9 @@
 //! the simulated compute units — CoreML `all` / `cpuOnly` / `cpuAndGPU`
 //! and TF-Lite CPU — across all seven datasets, batch size 1, FP32, with
 //! the paper's fixed hash size of 10K (clamped for scaled vocabularies).
+//! After the paper's rows come the hashing baselines Table 3 leaves out —
+//! double hashing and both quotient–remainder variants at the same hash
+//! size — which deploy through the same recipe executor.
 //!
 //! Paper expectation: "MEmCom outperforms Weinberger's hashing trick for
 //! all computes on both smartphones … the memory footprint for MEmCom is
@@ -11,7 +14,10 @@
 //! one-hot path the slowest by an order of magnitude (~31 ms).
 
 use memcom_bench::harness::{banner, scaled_spec, HarnessArgs, ResultWriter};
-use memcom_core::{MemCom, MemComConfig, OneHotHashEncoder};
+use memcom_core::{
+    DoubleHashEmbedding, EmbeddingCompressor, MemCom, MemComConfig, OneHotHashEncoder, QrCombiner,
+    QuotientRemainder,
+};
 use memcom_data::DatasetSpec;
 use memcom_nn::{AveragePool1d, BatchNorm1d, Dense, Relu, Sequential};
 use memcom_ondevice::format::OnDeviceModel;
@@ -47,6 +53,9 @@ fn main() {
     }
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     writer.header(&header_refs);
+    // Rows of the techniques the paper's table does not have, written
+    // after all of its rows.
+    let mut appended: Vec<Vec<String>> = Vec::new();
 
     for base in DatasetSpec::all() {
         let spec = scaled_spec(&base, &args);
@@ -60,6 +69,11 @@ fn main() {
             MemCom::new(MemComConfig::new(vocab, e, m), &mut rng).expect("valid memcom config");
         let onehot = OneHotHashEncoder::new(vocab, e, m, &mut rng).expect("valid one-hot config");
         let h = head(e, classes, &mut rng);
+        let double_hash =
+            DoubleHashEmbedding::new(vocab, e, m, &mut rng).expect("valid double-hash config");
+        let [qr_mult, qr_concat] = [QrCombiner::Multiply, QrCombiner::Concat].map(|combiner| {
+            QuotientRemainder::new(vocab, e, m, combiner, &mut rng).expect("valid qr config")
+        });
 
         let mut ids_rng = StdRng::seed_from_u64(args.seed ^ 1);
         let queries: Vec<Vec<usize>> = (0..runs)
@@ -70,18 +84,16 @@ fn main() {
             })
             .collect();
 
-        for (label, bytes) in [
-            (
-                "memcom",
-                OnDeviceModel::serialize(&memcom, &h, spec.input_len, Dtype::F32)
-                    .expect("memcom serializes"),
-            ),
-            (
-                "weinberger",
-                OnDeviceModel::serialize(&onehot, &h, spec.input_len, Dtype::F32)
-                    .expect("one-hot serializes"),
-            ),
-        ] {
+        let methods: [(&str, &dyn EmbeddingCompressor); 5] = [
+            ("memcom", &memcom),
+            ("weinberger", &onehot),
+            ("double_hash", &double_hash),
+            ("qr_mult", &qr_mult),
+            ("qr_concat", &qr_concat),
+        ];
+        for (label, emb) in methods {
+            let bytes = OnDeviceModel::serialize(emb, &h, spec.input_len, Dtype::F32)
+                .expect("every technique serializes");
             let session = InferenceSession::new(OnDeviceModel::parse(bytes).expect("own bytes"));
             // Average over runs from a cold start, like the paper's
             // 1000-run averages (initialization excluded).
@@ -101,9 +113,17 @@ fn main() {
             for m in mem_maxes {
                 row.push(format!("{m:.2}"));
             }
-            let row_refs: Vec<&str> = row.iter().map(String::as_str).collect();
-            writer.row(&row_refs);
+            if matches!(label, "memcom" | "weinberger") {
+                let row_refs: Vec<&str> = row.iter().map(String::as_str).collect();
+                writer.row(&row_refs);
+            } else {
+                appended.push(row);
+            }
         }
+    }
+    for row in &appended {
+        let row_refs: Vec<&str> = row.iter().map(String::as_str).collect();
+        writer.row(&row_refs);
     }
     writer.flush().expect("results directory must be writable");
     println!("\nwrote results/table3_ondevice.tsv");

@@ -2,57 +2,61 @@
 //! [`EmbeddingCompressor`] trait.
 //!
 //! The paper presents MEmCom and every baseline it beats as the same
-//! lookup — one or two tables, an id → row map, a combine (Algorithms
+//! lookup — a few tables, an id → row map each, a combine (Algorithms
 //! 1–3) — and this module writes that shape down once. A technique
 //! supplies
 //!
 //! 1. its **tables**, as [`ParamTable`]s inside a [`CompressorState`]
 //!    (each table owns its gradient accumulator and optimizer key),
-//! 2. its **row map and combine**, as
-//!    [`row_into`](EmbeddingCompressor::row_into): which rows one id reads
-//!    and how they become the embedding,
+//! 2. its **recipe** ([`Recipe`]): one [`RowMap`](crate::hashing::RowMap)
+//!    per table and the [`Combine`](crate::recipe::Combine) over the rows
+//!    they select — data, not code, so the same recipe is executed here
+//!    in training, written into the on-device model file, and run by the
+//!    on-device engine and the serve store,
 //! 3. its **per-row backward**, as
-//!    [`accumulate_row`](EmbeddingCompressor::accumulate_row): the same
+//!    [`accumulate_row`](EmbeddingCompressor::accumulate_row): the
 //!    combine differentiated for one id,
 //!
-//! and the trait provides the rest — bounds checks, the batched `lookup`,
-//! the `forward`/`backward` id cache, per-table optimizer application,
-//! table enumeration and the parameter count.
+//! and the trait provides the rest — `row_into` (the recipe's executor
+//! over the tables), bounds checks, the batched `lookup`, the
+//! `forward`/`backward` id cache, per-table optimizer application, table
+//! enumeration and the parameter count.
 //!
 //! # Adding a technique
 //!
 //! Naive hashing (`E(i) = T[i mod m]`) is the worked example; it is what
-//! [`NaiveHashEmbedding`](crate::NaiveHashEmbedding) amounts to:
+//! [`NaiveHashEmbedding`](crate::NaiveHashEmbedding) amounts to. Nothing
+//! outside this block is needed for it to train, serialize with
+//! `memcom_ondevice::OnDeviceModel::serialize`, run on-device and serve:
 //!
 //! ```
 //! use memcom_core::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
+//! use memcom_core::hashing::RowMap;
+//! use memcom_core::recipe::{Combine, Recipe};
 //! use memcom_core::Result;
 //! use memcom_tensor::Tensor;
 //!
 //! struct NaiveHash {
 //!     state: CompressorState,
-//!     m: usize,
 //! }
 //!
 //! impl NaiveHash {
 //!     fn new(vocab: usize, dim: usize, m: usize) -> Self {
 //!         // 1. the tables (real code draws the initial values from an RNG)
 //!         let table = ParamTable::sparse("hashed", Tensor::ones(&[m, dim]));
-//!         NaiveHash { state: CompressorState::new(vocab, dim, vec![table]), m }
+//!         // 2. the recipe: row `id % m` of the one table, as it is
+//!         let recipe = Recipe::new([RowMap::Mod(m)], Combine::Row);
+//!         NaiveHash { state: CompressorState::new(vocab, dim, vec![table], recipe) }
 //!     }
 //! }
 //!
 //! impl EmbeddingCompressor for NaiveHash {
 //!     fn state(&self) -> &CompressorState { &self.state }
 //!     fn state_mut(&mut self) -> &mut CompressorState { &mut self.state }
-//!     // 2. row map (`id % m`) + combine (copy the row)
-//!     fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-//!         out.copy_from_slice(self.state.tables[0].row(id % self.m)?);
-//!         Ok(())
-//!     }
 //!     // 3. per-row backward: the whole gradient lands on the row read
 //!     fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()> {
-//!         self.state.tables[0].add_grad(id % self.m, grad);
+//!         let row = self.state.recipe().maps[0].row(id);
+//!         self.state.tables[0].add_grad(row, grad);
 //!         Ok(())
 //!     }
 //!     fn method_name(&self) -> &'static str { "naive_hash" }
@@ -74,6 +78,7 @@ use std::collections::HashMap;
 use memcom_nn::{Optimizer, ParamId};
 use memcom_tensor::Tensor;
 
+use crate::recipe::Recipe;
 use crate::{CoreError, Result};
 
 /// A named view of one weight table inside a compressor, used by the
@@ -209,12 +214,14 @@ impl ParamTable {
 }
 
 /// What every compressor holds besides its own hyperparameters: the
-/// tables, the output geometry, and the ids cached between `forward` and
-/// `backward`.
+/// tables, the recipe that reads them, the output geometry, and the ids
+/// cached between `forward` and `backward`.
 #[derive(Debug)]
 pub struct CompressorState {
-    /// The trainable tables, in serialization and optimizer-call order.
+    /// The trainable tables, in recipe, serialization and optimizer-call
+    /// order.
     pub tables: Vec<ParamTable>,
+    recipe: Recipe,
     vocab: usize,
     dim: usize,
     cached_ids: Option<Vec<usize>>,
@@ -222,14 +229,42 @@ pub struct CompressorState {
 
 impl CompressorState {
     /// State for a compressor embedding `vocab` ids into `dim` values
-    /// from `tables`.
-    pub fn new(vocab: usize, dim: usize, tables: Vec<ParamTable>) -> Self {
+    /// from `tables` read through `recipe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`Recipe::check`] rejects `recipe` over the shapes of
+    /// `tables` — the technique wrote both, so a mismatch is a bug in it.
+    pub fn new(vocab: usize, dim: usize, tables: Vec<ParamTable>, recipe: Recipe) -> Self {
+        let shapes: Vec<(usize, usize)> = tables
+            .iter()
+            .map(|t| (t.tensor.shape().dims()[0], t.tensor.shape().dims()[1]))
+            .collect();
+        recipe
+            .check(vocab, dim, &shapes)
+            .expect("the recipe reads exactly its tables");
         CompressorState {
             tables,
+            recipe,
             vocab,
             dim,
             cached_ids: None,
         }
+    }
+
+    /// How an id becomes a row of these tables.
+    pub fn recipe(&self) -> &Recipe {
+        &self.recipe
+    }
+
+    /// Runs the recipe over the tables: the embedding of one `id` into
+    /// `out`, unchecked (see [`Recipe::row_into`] for `scratch`).
+    fn row_into(&self, id: usize, scratch: &mut Vec<f32>, out: &mut [f32]) -> Result<()> {
+        let read = |k: usize, r: usize, buf: &mut [f32]| {
+            buf.copy_from_slice(self.tables[k].row(r)?);
+            Ok(())
+        };
+        self.recipe.row_into(id, read, scratch, out)
     }
 
     /// Takes the ids cached by the last `forward` and checks `grad_out`
@@ -277,15 +312,6 @@ pub trait EmbeddingCompressor: Send + Sync {
     /// Mutable access to the shared state.
     fn state_mut(&mut self) -> &mut CompressorState;
 
-    /// The technique's row map and combine: writes the embedding of one
-    /// `id` into `out`, overwriting it. Callers have checked
-    /// `id < vocab_size()` and `out.len() == output_dim()`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates table-read errors (which indicate internal bugs).
-    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()>;
-
     /// The technique's per-row backward: accumulates into its tables the
     /// gradients of one looked-up `id`, given `grad = ∂L/∂E(id)`
     /// (`output_dim()` values).
@@ -301,6 +327,21 @@ pub trait EmbeddingCompressor: Send + Sync {
     /// Upcast for downcasting to the concrete compressor type (used by
     /// audits and serialization round-trips).
     fn as_any(&self) -> &dyn std::any::Any;
+
+    /// The technique's recipe run over its tables: writes the embedding
+    /// of one `id` into `out`, overwriting it. Callers have checked
+    /// `id < vocab_size()` and `out.len() == output_dim()`.
+    ///
+    /// Not a customization point: the model file, the on-device engine
+    /// and the serve store execute [`CompressorState::recipe`], so an
+    /// override would only make training disagree with them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates table-read errors (which indicate internal bugs).
+    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
+        self.state().row_into(id, &mut Vec::new(), out)
+    }
 
     /// Writes the embedding row for one `id` into `out` without
     /// allocating. `out.len()` must equal
@@ -329,8 +370,9 @@ pub trait EmbeddingCompressor: Send + Sync {
         check_ids(ids, self.vocab_size())?;
         let dim = self.output_dim();
         let mut data = vec![0f32; ids.len() * dim];
+        let mut scratch = Vec::new();
         for (&id, out) in ids.iter().zip(data.chunks_exact_mut(dim)) {
-            self.row_into(id, out)?;
+            self.state().row_into(id, &mut scratch, out)?;
         }
         Ok(Tensor::from_vec(data, &[ids.len(), dim])?)
     }
@@ -526,7 +568,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Every technique's backward is the derivative of its `row_into`.
+    /// Every technique's backward is the derivative of its recipe.
     /// The analytic gradient is read off as the movement of each table
     /// under `Sgd::new(1.0)`; the numeric one is a central difference of
     /// `loss = Σ lookup(ids) ⊙ w` in every single table element.

@@ -5,6 +5,7 @@ use rand::Rng;
 
 use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
 use crate::hashing::RowMap;
+use crate::recipe::{Combine, Recipe};
 use crate::{CoreError, Result};
 
 /// Frequency-based double hashing: two *independent* hash functions index
@@ -14,10 +15,8 @@ use crate::{CoreError, Result};
 /// guaranteed, unlike MEmCom.
 #[derive(Debug)]
 pub struct DoubleHashEmbedding {
-    /// The two `m × e/2` tables, each read through its own map.
+    /// The two `m × e/2` tables, each read through its own seeded map.
     state: CompressorState,
-    maps: [RowMap; 2],
-    half: usize,
 }
 
 impl DoubleHashEmbedding {
@@ -55,16 +54,16 @@ impl DoubleHashEmbedding {
         let tables = ["hashed_a", "hashed_b"]
             .map(|name| ParamTable::sparse(name, init::embedding_uniform(&[hash_size, half], rng)));
         let maps = [0x5EEDA, 0x5EEDB].map(|seed| RowMap::Seeded { m: hash_size, seed });
+        let recipe = Recipe::new(maps, Combine::Concat);
         Ok(DoubleHashEmbedding {
-            state: CompressorState::new(vocab, dim, tables.into()),
-            maps,
-            half,
+            state: CompressorState::new(vocab, dim, tables.into(), recipe),
         })
     }
 
     /// The two bucket indices for `id`.
     pub fn buckets(&self, id: usize) -> (usize, usize) {
-        (self.maps[0].row(id), self.maps[1].row(id))
+        let maps = &self.state.recipe().maps;
+        (maps[0].row(id), maps[1].row(id))
     }
 }
 
@@ -77,17 +76,11 @@ impl EmbeddingCompressor for DoubleHashEmbedding {
         &mut self.state
     }
 
-    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        let (a, b) = self.buckets(id);
-        out[..self.half].copy_from_slice(self.state.tables[0].row(a)?);
-        out[self.half..].copy_from_slice(self.state.tables[1].row(b)?);
-        Ok(())
-    }
-
     fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
         let (a, b) = self.buckets(id);
-        self.state.tables[0].add_grad(a, &g[..self.half]);
-        self.state.tables[1].add_grad(b, &g[self.half..]);
+        let (first, second) = g.split_at(g.len() / 2);
+        self.state.tables[0].add_grad(a, first);
+        self.state.tables[1].add_grad(b, second);
         Ok(())
     }
 

@@ -4,6 +4,8 @@ use memcom_tensor::init;
 use rand::Rng;
 
 use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
+use crate::hashing::RowMap;
+use crate::recipe::{Combine, Recipe};
 use crate::{CoreError, Result};
 
 /// Low-rank factorization `E ≈ A·B` with `A ∈ ℝ^{v×h}`, `B ∈ ℝ^{h×e}`,
@@ -50,8 +52,9 @@ impl FactorizedEmbedding {
             ParamTable::sparse("codes", codes),
             ParamTable::dense("projection", projection),
         ];
+        let recipe = Recipe::new([RowMap::Identity], Combine::Project { hidden });
         Ok(FactorizedEmbedding {
-            state: CompressorState::new(vocab, dim, tables),
+            state: CompressorState::new(vocab, dim, tables, recipe),
             hidden,
         })
     }
@@ -69,20 +72,6 @@ impl EmbeddingCompressor for FactorizedEmbedding {
 
     fn state_mut(&mut self) -> &mut CompressorState {
         &mut self.state
-    }
-
-    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        out.fill(0.0);
-        let projection = &self.state.tables[1];
-        for (h, &c) in self.state.tables[0].row(id)?.iter().enumerate() {
-            if c == 0.0 {
-                continue;
-            }
-            for (o, &b) in out.iter_mut().zip(projection.row(h)?) {
-                *o += c * b;
-            }
-        }
-        Ok(())
     }
 
     fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {

@@ -51,8 +51,8 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Which table row an id reads: the one definition of "id → row" that the
-/// compressors train with and the on-device engine serves with.
+/// Which table row an id reads: the one definition of "id → row", held
+/// per table by a [`Recipe`](crate::recipe::Recipe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowMap {
     /// `id` — one row per entity (uncompressed, reduced dim).
@@ -70,6 +70,9 @@ pub enum RowMap {
         /// Hash seed; distinct seeds give independent bucketings.
         seed: u64,
     },
+    /// `id / m` — the quotient table of quotient–remainder, beside a
+    /// `Mod(m)` remainder table.
+    Div(usize),
 }
 
 impl RowMap {
@@ -77,7 +80,7 @@ impl RowMap {
     ///
     /// # Panics
     ///
-    /// Panics on a hashed map with zero rows.
+    /// Panics on a zero modulus or divisor.
     #[inline]
     pub fn row(self, id: usize) -> usize {
         match self {
@@ -85,6 +88,18 @@ impl RowMap {
             RowMap::Mod(m) => mod_hash(id, m),
             RowMap::Clamp(keep) => id.min(keep),
             RowMap::Seeded { m, seed } => seeded_hash(id, m, seed),
+            RowMap::Div(m) => id / m,
+        }
+    }
+
+    /// How many rows the ids `0..vocab` can read — the row count of the
+    /// table behind this map — or `None` for a zero modulus or divisor.
+    pub fn rows(self, vocab: usize) -> Option<usize> {
+        match self {
+            RowMap::Identity => Some(vocab),
+            RowMap::Mod(m) | RowMap::Seeded { m, .. } => (m > 0).then_some(m),
+            RowMap::Clamp(keep) => keep.checked_add(1),
+            RowMap::Div(m) => (m > 0).then(|| vocab.div_ceil(m)),
         }
     }
 }
@@ -114,6 +129,29 @@ mod tests {
         let m = 100;
         let buckets: HashSet<usize> = (0..m).map(|i| mod_hash(i, m)).collect();
         assert_eq!(buckets.len(), m);
+    }
+
+    #[test]
+    fn row_maps_stay_inside_the_row_count_they_report() {
+        let vocab = 45;
+        for map in [
+            RowMap::Identity,
+            RowMap::Mod(10),
+            RowMap::Clamp(10),
+            RowMap::Seeded { m: 7, seed: 3 },
+            RowMap::Div(10),
+        ] {
+            let rows = map.rows(vocab).unwrap();
+            let top = (0..vocab).map(|id| map.row(id)).max().unwrap();
+            assert!(top < rows, "{map:?}: row {top} of {rows}");
+            if !matches!(map, RowMap::Seeded { .. }) {
+                assert_eq!(top + 1, rows, "{map:?} leaves rows unused");
+            }
+        }
+        assert_eq!(RowMap::Div(10).rows(vocab), Some(5));
+        assert_eq!(RowMap::Mod(0).rows(vocab), None);
+        assert_eq!(RowMap::Div(0).rows(vocab), None);
+        assert_eq!(RowMap::Clamp(usize::MAX).rows(vocab), None);
     }
 
     #[test]

@@ -16,16 +16,20 @@
 //! | [`OneHotHashEncoder`] | Weinberger feature hashing (Table 3 baseline) |
 //!
 //! All implementations share one skeleton ([`compressor`]): a technique is
-//! its tables ([`ParamTable`]), its id → row map and combine
-//! ([`EmbeddingCompressor::row_into`]) and the same combine differentiated
-//! for one id ([`EmbeddingCompressor::accumulate_row`]). The
+//! its tables ([`ParamTable`]), its [`Recipe`] — one [`hashing::RowMap`]
+//! per table and one [`Combine`] over the rows they select, executed by
+//! the single [`Recipe::row_into`] — and that combine differentiated for
+//! one id ([`EmbeddingCompressor::accumulate_row`]). The
 //! [`EmbeddingCompressor`] trait provides everything else once — the
 //! id-batch `lookup`, the `forward`/`backward` id cache, the sparse
 //! gradient path, optimizer application that touches only the rows used in
-//! the batch, and table enumeration. The four one-table techniques
-//! (uncompressed, naive hashing, truncate-rare, reduced dim) are one type,
-//! [`SingleTable`], parameterised by a [`hashing::RowMap`]. Adding a
-//! technique is a constructor plus those two methods; the [`compressor`]
+//! the batch, and table enumeration. Because the recipe is data, it is
+//! also what `memcom-ondevice` writes into a model file and executes on
+//! device and what `memcom-serve` chooses its store layout from: nothing
+//! outside [`recipe`] knows how any technique turns an id into a row. The
+//! four one-table techniques (uncompressed, naive hashing, truncate-rare,
+//! reduced dim) are one type, [`SingleTable`]. Adding a technique is a
+//! constructor (tables + recipe) plus `accumulate_row`; the [`compressor`]
 //! module docs walk through naive hashing as the worked example.
 //!
 //! Supporting analysis lives alongside: closed-form collision rates from §4
@@ -60,6 +64,7 @@ pub mod hashing;
 pub mod memcom;
 pub mod one_hot_hash;
 pub mod quotient_remainder;
+pub mod recipe;
 pub mod single_table;
 pub mod spec;
 pub mod uniqueness;
@@ -71,6 +76,7 @@ pub use factorized::FactorizedEmbedding;
 pub use memcom::{MemCom, MemComConfig};
 pub use one_hot_hash::OneHotHashEncoder;
 pub use quotient_remainder::{QrCombiner, QuotientRemainder};
+pub use recipe::{Combine, Recipe};
 pub use single_table::{
     FullEmbedding, NaiveHashEmbedding, ReducedDimEmbedding, SingleTable, TruncateRareEmbedding,
 };

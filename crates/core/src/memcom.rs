@@ -19,6 +19,7 @@ use rand::Rng;
 
 use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
 use crate::hashing::RowMap;
+use crate::recipe::{Combine, Recipe};
 use crate::{CoreError, Result};
 
 /// Configuration for a [`MemCom`] layer.
@@ -114,14 +115,19 @@ impl MemCom {
             ParamTable::sparse("shared", shared),
             ParamTable::sparse("multiplier", multiplier),
         ];
+        let mut maps = vec![RowMap::Mod(config.hash_size), RowMap::Identity];
+        let mut combine = Combine::ScaleMul;
         if config.bias {
             tables.push(ParamTable::sparse(
                 "bias",
                 Tensor::zeros(&[config.vocab, 1]),
             ));
+            maps.push(RowMap::Identity);
+            combine = Combine::ScaleAdd;
         }
+        let recipe = Recipe::new(maps, combine);
         Ok(MemCom {
-            state: CompressorState::new(config.vocab, config.dim, tables),
+            state: CompressorState::new(config.vocab, config.dim, tables, recipe),
             config,
         })
     }
@@ -141,14 +147,9 @@ impl MemCom {
         self.state.tables[1].tensor()
     }
 
-    /// Borrows the bias table `W` when configured.
-    pub fn bias_table(&self) -> Option<&Tensor> {
-        self.state.tables.get(2).map(ParamTable::tensor)
-    }
-
     /// The hash bucket for entity `i` (`i mod m`, Algorithm 2 line 2).
     pub fn bucket(&self, id: usize) -> usize {
-        RowMap::Mod(self.config.hash_size).row(id)
+        self.state.recipe().maps[0].row(id)
     }
 
     /// Restores table contents (deserialization).
@@ -187,25 +188,6 @@ impl EmbeddingCompressor for MemCom {
 
     fn state_mut(&mut self) -> &mut CompressorState {
         &mut self.state
-    }
-
-    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        let u = self.state.tables[0].row(self.bucket(id))?;
-        let v = self.multiplier_table().as_slice()[id];
-        match self.bias_table() {
-            Some(w) => {
-                let b = w.as_slice()[id];
-                for (o, &x) in out.iter_mut().zip(u) {
-                    *o = x * v + b;
-                }
-            }
-            None => {
-                for (o, &x) in out.iter_mut().zip(u) {
-                    *o = x * v;
-                }
-            }
-        }
-        Ok(())
     }
 
     fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {

@@ -5,11 +5,10 @@ use rand::Rng;
 
 use crate::compressor::{check_ids, CompressorState, EmbeddingCompressor, ParamTable};
 use crate::hashing::RowMap;
+use crate::recipe::{Combine, Recipe};
 use crate::{CoreError, Result};
 
-/// The fixed hash seed used by every [`OneHotHashEncoder`]; exposed so the
-/// on-device engine can reproduce the same bucketing from serialized
-/// weights alone.
+/// The fixed hash seed used by every [`OneHotHashEncoder`].
 pub const ONE_HOT_SEED: u64 = 0x0E1_407;
 
 /// Weinberger et al. (2009) feature hashing as the paper benchmarks it on
@@ -25,9 +24,8 @@ pub const ONE_HOT_SEED: u64 = 0x0E1_407;
 /// measures the honest cost.
 #[derive(Debug)]
 pub struct OneHotHashEncoder {
-    /// The dense `m × e` kernel.
+    /// The dense `m × e` kernel, read through a seeded map.
     state: CompressorState,
-    map: RowMap,
 }
 
 impl OneHotHashEncoder {
@@ -50,18 +48,19 @@ impl OneHotHashEncoder {
             });
         }
         let kernel = ParamTable::dense("kernel", init::glorot_uniform(hash_size, dim, rng));
+        let map = RowMap::Seeded {
+            m: hash_size,
+            seed: ONE_HOT_SEED,
+        };
+        let recipe = Recipe::new([map], Combine::OneHotMatmul);
         Ok(OneHotHashEncoder {
-            state: CompressorState::new(vocab, dim, vec![kernel]),
-            map: RowMap::Seeded {
-                m: hash_size,
-                seed: ONE_HOT_SEED,
-            },
+            state: CompressorState::new(vocab, dim, vec![kernel], recipe),
         })
     }
 
     /// The hash bucket for `id`.
     pub fn bucket(&self, id: usize) -> usize {
-        self.map.row(id)
+        self.state.recipe().maps[0].row(id)
     }
 
     /// Materializes the `[ids.len(), hash_size]` one-hot matrix — the
@@ -90,11 +89,6 @@ impl EmbeddingCompressor for OneHotHashEncoder {
         // Deliberate full one-hot × kernel matmul; see the type docs.
         let one_hot = self.encode_one_hot(ids)?;
         Ok(ops::matmul(&one_hot, self.state.tables[0].tensor())?)
-    }
-
-    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        out.copy_from_slice(self.lookup(&[id])?.as_slice());
-        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<()> {

@@ -4,6 +4,8 @@ use memcom_tensor::{init, Tensor};
 use rand::Rng;
 
 use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
+use crate::hashing::RowMap;
+use crate::recipe::{Combine, Recipe};
 use crate::{CoreError, Result};
 
 /// How the remainder and quotient embeddings are composed.
@@ -27,8 +29,6 @@ pub struct QuotientRemainder {
     /// `U` (remainder, `m × e'`) then `V` (quotient, `⌈v/m⌉ × e'`).
     state: CompressorState,
     combiner: QrCombiner,
-    part_dim: usize,
-    m: usize,
 }
 
 impl QuotientRemainder {
@@ -86,17 +86,21 @@ impl QuotientRemainder {
             ParamTable::sparse("remainder", remainder),
             ParamTable::sparse("quotient", quotient),
         ];
+        let combine = match combiner {
+            QrCombiner::Multiply => Combine::Mul,
+            QrCombiner::Concat => Combine::Concat,
+        };
+        let recipe = Recipe::new([RowMap::Mod(m), RowMap::Div(m)], combine);
         Ok(QuotientRemainder {
-            state: CompressorState::new(vocab, dim, tables),
+            state: CompressorState::new(vocab, dim, tables, recipe),
             combiner,
-            part_dim,
-            m,
         })
     }
 
     /// Decomposes an id into `(quotient, remainder)`.
     pub fn decompose(&self, id: usize) -> (usize, usize) {
-        (id / self.m, id % self.m)
+        let maps = &self.state.recipe().maps;
+        (maps[1].row(id), maps[0].row(id))
     }
 
     /// The configured combiner.
@@ -114,24 +118,6 @@ impl EmbeddingCompressor for QuotientRemainder {
         &mut self.state
     }
 
-    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        let (q, r) = self.decompose(id);
-        let rem = self.state.tables[0].row(r)?;
-        let quo = self.state.tables[1].row(q)?;
-        match self.combiner {
-            QrCombiner::Multiply => {
-                for (o, (&a, &b)) in out.iter_mut().zip(rem.iter().zip(quo)) {
-                    *o = a * b;
-                }
-            }
-            QrCombiner::Concat => {
-                out[..self.part_dim].copy_from_slice(rem);
-                out[self.part_dim..].copy_from_slice(quo);
-            }
-        }
-        Ok(())
-    }
-
     fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
         let (q, r) = self.decompose(id);
         let tables = &mut self.state.tables;
@@ -145,8 +131,9 @@ impl EmbeddingCompressor for QuotientRemainder {
                 tables[1].add_grad(q, &dv);
             }
             QrCombiner::Concat => {
-                tables[0].add_grad(r, &g[..self.part_dim]);
-                tables[1].add_grad(q, &g[self.part_dim..]);
+                let (rem, quo) = g.split_at(g.len() / 2);
+                tables[0].add_grad(r, rem);
+                tables[1].add_grad(q, quo);
             }
         }
         Ok(())

@@ -1,0 +1,313 @@
+//! One recipe for a row: which rows of which tables an id reads, and how
+//! they become its embedding.
+//!
+//! Every technique in the paper's evaluation has the same shape — `k`
+//! tables, one id → row map each, one combine (MEmCom's
+//! `U[i mod m] ⊙ V[i] + W[i]` is `[Mod(m), Identity, Identity]` under
+//! [`Combine::ScaleAdd`]) — and a [`Recipe`] is that shape as data. It is
+//! the only place the decision "how an id becomes a row" is written:
+//! training ([`EmbeddingCompressor::row_into`]), the on-device model file
+//! (which carries the recipe in its header), the on-device engine and the
+//! serve store all run [`Recipe::row_into`] over their own table storage;
+//! nothing outside this module re-derives a combine.
+//!
+//! [`EmbeddingCompressor::row_into`]: crate::EmbeddingCompressor::row_into
+
+use crate::hashing::RowMap;
+use crate::{CoreError, Result};
+
+/// How the rows an id reads become its embedding of `e` values. Tables
+/// are numbered in [`Recipe::maps`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Combine {
+    /// `T0[r0]` — one `e`-wide table (uncompressed, naive hashing,
+    /// truncate-rare, reduced dim).
+    Row,
+    /// `T0[r0] · T1[r1]` with `T1` one scalar per row (MEmCom, Alg. 2).
+    ScaleMul,
+    /// `T0[r0] · T1[r1] + T2[r2]` with scalar `T1`, `T2` (MEmCom, Alg. 3).
+    ScaleAdd,
+    /// `T0[r0] ⊙ T1[r1]`, both `e` wide (quotient–remainder, multiply).
+    Mul,
+    /// `T0[r0] ‖ T1[r1] ‖ …`, `k` tables of `e / k` columns each (double
+    /// hashing, quotient–remainder concat, compositional codes).
+    Concat,
+    /// `T0[r0] · T1`: a `hidden`-wide code lifted by the whole
+    /// `hidden × e` projection table, which follows the mapped tables and
+    /// has no map of its own (factorized embedding).
+    Project {
+        /// Code width = projection rows.
+        hidden: usize,
+    },
+    /// `onehot(r0) · T0` — the same row [`Row`](Self::Row) reads, as the
+    /// single non-zero term of the matmul. A runtime that models the dense
+    /// product (the on-device engine, §5.3) charges for the whole kernel.
+    OneHotMatmul,
+}
+
+impl Combine {
+    /// Floating-point operations [`Recipe::row_into`] spends on one row of
+    /// `dim` values.
+    pub fn flops(self, dim: usize) -> usize {
+        match self {
+            Combine::Row | Combine::Concat => 0,
+            Combine::ScaleMul | Combine::Mul => dim,
+            Combine::ScaleAdd | Combine::OneHotMatmul => 2 * dim,
+            Combine::Project { hidden } => 2 * hidden * dim,
+        }
+    }
+}
+
+/// A technique's lookup as data: one [`RowMap`] per id-indexed table and
+/// the [`Combine`] over the rows they select.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Recipe {
+    /// `maps[k]` picks the row of table `k` an id reads.
+    pub maps: Vec<RowMap>,
+    /// What the selected rows become.
+    pub combine: Combine,
+}
+
+impl Recipe {
+    /// A recipe over `maps` combined by `combine`.
+    pub fn new(maps: impl Into<Vec<RowMap>>, combine: Combine) -> Self {
+        Recipe {
+            maps: maps.into(),
+            combine,
+        }
+    }
+
+    /// Tables the recipe reads: one per map, plus
+    /// [`Project`](Combine::Project)'s projection.
+    pub fn table_count(&self) -> usize {
+        self.maps.len() + usize::from(matches!(self.combine, Combine::Project { .. }))
+    }
+
+    /// Checks that tables of the given `(rows, cols)` shapes are exactly
+    /// what this recipe reads for ids `0..vocab` and `dim` output values:
+    /// the part count the combine takes, every map's row range, and
+    /// column widths that compose to `dim`. A recipe that passes can be
+    /// executed over those tables without a bounds failure.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BadConfig`] showing the recipe and the shapes.
+    pub fn check(&self, vocab: usize, dim: usize, shapes: &[(usize, usize)]) -> Result<()> {
+        let parts = self.maps.len();
+        let parts_fit = match self.combine {
+            Combine::Row | Combine::OneHotMatmul | Combine::Project { .. } => parts == 1,
+            Combine::ScaleMul | Combine::Mul => parts == 2,
+            Combine::ScaleAdd => parts == 3,
+            Combine::Concat => parts > 0 && dim.is_multiple_of(parts),
+        };
+        let table_fits = |(k, map): (usize, &RowMap)| {
+            let cols = match self.combine {
+                Combine::ScaleMul | Combine::ScaleAdd if k > 0 => 1,
+                Combine::Concat => dim / parts,
+                Combine::Project { hidden } => hidden,
+                _ => dim,
+            };
+            cols > 0 && map.rows(vocab).map(|rows| (rows, cols)) == Some(shapes[k])
+        };
+        let projection_fits = match self.combine {
+            Combine::Project { hidden } => shapes.last() == Some(&(hidden, dim)),
+            _ => true,
+        };
+        let fits = vocab > 0
+            && dim > 0
+            && parts_fit
+            && shapes.len() == self.table_count()
+            && self.maps.iter().enumerate().all(table_fits)
+            && projection_fits;
+        if fits {
+            return Ok(());
+        }
+        Err(CoreError::BadConfig {
+            context: format!(
+                "{self:?} does not read tables shaped {shapes:?} as {vocab} ids of {dim} values"
+            ),
+        })
+    }
+
+    /// The one executor: writes the embedding of `id` into `out`
+    /// (`dim` values, overwritten). `read_row(k, r, buf)` fills `buf` with
+    /// row `r` of table `k` — `buf.len()` is that table's width — from
+    /// whatever storage the caller keeps its tables in. `scratch` holds
+    /// the second operand of [`Mul`](Combine::Mul) /
+    /// [`Project`](Combine::Project) / [`OneHotMatmul`](Combine::OneHotMatmul)
+    /// and is untouched by the other combines, so a caller that reuses it
+    /// reads rows without allocating.
+    ///
+    /// The loops are plain multiply-then-add (no FMA) in a fixed order:
+    /// every caller gets the same bits from the same table values. The
+    /// caller has [`check`](Self::check)ed the recipe against its tables
+    /// and `id` against its vocabulary.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `read_row`'s error.
+    pub fn row_into<E>(
+        &self,
+        id: usize,
+        mut read_row: impl FnMut(usize, usize, &mut [f32]) -> std::result::Result<(), E>,
+        scratch: &mut Vec<f32>,
+        out: &mut [f32],
+    ) -> std::result::Result<(), E> {
+        let row = |k: usize| self.maps[k].row(id);
+        let mut scalar = [0f32; 1];
+        match self.combine {
+            Combine::Row => read_row(0, row(0), out)?,
+            Combine::ScaleMul => {
+                read_row(0, row(0), out)?;
+                read_row(1, row(1), &mut scalar)?;
+                let v = scalar[0];
+                out.iter_mut().for_each(|x| *x *= v);
+            }
+            Combine::ScaleAdd => {
+                read_row(0, row(0), out)?;
+                read_row(1, row(1), &mut scalar)?;
+                let v = scalar[0];
+                read_row(2, row(2), &mut scalar)?;
+                let w = scalar[0];
+                out.iter_mut().for_each(|x| *x = *x * v + w);
+            }
+            Combine::Mul => {
+                read_row(0, row(0), out)?;
+                scratch.resize(out.len(), 0.0);
+                read_row(1, row(1), scratch)?;
+                out.iter_mut().zip(&*scratch).for_each(|(x, &b)| *x *= b);
+            }
+            Combine::Concat => {
+                let width = out.len() / self.maps.len();
+                for (k, part) in out.chunks_exact_mut(width).enumerate() {
+                    read_row(k, row(k), part)?;
+                }
+            }
+            Combine::Project { hidden } => {
+                scratch.resize(hidden + out.len(), 0.0);
+                let (code, lift) = scratch.split_at_mut(hidden);
+                read_row(0, row(0), code)?;
+                out.fill(0.0);
+                for (h, &c) in code.iter().enumerate() {
+                    read_row(1, h, lift)?;
+                    out.iter_mut().zip(&*lift).for_each(|(x, &b)| *x += c * b);
+                }
+            }
+            Combine::OneHotMatmul => {
+                scratch.resize(out.len(), 0.0);
+                read_row(0, row(0), scratch)?;
+                out.iter_mut()
+                    .zip(&*scratch)
+                    .for_each(|(x, &k)| *x = 0.0 + 1.0 * k);
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Table `k`, row `r` holds `10·k + r + 0.5·c` in column `c`.
+    fn read(k: usize, r: usize, buf: &mut [f32]) -> std::result::Result<(), ()> {
+        for (c, x) in buf.iter_mut().enumerate() {
+            *x = (10 * k + r) as f32 + 0.5 * c as f32;
+        }
+        Ok(())
+    }
+
+    fn run(recipe: &Recipe, id: usize, dim: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; dim];
+        recipe
+            .row_into(id, read, &mut Vec::new(), &mut out)
+            .unwrap();
+        out
+    }
+
+    #[test]
+    fn executor_matches_the_closed_form_of_every_combine() {
+        let id = 7;
+        let m = RowMap::Mod(3); // row 1
+        let i = RowMap::Identity; // row 7
+        let d = RowMap::Div(3); // row 2
+        let recipe = |maps: &[RowMap], combine| Recipe::new(maps, combine);
+        assert_eq!(run(&recipe(&[m], Combine::Row), id, 2), [1.0, 1.5]);
+        assert_eq!(run(&recipe(&[m], Combine::OneHotMatmul), id, 2), [1.0, 1.5]);
+        // u · v with v = T1[7][0] = 17.
+        assert_eq!(
+            run(&recipe(&[m, i], Combine::ScaleMul), id, 2),
+            [17.0, 25.5]
+        );
+        // … + w with w = T2[7][0] = 27.
+        assert_eq!(
+            run(&recipe(&[m, i, i], Combine::ScaleAdd), id, 2),
+            [44.0, 52.5]
+        );
+        // T0[1] ⊙ T1[2].
+        assert_eq!(
+            run(&recipe(&[m, d], Combine::Mul), id, 2),
+            [12.0, 1.5 * 12.5]
+        );
+        // T0[1] ‖ T1[2] ‖ T2[7], one column each.
+        assert_eq!(
+            run(&recipe(&[m, d, i], Combine::Concat), id, 3),
+            [1.0, 12.0, 27.0]
+        );
+        // code T0[1] = [1, 1.5] lifted by T1 rows 0 and 1.
+        let projected = run(&recipe(&[m], Combine::Project { hidden: 2 }), id, 2);
+        assert_eq!(
+            projected,
+            [1.0 * 10.0 + 1.5 * 11.0, 1.0 * 10.5 + 1.5 * 11.5]
+        );
+    }
+
+    #[test]
+    fn one_hot_matmul_normalises_negative_zero_like_the_dense_product() {
+        let minus_zero = |_: usize, _: usize, buf: &mut [f32]| -> std::result::Result<(), ()> {
+            buf.fill(-0.0);
+            Ok(())
+        };
+        let mut out = [f32::NAN; 2];
+        let scratch = &mut Vec::new();
+        let recipe = Recipe::new([RowMap::Mod(3)], Combine::OneHotMatmul);
+        recipe.row_into(1, minus_zero, scratch, &mut out).unwrap();
+        assert!(out.iter().all(|x| x.to_bits() == 0));
+        let recipe = Recipe::new([RowMap::Mod(3)], Combine::Row);
+        recipe.row_into(1, minus_zero, scratch, &mut out).unwrap();
+        assert!(out.iter().all(|x| x.to_bits() == (-0.0f32).to_bits()));
+    }
+
+    #[test]
+    fn check_accepts_exact_shapes_and_names_each_mismatch() {
+        let memcom = Recipe::new(
+            [RowMap::Mod(10), RowMap::Identity, RowMap::Identity],
+            Combine::ScaleAdd,
+        );
+        let shapes = [(10, 8), (50, 1), (50, 1)];
+        memcom.check(50, 8, &shapes).unwrap();
+        for (case, vocab, dim, shapes) in [
+            ("shared rows", 50, 8, vec![(11, 8), (50, 1), (50, 1)]),
+            ("scalar width", 50, 8, vec![(10, 8), (50, 2), (50, 1)]),
+            ("scalar rows", 50, 8, vec![(10, 8), (49, 1), (50, 1)]),
+            ("missing bias", 50, 8, vec![(10, 8), (50, 1)]),
+            ("dim", 50, 4, shapes.to_vec()),
+            ("empty vocabulary", 0, 8, shapes.to_vec()),
+        ] {
+            assert!(memcom.check(vocab, dim, &shapes).is_err(), "{case}");
+        }
+        let qr = Recipe::new([RowMap::Mod(10), RowMap::Div(10)], Combine::Concat);
+        qr.check(45, 8, &[(10, 4), (5, 4)]).unwrap();
+        assert!(
+            qr.check(45, 8, &[(10, 4), (4, 4)]).is_err(),
+            "quotient rows"
+        );
+        assert!(qr.check(45, 7, &[(10, 4), (5, 4)]).is_err(), "odd dim");
+        let zero = Recipe::new([RowMap::Mod(0)], Combine::Row);
+        assert!(zero.check(45, 8, &[(0, 8)]).is_err(), "zero modulus");
+        let low_rank = Recipe::new([RowMap::Identity], Combine::Project { hidden: 2 });
+        low_rank.check(45, 8, &[(45, 2), (2, 8)]).unwrap();
+        assert!(low_rank.check(45, 8, &[(45, 2), (3, 8)]).is_err());
+        assert!(low_rank.check(45, 8, &[(45, 2)]).is_err());
+    }
+}

@@ -13,6 +13,7 @@ use rand::Rng;
 
 use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
 use crate::hashing::RowMap;
+use crate::recipe::{Combine, Recipe};
 use crate::{CoreError, Result};
 
 /// A single `rows × e` table read through a [`RowMap`].
@@ -24,7 +25,6 @@ use crate::{CoreError, Result};
 #[derive(Debug)]
 pub struct SingleTable<K> {
     state: CompressorState,
-    map: RowMap,
     method: &'static str,
     technique: PhantomData<fn() -> K>,
 }
@@ -88,9 +88,9 @@ impl<K> SingleTable<K> {
             ));
         }
         let table = ParamTable::sparse(table_name, init::embedding_uniform(&[rows, dim], rng));
+        let recipe = Recipe::new([map], Combine::Row);
         Ok(SingleTable {
-            state: CompressorState::new(vocab, dim, vec![table]),
-            map,
+            state: CompressorState::new(vocab, dim, vec![table], recipe),
             method,
             technique: PhantomData,
         })
@@ -103,7 +103,7 @@ impl<K> SingleTable<K> {
 
     /// The table row entity `id` reads.
     pub fn row_for(&self, id: usize) -> usize {
-        self.map.row(id)
+        self.state.recipe().maps[0].row(id)
     }
 }
 
@@ -205,13 +205,9 @@ impl<K: 'static> EmbeddingCompressor for SingleTable<K> {
         &mut self.state
     }
 
-    fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
-        out.copy_from_slice(self.state.tables[0].row(self.map.row(id))?);
-        Ok(())
-    }
-
     fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()> {
-        self.state.tables[0].add_grad(self.map.row(id), grad);
+        let row = self.row_for(id);
+        self.state.tables[0].add_grad(row, grad);
         Ok(())
     }
 

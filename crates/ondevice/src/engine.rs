@@ -3,21 +3,25 @@
 //! [`InferenceSession`] executes a parsed [`OnDeviceModel`] over lazily
 //! paged tables ([`PagedTable`], one per serialized table), counting the
 //! work that the compute-unit models convert into Table-3 milliseconds
-//! and megabytes. Two embedding front ends:
-//!
-//! * **lookup** (full / naive-hash / MEmCom / truncate-rare): reads only
-//!   the embedding rows the query touches — `O(L)` row faults;
-//! * **one-hot** (Weinberger): materializes the `L × m` one-hot
-//!   activation and performs the dense matmul against the entire kernel —
-//!   the whole table faults in and `L·m·e` MACs are paid.
-//!
-//! The numerical result of both front ends is whatever their weights
-//! dictate; what differs — and what §5.3 measures — is the cost profile.
+//! and megabytes. The embedding front end is the file's
+//! [`Recipe`](memcom_core::Recipe), run by the one executor
+//! ([`Recipe::row_into`](memcom_core::Recipe::row_into)) over paged row
+//! reads — the engine knows no technique by name, so whatever
+//! `memcom-core` can describe runs here with the bits it trained with,
+//! reading only the rows the query touches (`O(L)` row faults). The one
+//! thing modelled apart is the *cost* of
+//! [`Combine::OneHotMatmul`] (Weinberger): the delegate materializes the
+//! `L × m` one-hot activation and multiplies it against the entire
+//! kernel, so the whole table faults in and `L·m·e` MACs are charged —
+//! the numerical result is the same row; what differs, and what §5.3
+//! measures, is the cost profile.
 
 use std::time::Instant;
 
+use memcom_core::recipe::Combine;
+
 use crate::compute::{ComputeUnit, WorkCounts};
-use crate::format::{EmbeddingKind, HeadOp, OnDeviceModel, TableMeta};
+use crate::format::{HeadOp, OnDeviceModel, TableMeta};
 use crate::pages::{PagedTable, DEFAULT_PAGE_SIZE};
 use crate::quant::decode_row_into;
 use crate::{OnDeviceError, Result};
@@ -357,78 +361,40 @@ impl InferenceSession {
     }
 
     /// Runs the embedding front end, filling the caller's `[L, e]`
-    /// activation slice (`act.len() == ids.len() * emb_dim`, zeroed).
+    /// activation slice (`act.len() == ids.len() * emb_dim`).
     fn embed_into(&self, ids: &[usize], act: &mut [f32], work: &mut WorkCounts) -> Result<()> {
-        let l = ids.len();
         let e = self.meta.emb_dim;
-        let m = self.meta.hash_size;
-        debug_assert_eq!(act.len(), l * e);
-        // The id → row map is the one the compressor trained with.
-        let map = self.meta.embedding_kind.row_map(m);
-        match self.meta.embedding_kind {
-            EmbeddingKind::Full | EmbeddingKind::NaiveHash | EmbeddingKind::TruncateRare => {
-                let table = &self.meta.emb_tables[0];
-                for (pos, &id) in ids.iter().enumerate() {
-                    self.read_row_into(table, map.row(id), &mut act[pos * e..(pos + 1) * e])?;
-                }
-                Ok(())
+        let recipe = &self.meta.recipe;
+        let tables = &self.meta.emb_tables;
+        debug_assert_eq!(act.len(), ids.len() * e);
+        let mut row_flops = recipe.combine.flops(e);
+        // The §5.3 cost of the dense `[L, m] × [m, e]` product: the
+        // `L × m` one-hot activation is live, every kernel row is read
+        // (once, into the dense operand the executor then reads from),
+        // and each id pays for all `m` rows.
+        let mut dense = Vec::new();
+        if recipe.combine == Combine::OneHotMatmul {
+            let kernel = &tables[0];
+            track_activation(work, ids.len() * kernel.rows);
+            dense.resize(kernel.rows * e, 0.0);
+            for (r, row) in dense.chunks_exact_mut(e).enumerate() {
+                self.read_row_into(kernel, r, row)?;
             }
-            EmbeddingKind::MemCom | EmbeddingKind::MemComBias => {
-                let shared = &self.meta.emb_tables[0];
-                let mult = &self.meta.emb_tables[1];
-                let bias = self.meta.emb_tables.get(2);
-                let mut scalar = [0f32; 1];
-                for (pos, &id) in ids.iter().enumerate() {
-                    let slot = &mut act[pos * e..(pos + 1) * e];
-                    self.read_row_into(shared, map.row(id), slot)?;
-                    self.read_row_into(mult, id, &mut scalar)?;
-                    let v = scalar[0];
-                    match bias {
-                        Some(b) => {
-                            self.read_row_into(b, id, &mut scalar)?;
-                            let w = scalar[0];
-                            crate::simd::scale_add(slot, v, w);
-                            work.flops += 2 * e as u64;
-                        }
-                        None => {
-                            crate::simd::scale_mul(slot, v);
-                            work.flops += e as u64;
-                        }
-                    }
-                }
-                Ok(())
-            }
-            EmbeddingKind::OneHotHash => {
-                let kernel = &self.meta.emb_tables[0];
-                // Materialize the L × m one-hot activation — the §5.3
-                // memory hog ("relies on the one-hot encoded
-                // representation").
-                let mut one_hot = vec![0f32; l * m];
-                for (pos, &id) in ids.iter().enumerate() {
-                    one_hot[pos * m + map.row(id)] = 1.0;
-                }
-                track_activation(work, one_hot.len());
-                // Dense [L, m] × [m, e] matmul: every kernel row is read
-                // and L·m·e MACs are charged. The inner arithmetic skips
-                // zero coefficients (the result is identical) but the
-                // counted cost is the dense cost the delegate pays.
-                let mut k_row = vec![0f32; e];
-                for r in 0..m {
-                    self.read_row_into(kernel, r, &mut k_row)?;
-                    for pos in 0..l {
-                        let coeff = one_hot[pos * m + r];
-                        if coeff != 0.0 {
-                            let out = &mut act[pos * e..(pos + 1) * e];
-                            for (o, &kv) in out.iter_mut().zip(&k_row) {
-                                *o += coeff * kv;
-                            }
-                        }
-                    }
-                }
-                work.flops += (2 * l * m * e) as u64;
-                Ok(())
-            }
+            row_flops *= kernel.rows;
         }
+        let read = |k: usize, r: usize, out: &mut [f32]| {
+            if dense.is_empty() {
+                return self.read_row_into(&tables[k], r, out);
+            }
+            out.copy_from_slice(&dense[r * e..][..e]);
+            Ok(())
+        };
+        let mut scratch = Vec::new();
+        for (&id, slot) in ids.iter().zip(act.chunks_exact_mut(e)) {
+            recipe.row_into(id, read, &mut scratch, slot)?;
+        }
+        work.flops += (ids.len() * row_flops) as u64;
+        Ok(())
     }
 
     /// Reads and dequantizes row `r` of `table` through its pages,

@@ -1,27 +1,43 @@
-//! The flat binary on-device model format.
+//! The flat binary on-device model format, version 2.
 //!
 //! Layout (little-endian):
 //!
 //! ```text
-//! magic "MEMC" | u32 version | u8 embedding_kind | u32 input_len |
-//! u64 vocab | u64 hash_size | u32 emb_dim | u32 n_head_ops |
+//! magic "MEMC" | u32 version = 2 | u32 input_len | u64 vocab | u32 emb_dim |
+//! u8 combine | u8 n_maps | n_maps × row map | u32 n_head_ops |
 //! head ops … | embedding tables …
+//!
+//! combine: 0 Row | 1 ScaleMul | 2 ScaleAdd | 3 Mul | 4 Concat | 5 Project | 6 OneHotMatmul
+//! row map: u8 0 Identity | 1 Mod | 2 Clamp | 3 Seeded, u64 seed | 4 Div, u64 divisor
 //! ```
+//!
+//! The header carries the embedding stage's [`Recipe`] — which rows of
+//! which tables an id reads and how they combine — so any technique
+//! `memcom-core` can describe deploys, and the engine executes the recipe
+//! instead of knowing techniques by name. Sizes a table header already
+//! states are not repeated: `Mod`/`Seeded` hash onto their table's row
+//! count, `Clamp` keeps all rows but the last, `Project`'s code width is
+//! its first table's column count. Version 1 carried an embedding-kind tag
+//! and a hash size instead and could hold six of the eleven techniques;
+//! it is rejected as [`OnDeviceError::BadFormat`] (files are produced and
+//! parsed in-process; none is stored).
 //!
 //! Head ops are `u8 kind` followed by op payload; tables are
 //! `u8 dtype | u64 rows | u64 cols | f32 scale | payload`. Embedding
-//! tables come **last**, after the (small) head weights. The engine pages
-//! each table's payload on its own, row-aligned
+//! tables come **last**, in recipe order, after the (small) head weights.
+//! The engine pages each table's payload on its own, row-aligned
 //! ([`PagedTable`](crate::PagedTable)): the head tables fault once and
 //! stay warm, while the big embedding payload faults row-by-row, exactly
 //! the access pattern the mmap discussion in §5.3 relies on.
 //!
 //! A model file is input from outside the program: [`OnDeviceModel::parse`]
-//! checks every size it reads and every table's shape against the
-//! manifest, so the engine indexes a parsed model without re-checking.
+//! checks every size it reads, every head table's shape against its op and
+//! the recipe against the embedding tables ([`Recipe::check`]: part count,
+//! each map's row range, column widths that compose to `emb_dim`), so the
+//! engine indexes a parsed model without re-checking.
 
 use memcom_core::hashing::RowMap;
-use memcom_core::one_hot_hash::ONE_HOT_SEED;
+use memcom_core::recipe::{Combine, Recipe};
 use memcom_core::EmbeddingCompressor;
 use memcom_nn::{BatchNorm1d, Dense, Sequential};
 use memcom_tensor::Tensor;
@@ -32,7 +48,7 @@ use crate::{OnDeviceError, Result};
 /// File magic: `MEMC`.
 pub const MAGIC: [u8; 4] = *b"MEMC";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 fn bad_format(context: impl Into<String>) -> OnDeviceError {
     OnDeviceError::BadFormat {
@@ -40,88 +56,13 @@ fn bad_format(context: impl Into<String>) -> OnDeviceError {
     }
 }
 
-/// Which embedding front end the file carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EmbeddingKind {
-    /// One `v × e` table, direct row lookup.
-    Full,
-    /// `m × e` table indexed by `id mod m`.
-    NaiveHash,
-    /// MEmCom without bias: `U[m×e]`, `V[v×1]`.
-    MemCom,
-    /// MEmCom with bias: `U[m×e]`, `V[v×1]`, `W[v×1]`.
-    MemComBias,
-    /// Weinberger one-hot hashing: `m × e` kernel hit by a one-hot matmul.
-    OneHotHash,
-    /// Truncate-rare: `(keep+1) × e` table, OOV row at index `keep`.
-    TruncateRare,
-}
-
-impl EmbeddingKind {
-    fn tag(self) -> u8 {
-        match self {
-            EmbeddingKind::Full => 0,
-            EmbeddingKind::NaiveHash => 1,
-            EmbeddingKind::MemCom => 2,
-            EmbeddingKind::MemComBias => 3,
-            EmbeddingKind::OneHotHash => 4,
-            EmbeddingKind::TruncateRare => 5,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self> {
-        Ok(match tag {
-            0 => EmbeddingKind::Full,
-            1 => EmbeddingKind::NaiveHash,
-            2 => EmbeddingKind::MemCom,
-            3 => EmbeddingKind::MemComBias,
-            4 => EmbeddingKind::OneHotHash,
-            5 => EmbeddingKind::TruncateRare,
-            _ => return Err(bad_format(format!("unknown embedding kind {tag}"))),
-        })
-    }
-
-    /// The id → row map of this front end over a first table of
-    /// `hash_size` rows: the same [`RowMap`] the compressor behind
-    /// [`from_method_name`](Self::from_method_name) trains with.
-    pub fn row_map(self, hash_size: usize) -> RowMap {
-        match self {
-            EmbeddingKind::Full => RowMap::Identity,
-            EmbeddingKind::NaiveHash | EmbeddingKind::MemCom | EmbeddingKind::MemComBias => {
-                RowMap::Mod(hash_size)
-            }
-            EmbeddingKind::OneHotHash => RowMap::Seeded {
-                m: hash_size,
-                seed: ONE_HOT_SEED,
-            },
-            // `keep` kept rows, then the shared OOV row.
-            EmbeddingKind::TruncateRare => RowMap::Clamp(hash_size - 1),
-        }
-    }
-
-    /// Maps a compressor's `method_name` to a serializable kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OnDeviceError::Unsupported`] for techniques the on-device
-    /// interpreter does not execute (quotient–remainder, double hashing,
-    /// factorized — the paper's Table 3 covers lookup- and one-hot-style
-    /// front ends, to which those belong architecturally).
-    pub fn from_method_name(name: &str) -> Result<Self> {
-        Ok(match name {
-            "uncompressed" | "reduce_dim" => EmbeddingKind::Full,
-            "naive_hash" => EmbeddingKind::NaiveHash,
-            "memcom_nobias" => EmbeddingKind::MemCom,
-            "memcom" => EmbeddingKind::MemComBias,
-            "weinberger_onehot" => EmbeddingKind::OneHotHash,
-            "truncate_rare" => EmbeddingKind::TruncateRare,
-            other => {
-                return Err(OnDeviceError::Unsupported {
-                    context: format!("method {other} has no on-device engine"),
-                })
-            }
-        })
-    }
+/// A `usize` the format stores in a narrower field (`what` names it in
+/// the error): the encoder refuses to write a truncated value, which
+/// would parse as a different model.
+fn narrow<T: TryFrom<usize>>(v: usize, what: &str) -> Result<T> {
+    T::try_from(v).map_err(|_| OnDeviceError::Unsupported {
+        context: format!("{what} {v} does not fit its field in the file format"),
+    })
 }
 
 /// Metadata of one serialized table: where its payload lives in the file.
@@ -186,19 +127,17 @@ pub enum HeadOp {
 pub struct OnDeviceModel {
     /// The serialized file contents.
     pub bytes: Vec<u8>,
-    /// Embedding front-end kind.
-    pub embedding_kind: EmbeddingKind,
+    /// How an id becomes an embedding row of `emb_tables`.
+    pub recipe: Recipe,
     /// Fixed input length.
     pub input_len: usize,
     /// Vocabulary size.
     pub vocab: usize,
-    /// Hash size `m` (table rows for hashed kinds; = rows for full).
-    pub hash_size: usize,
     /// Embedding output dimension.
     pub emb_dim: usize,
     /// Head operations in execution order.
     pub head_ops: Vec<HeadOp>,
-    /// Embedding tables (kind-dependent count and meaning).
+    /// Embedding tables, in recipe order.
     pub emb_tables: Vec<TableMeta>,
 }
 
@@ -218,6 +157,31 @@ impl Writer {
     }
     fn f32(&mut self, v: f32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    fn recipe(&mut self, recipe: &Recipe) -> Result<()> {
+        self.u8(match recipe.combine {
+            Combine::Row => 0,
+            Combine::ScaleMul => 1,
+            Combine::ScaleAdd => 2,
+            Combine::Mul => 3,
+            Combine::Concat => 4,
+            Combine::Project { .. } => 5,
+            Combine::OneHotMatmul => 6,
+        });
+        self.u8(narrow(recipe.maps.len(), "map count")?);
+        for map in &recipe.maps {
+            // Moduli the table header restates are not written.
+            let (tag, stored) = match *map {
+                RowMap::Identity => (0, None),
+                RowMap::Mod(_) => (1, None),
+                RowMap::Clamp(_) => (2, None),
+                RowMap::Seeded { seed, .. } => (3, Some(seed)),
+                RowMap::Div(m) => (4, Some(m as u64)),
+            };
+            self.u8(tag);
+            stored.into_iter().for_each(|v| self.u64(v));
+        }
+        Ok(())
     }
     fn table(&mut self, t: &Tensor, dtype: Dtype) -> Result<()> {
         let q = QuantizedTable::quantize(t, dtype)?;
@@ -257,9 +221,14 @@ impl<'a> Reader<'a> {
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
     /// A `u64` count field, rejected when this target cannot address it.
     fn count(&mut self) -> Result<usize> {
-        let v = u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"));
+        let v = self.u64()?;
         usize::try_from(v).map_err(|_| bad_format(format!("count {v} exceeds the address space")))
     }
     fn f32(&mut self) -> Result<f32> {
@@ -267,17 +236,42 @@ impl<'a> Reader<'a> {
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
-    /// Reads one table whose shape the manifest fixes at `rows × cols`
-    /// (`what` names it in the error). Every table the engine indexes
-    /// comes through here, so a parsed model holds whole, non-empty rows
-    /// of exactly the width its reader decodes.
-    fn table_meta(&mut self, what: &str, rows: usize, cols: usize) -> Result<TableMeta> {
-        let dtype = Dtype::from_tag(self.u8()?)?;
-        let (file_rows, file_cols) = (self.count()?, self.count()?);
-        let scale = self.f32()?;
-        if (file_rows, file_cols) != (rows, cols) || rows == 0 || cols == 0 {
+    /// A row map as the header spells it; the sizes its table header
+    /// states are left 0 until [`OnDeviceModel::parse`] has read it.
+    fn row_map(&mut self) -> Result<RowMap> {
+        Ok(match self.u8()? {
+            0 => RowMap::Identity,
+            1 => RowMap::Mod(0),
+            2 => RowMap::Clamp(0),
+            3 => RowMap::Seeded {
+                m: 0,
+                seed: self.u64()?,
+            },
+            4 => RowMap::Div(self.count()?),
+            other => return Err(bad_format(format!("unknown row map {other}"))),
+        })
+    }
+    /// Reads one head table whose shape its op fixes at `rows × cols`.
+    fn head_table(&mut self, what: &str, rows: usize, cols: usize) -> Result<TableMeta> {
+        let t = self.table_meta(what)?;
+        if (t.rows, t.cols) != (rows, cols) {
             return Err(bad_format(format!(
-                "{what} table is {file_rows}x{file_cols}, manifest needs a non-empty {rows}x{cols}"
+                "{what} table is {}x{}, its op needs {rows}x{cols}",
+                t.rows, t.cols
+            )));
+        }
+        Ok(t)
+    }
+    /// Reads one table (`what` names it in the error). Every table the
+    /// engine indexes comes through here, so a parsed model holds whole,
+    /// non-empty rows that its payload backs.
+    fn table_meta(&mut self, what: &str) -> Result<TableMeta> {
+        let dtype = Dtype::from_tag(self.u8()?)?;
+        let (rows, cols) = (self.count()?, self.count()?);
+        let scale = self.f32()?;
+        if rows == 0 || cols == 0 {
+            return Err(bad_format(format!(
+                "{what} table is an empty {rows}x{cols}"
             )));
         }
         let payload_len = cols
@@ -310,31 +304,21 @@ impl OnDeviceModel {
     ///
     /// # Errors
     ///
-    /// Returns [`OnDeviceError::Unsupported`] for other layer or embedding
-    /// types.
+    /// Returns [`OnDeviceError::Unsupported`] for other layer types and
+    /// for a size that does not fit its field in the format.
     pub fn serialize(
         embedding: &dyn EmbeddingCompressor,
         head: &Sequential,
         input_len: usize,
         dtype: Dtype,
     ) -> Result<Vec<u8>> {
-        let kind = EmbeddingKind::from_method_name(embedding.method_name())?;
-        let tables = embedding.tables();
-        let hash_size = tables
-            .first()
-            .map(|t| t.tensor.shape().dims()[0])
-            .ok_or_else(|| OnDeviceError::Unsupported {
-                context: "embedding has no tables".into(),
-            })?;
-
         let mut w = Writer { buf: Vec::new() };
         w.buf.extend_from_slice(&MAGIC);
         w.u32(VERSION);
-        w.u8(kind.tag());
-        w.u32(input_len as u32);
+        w.u32(narrow(input_len, "input length")?);
         w.u64(embedding.vocab_size() as u64);
-        w.u64(hash_size as u64);
-        w.u32(embedding.output_dim() as u32);
+        w.u32(narrow(embedding.output_dim(), "embedding dim")?);
+        w.recipe(embedding.state().recipe())?;
 
         // Collect serializable head ops first (dropout skipped).
         let mut ops: Vec<&dyn memcom_nn::Layer> = Vec::new();
@@ -350,7 +334,7 @@ impl OnDeviceModel {
                 }
             }
         }
-        w.u32(ops.len() as u32);
+        w.u32(narrow(ops.len(), "head op count")?);
         for layer in ops {
             match layer.name() {
                 "average_pool1d" => w.u8(0),
@@ -361,7 +345,7 @@ impl OnDeviceModel {
                         .downcast_ref::<BatchNorm1d>()
                         .expect("name implies type");
                     w.u8(2);
-                    w.u32(bn.features() as u32);
+                    w.u32(narrow(bn.features(), "batch-norm width")?);
                     w.f32(bn.eps());
                     let (gamma, beta, mean, var) = bn.state();
                     // Normalization statistics keep full precision — CoreML's
@@ -376,8 +360,8 @@ impl OnDeviceModel {
                         .downcast_ref::<Dense>()
                         .expect("name implies type");
                     w.u8(3);
-                    w.u32(dense.in_dim() as u32);
-                    w.u32(dense.out_dim() as u32);
+                    w.u32(narrow(dense.in_dim(), "dense input width")?);
+                    w.u32(narrow(dense.out_dim(), "dense output width")?);
                     w.table(dense.weight(), dtype)?;
                     w.table(dense.bias(), Dtype::F32)?;
                 }
@@ -409,11 +393,23 @@ impl OnDeviceModel {
         if version != VERSION {
             return Err(bad_format(format!("unsupported version {version}")));
         }
-        let embedding_kind = EmbeddingKind::from_tag(r.u8()?)?;
         let input_len = r.u32()? as usize;
         let vocab = r.count()?;
-        let hash_size = r.count()?;
         let emb_dim = r.u32()? as usize;
+        let combine = match r.u8()? {
+            0 => Combine::Row,
+            1 => Combine::ScaleMul,
+            2 => Combine::ScaleAdd,
+            3 => Combine::Mul,
+            4 => Combine::Concat,
+            5 => Combine::Project { hidden: 0 },
+            6 => Combine::OneHotMatmul,
+            other => return Err(bad_format(format!("unknown combine {other}"))),
+        };
+        let mut recipe = Recipe::new(Vec::new(), combine);
+        for _ in 0..r.u8()? {
+            recipe.maps.push(r.row_map()?);
+        }
         let n_ops = r.u32()? as usize;
         // Every op is at least its one-byte kind, so the bytes left bound
         // how many a well-formed file can still hold.
@@ -427,18 +423,18 @@ impl OnDeviceModel {
                     let dim = r.u32()? as usize;
                     let eps = r.f32()?;
                     let tables = [
-                        r.table_meta("batch-norm gamma", 1, dim)?,
-                        r.table_meta("batch-norm beta", 1, dim)?,
-                        r.table_meta("batch-norm mean", 1, dim)?,
-                        r.table_meta("batch-norm var", 1, dim)?,
+                        r.head_table("batch-norm gamma", 1, dim)?,
+                        r.head_table("batch-norm beta", 1, dim)?,
+                        r.head_table("batch-norm mean", 1, dim)?,
+                        r.head_table("batch-norm var", 1, dim)?,
                     ];
                     HeadOp::BatchNorm { dim, tables, eps }
                 }
                 3 => {
                     let in_dim = r.u32()? as usize;
                     let out_dim = r.u32()? as usize;
-                    let weight = r.table_meta("dense weight", in_dim, out_dim)?;
-                    let bias = r.table_meta("dense bias", 1, out_dim)?;
+                    let weight = r.head_table("dense weight", in_dim, out_dim)?;
+                    let bias = r.head_table("dense bias", 1, out_dim)?;
                     HeadOp::Dense {
                         in_dim,
                         out_dim,
@@ -449,28 +445,33 @@ impl OnDeviceModel {
                 other => return Err(bad_format(format!("unknown op {other}"))),
             });
         }
-        if embedding_kind == EmbeddingKind::Full && hash_size != vocab {
-            return Err(bad_format(format!(
-                "full embedding has {hash_size} rows for a vocabulary of {vocab}"
-            )));
-        }
-        let mut emb_tables = vec![r.table_meta("embedding", hash_size, emb_dim)?];
-        let per_id_scalars = match embedding_kind {
-            EmbeddingKind::MemCom => 1,
-            EmbeddingKind::MemComBias => 2,
-            _ => 0,
-        };
-        for _ in 0..per_id_scalars {
-            emb_tables.push(r.table_meta("per-id scalar", vocab, 1)?);
+        // One table per map (plus `Project`'s projection), then the sizes
+        // the header left to them, then the recipe checked against them.
+        let mut emb_tables = Vec::with_capacity(recipe.table_count());
+        for _ in 0..recipe.table_count() {
+            emb_tables.push(r.table_meta("embedding")?);
         }
         if r.remaining() != 0 {
             return Err(bad_format(format!("{} trailing bytes", r.remaining())));
         }
+        for (map, table) in recipe.maps.iter_mut().zip(&emb_tables) {
+            match map {
+                RowMap::Mod(m) | RowMap::Seeded { m, .. } => *m = table.rows,
+                RowMap::Clamp(keep) => *keep = table.rows - 1,
+                RowMap::Identity | RowMap::Div(_) => {}
+            }
+        }
+        if let Combine::Project { hidden } = &mut recipe.combine {
+            *hidden = emb_tables[0].cols;
+        }
+        let shapes: Vec<_> = emb_tables.iter().map(|t| (t.rows, t.cols)).collect();
+        recipe
+            .check(vocab, emb_dim, &shapes)
+            .map_err(|e| bad_format(e.to_string()))?;
         Ok(OnDeviceModel {
-            embedding_kind,
+            recipe,
             input_len,
             vocab,
-            hash_size,
             emb_dim,
             head_ops,
             emb_tables,
@@ -489,7 +490,7 @@ impl OnDeviceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memcom_core::{FullEmbedding, MemCom, MemComConfig, MethodSpec};
+    use memcom_core::{FullEmbedding, MemCom, MemComConfig};
     use memcom_nn::{AveragePool1d, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -512,7 +513,7 @@ mod tests {
         let head = tiny_head(8, 5);
         let bytes = OnDeviceModel::serialize(&emb, &head, 16, Dtype::F32).unwrap();
         let model = OnDeviceModel::parse(bytes).unwrap();
-        assert_eq!(model.embedding_kind, EmbeddingKind::Full);
+        assert_eq!(model.recipe, *emb.state().recipe());
         assert_eq!(model.input_len, 16);
         assert_eq!(model.vocab, 40);
         assert_eq!(model.emb_dim, 8);
@@ -537,9 +538,9 @@ mod tests {
         let emb = MemCom::new(MemComConfig::with_bias(100, 8, 10), &mut rng).unwrap();
         let bytes = OnDeviceModel::serialize(&emb, &tiny_head(8, 3), 4, Dtype::F32).unwrap();
         let model = OnDeviceModel::parse(bytes).unwrap();
-        assert_eq!(model.embedding_kind, EmbeddingKind::MemComBias);
+        assert_eq!(model.recipe, *emb.state().recipe());
+        assert_eq!(model.recipe.maps[0], RowMap::Mod(10));
         assert_eq!(model.emb_tables.len(), 3);
-        assert_eq!(model.hash_size, 10);
         assert_eq!(model.emb_tables[1].rows, 100); // multiplier
         assert_eq!(model.emb_tables[1].cols, 1);
     }
@@ -562,19 +563,20 @@ mod tests {
         );
     }
 
+    /// A size the format stores in 32 bits is refused, not truncated
+    /// (here it would have been written as `input_len = 0`).
     #[test]
-    fn unsupported_methods_rejected() {
+    fn oversized_fields_are_refused_not_truncated() {
         let mut rng = StdRng::seed_from_u64(0);
-        let emb = MethodSpec::QuotientRemainder {
-            hash_size: 10,
-            combiner: memcom_core::QrCombiner::Multiply,
-        }
-        .build(100, 8, &mut rng)
-        .unwrap();
+        let emb = FullEmbedding::new(10, 4, &mut rng).unwrap();
+        let too_long = u32::MAX as usize + 1;
         assert!(matches!(
-            OnDeviceModel::serialize(emb.as_ref(), &tiny_head(8, 3), 4, Dtype::F32),
+            OnDeviceModel::serialize(&emb, &tiny_head(4, 2), too_long, Dtype::F32),
             Err(OnDeviceError::Unsupported { .. })
         ));
+        assert!(
+            OnDeviceModel::serialize(&emb, &tiny_head(4, 2), u32::MAX as usize, Dtype::F32).is_ok()
+        );
     }
 
     #[test]

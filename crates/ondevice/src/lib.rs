@@ -5,17 +5,21 @@
 //! model of what those runtimes do with an embedding model:
 //!
 //! * [`format`](mod@format) — a flat binary model format (the "on-disk model" whose
-//!   size the paper's compression ratios govern).
+//!   size the paper's compression ratios govern); its header carries the
+//!   embedding stage's `memcom_core::Recipe`, so every technique
+//!   serializes.
 //! * [`pages`] — row tables stored as lazily-resident pages: the one
 //!   model of memory-mapped loading ("CoreML and TF-Lite implement the
 //!   lookup operator in the embedding layer using mmap", §5.3) under both
 //!   the engine here and the serving tier's stores, where its
 //!   structurally-shared, copy-on-write pages also carry row-level delta
 //!   updates (a snapshot clone shares every untouched page).
-//! * [`engine`] — two inference engines over the paged tables: the
-//!   **lookup engine** (MEmCom-style: touches only the embedding rows a
-//!   query needs) and the **one-hot engine** (Weinberger-style: builds the
-//!   `L × m` one-hot activation and multiplies against the whole kernel).
+//! * [`engine`] — the inference engine over the paged tables: it runs the
+//!   file's recipe through `memcom-core`'s one executor, touching only
+//!   the embedding rows a query needs (MEmCom-style lookups), except that
+//!   a `OneHotMatmul` recipe (Weinberger-style) is charged what the paper
+//!   measures — the `L × m` one-hot activation and a product against the
+//!   whole kernel.
 //! * [`compute`] — per-compute-unit latency models (CoreML `all` /
 //!   `cpuOnly` / `cpuAndGPU`, TF-Lite CPU) translating counted work into
 //!   Table-3-style milliseconds.

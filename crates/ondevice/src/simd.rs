@@ -11,15 +11,9 @@
 //! **Bit-exactness is a hard contract**: for any input — including
 //! NaNs with arbitrary payloads, infinities, subnormals and signed
 //! zeros — every tier produces bit-identical `f32` output to
-//! [`scalar`]. That is why
-//!
-//! * the f16 decoder is pure integer SIMD replicating
-//!   [`f16_bits_to_f32`] branchlessly
-//!   (hardware `F16C` would quiet signaling-NaN payloads);
-//! * [`scale_add`] uses separate multiply + add, never FMA (a fused
-//!   rounding would diverge from the scalar `x * v + w`);
-//! * [`scale_mul`] exists apart from [`scale_add`] (`x * v + 0.0`
-//!   would flip the sign of `-0.0`).
+//! [`scalar`]. That is why the f16 decoder is pure integer SIMD
+//! replicating [`f16_bits_to_f32`] branchlessly (hardware `F16C` would
+//! quiet signaling-NaN payloads).
 //!
 //! The property is enforced by the `simd_equiv` proptest suite across
 //! all dtypes, dims, alignments and non-finite inputs.
@@ -222,41 +216,6 @@ pub fn dequant_i2(bytes: &[u8], scale: f32, out: &mut [f32]) {
     scalar::dequant_i2(bytes, scale, out);
 }
 
-/// In-place `x ← x * v` over `out` — the MemCom reconstruction's
-/// multiplier application. Kept separate from [`scale_add`] because
-/// `x * v + 0.0` would flip `-0.0` to `+0.0` and break bit-exactness.
-pub fn scale_mul(out: &mut [f32], v: f32) {
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified at runtime by active_kernel(); the
-        // kernel only touches `out` within its own length.
-        Kernel::Avx2 => unsafe { x86::scale_mul_avx2(out, v) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 verified at runtime by active_kernel(); same
-        // bounds contract as above.
-        Kernel::Sse2 => unsafe { x86::scale_mul_sse2(out, v) },
-        _ => scalar::scale_mul(out, v),
-    }
-}
-
-/// In-place `x ← x * v + w` over `out` — the MemCom reconstruction
-/// with a bias scalar. Deliberately **not** FMA: the scalar reference
-/// rounds the product and the sum separately, and fusing them would
-/// produce different bits.
-pub fn scale_add(out: &mut [f32], v: f32, w: f32) {
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified at runtime by active_kernel(); the
-        // kernel only touches `out` within its own length.
-        Kernel::Avx2 => unsafe { x86::scale_add_avx2(out, v, w) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 verified at runtime by active_kernel(); same
-        // bounds contract as above.
-        Kernel::Sse2 => unsafe { x86::scale_add_sse2(out, v, w) },
-        _ => scalar::scale_add(out, v, w),
-    }
-}
-
 /// The portable scalar reference kernels — the semantics every vector
 /// tier must reproduce bit-for-bit, and the mandatory fallback for
 /// loop tails, non-`x86_64` targets and the forced-scalar override.
@@ -305,20 +264,6 @@ pub mod scalar {
         for (i, o) in out.iter_mut().enumerate() {
             let q = (bytes[i / 4] >> ((i % 4) * 2)) & 0x03;
             *o = sign_extend(q, 2) as f32 * scale;
-        }
-    }
-
-    /// Scalar [`scale_mul`](super::scale_mul).
-    pub fn scale_mul(out: &mut [f32], v: f32) {
-        for o in out.iter_mut() {
-            *o *= v;
-        }
-    }
-
-    /// Scalar [`scale_add`](super::scale_add).
-    pub fn scale_add(out: &mut [f32], v: f32, w: f32) {
-        for o in out.iter_mut() {
-            *o = *o * v + w;
         }
     }
 
@@ -579,75 +524,6 @@ mod x86 {
         }
         scalar::decode_f16(&bytes[i * 2..], &mut out[i..]);
     }
-
-    // ------------------------------------------------------------------
-    // MemCom scale application
-    // ------------------------------------------------------------------
-
-    // SAFETY: caller must have verified SSE2; the loop stays inside
-    // `out`'s own length.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn scale_mul_sse2(out: &mut [f32], v: f32) {
-        let n = out.len();
-        let vv = _mm_set1_ps(v);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let x = _mm_loadu_ps(out.as_ptr().add(i));
-            _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_mul_ps(x, vv));
-            i += 4;
-        }
-        scalar::scale_mul(&mut out[i..], v);
-    }
-
-    // SAFETY: caller must have verified AVX2; the loop stays inside
-    // `out`'s own length.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_mul_avx2(out: &mut [f32], v: f32) {
-        let n = out.len();
-        let vv = _mm256_set1_ps(v);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let x = _mm256_loadu_ps(out.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(x, vv));
-            i += 8;
-        }
-        scalar::scale_mul(&mut out[i..], v);
-    }
-
-    // SAFETY: caller must have verified SSE2; the loop stays inside
-    // `out`'s own length.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn scale_add_sse2(out: &mut [f32], v: f32, w: f32) {
-        let n = out.len();
-        let vv = _mm_set1_ps(v);
-        let vw = _mm_set1_ps(w);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let x = _mm_loadu_ps(out.as_ptr().add(i));
-            _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_add_ps(_mm_mul_ps(x, vv), vw));
-            i += 4;
-        }
-        scalar::scale_add(&mut out[i..], v, w);
-    }
-
-    // SAFETY: caller must have verified AVX2; the loop stays inside
-    // `out`'s own length.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_add_avx2(out: &mut [f32], v: f32, w: f32) {
-        let n = out.len();
-        let vv = _mm256_set1_ps(v);
-        let vw = _mm256_set1_ps(w);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let x = _mm256_loadu_ps(out.as_ptr().add(i));
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm256_add_ps(_mm256_mul_ps(x, vv), vw),
-            );
-            i += 8;
-        }
-        scalar::scale_add(&mut out[i..], v, w);
-    }
 }
 
 #[cfg(test)]
@@ -697,18 +573,5 @@ mod tests {
             .flat_map(|r| (0..3).map(move |c| (r * 10 + c) as f32))
             .collect();
         assert_eq!(out, want);
-    }
-
-    #[test]
-    fn scale_add_preserves_negative_zero_via_mul_only_kernel() {
-        let mut buf = vec![-0.0f32; 9];
-        scale_mul(&mut buf, 1.0);
-        assert!(
-            buf.iter().all(|x| x.is_sign_negative()),
-            "-0.0 survived mul"
-        );
-        let mut buf = vec![1.5f32; 9];
-        scale_add(&mut buf, 2.0, -1.0);
-        assert!(buf.iter().all(|&x| x == 2.0));
     }
 }

@@ -130,30 +130,6 @@ proptest! {
         assert_bits_eq(&got, &want, "dequant_i2");
     }
 
-    // Fused scale kernels: u*v (+w) with arbitrary bit patterns. The
-    // vector kernels must not use FMA (different rounding) and must
-    // keep -0.0 (no "+ 0.0" shortcut in scale_mul).
-    #[test]
-    fn scale_kernels_match_scalar(
-        words in proptest::collection::vec(0u32..=u32::MAX, 1..257),
-        v_bits in 0u32..=u32::MAX,
-        w_bits in 0u32..=u32::MAX,
-    ) {
-        let v = f32::from_bits(v_bits);
-        let w = f32::from_bits(w_bits);
-        let src: Vec<f32> = words.iter().map(|&b| f32::from_bits(b)).collect();
-        let mut got = src.clone();
-        let mut want = src.clone();
-        simd::scale_mul(&mut got, v);
-        simd::scalar::scale_mul(&mut want, v);
-        assert_bits_eq(&got, &want, "scale_mul");
-        let mut got = src.clone();
-        let mut want = src;
-        simd::scale_add(&mut got, v, w);
-        simd::scalar::scale_add(&mut want, v, w);
-        assert_bits_eq(&got, &want, "scale_add");
-    }
-
     // Strided row gather: rows of `cols` f32s at a wider byte stride.
     #[test]
     fn copy_f32_strided_matches_scalar(

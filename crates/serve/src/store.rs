@@ -6,21 +6,26 @@
 //! accounting, so shards never contend on a shared lock) and fronted by
 //! its own hot-row LRU.
 //!
-//! Two layouts, chosen automatically at build time:
+//! Two layouts, chosen at build time from the compressor's
+//! [`Recipe`] — something the store can observe, not an option:
 //!
-//! * **MemCom** — the shard replicates the *small shared table* (`m × e`,
-//!   the whole point of the compression is that this is tiny) and
-//!   partitions the *large per-entity tables* (multipliers, biases)
-//!   round-robin. A lookup reads one shared row + one or two
-//!   scalars and reconstructs the embedding exactly as the on-device
-//!   engine does. (The replicated shared-table pages are physically one
+//! * **Scaled** — a recipe that scales a shared row by per-entity scalars
+//!   ([`Combine::ScaleMul`] / [`Combine::ScaleAdd`] with `Identity`-mapped
+//!   scalar tables: MEmCom). The shard replicates the *small shared
+//!   table* (`m × e`, the whole point of the compression is that this is
+//!   tiny) and partitions the *large per-entity tables* (multipliers,
+//!   biases) round-robin. A lookup runs the recipe's executor
+//!   ([`Recipe::row_into`]) over one shared row + one or two scalars —
+//!   the same code, hence the same bits, as training and the on-device
+//!   engine. (The replicated shared-table pages are physically one
 //!   allocation shared by every shard's `Arc`s; only the residency
 //!   accounting is per shard.)
-//! * **Rows** — any other compressor is materialized through its
-//!   zero-copy `embed_into` path into dense per-shard row pages. Correct
-//!   for every technique, at uncompressed storage cost — which is
-//!   precisely the serving-memory trade-off the paper's Table 3
-//!   contrasts.
+//! * **Rows** — any other recipe is materialized through the
+//!   compressor's zero-copy `embed_into` path into dense per-shard row
+//!   pages. Correct for every technique, at uncompressed storage cost —
+//!   which is precisely the serving-memory trade-off the paper's Table 3
+//!   contrasts. (Serving other recipes compressed needs a general
+//!   replicate/partition rule and per-combine error bounds; not done.)
 //!
 //! Ids are routed `shard = id % n_shards`, `slot = id / n_shards`:
 //! contiguous popular ids (the paper frequency-sorts ids, §5.1) spread
@@ -58,16 +63,15 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use memcom_core::hashing::mod_hash;
+use memcom_core::hashing::RowMap;
+use memcom_core::recipe::{Combine, Recipe};
 use memcom_core::EmbeddingCompressor;
-use memcom_core::MemCom;
 use memcom_ondevice::compute::WorkCounts;
 use memcom_ondevice::engine::RunStats;
 use memcom_ondevice::pages::PagedTable;
 use memcom_ondevice::quant::{
     decode_stored_row, encode_stored_row, quantize_row, stored_zero_row, Dtype,
 };
-use memcom_ondevice::simd;
 use parking_lot::Mutex;
 
 use crate::cache::LruCache;
@@ -117,8 +121,9 @@ const SCALAR_BLOCK: usize = 64;
 /// per slot.
 const SCALAR_BLOCK_BYTES: usize = 4 + SCALAR_BLOCK;
 
-/// A MemCom per-entity scalar column (multipliers, biases): one value
-/// per slot, the dominant per-entity store term at scale.
+/// A per-entity scalar column of the scaled layout (multipliers,
+/// biases): one value per slot, the dominant per-entity store term at
+/// scale.
 ///
 /// Quantized stores pack it as [`SCALAR_BLOCK`]-slot **int8 blocks
 /// with per-block scales** — the same symmetric linear scheme the row
@@ -307,7 +312,7 @@ impl ScalarTable {
 
 /// One shard's page-backed storage.
 // One long-lived instance per shard, never moved by value on a hot
-// path — boxing the larger MemCom variant would only add a pointer
+// path — boxing the larger scaled variant would only add a pointer
 // chase to every lookup.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
@@ -319,10 +324,11 @@ enum ShardData {
         table: PagedTable,
     },
     /// Replicated shared table + partitioned per-entity scalars.
-    MemCom {
-        /// Shared-table rows (the paper's `m`).
-        m: usize,
-        /// The `m` stored shared rows (pages physically shared across
+    Scaled {
+        /// How an id reads them: `maps[0]` picks the shared row, the
+        /// combine scales it by the id's own scalars.
+        recipe: Recipe,
+        /// The stored shared rows (pages physically shared across
         /// shards).
         shared: PagedTable,
         /// Upper bound on `|u|` for any decoded stored shared value —
@@ -341,7 +347,7 @@ impl ShardData {
     fn tables(&self) -> impl Iterator<Item = &PagedTable> {
         let (a, b, c) = match self {
             ShardData::Rows { table } => (table, None, None),
-            ShardData::MemCom {
+            ShardData::Scaled {
                 shared, mult, bias, ..
             } => (
                 shared,
@@ -359,14 +365,14 @@ impl ShardData {
             ShardData::Rows { table } => ShardData::Rows {
                 table: table.shared_clone(),
             },
-            ShardData::MemCom {
-                m,
+            ShardData::Scaled {
+                recipe,
                 shared,
                 u_max_abs,
                 mult,
                 bias,
-            } => ShardData::MemCom {
-                m: *m,
+            } => ShardData::Scaled {
+                recipe: recipe.clone(),
                 shared: shared.shared_clone(),
                 u_max_abs: *u_max_abs,
                 mult: mult.shared_clone(),
@@ -380,7 +386,7 @@ impl ShardData {
     fn extend_slots(&mut self, old_slots: usize, new_slots: usize, zero_row: &[u8]) {
         match self {
             ShardData::Rows { table } => table.extend_rows(new_slots - old_slots, zero_row),
-            ShardData::MemCom { mult, bias, .. } => {
+            ShardData::Scaled { mult, bias, .. } => {
                 mult.extend(old_slots, new_slots);
                 if let Some(b) = bias {
                     b.extend(old_slots, new_slots);
@@ -395,13 +401,13 @@ impl ShardData {
         match (self, other) {
             (ShardData::Rows { table: a }, ShardData::Rows { table: b }) => a.shared_bytes_with(b),
             (
-                ShardData::MemCom {
+                ShardData::Scaled {
                     shared: sa,
                     mult: ma,
                     bias: ba,
                     ..
                 },
-                ShardData::MemCom {
+                ShardData::Scaled {
                     shared: sb,
                     mult: mb,
                     bias: bb,
@@ -453,26 +459,28 @@ impl Shard {
                     self.flops.fetch_add(dim as u64, Ordering::Relaxed);
                 }
             }
-            ShardData::MemCom {
-                m,
+            ShardData::Scaled {
+                recipe,
                 shared,
                 mult,
                 bias,
                 ..
             } => {
-                decode_stored_row(shared.read_row(mod_hash(id, *m))?, self.dtype, out);
-                let v = mult.get(slot)?;
-                if let Some(b) = bias {
-                    let w = b.get(slot)?;
-                    self.flops.fetch_add(2 * dim as u64, Ordering::Relaxed);
-                    simd::scale_add(out, v, w);
-                } else {
-                    self.flops.fetch_add(dim as u64, Ordering::Relaxed);
-                    simd::scale_mul(out, v);
-                }
-                if self.dtype != Dtype::F32 {
-                    self.flops.fetch_add(dim as u64, Ordering::Relaxed);
-                }
+                // Table 0 is the replicated shared table; the scalar
+                // tables are partitioned, so this id's scalars sit at its
+                // slot whatever row their (identity) maps name.
+                let read = |k: usize, r: usize, buf: &mut [f32]| -> Result<()> {
+                    match k {
+                        0 => decode_stored_row(shared.read_row(r)?, self.dtype, buf),
+                        1 => buf[0] = mult.get(slot)?,
+                        _ => buf[0] = bias.as_ref().expect("ScaleAdd has a bias").get(slot)?,
+                    }
+                    Ok(())
+                };
+                recipe.row_into(id, read, &mut Vec::new(), out)?;
+                let dequant = if self.dtype == Dtype::F32 { 0 } else { dim };
+                let flops = recipe.combine.flops(dim) + dequant;
+                self.flops.fetch_add(flops as u64, Ordering::Relaxed);
             }
         }
         Ok(())
@@ -607,7 +615,7 @@ impl ShardedStore {
     /// Each integer-quantized row is encoded with its **own** linear
     /// scale (stored inline before the payload), so the error of any row
     /// is bounded by *that row's* half-step, not the worst row's. For the
-    /// MemCom layout the small shared table is quantized per row **and**
+    /// scaled layout the small shared table is quantized per row **and**
     /// the per-entity scalars are packed as int8 blocks with a per-block
     /// `f32` scale (64 codes per scale — about 3.8× smaller than one
     /// `f32` per entity). The reconstruction error composes both terms:
@@ -639,31 +647,31 @@ impl ShardedStore {
         }
 
         let stride = dtype.stored_row_bytes(dim);
-        let memcom = emb.as_any().downcast_ref::<MemCom>();
+        // The scaled layout is read off the recipe: a shared row scaled by
+        // scalars the id owns outright (identity-mapped, so they partition
+        // by slot). Its tables are then `[shared, multiplier, bias?]`.
+        let recipe = emb.state().recipe();
+        let scaled = matches!(recipe.combine, Combine::ScaleMul | Combine::ScaleAdd)
+            && recipe.maps[1..].iter().all(|map| *map == RowMap::Identity);
+        let tables = emb.tables();
+        let max_abs = |values: &[f32]| values.iter().fold(0f32, |acc, &x| acc.max(x.abs()));
         // The replicated shared-table prefix is identical for every
         // shard: encode it once into one page set and let every shard
         // `Arc`-share those pages (per-shard residency accounting over
-        // one physical allocation). Quantized MemCom stores quantize
+        // one physical allocation). Quantized scaled stores quantize
         // the per-entity scalars too (int8 blocks, per-block scales),
         // so the served row u_q · v_q (+ w_q) errs by at most
         // |v|·err(u) + |u_q|·err(v) + err(w) — composed below once the
         // per-shard scalar errors are known.
         let quantize_scalars = dtype != Dtype::F32;
-        let shared_encoded = memcom.map(|mc| {
-            let m = mc.shared_table().shape().dims()[0];
-            let (bytes, shared_bound) = encode_rows(mc.shared_table().as_slice(), m, dim, dtype);
-            let max_abs_u = mc
-                .shared_table()
-                .as_slice()
-                .iter()
-                .fold(0f32, |acc, &u| acc.max(u.abs()));
-            let max_abs_v = mc
-                .multiplier_table()
-                .as_slice()
-                .iter()
-                .fold(0f32, |acc, &v| acc.max(v.abs()));
+        let shared_encoded = scaled.then(|| {
+            let shared = tables[0].tensor;
+            let m = shared.shape().dims()[0];
+            let (bytes, shared_bound) = encode_rows(shared.as_slice(), m, dim, dtype);
+            let max_abs_u = max_abs(shared.as_slice());
+            let max_abs_v = max_abs(tables[1].tensor.as_slice());
             let table = PagedTable::from_rows(&bytes, stride, page_size);
-            (m, table, shared_bound, max_abs_u, max_abs_v)
+            (table, shared_bound, max_abs_u, max_abs_v)
         });
         let mut error_bound = 0f32;
         let mut scalar_err_v = 0f32;
@@ -679,17 +687,16 @@ impl ShardedStore {
                 0
             };
             let data = match &shared_encoded {
-                Some((m, shared_table, shared_bound, max_abs_u, _)) => {
-                    let mc = memcom.expect("encoded for memcom");
-                    let mult_src = mc.multiplier_table().as_slice();
+                Some((shared_table, shared_bound, max_abs_u, _)) => {
+                    let mult_src = tables[1].tensor.as_slice();
                     let (mult, mult_err) = ScalarTable::build(
                         (0..slots).map(|slot| mult_src[shard_idx + slot * n_shards]),
                         quantize_scalars,
                         page_size,
                     );
                     scalar_err_v = scalar_err_v.max(mult_err);
-                    let bias = mc.bias_table().map(|b| {
-                        let src = b.as_slice();
+                    let bias = tables.get(2).map(|b| {
+                        let src = b.tensor.as_slice();
                         let (table, err) = ScalarTable::build(
                             (0..slots).map(|slot| src[shard_idx + slot * n_shards]),
                             quantize_scalars,
@@ -698,8 +705,8 @@ impl ShardedStore {
                         scalar_err_w = scalar_err_w.max(err);
                         table
                     });
-                    ShardData::MemCom {
-                        m: *m,
+                    ShardData::Scaled {
+                        recipe: recipe.clone(),
                         shared: shared_table.shared_clone(),
                         u_max_abs: max_abs_u + shared_bound,
                         mult,
@@ -734,7 +741,7 @@ impl ShardedStore {
                 flops: AtomicU64::new(0),
             });
         }
-        if let Some((_, _, shared_bound, max_abs_u, max_abs_v)) = &shared_encoded {
+        if let Some((_, shared_bound, max_abs_u, max_abs_v)) = &shared_encoded {
             // |u·v + w − u_q·v_q − w_q| ≤ |v|·err(u) + |u_q|·err(v) + err(w),
             // with |u_q| ≤ max|u| + err(u). Reduces to the old
             // `err(u)·max|v|` when the scalars stay f32 (both scalar
@@ -770,7 +777,7 @@ impl ShardedStore {
     /// * Each shard's hot-row LRU carries over with **only the changed
     ///   ids invalidated**, so a refresh does not restart the cache cold
     ///   the way a full rebuild does.
-    /// * For the MemCom layout, an upserted row is projected onto the
+    /// * For the scaled layout, an upserted row is projected onto the
     ///   (stored) shared row by least squares — the per-entity
     ///   multiplier/bias become the best scalars for the requested row,
     ///   exact when the row came from a retrained model sharing the
@@ -846,8 +853,8 @@ impl ShardedStore {
                         table.write_row(slot, &zero_row)?;
                     }
                     (
-                        ShardData::MemCom {
-                            m,
+                        ShardData::Scaled {
+                            recipe,
                             shared,
                             u_max_abs,
                             mult,
@@ -860,7 +867,7 @@ impl ShardedStore {
                         // and its residual — are against what lookups
                         // will actually reconstruct.
                         decode_stored_row(
-                            shared.read_row(mod_hash(id, *m))?,
+                            shared.read_row(recipe.maps[0].row(id))?,
                             self.dtype,
                             &mut u_scratch,
                         );
@@ -880,7 +887,7 @@ impl ShardedStore {
                         error_bound = (error_bound + drift).max(residual + quant_err);
                     }
                     (
-                        ShardData::MemCom {
+                        ShardData::Scaled {
                             u_max_abs,
                             mult,
                             bias,
@@ -979,7 +986,7 @@ impl ShardedStore {
         self.dtype
     }
 
-    /// Bytes held by the per-entity scalar tables of a MemCom store
+    /// Bytes held by the per-entity scalar tables of a scaled-layout store
     /// (multiplier + bias, across all shards). Zero for row stores —
     /// this isolates exactly the footprint the int8 scalar packing
     /// shrinks.
@@ -988,7 +995,7 @@ impl ShardedStore {
             .iter()
             .map(|s| match &s.data {
                 ShardData::Rows { .. } => 0,
-                ShardData::MemCom { mult, bias, .. } => {
+                ShardData::Scaled { mult, bias, .. } => {
                     mult.table().len() + bias.as_ref().map_or(0, |b| b.table().len())
                 }
             })
@@ -1009,7 +1016,7 @@ impl ShardedStore {
     }
 
     /// Total bytes held by all shard stores (on-"disk" model size,
-    /// counting the MemCom shared table once per shard even though the
+    /// counting the replicated shared table once per shard even though the
     /// shards physically share those pages).
     pub fn stored_bytes(&self) -> usize {
         self.shards
@@ -1201,7 +1208,7 @@ impl std::fmt::Debug for ShardedStore {
     }
 }
 
-/// Least-squares fit of `row ≈ v·u (+ w)` — the MemCom delta path:
+/// Least-squares fit of `row ≈ v·u (+ w)` — the scaled layout's delta path:
 /// given the stored shared row `u`, the best per-entity scalars for the
 /// requested row, and the fit's true max-absolute residual (the served
 /// error for that entity). With `fit_bias` false, `w` is 0.
@@ -1267,7 +1274,7 @@ fn decode_f32(bytes: &[u8]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memcom_core::{EmbeddingCompressor, FullEmbedding, MemComConfig};
+    use memcom_core::{EmbeddingCompressor, FullEmbedding, MemCom, MemComConfig};
     use memcom_ondevice::quant::{dequant_error_bound, quantize_row};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1746,17 +1753,13 @@ mod tests {
 
     impl ShardedStore {
         /// Test helper: the decoded stored shared row `mod_hash(id, m)`
-        /// of `id`'s shard (MemCom layout only).
+        /// of `id`'s shard (scaled layout only).
         fn get_shared_row_for_test(&self, id: usize, m: usize) -> Vec<f32> {
             let shard = &self.shards[self.shard_of(id)];
             match &shard.data {
-                ShardData::MemCom { shared, .. } => {
+                ShardData::Scaled { shared, .. } => {
                     let mut out = vec![0f32; self.dim];
-                    decode_stored_row(
-                        shared.read_row(mod_hash(id, m)).unwrap(),
-                        self.dtype,
-                        &mut out,
-                    );
+                    decode_stored_row(shared.read_row(id % m).unwrap(), self.dtype, &mut out);
                     out
                 }
                 ShardData::Rows { .. } => panic!("not a memcom store"),

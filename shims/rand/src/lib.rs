@@ -65,11 +65,13 @@ pub trait Rng: RngCore {
     /// Samples a value from the "standard" distribution of `T`
     /// (uniform over `[0, 1)` for floats, uniform over all values for
     /// integers and `bool`).
+    #[inline]
     fn gen<T: StandardSample>(&mut self) -> T {
         T::sample_standard(self)
     }
 
     /// Samples uniformly from `range` (half-open or inclusive).
+    #[inline]
     fn gen_range<T, R>(&mut self, range: R) -> T
     where
         T: SampleUniform,
@@ -101,6 +103,7 @@ pub trait StandardSample: Sized {
 }
 
 impl StandardSample for f32 {
+    #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 24 mantissa bits → uniform on [0, 1).
         (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
@@ -108,6 +111,7 @@ impl StandardSample for f32 {
 }
 
 impl StandardSample for f64 {
+    #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 mantissa bits → uniform on [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -115,6 +119,7 @@ impl StandardSample for f64 {
 }
 
 impl StandardSample for bool {
+    #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u32() & 1 == 1
     }
@@ -123,6 +128,7 @@ impl StandardSample for bool {
 macro_rules! standard_int {
     ($($t:ty),*) => {$(
         impl StandardSample for $t {
+            #[inline]
             fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
                 rng.next_u64() as $t
             }
@@ -142,12 +148,14 @@ pub trait SampleUniform: Sized + Copy + PartialOrd {
 macro_rules! uniform_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_half_open<R: RngCore + ?Sized>(low: Self, high: Self, rng: &mut R) -> Self {
                 assert!(low < high, "gen_range: empty range");
                 let span = (high as i128 - low as i128) as u128;
                 let r = ((rng.next_u64() as u128 * span) >> 64) as i128;
                 (low as i128 + r) as $t
             }
+            #[inline]
             fn sample_inclusive<R: RngCore + ?Sized>(low: Self, high: Self, rng: &mut R) -> Self {
                 assert!(low <= high, "gen_range: empty inclusive range");
                 let span = (high as i128 - low as i128) as u128 + 1;
@@ -162,6 +170,7 @@ uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 macro_rules! uniform_float {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_half_open<R: RngCore + ?Sized>(low: Self, high: Self, rng: &mut R) -> Self {
                 assert!(low < high, "gen_range: empty range");
                 let u = <$t as StandardSample>::sample_standard(rng);
@@ -170,6 +179,7 @@ macro_rules! uniform_float {
                 // that measure-zero edge back into the range.
                 if v < high { v } else { low }
             }
+            #[inline]
             fn sample_inclusive<R: RngCore + ?Sized>(low: Self, high: Self, rng: &mut R) -> Self {
                 assert!(low <= high, "gen_range: empty inclusive range");
                 let u = <$t as StandardSample>::sample_standard(rng);
@@ -187,12 +197,14 @@ pub trait SampleRange<T> {
 }
 
 impl<T: SampleUniform> SampleRange<T> for std::ops::Range<T> {
+    #[inline]
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         T::sample_half_open(self.start, self.end, rng)
     }
 }
 
 impl<T: SampleUniform> SampleRange<T> for std::ops::RangeInclusive<T> {
+    #[inline]
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         T::sample_inclusive(*self.start(), *self.end(), rng)
     }

@@ -83,6 +83,83 @@ fn memcom_beats_naive_hashing_at_matched_hash_size() {
 }
 
 #[test]
+fn matched_budget_ordering_against_double_hash_and_qr_is_pinned() {
+    // The comparison Figures 1-2 make against the stronger hashing
+    // baselines, at toy scale: every technique gets (at most) MEmCom's
+    // embedding parameters, `m*e + v`. (`m = v/4`: below that no
+    // quotient-remainder split of this vocabulary fits the budget.)
+    //
+    // What the seeded run shows is pinned, not what the paper reports:
+    // with ~65 ids and a budget that buys double hashing 20 rows per
+    // table, the baselines barely collide (v/m ~ 3, the paper compares
+    // at v/m >= 16) while MEmCom spends a fifth of its budget on
+    // multipliers, and it trails both. The assertions keep a refactor of
+    // core/nn/tensor from moving these numbers silently; CHANGES.md
+    // (PR 16) records them.
+    let spec = tiny_spec();
+    let data = spec.generate(77);
+    let (vocab, e) = (spec.input_vocab(), 16);
+    let memcom_m = vocab / 4;
+    let budget = memcom_m * e + vocab;
+    let qr_params = |m: usize| (m + vocab.div_ceil(m)) * e;
+    let qr_m = (1..=vocab)
+        .filter(|&m| qr_params(m) <= budget)
+        .max_by_key(|&m| qr_params(m))
+        .expect("some remainder size fits the budget");
+    let methods = [
+        MethodSpec::MemCom {
+            hash_size: memcom_m,
+            bias: false,
+        },
+        MethodSpec::DoubleHash {
+            hash_size: budget / e,
+        },
+        MethodSpec::QuotientRemainder {
+            hash_size: qr_m,
+            combiner: memcom::core::QrCombiner::Multiply,
+        },
+    ];
+    // Average two seeds to damp training noise.
+    let ndcg = methods.each_ref().map(|method| {
+        let runs = [1u64, 2].map(|seed| {
+            let config = ModelConfig {
+                seed,
+                ..model_config(&spec, ModelKind::Classifier)
+            };
+            let mut model = RecModel::new(&config, method).expect("model builds");
+            let params = model.embedding().param_count();
+            assert!(params <= budget, "{} has {params} params", method.label());
+            let cfg = TrainConfig {
+                epochs: 8,
+                batch_size: 32,
+                seed,
+                ..TrainConfig::default()
+            };
+            train(&mut model, &data.train, &data.eval, &cfg)
+                .expect("training succeeds")
+                .eval_ndcg
+        });
+        runs.iter().sum::<f64>() / 2.0
+    });
+    let [memcom, double_hash, qr_mult] = ndcg;
+    println!(
+        "budget {budget}: memcom {memcom:.4} double_hash {double_hash:.4} qr_mult {qr_mult:.4}"
+    );
+    assert!(
+        double_hash > qr_mult - 0.01,
+        "double hashing ndcg {double_hash:.4} fell behind quotient-remainder {qr_mult:.4}"
+    );
+    assert!(
+        qr_mult > memcom - 0.01,
+        "quotient-remainder ndcg {qr_mult:.4} fell behind memcom {memcom:.4}"
+    );
+    assert!(
+        memcom > 0.4,
+        "memcom ndcg {memcom:.4} collapsed (seeded run: 0.486)"
+    );
+}
+
+#[test]
 fn serialized_model_matches_training_stack_everywhere() {
     // Train briefly, serialize, and check on-device logits equal the
     // training stack's across a batch of eval users.
