@@ -9,7 +9,11 @@
 //! training ([`EmbeddingCompressor::row_into`]), the on-device model file
 //! (which carries the recipe in its header), the on-device engine and the
 //! serve store all run [`Recipe::row_into`] over their own table storage;
-//! nothing outside this module re-derives a combine.
+//! nothing outside this module re-derives a combine. That includes what
+//! a combine costs and how it propagates error: [`Combine::flops`] and
+//! [`Combine::error_bound`] sit beside the executor, so a runtime that
+//! stores the tables inexactly certifies its rows without knowing which
+//! technique it is serving.
 //!
 //! [`EmbeddingCompressor::row_into`]: crate::EmbeddingCompressor::row_into
 
@@ -54,6 +58,28 @@ impl Combine {
             Combine::ScaleMul | Combine::Mul => dim,
             Combine::ScaleAdd | Combine::OneHotMatmul => 2 * dim,
             Combine::Project { hidden } => 2 * hidden * dim,
+        }
+    }
+
+    /// How far one value of [`Recipe::row_into`]'s output can move when
+    /// the tables it reads are stored inexactly (quantized):
+    /// `parts[k] = (max |x|, max |x − x'|)` over the values `x` of table
+    /// `k` and their stored versions `x'`, in [`Recipe::maps`] order
+    /// (then [`Project`](Combine::Project)'s projection). The bound is in
+    /// real arithmetic; an `f32` run adds its own rounding on top.
+    ///
+    /// Beside [`flops`](Self::flops), this is the only place a combine's
+    /// arithmetic is restated: a store certifies its served rows through
+    /// it instead of deriving a bound per technique.
+    pub fn error_bound(self, parts: &[(f32, f32)]) -> f32 {
+        // |a·b − a'·b'| ≤ |b|·err(a) + |a'|·err(b), and |a'| ≤ |a| + err(a).
+        let product = |a: (f32, f32), b: (f32, f32)| b.0 * a.1 + (a.0 + a.1) * b.1;
+        match self {
+            Combine::Row | Combine::OneHotMatmul => parts[0].1,
+            Combine::ScaleMul | Combine::Mul => product(parts[0], parts[1]),
+            Combine::ScaleAdd => product(parts[0], parts[1]) + parts[2].1,
+            Combine::Concat => parts.iter().fold(0.0, |worst, part| worst.max(part.1)),
+            Combine::Project { hidden } => hidden as f32 * product(parts[0], parts[1]),
         }
     }
 }
@@ -208,6 +234,8 @@ impl Recipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashing::splitmix64;
+    use proptest::prelude::*;
 
     /// Table `k`, row `r` holds `10·k + r + 0.5·c` in column `c`.
     fn read(k: usize, r: usize, buf: &mut [f32]) -> std::result::Result<(), ()> {
@@ -309,5 +337,65 @@ mod tests {
         low_rank.check(45, 8, &[(45, 2), (2, 8)]).unwrap();
         assert!(low_rank.check(45, 8, &[(45, 2), (3, 8)]).is_err());
         assert!(low_rank.check(45, 8, &[(45, 2)]).is_err());
+    }
+
+    /// `±1`, fixed by the coordinates.
+    fn sign(seed: u64, k: usize, r: usize, c: usize) -> f32 {
+        let bits = splitmix64(seed ^ ((k as u64) << 40) ^ ((r as u64) << 20) ^ c as u64);
+        if bits & 1 == 0 {
+            1.0
+        } else {
+            -1.0
+        }
+    }
+
+    proptest! {
+        // Tables whose every value is `±max_abs[k]`, stored off by
+        // `±err[k]` — the extremes, so aligned signs attain the bound:
+        // each output value moves by at most what `Combine::error_bound`
+        // composes from those two numbers per table (plus the f32
+        // rounding of the two runs themselves).
+        #[test]
+        fn prop_stored_error_moves_a_row_by_at_most_the_composed_bound(
+            seed in 0u64..10_000,
+            id in 0usize..60,
+            max_abs in proptest::collection::vec(0.0f32..4.0, 3),
+            err in proptest::collection::vec(0.0f32..0.5, 3),
+        ) {
+            let (m, i, d) = (RowMap::Mod(5), RowMap::Identity, RowMap::Div(5));
+            for (maps, combine) in [
+                (vec![m], Combine::Row),
+                (vec![m], Combine::OneHotMatmul),
+                (vec![m, i], Combine::ScaleMul),
+                (vec![m, i, i], Combine::ScaleAdd),
+                (vec![m, d], Combine::Mul),
+                (vec![m, d, i], Combine::Concat),
+                (vec![i], Combine::Project { hidden: 3 }),
+            ] {
+                let recipe = Recipe::new(maps, combine);
+                let parts: Vec<(f32, f32)> = (0..recipe.table_count())
+                    .map(|k| (max_abs[k], err[k]))
+                    .collect();
+                let row = |off_by: f32| {
+                    let read = |k: usize, r: usize, buf: &mut [f32]| {
+                        for (c, x) in buf.iter_mut().enumerate() {
+                            let moved = off_by * err[k] * sign(!seed, k, r, c);
+                            *x = max_abs[k] * sign(seed, k, r, c) + moved;
+                        }
+                        Ok::<(), ()>(())
+                    };
+                    let mut out = vec![f32::NAN; 6];
+                    recipe.row_into(id, read, &mut Vec::new(), &mut out).unwrap();
+                    out
+                };
+                let bound = combine.error_bound(&parts);
+                for (exact, stored) in row(0.0).iter().zip(row(1.0)) {
+                    prop_assert!(
+                        (exact - stored).abs() <= bound * (1.0 + 1e-5) + 1e-5,
+                        "{:?}: {} vs {} (bound {})", combine, exact, stored, bound
+                    );
+                }
+            }
+        }
     }
 }

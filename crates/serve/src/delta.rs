@@ -17,6 +17,20 @@
 //! [`error_bound`](crate::ShardedStore::error_bound) is re-certified to
 //! cover the new rows.
 //!
+//! A delta addresses rows **by id**, so it applies to stores whose
+//! recipe gives an id a row of its own to write: uncompressed and
+//! reduced-dim tables (the row is re-encoded) and MEmCom (the row is
+//! projected onto the id's multiplier and bias). Under every other
+//! technique — naive/double hashing, quotient–remainder, truncate-rare,
+//! the factorized and one-hot baselines — an id's embedding lives in
+//! rows it shares with the ids it collides with, and upserting it would
+//! mean either moving those ids too or materializing the table the
+//! technique exists to avoid. `apply_delta` therefore refuses such a
+//! store with [`ServeError::BadConfig`] before copying a page; refresh
+//! it by rebuilding from the retrained model and [`crate::Router::swap`].
+//! (No caller applied deltas to such a store; the capability to
+//! materialize-and-patch was removed rather than kept unused.)
+//!
 //! ```
 //! use memcom_core::{FullEmbedding, EmbeddingCompressor};
 //! use memcom_serve::{ShardedStore, StoreDelta};

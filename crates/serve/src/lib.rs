@@ -9,12 +9,14 @@
 //!
 //! Bottom-up, each module is one layer of the engine:
 //!
-//! * [`store`] — **storage**: [`ShardedStore`] partitions a trained
-//!   model's per-entity state across N shards, each holding its rows in
-//!   structurally-shared pages ([`memcom_ondevice::PagedTable`]) behind
-//!   a hot-row LRU ([`cache`]). Its slab API
-//!   ([`ShardedStore::lookup_batch`]) writes rows straight into a
-//!   caller-owned flat buffer — no per-row allocation.
+//! * [`store`] — **storage**: [`ShardedStore`] holds one column per
+//!   table of a trained model's [`memcom_core::Recipe`] in each of N
+//!   shards — per-entity tables partitioned, shared tables replicated —
+//!   in structurally-shared pages ([`memcom_ondevice::PagedTable`])
+//!   behind a hot-row LRU ([`cache`]), and serves a miss by running the
+//!   recipe over them. Its slab API ([`ShardedStore::lookup_batch`])
+//!   writes rows straight into a caller-owned flat buffer — no per-row
+//!   allocation.
 //! * [`delta`] — **incremental refresh**: [`StoreDelta`] batches
 //!   row-level upserts/removals; [`ShardedStore::apply_delta`] turns
 //!   one into a new snapshot that copy-on-writes only the touched pages
@@ -64,9 +66,11 @@
 //!   Prometheus/JSON exporters over [`Router::metrics`]'s
 //!   [`MetricsSnapshot`].
 //!
-//! Sharding exploits the structure of MEmCom itself: the *small shared
-//! table* is replicated per shard while the *large per-entity tables*
-//! (multipliers, biases) are partitioned, so shards stay compressed and
+//! Sharding exploits the structure of the recipe itself: a table an id
+//! reads through a hash is *small* — that is the compression — and is
+//! replicated per shard, while a table with one row per id (MEmCom's
+//! multipliers and biases, an uncompressed table) is *large* and is
+//! partitioned, so shards stay compressed, whatever the technique, and
 //! never contend on a common lock. Costs plug into the on-device
 //! compute-unit model: [`ShardedStore::run_stats`] returns the same
 //! [`memcom_ondevice::RunStats`] the single-inference engines report.

@@ -1,43 +1,39 @@
 //! The sharded row store.
 //!
-//! Partitions a trained embedding model's per-entity state across N
-//! shards, each backed by its own set of structurally-shared pages
-//! ([`memcom_ondevice::PagedTable`]: its own lazy residency and fault
-//! accounting, so shards never contend on a shared lock) and fronted by
-//! its own hot-row LRU.
+//! Serves a trained embedding model from N shards by running the
+//! technique's own [`Recipe`] over its own tables — the executor
+//! ([`Recipe::row_into`]) training and the on-device engine run, hence the
+//! same bits — so a served model costs what its tables cost, never
+//! `vocab × dim`. Each shard holds one **column** per recipe table, backed
+//! by structurally-shared pages ([`memcom_ondevice::PagedTable`]: its own
+//! lazy residency and fault accounting, so shards never contend on a
+//! shared lock), and fronts them with its own hot-row LRU.
 //!
-//! Two layouts, chosen at build time from the compressor's
-//! [`Recipe`] — something the store can observe, not an option:
+//! One placement rule, read off the recipe — something the store can
+//! observe, not an option:
 //!
-//! * **Scaled** — a recipe that scales a shared row by per-entity scalars
-//!   ([`Combine::ScaleMul`] / [`Combine::ScaleAdd`] with `Identity`-mapped
-//!   scalar tables: MEmCom). The shard replicates the *small shared
-//!   table* (`m × e`, the whole point of the compression is that this is
-//!   tiny) and partitions the *large per-entity tables* (multipliers,
-//!   biases) round-robin. A lookup runs the recipe's executor
-//!   ([`Recipe::row_into`]) over one shared row + one or two scalars —
-//!   the same code, hence the same bits, as training and the on-device
-//!   engine. (The replicated shared-table pages are physically one
-//!   allocation shared by every shard's `Arc`s; only the residency
-//!   accounting is per shard.)
-//! * **Rows** — any other recipe is materialized through the
-//!   compressor's zero-copy `embed_into` path into dense per-shard row
-//!   pages. Correct for every technique, at uncompressed storage cost —
-//!   which is precisely the serving-memory trade-off the paper's Table 3
-//!   contrasts. (Serving other recipes compressed needs a general
-//!   replicate/partition rule and per-combine error bounds; not done.)
+//! * a table whose map is [`RowMap::Identity`] holds one row per id, so it
+//!   is **partitioned** with the ids: `shard = id % n_shards`,
+//!   `slot = id / n_shards` (contiguous popular ids — the paper
+//!   frequency-sorts ids, §5.1 — spread across all shards, so Zipf-skewed
+//!   traffic load-balances naturally);
+//! * every other table (hashed, clamped or quotient maps, and
+//!   [`Combine::Project`]'s map-less projection) is small by construction
+//!   — that is the compression — so it is encoded once and **replicated**:
+//!   every shard `Arc`-shares the same physical pages and keeps only its
+//!   own residency accounting.
 //!
-//! Ids are routed `shard = id % n_shards`, `slot = id / n_shards`:
-//! contiguous popular ids (the paper frequency-sorts ids, §5.1) spread
-//! across all shards, so Zipf-skewed traffic load-balances naturally.
+//! The uncompressed baseline is thus [`Combine::Row`] over one partitioned
+//! column, MEmCom is `[replicated shared table, partitioned multipliers,
+//! partitioned biases?]`, naive hashing is one replicated `m × e` column.
 //!
 //! The batch read path is slab-based: [`ShardedStore::lookup_batch`]
 //! writes rows straight into a caller-owned flat buffer — cache hits are
-//! `memcpy`s out of the LRU, misses decode from the page store in place,
-//! and nothing on that path allocates per row.
+//! `memcpy`s out of the LRU, misses run the recipe over page reads in
+//! place, and nothing on that path allocates per row.
 //!
-//! Either layout can store its rows below fp32
-//! ([`ShardedStore::build_quantized`]): shard pages then hold
+//! Any store can hold its rows below fp32
+//! ([`ShardedStore::build_quantized`]): column pages then hold
 //! [`Dtype`]-packed row bytes — each integer-quantized row carries its
 //! own inline `f32` scale, so one page-local read yields both — and the
 //! miss path dequantizes **directly into the caller's slab** through
@@ -45,7 +41,8 @@
 //! guarantee. The hot-row LRU always caches decoded fp32 rows, so cache
 //! hits stay pure memcpys regardless of the storage dtype, and
 //! [`ShardedStore::error_bound`] certifies the worst-case absolute error
-//! any served row can carry.
+//! any served row can carry: each column's `(max |value|, max
+//! dequantization error)` composed by [`Combine::error_bound`].
 //!
 //! ## Delta snapshots
 //!
@@ -60,6 +57,16 @@
 //! 0.1%-of-rows delta therefore costs ~0.1% of a rebuild in bytes
 //! copied and wall time, which is what makes high-frequency online
 //! refresh ([`crate::Router::apply_delta`]) affordable.
+//!
+//! A per-id write needs a per-id row to land in, so the recipes that take
+//! deltas are the ones with a partitioned column to write: [`Combine::Row`]
+//! over an identity map (uncompressed, reduced dim — the row is
+//! re-encoded) and [`Combine::ScaleMul`] / [`Combine::ScaleAdd`] over
+//! identity-mapped scalars (MEmCom — the row is projected onto its shared
+//! row). Under every other recipe an id owns no row — its embedding is
+//! shared with every id it collides with — so `apply_delta` refuses with
+//! [`ServeError::BadConfig`] instead of un-compressing the store: rebuild
+//! from the retrained model and [`crate::Router::swap`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -115,47 +122,82 @@ pub struct ShardCacheStats {
     pub cached_rows: usize,
 }
 
-/// Slots per int8 scalar block ([`ScalarTable::Int8`]).
+/// Slots per int8 scalar block ([`ColumnRows::Int8`]).
 const SCALAR_BLOCK: usize = 64;
 /// Stored bytes per int8 scalar block: inline `f32` scale + one code
 /// per slot.
 const SCALAR_BLOCK_BYTES: usize = 4 + SCALAR_BLOCK;
 
-/// A per-entity scalar column of the scaled layout (multipliers,
-/// biases): one value per slot, the dominant per-entity store term at
-/// scale.
+/// The rows of one column, in one of three encodings.
 ///
-/// Quantized stores pack it as [`SCALAR_BLOCK`]-slot **int8 blocks
-/// with per-block scales** — the same symmetric linear scheme the row
-/// tables use, with the block standing in for the row — at
+/// A 1-wide partitioned column (MEmCom's multipliers and biases: one
+/// value per slot, the dominant per-entity store term at scale) is a
+/// scalar column. Quantized stores pack it as [`SCALAR_BLOCK`]-slot
+/// **int8 blocks with per-block scales** — the same symmetric linear
+/// scheme the wide rows use, with the block standing in for the row — at
 /// `(4 + 64) / 64 ≈ 1.06` bytes per slot instead of 4. A zeroed block
 /// stores scale `0.0` (codes decode to exact 0 at any scale, and a
 /// zero scale forces the first real write through the re-scale path
 /// instead of rounding against a meaningless step).
 #[derive(Debug)]
-enum ScalarTable {
-    /// One exact `f32` per slot (F32-dtype stores).
+enum ColumnRows {
+    /// `dtype`-packed stored rows of `cols` values, each integer row
+    /// behind its own inline scale.
+    Wide {
+        table: PagedTable,
+        dtype: Dtype,
+        cols: usize,
+    },
+    /// One exact `f32` per slot (scalar column of an F32 store).
     F32(PagedTable),
-    /// Int8 blocks with inline per-block scales.
+    /// Int8 blocks with inline per-block scales (scalar column of a
+    /// quantized store).
     Int8(PagedTable),
 }
 
-/// What a [`ScalarTable::set`] actually did to served values — the
+/// What a [`ColumnRows::write`] actually did to served values — the
 /// terms [`ShardedStore::apply_delta`] folds into the certified bound.
 #[derive(Debug, Clone, Copy, Default)]
-struct ScalarWrite {
-    /// `|requested − stored|` for the written slot.
+struct Written {
+    /// Max `|requested − stored|` over the written row.
     err: f32,
-    /// Max `|old − new|` over the *other* slots of a re-scaled block
-    /// (0 when the write fit the block's existing scale, and for F32).
+    /// Max `|old − new|` over the *other* slots of a re-scaled int8 block
+    /// (0 when the write fit the block's existing scale, and for the
+    /// other encodings).
     neighbor_drift: f32,
 }
 
-impl ScalarTable {
-    /// Builds a column from per-slot values; `quantize` selects the
-    /// int8 block layout. Returns the table and the measured max
-    /// `|source − stored|` across slots (0 for F32).
+impl ColumnRows {
+    /// Encodes rows `rows` of `values` (`cols` wide, row-major), in that
+    /// order; a 1-wide `partitioned` column takes the scalar encodings.
+    /// Returns the rows and the worst `|source − stored|` they certify.
     fn build(
+        values: &[f32],
+        cols: usize,
+        rows: impl ExactSizeIterator<Item = usize>,
+        partitioned: bool,
+        dtype: Dtype,
+        page_size: usize,
+    ) -> (Self, f32) {
+        if partitioned && cols == 1 {
+            return Self::build_scalars(rows.map(|r| values[r]), dtype != Dtype::F32, page_size);
+        }
+        let stride = dtype.stored_row_bytes(cols);
+        let mut bytes = Vec::with_capacity(rows.len() * stride);
+        let mut payload = vec![0u8; dtype.row_bytes(cols)];
+        let mut err = 0f32;
+        for r in rows {
+            let row = &values[r * cols..(r + 1) * cols];
+            err = err.max(encode_stored_row(row, dtype, &mut payload, &mut bytes));
+        }
+        let table = PagedTable::from_rows(&bytes, stride, page_size);
+        (ColumnRows::Wide { table, dtype, cols }, err)
+    }
+
+    /// Builds a scalar column from per-slot values; `quantize` selects
+    /// the int8 block layout. Returns the rows and the measured max
+    /// `|source − stored|` across slots (0 for F32).
+    fn build_scalars(
         values: impl ExactSizeIterator<Item = f32>,
         quantize: bool,
         page_size: usize,
@@ -166,7 +208,7 @@ impl ScalarTable {
                 bytes.extend_from_slice(&v.to_le_bytes());
             }
             return (
-                ScalarTable::F32(PagedTable::from_rows(&bytes, 4, page_size)),
+                ColumnRows::F32(PagedTable::from_rows(&bytes, 4, page_size)),
                 0.0,
             );
         }
@@ -198,36 +240,54 @@ impl ScalarTable {
             bytes.extend_from_slice(&payload);
         }
         (
-            ScalarTable::Int8(PagedTable::from_rows(&bytes, SCALAR_BLOCK_BYTES, page_size)),
+            ColumnRows::Int8(PagedTable::from_rows(&bytes, SCALAR_BLOCK_BYTES, page_size)),
             err,
         )
     }
 
-    /// The stored scalar for `slot`.
-    fn get(&self, slot: usize) -> Result<f32> {
+    /// Decodes row (scalar columns: slot) `r` into `buf`.
+    fn read(&self, r: usize, buf: &mut [f32]) -> Result<()> {
         match self {
-            ScalarTable::F32(t) => Ok(decode_f32(t.read_row(slot)?)),
-            ScalarTable::Int8(t) => {
-                let row = t.read_row(slot / SCALAR_BLOCK)?;
+            ColumnRows::Wide { table, dtype, .. } => {
+                decode_stored_row(table.read_row(r)?, *dtype, buf)
+            }
+            ColumnRows::F32(t) => buf[0] = decode_f32(t.read_row(r)?),
+            ColumnRows::Int8(t) => {
+                let row = t.read_row(r / SCALAR_BLOCK)?;
                 let scale = decode_f32(&row[..4]);
-                Ok((row[4 + slot % SCALAR_BLOCK] as i8) as f32 * scale)
+                buf[0] = (row[4 + r % SCALAR_BLOCK] as i8) as f32 * scale;
             }
         }
+        Ok(())
     }
 
-    /// Stores `value` at `slot`. Int8 blocks re-use the block's
-    /// existing scale when the value fits its code range (no other
-    /// slot moves); otherwise the whole block re-encodes around a new
-    /// scale and the returned [`ScalarWrite::neighbor_drift`] reports
-    /// how far the block's other slots moved.
-    fn set(&mut self, slot: usize, value: f32) -> Result<ScalarWrite> {
+    /// Stores `values` as row (slot) `r`. Wide rows re-encode around
+    /// their own scale. Int8 blocks re-use the block's existing scale
+    /// when the value fits its code range (no other slot moves);
+    /// otherwise the whole block re-encodes around a new scale and the
+    /// returned [`Written::neighbor_drift`] reports how far the block's
+    /// other slots moved. `scratch` is the wide rows' `[payload, stored]`
+    /// encode buffers, reused across the writes of one delta.
+    fn write(&mut self, r: usize, values: &[f32], scratch: &mut [Vec<u8>; 2]) -> Result<Written> {
         match self {
-            ScalarTable::F32(t) => {
-                t.write_row(slot, &value.to_le_bytes())?;
-                Ok(ScalarWrite::default())
+            ColumnRows::Wide { table, dtype, .. } => {
+                let [payload, stored] = scratch;
+                payload.resize(dtype.row_bytes(values.len()), 0);
+                stored.clear();
+                let err = encode_stored_row(values, *dtype, payload, stored);
+                table.write_row(r, stored)?;
+                Ok(Written {
+                    err,
+                    neighbor_drift: 0.0,
+                })
             }
-            ScalarTable::Int8(t) => {
-                let (block, idx) = (slot / SCALAR_BLOCK, slot % SCALAR_BLOCK);
+            ColumnRows::F32(t) => {
+                t.write_row(r, &values[0].to_le_bytes())?;
+                Ok(Written::default())
+            }
+            ColumnRows::Int8(t) => {
+                let value = values[0];
+                let (block, idx) = (r / SCALAR_BLOCK, r % SCALAR_BLOCK);
                 let mut row = t.read_row(block)?.to_vec();
                 let scale = decode_f32(&row[..4]);
                 if scale > 0.0 {
@@ -236,7 +296,7 @@ impl ScalarTable {
                         let q = q as i8;
                         row[4 + idx] = q as u8;
                         t.write_row(block, &row)?;
-                        return Ok(ScalarWrite {
+                        return Ok(Written {
                             err: (value - q as f32 * scale).abs(),
                             neighbor_drift: 0.0,
                         });
@@ -258,7 +318,7 @@ impl ScalarTable {
                 row[..4].copy_from_slice(&new_scale.to_le_bytes());
                 row[4..].copy_from_slice(&payload);
                 t.write_row(block, &row)?;
-                let mut write = ScalarWrite::default();
+                let mut write = Written::default();
                 for (i, (&was, &code)) in old.iter().zip(&payload).enumerate() {
                     let now = (code as i8) as f32 * new_scale;
                     if i == idx {
@@ -272,12 +332,15 @@ impl ScalarTable {
         }
     }
 
-    /// Appends zeroed slots for vocabulary growth (`old_slots` →
+    /// Appends zeroed rows for vocabulary growth (`old_slots` →
     /// `new_slots`).
     fn extend(&mut self, old_slots: usize, new_slots: usize) {
         match self {
-            ScalarTable::F32(t) => t.extend_rows(new_slots - old_slots, &0f32.to_le_bytes()),
-            ScalarTable::Int8(t) => {
+            ColumnRows::Wide { table, dtype, cols } => {
+                table.extend_rows(new_slots - old_slots, &stored_zero_row(*dtype, *cols))
+            }
+            ColumnRows::F32(t) => t.extend_rows(new_slots - old_slots, &0f32.to_le_bytes()),
+            ColumnRows::Int8(t) => {
                 let extra = new_slots.div_ceil(SCALAR_BLOCK) - old_slots.div_ceil(SCALAR_BLOCK);
                 if extra > 0 {
                     t.extend_rows(extra, &[0u8; SCALAR_BLOCK_BYTES]);
@@ -286,203 +349,122 @@ impl ScalarTable {
         }
     }
 
+    /// A snapshot clone sharing every page (see
+    /// [`PagedTable::shared_clone`]).
     fn shared_clone(&self) -> Self {
         match self {
-            ScalarTable::F32(t) => ScalarTable::F32(t.shared_clone()),
-            ScalarTable::Int8(t) => ScalarTable::Int8(t.shared_clone()),
-        }
-    }
-
-    /// Bytes physically shared with `other` (0 across layouts).
-    fn shared_bytes_with(&self, other: &ScalarTable) -> usize {
-        match (self, other) {
-            (ScalarTable::F32(a), ScalarTable::F32(b))
-            | (ScalarTable::Int8(a), ScalarTable::Int8(b)) => a.shared_bytes_with(b),
-            _ => 0,
+            ColumnRows::Wide { table, dtype, cols } => ColumnRows::Wide {
+                table: table.shared_clone(),
+                dtype: *dtype,
+                cols: *cols,
+            },
+            ColumnRows::F32(t) => ColumnRows::F32(t.shared_clone()),
+            ColumnRows::Int8(t) => ColumnRows::Int8(t.shared_clone()),
         }
     }
 
     /// The backing page table (accounting).
     fn table(&self) -> &PagedTable {
         match self {
-            ScalarTable::F32(t) | ScalarTable::Int8(t) => t,
+            ColumnRows::Wide { table: t, .. } | ColumnRows::F32(t) | ColumnRows::Int8(t) => t,
         }
     }
 }
 
-/// One shard's page-backed storage.
-// One long-lived instance per shard, never moved by value on a hot
-// path — boxing the larger scaled variant would only add a pointer
-// chase to every lookup.
-#[allow(clippy::large_enum_variant)]
+/// One recipe table as a shard holds it.
 #[derive(Debug)]
-enum ShardData {
-    /// Materialized rows: slot `s` holds the full stored row of id
-    /// `s*n + shard`.
-    Rows {
-        /// Stored rows, one stride-aligned row per slot.
-        table: PagedTable,
-    },
-    /// Replicated shared table + partitioned per-entity scalars.
-    Scaled {
-        /// How an id reads them: `maps[0]` picks the shared row, the
-        /// combine scales it by the id's own scalars.
-        recipe: Recipe,
-        /// The stored shared rows (pages physically shared across
-        /// shards).
-        shared: PagedTable,
-        /// Upper bound on `|u|` for any decoded stored shared value —
-        /// the factor that converts a multiplier's quantization error
-        /// into served-row error when deltas re-encode scalars.
-        u_max_abs: f32,
-        /// One multiplier per slot.
-        mult: ScalarTable,
-        /// One bias per slot, when the model trains biases.
-        bias: Option<ScalarTable>,
-    },
+struct Column {
+    rows: ColumnRows,
+    /// Whether the table is partitioned — this shard holds only its own
+    /// ids' rows, at their slots — or replicated whole.
+    partitioned: bool,
+    /// Upper bound on `|x|` for any value the column decoded to when it
+    /// was built. A delta that re-encodes scalars beside a column it
+    /// never writes (MEmCom's shared table) needs it: it is the factor
+    /// that turns a scalar's write error into served-row error.
+    max_abs: f32,
 }
 
-impl ShardData {
-    /// Every page table this shard reads through (for accounting).
-    fn tables(&self) -> impl Iterator<Item = &PagedTable> {
-        let (a, b, c) = match self {
-            ShardData::Rows { table } => (table, None, None),
-            ShardData::Scaled {
-                shared, mult, bias, ..
-            } => (
-                shared,
-                Some(mult.table()),
-                bias.as_ref().map(ScalarTable::table),
-            ),
-        };
-        std::iter::once(a).chain(b).chain(c)
+impl Column {
+    /// Fills `buf` with what an id at `slot` reads from this column when
+    /// its map names row `r`: a partitioned column holds the id's own row
+    /// at its slot, a replicated one holds every row.
+    fn read(&self, slot: usize, r: usize, buf: &mut [f32]) -> Result<()> {
+        self.rows.read(if self.partitioned { slot } else { r }, buf)
     }
 
-    /// A snapshot clone sharing every page (see
-    /// [`PagedTable::shared_clone`]).
     fn shared_clone(&self) -> Self {
-        match self {
-            ShardData::Rows { table } => ShardData::Rows {
-                table: table.shared_clone(),
-            },
-            ShardData::Scaled {
-                recipe,
-                shared,
-                u_max_abs,
-                mult,
-                bias,
-            } => ShardData::Scaled {
-                recipe: recipe.clone(),
-                shared: shared.shared_clone(),
-                u_max_abs: *u_max_abs,
-                mult: mult.shared_clone(),
-                bias: bias.as_ref().map(ScalarTable::shared_clone),
-            },
+        Column {
+            rows: self.rows.shared_clone(),
+            ..*self
         }
     }
+}
 
-    /// Appends zeroed slots (vocabulary growth, `old_slots` →
-    /// `new_slots`).
-    fn extend_slots(&mut self, old_slots: usize, new_slots: usize, zero_row: &[u8]) {
-        match self {
-            ShardData::Rows { table } => table.extend_rows(new_slots - old_slots, zero_row),
-            ShardData::Scaled { mult, bias, .. } => {
-                mult.extend(old_slots, new_slots);
-                if let Some(b) = bias {
-                    b.extend(old_slots, new_slots);
-                }
-            }
-        }
-    }
-
-    /// Bytes of pages physically shared with `other` (0 for mismatched
-    /// layouts).
-    fn shared_bytes_with(&self, other: &ShardData) -> usize {
-        match (self, other) {
-            (ShardData::Rows { table: a }, ShardData::Rows { table: b }) => a.shared_bytes_with(b),
-            (
-                ShardData::Scaled {
-                    shared: sa,
-                    mult: ma,
-                    bias: ba,
-                    ..
-                },
-                ShardData::Scaled {
-                    shared: sb,
-                    mult: mb,
-                    bias: bb,
-                    ..
-                },
-            ) => {
-                sa.shared_bytes_with(sb)
-                    + ma.shared_bytes_with(mb)
-                    + match (ba, bb) {
-                        (Some(a), Some(b)) => a.shared_bytes_with(b),
-                        _ => 0,
-                    }
-            }
-            _ => 0,
-        }
-    }
+/// Reusable buffers of one shard's miss path; per-shard like the cache,
+/// so the one-worker-per-shard discipline keeps them uncontended and
+/// allocation settles after the first large batch.
+#[derive(Default)]
+struct MissScratch {
+    /// `(position, id)` of the batch's cache misses.
+    missing: Vec<(usize, usize)>,
+    /// The executor's operand buffer ([`Recipe::row_into`]'s `scratch`).
+    operand: Vec<f32>,
 }
 
 struct Shard {
-    data: ShardData,
-    /// Storage dtype of this shard's row bytes.
-    dtype: Dtype,
+    /// How an id reads `columns`.
+    recipe: Recipe,
+    /// One column per recipe table, in recipe order.
+    columns: Vec<Column>,
     /// Rows owned by this shard (its slot count).
     slots: usize,
+    /// Counted flops of one missed row: the combine, plus one multiply
+    /// (or half-to-float convert) per value when the rows dequantize.
+    row_flops: u64,
     cache: Mutex<LruCache>,
-    /// Reusable `(position, id)` miss list for the batch path; per-shard
-    /// like the cache, so the one-worker-per-shard discipline keeps it
-    /// uncontended and allocation settles after the first large batch.
-    miss_scratch: Mutex<Vec<(usize, usize)>>,
+    scratch: Mutex<MissScratch>,
     hits: AtomicU64,
     misses: AtomicU64,
     flops: AtomicU64,
 }
 
 impl Shard {
-    /// Decodes the embedding row for global `id` at local `slot` from the
-    /// backing pages straight into `out`, bypassing the cache — the
-    /// zero-copy miss path: quantized bytes dequantize in place, no
-    /// intermediate buffer.
-    fn read_row_into(&self, id: usize, slot: usize, dim: usize, out: &mut [f32]) -> Result<()> {
-        debug_assert!(slot < self.slots, "slot routed to wrong shard");
-        debug_assert_eq!(out.len(), dim);
-        match &self.data {
-            ShardData::Rows { table } => {
-                decode_stored_row(table.read_row(slot)?, self.dtype, out);
-                if self.dtype != Dtype::F32 {
-                    // Dequantization is real reconstruction work: one
-                    // multiply (or half-to-float convert) per element.
-                    self.flops.fetch_add(dim as u64, Ordering::Relaxed);
-                }
-            }
-            ShardData::Scaled {
-                recipe,
-                shared,
-                mult,
-                bias,
-                ..
-            } => {
-                // Table 0 is the replicated shared table; the scalar
-                // tables are partitioned, so this id's scalars sit at its
-                // slot whatever row their (identity) maps name.
-                let read = |k: usize, r: usize, buf: &mut [f32]| -> Result<()> {
-                    match k {
-                        0 => decode_stored_row(shared.read_row(r)?, self.dtype, buf),
-                        1 => buf[0] = mult.get(slot)?,
-                        _ => buf[0] = bias.as_ref().expect("ScaleAdd has a bias").get(slot)?,
-                    }
-                    Ok(())
-                };
-                recipe.row_into(id, read, &mut Vec::new(), out)?;
-                let dequant = if self.dtype == Dtype::F32 { 0 } else { dim };
-                let flops = recipe.combine.flops(dim) + dequant;
-                self.flops.fetch_add(flops as u64, Ordering::Relaxed);
-            }
+    fn new(
+        recipe: Recipe,
+        columns: Vec<Column>,
+        slots: usize,
+        row_flops: u64,
+        cache: LruCache,
+    ) -> Self {
+        Shard {
+            recipe,
+            columns,
+            slots,
+            row_flops,
+            cache: Mutex::new(cache),
+            scratch: Mutex::new(MissScratch::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            flops: AtomicU64::new(0),
         }
+    }
+
+    /// Runs the recipe for global `id` at local `slot` over the backing
+    /// pages straight into `out`, bypassing the cache — the zero-copy
+    /// miss path: quantized bytes dequantize in place, and the only
+    /// intermediate buffer is the reused `operand`.
+    fn read_row_into(
+        &self,
+        id: usize,
+        slot: usize,
+        operand: &mut Vec<f32>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        debug_assert!(slot < self.slots, "slot routed to wrong shard");
+        let read = |k: usize, r: usize, buf: &mut [f32]| self.columns[k].read(slot, r, buf);
+        self.recipe.row_into(id, read, operand, out)?;
+        self.flops.fetch_add(self.row_flops, Ordering::Relaxed);
         Ok(())
     }
 
@@ -511,7 +493,8 @@ impl Shard {
             out.len(),
             ids.len()
         );
-        let mut missing = self.miss_scratch.lock();
+        let mut scratch = self.scratch.lock();
+        let MissScratch { missing, operand } = &mut *scratch;
         missing.clear();
         {
             let mut cache = self.cache.lock();
@@ -539,12 +522,8 @@ impl Shard {
                         dup_hits += 1;
                     }
                     _ => {
-                        self.read_row_into(
-                            id,
-                            id / n_shards,
-                            dim,
-                            &mut out[pos * dim..(pos + 1) * dim],
-                        )?;
+                        let row = &mut out[pos * dim..(pos + 1) * dim];
+                        self.read_row_into(id, id / n_shards, operand, row)?;
                         first_of_id = Some((id, pos));
                     }
                 }
@@ -598,9 +577,8 @@ impl ShardedStore {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadConfig`] for a zero shard count or an
-    /// empty model, and propagates compressor errors from
-    /// materialization.
+    /// Returns [`ServeError::BadConfig`] for a zero shard count, a zero
+    /// page size or an empty model.
     pub fn build(
         emb: &dyn EmbeddingCompressor,
         n_shards: usize,
@@ -610,17 +588,19 @@ impl ShardedStore {
         Self::build_quantized(emb, n_shards, cache_capacity, page_size, Dtype::F32)
     }
 
-    /// Builds a store whose shard pages hold `dtype`-packed row bytes.
+    /// Builds a store whose column pages hold `dtype`-packed row bytes.
     ///
     /// Each integer-quantized row is encoded with its **own** linear
     /// scale (stored inline before the payload), so the error of any row
-    /// is bounded by *that row's* half-step, not the worst row's. For the
-    /// scaled layout the small shared table is quantized per row **and**
-    /// the per-entity scalars are packed as int8 blocks with a per-block
-    /// `f32` scale (64 codes per scale — about 3.8× smaller than one
-    /// `f32` per entity). The reconstruction error composes both terms:
-    /// `|v|·err(u) + |u_q|·err(v) + err(w)`.
-    /// [`error_bound`](Self::error_bound) reports the certified
+    /// is bounded by *that row's* half-step, not the worst row's; a
+    /// partitioned scalar column (MEmCom's per-entity multipliers and
+    /// biases) is packed as int8 blocks with a per-block `f32` scale (64
+    /// codes per scale — about 3.8× smaller than one `f32` per entity).
+    /// The reconstruction error of a served row composes the columns'
+    /// errors the way the recipe composes their values
+    /// ([`Combine::error_bound`]; for MEmCom
+    /// `|v|·err(u) + |u_q|·err(v) + err(w)`), and
+    /// [`error_bound`](Self::error_bound) reports that certified
     /// worst-case absolute error across the whole table.
     ///
     /// # Errors
@@ -633,9 +613,11 @@ impl ShardedStore {
         page_size: usize,
         dtype: Dtype,
     ) -> Result<Self> {
-        if n_shards == 0 {
+        if n_shards == 0 || page_size == 0 {
             return Err(ServeError::BadConfig {
-                context: "n_shards must be >= 1".into(),
+                context: format!(
+                    "n_shards and page_size must be >= 1, got {n_shards} and {page_size}"
+                ),
             });
         }
         let vocab = emb.vocab_size();
@@ -646,116 +628,66 @@ impl ShardedStore {
             });
         }
 
-        let stride = dtype.stored_row_bytes(dim);
-        // The scaled layout is read off the recipe: a shared row scaled by
-        // scalars the id owns outright (identity-mapped, so they partition
-        // by slot). Its tables are then `[shared, multiplier, bias?]`.
         let recipe = emb.state().recipe();
-        let scaled = matches!(recipe.combine, Combine::ScaleMul | Combine::ScaleAdd)
-            && recipe.maps[1..].iter().all(|map| *map == RowMap::Identity);
         let tables = emb.tables();
-        let max_abs = |values: &[f32]| values.iter().fold(0f32, |acc, &x| acc.max(x.abs()));
-        // The replicated shared-table prefix is identical for every
-        // shard: encode it once into one page set and let every shard
-        // `Arc`-share those pages (per-shard residency accounting over
-        // one physical allocation). Quantized scaled stores quantize
-        // the per-entity scalars too (int8 blocks, per-block scales),
-        // so the served row u_q · v_q (+ w_q) errs by at most
-        // |v|·err(u) + |u_q|·err(v) + err(w) — composed below once the
-        // per-shard scalar errors are known.
-        let quantize_scalars = dtype != Dtype::F32;
-        let shared_encoded = scaled.then(|| {
-            let shared = tables[0].tensor;
-            let m = shared.shape().dims()[0];
-            let (bytes, shared_bound) = encode_rows(shared.as_slice(), m, dim, dtype);
-            let max_abs_u = max_abs(shared.as_slice());
-            let max_abs_v = max_abs(tables[1].tensor.as_slice());
-            let table = PagedTable::from_rows(&bytes, stride, page_size);
-            (table, shared_bound, max_abs_u, max_abs_v)
-        });
-        let mut error_bound = 0f32;
-        let mut scalar_err_v = 0f32;
-        let mut scalar_err_w = 0f32;
-        let mut row_scratch = vec![0f32; dim];
-        let mut payload_scratch = vec![0u8; dtype.row_bytes(dim)];
-        let mut shards = Vec::with_capacity(n_shards);
-        for shard_idx in 0..n_shards {
-            // Ids owned by this shard: shard_idx, shard_idx + n, ...
-            let slots = if shard_idx < vocab {
-                (vocab - shard_idx).div_ceil(n_shards)
+        let mut columns: Vec<Vec<Column>> = (0..n_shards)
+            .map(|_| Vec::with_capacity(tables.len()))
+            .collect();
+        // Per table, what the bound composes: (max |value|, max error).
+        let mut parts = Vec::with_capacity(tables.len());
+        for (k, table) in tables.iter().enumerate() {
+            let values = table.tensor.as_slice();
+            let dims = table.tensor.shape().dims();
+            let (n_rows, cols) = (dims[0], dims[1]);
+            let max_abs = values.iter().fold(0f32, |acc, &x| acc.max(x.abs()));
+            // The placement rule: an identity-mapped table has one row per
+            // id, which lives with the id (shard_idx, shard_idx + n, …);
+            // any other table is shared by ids of every shard.
+            let partitioned = recipe.maps.get(k) == Some(&RowMap::Identity);
+            let per_shard: Vec<(ColumnRows, f32)> = if partitioned {
+                let build = |shard_idx| {
+                    let slots = shard_slots(shard_idx, vocab, n_shards);
+                    let ids = (0..slots).map(|slot| shard_idx + slot * n_shards);
+                    ColumnRows::build(values, cols, ids, true, dtype, page_size)
+                };
+                (0..n_shards).map(build).collect()
             } else {
-                0
+                // Identical for every shard: encode it once into one page
+                // set and let every shard `Arc`-share those pages
+                // (per-shard residency accounting over one physical
+                // allocation).
+                let (whole, err) =
+                    ColumnRows::build(values, cols, 0..n_rows, false, dtype, page_size);
+                (0..n_shards).map(|_| (whole.shared_clone(), err)).collect()
             };
-            let data = match &shared_encoded {
-                Some((shared_table, shared_bound, max_abs_u, _)) => {
-                    let mult_src = tables[1].tensor.as_slice();
-                    let (mult, mult_err) = ScalarTable::build(
-                        (0..slots).map(|slot| mult_src[shard_idx + slot * n_shards]),
-                        quantize_scalars,
-                        page_size,
-                    );
-                    scalar_err_v = scalar_err_v.max(mult_err);
-                    let bias = tables.get(2).map(|b| {
-                        let src = b.tensor.as_slice();
-                        let (table, err) = ScalarTable::build(
-                            (0..slots).map(|slot| src[shard_idx + slot * n_shards]),
-                            quantize_scalars,
-                            page_size,
-                        );
-                        scalar_err_w = scalar_err_w.max(err);
-                        table
-                    });
-                    ShardData::Scaled {
-                        recipe: recipe.clone(),
-                        shared: shared_table.shared_clone(),
-                        u_max_abs: max_abs_u + shared_bound,
-                        mult,
-                        bias,
-                    }
-                }
-                None => {
-                    let mut bytes = Vec::with_capacity(slots * stride);
-                    for slot in 0..slots {
-                        emb.embed_into(shard_idx + slot * n_shards, &mut row_scratch)?;
-                        let bound = encode_stored_row(
-                            &row_scratch,
-                            dtype,
-                            &mut payload_scratch,
-                            &mut bytes,
-                        );
-                        error_bound = error_bound.max(bound);
-                    }
-                    ShardData::Rows {
-                        table: PagedTable::from_rows(&bytes, stride, page_size),
-                    }
-                }
-            };
-            shards.push(Shard {
-                data,
-                dtype,
-                slots,
-                cache: Mutex::new(LruCache::new(cache_capacity)),
-                miss_scratch: Mutex::new(Vec::new()),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                flops: AtomicU64::new(0),
-            });
+            let mut err = 0f32;
+            for (shard, (rows, shard_err)) in columns.iter_mut().zip(per_shard) {
+                err = err.max(shard_err);
+                shard.push(Column {
+                    rows,
+                    partitioned,
+                    max_abs: max_abs + shard_err,
+                });
+            }
+            parts.push((max_abs, err));
         }
-        if let Some((_, shared_bound, max_abs_u, max_abs_v)) = &shared_encoded {
-            // |u·v + w − u_q·v_q − w_q| ≤ |v|·err(u) + |u_q|·err(v) + err(w),
-            // with |u_q| ≤ max|u| + err(u). Reduces to the old
-            // `err(u)·max|v|` when the scalars stay f32 (both scalar
-            // error terms are 0).
-            error_bound = error_bound.max(
-                max_abs_v * shared_bound + (max_abs_u + shared_bound) * scalar_err_v + scalar_err_w,
-            );
-        }
+        let dequant = if dtype == Dtype::F32 { 0 } else { dim };
+        let row_flops = (recipe.combine.flops(dim) + dequant) as u64;
+        let shards = columns
+            .into_iter()
+            .enumerate()
+            .map(|(shard_idx, columns)| {
+                let slots = shard_slots(shard_idx, vocab, n_shards);
+                let cache = LruCache::new(cache_capacity);
+                Shard::new(recipe.clone(), columns, slots, row_flops, cache)
+            })
+            .collect();
         Ok(ShardedStore {
             shards,
             vocab,
             dim,
             dtype,
-            error_bound,
+            error_bound: recipe.combine.error_bound(&parts),
             method: emb.method_name(),
         })
     }
@@ -768,21 +700,23 @@ impl ShardedStore {
     ///   copies on the order of 0.1% of the store
     ///   ([`shared_bytes_with`](Self::shared_bytes_with) /
     ///   [`cow_copied_bytes`](Self::cow_copied_bytes) quantify it).
-    /// * Upserted rows are re-encoded at the store's [`Dtype`] with
-    ///   their own inline scale, and
-    ///   [`error_bound`](Self::error_bound) is re-certified to cover
-    ///   them. Removed rows are tombstoned to the exact zero embedding.
-    /// * Upserting `id >= vocab()` **grows** the vocabulary; ids in the
-    ///   gap serve zeros until upserted.
-    /// * Each shard's hot-row LRU carries over with **only the changed
-    ///   ids invalidated**, so a refresh does not restart the cache cold
-    ///   the way a full rebuild does.
-    /// * For the scaled layout, an upserted row is projected onto the
+    /// * Under [`Combine::Row`] over a partitioned column, upserted rows
+    ///   are re-encoded at the store's [`Dtype`] with their own inline
+    ///   scale, and [`error_bound`](Self::error_bound) is re-certified
+    ///   to cover them.
+    /// * Under [`Combine::ScaleMul`] / [`Combine::ScaleAdd`] over
+    ///   partitioned scalars, an upserted row is projected onto the
     ///   (stored) shared row by least squares — the per-entity
     ///   multiplier/bias become the best scalars for the requested row,
     ///   exact when the row came from a retrained model sharing the
     ///   shared table — and the projection's true residual is folded
     ///   into the certified bound.
+    /// * Removed rows are tombstoned to the exact zero embedding.
+    /// * Upserting `id >= vocab()` **grows** the vocabulary; ids in the
+    ///   gap serve zeros until upserted.
+    /// * Each shard's hot-row LRU carries over with **only the changed
+    ///   ids invalidated**, so a refresh does not restart the cache cold
+    ///   the way a full rebuild does.
     ///
     /// `self` is untouched and keeps serving: [`crate::Router::apply_delta`]
     /// flips the returned snapshot in atomically, with in-flight
@@ -790,9 +724,11 @@ impl ShardedStore {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadConfig`] on a row-width mismatch and
-    /// [`ServeError::IdOutOfVocab`] for a removal past the current
-    /// vocabulary (removals never grow a store).
+    /// Returns [`ServeError::BadConfig`] on a row-width mismatch, and —
+    /// before a page is copied — for any other recipe: there an id owns
+    /// no row, so it cannot be upserted without un-compressing the store
+    /// (see the module docs). Returns [`ServeError::IdOutOfVocab`] for a
+    /// removal past the current vocabulary (removals never grow a store).
     pub fn apply_delta(&self, delta: &StoreDelta) -> Result<ShardedStore> {
         if delta.dim() != self.dim {
             return Err(ServeError::BadConfig {
@@ -803,6 +739,20 @@ impl ShardedStore {
                 ),
             });
         }
+        let recipe = &self.shards[0].recipe;
+        let identity = |maps: &[RowMap]| maps.iter().all(|map| *map == RowMap::Identity);
+        let scaled = match recipe.combine {
+            Combine::Row if identity(&recipe.maps) => false,
+            Combine::ScaleMul | Combine::ScaleAdd if identity(&recipe.maps[1..]) => true,
+            _ => {
+                return Err(ServeError::BadConfig {
+                    context: format!(
+                        "{} has no per-entity table to write: rebuild and `swap`",
+                        self.method
+                    ),
+                })
+            }
+        };
         for (id, op) in delta.ops() {
             if matches!(op, DeltaOp::Remove) && id >= self.vocab {
                 return Err(ServeError::IdOutOfVocab {
@@ -816,114 +766,80 @@ impl ShardedStore {
             Some(max_id) => self.vocab.max(max_id + 1),
             None => self.vocab,
         };
-        let zero_row = stored_zero_row(self.dtype, self.dim);
         let mut error_bound = self.error_bound;
-        let mut payload_scratch = vec![0u8; self.dtype.row_bytes(self.dim)];
-        let mut stored_scratch: Vec<u8> = Vec::with_capacity(self.dtype.stored_row_bytes(self.dim));
+        let zero_row = vec![0f32; self.dim];
         let mut u_scratch = vec![0f32; self.dim];
+        let mut encode_scratch = [Vec::new(), Vec::new()];
         let mut shards = Vec::with_capacity(n_shards);
         for (shard_idx, old) in self.shards.iter().enumerate() {
-            let mut data = old.data.shared_clone();
-            let new_slots = if shard_idx < new_vocab {
-                (new_vocab - shard_idx).div_ceil(n_shards)
-            } else {
-                0
-            };
+            let mut columns: Vec<Column> = old.columns.iter().map(Column::shared_clone).collect();
+            let new_slots = shard_slots(shard_idx, new_vocab, n_shards);
             if new_slots > old.slots {
-                data.extend_slots(old.slots, new_slots, &zero_row);
+                for column in columns.iter_mut().filter(|c| c.partitioned) {
+                    column.rows.extend(old.slots, new_slots);
+                }
             }
             for (id, op) in delta.ops() {
                 if id % n_shards != shard_idx {
                     continue;
                 }
                 let slot = id / n_shards;
-                match (&mut data, op) {
-                    (ShardData::Rows { table }, DeltaOp::Upsert(row)) => {
-                        stored_scratch.clear();
-                        let bound = encode_stored_row(
-                            row,
-                            self.dtype,
-                            &mut payload_scratch,
-                            &mut stored_scratch,
-                        );
-                        error_bound = error_bound.max(bound);
-                        table.write_row(slot, &stored_scratch)?;
-                    }
-                    (ShardData::Rows { table }, DeltaOp::Remove) => {
-                        table.write_row(slot, &zero_row)?;
-                    }
-                    (
-                        ShardData::Scaled {
-                            recipe,
-                            shared,
-                            u_max_abs,
-                            mult,
-                            bias,
-                        },
-                        DeltaOp::Upsert(row),
-                    ) => {
-                        // Project the requested row onto the *stored*
-                        // (possibly quantized) shared row, so the fit —
-                        // and its residual — are against what lookups
-                        // will actually reconstruct.
-                        decode_stored_row(
-                            shared.read_row(recipe.maps[0].row(id))?,
-                            self.dtype,
-                            &mut u_scratch,
-                        );
-                        let (v, w, residual) = project_scalars(&u_scratch, row, bias.is_some());
-                        // Re-quantizing the scalars adds its own error,
-                        // and re-scaling a block may nudge neighbours:
-                        // the drift term widens the whole bound (every
-                        // row may sit on a re-scaled block), while the
-                        // quant term only gates this row's residual.
-                        let wv = mult.set(slot, v)?;
-                        let wb = match bias {
-                            Some(b) => b.set(slot, w)?,
-                            None => ScalarWrite::default(),
-                        };
-                        let quant_err = *u_max_abs * wv.err + wb.err;
-                        let drift = *u_max_abs * wv.neighbor_drift + wb.neighbor_drift;
-                        error_bound = (error_bound + drift).max(residual + quant_err);
-                    }
-                    (
-                        ShardData::Scaled {
-                            u_max_abs,
-                            mult,
-                            bias,
-                            ..
-                        },
-                        DeltaOp::Remove,
-                    ) => {
-                        // Code 0 decodes to exactly 0.0 at any block
-                        // scale, so tombstoning is exact (err 0) and
-                        // never re-scales a block (drift 0) — but fold
-                        // the terms anyway so the bound stays certified
-                        // even if the write path changes.
-                        let wv = mult.set(slot, 0.0)?;
-                        let wb = match bias {
-                            Some(b) => b.set(slot, 0.0)?,
-                            None => ScalarWrite::default(),
-                        };
-                        let drift = *u_max_abs * wv.neighbor_drift + wb.neighbor_drift;
-                        error_bound = (error_bound + drift).max(*u_max_abs * wv.err + wb.err);
-                    }
+                if !scaled {
+                    let row = match op {
+                        DeltaOp::Upsert(row) => row,
+                        DeltaOp::Remove => &zero_row,
+                    };
+                    let write = columns[0].rows.write(slot, row, &mut encode_scratch)?;
+                    error_bound = (error_bound + write.neighbor_drift).max(write.err);
+                    continue;
                 }
+                let (shared, scalars) = columns.split_first_mut().expect("a recipe has tables");
+                let (v, w, residual) = match op {
+                    // Project the requested row onto the *stored*
+                    // (possibly quantized) shared row, so the fit — and
+                    // its residual — are against what lookups will
+                    // actually reconstruct.
+                    DeltaOp::Upsert(row) => {
+                        shared.read(slot, recipe.maps[0].row(id), &mut u_scratch)?;
+                        project_scalars(&u_scratch, row, scalars.len() == 2)
+                    }
+                    // Code 0 decodes to exactly 0.0 at any block scale,
+                    // so tombstoning is exact (err 0) and never re-scales
+                    // a block (drift 0) — but the terms are folded like
+                    // an upsert's, so the bound stays certified even if
+                    // the write path changes.
+                    DeltaOp::Remove => (0.0, 0.0, 0.0),
+                };
+                let wv = scalars[0].rows.write(slot, &[v], &mut encode_scratch)?;
+                let wb = match scalars.get_mut(1) {
+                    Some(bias) => bias.rows.write(slot, &[w], &mut encode_scratch)?,
+                    None => Written::default(),
+                };
+                // What scalar errors `ev`, `ew` do to a row served off the
+                // stored shared row (`err(u) = 0`: the fit was against it).
+                let served = |ev: f32, ew: f32| {
+                    let parts = [(shared.max_abs, 0.0), (0.0, ev), (0.0, ew)];
+                    recipe.combine.error_bound(&parts)
+                };
+                // Re-quantizing the scalars adds its own error, and
+                // re-scaling a block may nudge neighbours: the drift term
+                // widens the whole bound (every row may sit on a re-scaled
+                // block), while the quant term only gates this row's
+                // residual.
+                let drift = served(wv.neighbor_drift, wb.neighbor_drift);
+                error_bound = (error_bound + drift).max(residual + served(wv.err, wb.err));
             }
             // The hot-row cache carries over minus exactly the changed
             // ids — the "LRU invalidation limited to changed ids" that
             // keeps a refresh from serving every hot row cold again.
             let cache = old.cache.lock().clone_retaining(|id| !delta.contains(id));
-            shards.push(Shard {
-                data,
-                dtype: self.dtype,
-                slots: new_slots,
-                cache: Mutex::new(cache),
-                miss_scratch: Mutex::new(Vec::new()),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                flops: AtomicU64::new(0),
-            });
+            shards.push(Shard::new(
+                recipe.clone(),
+                columns,
+                new_slots,
+                old.row_flops,
+                cache,
+            ));
         }
         Ok(ShardedStore {
             shards,
@@ -935,30 +851,30 @@ impl ShardedStore {
         })
     }
 
+    /// Every page table of every shard (accounting).
+    fn tables(&self) -> impl Iterator<Item = &PagedTable> {
+        let columns = self.shards.iter().flat_map(|s| &s.columns);
+        columns.map(|c| c.rows.table())
+    }
+
     /// Bytes of shard pages physically shared (same allocations) with
     /// `other` — for two snapshots related by
     /// [`apply_delta`](Self::apply_delta), everything the delta did not
-    /// touch. Returns 0 for stores of different shard counts or
-    /// layouts.
+    /// touch. Returns 0 for stores of different shard counts.
     pub fn shared_bytes_with(&self, other: &ShardedStore) -> usize {
         if self.shards.len() != other.shards.len() {
             return 0;
         }
-        self.shards
-            .iter()
-            .zip(&other.shards)
-            .map(|(a, b)| a.data.shared_bytes_with(&b.data))
+        self.tables()
+            .zip(other.tables())
+            .map(|(a, b)| a.shared_bytes_with(b))
             .sum()
     }
 
     /// Bytes physically copied by copy-on-write writes while building
     /// this snapshot (0 for a freshly built store).
     pub fn cow_copied_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.data.tables())
-            .map(PagedTable::cow_copied_bytes)
-            .sum()
+        self.tables().map(PagedTable::cow_copied_bytes).sum()
     }
 
     /// Number of shards.
@@ -986,22 +902,6 @@ impl ShardedStore {
         self.dtype
     }
 
-    /// Bytes held by the per-entity scalar tables of a scaled-layout store
-    /// (multiplier + bias, across all shards). Zero for row stores —
-    /// this isolates exactly the footprint the int8 scalar packing
-    /// shrinks.
-    pub fn memcom_scalar_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| match &s.data {
-                ShardData::Rows { .. } => 0,
-                ShardData::Scaled { mult, bias, .. } => {
-                    mult.table().len() + bias.as_ref().map_or(0, |b| b.table().len())
-                }
-            })
-            .sum()
-    }
-
     /// Certified worst-case absolute error of any served row relative to
     /// the rows the store was asked to hold (`0.0` for a freshly built
     /// [`Dtype::F32`] store; [`apply_delta`](Self::apply_delta)
@@ -1016,14 +916,10 @@ impl ShardedStore {
     }
 
     /// Total bytes held by all shard stores (on-"disk" model size,
-    /// counting the replicated shared table once per shard even though the
+    /// counting a replicated table once per shard even though the
     /// shards physically share those pages).
     pub fn stored_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.data.tables())
-            .map(PagedTable::len)
-            .sum()
+        self.tables().map(PagedTable::len).sum()
     }
 
     /// Validates an id against the served vocabulary.
@@ -1108,11 +1004,7 @@ impl ShardedStore {
     /// (0 for a freshly built store; each page counts once even when
     /// several delta rows land on it).
     pub fn cow_touched_pages(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.data.tables())
-            .map(PagedTable::cow_touched_pages)
-            .sum()
+        self.tables().map(PagedTable::cow_touched_pages).sum()
     }
 
     /// One shard's cache counters, read in **one consistent pass**: the
@@ -1166,12 +1058,12 @@ impl ShardedStore {
     /// it shows directly in [`RunStats::time_ms`] comparisons.
     pub fn work(&self) -> WorkCounts {
         let mut work = WorkCounts::default();
+        for table in self.tables() {
+            let cold = table.cold_read_bytes();
+            work.cold_bytes += cold;
+            work.warm_bytes += table.total_read_bytes().saturating_sub(cold);
+        }
         for shard in &self.shards {
-            for table in shard.data.tables() {
-                let cold = table.cold_read_bytes();
-                work.cold_bytes += cold;
-                work.warm_bytes += table.total_read_bytes().saturating_sub(cold);
-            }
             work.flops += shard.flops.load(Ordering::Relaxed);
         }
         work.activation_bytes = (self.dim * 4) as u64;
@@ -1184,12 +1076,7 @@ impl ShardedStore {
     pub fn run_stats(&self) -> RunStats {
         RunStats {
             work: self.work(),
-            resident_model_bytes: self
-                .shards
-                .iter()
-                .flat_map(|s| s.data.tables())
-                .map(PagedTable::resident_bytes)
-                .sum(),
+            resident_model_bytes: self.tables().map(PagedTable::resident_bytes).sum(),
             wall_nanos: 0,
         }
     }
@@ -1208,10 +1095,10 @@ impl std::fmt::Debug for ShardedStore {
     }
 }
 
-/// Least-squares fit of `row ≈ v·u (+ w)` — the scaled layout's delta path:
-/// given the stored shared row `u`, the best per-entity scalars for the
-/// requested row, and the fit's true max-absolute residual (the served
-/// error for that entity). With `fit_bias` false, `w` is 0.
+/// Least-squares fit of `row ≈ v·u (+ w)` — the delta path of a scaled
+/// recipe: given the stored shared row `u`, the best per-entity scalars
+/// for the requested row, and the fit's true max-absolute residual (the
+/// served error for that entity). With `fit_bias` false, `w` is 0.
 fn project_scalars(u: &[f32], row: &[f32], fit_bias: bool) -> (f32, f32, f32) {
     let n = u.len() as f64;
     let uu: f64 = u.iter().map(|&x| (x as f64) * (x as f64)).sum();
@@ -1249,22 +1136,10 @@ fn project_scalars(u: &[f32], row: &[f32], fit_bias: bool) -> (f32, f32, f32) {
     (v, w, residual)
 }
 
-/// Encodes `rows` rows of `cols` values each, returning the packed bytes
-/// and the worst per-row error bound.
-fn encode_rows(values: &[f32], rows: usize, cols: usize, dtype: Dtype) -> (Vec<u8>, f32) {
-    let mut bytes = Vec::with_capacity(rows * dtype.stored_row_bytes(cols));
-    let mut payload_scratch = vec![0u8; dtype.row_bytes(cols)];
-    let mut bound = 0f32;
-    for r in 0..rows {
-        let row = &values[r * cols..(r + 1) * cols];
-        bound = bound.max(encode_stored_row(
-            row,
-            dtype,
-            &mut payload_scratch,
-            &mut bytes,
-        ));
-    }
-    (bytes, bound)
+/// How many of the ids `0..vocab` shard `shard_idx` of `n_shards` owns
+/// (`shard_idx`, `shard_idx + n_shards`, …): its slot count.
+fn shard_slots(shard_idx: usize, vocab: usize, n_shards: usize) -> usize {
+    (shard_idx..vocab).step_by(n_shards).len()
 }
 
 fn decode_f32(bytes: &[u8]) -> f32 {
@@ -1274,8 +1149,12 @@ fn decode_f32(bytes: &[u8]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memcom_core::{EmbeddingCompressor, FullEmbedding, MemCom, MemComConfig};
+    use memcom_core::{
+        CompressorState, EmbeddingCompressor, FullEmbedding, MemCom, MemComConfig, MethodSpec,
+        ParamTable, QrCombiner,
+    };
     use memcom_ondevice::quant::{dequant_error_bound, quantize_row};
+    use memcom_tensor::{init, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1311,7 +1190,7 @@ mod tests {
     }
 
     #[test]
-    fn materialized_store_matches_lookup_exactly() {
+    fn uncompressed_store_matches_lookup_exactly() {
         let mut rng = StdRng::seed_from_u64(3);
         let emb = FullEmbedding::new(100, 6, &mut rng).unwrap();
         let store = ShardedStore::build(&emb, 3, 8, 128).unwrap();
@@ -1327,7 +1206,7 @@ mod tests {
     }
 
     #[test]
-    fn memcom_store_is_smaller_than_materialized() {
+    fn memcom_store_is_smaller_than_uncompressed() {
         let emb = memcom(5_000, 32, 500, false);
         let compressed = ShardedStore::build(&emb, 4, 0, 4096).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
@@ -1611,11 +1490,16 @@ mod tests {
         let exact = ShardedStore::build(&emb, 4, 0, 4096).unwrap();
         let quant = ShardedStore::build_quantized(&emb, 4, 0, 4096, Dtype::Int8).unwrap();
         // 4 B per f32 scalar vs 68 B per 64-code block: ~3.76× smaller.
+        // The scalar columns are what is left of `stored_bytes()` after
+        // the shared table's 50 rows, replicated once per shard.
+        let scalar_bytes = |store: &ShardedStore| {
+            store.stored_bytes() - 4 * 50 * store.dtype().stored_row_bytes(16)
+        };
         assert!(
-            quant.memcom_scalar_bytes() * 3 < exact.memcom_scalar_bytes(),
+            scalar_bytes(&quant) * 3 < scalar_bytes(&exact),
             "{} vs {}",
-            quant.memcom_scalar_bytes(),
-            exact.memcom_scalar_bytes()
+            scalar_bytes(&quant),
+            scalar_bytes(&exact)
         );
         let bound = quant.error_bound() + 1e-6;
         for id in (0..2_000).step_by(7) {
@@ -1751,19 +1635,230 @@ mod tests {
         assert!(res < 1e-5);
     }
 
+    #[test]
+    fn zero_shards_and_zero_page_size_are_bad_config() {
+        let emb = memcom(20, 4, 4, false);
+        for (n_shards, page_size) in [(0, 64), (2, 0)] {
+            assert!(
+                matches!(
+                    ShardedStore::build(&emb, n_shards, 4, page_size),
+                    Err(ServeError::BadConfig { .. })
+                ),
+                "{n_shards} shards, {page_size}-byte pages"
+            );
+        }
+    }
+
+    /// Every spec `tests/quantized.rs` sweeps.
+    fn all_specs() -> Vec<MethodSpec> {
+        let hash_size = 10;
+        let qr = |combiner| MethodSpec::QuotientRemainder {
+            hash_size,
+            combiner,
+        };
+        vec![
+            MethodSpec::Uncompressed,
+            MethodSpec::MemCom {
+                hash_size,
+                bias: true,
+            },
+            MethodSpec::MemCom {
+                hash_size,
+                bias: false,
+            },
+            MethodSpec::NaiveHash { hash_size },
+            MethodSpec::DoubleHash { hash_size },
+            qr(QrCombiner::Multiply),
+            qr(QrCombiner::Concat),
+            MethodSpec::Factorized { hidden: 4 },
+            MethodSpec::ReduceDim { dim: 8 },
+            MethodSpec::TruncateRare { keep: 20 },
+            MethodSpec::WeinbergerOneHot { hash_size },
+        ]
+    }
+
+    /// Three seeded-hash tables under `Concat` — the compositional-code
+    /// technique `tests/every_technique_deploys.rs` defines outside core.
+    struct TripleHash(CompressorState);
+
+    impl TripleHash {
+        fn new(vocab: usize, dim: usize, m: usize, rng: &mut StdRng) -> Self {
+            let tables = ["code_a", "code_b", "code_c"]
+                .map(|name| ParamTable::sparse(name, init::embedding_uniform(&[m, dim / 3], rng)));
+            let maps = [1, 2, 3].map(|seed| RowMap::Seeded { m, seed });
+            let recipe = Recipe::new(maps, Combine::Concat);
+            TripleHash(CompressorState::new(vocab, dim, tables.into(), recipe))
+        }
+    }
+
+    impl EmbeddingCompressor for TripleHash {
+        fn state(&self) -> &CompressorState {
+            &self.0
+        }
+        fn state_mut(&mut self) -> &mut CompressorState {
+            &mut self.0
+        }
+        fn accumulate_row(&mut self, _: usize, _: &[f32]) -> memcom_core::Result<()> {
+            unreachable!("the store never trains")
+        }
+        fn method_name(&self) -> &'static str {
+            "triple_hash"
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn every_technique_stores_what_its_tables_cost() {
+        const VOCAB: usize = 120;
+        const N_SHARDS: usize = 3;
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut embs: Vec<Box<dyn EmbeddingCompressor>> = all_specs()
+            .iter()
+            .map(|spec| spec.build(VOCAB, 16, &mut rng).unwrap())
+            .collect();
+        embs.push(Box::new(TripleHash::new(VOCAB, 12, 10, &mut rng)));
+        let mut fp32_bytes = Vec::new();
+        for emb in &embs {
+            let (name, recipe) = (emb.method_name(), emb.state().recipe());
+            for dtype in [Dtype::F32, Dtype::Int8] {
+                let store =
+                    ShardedStore::build_quantized(emb.as_ref(), N_SHARDS, 8, 256, dtype).unwrap();
+                // What the recipe implies, from the table shapes and maps
+                // alone: an identity-mapped table is split across the
+                // shards (1-wide ones as 64-slot int8 blocks below fp32),
+                // any other is held whole by each.
+                let mut want = 0;
+                for (k, table) in emb.tables().iter().enumerate() {
+                    let dims = table.tensor.shape().dims();
+                    let (rows, row_bytes) = (dims[0], dtype.stored_row_bytes(dims[1]));
+                    want += if recipe.maps.get(k) != Some(&RowMap::Identity) {
+                        N_SHARDS * rows * row_bytes
+                    } else if dims[1] == 1 && dtype != Dtype::F32 {
+                        let slots = |shard| (shard..VOCAB).step_by(N_SHARDS).len();
+                        (0..N_SHARDS)
+                            .map(|shard| slots(shard).div_ceil(64) * 68)
+                            .sum()
+                    } else {
+                        VOCAB * row_bytes
+                    };
+                }
+                assert_eq!(store.stored_bytes(), want, "{name} {dtype:?}");
+                assert_eq!(store.shared_bytes_with(&store), want, "{name} {dtype:?}");
+                if dtype == Dtype::F32 {
+                    fp32_bytes.push((name, want));
+                    assert_eq!(store.error_bound(), 0.0, "{name}");
+                    for id in 0..VOCAB {
+                        let (got, want) = (store.get(id).unwrap(), emb.lookup(&[id]).unwrap());
+                        let bits =
+                            |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(want.as_slice()), "{name} id {id}");
+                    }
+                }
+            }
+        }
+        // The compression the paper is about, no longer given back at
+        // serving time: 3 shards × 10 rows × 64 B, not 120 rows × 64 B.
+        assert!(
+            fp32_bytes.contains(&("naive_hash", 1_920)),
+            "{fp32_bytes:?}"
+        );
+        assert!(
+            fp32_bytes.contains(&("uncompressed", 7_680)),
+            "{fp32_bytes:?}"
+        );
+    }
+
+    /// FNV-1a over the bits of every served row, ids ascending.
+    fn served_fnv(store: &ShardedStore) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for id in 0..store.vocab() {
+            for x in store.get(id).unwrap() {
+                for byte in x.to_bits().to_le_bytes() {
+                    hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    /// `memcom(257, 8, 31, bias)` with the scalars a trained model has:
+    /// multipliers spread over `[0.5, 2.5)`, biases over `[-0.44, 0.44]`.
+    fn trained_memcom(bias: bool) -> MemCom {
+        let mut emb = memcom(257, 8, 31, bias);
+        let mult = (0..257).map(|i| 0.5 + (i * 37 % 101) as f32 / 50.0);
+        let offs = (0..257).map(|i| ((i * 53 % 89) as f32 - 44.0) / 100.0);
+        let column = |v: Vec<f32>| Tensor::from_vec(v, &[257, 1]).unwrap();
+        let shared = emb.shared_table().clone();
+        let (mult, offs) = (column(mult.collect()), column(offs.collect()));
+        emb.set_tables(shared, mult, bias.then_some(offs)).unwrap();
+        emb
+    }
+
+    /// `(stored_bytes, full-scan resident_model_bytes, error_bound bits,
+    /// FNV of all served row bits)`.
+    type Pin = (usize, usize, u32, u64);
+
+    /// Recorded at cbf36a3, the last commit with the hand-written
+    /// `Rows`/`Scaled` layouts: `(model, dtype, as built, after the fixed
+    /// three-op delta)`.
+    #[rustfmt::skip]
+    const PINS: [(&str, Dtype, Pin, Pin); 12] = [
+        ("memcom", Dtype::F32, (4996, 4996, 0x0, 0xabd8755a4bee0f59), (5012, 5012, 0x4028ea12, 0x4f8e36e75845b119)),
+        ("memcom", Dtype::F16, (2324, 2324, 0x3a201a76, 0x3dcbe1ca3fbde96), (2528, 2528, 0x4028ea48, 0xb350eef137c3e1f8)),
+        ("memcom", Dtype::Int8, (1828, 1828, 0x3a80b6c0, 0xbe3c1d071bb48977), (2032, 2032, 0x4028eae9, 0xa306a97bc1ee835f)),
+        ("memcom", Dtype::Int4, (1332, 1332, 0x3c1ad1b4, 0xba84f5431258337e), (1536, 1536, 0x402a84f3, 0xf34db38813619d46)),
+        ("memcom_bias", Dtype::F32, (6024, 6024, 0x0, 0xb7b1d89d75c70f76), (6056, 6056, 0x3fd13609, 0x28fa3b087c0473b1)),
+        ("memcom_bias", Dtype::F16, (2664, 2664, 0x3b198d9e, 0xaf82057f85097480), (3072, 3072, 0x3fd13797, 0x42e195b311cf1e6a)),
+        ("memcom_bias", Dtype::Int8, (2168, 2168, 0x3b31e260, 0xce67baf5cc32013d), (2576, 2576, 0x3fd121c7, 0x3aa023f93e4cc3d2)),
+        ("memcom_bias", Dtype::Int4, (1672, 1672, 0x3c373374, 0x3d0c75e2cbb6e9f6), (2080, 2080, 0x3fd108b8, 0xb046b6a098386aa0)),
+        ("uncompressed", Dtype::F32, (2400, 2400, 0x0, 0x54b8bfe3ec7ee753), (2496, 2496, 0x0, 0x78bd0c90ab61fa15)),
+        ("uncompressed", Dtype::F16, (1200, 1200, 0x384ce43f, 0xaccba8753f6ce5), (1248, 1248, 0x3ae00203, 0x709bca1361e2ef03)),
+        ("uncompressed", Dtype::Int8, (1000, 1000, 0x394e4053, 0x72a37767373eca52), (1040, 1040, 0x3be1c387, 0x1b92d53b3de87773)),
+        ("uncompressed", Dtype::Int4, (700, 700, 0x3b69dfcb, 0xce4c03f6bb77c543), (728, 728, 0x3e000000, 0x8a0bfa5ccc6d07c8)),
+    ];
+
+    #[test]
+    fn memcom_and_uncompressed_do_not_move_by_a_bit_or_a_byte() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let full = FullEmbedding::new(100, 6, &mut rng).unwrap();
+        let (with_bias, without) = (trained_memcom(true), trained_memcom(false));
+        let pin = |store: &ShardedStore| -> Pin {
+            let fnv = served_fnv(store); // the full scan the resident bytes follow
+            let resident = store.run_stats().resident_model_bytes;
+            let bound = store.error_bound().to_bits();
+            (store.stored_bytes(), resident, bound, fnv)
+        };
+        for (name, dtype, built, refreshed) in PINS {
+            let (emb, n_shards, cache, page): (&dyn EmbeddingCompressor, _, _, _) = match name {
+                "memcom" => (&without, 4, 16, 256),
+                "memcom_bias" => (&with_bias, 4, 16, 256),
+                _ => (&full, 3, 8, 128),
+            };
+            let store = ShardedStore::build_quantized(emb, n_shards, cache, page, dtype).unwrap();
+            assert_eq!(pin(&store), built, "{name} {dtype:?} as built");
+            let dim = store.dim();
+            let row: Vec<f32> = (0..dim).map(|j| 0.75 - 0.5 * j as f32).collect();
+            let mut delta = StoreDelta::new(dim);
+            delta.upsert_row(7, &row).unwrap();
+            delta.remove_row(11).unwrap();
+            delta
+                .upsert_row(store.vocab() + 3, &vec![0.5; dim])
+                .unwrap();
+            let new = store.apply_delta(&delta).unwrap();
+            assert_eq!(pin(&new), refreshed, "{name} {dtype:?} after the delta");
+        }
+    }
+
     impl ShardedStore {
         /// Test helper: the decoded stored shared row `mod_hash(id, m)`
-        /// of `id`'s shard (scaled layout only).
+        /// of `id`'s shard (column 0 of a MEmCom store).
         fn get_shared_row_for_test(&self, id: usize, m: usize) -> Vec<f32> {
             let shard = &self.shards[self.shard_of(id)];
-            match &shard.data {
-                ShardData::Scaled { shared, .. } => {
-                    let mut out = vec![0f32; self.dim];
-                    decode_stored_row(shared.read_row(id % m).unwrap(), self.dtype, &mut out);
-                    out
-                }
-                ShardData::Rows { .. } => panic!("not a memcom store"),
-            }
+            let mut out = vec![0f32; self.dim];
+            shard.columns[0].read(0, id % m, &mut out).unwrap();
+            out
         }
     }
 }

@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use memcom_core::{MemCom, MemComConfig};
+use memcom_core::{MemCom, MemComConfig, MethodSpec, QrCombiner};
 use memcom_serve::{AdmissionPolicy, Dtype, EmbedBatch, EmbedServer, ServeConfig, ShardedStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -216,4 +216,52 @@ fn get_batch_into_allocates_constant_not_per_row() {
         );
     });
     drop(server);
+
+    // Fourth phase: a recipe whose combine needs an *operand buffer*.
+    // Quotient–remainder-multiply reads two int8 rows per id and
+    // multiplies them, so every missed row borrows the executor's
+    // scratch — which the shard must own and reuse, not allocate per
+    // row.
+    let mut rng = StdRng::seed_from_u64(13);
+    let spec = MethodSpec::QuotientRemainder {
+        hash_size: 100,
+        combiner: QrCombiner::Multiply,
+    };
+    let emb = spec.build(1_000, 16, &mut rng).unwrap();
+    let quantized = ShardedStore::build_quantized(
+        emb.as_ref(),
+        1,
+        0,
+        memcom_ondevice::pages::DEFAULT_PAGE_SIZE,
+        Dtype::Int8,
+    )
+    .unwrap();
+    let server = EmbedServer::start_with_store(
+        quantized,
+        ServeConfig {
+            n_shards: 1,
+            max_batch: 1,
+            max_wait: Duration::from_micros(1),
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let handle = server.handle();
+    for _ in 0..10 {
+        handle.get_batch_into(&ids, &mut batch).unwrap();
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..CALLS {
+        handle.get_batch_into(&ids, &mut batch).unwrap();
+    }
+    let per_call = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / CALLS as f64;
+    eprintln!("int8 qr_mult miss path: {per_call:.2} allocations/call");
+    assert!(
+        per_call <= 2.5,
+        "expected ~1 allocation per {ROWS}-row two-operand miss call, measured {per_call:.1}"
+    );
+    assert_eq!(batch.len(), ROWS);
+    let stats = server.shutdown();
+    assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
 }

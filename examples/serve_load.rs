@@ -3,8 +3,10 @@
 //! Nine acts:
 //!
 //! 1. **Method comparison** — the sharded, micro-batching server on
-//!    MEmCom vs the uncompressed baseline under closed-loop power-law
-//!    traffic (QPS / latency / cache table).
+//!    MEmCom, the hashing baselines at the same hash size and the
+//!    uncompressed table under closed-loop power-law traffic (store MB /
+//!    QPS / latency / cache table), asserting that every compressed
+//!    technique's store is smaller than the uncompressed one.
 //! 2. **Shard scaling** — the same load at 1/2/4/8 shards.
 //! 3. **Multi-model router** — three country variants behind one
 //!    [`Router`] sharing the shard workers, driven by weighted mixed
@@ -52,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use std::sync::Arc;
 
-use memcom::core::MethodSpec;
+use memcom::core::{MethodSpec, QrCombiner};
 use memcom::models::{ModelConfig, RecModel};
 use memcom::net::{run_net_load, run_net_score_load, NetServer, NetServerConfig};
 use memcom::serve::{
@@ -116,14 +118,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<14} {:>9} {:>8} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7}",
         "method", "store", "req/s", "lookups/s", "p50", "p95", "p99", "hit%", "batch"
     );
+    let hash_size = vocab / 10;
+    let mut stored = Vec::new();
     for spec in [
         MethodSpec::MemCom {
-            hash_size: vocab / 10,
+            hash_size,
             bias: false,
         },
         MethodSpec::MemCom {
-            hash_size: vocab / 10,
+            hash_size,
             bias: true,
+        },
+        MethodSpec::NaiveHash { hash_size },
+        MethodSpec::DoubleHash { hash_size },
+        MethodSpec::QuotientRemainder {
+            hash_size,
+            combiner: QrCombiner::Multiply,
         },
         MethodSpec::Uncompressed,
     ] {
@@ -131,7 +141,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let emb = spec.build(vocab, DIM, &mut rng)?;
         let server = EmbedServer::start(emb.as_ref(), serve_config(4))?;
         let report = run_load(&server.handle(), &load)?;
-        let stored_mb = server.store().stored_bytes() as f64 / 1_048_576.0;
+        let stored_bytes = server.store().stored_bytes();
+        stored.push((emb.method_name(), stored_bytes));
+        let stored_mb = stored_bytes as f64 / 1_048_576.0;
         let stats = server.shutdown();
         println!(
             "{:<14} {:>7.2}MB {:>8.0} {:>11.0} {:>9} {:>9} {:>9} {:>6.1}% {:>7.1}",
@@ -144,6 +156,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fmt_nanos(report.histogram.p99()),
             100.0 * stats.cache.hit_rate(),
             stats.mean_batch(),
+        );
+    }
+    // A store holds its technique's tables, never vocab x dim rows: every
+    // compressed row of the table above sits below the uncompressed one.
+    let (_, uncompressed_bytes) = stored.pop().expect("the uncompressed row ran last");
+    for (method, bytes) in stored {
+        assert!(
+            bytes < uncompressed_bytes,
+            "{method} stores {bytes} B, uncompressed {uncompressed_bytes} B: \
+             a compressed technique must serve compressed"
         );
     }
 
