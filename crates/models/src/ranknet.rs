@@ -11,14 +11,14 @@
 use memcom_core::MethodSpec;
 use memcom_data::PairExample;
 use memcom_metrics::{pairwise_accuracy, rank_of, single_relevant_ndcg};
-use memcom_nn::{ranknet_loss, Mode, Optimizer};
+use memcom_nn::{ranknet_loss, Adam, Mode, Optimizer};
 use memcom_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::network::{ModelConfig, ModelKind, RecModel};
-use crate::trainer::{make_optimizer, TrainConfig};
+use crate::trainer::TrainConfig;
 use crate::{ModelError, Result};
 
 /// The siamese pairwise ranker.
@@ -119,7 +119,7 @@ impl RankNet {
         eval_pairs: &[PairExample],
         config: &TrainConfig,
     ) -> Result<RankNetReport> {
-        let mut opt = make_optimizer(config);
+        let mut opt = Adam::new(config.lr);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut order: Vec<usize> = (0..train_pairs.len()).collect();
         let mut epoch_losses = Vec::with_capacity(config.epochs);
@@ -132,7 +132,7 @@ impl RankNet {
             for chunk in order.chunks(config.batch_size) {
                 let batch: Vec<PairExample> =
                     chunk.iter().map(|&i| train_pairs[i].clone()).collect();
-                total += self.train_step(&batch, opt.as_mut())? as f64;
+                total += self.train_step(&batch, &mut opt)? as f64;
                 steps += 1;
             }
             epoch_losses.push(if steps == 0 {

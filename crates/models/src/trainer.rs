@@ -2,7 +2,7 @@
 
 use memcom_data::{BatchIter, Example};
 use memcom_metrics::{accuracy, mean_ndcg};
-use memcom_nn::{softmax_cross_entropy, Adam, Mode, Optimizer, Sgd};
+use memcom_nn::{softmax_cross_entropy, Adam, Mode};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -10,17 +10,7 @@ use rand::SeedableRng;
 use crate::network::RecModel;
 use crate::Result;
 
-/// Which optimizer drives training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OptimizerKind {
-    /// Adam with default betas (the workhorse for these models).
-    Adam,
-    /// Plain SGD (used by the DP experiments, where per-example clipping
-    /// pairs naturally with SGD).
-    Sgd,
-}
-
-/// Training hyperparameters.
+/// Training hyperparameters (the optimizer is Adam with default betas).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
@@ -29,8 +19,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Learning rate.
     pub lr: f32,
-    /// Optimizer choice.
-    pub optimizer: OptimizerKind,
     /// Shuffling seed.
     pub seed: u64,
 }
@@ -41,7 +29,6 @@ impl Default for TrainConfig {
             epochs: 3,
             batch_size: 64,
             lr: 2e-3,
-            optimizer: OptimizerKind::Adam,
             seed: 17,
         }
     }
@@ -68,14 +55,6 @@ pub struct TrainReport {
     pub final_ndcg: f64,
 }
 
-/// Builds the configured optimizer.
-pub fn make_optimizer(config: &TrainConfig) -> Box<dyn Optimizer> {
-    match config.optimizer {
-        OptimizerKind::Adam => Box::new(Adam::new(config.lr)),
-        OptimizerKind::Sgd => Box::new(Sgd::new(config.lr)),
-    }
-}
-
 /// Trains `model` on `train`, then evaluates on `eval`.
 ///
 /// # Errors
@@ -87,7 +66,7 @@ pub fn train(
     eval_set: &[Example],
     config: &TrainConfig,
 ) -> Result<TrainReport> {
-    let mut opt = make_optimizer(config);
+    let mut opt = Adam::new(config.lr);
     let mut order: Vec<usize> = (0..train_set.len()).collect();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut epoch_losses = Vec::with_capacity(config.epochs);
@@ -106,7 +85,7 @@ pub fn train(
             let b = batch.labels.len();
             let logits = model.forward(&batch.flat_ids, b, Mode::Train)?;
             let out = softmax_cross_entropy(&logits, &batch.labels)?;
-            model.backward_and_step(&out.grad, b, opt.as_mut())?;
+            model.backward_and_step(&out.grad, b, &mut opt)?;
             total += out.loss as f64;
             batches += 1;
         }
@@ -236,17 +215,5 @@ mod tests {
         let (acc, ndcg) = evaluate(&mut model, &data.eval, 64).unwrap();
         assert!(acc < 0.3, "untrained accuracy suspiciously high: {acc}");
         assert!(ndcg > 0.0 && ndcg < 1.0);
-    }
-
-    #[test]
-    fn make_optimizer_kinds() {
-        let adam = make_optimizer(&TrainConfig::default());
-        assert_eq!(adam.learning_rate(), 2e-3);
-        let sgd = make_optimizer(&TrainConfig {
-            optimizer: OptimizerKind::Sgd,
-            lr: 0.1,
-            ..TrainConfig::default()
-        });
-        assert_eq!(sgd.learning_rate(), 0.1);
     }
 }

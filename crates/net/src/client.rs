@@ -18,19 +18,19 @@
 //! it off and paces between requests itself.
 
 use std::collections::HashMap;
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use memcom_serve::Dtype;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{ErrorCode, NetError};
-use crate::transport::{ByteStream, TcpTransport, Transport};
 use crate::wire::{
-    decode_payload, encode_lookup, encode_score, FrameReader, LookupRequest, Message, ReadEvent,
-    RowsResponse, ScoreRequest, CONNECTION_REQUEST_ID, DEFAULT_MAX_FRAME_LEN,
+    decode_payload, encode_request, FrameReader, Message, ReadEvent, RowsResponse,
+    CONNECTION_REQUEST_ID, DEFAULT_MAX_FRAME_LEN, KIND_LOOKUP, KIND_SCORE,
 };
 use crate::Result;
 
@@ -44,11 +44,6 @@ pub struct NetClientConfig {
     /// Sleep out the server's most recent `retry_after` hint before
     /// the next send.
     pub honor_backoff: bool,
-    /// Largest accepted response frame.
-    pub max_frame_len: u32,
-    /// Advisory dtype hint attached to requests (the compressed
-    /// representation the caller expects the server to be holding).
-    pub dtype_hint: Option<Dtype>,
 }
 
 impl Default for NetClientConfig {
@@ -56,8 +51,6 @@ impl Default for NetClientConfig {
         NetClientConfig {
             deadline: None,
             honor_backoff: true,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            dtype_hint: None,
         }
     }
 }
@@ -147,14 +140,14 @@ impl ReplySlot {
     }
 }
 
-struct WriterState<S: ByteStream> {
-    stream: S,
+struct WriterState {
+    stream: TcpStream,
     buf: Vec<u8>,
 }
 
-struct ClientInner<S: ByteStream> {
+struct ClientInner {
     config: NetClientConfig,
-    writer: Mutex<WriterState<S>>,
+    writer: Mutex<WriterState>,
     pending: Mutex<HashMap<u64, Arc<ReplySlot>>>,
     next_id: AtomicU64,
     closed: AtomicBool,
@@ -165,7 +158,7 @@ struct ClientInner<S: ByteStream> {
     counters: Counters,
 }
 
-impl<S: ByteStream> ClientInner<S> {
+impl ClientInner {
     /// Fails every pending request with `make()`'s error and hands the
     /// slots their verdicts; used on connection teardown. Marks the
     /// connection dead *while holding the pending lock*, so a
@@ -247,41 +240,24 @@ impl Pending {
 /// Cheap to share: wrap it in an [`Arc`] and issue sends from many
 /// threads — the writer is serialized internally, replies are routed by
 /// request id.
-pub struct NetClient<S: ByteStream = std::net::TcpStream> {
-    inner: Arc<ClientInner<S>>,
+pub struct NetClient {
+    inner: Arc<ClientInner>,
     reader: Option<JoinHandle<()>>,
 }
 
-impl NetClient<std::net::TcpStream> {
-    /// Connects over TCP (the stock transport).
+impl NetClient {
+    /// Connects over TCP.
     ///
     /// # Errors
     ///
     /// Connection and socket-option failures surface as
     /// [`NetError::Io`].
     pub fn connect(addr: &str, config: NetClientConfig) -> Result<Self> {
-        Self::connect_with(&TcpTransport, addr, config)
-    }
-}
-
-impl<S: ByteStream> NetClient<S> {
-    /// [`connect`](NetClient::connect) over an explicit [`Transport`].
-    ///
-    /// # Errors
-    ///
-    /// Connection and socket-option failures surface as
-    /// [`NetError::Io`].
-    pub fn connect_with<T: Transport<Stream = S>>(
-        transport: &T,
-        addr: &str,
-        config: NetClientConfig,
-    ) -> Result<Self> {
-        let stream = transport.connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         // Latency-bound RPC: frames go on the wire immediately.
         stream.set_nodelay(true)?;
         stream.set_read_timeout(None)?;
-        let read_half = stream.try_clone_stream()?;
-        let max_frame_len = config.max_frame_len;
+        let read_half = stream.try_clone()?;
         let inner = Arc::new(ClientInner {
             config,
             writer: Mutex::new(WriterState {
@@ -300,7 +276,7 @@ impl<S: ByteStream> NetClient<S> {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("memcom-net-client".into())
-                .spawn(move || reader_loop(&inner, read_half, max_frame_len))
+                .spawn(move || reader_loop(&inner, read_half))
                 .map_err(NetError::Io)?
         };
         Ok(NetClient {
@@ -410,26 +386,10 @@ impl<S: ByteStream> NetClient<S> {
         }
         let mut w = self.inner.writer.lock();
         w.buf.clear();
-        let encoded = if score {
-            let req = ScoreRequest {
-                request_id,
-                model: model.to_string(),
-                ids: ids.to_vec(),
-                dtype_hint: self.inner.config.dtype_hint,
-                deadline,
-            };
-            encode_score(&req, &mut w.buf)
-        } else {
-            let req = LookupRequest {
-                request_id,
-                model: model.to_string(),
-                ids: ids.to_vec(),
-                dtype_hint: self.inner.config.dtype_hint,
-                deadline,
-            };
-            encode_lookup(&req, &mut w.buf)
-        };
-        if let Err(e) = encoded {
+        let kind = if score { KIND_SCORE } else { KIND_LOOKUP };
+        // The server answers decoded f32 whatever the advisory dtype
+        // hint says, so the client sends none.
+        if let Err(e) = encode_request(kind, request_id, model, ids, None, deadline, &mut w.buf) {
             // Unencodable request (model name or id batch over the
             // frame cap): surface it typed instead of shipping a frame
             // with silently-wrapped counts, and forget the reply slot —
@@ -513,21 +473,21 @@ impl<S: ByteStream> NetClient<S> {
         }
         // Shutting down the socket unblocks the reader thread's read;
         // it observes EOF and fails whatever is still pending.
-        let _ = self.inner.writer.lock().stream.shutdown_both();
+        let _ = self.inner.writer.lock().stream.shutdown(Shutdown::Both);
         if let Some(handle) = self.reader.take() {
             let _ = handle.join();
         }
     }
 }
 
-impl<S: ByteStream> Drop for NetClient<S> {
+impl Drop for NetClient {
     fn drop(&mut self) {
         self.close_inner();
     }
 }
 
-fn reader_loop<S: ByteStream>(inner: &ClientInner<S>, mut stream: S, max_frame_len: u32) {
-    let mut reader = FrameReader::new(max_frame_len);
+fn reader_loop(inner: &ClientInner, mut stream: TcpStream) {
+    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_LEN);
     loop {
         match reader.read_frame(&mut stream) {
             Ok(ReadEvent::Frame) => match decode_payload(reader.payload()) {

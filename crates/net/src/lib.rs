@@ -17,15 +17,16 @@
 //!   `retry_after` nanos. Strict decode: every malformation is a typed
 //!   [`WireError`], never a panic; oversized length prefixes are
 //!   rejected before allocation.
-//! * [`transport`] — the [`Transport`] / [`ByteStream`] seam (how
-//!   bytes move), so both endpoints can run over a substituted stream;
-//!   the stock backend is `std::net` TCP.
 //! * [`NetServer`] — accepts many concurrent clients, one OS thread
 //!   per connection, and feeds the existing [`Router`](memcom_serve::Router)'s shard queues; wire
 //!   deadlines map onto admission control via the serve tier's
 //!   per-request deadline hooks. Graceful shutdown drains connections
 //!   (in-flight responses flushed, already-sent frames answered with a
 //!   typed `shutting_down` — never silence) before stopping workers.
+//!   Both endpoints are concrete over `std::net` TCP: there is no
+//!   transport seam in the product, and fault injection belongs in a
+//!   seeded loopback TCP proxy under `tests/` (real short reads, resets
+//!   and stalls).
 //! * [`NetClient`] — request pipelining over one connection, blocking
 //!   or ticket-based, honoring server `retry_after` hints
 //!   automatically.
@@ -57,7 +58,6 @@ pub mod error;
 pub mod loadgen;
 pub mod server;
 pub mod telemetry;
-pub mod transport;
 pub mod wire;
 
 pub use client::{NetClient, NetClientConfig, NetClientStats, Pending};
@@ -65,7 +65,6 @@ pub use error::{error_response_for, ErrorCode, NetError, Result};
 pub use loadgen::{run_net_load, run_net_score_load};
 pub use server::{NetServer, NetServerConfig};
 pub use telemetry::{ConnectionMetrics, NetMetricsSnapshot};
-pub use transport::{ByteStream, TcpTransport, Transport};
 pub use wire::{
     ErrorResponse, FrameReader, LookupRequest, Message, ReadEvent, RowsResponse, ScoreRequest,
     WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,

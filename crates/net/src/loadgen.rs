@@ -72,7 +72,6 @@ fn run_over_wire(
     let client_config = NetClientConfig {
         deadline,
         honor_backoff: false,
-        ..NetClientConfig::default()
     };
     let connections = Mutex::new(Vec::with_capacity(config.clients));
     let report = drive(config, &[(model, vocab, 1.0)], |_| -> Result<_> {

@@ -24,6 +24,8 @@
 //! it.
 
 use std::collections::HashMap;
+use std::io::Write;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -36,7 +38,6 @@ use parking_lot::Mutex;
 
 use crate::error::{error_response_for, ErrorCode, NetError};
 use crate::telemetry::{ConnTelemetry, NetMetricsSnapshot, NetTelemetry};
-use crate::transport::{ByteStream, TcpTransport, Transport};
 use crate::wire::{
     decode_payload, encode_error_lossy, encode_rows, ErrorResponse, FrameError, FrameReader,
     LookupRequest, Message, ReadEvent, RowsResponse, WireError, CONNECTION_REQUEST_ID,
@@ -49,12 +50,6 @@ pub struct NetServerConfig {
     /// Bind address; `"127.0.0.1:0"` picks an ephemeral loopback port
     /// (read it back from [`NetServer::local_addr`]).
     pub addr: String,
-    /// Largest accepted frame payload; larger length prefixes are
-    /// rejected before any allocation.
-    pub max_frame_len: u32,
-    /// Read-timeout granularity for idle connections: how quickly a
-    /// blocked connection notices the draining flag. Must be non-zero.
-    pub poll_tick: Duration,
     /// How long a draining connection keeps answering already-sent
     /// frames with `shutting_down` before closing.
     pub drain_grace: Duration,
@@ -71,20 +66,21 @@ impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            poll_tick: Duration::from_millis(10),
             drain_grace: Duration::from_millis(50),
             telemetry: TelemetryConfig::off(),
         }
     }
 }
 
-struct Shared<T: Transport> {
+/// Read-timeout granularity for idle connections: how quickly a blocked
+/// connection notices the draining flag.
+const POLL_TICK: Duration = Duration::from_millis(10);
+
+struct Shared {
     router: Arc<Router>,
     config: NetServerConfig,
     telemetry: NetTelemetry,
     draining: AtomicBool,
-    transport: T,
 }
 
 /// The live connection threads: one OS thread per accepted connection,
@@ -117,60 +113,35 @@ impl ConnThreads {
     }
 }
 
-/// A running network front-end over a [`Router`].
-///
-/// Generic over [`Transport`] (how bytes move); [`NetServer::start`]
-/// wires the stock TCP backend. Each accepted connection is served on
-/// its own OS thread.
+/// A running network front-end over a [`Router`]: a TCP listener whose
+/// accepted connections are each served on their own OS thread.
 ///
 /// Dropping the server without calling
 /// [`shutdown`](NetServer::shutdown) leaks the acceptor thread until
 /// process exit — always shut down explicitly to get the drain
 /// guarantees (and the final stats) described in the module docs.
-pub struct NetServer<T: Transport = TcpTransport> {
-    shared: Arc<Shared<T>>,
+pub struct NetServer {
+    shared: Arc<Shared>,
     connections: Arc<ConnThreads>,
     acceptor: Option<JoinHandle<()>>,
     local_addr: String,
 }
 
-impl NetServer<TcpTransport> {
+impl NetServer {
     /// Binds and starts serving over TCP.
     ///
     /// # Errors
     ///
-    /// Fails on bind errors or a zero `poll_tick`.
+    /// Fails on bind errors.
     pub fn start(router: Router, config: NetServerConfig) -> crate::Result<Self> {
-        Self::start_with(TcpTransport, router, config)
-    }
-}
-
-impl<T: Transport> NetServer<T> {
-    /// [`start`](NetServer::start) over an explicit [`Transport`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on bind errors or a zero `poll_tick`.
-    pub fn start_with(
-        transport: T,
-        router: Router,
-        config: NetServerConfig,
-    ) -> crate::Result<Self> {
-        if config.poll_tick.is_zero() {
-            return Err(NetError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "poll_tick must be non-zero (it bounds drain latency)",
-            )));
-        }
-        let listener = transport.bind(&config.addr)?;
-        let local_addr = transport.local_addr(&listener)?;
+        let listener = TcpListener::bind(&config.addr)?;
+        let local_addr = listener.local_addr()?.to_string();
         let telemetry = NetTelemetry::new(&config.telemetry);
         let shared = Arc::new(Shared {
             router: Arc::new(router),
             config,
             telemetry,
             draining: AtomicBool::new(false),
-            transport,
         });
         let connections = Arc::new(ConnThreads::default());
         let acceptor = {
@@ -179,23 +150,26 @@ impl<T: Transport> NetServer<T> {
             std::thread::Builder::new()
                 .name("memcom-net-accept".into())
                 .spawn(move || loop {
-                    match shared.transport.accept(&listener) {
-                        Ok(stream) => {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
                             if shared.draining.load(Ordering::Acquire) {
                                 // The shutdown wake-up (or a client that
                                 // raced the drain): refuse and exit.
-                                let _ = stream.shutdown_both();
+                                let _ = stream.shutdown(Shutdown::Both);
                                 return;
                             }
-                            let conn = shared.telemetry.connection_opened(stream.peer_label());
-                            let (shared, served) = (Arc::clone(&shared), Arc::clone(&conn));
+                            let peer = stream
+                                .peer_addr()
+                                .map_or_else(|_| "unknown".to_string(), |a| a.to_string());
+                            let conn = shared.telemetry.connection_opened(peer);
+                            let (serving, served) = (Arc::clone(&shared), Arc::clone(&conn));
                             let spawned = connections
-                                .dispatch(move || serve_connection(&shared, stream, &served));
+                                .dispatch(move || serve_connection(&serving, stream, &served));
                             if spawned.is_err() {
                                 // Out of threads: the stream went down
                                 // with the closure, so the peer sees a
                                 // close, like any refused connection.
-                                conn.open.store(false, Ordering::Relaxed);
+                                shared.telemetry.connection_closed(&conn);
                             }
                         }
                         Err(_) if shared.draining.load(Ordering::Acquire) => return,
@@ -240,7 +214,7 @@ impl<T: Transport> NetServer<T> {
         self.shared.draining.store(true, Ordering::Release);
         // Unblock the acceptor: it wakes on this connection, sees the
         // flag, and exits.
-        let _ = self.shared.transport.connect(&self.local_addr);
+        let _ = TcpStream::connect(&self.local_addr);
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
@@ -272,12 +246,12 @@ struct ConnCtx {
 }
 
 // memcom-lint: hot-path
-fn serve_connection<T: Transport>(shared: &Shared<T>, mut stream: T::Stream, conn: &ConnTelemetry) {
+fn serve_connection(shared: &Shared, mut stream: TcpStream, conn: &ConnTelemetry) {
     // Latency-bound RPC: frames go on the wire immediately.
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.poll_tick));
+    let _ = stream.set_read_timeout(Some(POLL_TICK));
     let mut ctx = ConnCtx {
-        reader: FrameReader::new(shared.config.max_frame_len),
+        reader: FrameReader::new(DEFAULT_MAX_FRAME_LEN),
         write_buf: Vec::new(),
         ids: Vec::new(),
         batch: EmbedBatch::new(),
@@ -329,17 +303,17 @@ fn serve_connection<T: Transport>(shared: &Shared<T>, mut stream: T::Stream, con
     if drain_eligible && shared.draining.load(Ordering::Acquire) {
         drain_connection(shared, &mut stream, conn, &mut ctx);
     }
-    let _ = stream.shutdown_both();
-    conn.open.store(false, Ordering::Relaxed);
+    let _ = stream.shutdown(Shutdown::Both);
+    shared.telemetry.connection_closed(conn);
 }
 // memcom-lint: end-hot-path
 
 /// The shutdown drain: keep answering frames already on the wire with
 /// typed `shutting_down` errors (never silence) until the grace period
 /// lapses or the peer closes.
-fn drain_connection<T: Transport>(
-    shared: &Shared<T>,
-    stream: &mut T::Stream,
+fn drain_connection(
+    shared: &Shared,
+    stream: &mut TcpStream,
     conn: &ConnTelemetry,
     ctx: &mut ConnCtx,
 ) {
@@ -349,7 +323,7 @@ fn drain_connection<T: Transport>(
         if now >= deadline {
             return;
         }
-        let _ = stream.set_read_timeout(Some((deadline - now).min(shared.config.poll_tick)));
+        let _ = stream.set_read_timeout(Some((deadline - now).min(POLL_TICK)));
         match ctx.reader.read_frame(stream) {
             Ok(ReadEvent::Frame) => {
                 if !handle_frame(shared, stream, conn, ctx, true) {
@@ -365,9 +339,9 @@ fn drain_connection<T: Transport>(
 /// Serves one decoded frame. Returns `false` when the connection must
 /// close (protocol violation or a failed write).
 // memcom-lint: hot-path
-fn handle_frame<T: Transport>(
-    shared: &Shared<T>,
-    stream: &mut T::Stream,
+fn handle_frame(
+    shared: &Shared,
+    stream: &mut TcpStream,
     conn: &ConnTelemetry,
     ctx: &mut ConnCtx,
     draining: bool,
@@ -452,9 +426,9 @@ fn handle_frame<T: Transport>(
 /// inference backend, answered as a single-row slab of `dim = K` output
 /// scores) — same handle caching, deregistration retry, and
 /// downgrade-to-typed-error paths for both.
-fn serve_request<T: Transport>(
-    shared: &Shared<T>,
-    stream: &mut T::Stream,
+fn serve_request(
+    shared: &Shared,
+    stream: &mut TcpStream,
     conn: &ConnTelemetry,
     ctx: &mut ConnCtx,
     req: &LookupRequest,
@@ -535,8 +509,8 @@ fn serve_request<T: Transport>(
     send_buffered(stream, conn, ctx)
 }
 
-fn send_error<S: ByteStream>(
-    stream: &mut S,
+fn send_error(
+    stream: &mut TcpStream,
     conn: &ConnTelemetry,
     ctx: &mut ConnCtx,
     request_id: u64,
@@ -556,7 +530,7 @@ fn send_error<S: ByteStream>(
 
 /// Flushes `ctx.write_buf` to the socket, timing the write at Full
 /// telemetry. Returns `false` when the write fails (peer gone).
-fn send_buffered<S: ByteStream>(stream: &mut S, conn: &ConnTelemetry, ctx: &mut ConnCtx) -> bool {
+fn send_buffered(stream: &mut TcpStream, conn: &ConnTelemetry, ctx: &mut ConnCtx) -> bool {
     let started = ctx.stages_on.then(Instant::now);
     let ok = stream
         .write_all(&ctx.write_buf)

@@ -16,7 +16,8 @@
 //!   single handler thread locks uncontended; snapshots merge them on
 //!   demand.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use memcom_serve::telemetry::{escape_json, escape_label, family, json_hist, render_hist};
@@ -33,6 +34,14 @@ pub(crate) struct NetStageSet {
     /// Encoded frame → socket accepted the bytes (`write_all` +
     /// `flush`).
     pub(crate) socket_write: LatencyHistogram,
+}
+
+impl NetStageSet {
+    fn merge(&mut self, other: &NetStageSet) {
+        self.frame_decode.merge(&other.frame_decode);
+        self.response_encode.merge(&other.response_encode);
+        self.socket_write.merge(&other.socket_write);
+    }
 }
 
 /// Always-on counters plus Full-level stage state for one connection.
@@ -52,7 +61,6 @@ pub(crate) struct ConnTelemetry {
     pub(crate) protocol_errors: AtomicU64,
     /// Requests answered `shutting_down` during the drain grace.
     pub(crate) shutdown_rejected: AtomicU64,
-    pub(crate) open: AtomicBool,
     stages: Mutex<NetStageSet>,
 }
 
@@ -64,11 +72,29 @@ impl ConnTelemetry {
     ) {
         pick(&mut self.stages.lock()).record(started.elapsed().as_nanos() as u64);
     }
+
+    fn metrics(&self) -> ConnectionMetrics {
+        ConnectionMetrics {
+            id: self.id,
+            peer: self.peer.clone(),
+            frames_in: self.frames_in.load(Ordering::Relaxed),
+            frames_out: self.frames_out.load(Ordering::Relaxed),
+            bytes_in: self.bytes_in.load(Ordering::Relaxed),
+            bytes_out: self.bytes_out.load(Ordering::Relaxed),
+            served: self.served.load(Ordering::Relaxed),
+            errors_sent: self.errors_sent.load(Ordering::Relaxed),
+            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            shutdown_rejected: self.shutdown_rejected.load(Ordering::Relaxed),
+            open: true,
+        }
+    }
 }
 
-/// Exported per-connection counters (one row per connection the server
-/// has seen, newest last; closed connections stay visible so a
-/// post-shutdown snapshot still reconciles).
+/// Exported connection counters: one row per open connection, accept
+/// order, then at most one `peer = "closed"` row (`id` 0) holding the
+/// sum over every connection that has closed, so a post-shutdown
+/// snapshot still reconciles while the export stays bounded under
+/// connection churn.
 #[derive(Debug, Clone)]
 pub struct ConnectionMetrics {
     /// Server-assigned connection id (accept order, starting at 1).
@@ -95,13 +121,51 @@ pub struct ConnectionMetrics {
     pub open: bool,
 }
 
+impl ConnectionMetrics {
+    /// An all-zero aggregate row (`id` 0 is never a connection's).
+    fn aggregate(peer: &str) -> Self {
+        ConnectionMetrics {
+            id: 0,
+            peer: peer.into(),
+            frames_in: 0,
+            frames_out: 0,
+            bytes_in: 0,
+            bytes_out: 0,
+            served: 0,
+            errors_sent: 0,
+            protocol_errors: 0,
+            shutdown_rejected: 0,
+            open: false,
+        }
+    }
+
+    fn add(&mut self, c: &ConnectionMetrics) {
+        self.frames_in += c.frames_in;
+        self.frames_out += c.frames_out;
+        self.bytes_in += c.bytes_in;
+        self.bytes_out += c.bytes_out;
+        self.served += c.served;
+        self.errors_sent += c.errors_sent;
+        self.protocol_errors += c.protocol_errors;
+        self.shutdown_rejected += c.shutdown_rejected;
+    }
+}
+
+/// The connections a server is tracking: the open ones, plus everything
+/// the closed ones counted, folded into one aggregate as each closes.
+#[derive(Debug, Default)]
+struct Conns {
+    live: Vec<Arc<ConnTelemetry>>,
+    closed: Option<(ConnectionMetrics, NetStageSet)>,
+}
+
 /// The server's network-telemetry registry.
 #[derive(Debug)]
 pub(crate) struct NetTelemetry {
     level: TelemetryLevel,
     started_at: Instant,
     accepted: AtomicU64,
-    conns: Mutex<Vec<std::sync::Arc<ConnTelemetry>>>,
+    conns: Mutex<Conns>,
 }
 
 impl NetTelemetry {
@@ -110,7 +174,7 @@ impl NetTelemetry {
             level: config.level,
             started_at: Instant::now(),
             accepted: AtomicU64::new(0),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(Conns::default()),
         }
     }
 
@@ -119,48 +183,51 @@ impl NetTelemetry {
         self.level == TelemetryLevel::Full
     }
 
-    pub(crate) fn connection_opened(&self, peer: String) -> std::sync::Arc<ConnTelemetry> {
+    pub(crate) fn connection_opened(&self, peer: String) -> Arc<ConnTelemetry> {
+        let mut conns = self.conns.lock();
         let id = self.accepted.fetch_add(1, Ordering::Relaxed) + 1;
-        let conn = std::sync::Arc::new(ConnTelemetry {
+        let conn = Arc::new(ConnTelemetry {
             id,
             peer,
-            open: AtomicBool::new(true),
             ..ConnTelemetry::default()
         });
-        self.conns.lock().push(std::sync::Arc::clone(&conn));
+        conns.live.push(Arc::clone(&conn));
         conn
+    }
+
+    /// Folds a finished connection into the `closed` aggregate and stops
+    /// tracking it: a long-lived server with connection churn keeps one
+    /// entry per *open* connection, not one per connection ever accepted.
+    pub(crate) fn connection_closed(&self, conn: &ConnTelemetry) {
+        let mut conns = self.conns.lock();
+        conns.live.retain(|c| c.id != conn.id);
+        let (counters, stages) = conns.closed.get_or_insert_with(|| {
+            (
+                ConnectionMetrics::aggregate("closed"),
+                NetStageSet::default(),
+            )
+        });
+        counters.add(&conn.metrics());
+        stages.merge(&conn.stages.lock());
     }
 
     pub(crate) fn snapshot(&self, serve: MetricsSnapshot) -> NetMetricsSnapshot {
         let conns = self.conns.lock();
-        let connections: Vec<ConnectionMetrics> = conns
-            .iter()
-            .map(|c| ConnectionMetrics {
-                id: c.id,
-                peer: c.peer.clone(),
-                frames_in: c.frames_in.load(Ordering::Relaxed),
-                frames_out: c.frames_out.load(Ordering::Relaxed),
-                bytes_in: c.bytes_in.load(Ordering::Relaxed),
-                bytes_out: c.bytes_out.load(Ordering::Relaxed),
-                served: c.served.load(Ordering::Relaxed),
-                errors_sent: c.errors_sent.load(Ordering::Relaxed),
-                protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-                shutdown_rejected: c.shutdown_rejected.load(Ordering::Relaxed),
-                open: c.open.load(Ordering::Relaxed),
-            })
-            .collect();
+        let mut connections: Vec<ConnectionMetrics> =
+            conns.live.iter().map(|c| c.metrics()).collect();
         let mut stages = NetStageSet::default();
-        for c in conns.iter() {
-            let s = c.stages.lock().clone();
-            stages.frame_decode.merge(&s.frame_decode);
-            stages.response_encode.merge(&s.response_encode);
-            stages.socket_write.merge(&s.socket_write);
+        for c in &conns.live {
+            stages.merge(&c.stages.lock());
+        }
+        if let Some((counters, closed_stages)) = &conns.closed {
+            connections.push(counters.clone());
+            stages.merge(closed_stages);
         }
         NetMetricsSnapshot {
             level: self.level,
             uptime: self.started_at.elapsed(),
-            accepted: connections.len() as u64,
-            active: connections.iter().filter(|c| c.open).count() as u64,
+            accepted: self.accepted.load(Ordering::Relaxed),
+            active: conns.live.len() as u64,
             frame_decode: stages.frame_decode,
             response_encode: stages.response_encode,
             socket_write: stages.socket_write,
@@ -189,7 +256,8 @@ pub struct NetMetricsSnapshot {
     pub response_encode: LatencyHistogram,
     /// Socket-write latency (Full level only).
     pub socket_write: LatencyHistogram,
-    /// Per-connection counters, accept order.
+    /// Counters of each open connection, accept order, then the
+    /// `closed` aggregate row if any connection has closed.
     pub connections: Vec<ConnectionMetrics>,
     /// The router's own snapshot
     /// ([`memcom_serve::Router::metrics`]), embedded so one scrape
@@ -202,28 +270,9 @@ impl NetMetricsSnapshot {
     /// frames_out, bytes_in, bytes_out, served, errors_sent,
     /// protocol_errors, shutdown_rejected)`.
     pub fn totals(&self) -> ConnectionMetrics {
-        let mut t = ConnectionMetrics {
-            id: 0,
-            peer: "total".into(),
-            frames_in: 0,
-            frames_out: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            served: 0,
-            errors_sent: 0,
-            protocol_errors: 0,
-            shutdown_rejected: 0,
-            open: false,
-        };
+        let mut t = ConnectionMetrics::aggregate("total");
         for c in &self.connections {
-            t.frames_in += c.frames_in;
-            t.frames_out += c.frames_out;
-            t.bytes_in += c.bytes_in;
-            t.bytes_out += c.bytes_out;
-            t.served += c.served;
-            t.errors_sent += c.errors_sent;
-            t.protocol_errors += c.protocol_errors;
-            t.shutdown_rejected += c.shutdown_rejected;
+            t.add(c);
         }
         t
     }

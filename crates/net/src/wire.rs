@@ -414,8 +414,9 @@ pub fn encode_score(req: &ScoreRequest, out: &mut Vec<u8>) -> Result<(), WireErr
 }
 
 /// The shared lookup/score request-body encoder (the kinds differ only
-/// in their kind byte).
-fn encode_request(
+/// in their kind byte); the client's send path calls it with borrowed
+/// fields.
+pub(crate) fn encode_request(
     kind: u8,
     request_id: u64,
     model: &str,

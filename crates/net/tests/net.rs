@@ -470,6 +470,68 @@ fn telemetry_full_records_network_stages() {
     assert!(keys_of("frame_decode").contains(&"p99_nanos".to_string()));
 }
 
+/// Connection churn must not accumulate: a closing connection's
+/// counters and stage histograms fold into one `closed` row, so what a
+/// long-lived server tracks and exports is bounded by the connections
+/// open *now* while the totals still count every frame ever served.
+#[test]
+fn connection_churn_folds_into_one_closed_row() {
+    let server = start_server(
+        ServeConfig::default(),
+        NetServerConfig {
+            telemetry: TelemetryConfig::full(1.0),
+            ..NetServerConfig::default()
+        },
+    );
+    let connect = || {
+        let client = NetClient::connect(server.local_addr(), NetClientConfig::default()).unwrap();
+        client.lookup(DEFAULT_MODEL, &[1]).unwrap();
+        client
+    };
+    // The server sees each EOF asynchronously: poll until only the live
+    // client is left open.
+    let settled = || {
+        for _ in 0..5_000 {
+            let snapshot = server.metrics();
+            if snapshot.active == 1 {
+                return snapshot;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("closed connections were never folded away");
+    };
+    // Histogram bucket lines depend on which latencies were seen; every
+    // other line depends only on what the server tracks.
+    let tracked_lines = |prom: String| prom.lines().filter(|l| !l.contains("_bucket{")).count();
+
+    let live = connect();
+    for _ in 0..8 {
+        connect().close();
+    }
+    let after_8 = tracked_lines(settled().to_prometheus());
+    for _ in 8..64 {
+        connect().close();
+    }
+    let snapshot = settled();
+
+    assert_eq!(snapshot.accepted, 65);
+    assert!(
+        snapshot.connections.len() <= 2,
+        "one live row and one closed row, got {}",
+        snapshot.connections.len()
+    );
+    let totals = snapshot.totals();
+    assert_eq!((totals.frames_in, totals.frames_out), (65, 65));
+    assert_eq!(totals.served, 65);
+    assert_eq!(snapshot.frame_decode.count(), 65);
+    assert_eq!(tracked_lines(snapshot.to_prometheus()), after_8);
+
+    live.close();
+    let (_, last) = server.shutdown();
+    assert_eq!((last.accepted, last.active), (65, 0));
+    assert_eq!(last.totals().frames_out, 65);
+}
+
 /// The networked mirror of the serve tier's
 /// `shed_mode_drain_leaves_no_request_unanswered`: many concurrent
 /// clients hammer a slow shedding server, shutdown lands mid-flight,

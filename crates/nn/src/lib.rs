@@ -10,7 +10,8 @@
 //! caches whatever it needs during `forward` and consumes it in `backward`.
 //! This keeps every gradient auditable in isolation (see [`gradcheck`]).
 //!
-//! Optimizers ([`optim::Sgd`], [`optim::Adam`], [`optim::Adagrad`]) support
+//! Optimizers ([`optim::Adam`], which every training run uses, and plain
+//! [`optim::Sgd`], the exactly-predictable rule unit tests use) support
 //! both dense parameter updates and *sparse row* updates, which is what
 //! makes training large embedding tables practical — only touched vocabulary
 //! rows pay any cost per step, mirroring how TensorFlow trains
@@ -34,7 +35,7 @@ pub use dropout::Dropout;
 pub use error::NnError;
 pub use layer::{Layer, Mode, ParamId, ParamVisitor};
 pub use loss::{ranknet_loss, softmax_cross_entropy, LossOutput};
-pub use optim::{Adagrad, Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer, Sgd};
 pub use pooling::AveragePool1d;
 pub use relu::Relu;
 pub use sequential::Sequential;

@@ -15,7 +15,7 @@ use crate::{NnError, Result};
 
 /// A gradient-descent update rule.
 ///
-/// Optimizers key internal state (momentum/moments) by [`ParamId`], so the
+/// Optimizers key internal state (Adam's moments) by [`ParamId`], so the
 /// same optimizer instance must be reused across steps for state to work.
 pub trait Optimizer {
     /// Current learning rate.
@@ -86,35 +86,16 @@ fn check_sparse(value: &Tensor, rows: &[usize], row_grads: &Tensor) -> Result<(u
     Ok((v, cols))
 }
 
-/// Stochastic gradient descent with optional classical momentum.
-///
-/// Sparse updates intentionally skip momentum (the "lazy" convention):
-/// maintaining velocity for every vocabulary row would reintroduce the
-/// memory cost compression is trying to avoid.
+/// Plain stochastic gradient descent (`w ← w − lr·g`), stateless.
 #[derive(Debug)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: HashMap<ParamId, Tensor>,
 }
 
 impl Sgd {
-    /// Plain SGD.
+    /// SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// SGD with classical momentum `μ` (`v ← μv − lr·g`, `w ← w + v`).
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
+        Sgd { lr }
     }
 }
 
@@ -127,20 +108,9 @@ impl Optimizer for Sgd {
         self.lr = lr;
     }
 
-    fn step_dense(&mut self, id: ParamId, value: &mut Tensor, grad: &Tensor) -> Result<()> {
+    fn step_dense(&mut self, _id: ParamId, value: &mut Tensor, grad: &Tensor) -> Result<()> {
         check_dense(value, grad)?;
-        if self.momentum == 0.0 {
-            value.axpy(-self.lr, grad)?;
-            return Ok(());
-        }
-        let vel = self
-            .velocity
-            .entry(id)
-            .or_insert_with(|| Tensor::zeros(value.shape().dims()));
-        let mut new_vel = vel.scale(self.momentum);
-        new_vel.axpy(-self.lr, grad)?;
-        value.axpy(1.0, &new_vel)?;
-        *vel = new_vel;
+        value.axpy(-self.lr, grad)?;
         Ok(())
     }
 
@@ -265,79 +235,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Adagrad (Duchi et al., 2011) — the classic choice for sparse features;
-/// per-coordinate accumulators make frequent head ids take smaller steps
-/// than rare tail ids, a good fit for power-law vocabularies.
-#[derive(Debug)]
-pub struct Adagrad {
-    lr: f32,
-    eps: f32,
-    accum: HashMap<ParamId, Tensor>,
-}
-
-impl Adagrad {
-    /// Adagrad with accumulator floor `ε = 1e-10`.
-    pub fn new(lr: f32) -> Self {
-        Adagrad {
-            lr,
-            eps: 1e-10,
-            accum: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Adagrad {
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn step_dense(&mut self, id: ParamId, value: &mut Tensor, grad: &Tensor) -> Result<()> {
-        check_dense(value, grad)?;
-        let acc = self
-            .accum
-            .entry(id)
-            .or_insert_with(|| Tensor::zeros(value.shape().dims()));
-        let w = value.as_mut_slice();
-        let a = acc.as_mut_slice();
-        for i in 0..w.len() {
-            let g = grad.as_slice()[i];
-            a[i] += g * g;
-            w[i] -= self.lr * g / (a[i].sqrt() + self.eps);
-        }
-        Ok(())
-    }
-
-    fn step_sparse_rows(
-        &mut self,
-        id: ParamId,
-        value: &mut Tensor,
-        rows: &[usize],
-        row_grads: &Tensor,
-    ) -> Result<()> {
-        let (_, cols) = check_sparse(value, rows, row_grads)?;
-        let acc = self
-            .accum
-            .entry(id)
-            .or_insert_with(|| Tensor::zeros(value.shape().dims()));
-        let g = row_grads.as_slice();
-        let w = value.as_mut_slice();
-        let a = acc.as_mut_slice();
-        for (k, &r) in rows.iter().enumerate() {
-            for c in 0..cols {
-                let idx = r * cols + c;
-                let gi = g[k * cols + c];
-                a[idx] += gi * gi;
-                w[idx] -= self.lr * gi / (a[idx].sqrt() + self.eps);
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,18 +256,8 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_minimizes_quadratic() {
-        assert!(quadratic_convergence(&mut Sgd::with_momentum(0.05, 0.9)) < 1e-3);
-    }
-
-    #[test]
     fn adam_minimizes_quadratic() {
         assert!(quadratic_convergence(&mut Adam::new(0.1)) < 1e-2);
-    }
-
-    #[test]
-    fn adagrad_minimizes_quadratic() {
-        assert!(quadratic_convergence(&mut Adagrad::new(1.0)) < 1e-2);
     }
 
     #[test]
@@ -418,7 +305,7 @@ mod tests {
 
     #[test]
     fn dense_shape_mismatch_rejected() {
-        let mut opt = Adagrad::new(0.1);
+        let mut opt = Adam::new(0.1);
         let mut w = Tensor::ones(&[2]);
         assert!(opt
             .step_dense(ParamId::fresh(), &mut w, &Tensor::ones(&[3]))
@@ -450,20 +337,5 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.1);
         opt.set_learning_rate(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
-    }
-
-    #[test]
-    fn adagrad_decays_effective_step() {
-        // Two identical gradients: the second step must be smaller.
-        let mut opt = Adagrad::new(1.0);
-        let id = ParamId::fresh();
-        let mut w = Tensor::zeros(&[1]);
-        let g = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-        opt.step_dense(id, &mut w, &g).unwrap();
-        let first = -w.as_slice()[0];
-        let before = w.as_slice()[0];
-        opt.step_dense(id, &mut w, &g).unwrap();
-        let second = before - w.as_slice()[0];
-        assert!(second < first);
     }
 }

@@ -25,9 +25,9 @@
 //!   Table-3-style milliseconds.
 //! * [`quant`] — post-training linear quantization (FP16/INT8/INT4/INT2)
 //!   for the Figure-4 precision sweep.
-//! * [`simd`] — runtime-dispatched SSE2/AVX2 dequantization kernels
-//!   (bit-identical to the scalar fallback) underneath the decode hot
-//!   path.
+//! * [`simd`] — the dequantization kernels underneath the decode hot
+//!   path: an AVX2 tier, dispatched at runtime where the CPU has it,
+//!   bit-identical to the scalar reference that runs everywhere else.
 //!
 //! Absolute milliseconds are simulator units calibrated to Table 3's
 //! magnitudes; the reproduced *shape* is what matters — who wins on which

@@ -3,27 +3,32 @@
 //! Every cache miss in the serving store and every embedding gather in
 //! the on-device engine funnels through
 //! [`decode_row_into`](crate::quant::decode_row_into); this module is
-//! the vector back end underneath it. On `x86_64` the kernels come in
-//! three tiers — AVX2, SSE2 (the architectural baseline, always
-//! present), and the scalar reference — selected once per process by
-//! [`active_kernel`]. Everywhere else the scalar reference runs.
+//! the vector back end underneath it. There are two tiers, selected
+//! once per process by [`active_kernel`]: AVX2 on an `x86_64` CPU that
+//! reports it, and the scalar reference everywhere else (an `x86_64`
+//! without AVX2 included — the reference is compiled at that target's
+//! SSE2 baseline).
 //!
 //! **Bit-exactness is a hard contract**: for any input — including
 //! NaNs with arbitrary payloads, infinities, subnormals and signed
-//! zeros — every tier produces bit-identical `f32` output to
+//! zeros — the AVX2 tier produces bit-identical `f32` output to
 //! [`scalar`]. That is why the f16 decoder is pure integer SIMD
 //! replicating [`f16_bits_to_f32`] branchlessly (hardware `F16C` would
 //! quiet signaling-NaN payloads).
 //!
-//! The property is enforced by the `simd_equiv` proptest suite across
-//! all dtypes, dims, alignments and non-finite inputs.
+//! The `simd_equiv` proptest suite compares the dispatched kernels
+//! with [`scalar`] across all dtypes, dims, alignments and non-finite
+//! inputs, so a tier stays in this module only while a CI leg runs it:
+//! the default leg dispatches to AVX2 (every CI runner has it), the
+//! forced leg below to the reference.
 //!
-//! # Forcing the scalar fallback
+//! # Forcing the scalar reference
 //!
-//! Two knobs pin the dispatcher to [`Kernel::Scalar`] for testing:
-//! the `MEMCOM_FORCE_SCALAR` environment variable (any value other
-//! than empty or `0`, read once at first use) and the `force-scalar`
-//! cargo feature (compile-time). CI runs the test suite both ways.
+//! The `MEMCOM_FORCE_SCALAR` environment variable (any value other
+//! than empty or `0`, read once at first use) pins the dispatcher to
+//! [`Kernel::Scalar`] — how the reference, the path every non-AVX2
+//! target takes, runs on an AVX2 host. CI runs the whole workspace's
+//! tests both ways.
 
 use std::sync::OnceLock;
 
@@ -33,10 +38,8 @@ use crate::quant::f16_bits_to_f32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Portable scalar reference (mandatory fallback, forced-scalar
-    /// override, and every non-`x86_64` target).
+    /// override, and every target without AVX2).
     Scalar,
-    /// 128-bit SSE2 — the `x86_64` architectural baseline.
-    Sse2,
     /// 256-bit AVX2, detected at runtime via
     /// `is_x86_feature_detected!`.
     Avx2,
@@ -47,7 +50,6 @@ impl Kernel {
     pub fn as_str(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Sse2 => "sse2",
             Kernel::Avx2 => "avx2",
         }
     }
@@ -69,21 +71,14 @@ pub fn active_kernel() -> Kernel {
 }
 
 fn detect() -> Kernel {
-    if cfg!(feature = "force-scalar") || force_scalar_env() {
+    if force_scalar_env() {
         return Kernel::Scalar;
     }
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Kernel::Avx2
-        } else {
-            Kernel::Sse2
-        }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return Kernel::Avx2;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Kernel::Scalar
-    }
+    Kernel::Scalar
 }
 
 fn force_scalar_env() -> bool {
@@ -106,36 +101,7 @@ pub fn copy_f32(bytes: &[u8], out: &mut [f32]) {
         // SAFETY: AVX2 verified at runtime by active_kernel(); the
         // assert above covers the kernel's whole-slice access.
         Kernel::Avx2 => unsafe { x86::copy_f32_avx2(bytes, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 verified at runtime by active_kernel(); same
-        // bounds contract as above.
-        Kernel::Sse2 => unsafe { x86::copy_f32_sse2(bytes, out) },
         _ => scalar::copy_f32(bytes, out),
-    }
-}
-
-/// Copies `rows = out.len() / cols` rows of `cols` little-endian
-/// `f32`s out of a strided byte region — the page-gather primitive for
-/// uncompressed tables whose stored stride exceeds the payload (e.g.
-/// rows carrying trailing metadata).
-///
-/// # Panics
-///
-/// Panics when `cols == 0`, `out.len()` is not a multiple of `cols`,
-/// `stride < 4 * cols`, or `src` is too short for the last row.
-pub fn copy_f32_strided(src: &[u8], stride: usize, cols: usize, out: &mut [f32]) {
-    assert!(cols > 0, "cols must be positive");
-    assert_eq!(out.len() % cols, 0, "out must hold whole rows");
-    assert!(stride >= cols * 4, "stride shorter than a row payload");
-    let rows = out.len() / cols;
-    if rows > 0 {
-        assert!(
-            src.len() >= (rows - 1) * stride + cols * 4,
-            "short strided source"
-        );
-    }
-    for (r, chunk) in out.chunks_exact_mut(cols).enumerate() {
-        copy_f32(&src[r * stride..r * stride + cols * 4], chunk);
     }
 }
 
@@ -154,10 +120,6 @@ pub fn decode_f16(bytes: &[u8], out: &mut [f32]) {
         // SAFETY: AVX2 verified at runtime by active_kernel(); the
         // assert above covers the kernel's whole-slice access.
         Kernel::Avx2 => unsafe { x86::decode_f16_avx2(bytes, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 verified at runtime by active_kernel(); same
-        // bounds contract as above.
-        Kernel::Sse2 => unsafe { x86::decode_f16_sse2(bytes, out) },
         _ => scalar::decode_f16(bytes, out),
     }
 }
@@ -175,10 +137,6 @@ pub fn dequant_i8(bytes: &[u8], scale: f32, out: &mut [f32]) {
         // SAFETY: AVX2 verified at runtime by active_kernel(); the
         // assert above covers the kernel's whole-slice access.
         Kernel::Avx2 => unsafe { x86::dequant_i8_avx2(bytes, scale, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 verified at runtime by active_kernel(); same
-        // bounds contract as above.
-        Kernel::Sse2 => unsafe { x86::dequant_i8_sse2(bytes, scale, out) },
         _ => scalar::dequant_i8(bytes, scale, out),
     }
 }
@@ -196,10 +154,6 @@ pub fn dequant_i4(bytes: &[u8], scale: f32, out: &mut [f32]) {
         // SAFETY: AVX2 verified at runtime by active_kernel(); the
         // assert above covers the kernel's whole-slice access.
         Kernel::Avx2 => unsafe { x86::dequant_i4_avx2(bytes, scale, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 verified at runtime by active_kernel(); same
-        // bounds contract as above.
-        Kernel::Sse2 => unsafe { x86::dequant_i4_sse2(bytes, scale, out) },
         _ => scalar::dequant_i4(bytes, scale, out),
     }
 }
@@ -275,9 +229,9 @@ pub mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The SSE2 and AVX2 tiers. Every function carries the safety
-    //! contract "the caller verified the slice bounds the public
-    //! wrapper asserts, and (for AVX2) the CPU supports the feature" —
+    //! The AVX2 tier. Every function carries the safety contract "the
+    //! caller verified the slice bounds the public wrapper asserts, and
+    //! the CPU supports AVX2" —
     //! [`active_kernel`](super::active_kernel) guarantees the latter.
     //!
     //! All loads and stores are the unaligned variants: rows live at
@@ -299,23 +253,9 @@ mod x86 {
     // f32 copy
     // ------------------------------------------------------------------
 
-    // SAFETY: caller must have verified SSE2 and that `bytes` holds at
+    // SAFETY: caller must have verified AVX2 and that `bytes` holds at
     // least `4 * out.len()` bytes (the public wrapper asserts it);
     // unaligned loads/stores stay inside those bounds.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn copy_f32_sse2(bytes: &[u8], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm_loadu_ps(bytes.as_ptr().add(i * 4) as *const f32);
-            _mm_storeu_ps(out.as_mut_ptr().add(i), v);
-            i += 4;
-        }
-        scalar::copy_f32(&bytes[i * 4..], &mut out[i..]);
-    }
-
-    // SAFETY: caller must have verified AVX2 and the same
-    // `4 * out.len()` bound as the SSE2 tier.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn copy_f32_avx2(bytes: &[u8], out: &mut [f32]) {
         let n = out.len();
@@ -332,43 +272,9 @@ mod x86 {
     // int8
     // ------------------------------------------------------------------
 
-    /// Widens 8 `i8` codes (low half of `q`) to two `f32x4`, scales,
-    /// and stores at `dst` — the shared SSE2 tail of the int8 and int4
-    /// paths. Sign extension is done with compare-generated high
-    /// bytes/words (SSE2 has no `cvtepi8_epi32`).
-    // SAFETY: caller must have verified SSE2 and that `dst` is valid
-    // for 8 f32 writes.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn widen8_scale_store_sse2(q: __m128i, vs: __m128, dst: *mut f32) {
-        let zero = _mm_setzero_si128();
-        let neg8 = _mm_cmpgt_epi8(zero, q);
-        let w16 = _mm_unpacklo_epi8(q, neg8);
-        let neg16 = _mm_cmpgt_epi16(zero, w16);
-        let lo = _mm_cvtepi32_ps(_mm_unpacklo_epi16(w16, neg16));
-        let hi = _mm_cvtepi32_ps(_mm_unpackhi_epi16(w16, neg16));
-        _mm_storeu_ps(dst, _mm_mul_ps(lo, vs));
-        _mm_storeu_ps(dst.add(4), _mm_mul_ps(hi, vs));
-    }
-
-    // SAFETY: caller must have verified SSE2 and that `bytes` holds at
+    // SAFETY: caller must have verified AVX2 and that `bytes` holds at
     // least `out.len()` codes (the public wrapper asserts it); each
     // 8-lane step reads 8 bytes and writes 8 f32s inside those bounds.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn dequant_i8_sse2(bytes: &[u8], scale: f32, out: &mut [f32]) {
-        let n = out.len();
-        let vs = _mm_set1_ps(scale);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let q = _mm_loadl_epi64(bytes.as_ptr().add(i) as *const __m128i);
-            widen8_scale_store_sse2(q, vs, out.as_mut_ptr().add(i));
-            i += 8;
-        }
-        scalar::dequant_i8(&bytes[i..], scale, &mut out[i..]);
-    }
-
-    // SAFETY: caller must have verified AVX2 and the same
-    // `out.len()`-codes bound as the SSE2 tier.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dequant_i8_avx2(bytes: &[u8], scale: f32, out: &mut [f32]) {
         let n = out.len();
@@ -390,11 +296,11 @@ mod x86 {
     /// Unpacks 8 packed bytes (low half of `packed`) into 16 nibble
     /// codes in element order and sign-extends each 4-bit field via
     /// `(n ^ 8) - 8` byte arithmetic.
-    // SAFETY: caller must have verified SSE2; pure register arithmetic,
+    // SAFETY: caller must have verified AVX2; pure register arithmetic,
     // no memory access.
     #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn unpack16_i4_sse2(packed: __m128i) -> __m128i {
+    #[target_feature(enable = "avx2")]
+    unsafe fn unpack16_i4(packed: __m128i) -> __m128i {
         let mask = _mm_set1_epi8(0x0F);
         let lo = _mm_and_si128(packed, mask);
         let hi = _mm_and_si128(_mm_srli_epi16::<4>(packed), mask);
@@ -403,28 +309,9 @@ mod x86 {
         _mm_sub_epi8(_mm_xor_si128(inter, bias), bias)
     }
 
-    // SAFETY: caller must have verified SSE2 and that `bytes` holds at
+    // SAFETY: caller must have verified AVX2 and that `bytes` holds at
     // least `out.len().div_ceil(2)` packed bytes (the public wrapper
     // asserts it); each 16-lane step reads 8 bytes and writes 16 f32s.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn dequant_i4_sse2(bytes: &[u8], scale: f32, out: &mut [f32]) {
-        let n = out.len();
-        let vs = _mm_set1_ps(scale);
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let packed = _mm_loadl_epi64(bytes.as_ptr().add(i / 2) as *const __m128i);
-            let signed = unpack16_i4_sse2(packed);
-            widen8_scale_store_sse2(signed, vs, out.as_mut_ptr().add(i));
-            widen8_scale_store_sse2(_mm_srli_si128::<8>(signed), vs, out.as_mut_ptr().add(i + 8));
-            i += 16;
-        }
-        // i is a multiple of 16, so the tail starts on an even element
-        // and the scalar nibble parity lines up.
-        scalar::dequant_i4(&bytes[i / 2..], scale, &mut out[i..]);
-    }
-
-    // SAFETY: caller must have verified AVX2 and the same packed-bytes
-    // bound as the SSE2 tier.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dequant_i4_avx2(bytes: &[u8], scale: f32, out: &mut [f32]) {
         let n = out.len();
@@ -432,13 +319,15 @@ mod x86 {
         let mut i = 0usize;
         while i + 16 <= n {
             let packed = _mm_loadl_epi64(bytes.as_ptr().add(i / 2) as *const __m128i);
-            let signed = unpack16_i4_sse2(packed);
+            let signed = unpack16_i4(packed);
             let f0 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(signed));
             let f1 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128::<8>(signed)));
             _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(f0, vs));
             _mm256_storeu_ps(out.as_mut_ptr().add(i + 8), _mm256_mul_ps(f1, vs));
             i += 16;
         }
+        // i is a multiple of 16, so the tail starts on an even element
+        // and the scalar nibble parity lines up.
         scalar::dequant_i4(&bytes[i / 2..], scale, &mut out[i..]);
     }
 
@@ -446,71 +335,29 @@ mod x86 {
     // f16 decode (pure integer — never F16C, which quiets sNaNs)
     // ------------------------------------------------------------------
 
-    /// SSE2 blend: `(a & !m) | (b & m)` (no `blendv` before SSE4.1).
-    // SAFETY: caller must have verified SSE2; pure register arithmetic,
-    // no memory access.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn blend_sse2(a: __m128i, b: __m128i, m: __m128i) -> __m128i {
-        _mm_or_si128(_mm_andnot_si128(m, a), _mm_and_si128(m, b))
-    }
-
-    // SAFETY: caller must have verified SSE2 and that `bytes` holds at
-    // least `2 * out.len()` bytes (the public wrapper asserts it);
-    // each 4-lane step reads 8 bytes and writes 4 f32s inside bounds.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn decode_f16_sse2(bytes: &[u8], out: &mut [f32]) {
-        let n = out.len();
-        let zero = _mm_setzero_si128();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // 4 halves, zero-extended to u32 lanes.
-            let h = _mm_loadl_epi64(bytes.as_ptr().add(i * 2) as *const __m128i);
-            let w = _mm_unpacklo_epi16(h, zero);
-            let sign = _mm_slli_epi32::<16>(_mm_and_si128(w, _mm_set1_epi32(0x8000)));
-            let e = _mm_and_si128(_mm_srli_epi32::<10>(w), _mm_set1_epi32(0x1F));
-            let f = _mm_and_si128(w, _mm_set1_epi32(0x3FF));
-            let f13 = _mm_slli_epi32::<13>(f);
-            // Normal: exp32 = e + (127 - 15); fraction widened 13 bits.
-            let normal = _mm_add_epi32(
-                _mm_slli_epi32::<23>(_mm_add_epi32(e, _mm_set1_epi32(112))),
-                f13,
-            );
-            // Inf/NaN keep the (shifted) payload, preserving sNaN bits.
-            let infnan = _mm_or_si128(_mm_set1_epi32(0x7F80_0000), f13);
-            // Subnormal: value is exactly f · 2⁻²⁴.
-            let sub = _mm_castps_si128(_mm_mul_ps(
-                _mm_cvtepi32_ps(f),
-                _mm_set1_ps(F16_SUBNORMAL_UNIT),
-            ));
-            let is_inf = _mm_cmpeq_epi32(e, _mm_set1_epi32(0x1F));
-            let is_sub = _mm_cmpeq_epi32(e, zero);
-            let bits = blend_sse2(blend_sse2(normal, infnan, is_inf), sub, is_sub);
-            let bits = _mm_or_si128(bits, sign);
-            _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_castsi128_ps(bits));
-            i += 4;
-        }
-        scalar::decode_f16(&bytes[i * 2..], &mut out[i..]);
-    }
-
-    // SAFETY: caller must have verified AVX2 and the same
-    // `2 * out.len()` bound; each 8-lane step reads 16 bytes.
+    // SAFETY: caller must have verified AVX2 and that `bytes` holds at
+    // least `2 * out.len()` bytes (the public wrapper asserts it); each
+    // 8-lane step reads 16 bytes and writes 8 f32s inside those bounds.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn decode_f16_avx2(bytes: &[u8], out: &mut [f32]) {
         let n = out.len();
         let mut i = 0usize;
         while i + 8 <= n {
+            // 8 halves, zero-extended to u32 lanes.
             let h = _mm_loadu_si128(bytes.as_ptr().add(i * 2) as *const __m128i);
             let w = _mm256_cvtepu16_epi32(h);
             let sign = _mm256_slli_epi32::<16>(_mm256_and_si256(w, _mm256_set1_epi32(0x8000)));
             let e = _mm256_and_si256(_mm256_srli_epi32::<10>(w), _mm256_set1_epi32(0x1F));
             let f = _mm256_and_si256(w, _mm256_set1_epi32(0x3FF));
             let f13 = _mm256_slli_epi32::<13>(f);
+            // Normal: exp32 = e + (127 - 15); fraction widened 13 bits.
             let normal = _mm256_add_epi32(
                 _mm256_slli_epi32::<23>(_mm256_add_epi32(e, _mm256_set1_epi32(112))),
                 f13,
             );
+            // Inf/NaN keep the (shifted) payload, preserving sNaN bits.
             let infnan = _mm256_or_si256(_mm256_set1_epi32(0x7F80_0000), f13);
+            // Subnormal: value is exactly f · 2⁻²⁴.
             let sub = _mm256_castps_si256(_mm256_mul_ps(
                 _mm256_cvtepi32_ps(f),
                 _mm256_set1_ps(F16_SUBNORMAL_UNIT),
@@ -533,7 +380,6 @@ mod tests {
     #[test]
     fn kernel_names_are_stable() {
         assert_eq!(Kernel::Scalar.as_str(), "scalar");
-        assert_eq!(Kernel::Sse2.to_string(), "sse2");
         assert_eq!(Kernel::Avx2.to_string(), "avx2");
     }
 
@@ -554,24 +400,5 @@ mod tests {
         dequant_i4(&codes[..19], 0.25, &mut simd_out);
         scalar::dequant_i4(&codes[..19], 0.25, &mut scalar_out);
         assert_eq!(simd_out, scalar_out);
-    }
-
-    #[test]
-    fn strided_copy_skips_row_gaps() {
-        // Rows of 3 f32s stored with a 16-byte stride (4 bytes of
-        // trailing junk per row).
-        let mut src = Vec::new();
-        for r in 0..5 {
-            for c in 0..3 {
-                src.extend_from_slice(&((r * 10 + c) as f32).to_le_bytes());
-            }
-            src.extend_from_slice(&0xDEADBEEFu32.to_le_bytes());
-        }
-        let mut out = vec![f32::NAN; 15];
-        copy_f32_strided(&src, 16, 3, &mut out);
-        let want: Vec<f32> = (0..5)
-            .flat_map(|r| (0..3).map(move |c| (r * 10 + c) as f32))
-            .collect();
-        assert_eq!(out, want);
     }
 }

@@ -130,30 +130,6 @@ proptest! {
         assert_bits_eq(&got, &want, "dequant_i2");
     }
 
-    // Strided row gather: rows of `cols` f32s at a wider byte stride.
-    #[test]
-    fn copy_f32_strided_matches_scalar(
-        rows in 1usize..8,
-        cols in 1usize..33,
-        pad in 0usize..9,
-        seed in 0u32..=u32::MAX,
-    ) {
-        let stride = cols * 4 + pad;
-        let mut src = vec![0u8; rows * stride];
-        let mut state = seed;
-        for b in src.iter_mut() {
-            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-            *b = (state >> 24) as u8;
-        }
-        let mut got = vec![0f32; rows * cols];
-        let mut want = vec![0f32; rows * cols];
-        simd::copy_f32_strided(&src, stride, cols, &mut got);
-        for (row, out) in want.chunks_mut(cols).enumerate() {
-            simd::scalar::copy_f32(&src[row * stride..], out);
-        }
-        assert_bits_eq(&got, &want, "copy_f32_strided");
-    }
-
     // End-to-end: a quantize → dispatch-decode round trip equals the
     // quantize → scalar-decode round trip for every lossy dtype, even
     // when the source row is hostile (non-finite values included).
@@ -193,15 +169,19 @@ proptest! {
 
 #[test]
 fn active_kernel_honors_the_force_scalar_env() {
-    // The dispatcher latches once per process, so this test only
-    // asserts consistency: under MEMCOM_FORCE_SCALAR (the forced CI
-    // leg) the kernel must be Scalar; otherwise on x86_64 it must not
-    // be (SSE2 is baseline).
+    // The dispatcher latches once per process, so this test states the
+    // whole ladder for whichever leg it runs in: forced (the
+    // MEMCOM_FORCE_SCALAR CI leg) → Scalar; otherwise Avx2 exactly when
+    // the CPU reports it; otherwise Scalar.
     let forced = std::env::var("MEMCOM_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
-    let kernel = simd::active_kernel();
-    if forced || cfg!(feature = "force-scalar") {
-        assert_eq!(kernel, simd::Kernel::Scalar);
-    } else if cfg!(target_arch = "x86_64") {
-        assert_ne!(kernel, simd::Kernel::Scalar, "SSE2 is x86_64 baseline");
-    }
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    let want = if !forced && avx2 {
+        simd::Kernel::Avx2
+    } else {
+        simd::Kernel::Scalar
+    };
+    assert_eq!(simd::active_kernel(), want);
 }

@@ -10,11 +10,10 @@
 //! [`crate::router`]): a [`SlabSlot`] round-trips the caller's id/output
 //! buffers, so they can be pooled and reused across calls.
 //!
-//! Producers pick their overload behavior per push: [`ShardQueue::push`]
-//! blocks while the queue is full (backpressure), while
-//! [`ShardQueue::try_push`] / [`ShardQueue::push_until`] never wait past
-//! the caller's budget and hand the rejected request back through
-//! [`PushError`] — the primitive under
+//! Producers pick their overload behavior per [`ShardQueue::push`]:
+//! with no budget it blocks while the queue is full (backpressure);
+//! with one it never waits past it and hands the rejected request back
+//! through [`PushError`] — the primitive under
 //! [`crate::AdmissionPolicy::Shed`]'s admission control.
 
 use std::collections::VecDeque;
@@ -186,71 +185,29 @@ impl<T> ShardQueue<T> {
         }
     }
 
-    /// Enqueues a request, blocking while the queue is full
-    /// (backpressure — the [`crate::AdmissionPolicy::Block`] path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PushError::Closed`] (with the request) once the queue
-    /// is closed.
-    pub fn push(&self, request: T) -> std::result::Result<(), PushError<T>> {
-        let mut state = self.state.lock();
-        loop {
-            if state.closed {
-                return Err(PushError::Closed(request));
-            }
-            if state.queue.len() < self.capacity {
-                break;
-            }
-            self.space.wait(&mut state);
-        }
-        state.queue.push_back(request);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues without waiting: a full queue rejects immediately with
-    /// [`PushError::Full`], handing the request back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PushError::Full`] when the queue is at capacity and
-    /// [`PushError::Closed`] once it is closed.
-    pub fn try_push(&self, request: T) -> std::result::Result<(), PushError<T>> {
-        let mut state = self.state.lock();
-        if state.closed {
-            return Err(PushError::Closed(request));
-        }
-        if state.queue.len() >= self.capacity {
-            return Err(PushError::Full(request));
-        }
-        state.queue.push_back(request);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues, waiting at most `budget` for queue space — the
-    /// bounded-blocking admission path of
-    /// [`crate::AdmissionPolicy::Shed`]: a producer never waits past its
-    /// budget, so an open-loop caller keeps its arrival schedule even
-    /// under sustained overload.
+    /// Enqueues a request, waiting for queue space as long as `wait`
+    /// allows: `None` blocks while the queue is full (backpressure — the
+    /// [`crate::AdmissionPolicy::Block`] path); `Some(budget)` waits at
+    /// most `budget` — the bounded admission of
+    /// [`crate::AdmissionPolicy::Shed`], under which an open-loop caller
+    /// keeps its arrival schedule even in sustained overload —
+    /// and `Some(Duration::ZERO)` never waits. The clock is read only
+    /// once the queue is found full.
     ///
     /// # Errors
     ///
     /// Returns [`PushError::Full`] when the queue stayed full for the
-    /// whole budget and [`PushError::Closed`] once the queue is closed.
-    /// A budget too large to represent as a point in time (e.g.
-    /// `Duration::MAX`) waits indefinitely, like [`push`](Self::push).
+    /// whole budget and [`PushError::Closed`] once the queue is closed,
+    /// both with the request. A budget too large to represent as a
+    /// point in time (e.g. `Duration::MAX`) waits indefinitely, like
+    /// `None`.
     // memcom-lint: hot-path
-    pub fn push_until(
+    pub fn push(
         &self,
         request: T,
-        budget: Duration,
+        wait: Option<Duration>,
     ) -> std::result::Result<(), PushError<T>> {
-        // memcom-lint: allow(L002) -- the admission budget is defined in wall-clock time; one anchor read per push, before the loop
-        let deadline = Instant::now().checked_add(budget);
+        let mut deadline = None;
         let mut state = self.state.lock();
         loop {
             if state.closed {
@@ -259,13 +216,18 @@ impl<T> ShardQueue<T> {
             if state.queue.len() < self.capacity {
                 break;
             }
-            match deadline {
+            let Some(budget) = wait else {
+                self.space.wait(&mut state);
+                continue;
+            };
+            if budget.is_zero() {
+                return Err(PushError::Full(request));
+            }
+            // memcom-lint: allow(L002) -- the admission budget is defined in wall-clock time; read only while blocked on a full queue, never on the uncontended fast path
+            let now = Instant::now();
+            match *deadline.get_or_insert_with(|| now.checked_add(budget)) {
+                Some(deadline) if now >= deadline => return Err(PushError::Full(request)),
                 Some(deadline) => {
-                    // memcom-lint: allow(L002) -- re-read only while blocked on a full queue, never on the uncontended fast path
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(PushError::Full(request));
-                    }
                     self.space.wait_for(&mut state, deadline - now);
                 }
                 None => self.space.wait(&mut state),
@@ -278,38 +240,15 @@ impl<T> ShardQueue<T> {
     }
     // memcom-lint: end-hot-path
 
-    /// Pops the next micro-batch: blocks for the first request, then
-    /// coalesces up to `max_batch` requests over at most `max_wait`.
-    /// Returns `None` when the queue is closed *and* fully drained —
-    /// the worker's exit signal.
-    ///
-    /// Allocates a fresh `Vec` per call; workers on the hot path reuse
-    /// one buffer through [`pop_batch_into`](Self::pop_batch_into).
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Option<(Vec<T>, FlushReason)> {
-        let mut batch = Vec::new();
-        let reason = self.pop_batch_into(&mut batch, max_batch, max_wait)?;
-        Some((batch, reason))
-    }
-
-    /// Like [`pop_batch`](Self::pop_batch), but drains the batch into
-    /// the caller's reusable buffer (cleared first) instead of
-    /// allocating one per flush — the worker loop's zero-allocation
-    /// steady state, certified by `tests/alloc_count.rs`.
-    pub fn pop_batch_into(
-        &self,
-        batch: &mut Vec<T>,
-        max_batch: usize,
-        max_wait: Duration,
-    ) -> Option<FlushReason> {
-        self.pop_batch_into_timed(batch, max_batch, max_wait)
-            .map(|(reason, _)| reason)
-    }
-
-    /// Like [`pop_batch_into`](Self::pop_batch_into), additionally
-    /// reporting how long the batch was held open (batch-open → flush,
-    /// the assembly latency half of the micro-batching trade-off).
-    /// Costs nothing extra: phase 2 reads the clock for its deadline
-    /// anyway.
+    /// Pops the next micro-batch into the caller's reusable buffer
+    /// (cleared first — the worker loop's zero-allocation steady state,
+    /// certified by `tests/alloc_count.rs`): blocks for the first
+    /// request, then coalesces up to `max_batch` requests over at most
+    /// `max_wait`. Returns why the batch closed and how long it was held
+    /// open (batch-open → flush, the assembly latency half of the
+    /// micro-batching trade-off — free, since phase 2 reads the clock
+    /// for its deadline anyway), or `None` when the queue is closed
+    /// *and* fully drained — the worker's exit signal.
     // memcom-lint: hot-path
     pub fn pop_batch_into_timed(
         &self,
@@ -383,17 +322,28 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// The one pop, into a fresh buffer.
+    fn pop<T>(
+        q: &ShardQueue<T>,
+        max_batch: usize,
+        wait: Duration,
+    ) -> Option<(Vec<T>, FlushReason)> {
+        let mut batch = Vec::new();
+        let (reason, _) = q.pop_batch_into_timed(&mut batch, max_batch, wait)?;
+        Some((batch, reason))
+    }
+
     #[test]
     fn batch_flushes_when_full() {
         let q = ShardQueue::new(16);
         for id in 0..5usize {
-            q.push(id).unwrap();
+            q.push(id, None).unwrap();
         }
-        let (batch, reason) = q.pop_batch(4, Duration::from_secs(10)).unwrap();
+        let (batch, reason) = pop(&q, 4, Duration::from_secs(10)).unwrap();
         assert_eq!(batch.len(), 4, "full batch without waiting out the clock");
         assert_eq!(reason, FlushReason::Full);
         assert_eq!(q.depth(), 1);
-        let (rest, reason) = q.pop_batch(4, Duration::from_millis(1)).unwrap();
+        let (rest, reason) = pop(&q, 4, Duration::from_millis(1)).unwrap();
         assert_eq!(rest.len(), 1);
         assert_eq!(reason, FlushReason::Timeout);
     }
@@ -401,9 +351,9 @@ mod tests {
     #[test]
     fn batch_flushes_on_timeout() {
         let q = ShardQueue::new(16);
-        q.push(7usize).unwrap();
+        q.push(7usize, None).unwrap();
         let t0 = Instant::now();
-        let (batch, reason) = q.pop_batch(64, Duration::from_millis(30)).unwrap();
+        let (batch, reason) = pop(&q, 64, Duration::from_millis(30)).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(reason, FlushReason::Timeout);
         assert!(
@@ -415,47 +365,50 @@ mod tests {
     #[test]
     fn close_drains_then_signals_exit() {
         let q = ShardQueue::new(16);
-        q.push(1usize).unwrap();
-        q.push(2).unwrap();
+        q.push(1usize, None).unwrap();
+        q.push(2, None).unwrap();
         q.close();
-        assert!(matches!(q.push(3), Err(PushError::Closed(3))));
-        let (batch, reason) = q.pop_batch(64, Duration::from_secs(10)).unwrap();
+        assert!(matches!(q.push(3, None), Err(PushError::Closed(3))));
+        let (batch, reason) = pop(&q, 64, Duration::from_secs(10)).unwrap();
         assert_eq!(batch.len(), 2, "queued work survives close");
         assert_eq!(reason, FlushReason::Drain);
         assert!(
-            q.pop_batch(64, Duration::from_secs(10)).is_none(),
+            pop(&q, 64, Duration::from_secs(10)).is_none(),
             "then the worker exits"
         );
     }
 
     #[test]
-    fn try_push_rejects_when_full_and_hands_the_request_back() {
+    fn zero_budget_push_rejects_when_full_and_hands_the_request_back() {
         let q = ShardQueue::new(2);
-        q.try_push(1usize).unwrap();
-        q.try_push(2).unwrap();
+        q.push(1usize, Some(Duration::ZERO)).unwrap();
+        q.push(2, Some(Duration::ZERO)).unwrap();
         // Full: immediate rejection, request recovered intact.
-        match q.try_push(3) {
+        match q.push(3, Some(Duration::ZERO)) {
             Err(PushError::Full(rejected)) => assert_eq!(rejected, 3),
             other => panic!("expected Full, got {other:?}"),
         }
         assert_eq!(q.depth(), 2);
         // Space frees up -> accepted again.
-        let (batch, _) = q.pop_batch(1, Duration::from_millis(1)).unwrap();
+        let (batch, _) = pop(&q, 1, Duration::from_millis(1)).unwrap();
         assert_eq!(batch, vec![1]);
-        q.try_push(3).unwrap();
+        q.push(3, Some(Duration::ZERO)).unwrap();
         q.close();
-        assert!(matches!(q.try_push(4), Err(PushError::Closed(4))));
+        assert!(matches!(
+            q.push(4, Some(Duration::ZERO)),
+            Err(PushError::Closed(4))
+        ));
     }
 
     #[test]
-    fn push_until_waits_out_its_budget_then_sheds() {
+    fn budgeted_push_waits_out_its_budget_then_sheds() {
         let q = ShardQueue::new(1);
-        q.push(0usize).unwrap();
+        q.push(0usize, None).unwrap();
         // Nothing drains the queue: the push must give up after ~budget,
         // not block forever (the coordinated-omission fix).
         let t0 = Instant::now();
         let budget = Duration::from_millis(30);
-        match q.push_until(9, budget) {
+        match q.push(9, Some(budget)) {
             Err(PushError::Full(rejected)) => assert_eq!(rejected, 9),
             other => panic!("expected Full, got {other:?}"),
         }
@@ -465,18 +418,18 @@ mod tests {
 
         // With a consumer freeing space inside the budget, it succeeds.
         let q = Arc::new(ShardQueue::new(1));
-        q.push(0usize).unwrap();
+        q.push(0usize, None).unwrap();
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            q2.pop_batch(1, Duration::from_millis(1))
+            pop(&q2, 1, Duration::from_millis(1))
         });
-        q.push_until(9, Duration::from_secs(5)).unwrap();
+        q.push(9, Some(Duration::from_secs(5))).unwrap();
         consumer.join().unwrap().unwrap();
         assert_eq!(q.depth(), 1);
-        // A zero budget behaves like try_push on a full queue.
+        // A zero budget on a full queue rejects at once.
         assert!(matches!(
-            q.push_until(7, Duration::ZERO),
+            q.push(7, Some(Duration::ZERO)),
             Err(PushError::Full(7))
         ));
     }
@@ -485,9 +438,18 @@ mod tests {
     fn unrepresentable_budgets_never_panic() {
         // `Instant::now() + Duration::MAX` would overflow-panic; these
         // budgets must instead mean "wait indefinitely".
-        let q = ShardQueue::new(2);
-        q.push_until(1usize, Duration::MAX).unwrap();
-        let (batch, _) = q.pop_batch(4, Duration::from_millis(1)).unwrap();
+        let q = Arc::new(ShardQueue::new(1));
+        q.push(0usize, None).unwrap();
+        let q1 = Arc::clone(&q);
+        let consumer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            pop(&q1, 1, Duration::from_millis(1))
+        });
+        // Full queue, so the budget is turned into a deadline here.
+        q.push(1, Some(Duration::MAX)).unwrap();
+        let (first, _) = consumer.join().unwrap().unwrap();
+        assert_eq!(first, vec![0]);
+        let (batch, _) = pop(&q, 4, Duration::from_millis(1)).unwrap();
         assert_eq!(batch, vec![1]);
         // Phase-2 hold with an unrepresentable max_wait still flushes
         // when the batch fills.
@@ -495,38 +457,38 @@ mod tests {
         let q3 = Arc::clone(&q2);
         let producer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            q3.push(8usize).unwrap();
-            q3.push(9).unwrap();
+            q3.push(8usize, None).unwrap();
+            q3.push(9, None).unwrap();
         });
-        let (batch, reason) = q2.pop_batch(2, Duration::MAX).unwrap();
+        let (batch, reason) = pop(&q2, 2, Duration::MAX).unwrap();
         producer.join().unwrap();
         assert_eq!(batch, vec![8, 9]);
         assert_eq!(reason, FlushReason::Full);
     }
 
     #[test]
-    fn pop_batch_into_reuses_the_callers_buffer() {
+    fn pop_reuses_the_callers_buffer() {
         let q = ShardQueue::new(16);
         let mut batch: Vec<usize> = Vec::with_capacity(8);
         for id in 0..6usize {
-            q.push(id).unwrap();
+            q.push(id, None).unwrap();
         }
-        let reason = q
-            .pop_batch_into(&mut batch, 4, Duration::from_secs(1))
+        let (reason, _) = q
+            .pop_batch_into_timed(&mut batch, 4, Duration::from_secs(1))
             .unwrap();
         assert_eq!(batch, vec![0, 1, 2, 3]);
         assert_eq!(reason, FlushReason::Full);
         let capacity = batch.capacity();
         // Stale contents are cleared; capacity is reused, not reallocated.
-        let reason = q
-            .pop_batch_into(&mut batch, 4, Duration::from_millis(1))
+        let (reason, _) = q
+            .pop_batch_into_timed(&mut batch, 4, Duration::from_millis(1))
             .unwrap();
         assert_eq!(batch, vec![4, 5]);
         assert_eq!(reason, FlushReason::Timeout);
         assert_eq!(batch.capacity(), capacity);
         q.close();
         assert!(q
-            .pop_batch_into(&mut batch, 4, Duration::from_secs(1))
+            .pop_batch_into_timed(&mut batch, 4, Duration::from_secs(1))
             .is_none());
     }
 
@@ -536,7 +498,7 @@ mod tests {
         let mut batch: Vec<usize> = Vec::new();
         // A full batch flushes without waiting out the clock.
         for id in 0..4usize {
-            q.push(id).unwrap();
+            q.push(id, None).unwrap();
         }
         let (reason, held) = q
             .pop_batch_into_timed(&mut batch, 4, Duration::from_secs(10))
@@ -544,7 +506,7 @@ mod tests {
         assert_eq!(reason, FlushReason::Full);
         assert!(held < Duration::from_secs(1), "held {held:?}");
         // A timeout flush reports roughly the configured hold.
-        q.push(9).unwrap();
+        q.push(9, None).unwrap();
         let (reason, held) = q
             .pop_batch_into_timed(&mut batch, 4, Duration::from_millis(30))
             .unwrap();
@@ -558,10 +520,10 @@ mod tests {
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            q2.push(9usize).unwrap();
+            q2.push(9usize, None).unwrap();
         });
         // Worker parked on an empty queue gets woken by the push.
-        let (batch, _) = q.pop_batch(1, Duration::from_secs(5)).unwrap();
+        let (batch, _) = pop(&q, 1, Duration::from_secs(5)).unwrap();
         assert_eq!(batch[0], 9);
         producer.join().unwrap();
     }

@@ -1,10 +1,19 @@
 //! Hot-row LRU cache.
 //!
 //! Power-law traffic (§4 of the paper) concentrates most lookups on a few
-//! popular ids; a small per-shard LRU in front of the paged store turns
-//! those into pure in-memory hits that touch neither the mmap nor its
-//! locks. Implemented as a slab-backed doubly-linked list + index map —
-//! O(1) `get`/`insert`, no external dependencies.
+//! popular ids; a small per-shard LRU in front of the paged store answers
+//! those with a copy of the already-reconstructed fp32 row, skipping the
+//! recipe (row maps, page reads, dequantization, combine). That is all a
+//! hit skips: [`memcom_ondevice::PagedTable`] row reads are lock-free and
+//! just as in-memory as the cache, while every cached lookup — hit or
+//! miss — takes the shard's cache mutex and hashes the id through a
+//! SipHash [`HashMap`]. Whether the trade pays depends on the stored
+//! dtype and the traffic skew, so it is measured, not assumed: compare
+//! `serve.store_lookup_ns_per_row` (the cache-off store read) with the
+//! served path at the `serve.cache_hit_rate` that `memcom-perf --trace 1`
+//! reports, and set `ServeConfig::cache_capacity` (`0` disables the
+//! cache) accordingly. Implemented as a slab-backed doubly-linked list +
+//! index map — O(1) `get`/`insert`, no external dependencies.
 
 use std::collections::HashMap;
 

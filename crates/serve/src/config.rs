@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use memcom_ondevice::Dtype;
-
 use crate::{Result, ServeError};
 
 /// What happens when a shard queue is full at enqueue time — the
@@ -54,20 +52,16 @@ impl AdmissionPolicy {
 
 /// How much the serving tier measures about itself.
 ///
-/// Levels are strictly ordered by cost: each one includes everything the
-/// previous level records.
+/// The always-on counters (per-model rows, per-shard cache, control
+/// plane) are exported at both levels; the level decides whether
+/// anything is *timed*.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TelemetryLevel {
     /// No telemetry (the default). The hot path pays nothing beyond the
-    /// always-on per-model row counters — no extra clock reads, no
-    /// histogram records, no tracing.
+    /// always-on counters — no extra clock reads, no histogram records,
+    /// no tracing.
     #[default]
     Off,
-    /// Cheap counters only: per-shard decode hit/miss row counts, read
-    /// alongside the always-on model and cache counters at snapshot
-    /// time. No per-stage latency histograms, no tracing, and no clock
-    /// reads beyond what serving already performs.
-    Minimal,
     /// Everything: per-stage latency histograms (admission wait, queue
     /// wait, batch assembly, store decode per dtype, slab write) and
     /// sampled request tracing. Costs a few clock reads per batch and
@@ -81,7 +75,8 @@ pub enum TelemetryLevel {
 /// instrumentation it is not using. Turning on [`TelemetryLevel::Full`]
 /// additionally samples request traces at `sample_rate` (every k-th
 /// request with `k = round(1 / sample_rate)`, so sampling needs no
-/// random-number source on the hot path).
+/// random-number source on the hot path); completed spans are kept in a
+/// 256-span most-recent ring plus the 32 slowest ever seen.
 ///
 /// ```
 /// use memcom_serve::{ServeConfig, TelemetryConfig, TelemetryLevel};
@@ -101,12 +96,6 @@ pub struct TelemetryConfig {
     /// only at [`TelemetryLevel::Full`]. `0` disables tracing while
     /// keeping the stage histograms.
     pub sample_rate: f64,
-    /// Completed trace spans kept in the most-recent ring buffer.
-    pub trace_ring_capacity: usize,
-    /// Completed trace spans retained under the slowest-N policy, so
-    /// tail outliers survive long after the recent ring cycled past
-    /// them.
-    pub slowest_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -114,8 +103,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             level: TelemetryLevel::Off,
             sample_rate: 0.01,
-            trace_ring_capacity: 256,
-            slowest_capacity: 32,
         }
     }
 }
@@ -126,21 +113,12 @@ impl TelemetryConfig {
         TelemetryConfig::default()
     }
 
-    /// Counters only ([`TelemetryLevel::Minimal`]), defaults elsewhere.
-    pub fn minimal() -> Self {
-        TelemetryConfig {
-            level: TelemetryLevel::Minimal,
-            ..TelemetryConfig::default()
-        }
-    }
-
     /// Everything on ([`TelemetryLevel::Full`]) with the given trace
-    /// sample rate, defaults elsewhere.
+    /// sample rate.
     pub fn full(sample_rate: f64) -> Self {
         TelemetryConfig {
             level: TelemetryLevel::Full,
             sample_rate,
-            ..TelemetryConfig::default()
         }
     }
 
@@ -168,8 +146,10 @@ impl TelemetryConfig {
 /// Defaults are sized for the workloads in this repository's examples and
 /// benches: 4 shards, micro-batches of up to 32 coalesced over at most
 /// 200 µs, a 4 096-deep bounded queue per shard, a 1 024-row hot cache
-/// per shard, fp32 row storage, blocking admission, and no simulated
-/// store latency.
+/// per shard, blocking admission, and no simulated store latency. The
+/// storage dtype is not a server-wide knob: [`crate::Router::register`]
+/// stores fp32 and [`crate::Router::register_with_dtype`] names the
+/// dtype per model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of shards (one worker thread and one queue per shard).
@@ -186,11 +166,6 @@ pub struct ServeConfig {
     /// Page size of each shard's [`memcom_ondevice::PagedTable`]s (the
     /// lazily-resident pages the on-device engine also runs on).
     pub page_size: usize,
-    /// Storage dtype for shard row bytes — models registered through
-    /// [`crate::Router::register`] (and [`crate::EmbedServer::start`])
-    /// quantize their stores to this dtype on build. Per-model overrides
-    /// go through [`crate::Router::register_with_dtype`].
-    pub dtype: Dtype,
     /// Overload policy: what happens when a shard queue is full at
     /// enqueue time, and whether queued requests carry a deadline.
     pub admission: AdmissionPolicy,
@@ -217,7 +192,6 @@ impl Default for ServeConfig {
             queue_depth: 4096,
             cache_capacity: 1024,
             page_size: memcom_ondevice::pages::DEFAULT_PAGE_SIZE,
-            dtype: Dtype::F32,
             admission: AdmissionPolicy::Block,
             store_latency: Duration::ZERO,
             telemetry: TelemetryConfig::default(),
@@ -230,14 +204,6 @@ impl ServeConfig {
     pub fn with_shards(n_shards: usize) -> Self {
         ServeConfig {
             n_shards,
-            ..ServeConfig::default()
-        }
-    }
-
-    /// A config storing rows as `dtype`, defaults elsewhere.
-    pub fn with_dtype(dtype: Dtype) -> Self {
-        ServeConfig {
-            dtype,
             ..ServeConfig::default()
         }
     }
@@ -341,12 +307,8 @@ mod tests {
     fn default_is_valid() {
         assert!(ServeConfig::default().validate().is_ok());
         assert_eq!(ServeConfig::with_shards(8).n_shards, 8);
-        assert_eq!(ServeConfig::default().dtype, Dtype::F32);
         assert_eq!(ServeConfig::default().admission, AdmissionPolicy::Block);
         assert_eq!(ServeConfig::default().store_latency, Duration::ZERO);
-        let q = ServeConfig::with_dtype(Dtype::Int8);
-        assert_eq!(q.dtype, Dtype::Int8);
-        assert!(q.validate().is_ok());
     }
 
     #[test]
@@ -424,12 +386,10 @@ mod tests {
         let t = TelemetryConfig::default();
         assert_eq!(t.level, TelemetryLevel::Off);
         assert_eq!(ServeConfig::default().telemetry, TelemetryConfig::off());
-        assert_eq!(TelemetryConfig::minimal().level, TelemetryLevel::Minimal);
         let full = TelemetryConfig::full(0.25);
         assert_eq!(full.level, TelemetryLevel::Full);
         assert_eq!(full.sample_rate, 0.25);
-        assert!(TelemetryLevel::Off < TelemetryLevel::Minimal);
-        assert!(TelemetryLevel::Minimal < TelemetryLevel::Full);
+        assert!(TelemetryLevel::Off < TelemetryLevel::Full);
         // Edge rates are legal; out-of-range and non-finite are not.
         assert!(TelemetryConfig::full(0.0).validate().is_ok());
         assert!(TelemetryConfig::full(1.0).validate().is_ok());

@@ -61,7 +61,7 @@
 //!   it at a handle or a router, `memcom-net` points it at a socket.
 //!   [`histogram`] holds the mergeable latency histogram.
 //! * [`telemetry`] — **observability**: a dependency-free metrics
-//!   registry behind [`TelemetryConfig`] (off / minimal / full), with
+//!   registry behind [`TelemetryConfig`] (off / full), with
 //!   per-stage latency histograms, sampled request tracing, and
 //!   Prometheus/JSON exporters over [`Router::metrics`]'s
 //!   [`MetricsSnapshot`].

@@ -400,18 +400,13 @@ impl RouterInner {
         // `issued_at`, which for a multi-shard fan-out would charge
         // earlier shards' admission time to later shards.
         let admit_t0 = self.telemetry.stages_on().then(Instant::now);
-        let outcome = match self.config.admission {
-            AdmissionPolicy::Block => self.queues[shard].push(request),
+        let wait = match self.config.admission {
+            AdmissionPolicy::Block => None,
             AdmissionPolicy::Shed {
                 enqueue_timeout, ..
-            } => {
-                if enqueue_timeout.is_zero() {
-                    self.queues[shard].try_push(request)
-                } else {
-                    self.queues[shard].push_until(request, enqueue_timeout)
-                }
-            }
+            } => Some(enqueue_timeout),
         };
+        let outcome = self.queues[shard].push(request, wait);
         if let Some(t0) = admit_t0 {
             self.telemetry
                 .shard(shard)
@@ -552,22 +547,21 @@ impl Router {
         &self.inner.config
     }
 
-    /// Builds a store from `emb` (using the router's config for shard
-    /// count, cache capacity, page size, and storage dtype) and registers
-    /// it as `name`.
+    /// Builds an fp32 store from `emb` (using the router's config for
+    /// shard count, cache capacity and page size) and registers it as
+    /// `name`.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::ModelExists`] for duplicate names and
     /// propagates store-construction failures.
     pub fn register(&self, name: &str, emb: &dyn memcom_core::EmbeddingCompressor) -> Result<()> {
-        self.register_with_dtype(name, emb, self.inner.config.dtype)
+        self.register_with_dtype(name, emb, memcom_ondevice::Dtype::F32)
     }
 
     /// Like [`register`](Self::register), but stores `name`'s rows as
-    /// `dtype` regardless of the config default — so fp32 and int8
-    /// variants of the *same* model can coexist under one worker set for
-    /// an A/B:
+    /// `dtype` — so fp32 and int8 variants of the *same* model can
+    /// coexist under one worker set for an A/B:
     ///
     /// ```
     /// # use memcom_core::{MemCom, MemComConfig};
@@ -1465,16 +1459,19 @@ mod tests {
         // Hand-craft a poisoned request: 2 ids but a 1-value slab.
         let slot = Arc::new(SlabSlot::new());
         router.inner.queues[0]
-            .push(Request {
-                ids: vec![0, 1],
-                out: vec![0f32; 1],
-                store: Arc::clone(&store),
-                backend: None,
-                counters: Arc::new(ModelCounters::default()),
-                slot: Arc::clone(&slot),
-                admission: Admission::stamp_with(AdmissionPolicy::Block, false, None),
-                span: None,
-            })
+            .push(
+                Request {
+                    ids: vec![0, 1],
+                    out: vec![0f32; 1],
+                    store: Arc::clone(&store),
+                    backend: None,
+                    counters: Arc::new(ModelCounters::default()),
+                    slot: Arc::clone(&slot),
+                    admission: Admission::stamp_with(AdmissionPolicy::Block, false, None),
+                    span: None,
+                },
+                None,
+            )
             .unwrap();
         let outcome = slot.wait();
         assert!(matches!(outcome.result, Err(ServeError::WorkerLost)));

@@ -128,11 +128,12 @@ const SCALAR_BLOCK: usize = 64;
 /// per slot.
 const SCALAR_BLOCK_BYTES: usize = 4 + SCALAR_BLOCK;
 
-/// The rows of one column, in one of three encodings.
+/// The rows of one column, in one of two encodings.
 ///
 /// A 1-wide partitioned column (MEmCom's multipliers and biases: one
 /// value per slot, the dominant per-entity store term at scale) is a
-/// scalar column. Quantized stores pack it as [`SCALAR_BLOCK`]-slot
+/// scalar column. An F32 store keeps it as 1-wide rows like any other
+/// column; quantized stores pack it as [`SCALAR_BLOCK`]-slot
 /// **int8 blocks with per-block scales** — the same symmetric linear
 /// scheme the wide rows use, with the block standing in for the row — at
 /// `(4 + 64) / 64 ≈ 1.06` bytes per slot instead of 4. A zeroed block
@@ -148,8 +149,6 @@ enum ColumnRows {
         dtype: Dtype,
         cols: usize,
     },
-    /// One exact `f32` per slot (scalar column of an F32 store).
-    F32(PagedTable),
     /// Int8 blocks with inline per-block scales (scalar column of a
     /// quantized store).
     Int8(PagedTable),
@@ -169,8 +168,9 @@ struct Written {
 
 impl ColumnRows {
     /// Encodes rows `rows` of `values` (`cols` wide, row-major), in that
-    /// order; a 1-wide `partitioned` column takes the scalar encodings.
-    /// Returns the rows and the worst `|source − stored|` they certify.
+    /// order; a 1-wide `partitioned` column of a quantized store takes
+    /// the scalar-block encoding. Returns the rows and the worst
+    /// `|source − stored|` they certify.
     fn build(
         values: &[f32],
         cols: usize,
@@ -179,8 +179,8 @@ impl ColumnRows {
         dtype: Dtype,
         page_size: usize,
     ) -> (Self, f32) {
-        if partitioned && cols == 1 {
-            return Self::build_scalars(rows.map(|r| values[r]), dtype != Dtype::F32, page_size);
+        if partitioned && cols == 1 && dtype != Dtype::F32 {
+            return Self::build_scalars(rows.map(|r| values[r]), page_size);
         }
         let stride = dtype.stored_row_bytes(cols);
         let mut bytes = Vec::with_capacity(rows.len() * stride);
@@ -188,30 +188,23 @@ impl ColumnRows {
         let mut err = 0f32;
         for r in rows {
             let row = &values[r * cols..(r + 1) * cols];
-            err = err.max(encode_stored_row(row, dtype, &mut payload, &mut bytes));
+            if dtype == Dtype::F32 {
+                // The bytes `encode_stored_row` writes for F32 (verbatim,
+                // no scale prefix, certified error 0) without its per-row
+                // call and bound fold, which the 200 000 one-value rows
+                // of a MEmCom scalar column make visible in `setup_s`.
+                bytes.extend(row.iter().flat_map(|v| v.to_le_bytes()));
+            } else {
+                err = err.max(encode_stored_row(row, dtype, &mut payload, &mut bytes));
+            }
         }
         let table = PagedTable::from_rows(&bytes, stride, page_size);
         (ColumnRows::Wide { table, dtype, cols }, err)
     }
 
-    /// Builds a scalar column from per-slot values; `quantize` selects
-    /// the int8 block layout. Returns the rows and the measured max
-    /// `|source − stored|` across slots (0 for F32).
-    fn build_scalars(
-        values: impl ExactSizeIterator<Item = f32>,
-        quantize: bool,
-        page_size: usize,
-    ) -> (Self, f32) {
-        if !quantize {
-            let mut bytes = Vec::with_capacity(values.len() * 4);
-            for v in values {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            return (
-                ColumnRows::F32(PagedTable::from_rows(&bytes, 4, page_size)),
-                0.0,
-            );
-        }
+    /// Builds an int8-block scalar column from per-slot values. Returns
+    /// the rows and the measured max `|source − stored|` across slots.
+    fn build_scalars(values: impl ExactSizeIterator<Item = f32>, page_size: usize) -> (Self, f32) {
         let slots = values.len();
         let blocks = slots.div_ceil(SCALAR_BLOCK);
         let mut bytes = Vec::with_capacity(blocks * SCALAR_BLOCK_BYTES);
@@ -251,7 +244,6 @@ impl ColumnRows {
             ColumnRows::Wide { table, dtype, .. } => {
                 decode_stored_row(table.read_row(r)?, *dtype, buf)
             }
-            ColumnRows::F32(t) => buf[0] = decode_f32(t.read_row(r)?),
             ColumnRows::Int8(t) => {
                 let row = t.read_row(r / SCALAR_BLOCK)?;
                 let scale = decode_f32(&row[..4]);
@@ -280,10 +272,6 @@ impl ColumnRows {
                     err,
                     neighbor_drift: 0.0,
                 })
-            }
-            ColumnRows::F32(t) => {
-                t.write_row(r, &values[0].to_le_bytes())?;
-                Ok(Written::default())
             }
             ColumnRows::Int8(t) => {
                 let value = values[0];
@@ -339,7 +327,6 @@ impl ColumnRows {
             ColumnRows::Wide { table, dtype, cols } => {
                 table.extend_rows(new_slots - old_slots, &stored_zero_row(*dtype, *cols))
             }
-            ColumnRows::F32(t) => t.extend_rows(new_slots - old_slots, &0f32.to_le_bytes()),
             ColumnRows::Int8(t) => {
                 let extra = new_slots.div_ceil(SCALAR_BLOCK) - old_slots.div_ceil(SCALAR_BLOCK);
                 if extra > 0 {
@@ -358,7 +345,6 @@ impl ColumnRows {
                 dtype: *dtype,
                 cols: *cols,
             },
-            ColumnRows::F32(t) => ColumnRows::F32(t.shared_clone()),
             ColumnRows::Int8(t) => ColumnRows::Int8(t.shared_clone()),
         }
     }
@@ -366,7 +352,7 @@ impl ColumnRows {
     /// The backing page table (accounting).
     fn table(&self) -> &PagedTable {
         match self {
-            ColumnRows::Wide { table: t, .. } | ColumnRows::F32(t) | ColumnRows::Int8(t) => t,
+            ColumnRows::Wide { table: t, .. } | ColumnRows::Int8(t) => t,
         }
     }
 }

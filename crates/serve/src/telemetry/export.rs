@@ -25,7 +25,6 @@ use super::trace::Span;
 fn level_name(level: TelemetryLevel) -> &'static str {
     match level {
         TelemetryLevel::Off => "off",
-        TelemetryLevel::Minimal => "minimal",
         TelemetryLevel::Full => "full",
     }
 }
@@ -683,9 +682,9 @@ mod tests {
     }
 
     #[test]
-    fn minimal_level_renders_counters_only() {
+    fn off_level_renders_counters_only() {
         let mut snapshot = sample_snapshot();
-        snapshot.level = TelemetryLevel::Minimal;
+        snapshot.level = TelemetryLevel::Off;
         let text = snapshot.to_prometheus();
         assert!(text.contains("memcom_requests_total"));
         assert!(text.contains("memcom_cache_hits_total"));

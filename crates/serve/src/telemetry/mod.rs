@@ -4,11 +4,10 @@
 //! The layer is dependency-free and costs what its
 //! [`TelemetryLevel`](crate::TelemetryLevel) says:
 //!
-//! * **Off** (default) — nothing recorded; the hot path keeps its
-//!   zero-allocation, no-extra-clock-read discipline.
-//! * **Minimal** — the always-on per-model row counters plus
-//!   control-plane counters (swaps, delta applies) are exported; still
-//!   no stage timing.
+//! * **Off** (default) — nothing timed; the hot path keeps its
+//!   zero-allocation, no-extra-clock-read discipline. The always-on
+//!   counters (per-model rows, per-shard cache, swaps, delta applies)
+//!   are still exported.
 //! * **Full** — per-stage latency histograms (admission wait, queue
 //!   wait, batch assembly, store decode per dtype, response write) and
 //!   sampled request tracing. Recording is O(1) and shard-local: the

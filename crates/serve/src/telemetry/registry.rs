@@ -131,10 +131,7 @@ impl MetricsRegistry {
             sample_every,
             seq: AtomicU64::new(0),
             shards: (0..n_shards).map(|_| ShardTelemetry::new()).collect(),
-            traces: Mutex::new(TraceRing::new(
-                config.trace_ring_capacity,
-                config.slowest_capacity,
-            )),
+            traces: Mutex::new(TraceRing::new()),
             started_at: Instant::now(),
         }
     }
@@ -231,9 +228,6 @@ mod tests {
         let off = MetricsRegistry::new(&TelemetryConfig::off(), 2);
         assert!(!off.stages_on());
         assert_eq!(off.level(), TelemetryLevel::Off);
-        let minimal = MetricsRegistry::new(&TelemetryConfig::minimal(), 2);
-        assert!(!minimal.stages_on());
-        assert_eq!(minimal.level(), TelemetryLevel::Minimal);
         let full = MetricsRegistry::new(&TelemetryConfig::full(1.0), 2);
         assert!(full.stages_on());
         assert_eq!(full.level(), TelemetryLevel::Full);

@@ -69,6 +69,12 @@ pub(crate) struct PendingSpan {
     pub(crate) seq: u64,
 }
 
+/// Completed spans kept in the most-recent ring.
+const RECENT_SPANS: usize = 256;
+/// Completed spans retained under the slowest-N policy, so tail outliers
+/// survive long after the recent ring cycled past them.
+const SLOWEST_SPANS: usize = 32;
+
 /// Fixed-size retention for completed spans: a most-recent ring plus a
 /// slowest-N list (min-replace by `total_nanos`).
 #[derive(Debug)]
@@ -76,46 +82,38 @@ pub(crate) struct TraceRing {
     recent: Vec<Span>,
     /// Index of the oldest entry once `recent` is full.
     head: usize,
-    capacity: usize,
     slowest: Vec<Span>,
-    slowest_capacity: usize,
     recorded: u64,
 }
 
 impl TraceRing {
-    pub(crate) fn new(capacity: usize, slowest_capacity: usize) -> Self {
+    pub(crate) fn new() -> Self {
         TraceRing {
-            recent: Vec::with_capacity(capacity),
+            recent: Vec::with_capacity(RECENT_SPANS),
             head: 0,
-            capacity,
-            slowest: Vec::with_capacity(slowest_capacity),
-            slowest_capacity,
+            slowest: Vec::with_capacity(SLOWEST_SPANS),
             recorded: 0,
         }
     }
 
     pub(crate) fn push(&mut self, span: Span) {
         self.recorded += 1;
-        if self.capacity > 0 {
-            if self.recent.len() < self.capacity {
-                self.recent.push(span);
-            } else {
-                self.recent[self.head] = span;
-                self.head = (self.head + 1) % self.capacity;
-            }
+        if self.recent.len() < RECENT_SPANS {
+            self.recent.push(span);
+        } else {
+            self.recent[self.head] = span;
+            self.head = (self.head + 1) % RECENT_SPANS;
         }
-        if self.slowest_capacity > 0 {
-            if self.slowest.len() < self.slowest_capacity {
-                self.slowest.push(span);
-            } else if let Some((idx, min)) = self
-                .slowest
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.total_nanos)
-            {
-                if span.total_nanos > min.total_nanos {
-                    self.slowest[idx] = span;
-                }
+        if self.slowest.len() < SLOWEST_SPANS {
+            self.slowest.push(span);
+        } else if let Some((idx, min)) = self
+            .slowest
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, s)| s.total_nanos)
+        {
+            if span.total_nanos > min.total_nanos {
+                self.slowest[idx] = span;
             }
         }
     }
@@ -160,38 +158,34 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_in_order() {
-        let mut ring = TraceRing::new(3, 0);
-        for seq in 0..5 {
-            ring.push(span(seq, 100 + seq));
+        let mut ring = TraceRing::new();
+        let pushed = RECENT_SPANS as u64 + 2;
+        for seq in 0..pushed {
+            ring.push(span(seq, 100));
         }
-        assert_eq!(ring.recorded(), 5);
+        assert_eq!(ring.recorded(), pushed);
         let recent: Vec<u64> = ring.recent().iter().map(|s| s.seq).collect();
-        assert_eq!(recent, vec![2, 3, 4], "oldest first, newest last");
-        assert!(ring.slowest().is_empty());
+        let want: Vec<u64> = (2..pushed).collect();
+        assert_eq!(recent, want, "oldest first, newest last");
     }
 
     #[test]
     fn slowest_retention_survives_ring_churn() {
-        let mut ring = TraceRing::new(2, 2);
+        let mut ring = TraceRing::new();
         ring.push(span(0, 9_999)); // the outlier, early
-        for seq in 1..50 {
+        let pushed = 2 * RECENT_SPANS as u64;
+        for seq in 1..pushed {
             ring.push(span(seq, 100 + seq));
         }
-        let recent: Vec<u64> = ring.recent().iter().map(|s| s.seq).collect();
-        assert_eq!(recent, vec![48, 49], "outlier cycled out of the ring");
+        let recent = ring.recent();
+        assert_eq!(recent.len(), RECENT_SPANS);
+        assert_eq!(recent[0].seq, pushed - RECENT_SPANS as u64);
+        assert_eq!(recent[RECENT_SPANS - 1].seq, pushed - 1);
         let slowest = ring.slowest();
-        assert_eq!(slowest[0].seq, 0, "…but survives slowest-N retention");
+        assert_eq!(slowest.len(), SLOWEST_SPANS);
+        assert_eq!(slowest[0].seq, 0, "cycled out of the ring, kept here");
         assert_eq!(slowest[0].total_nanos, 9_999);
-        assert_eq!(slowest[1].total_nanos, 149, "next-slowest kept, sorted");
-    }
-
-    #[test]
-    fn zero_capacities_record_counts_only() {
-        let mut ring = TraceRing::new(0, 0);
-        ring.push(span(1, 5));
-        assert_eq!(ring.recorded(), 1);
-        assert!(ring.recent().is_empty());
-        assert!(ring.slowest().is_empty());
+        assert_eq!(slowest[1].total_nanos, 99 + pushed, "next-slowest, sorted");
     }
 
     #[test]

@@ -89,10 +89,10 @@ fn get_batch_into_allocates_constant_not_per_row() {
     eprintln!("fp32 cached path: {per_call:.2} allocations/call");
 
     // Expected steady state: 1 response-slot Arc (caller side) and
-    // nothing from the worker — `pop_batch_into` drains into a reused
-    // buffer and the panic-blanket slot list is reused too, so the old
-    // per-flush `drain(..).collect()` + slot-`Vec` pair (~2 extra
-    // allocations per call) would blow this bound.
+    // nothing from the worker — `pop_batch_into_timed` drains into a
+    // reused buffer and the panic-blanket slot list is reused too, so
+    // the old per-flush `drain(..).collect()` + slot-`Vec` pair (~2
+    // extra allocations per call) would blow this bound.
     assert!(
         per_call <= 2.5,
         "expected ~1 allocation per {ROWS}-row call (slot Arc only), measured {per_call:.1}"

@@ -873,8 +873,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!(
-        "\nHot rows answer from each shard's LRU; cold rows fault through the shard's\n\
-         simulated mmap. MEmCom partitions its per-entity tables and replicates only\n\
+        "\nHot rows answer from each shard's LRU; cold rows run the recipe over the\n\
+         shard's paged tables. MEmCom partitions its per-entity tables and replicates only\n\
          the small shared table, so it serves from a smaller store at comparable QPS —\n\
          and one router serves every table variant from the same shard workers, with\n\
          snapshot swaps refreshing tables under live traffic. Sub-fp32 variants pack\n\
