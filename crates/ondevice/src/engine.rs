@@ -23,8 +23,19 @@ use memcom_core::recipe::Combine;
 use crate::compute::{ComputeUnit, WorkCounts};
 use crate::format::{HeadOp, OnDeviceModel, TableMeta};
 use crate::pages::{PagedTable, DEFAULT_PAGE_SIZE};
-use crate::quant::decode_row_into;
-use crate::{OnDeviceError, Result};
+use crate::quant::{decode_row_into, Dtype};
+use crate::{simd, OnDeviceError, Result};
+
+/// Output columns a dense layer accumulates at a time. The accumulator
+/// chunk (8 KB) and the stretch of kernel row feeding it stay in L1
+/// while every input row passes over them, so the kernel streams
+/// through the cache once per call. A multiple of four, so a chunk of an
+/// int4/int2 row starts on a byte boundary.
+const DENSE_CHUNK_COLS: usize = 2048;
+
+/// Kernel rows whose page slices a dense layer holds at once (a stack
+/// array; wider layers go tile by tile, in row order).
+const DENSE_TILE_ROWS: usize = 32;
 
 /// Work and memory observed during one inference.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,8 +44,8 @@ pub struct RunStats {
     pub work: WorkCounts,
     /// Bytes of model table pages resident after the run.
     pub resident_model_bytes: usize,
-    /// Host wall-clock time of the simulated run (for Criterion benches;
-    /// not the Table-3 number).
+    /// Host wall-clock time of the simulated run (not the Table-3
+    /// number, which is modelled from `work`).
     pub wall_nanos: u128,
 }
 
@@ -60,19 +71,21 @@ impl RunStats {
 /// ([`InferenceSession::forward_head`]).
 ///
 /// A scratch owns every intermediate the head needs — the ping/pong
-/// activation pair, one dequantized kernel row, and the four batch-norm
-/// parameter rows — so a warmed scratch executes the whole head without
-/// allocating. `memcom-serve`'s scoring backends keep one per worker to
-/// extend the O(1)-allocations-per-call certification to the forward
-/// pass.
+/// activation pair, one dequantized chunk of a kernel row (quantized
+/// models only; fp32 kernels are read in place), and the four
+/// batch-norm parameter rows — so a warmed scratch executes the whole
+/// head without allocating. `memcom-serve`'s scoring backends keep one
+/// per worker to extend the O(1)-allocations-per-call certification to
+/// the forward pass.
 #[derive(Debug, Default)]
 pub struct HeadScratch {
     /// Current activation (the executor's "ping" buffer).
     act: Vec<f32>,
     /// Next activation (the "pong" buffer ops write into before a swap).
     next: Vec<f32>,
-    /// One dequantized dense-kernel row.
-    row: Vec<f32>,
+    /// Up to [`DENSE_CHUNK_COLS`] dequantized values of one dense-kernel
+    /// row.
+    chunk: Vec<f32>,
     /// Batch-norm gamma/beta/mean/var rows.
     bn: [Vec<f32>; 4],
 }
@@ -245,8 +258,9 @@ impl InferenceSession {
     /// calls it after the embedding front end, and `memcom-serve`'s
     /// scoring backends call it after gathering embedding rows from a
     /// `ShardedStore` — both paths therefore produce bit-identical
-    /// results for the same input activation. A warmed `scratch` (and an
-    /// `out` with capacity) makes the call allocation-free.
+    /// results for the same input activation. `out` receives the final
+    /// activation's buffer and gives its own to the scratch, so once the
+    /// rotating buffers have grown a call allocates nothing.
     ///
     /// # Errors
     ///
@@ -255,6 +269,7 @@ impl InferenceSession {
     /// [`OnDeviceError::BadFormat`] when an op's dimensions do not match
     /// the running activation, and propagates mapping errors from
     /// parameter-table reads.
+    // memcom-lint: hot-path
     pub fn forward_head(
         &self,
         rows: usize,
@@ -335,16 +350,35 @@ impl InferenceSession {
                     acc.resize(bias.cols, 0.0);
                     self.read_row_into(bias, 0, acc)?;
                     debug_assert_eq!(acc.len(), *out_dim);
-                    // One scratch row reused for every kernel row: the
-                    // inner loop dequantizes in place instead of
-                    // allocating a Vec per input element.
-                    let w_row = &mut scratch.row;
-                    w_row.clear();
-                    w_row.resize(*out_dim, 0.0);
-                    for (i, &xi) in act.iter().enumerate() {
-                        self.read_row_into(weight, i, w_row)?;
-                        for (o, &w) in acc.iter_mut().zip(w_row.iter()) {
-                            *o += xi * w;
+                    let dtype = weight.dtype;
+                    let decoded = &mut scratch.chunk;
+                    if dtype != Dtype::F32 {
+                        decoded.resize(DENSE_CHUNK_COLS, 0.0);
+                    }
+                    // Each kernel row is read from its page exactly once
+                    // (one fault/byte charge, as a whole-row read), and
+                    // each `acc[c]` still takes bias, then `x[i]·w[i][c]`
+                    // in ascending `i` — the row-at-a-time result, bit
+                    // for bit, from one pass over the kernel.
+                    let kernel = &self.tables[weight.index];
+                    for (tile, xs) in act.chunks(DENSE_TILE_ROWS).enumerate() {
+                        let mut rows = [&[][..]; DENSE_TILE_ROWS];
+                        for (k, row) in rows[..xs.len()].iter_mut().enumerate() {
+                            *row = kernel.read_row(tile * DENSE_TILE_ROWS + k)?;
+                        }
+                        for (c, acc) in acc.chunks_mut(DENSE_CHUNK_COLS).enumerate() {
+                            let col = c * DENSE_CHUNK_COLS;
+                            let bytes = dtype.row_bytes(col)..dtype.row_bytes(col + acc.len());
+                            for (&xi, row) in xs.iter().zip(&rows) {
+                                let stored = &row[bytes.clone()];
+                                if dtype == Dtype::F32 {
+                                    simd::axpy_le_bytes(xi, stored, acc);
+                                } else {
+                                    let w = &mut decoded[..acc.len()];
+                                    decode_row_into(stored, dtype, weight.scale, w);
+                                    simd::axpy(xi, w, acc);
+                                }
+                            }
                         }
                     }
                     work.flops += (2 * in_dim * out_dim) as u64;
@@ -355,10 +389,12 @@ impl InferenceSession {
             }
         }
         let _ = act_dims;
-        out.clear();
-        out.extend_from_slice(&scratch.act);
+        // `out`'s old buffer becomes the scratch's next input activation:
+        // the buffers rotate, so a steady caller stays allocation-free.
+        std::mem::swap(out, &mut scratch.act);
         Ok(())
     }
+    // memcom-lint: end-hot-path
 
     /// Runs the embedding front end, filling the caller's `[L, e]`
     /// activation slice (`act.len() == ids.len() * emb_dim`).
@@ -510,8 +546,7 @@ mod tests {
         let (_, stats_onehot) = s_onehot.run(&ids).unwrap();
 
         // The one-hot engine reads the entire kernel (m·e·4 ≈ 128 KB);
-        // MEmCom touches only queried rows. Hmm the multiplier table rows
-        // are scattered but tiny.
+        // MEmCom touches only queried rows.
         assert!(
             stats_onehot.resident_model_bytes > stats_memcom.resident_model_bytes,
             "onehot {} vs memcom {}",
@@ -547,6 +582,96 @@ mod tests {
         session.reset();
         let (_, third) = session.run(&ids).unwrap();
         assert!(third.work.cold_bytes > 0, "reset must re-cool the pages");
+    }
+
+    #[test]
+    fn each_touched_row_is_charged_exactly_once() {
+        // 40 kernel rows: two tiles of the dense loop.
+        let (e, classes) = (DENSE_TILE_ROWS + 8, 5);
+        let mut rng = StdRng::seed_from_u64(11);
+        let emb = MemCom::new(MemComConfig::with_bias(300, e, 30), &mut rng).unwrap();
+        let session = session_for(&emb, 4, classes);
+        let ids = [7usize, 70, 170, 299];
+        let (_, first) = session.run(&ids).unwrap();
+        let faults = session.faults();
+        assert!(first.work.cold_bytes > 0 && faults > 0);
+
+        // Warm: every id reads one row of each embedding table, every
+        // head table is read once — each kernel row once, whatever the
+        // order the dense loop visits its columns in.
+        let row = |t: &TableMeta| t.dtype.row_bytes(t.cols) as u64;
+        let meta = session.model();
+        let per_id: u64 = meta.emb_tables.iter().map(row).sum();
+        let mut want = ids.len() as u64 * per_id;
+        for op in &meta.head_ops {
+            want += match op {
+                HeadOp::AveragePool | HeadOp::Relu => 0,
+                HeadOp::BatchNorm { tables, .. } => tables.iter().map(row).sum(),
+                HeadOp::Dense {
+                    in_dim,
+                    weight,
+                    bias,
+                    ..
+                } => *in_dim as u64 * row(weight) + row(bias),
+            };
+        }
+        let (_, warm) = session.run(&ids).unwrap();
+        assert_eq!((warm.work.cold_bytes, warm.work.warm_bytes), (0, want));
+        assert_eq!(session.faults(), faults, "a warm run faults nothing");
+
+        session.reset();
+        let (_, again) = session.run(&ids).unwrap();
+        assert_eq!(again.work.cold_bytes, first.work.cold_bytes);
+        assert_eq!(again.resident_model_bytes, first.resident_model_bytes);
+        assert_eq!(session.faults(), faults);
+    }
+
+    #[test]
+    fn dense_is_bit_identical_to_the_row_at_a_time_loop() {
+        let dtypes = [
+            Dtype::F32,
+            Dtype::F16,
+            Dtype::Int8,
+            Dtype::Int4,
+            Dtype::Int2,
+        ];
+        let chunk = DENSE_CHUNK_COLS;
+        let out_dims = [1, 7, 8, chunk - 1, chunk, chunk + 1, 2 * chunk + 5];
+        for in_dim in [1, 3, 17, DENSE_TILE_ROWS + 1] {
+            let mut rng = StdRng::seed_from_u64(in_dim as u64);
+            let emb = MemCom::new(MemComConfig::new(20, in_dim, 4), &mut rng).unwrap();
+            let x: Vec<f32> = (0..in_dim).map(|i| (i as f32 * 1.7 + 0.3).sin()).collect();
+            for (out_dim, dtype) in out_dims.iter().flat_map(|&o| dtypes.map(|d| (o, d))) {
+                let mut dense = Sequential::new();
+                dense.push(Dense::new(in_dim, out_dim, &mut rng));
+                let bytes = OnDeviceModel::serialize(&emb, &dense, 1, dtype).unwrap();
+                let session = InferenceSession::new(OnDeviceModel::parse(bytes).unwrap());
+                let HeadOp::Dense { weight, bias, .. } = &session.model().head_ops[0] else {
+                    panic!("the head is one dense layer");
+                };
+
+                // The loop this executor replaced: copy out the whole
+                // row, then a scalar multiply-add over the copy.
+                let mut want = vec![0f32; out_dim];
+                session.read_row_into(bias, 0, &mut want).unwrap();
+                let mut w_row = vec![0f32; out_dim];
+                for (i, &xi) in x.iter().enumerate() {
+                    session.read_row_into(weight, i, &mut w_row).unwrap();
+                    for (o, &w) in want.iter_mut().zip(&w_row) {
+                        *o += xi * w;
+                    }
+                }
+
+                let mut scratch = HeadScratch::new();
+                scratch.input(1, in_dim).copy_from_slice(&x);
+                let mut got = Vec::new();
+                session
+                    .forward_head(1, &mut scratch, &mut got, &mut WorkCounts::default())
+                    .unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{dtype:?} {in_dim}x{out_dim}");
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,33 @@
-//! Runtime-dispatched SIMD dequantization kernels.
+//! Runtime-dispatched SIMD kernels: row decode and the dense head's
+//! AXPY.
 //!
 //! Every cache miss in the serving store and every embedding gather in
 //! the on-device engine funnels through
-//! [`decode_row_into`](crate::quant::decode_row_into); this module is
-//! the vector back end underneath it. There are two tiers, selected
-//! once per process by [`active_kernel`]: AVX2 on an `x86_64` CPU that
+//! [`decode_row_into`](crate::quant::decode_row_into), and every dense
+//! layer of the head
+//! ([`InferenceSession::forward_head`](crate::InferenceSession::forward_head))
+//! accumulates through [`axpy`] / [`axpy_le_bytes`]; this module is the
+//! vector back end underneath both. There are two tiers, selected once
+//! per process by [`active_kernel`]: AVX2 on an `x86_64` CPU that
 //! reports it, and the scalar reference everywhere else (an `x86_64`
 //! without AVX2 included — the reference is compiled at that target's
 //! SSE2 baseline).
 //!
 //! **Bit-exactness is a hard contract**: for any input — including
 //! NaNs with arbitrary payloads, infinities, subnormals and signed
-//! zeros — the AVX2 tier produces bit-identical `f32` output to
-//! [`scalar`]. That is why the f16 decoder is pure integer SIMD
+//! zeros — the AVX2 decode kernels produce bit-identical `f32` output
+//! to [`scalar`]. That is why the f16 decoder is pure integer SIMD
 //! replicating [`f16_bits_to_f32`] branchlessly (hardware `F16C` would
 //! quiet signaling-NaN payloads).
+//!
+//! The AXPY kernels compute `acc[c] += x * w[c]` as one IEEE multiply
+//! rounded to `f32`, then one add — never fused, on either tier — so
+//! every result that is not a NaN (subnormals, signed zeros and
+//! infinities included) is bit-identical to [`scalar`]. Where the
+//! scalar result is a NaN the vector result is a NaN too, but its
+//! *payload* is not part of the contract: which operand's payload an
+//! x86 multiply or add propagates depends on the operand order the
+//! compiler picked, and no decoded model weight is a NaN.
 //!
 //! The `simd_equiv` proptest suite compares the dispatched kernels
 //! with [`scalar`] across all dtypes, dims, alignments and non-finite
@@ -170,6 +183,46 @@ pub fn dequant_i2(bytes: &[u8], scale: f32, out: &mut [f32]) {
     scalar::dequant_i2(bytes, scale, out);
 }
 
+/// `acc[c] += x * w[c]` over `acc.len()` decoded weights: multiply,
+/// round, add — never fused (see the module docs for the NaN-payload
+/// caveat).
+///
+/// # Panics
+///
+/// Panics when `w` holds fewer than `acc.len()` values.
+pub fn axpy(x: f32, w: &[f32], acc: &mut [f32]) {
+    assert!(w.len() >= acc.len(), "short axpy row");
+    match active_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified at runtime by active_kernel(); the
+        // assert above puts `acc.len()` readable f32s behind the
+        // pointer.
+        Kernel::Avx2 => unsafe { x86::axpy_avx2(x, w.as_ptr(), acc) },
+        _ => scalar::axpy(x, w, acc),
+    }
+}
+
+/// [`axpy`] over weights still in the F32 stored-row layout:
+/// `acc.len()` little-endian `f32`s read straight from `bytes` (a page
+/// slice at any alignment), so an fp32 kernel row is never copied out
+/// of its page.
+///
+/// # Panics
+///
+/// Panics when `bytes` holds fewer than `4 * acc.len()` bytes.
+pub fn axpy_le_bytes(x: f32, bytes: &[u8], acc: &mut [f32]) {
+    assert!(bytes.len() >= acc.len() * 4, "short f32 row");
+    match active_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified at runtime by active_kernel(); the
+        // assert above puts `4 * acc.len()` readable bytes behind the
+        // pointer, the kernel reads them unaligned, and x86_64 is
+        // little-endian, so its native f32 reads are the stored values.
+        Kernel::Avx2 => unsafe { x86::axpy_avx2(x, bytes.as_ptr().cast(), acc) },
+        _ => scalar::axpy_le_bytes(x, bytes, acc),
+    }
+}
+
 /// The portable scalar reference kernels — the semantics every vector
 /// tier must reproduce bit-for-bit, and the mandatory fallback for
 /// loop tails, non-`x86_64` targets and the forced-scalar override.
@@ -218,6 +271,21 @@ pub mod scalar {
         for (i, o) in out.iter_mut().enumerate() {
             let q = (bytes[i / 4] >> ((i % 4) * 2)) & 0x03;
             *o = sign_extend(q, 2) as f32 * scale;
+        }
+    }
+
+    /// Scalar [`axpy`](super::axpy): the multiply-then-add every tier
+    /// must reproduce.
+    pub fn axpy(x: f32, w: &[f32], acc: &mut [f32]) {
+        for (a, &w) in acc.iter_mut().zip(w) {
+            *a += x * w;
+        }
+    }
+
+    /// Scalar [`axpy_le_bytes`](super::axpy_le_bytes).
+    pub fn axpy_le_bytes(x: f32, bytes: &[u8], acc: &mut [f32]) {
+        for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(4)) {
+            *a += x * f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
         }
     }
 
@@ -370,6 +438,32 @@ mod x86 {
             i += 8;
         }
         scalar::decode_f16(&bytes[i * 2..], &mut out[i..]);
+    }
+
+    // ------------------------------------------------------------------
+    // AXPY (mul then add — never FMA, which would round once)
+    // ------------------------------------------------------------------
+
+    // SAFETY: caller must have verified AVX2 and that `w` points at
+    // `acc.len()` readable `f32`s in native (little-endian) byte order;
+    // `w` needs no alignment — vector loads are the unaligned variant
+    // and the tail uses `read_unaligned` — so it may point into page
+    // bytes. Every access stays below index `acc.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn axpy_avx2(x: f32, w: *const f32, acc: &mut [f32]) {
+        let n = acc.len();
+        let a = acc.as_mut_ptr();
+        let vx = _mm256_set1_ps(x);
+        let mut i = 0usize;
+        while i + 8 <= n {
+            let prod = _mm256_mul_ps(vx, _mm256_loadu_ps(w.add(i)));
+            _mm256_storeu_ps(a.add(i), _mm256_add_ps(_mm256_loadu_ps(a.add(i)), prod));
+            i += 8;
+        }
+        while i < n {
+            *a.add(i) += x * w.add(i).read_unaligned();
+            i += 1;
+        }
     }
 }
 

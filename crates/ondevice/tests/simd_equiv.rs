@@ -28,6 +28,17 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// Asserts an AXPY result matches the scalar reference: bit-identical,
+/// except that where the reference is a NaN any NaN will do (which
+/// payload a multiply or add propagates depends on operand order).
+fn assert_axpy_eq(got: &[f32], want: &[f32], what: &str) {
+    let one_nan = |v: &[f32]| -> Vec<f32> {
+        let canonical = |x: &f32| if x.is_nan() { f32::NAN } else { *x };
+        v.iter().map(canonical).collect()
+    };
+    assert_bits_eq(&one_nan(got), &one_nan(want), what);
+}
+
 /// Copies `bytes` into a buffer at offset 1 and returns the buffer, so
 /// the slice handed to the kernel is guaranteed misaligned relative to
 /// any vector width.
@@ -36,6 +47,20 @@ fn misalign(bytes: &[u8]) -> Vec<u8> {
     buf.push(0xA5);
     buf.extend_from_slice(bytes);
     buf
+}
+
+/// `f32` bit patterns weighted towards the classes a uniform draw
+/// almost never hits: anything, ±subnormals, ±0, ±inf.
+fn f32_bits() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        0u32..=u32::MAX,
+        0x0000_0000u32..=0x007F_FFFF,
+        0x8000_0000u32..=0x807F_FFFF,
+        0x0000_0000u32..=0x0000_0000,
+        0x8000_0000u32..=0x8000_0000,
+        0x7F80_0000u32..=0x7F80_0000,
+        0xFF80_0000u32..=0xFF80_0000,
+    ]
 }
 
 proptest! {
@@ -128,6 +153,36 @@ proptest! {
         simd::dequant_i2(&packed, scale, &mut got);
         simd::scalar::dequant_i2(&packed, scale, &mut want);
         assert_bits_eq(&got, &want, "dequant_i2");
+    }
+
+    // AXPY: multiply then add, never fused, over arbitrary bit patterns
+    // (subnormals, ±0, ±inf, NaNs) in the scale, the weights and the
+    // accumulator — from a decoded row and straight from misaligned
+    // page bytes.
+    #[test]
+    fn axpy_matches_scalar(
+        lanes in proptest::collection::vec((f32_bits(), f32_bits()), 1..257),
+        x_bits in f32_bits(),
+    ) {
+        let x = f32::from_bits(x_bits);
+        let w: Vec<f32> = lanes.iter().map(|&(w, _)| f32::from_bits(w)).collect();
+        let acc: Vec<f32> = lanes.iter().map(|&(_, a)| f32::from_bits(a)).collect();
+        let bytes: Vec<u8> = w.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut want = acc.clone();
+        simd::scalar::axpy(x, &w, &mut want);
+        let mut from_bytes = acc.clone();
+        simd::scalar::axpy_le_bytes(x, &bytes, &mut from_bytes);
+        assert_axpy_eq(&from_bytes, &want, "scalar axpy_le_bytes");
+
+        let mut got = acc.clone();
+        simd::axpy(x, &w, &mut got);
+        assert_axpy_eq(&got, &want, "axpy");
+        got.copy_from_slice(&acc);
+        simd::axpy_le_bytes(x, &bytes, &mut got);
+        assert_axpy_eq(&got, &want, "axpy_le_bytes");
+        got.copy_from_slice(&acc);
+        simd::axpy_le_bytes(x, &misalign(&bytes)[1..], &mut got);
+        assert_axpy_eq(&got, &want, "axpy_le_bytes misaligned");
     }
 
     // End-to-end: a quantize → dispatch-decode round trip equals the
