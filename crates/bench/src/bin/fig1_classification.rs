@@ -9,66 +9,25 @@
 //! truncate-rare baseline is surprisingly strong but MEmCom still beats it
 //! by ~2x; on Newsgroup only MEmCom and factorized embeddings work at all.
 
-use memcom_bench::harness::{banner, scaled_spec, HarnessArgs, ResultWriter};
+use memcom_bench::harness::sweep_figure;
 use memcom_data::DatasetSpec;
-use memcom_models::sweep::{paper_method_grid, run_sweep};
-use memcom_models::trainer::TrainConfig;
-use memcom_models::{ModelKind, SweepConfig};
+use memcom_models::ModelKind;
 
 fn main() {
-    let args = HarnessArgs::from_env();
-    banner(
-        "Figure 1 — compression vs accuracy tradeoff (classification)",
-        "§5.1, Figure 1 (Newsgroup / Games / Arcade panels)",
-        "memcom dominates every baseline at every ratio; truncate_rare is the best non-memcom method on arcade",
-    );
-    let mut writer = ResultWriter::new("fig1_classification");
-    writer.header(&[
-        "dataset",
-        "method",
-        "params",
-        "compression_ratio",
+    sweep_figure(
+        "fig1_classification",
+        [
+            "Figure 1 — compression vs accuracy tradeoff (classification)",
+            "§5.1, Figure 1 (Newsgroup / Games / Arcade panels)",
+            "memcom dominates every baseline at every ratio; truncate_rare is the best non-memcom method on arcade",
+        ],
+        ModelKind::Classifier,
+        &[
+            DatasetSpec::newsgroup(),
+            DatasetSpec::games(),
+            DatasetSpec::arcade(),
+        ],
         "accuracy",
-        "accuracy_loss_pct",
-    ]);
-    for base in [
-        DatasetSpec::newsgroup(),
-        DatasetSpec::games(),
-        DatasetSpec::arcade(),
-    ] {
-        let spec = scaled_spec(&base, &args);
-        eprintln!(
-            "[fig1] {}: vocab={} out={} train={} (scaled from Table 2)",
-            spec.name,
-            spec.input_vocab(),
-            spec.output_vocab,
-            spec.train_samples
-        );
-        let data = spec.generate(args.seed);
-        let config = SweepConfig {
-            kind: ModelKind::Classifier,
-            embedding_dim: if args.quick { 16 } else { 32 },
-            train: TrainConfig {
-                epochs: if args.quick { 1 } else { 8 },
-                seed: args.seed,
-                ..TrainConfig::default()
-            },
-            replicates: if args.quick { 1 } else { 2 },
-            ..SweepConfig::default()
-        };
-        let grid = paper_method_grid(spec.input_vocab(), config.embedding_dim);
-        let result = run_sweep(&spec, &data, &grid, &config).expect("sweep must complete");
-        for point in std::iter::once(&result.baseline).chain(&result.points) {
-            writer.row(&[
-                spec.name,
-                &point.label,
-                &point.params.to_string(),
-                &format!("{:.2}", point.compression_ratio),
-                &format!("{:.4}", point.accuracy),
-                &format!("{:.2}", point.accuracy_loss_pct),
-            ]);
-        }
-    }
-    writer.flush().expect("results directory must be writable");
-    println!("\nwrote results/fig1_classification.tsv");
+        |p| (p.accuracy, p.accuracy_loss_pct),
+    );
 }

@@ -9,67 +9,26 @@
 //! Local), and 40x (Netflix), "beating out other state-of-the-art model
 //! compression techniques" at the corresponding whole-model ratios.
 
-use memcom_bench::harness::{banner, scaled_spec, HarnessArgs, ResultWriter};
+use memcom_bench::harness::sweep_figure;
 use memcom_data::DatasetSpec;
-use memcom_models::sweep::{paper_method_grid, run_sweep};
-use memcom_models::trainer::TrainConfig;
-use memcom_models::{ModelKind, SweepConfig};
+use memcom_models::ModelKind;
 
 fn main() {
-    let args = HarnessArgs::from_env();
-    banner(
-        "Figure 2 — compression vs nDCG tradeoff (pointwise ranking)",
-        "§5.2, Figure 2 (MovieLens / MillionSongs / GoogleLocal / Netflix)",
-        "memcom holds a few-percent nDCG loss where hashing baselines degrade steeply",
-    );
-    let mut writer = ResultWriter::new("fig2_pointwise");
-    writer.header(&[
-        "dataset",
-        "method",
-        "params",
-        "compression_ratio",
+    sweep_figure(
+        "fig2_pointwise",
+        [
+            "Figure 2 — compression vs nDCG tradeoff (pointwise ranking)",
+            "§5.2, Figure 2 (MovieLens / MillionSongs / GoogleLocal / Netflix)",
+            "memcom holds a few-percent nDCG loss where hashing baselines degrade steeply",
+        ],
+        ModelKind::PointwiseRanker,
+        &[
+            DatasetSpec::movielens(),
+            DatasetSpec::million_songs(),
+            DatasetSpec::google_local(),
+            DatasetSpec::netflix(),
+        ],
         "ndcg",
-        "ndcg_loss_pct",
-    ]);
-    for base in [
-        DatasetSpec::movielens(),
-        DatasetSpec::million_songs(),
-        DatasetSpec::google_local(),
-        DatasetSpec::netflix(),
-    ] {
-        let spec = scaled_spec(&base, &args);
-        eprintln!(
-            "[fig2] {}: vocab={} out={} train={}",
-            spec.name,
-            spec.input_vocab(),
-            spec.output_vocab,
-            spec.train_samples
-        );
-        let data = spec.generate(args.seed);
-        let config = SweepConfig {
-            kind: ModelKind::PointwiseRanker,
-            embedding_dim: if args.quick { 16 } else { 32 },
-            train: TrainConfig {
-                epochs: if args.quick { 1 } else { 8 },
-                seed: args.seed,
-                ..TrainConfig::default()
-            },
-            replicates: if args.quick { 1 } else { 2 },
-            ..SweepConfig::default()
-        };
-        let grid = paper_method_grid(spec.input_vocab(), config.embedding_dim);
-        let result = run_sweep(&spec, &data, &grid, &config).expect("sweep must complete");
-        for point in std::iter::once(&result.baseline).chain(&result.points) {
-            writer.row(&[
-                spec.name,
-                &point.label,
-                &point.params.to_string(),
-                &format!("{:.2}", point.compression_ratio),
-                &format!("{:.4}", point.ndcg),
-                &format!("{:.2}", point.ndcg_loss_pct),
-            ]);
-        }
-    }
-    writer.flush().expect("results directory must be writable");
-    println!("\nwrote results/fig2_pointwise.tsv");
+        |p| (p.ndcg, p.ndcg_loss_pct),
+    );
 }

@@ -4,12 +4,11 @@
 //! compressing the Arcade ranking model by 32x"; the bias and no-bias
 //! variants "perform exactly the same" (their curves overlap).
 
-use memcom_bench::harness::{banner, scaled_spec, HarnessArgs, ResultWriter};
+use memcom_bench::harness::{banner, scaled_spec, sweep_config, HarnessArgs, ResultWriter};
 use memcom_core::{MethodSpec, QrCombiner};
 use memcom_data::DatasetSpec;
 use memcom_models::sweep::{hash_size_grid, run_pairwise_sweep};
-use memcom_models::trainer::TrainConfig;
-use memcom_models::{ModelKind, SweepConfig};
+use memcom_models::ModelKind;
 
 fn main() {
     let args = HarnessArgs::from_env();
@@ -43,17 +42,7 @@ fn main() {
         });
         specs.push(MethodSpec::TruncateRare { keep: m });
     }
-    let config = SweepConfig {
-        kind: ModelKind::PointwiseRanker,
-        embedding_dim: if args.quick { 16 } else { 32 },
-        train: TrainConfig {
-            epochs: if args.quick { 1 } else { 8 },
-            seed: args.seed,
-            ..TrainConfig::default()
-        },
-        replicates: if args.quick { 1 } else { 2 },
-        ..SweepConfig::default()
-    };
+    let config = sweep_config(ModelKind::PointwiseRanker, &args);
     let result =
         run_pairwise_sweep(&spec, &specs, &config, args.seed).expect("sweep must complete");
     let mut writer = ResultWriter::new("fig3_pairwise");

@@ -1,10 +1,14 @@
-//! CLI parsing, dataset scaling, and result output.
+//! CLI parsing, dataset scaling, result output, and the sweep that
+//! Figures 1–3 share.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
 use memcom_data::DatasetSpec;
+use memcom_models::sweep::{paper_method_grid, run_sweep, SweepPoint};
+use memcom_models::trainer::TrainConfig;
+use memcom_models::{ModelKind, SweepConfig};
 
 /// Arguments shared by every experiment binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,6 +158,79 @@ pub fn banner(title: &str, paper_ref: &str, expectation: &str) {
     println!("paper: {paper_ref}");
     println!("expected shape: {expectation}");
     println!("================================================================");
+}
+
+/// The sweep settings Figures 1–3 share: embedding size, epochs,
+/// training seed and replicate count, each shrunk by `--quick`.
+pub fn sweep_config(kind: ModelKind, args: &HarnessArgs) -> SweepConfig {
+    SweepConfig {
+        kind,
+        embedding_dim: if args.quick { 16 } else { 32 },
+        train: TrainConfig {
+            epochs: if args.quick { 1 } else { 8 },
+            seed: args.seed,
+            ..TrainConfig::default()
+        },
+        replicates: if args.quick { 1 } else { 2 },
+        ..SweepConfig::default()
+    }
+}
+
+/// Runs one compression-vs-quality figure (Figures 1 and 2): every
+/// technique of the paper's grid on each of `datasets` with a `kind`
+/// network, written to `results/<name>.tsv`. The three strings are
+/// [`banner`]'s lines; `metric` names the quality column and `read`
+/// takes it, with its loss percentage, off a sweep point.
+///
+/// # Panics
+///
+/// Panics when a sweep fails or `results/` is not writable.
+pub fn sweep_figure(
+    name: &str,
+    [title, paper_ref, expectation]: [&str; 3],
+    kind: ModelKind,
+    datasets: &[DatasetSpec],
+    metric: &str,
+    read: fn(&SweepPoint) -> (f64, f64),
+) {
+    let args = HarnessArgs::from_env();
+    banner(title, paper_ref, expectation);
+    let mut writer = ResultWriter::new(name);
+    writer.header(&[
+        "dataset",
+        "method",
+        "params",
+        "compression_ratio",
+        metric,
+        &format!("{metric}_loss_pct"),
+    ]);
+    let config = sweep_config(kind, &args);
+    for base in datasets {
+        let spec = scaled_spec(base, &args);
+        eprintln!(
+            "[{name}] {}: vocab={} out={} train={}",
+            spec.name,
+            spec.input_vocab(),
+            spec.output_vocab,
+            spec.train_samples
+        );
+        let data = spec.generate(args.seed);
+        let grid = paper_method_grid(spec.input_vocab(), config.embedding_dim);
+        let result = run_sweep(&spec, &data, &grid, &config).expect("sweep must complete");
+        for point in std::iter::once(&result.baseline).chain(&result.points) {
+            let (quality, loss_pct) = read(point);
+            writer.row(&[
+                spec.name,
+                &point.label,
+                &point.params.to_string(),
+                &format!("{:.2}", point.compression_ratio),
+                &format!("{quality:.4}"),
+                &format!("{loss_pct:.2}"),
+            ]);
+        }
+    }
+    writer.flush().expect("results directory must be writable");
+    println!("\nwrote results/{name}.tsv");
 }
 
 #[cfg(test)]

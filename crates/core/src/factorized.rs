@@ -58,11 +58,6 @@ impl FactorizedEmbedding {
             hidden,
         })
     }
-
-    /// The inner (hidden) rank `h`.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
 }
 
 impl EmbeddingCompressor for FactorizedEmbedding {

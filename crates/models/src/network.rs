@@ -163,11 +163,6 @@ impl RecModel {
         self.embedding.as_ref()
     }
 
-    /// Mutable access to the head (for serialization round-trips).
-    pub fn head_mut(&mut self) -> &mut Sequential {
-        &mut self.head
-    }
-
     /// Immutable access to the head layers.
     pub fn head(&self) -> &Sequential {
         &self.head

@@ -53,7 +53,7 @@ pub(crate) struct ConnTelemetry {
     pub(crate) frames_out: AtomicU64,
     pub(crate) bytes_in: AtomicU64,
     pub(crate) bytes_out: AtomicU64,
-    /// Lookup requests answered with rows.
+    /// Lookup and score requests answered with a rows frame.
     pub(crate) served: AtomicU64,
     /// Typed error frames sent (any code).
     pub(crate) errors_sent: AtomicU64,
@@ -109,7 +109,7 @@ pub struct ConnectionMetrics {
     pub bytes_in: u64,
     /// Wire bytes sent.
     pub bytes_out: u64,
-    /// Lookup requests answered with rows.
+    /// Lookup and score requests answered with a rows frame.
     pub served: u64,
     /// Typed error frames sent.
     pub errors_sent: u64,
@@ -311,7 +311,7 @@ impl NetMetricsSnapshot {
             ("memcom_net_bytes_total", "Wire bytes per connection.", 1),
             (
                 "memcom_net_served_total",
-                "Lookup requests answered with rows, per connection.",
+                "Lookup and score requests answered with a rows frame, per connection.",
                 2,
             ),
             (

@@ -53,12 +53,6 @@ impl Sequential {
         self
     }
 
-    /// Appends an already-boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) -> &mut Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -72,11 +66,6 @@ impl Sequential {
     /// Immutable access to a layer by position.
     pub fn layer(&self, idx: usize) -> Option<&dyn Layer> {
         self.layers.get(idx).map(|b| b.as_ref())
-    }
-
-    /// Mutable access to a layer by position (used by serialization).
-    pub fn layer_mut(&mut self, idx: usize) -> Option<&mut Box<dyn Layer>> {
-        self.layers.get_mut(idx)
     }
 }
 

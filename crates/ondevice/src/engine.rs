@@ -16,8 +16,6 @@
 //! the numerical result is the same row; what differs, and what §5.3
 //! measures, is the cost profile.
 
-use std::time::Instant;
-
 use memcom_core::recipe::Combine;
 
 use crate::compute::{ComputeUnit, WorkCounts};
@@ -44,9 +42,6 @@ pub struct RunStats {
     pub work: WorkCounts,
     /// Bytes of model table pages resident after the run.
     pub resident_model_bytes: usize,
-    /// Host wall-clock time of the simulated run (not the Table-3
-    /// number, which is modelled from `work`).
-    pub wall_nanos: u128,
 }
 
 impl RunStats {
@@ -196,7 +191,6 @@ impl InferenceSession {
     /// Returns [`OnDeviceError::BadInput`] on length/vocabulary mismatch
     /// and propagates mapping errors.
     pub fn run(&self, ids: &[usize]) -> Result<(Vec<f32>, RunStats)> {
-        let start = Instant::now();
         if ids.len() != self.meta.input_len {
             return Err(OnDeviceError::BadInput {
                 context: format!("expected {} ids, got {}", self.meta.input_len, ids.len()),
@@ -230,7 +224,6 @@ impl InferenceSession {
         let stats = RunStats {
             work,
             resident_model_bytes: self.tables.iter().map(PagedTable::resident_bytes).sum(),
-            wall_nanos: start.elapsed().as_nanos(),
         };
         Ok((logits, stats))
     }

@@ -36,12 +36,6 @@ impl Dtype {
         }
     }
 
-    /// Bytes needed to store `n` elements (rows are byte-padded
-    /// independently, so use [`Dtype::row_bytes`] for tables).
-    pub fn payload_bytes(self, n: usize) -> usize {
-        (n * self.bits()).div_ceil(8)
-    }
-
     /// Bytes per row of `cols` elements (each row starts byte-aligned).
     pub fn row_bytes(self, cols: usize) -> usize {
         (cols * self.bits()).div_ceil(8)
@@ -511,14 +505,6 @@ fn encode_row_map(row: &[f32], dtype: Dtype, scale: f32, out: &mut [u8], map: im
     }
 }
 
-/// Decodes one packed row back to f32s, allocating the result
-/// (convenience over [`decode_row_into`]).
-pub fn decode_row(bytes: &[u8], dtype: Dtype, scale: f32, cols: usize) -> Vec<f32> {
-    let mut out = vec![0f32; cols];
-    decode_row_into(bytes, dtype, scale, &mut out);
-    out
-}
-
 /// Decodes one packed row directly into `out` (`out.len()` columns) —
 /// the zero-allocation primitive every dequantizing hot path shares: the
 /// on-device engine decodes activations in place and the serving store
@@ -545,24 +531,6 @@ pub fn decode_row_into(bytes: &[u8], dtype: Dtype, scale: f32, out: &mut [f32]) 
 fn quantize_value(x: f32, scale: f32, bits: usize) -> i8 {
     let qmax = ((1usize << (bits - 1)) - 1) as f32;
     (x / scale).round().clamp(-qmax, qmax) as i8
-}
-
-/// Quantize-then-dequantize a tensor in place — the "simulated
-/// quantization" used to measure Figure 4's accuracy impact without going
-/// through a file.
-///
-/// # Errors
-///
-/// Propagates [`QuantizedTable::quantize`] failures.
-pub fn simulate_quantization(t: &mut Tensor, dtype: Dtype) -> Result<()> {
-    if dtype == Dtype::F32 {
-        return Ok(());
-    }
-    let dims = t.shape().dims().to_vec();
-    let q = QuantizedTable::quantize(t, dtype)?;
-    let deq = q.dequantize()?;
-    *t = deq.reshape(&dims)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -788,17 +756,6 @@ mod tests {
         let q = QuantizedTable::quantize(&t, Dtype::F32).unwrap();
         assert_eq!((q.rows, q.cols), (1, 3));
         assert!(QuantizedTable::quantize(&Tensor::zeros(&[2, 2, 2]), Dtype::F32).is_err());
-    }
-
-    #[test]
-    fn simulate_quantization_in_place() {
-        let mut t = Tensor::from_vec(vec![0.11, -0.52, 0.93, 0.04], &[2, 2]).unwrap();
-        let orig = t.clone();
-        simulate_quantization(&mut t, Dtype::F32).unwrap();
-        assert_eq!(t, orig); // f32 is identity
-        simulate_quantization(&mut t, Dtype::Int2).unwrap();
-        assert_ne!(t, orig);
-        assert_eq!(t.shape(), orig.shape());
     }
 
     proptest! {

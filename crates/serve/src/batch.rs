@@ -47,14 +47,15 @@ impl Flight {
 ///
 /// ```
 /// use memcom_core::{MemCom, MemComConfig};
-/// use memcom_serve::{EmbedBatch, EmbedServer, ServeConfig};
+/// use memcom_serve::{EmbedBatch, Router, ServeConfig, DEFAULT_MODEL};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let emb = MemCom::new(MemComConfig::new(1_000, 16, 100), &mut rng)?;
-/// let server = EmbedServer::start(&emb, ServeConfig::with_shards(2))?;
-/// let handle = server.handle();
+/// let router = Router::start(ServeConfig::with_shards(2))?;
+/// router.register(DEFAULT_MODEL, &emb)?;
+/// let handle = router.handle(DEFAULT_MODEL)?;
 ///
 /// let mut batch = EmbedBatch::new();
 /// for _ in 0..3 {

@@ -141,10 +141,10 @@ impl TelemetryConfig {
     }
 }
 
-/// Tuning knobs for [`crate::EmbedServer`].
+/// Tuning knobs for [`crate::Router`].
 ///
-/// Defaults are sized for the workloads in this repository's examples and
-/// benches: 4 shards, micro-batches of up to 32 coalesced over at most
+/// Defaults are sized for the workloads in this repository's examples:
+/// 4 shards, micro-batches of up to 32 coalesced over at most
 /// 200 µs, a 4 096-deep bounded queue per shard, a 1 024-row hot cache
 /// per shard, blocking admission, and no simulated store latency. The
 /// storage dtype is not a server-wide knob: [`crate::Router::register`]

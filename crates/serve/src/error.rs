@@ -42,11 +42,14 @@ pub enum ServeError {
         /// How long the producer waited for queue space before giving
         /// up (the configured enqueue budget).
         waited: std::time::Duration,
-        /// Suggested backoff before retrying, derived from the rejecting
-        /// shard's queue depth divided by its calibrated service
-        /// capacity (`max_batch / store_latency` — see
-        /// [`crate::ServeConfig::suggested_backoff`]): roughly how long
-        /// the backlog ahead of a retry needs to drain. Cooperating
+        /// Suggested backoff before retrying
+        /// ([`crate::ServeConfig::suggested_backoff`]). Without a
+        /// simulated `store_latency` — every configuration but the
+        /// overload tests' — there is no calibrated capacity and the
+        /// hint is always `max_wait`. With one it is the rejecting
+        /// shard's queue depth divided by that capacity
+        /// (`max_batch / store_latency`): roughly how long the backlog
+        /// ahead of a retry needs to drain. Cooperating
         /// clients that pace themselves by this hint stop hammering the
         /// admission gate; the closed-loop load generator honors it.
         retry_after: std::time::Duration,

@@ -191,28 +191,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Formats nanoseconds as a human latency (`1.25 ms`, `840 µs`, …).
-///
-/// The unit is chosen *after* rounding at each unit's display
-/// precision, so values just under a boundary never print as a
-/// four-digit mantissa in the smaller unit: `999_999` ns rounds to
-/// `1000.0 µs` at µs precision and therefore prints as `1.00 ms`,
-/// while `999_949` ns still prints as `999.9 µs`.
-pub fn fmt_nanos(nanos: u64) -> String {
-    let ns = nanos as f64;
-    // Each threshold is the smallest value whose rounded mantissa would
-    // print as 1000 in that unit ({:.0} ns, {:.1} µs, {:.2} ms).
-    if ns < 999.5 {
-        format!("{ns:.0} ns")
-    } else if ns < 999.95e3 {
-        format!("{:.1} µs", ns / 1e3)
-    } else if ns < 999.995e6 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.2} s", ns / 1e9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,30 +366,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_nanos(850), "850 ns");
-        assert_eq!(fmt_nanos(1_500), "1.5 µs");
-        assert_eq!(fmt_nanos(2_250_000), "2.25 ms");
-        assert_eq!(fmt_nanos(3_000_000_000), "3.00 s");
-    }
-
-    #[test]
-    fn formatting_rounds_before_choosing_the_unit() {
-        // Just under each boundary: the rounded mantissa would read
-        // "1000", so the next unit up must be chosen.
-        assert_eq!(fmt_nanos(999_999), "1.00 ms");
-        assert_eq!(fmt_nanos(999_999_999), "1.00 s");
-        // Just under the rounding threshold: still the smaller unit
-        // (integer nanoseconds can never round past the ns boundary).
-        assert_eq!(fmt_nanos(999), "999 ns");
-        assert_eq!(fmt_nanos(999_949), "999.9 µs");
-        assert_eq!(fmt_nanos(999_994_999), "999.99 ms");
-        // Exactly at each boundary.
-        assert_eq!(fmt_nanos(1_000), "1.0 µs");
-        assert_eq!(fmt_nanos(1_000_000), "1.00 ms");
-        assert_eq!(fmt_nanos(1_000_000_000), "1.00 s");
     }
 }

@@ -50,16 +50,12 @@
 //!   response slab for the zero-copy batch API
 //!   ([`RouterHandle::get_batch_into`]), and [`ScoreBatch`], its
 //!   score-path counterpart ([`RouterHandle::score_batch_into`]).
-//! * [`server`] — **single-model facade**: [`EmbedServer`], the PR-1
-//!   API kept source-compatible as a thin wrapper over one router model
-//!   ([`DEFAULT_MODEL`]); its [`ServeHandle`] is that model's
-//!   [`RouterHandle`].
-//! * [`loadgen`] — **measurement**: one open/closed-loop Zipf load
-//!   driver ([`drive`]: schedule, pacing, traffic digest, and a
-//!   [`LoadReport`] with per-model QPS/latency) that submits through a
-//!   caller-supplied closure; [`run_load`] and [`run_mixed_load`] point
-//!   it at a handle or a router, `memcom-net` points it at a socket.
-//!   [`histogram`] holds the mergeable latency histogram.
+//! * [`loadgen`] — **traffic**: one open/closed-loop Zipf load driver
+//!   ([`drive`]: schedule, pacing, traffic digest, and a [`LoadReport`]
+//!   with per-model outcome counts and latency) that submits through a
+//!   caller-supplied closure; [`run_load`] points it at a router's
+//!   models, `memcom-net` points it at a socket. [`histogram`] holds the
+//!   mergeable latency histogram.
 //! * [`telemetry`] — **observability**: a dependency-free metrics
 //!   registry behind [`TelemetryConfig`] (off / full), with
 //!   per-stage latency histograms, sampled request tracing, and
@@ -77,16 +73,19 @@
 //!
 //! ```
 //! use memcom_core::{MemCom, MemComConfig};
-//! use memcom_serve::{EmbedBatch, EmbedServer, LoadGenConfig, ServeConfig, run_load};
+//! use memcom_serve::{
+//!     run_load, EmbedBatch, LoadGenConfig, Router, ServeConfig, DEFAULT_MODEL,
+//! };
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let emb = MemCom::new(MemComConfig::new(10_000, 32, 1_000), &mut rng)?;
-//! let server = EmbedServer::start(&emb, ServeConfig::with_shards(4))?;
+//! let router = Router::start(ServeConfig::with_shards(4))?;
+//! router.register(DEFAULT_MODEL, &emb)?;
 //!
 //! // Direct lookups from any number of threads…
-//! let handle = server.handle();
+//! let handle = router.handle(DEFAULT_MODEL)?;
 //! let row = handle.get(123)?;
 //! assert_eq!(row.len(), 32);
 //!
@@ -95,11 +94,11 @@
 //! handle.get_batch_into(&[1, 2, 3], &mut batch)?;
 //! assert_eq!(batch.row(0).len(), 32);
 //!
-//! // …or a measured Zipf load run.
+//! // …or a Zipf load run over any weighted mix of registered models.
 //! let config = LoadGenConfig { clients: 2, requests_per_client: 200, ..Default::default() };
-//! let report = run_load(&handle, &config)?;
+//! let report = run_load(&router, &[(DEFAULT_MODEL, 1.0)], &config)?;
 //! assert_eq!(report.requests, 400);
-//! println!("{:.0} QPS, p99 {} ns", report.qps(), report.histogram.p99());
+//! println!("{} served, p99 {} ns", report.requests, report.histogram.p99());
 //! # Ok(())
 //! # }
 //! ```
@@ -114,7 +113,6 @@ pub mod histogram;
 pub mod infer;
 pub mod loadgen;
 pub mod router;
-pub mod server;
 pub mod store;
 pub mod telemetry;
 
@@ -123,16 +121,13 @@ pub use batcher::PushError;
 pub use config::{AdmissionPolicy, ServeConfig, TelemetryConfig, TelemetryLevel};
 pub use delta::StoreDelta;
 pub use error::ServeError;
-pub use histogram::{fmt_nanos, LatencyHistogram};
+pub use histogram::LatencyHistogram;
 pub use infer::{
     BackendRegistry, InferBackend, InferScratch, LookupBackend, RankNetBackend, ScoreBatch,
     LOOKUP_BACKEND,
 };
-pub use loadgen::{
-    drive, run_load, run_mixed_load, LoadGenConfig, LoadMode, LoadReport, ModelMix, Outcome,
-};
+pub use loadgen::{drive, run_load, LoadGenConfig, LoadMode, LoadReport, Outcome};
 pub use router::{Router, RouterHandle, ServeStats, DEFAULT_MODEL};
-pub use server::{EmbedServer, ServeHandle};
 pub use store::{CacheStats, ShardCacheStats, ShardedStore};
 pub use telemetry::{
     MetricsSnapshot, ModelMetrics, ShardStageMetrics, SizeStats, Span, SpanOutcome,

@@ -1,4 +1,4 @@
-//! Zipf-driven load generation: one driver, four entry points.
+//! Zipf-driven load generation: one driver, three entry points.
 //!
 //! Replays the paper's traffic assumption — power-law id popularity over
 //! a frequency-sorted vocabulary (§4, §5.1) — against a running server.
@@ -8,11 +8,11 @@
 //! client fan-out, and the merge into one [`LoadReport`]. What it does
 //! not own is *how a request is submitted*: each client thread gets a
 //! closure from `connect(client_idx)` that turns `(model_idx, ids)` into
-//! an [`Outcome`]. [`run_load`] and [`run_mixed_load`] connect that
-//! closure to [`RouterHandle::get_batch_into`]; `memcom-net`'s
-//! `run_net_load` / `run_net_score_load` connect it to a socket. Same
-//! config and targets ⇒ same `traffic_checksum` through every one of
-//! them, so a throughput difference is the tier's, not the traffic's.
+//! an [`Outcome`]. [`run_load`] connects that closure to
+//! [`RouterHandle::get_batch_into`]; `memcom-net`'s `run_net_load` /
+//! `run_net_score_load` connect it to a socket. Same config and targets
+//! ⇒ same `traffic_checksum` through every one of them, so a difference
+//! between two runs is the tier's, not the traffic's.
 //!
 //! The two arrival disciplines, stated once for every tier:
 //!
@@ -26,6 +26,10 @@
 //!   under overload is charged to the system (no coordinated omission).
 //!   Hints are recorded but never slept: the schedule is the pacing.
 //!
+//! Either way the run's clock starts once every client has connected:
+//! thread spawns and `connect` calls (a TCP connect, for the socket
+//! entry points) are the generator's cost, not latency the server owes.
+//!
 //! Overload rejections don't abort a run — under
 //! [`crate::AdmissionPolicy::Shed`] they *are* the measurement, tallied
 //! as `shed`/`expired` next to the latency of completed requests. Under
@@ -34,6 +38,7 @@
 //! backpressure; the schedule-based latencies make that collapse
 //! visible.
 
+use std::sync::{Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 use memcom_data::Zipf;
@@ -43,7 +48,6 @@ use rand::{Rng, SeedableRng};
 use crate::batch::EmbedBatch;
 use crate::histogram::LatencyHistogram;
 use crate::router::{Router, RouterHandle};
-use crate::server::ServeHandle;
 use crate::{Result, ServeError};
 
 /// Arrival discipline for the generated load.
@@ -89,26 +93,6 @@ impl Default for LoadGenConfig {
     }
 }
 
-/// One model's share of a mixed load run (see [`run_mixed_load`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelMix {
-    /// Registered model name on the router.
-    pub model: String,
-    /// Relative traffic weight (any positive scale; normalized
-    /// internally).
-    pub weight: f64,
-}
-
-impl ModelMix {
-    /// Convenience constructor.
-    pub fn new(model: impl Into<String>, weight: f64) -> Self {
-        ModelMix {
-            model: model.into(),
-            weight,
-        }
-    }
-}
-
 /// How one submitted request resolved — the only thing [`drive`] needs
 /// to know about the tier it is driving. Anything that is not one of
 /// these (an unknown model, a dead connection) is the submit closure's
@@ -120,8 +104,8 @@ pub enum Outcome {
     /// Rejected at admission ([`ServeError::Overloaded`], or the wire's
     /// `overloaded`), carrying the server's suggested backoff.
     Shed {
-        /// The server's hint: queue depth ÷ calibrated shard capacity
-        /// at rejection time.
+        /// The server's hint (see
+        /// [`crate::ServeConfig::suggested_backoff`]).
         retry_after: Duration,
     },
     /// Accepted but dropped past its deadline
@@ -178,26 +162,19 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// *Completed* requests per second (the goodput).
-    pub fn qps(&self) -> f64 {
-        per_second(self.requests, self.elapsed)
-    }
-
-    /// Synonym for [`qps`](Self::qps), named for overload tables where
-    /// the completed rate is read against
-    /// [`offered_qps`](Self::offered_qps).
+    /// *Completed* requests per second.
     pub fn goodput(&self) -> f64 {
-        self.qps()
+        let secs = self.elapsed.as_secs_f64();
+        if secs == 0.0 {
+            0.0
+        } else {
+            self.requests as f64 / secs
+        }
     }
 
     /// Requests issued: completed + shed + expired + refused.
     pub fn offered(&self) -> u64 {
         self.requests + self.shed + self.expired + self.refused
-    }
-
-    /// Issued requests per second (the offered load).
-    pub fn offered_qps(&self) -> f64 {
-        per_second(self.offered(), self.elapsed)
     }
 
     /// Fraction of issued requests rejected instead of answered
@@ -207,20 +184,6 @@ impl LoadReport {
             0 => 0.0,
             offered => (offered - self.requests) as f64 / offered as f64,
         }
-    }
-
-    /// Achieved single-id lookups per second (completed requests).
-    pub fn lookups_per_sec(&self) -> f64 {
-        self.qps() * self.ids_per_request as f64
-    }
-}
-
-fn per_second(count: u64, elapsed: Duration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs == 0.0 {
-        0.0
-    } else {
-        count as f64 / secs
     }
 }
 
@@ -319,7 +282,11 @@ struct Plan<'a> {
     /// Running sum of the target weights (the last entry is the total).
     cumulative: Vec<f64>,
     tick: Duration,
-    started: Instant,
+    /// Where every client waits, connected or not, before its first
+    /// request.
+    connected: Barrier,
+    /// The run's epoch, stamped by the first client past `connected`.
+    started: OnceLock<Instant>,
 }
 
 impl<'a> Plan<'a> {
@@ -353,15 +320,21 @@ impl<'a> Plan<'a> {
             zipfs,
             cumulative,
             tick: arrival_tick(config.mode)?,
-            started: Instant::now(),
+            connected: Barrier::new(config.clients),
+            started: OnceLock::new(),
         })
+    }
+
+    /// The instant the open-loop schedule and `elapsed` count from.
+    fn epoch(&self) -> Instant {
+        *self.started.get_or_init(Instant::now)
     }
 
     /// When request `k` of `client_idx` starts, under the configured
     /// discipline. Open loop sleeps until the scheduled arrival and
     /// measures from it, charging queueing delay to the server, not the
     /// sleeping client.
-    fn request_start(&self, client_idx: usize, k: usize) -> Instant {
+    fn request_start(&self, epoch: Instant, client_idx: usize, k: usize) -> Instant {
         match self.config.mode {
             LoadMode::Closed => Instant::now(),
             LoadMode::Open { .. } => {
@@ -369,7 +342,7 @@ impl<'a> Plan<'a> {
                 // scale in f64 seconds instead.
                 let index = (client_idx + k * self.config.clients) as f64;
                 let due = Duration::from_secs_f64(self.tick.as_secs_f64() * index);
-                let scheduled = self.started + due;
+                let scheduled = epoch + due;
                 let now = Instant::now();
                 if scheduled > now {
                     std::thread::sleep(scheduled - now);
@@ -390,12 +363,14 @@ impl<'a> Plan<'a> {
         S: FnMut(usize, &[usize]) -> std::result::Result<Outcome, E>,
     {
         let config = self.config;
+        let epoch = self.epoch();
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(client_idx as u64));
         let mut tallies = vec![Tally::default(); self.zipfs.len()];
         for k in 0..config.requests_per_client {
             let model_idx = match self.cumulative.as_slice() {
                 // A single target spends no draw on the pick, so a
-                // one-model mix issues exactly `run_load`'s stream.
+                // one-model mix issues exactly the socket entry points'
+                // stream.
                 [_] => 0,
                 cumulative => {
                     let draw = rng.gen::<f64>() * cumulative[cumulative.len() - 1];
@@ -408,7 +383,7 @@ impl<'a> Plan<'a> {
             let ids = self.zipfs[model_idx].sample_many(config.ids_per_request, &mut rng);
             let tally = &mut tallies[model_idx];
             tally.checksum = tally.checksum.wrapping_add(request_digest(model_idx, &ids));
-            let t0 = self.request_start(client_idx, k);
+            let t0 = self.request_start(epoch, client_idx, k);
             let outcome = submit(model_idx, &ids)?;
             let latency_nanos = t0.elapsed().as_nanos() as u64;
             match outcome {
@@ -459,7 +434,12 @@ where
         let workers: Vec<_> = (0..config.clients)
             .map(|client_idx| {
                 let (plan, connect) = (&plan, &connect);
-                scope.spawn(move || plan.run_client(client_idx, connect(client_idx)?))
+                scope.spawn(move || {
+                    let submit = connect(client_idx);
+                    // A failed connect still arrives, or the rest hang.
+                    plan.connected.wait();
+                    plan.run_client(client_idx, submit?)
+                })
             })
             .collect();
         workers
@@ -469,7 +449,7 @@ where
             .map(|w| w.join().expect("load-generator client panicked"))
             .collect()
     });
-    let elapsed = plan.started.elapsed();
+    let elapsed = plan.epoch().elapsed();
 
     let mut merged = vec![Tally::default(); targets.len()];
     for client in clients {
@@ -502,43 +482,32 @@ fn submit_in_process(
     }
 }
 
-/// Runs Zipf traffic against one model through its handle.
-///
-/// # Errors
-///
-/// As [`drive`]; any request failure other than an overload rejection
-/// aborts the run.
-pub fn run_load(handle: &ServeHandle, config: &LoadGenConfig) -> Result<LoadReport> {
-    let target = (handle.model_name(), handle.vocab(), 1.0);
-    drive(config, &[target], |_| {
-        Ok(submit_in_process(std::slice::from_ref(handle)))
-    })
-}
-
-/// Runs mixed multi-model Zipf traffic against a [`Router`]: each
-/// request picks its target model from `mix`'s weight vector and
-/// samples that model's own Zipf id distribution — the multi-model
-/// analogue of production traffic where per-country or A/B table
-/// variants share one serving tier. [`LoadReport::per_model`] is ordered
-/// as `mix`.
+/// Runs Zipf traffic against a [`Router`]'s models: each request picks
+/// its target from `mix` — `(registered model name, relative weight)`,
+/// any positive scale — and samples that model's own Zipf id
+/// distribution. A one-model run is a one-element mix; a longer one is
+/// the multi-model analogue of production traffic where per-country or
+/// A/B table variants share one serving tier.
+/// [`LoadReport::per_model`] is ordered as `mix`.
 ///
 /// # Errors
 ///
 /// As [`drive`], plus [`ServeError::ModelNotFound`] for unregistered
-/// mix entries.
-pub fn run_mixed_load(
+/// mix entries; any request failure other than an overload rejection
+/// aborts the run.
+pub fn run_load(
     router: &Router,
-    mix: &[ModelMix],
+    mix: &[(&str, f64)],
     config: &LoadGenConfig,
 ) -> Result<LoadReport> {
     let handles: Vec<RouterHandle> = mix
         .iter()
-        .map(|share| router.handle(&share.model))
+        .map(|&(model, _)| router.handle(model))
         .collect::<Result<_>>()?;
     let targets: Vec<(&str, usize, f64)> = mix
         .iter()
         .zip(&handles)
-        .map(|(share, handle)| (share.model.as_str(), handle.vocab(), share.weight))
+        .map(|(&(model, weight), handle)| (model, handle.vocab(), weight))
         .collect();
     drive(config, &targets, |_| Ok(submit_in_process(&handles)))
 }
@@ -546,10 +515,12 @@ pub fn run_mixed_load(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EmbedServer, Router, ServeConfig};
+    use crate::{ServeConfig, DEFAULT_MODEL};
     use memcom_core::{MemCom, MemComConfig};
 
-    fn test_server() -> EmbedServer {
+    const ONE: &[(&str, f64)] = &[(DEFAULT_MODEL, 1.0)];
+
+    fn test_router() -> Router {
         let mut rng = StdRng::seed_from_u64(9);
         let emb = MemCom::new(MemComConfig::new(1_000, 8, 100), &mut rng).unwrap();
         let config = ServeConfig {
@@ -558,41 +529,41 @@ mod tests {
             max_wait: Duration::from_micros(100),
             ..ServeConfig::default()
         };
-        EmbedServer::start(&emb, config).unwrap()
+        let router = Router::start(config).unwrap();
+        router.register(DEFAULT_MODEL, &emb).unwrap();
+        router
     }
 
     #[test]
     fn closed_loop_completes_all_requests() {
-        let server = test_server();
+        let router = test_router();
         let config = LoadGenConfig {
             clients: 4,
             requests_per_client: 200,
             ..LoadGenConfig::default()
         };
-        let report = run_load(&server.handle(), &config).unwrap();
+        let report = run_load(&router, ONE, &config).unwrap();
         assert_eq!(report.requests, 800);
         // Blocking admission: nothing shed or expired, offered ==
-        // completed, goodput == qps.
+        // completed.
         assert_eq!(report.shed, 0);
         assert_eq!(report.expired, 0);
         assert_eq!(report.offered(), 800);
         assert_eq!(report.shed_rate(), 0.0);
-        assert_eq!(report.goodput(), report.qps());
-        assert_eq!(report.offered_qps(), report.qps());
         assert_eq!(report.per_model[0].offered(), 800);
         assert_eq!(report.per_model[0].shed_rate(), 0.0);
-        assert!(report.qps() > 0.0);
+        assert!(report.goodput() > 0.0);
         assert!(report.histogram.p50() > 0);
         assert!(report.histogram.p99() >= report.histogram.p50());
         assert_eq!(report.per_model.len(), 1);
         assert_eq!(report.per_model[0].requests, 800);
-        let stats = server.shutdown();
+        let stats = router.stats(DEFAULT_MODEL).unwrap();
         assert_eq!(stats.requests, 800);
     }
 
     #[test]
     fn open_loop_paces_arrivals() {
-        let server = test_server();
+        let router = test_router();
         let config = LoadGenConfig {
             clients: 2,
             requests_per_client: 50,
@@ -601,7 +572,7 @@ mod tests {
             },
             ..LoadGenConfig::default()
         };
-        let report = run_load(&server.handle(), &config).unwrap();
+        let report = run_load(&router, ONE, &config).unwrap();
         assert_eq!(report.requests, 100);
         // 100 requests at 2 kQPS should take ≈ 50 ms of schedule.
         assert!(
@@ -610,13 +581,12 @@ mod tests {
             report.elapsed
         );
         // Achieved rate must not exceed the offered rate (plus slack).
-        assert!(report.qps() <= 2_600.0, "qps {}", report.qps());
+        assert!(report.goodput() <= 2_600.0, "qps {}", report.goodput());
     }
 
     #[test]
     fn degenerate_configs_rejected() {
-        let server = test_server();
-        let handle = server.handle();
+        let router = test_router();
         for config in [
             LoadGenConfig {
                 clients: 0,
@@ -644,21 +614,21 @@ mod tests {
                 ..LoadGenConfig::default()
             },
         ] {
-            assert!(run_load(&handle, &config).is_err(), "{config:?}");
+            assert!(run_load(&router, ONE, &config).is_err(), "{config:?}");
         }
     }
 
     #[test]
     fn zipf_traffic_skews_toward_popular_heads() {
-        let server = test_server();
+        let router = test_router();
         let config = LoadGenConfig {
             clients: 2,
             requests_per_client: 500,
             zipf_exponent: 1.5,
             ..LoadGenConfig::default()
         };
-        run_load(&server.handle(), &config).unwrap();
-        let stats = server.stats();
+        run_load(&router, ONE, &config).unwrap();
+        let stats = router.stats(DEFAULT_MODEL).unwrap();
         // Skewed traffic over a 1024-row/shard cache: most lookups hit.
         assert!(
             stats.cache.hit_rate() > 0.5,
@@ -686,14 +656,14 @@ mod tests {
     #[test]
     fn mixed_load_reports_per_model() {
         let router = two_model_router();
-        let mix = [ModelMix::new("a", 3.0), ModelMix::new("b", 1.0)];
+        let mix = [("a", 3.0), ("b", 1.0)];
         let config = LoadGenConfig {
             clients: 2,
             requests_per_client: 400,
             ids_per_request: 4,
             ..LoadGenConfig::default()
         };
-        let report = run_mixed_load(&router, &mix, &config).unwrap();
+        let report = run_load(&router, &mix, &config).unwrap();
         assert_eq!(report.requests, 800);
         assert_eq!(report.per_model.len(), 2);
         let (a, b) = (&report.per_model[0], &report.per_model[1]);
@@ -707,7 +677,7 @@ mod tests {
             a.requests,
             b.requests
         );
-        assert!(a.qps() > 0.0 && b.qps() > 0.0);
+        assert!(a.goodput() > 0.0 && b.goodput() > 0.0);
         assert!(a.histogram.p99() >= a.histogram.p50());
         // Server-side per-model accounting saw the same totals (in rows).
         let stats_a = router.stats("a").unwrap();
@@ -726,15 +696,15 @@ mod tests {
         // deliberately excluded). Guards the Zipf sampling, the weighted
         // model pick, and the per-client seeding against silent drift.
         let router = two_model_router();
-        let mix = [ModelMix::new("a", 2.0), ModelMix::new("b", 1.0)];
+        let mix = [("a", 2.0), ("b", 1.0)];
         let config = LoadGenConfig {
             clients: 3,
             requests_per_client: 150,
             ids_per_request: 3,
             ..LoadGenConfig::default()
         };
-        let first = run_mixed_load(&router, &mix, &config).unwrap();
-        let second = run_mixed_load(&router, &mix, &config).unwrap();
+        let first = run_load(&router, &mix, &config).unwrap();
+        let second = run_load(&router, &mix, &config).unwrap();
         assert_eq!(first.traffic_checksum, second.traffic_checksum);
         assert_ne!(first.traffic_checksum, 0);
         assert_eq!(first.requests, second.requests);
@@ -746,7 +716,7 @@ mod tests {
         }
 
         // A different seed must actually change the traffic.
-        let reseeded = run_mixed_load(
+        let reseeded = run_load(
             &router,
             &mix,
             &LoadGenConfig {
@@ -784,13 +754,13 @@ mod tests {
         .unwrap();
         router.register("a", &a).unwrap();
         router.register("b", &b).unwrap();
-        let mix = [ModelMix::new("a", 1.0), ModelMix::new("b", 1.0)];
+        let mix = [("a", 1.0), ("b", 1.0)];
         let config = LoadGenConfig {
             clients: 4,
             requests_per_client: 25,
             ..LoadGenConfig::default()
         };
-        let report = run_mixed_load(&router, &mix, &config).unwrap();
+        let report = run_load(&router, &mix, &config).unwrap();
         assert_eq!(report.offered(), 100, "every issued request accounted");
         assert!(report.shed > 0, "the wedged router must shed");
         assert!(report.shed_rate() > 0.0);
@@ -817,16 +787,56 @@ mod tests {
             ..LoadGenConfig::default()
         };
         assert!(matches!(
-            run_mixed_load(&router, &[], &config),
+            run_load(&router, &[], &config),
             Err(ServeError::BadConfig { .. })
         ));
         assert!(matches!(
-            run_mixed_load(&router, &[ModelMix::new("a", 0.0)], &config),
+            run_load(&router, &[("a", 0.0)], &config),
             Err(ServeError::BadConfig { .. })
         ));
         assert!(matches!(
-            run_mixed_load(&router, &[ModelMix::new("nope", 1.0)], &config),
+            run_load(&router, &[("nope", 1.0)], &config),
             Err(ServeError::ModelNotFound { .. })
         ));
+    }
+
+    fn open_loop(clients: usize) -> LoadGenConfig {
+        LoadGenConfig {
+            clients,
+            requests_per_client: 5,
+            mode: LoadMode::Open {
+                target_qps: 1_000.0,
+            },
+            ..LoadGenConfig::default()
+        }
+    }
+
+    #[test]
+    fn open_loop_clock_starts_after_every_client_connected() {
+        // A 50 ms connect in front of an instant server: the schedule
+        // must count from the moment the clients exist, or every first
+        // request reads as 50 ms late.
+        let report = drive(&open_loop(2), &[("m", 100, 1.0)], |_| {
+            std::thread::sleep(Duration::from_millis(50));
+            Ok::<_, ServeError>(|_: usize, _: &[usize]| Ok(Outcome::Served))
+        })
+        .unwrap();
+        assert_eq!(report.requests, 10);
+        assert!(
+            report.histogram.max_nanos() < 25_000_000,
+            "connect time charged as latency: max {} ns",
+            report.histogram.max_nanos()
+        );
+    }
+
+    #[test]
+    fn a_failed_connect_fails_the_run_without_hanging_the_others() {
+        let result = drive(&open_loop(3), &[("m", 100, 1.0)], |client_idx| {
+            if client_idx == 1 {
+                return Err(ServeError::ShuttingDown);
+            }
+            Ok(|_: usize, _: &[usize]| Ok(Outcome::Served))
+        });
+        assert!(matches!(result, Err(ServeError::ShuttingDown)));
     }
 }

@@ -40,8 +40,7 @@ use crate::telemetry::{
 };
 use crate::{EmbedBatch, Result, ServeConfig, ServeError, StoreDelta};
 
-/// The model name [`crate::EmbedServer`] registers its single model
-/// under.
+/// The conventional name for a single-model deployment's model.
 pub const DEFAULT_MODEL: &str = "default";
 
 /// Per-model row counters (issued at handle entry; served, shed at
@@ -1526,5 +1525,130 @@ mod tests {
             router.swap("ok", store),
             Err(ServeError::BadConfig { .. })
         ));
+    }
+
+    fn serving(n_shards: usize, max_batch: usize) -> (MemCom, Router, RouterHandle) {
+        let mut rng = StdRng::seed_from_u64(21);
+        let emb = MemCom::new(MemComConfig::new(200, 8, 20), &mut rng).unwrap();
+        let router = Router::start(ServeConfig {
+            n_shards,
+            max_batch,
+            max_wait: Duration::from_millis(2),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        router.register(DEFAULT_MODEL, &emb).unwrap();
+        let handle = router.handle(DEFAULT_MODEL).unwrap();
+        (emb, router, handle)
+    }
+
+    #[test]
+    fn single_request_round_trip() {
+        let (emb, router, handle) = serving(4, 8);
+        let got = handle.get(17).unwrap();
+        assert_eq!(got.as_slice(), emb.lookup(&[17]).unwrap().as_slice());
+        let (_, stats) = router.shutdown().remove(0);
+        assert_eq!(stats.requests, 1);
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.shed, 0, "Block policy never sheds");
+        assert_eq!(stats.expired, 0, "Block policy never expires");
+    }
+
+    #[test]
+    fn get_many_spans_shards() {
+        let (emb, _router, handle) = serving(4, 8);
+        let ids: Vec<usize> = (0..32).map(|i| (i * 13) % 200).collect();
+        let rows = handle.get_many(&ids).unwrap();
+        for (&id, row) in ids.iter().zip(&rows) {
+            assert_eq!(
+                row.as_slice(),
+                emb.lookup(&[id]).unwrap().as_slice(),
+                "id {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn get_batch_into_reuses_one_slab() {
+        let (emb, _router, handle) = serving(4, 8);
+        let mut batch = EmbedBatch::new();
+        for round in 0..3 {
+            let ids: Vec<usize> = (0..24).map(|i| (i * 7 + round) % 200).collect();
+            handle.get_batch_into(&ids, &mut batch).unwrap();
+            assert_eq!(batch.len(), ids.len());
+            assert_eq!(batch.dim(), 8);
+            assert_eq!(batch.ids(), ids.as_slice());
+            for (k, &id) in ids.iter().enumerate() {
+                assert_eq!(
+                    batch.row(k),
+                    emb.lookup(&[id]).unwrap().as_slice(),
+                    "round {round} id {id}"
+                );
+            }
+        }
+        // Duplicates and an empty batch are fine too.
+        handle.get_batch_into(&[5, 5, 5], &mut batch).unwrap();
+        assert_eq!(batch.row(0), batch.row(2));
+        handle.get_batch_into(&[], &mut batch).unwrap();
+        assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn bad_id_fails_fast_without_hanging() {
+        let (_, _router, handle) = serving(2, 4);
+        assert!(matches!(
+            handle.get(5_000),
+            Err(ServeError::IdOutOfVocab {
+                id: 5_000,
+                vocab: 200
+            })
+        ));
+        let mut batch = EmbedBatch::new();
+        assert!(matches!(
+            handle.get_batch_into(&[1, 5_000], &mut batch),
+            Err(ServeError::IdOutOfVocab { .. })
+        ));
+        // The server still works afterwards.
+        assert!(handle.get(3).is_ok());
+    }
+
+    #[test]
+    fn shutdown_rejects_new_requests() {
+        let (_, router, handle) = serving(2, 4);
+        handle.get(1).unwrap();
+        let (_, stats) = router.shutdown().remove(0);
+        assert!(stats.requests >= 1);
+        assert!(matches!(handle.get(2), Err(ServeError::ShuttingDown)));
+        let mut batch = EmbedBatch::new();
+        assert!(matches!(
+            handle.get_batch_into(&[1, 2], &mut batch),
+            Err(ServeError::ShuttingDown)
+        ));
+    }
+
+    #[test]
+    fn start_validates_config_unconditionally() {
+        for broken in [
+            ServeConfig {
+                n_shards: 0,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                max_batch: 0,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                queue_depth: 0,
+                ..ServeConfig::default()
+            },
+        ] {
+            assert!(
+                matches!(
+                    Router::start(broken.clone()),
+                    Err(ServeError::BadConfig { .. })
+                ),
+                "{broken:?} must be rejected by the router"
+            );
+        }
     }
 }

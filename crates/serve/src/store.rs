@@ -1063,7 +1063,6 @@ impl ShardedStore {
         RunStats {
             work: self.work(),
             resident_model_bytes: self.tables().map(PagedTable::resident_bytes).sum(),
-            wall_nanos: 0,
         }
     }
 }

@@ -138,8 +138,7 @@ pub struct ShardStageMetrics {
 /// A point-in-time snapshot of everything the telemetry layer knows,
 /// with Prometheus and JSON renderers.
 ///
-/// Taken via [`crate::Router::metrics`] (or
-/// [`crate::EmbedServer::metrics`]):
+/// Taken via [`crate::Router::metrics`]:
 ///
 /// ```
 /// use memcom_core::FullEmbedding;

@@ -15,8 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use memcom_core::{MemCom, MemComConfig, MethodSpec, QrCombiner};
-use memcom_serve::{AdmissionPolicy, Dtype, EmbedBatch, EmbedServer, ServeConfig, ShardedStore};
+use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig, MethodSpec, QrCombiner};
+use memcom_serve::{
+    AdmissionPolicy, Dtype, EmbedBatch, Router, ServeConfig, ShardedStore, DEFAULT_MODEL,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,6 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+fn start(emb: &dyn EmbeddingCompressor, config: ServeConfig) -> memcom_serve::Result<Router> {
+    let router = Router::start(config)?;
+    router.register(DEFAULT_MODEL, emb)?;
+    Ok(router)
+}
+
 #[test]
 fn get_batch_into_allocates_constant_not_per_row() {
     const ROWS: usize = 512;
@@ -56,7 +64,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
 
     let mut rng = StdRng::seed_from_u64(7);
     let emb = MemCom::new(MemComConfig::new(1_000, 16, 100), &mut rng).unwrap();
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
@@ -71,7 +79,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
     let ids: Vec<usize> = (0..ROWS).collect();
     let mut batch = EmbedBatch::new();
 
@@ -101,7 +109,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
     // Sanity: the rows really were served.
     assert_eq!(batch.len(), ROWS);
     assert_eq!(batch.dim(), 16);
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
 
     // Second phase: the *quantized miss path*. The cache is disabled, so
@@ -116,18 +124,16 @@ fn get_batch_into_allocates_constant_not_per_row() {
         Dtype::Int8,
     )
     .unwrap();
-    let server = EmbedServer::start_with_store(
-        quantized,
-        ServeConfig {
-            n_shards: 1,
-            max_batch: 1,
-            max_wait: Duration::from_micros(1),
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        },
-    )
+    let router = Router::start(ServeConfig {
+        n_shards: 1,
+        max_batch: 1,
+        max_wait: Duration::from_micros(1),
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    })
     .unwrap();
-    let handle = server.handle();
+    router.register_store(DEFAULT_MODEL, quantized).unwrap();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
     for _ in 0..10 {
         handle.get_batch_into(&ids, &mut batch).unwrap();
     }
@@ -142,7 +148,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
         "expected ~1 allocation per {ROWS}-row quantized-miss call, measured {per_call:.1}"
     );
     assert_eq!(batch.len(), ROWS);
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
 
     // Third phase: the *shedding* hot path. Depth-1 queue, worker
@@ -154,7 +160,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
     // costs the same single slot-`Arc` allocation as a served call.
     let mut rng = StdRng::seed_from_u64(11);
     let emb = MemCom::new(MemComConfig::new(1_000, 16, 100), &mut rng).unwrap();
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
@@ -170,15 +176,15 @@ fn get_batch_into_allocates_constant_not_per_row() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
     let mut outcomes = [0u64; 2]; // [accepted, shed]
     std::thread::scope(|scope| {
         // Wedge: the worker pops this immediately and sleeps 400ms.
-        let wedger = server.handle();
+        let wedger = handle.clone();
         scope.spawn(move || wedger.get(0).unwrap());
         std::thread::sleep(Duration::from_millis(50));
         // Parker: sits in the depth-1 queue — now every push is Full.
-        let parker = server.handle();
+        let parker = handle.clone();
         scope.spawn(move || parker.get(1).unwrap());
         std::thread::sleep(Duration::from_millis(50));
 
@@ -215,7 +221,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
              measured {per_call:.1}"
         );
     });
-    drop(server);
+    drop(router);
 
     // Fourth phase: a recipe whose combine needs an *operand buffer*.
     // Quotient–remainder-multiply reads two int8 rows per id and
@@ -236,18 +242,16 @@ fn get_batch_into_allocates_constant_not_per_row() {
         Dtype::Int8,
     )
     .unwrap();
-    let server = EmbedServer::start_with_store(
-        quantized,
-        ServeConfig {
-            n_shards: 1,
-            max_batch: 1,
-            max_wait: Duration::from_micros(1),
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        },
-    )
+    let router = Router::start(ServeConfig {
+        n_shards: 1,
+        max_batch: 1,
+        max_wait: Duration::from_micros(1),
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    })
     .unwrap();
-    let handle = server.handle();
+    router.register_store(DEFAULT_MODEL, quantized).unwrap();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
     for _ in 0..10 {
         handle.get_batch_into(&ids, &mut batch).unwrap();
     }
@@ -262,6 +266,6 @@ fn get_batch_into_allocates_constant_not_per_row() {
         "expected ~1 allocation per {ROWS}-row two-operand miss call, measured {per_call:.1}"
     );
     assert_eq!(batch.len(), ROWS);
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
 }

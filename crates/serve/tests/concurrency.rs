@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig, MethodSpec};
-use memcom_serve::{EmbedServer, ServeConfig, ServeError};
+use memcom_serve::{Router, ServeConfig, ServeError, DEFAULT_MODEL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,13 +14,19 @@ fn memcom(vocab: usize, dim: usize, m: usize) -> MemCom {
     MemCom::new(MemComConfig::with_bias(vocab, dim, m), &mut rng).unwrap()
 }
 
+fn start(emb: &dyn EmbeddingCompressor, config: ServeConfig) -> memcom_serve::Result<Router> {
+    let router = Router::start(config)?;
+    router.register(DEFAULT_MODEL, emb)?;
+    Ok(router)
+}
+
 /// N threads × M requests through the batched server give results
 /// identical to serial replay through the compressor's lookup path.
 #[test]
 fn concurrent_batched_results_match_serial_replay() {
     let vocab = 2_000;
     let emb = memcom(vocab, 16, 200);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 4,
@@ -30,7 +36,7 @@ fn concurrent_batched_results_match_serial_replay() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
 
     let threads = 8;
     let requests_per_thread = 250;
@@ -69,7 +75,7 @@ fn concurrent_batched_results_match_serial_replay() {
         }
     }
 
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert_eq!(stats.requests, (threads * requests_per_thread) as u64);
     assert!(
         stats.batches < stats.requests,
@@ -96,8 +102,8 @@ fn every_method_serves_exact_rows() {
     ];
     for spec in specs {
         let emb = spec.build(300, 8, &mut rng).unwrap();
-        let server = EmbedServer::start(emb.as_ref(), ServeConfig::with_shards(4)).unwrap();
-        let handle = server.handle();
+        let router = start(emb.as_ref(), ServeConfig::with_shards(4)).unwrap();
+        let handle = router.handle(DEFAULT_MODEL).unwrap();
         for id in (0..300).step_by(7) {
             let want = emb.lookup(&[id]).unwrap();
             assert_eq!(
@@ -115,7 +121,7 @@ fn every_method_serves_exact_rows() {
 fn flush_triggers_on_max_batch() {
     let emb = memcom(400, 8, 40);
     let max_batch = 4;
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1, // single shard: the whole burst coalesces
@@ -125,7 +131,7 @@ fn flush_triggers_on_max_batch() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
 
     let t0 = Instant::now();
     std::thread::scope(|scope| {
@@ -139,7 +145,7 @@ fn flush_triggers_on_max_batch() {
         elapsed < Duration::from_secs(5),
         "a full batch must flush without waiting out max_wait (took {elapsed:?})"
     );
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert_eq!(stats.requests, max_batch as u64);
     assert_eq!(stats.flushes_full, 1, "exactly one full flush");
     assert_eq!(stats.flushes_timeout, 0, "the 30s timer never fired");
@@ -152,7 +158,7 @@ fn flush_triggers_on_max_batch() {
 fn flush_triggers_on_max_wait() {
     let emb = memcom(400, 8, 40);
     let max_wait = Duration::from_millis(40);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
@@ -162,7 +168,7 @@ fn flush_triggers_on_max_wait() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
 
     let t0 = Instant::now();
     handle.get(11).unwrap();
@@ -175,7 +181,7 @@ fn flush_triggers_on_max_wait() {
         elapsed < Duration::from_secs(5),
         "…but must complete soon after (took {elapsed:?})"
     );
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert_eq!(stats.flushes_timeout, 1, "exactly one timeout flush");
     assert_eq!(stats.flushes_full, 0);
 }
@@ -185,7 +191,7 @@ fn flush_triggers_on_max_wait() {
 #[test]
 fn shutdown_drains_inflight_work() {
     let emb = memcom(500, 8, 50);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 2,
@@ -195,7 +201,7 @@ fn shutdown_drains_inflight_work() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
 
     let (stats, outcomes) = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..6)
@@ -210,7 +216,7 @@ fn shutdown_drains_inflight_work() {
         // *rejected*, which is also a valid outcome; what must never
         // happen is a request that was accepted but never answered.
         std::thread::sleep(Duration::from_millis(20));
-        let stats = server.shutdown();
+        let stats = router.shutdown().remove(0).1;
         let outcomes: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
         (stats, outcomes)
     });

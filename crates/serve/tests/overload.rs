@@ -14,17 +14,25 @@
 
 use std::time::Duration;
 
-use memcom_core::{MemCom, MemComConfig};
+use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig};
 use memcom_serve::{
-    run_load, AdmissionPolicy, EmbedBatch, EmbedServer, LoadGenConfig, LoadMode, ServeConfig,
-    ServeError,
+    run_load, AdmissionPolicy, EmbedBatch, LoadGenConfig, LoadMode, Router, ServeConfig,
+    ServeError, DEFAULT_MODEL,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+const ONE: &[(&str, f64)] = &[(DEFAULT_MODEL, 1.0)];
+
 fn memcom(seed: u64) -> MemCom {
     let mut rng = StdRng::seed_from_u64(seed);
     MemCom::new(MemComConfig::new(1_000, 8, 100), &mut rng).unwrap()
+}
+
+fn start(emb: &dyn EmbeddingCompressor, config: ServeConfig) -> memcom_serve::Result<Router> {
+    let router = Router::start(config)?;
+    router.register(DEFAULT_MODEL, emb)?;
+    Ok(router)
 }
 
 /// The acceptance-criteria test: one saturating open-loop traffic
@@ -62,7 +70,7 @@ fn shed_bounds_p99_where_block_collapses() {
     let emb = memcom(3);
 
     // --- Shed: producers never wait past their budget ---------------
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             admission: AdmissionPolicy::Shed {
@@ -73,8 +81,8 @@ fn shed_bounds_p99_where_block_collapses() {
         },
     )
     .unwrap();
-    let shed_report = run_load(&server.handle(), &load).unwrap();
-    let shed_stats = server.shutdown();
+    let shed_report = run_load(&router, ONE, &load).unwrap();
+    let shed_stats = router.shutdown().remove(0).1;
 
     // Every issued request is accounted for: completed + shed + expired.
     assert_eq!(shed_report.offered(), offered_total);
@@ -111,9 +119,9 @@ fn shed_bounds_p99_where_block_collapses() {
     assert!((model.shed_rate() - shed_report.shed_rate()).abs() < 1e-9);
 
     // --- Block: the same traffic turns the open loop closed ---------
-    let server = EmbedServer::start(&emb, base).unwrap();
-    let block_report = run_load(&server.handle(), &load).unwrap();
-    let block_stats = server.shutdown();
+    let router = start(&emb, base).unwrap();
+    let block_report = run_load(&router, ONE, &load).unwrap();
+    let block_stats = router.shutdown().remove(0).1;
 
     // Identical issued traffic (same seed), radically different fate.
     assert_eq!(block_report.traffic_checksum, shed_report.traffic_checksum);
@@ -140,7 +148,7 @@ fn expired_requests_fail_at_dequeue_not_silently() {
     let deadline = Duration::from_millis(10);
     // A lone request can never fill max_batch, so it waits out the
     // 60ms flush timer in the queue — far past its 10ms deadline.
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
@@ -154,7 +162,7 @@ fn expired_requests_fail_at_dequeue_not_silently() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
 
     // Single-id path.
     match handle.get(3) {
@@ -167,7 +175,7 @@ fn expired_requests_fail_at_dequeue_not_silently() {
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    let stats = server.stats();
+    let stats = router.stats(DEFAULT_MODEL).unwrap();
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.requests, 0, "no store read for a dead request");
 
@@ -181,7 +189,7 @@ fn expired_requests_fail_at_dequeue_not_silently() {
         handle.get_batch_into(&[4, 5, 6], &mut batch),
         Err(ServeError::DeadlineExceeded { .. })
     ));
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert_eq!(stats.expired, 7);
     assert_eq!(stats.requests, 0);
 }
@@ -192,7 +200,7 @@ fn expired_requests_fail_at_dequeue_not_silently() {
 fn shed_rejection_reports_the_enqueue_budget() {
     let emb = memcom(9);
     let enqueue_timeout = Duration::from_millis(5);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
@@ -210,12 +218,12 @@ fn shed_rejection_reports_the_enqueue_budget() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
     std::thread::scope(|scope| {
-        let wedger = server.handle();
+        let wedger = handle.clone();
         scope.spawn(move || wedger.get(0).unwrap());
         std::thread::sleep(Duration::from_millis(50));
-        let parker = server.handle();
+        let parker = handle.clone();
         scope.spawn(move || parker.get(1).unwrap());
         std::thread::sleep(Duration::from_millis(50));
         // Queue full, worker asleep: this push waits out its budget,
@@ -241,7 +249,7 @@ fn shed_rejection_reports_the_enqueue_budget() {
             "blocked past the budget: {elapsed:?}"
         );
     });
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert_eq!(stats.shed, 1);
     assert_eq!(stats.requests, 2, "wedger and parker were served");
 }
@@ -254,7 +262,7 @@ fn shed_rejection_reports_the_enqueue_budget() {
 #[test]
 fn partial_fanout_shed_accounts_for_every_row() {
     let emb = memcom(13);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 3,
@@ -271,14 +279,14 @@ fn partial_fanout_shed_accounts_for_every_row() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
     std::thread::scope(|scope| {
         // Wedge shard 1 (ids ≡ 1 mod 3): one request in flight, one
         // parked in its depth-1 queue.
-        let wedger = server.handle();
+        let wedger = handle.clone();
         scope.spawn(move || wedger.get(1).unwrap());
         std::thread::sleep(Duration::from_millis(50));
-        let parker = server.handle();
+        let parker = handle.clone();
         scope.spawn(move || parker.get(4).unwrap());
         std::thread::sleep(Duration::from_millis(50));
 
@@ -290,7 +298,7 @@ fn partial_fanout_shed_accounts_for_every_row() {
             Err(ServeError::Overloaded { .. })
         ));
     });
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     // Rows issued: wedger 1 + parker 1 + fan-out 3 = 5.
     assert_eq!(stats.requests, 3, "wedger, parker, and the shard-0 row");
     assert_eq!(
@@ -306,14 +314,14 @@ fn partial_fanout_shed_accounts_for_every_row() {
 #[test]
 fn unrepresentable_budgets_serve_normally() {
     let emb = memcom(17);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig::with_shedding(Duration::MAX, Some(Duration::MAX)),
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
     assert_eq!(handle.get(5).unwrap().len(), 8, "never expires");
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert_eq!((stats.shed, stats.expired), (0, 0));
 }
 
@@ -322,7 +330,7 @@ fn unrepresentable_budgets_serve_normally() {
 #[test]
 fn shed_mode_drain_leaves_no_request_unanswered() {
     let emb = memcom(11);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
@@ -338,7 +346,7 @@ fn shed_mode_drain_leaves_no_request_unanswered() {
         },
     )
     .unwrap();
-    let handle = server.handle();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
     let (stats, outcomes) = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..6)
             .map(|i| {
@@ -347,7 +355,7 @@ fn shed_mode_drain_leaves_no_request_unanswered() {
             })
             .collect();
         std::thread::sleep(Duration::from_millis(20));
-        let stats = server.shutdown();
+        let stats = router.shutdown().remove(0).1;
         let outcomes: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
         (stats, outcomes)
     });
@@ -376,7 +384,7 @@ fn shed_mode_drain_leaves_no_request_unanswered() {
 fn closed_loop_honors_retry_after_and_reports_mean_backoff() {
     let emb = memcom(41);
     let store_latency = Duration::from_millis(20);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
@@ -404,9 +412,9 @@ fn closed_loop_honors_retry_after_and_reports_mean_backoff() {
         seed: 3,
     };
     let started = std::time::Instant::now();
-    let report = run_load(&server.handle(), &load).unwrap();
+    let report = run_load(&router, ONE, &load).unwrap();
     let elapsed = started.elapsed();
-    server.shutdown();
+    router.shutdown();
 
     assert!(report.shed > 0, "the saturated depth-1 queue must shed");
     let model = &report.per_model[0];
@@ -439,7 +447,7 @@ fn closed_loop_honors_retry_after_and_reports_mean_backoff() {
     // not slept (the sleep call is gated on the closed discipline —
     // wall-clock bounds are too host-dependent to assert here, but the
     // recorded mean proves the hint still flows through the report).
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
@@ -459,8 +467,8 @@ fn closed_loop_honors_retry_after_and_reports_mean_backoff() {
         mode: LoadMode::Open { target_qps: 500.0 },
         ..load
     };
-    let open_report = run_load(&server.handle(), &open_load).unwrap();
-    server.shutdown();
+    let open_report = run_load(&router, ONE, &open_load).unwrap();
+    router.shutdown();
     assert!(open_report.shed > 0);
     assert!(
         open_report.per_model[0].mean_backoff >= store_latency,

@@ -13,9 +13,7 @@
 //!    served row stays within the advertised bound.
 
 use memcom_core::{MethodSpec, QrCombiner};
-use memcom_serve::{
-    run_mixed_load, Dtype, LoadGenConfig, ModelMix, Router, ServeConfig, ShardedStore,
-};
+use memcom_serve::{run_load, Dtype, LoadGenConfig, Router, ServeConfig, ShardedStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -118,11 +116,8 @@ fn int8_ab_reports_3x_smaller_bytes_within_bound() {
         zipf_exponent: 0.05,
         ..LoadGenConfig::default()
     };
-    let mix = [
-        ModelMix::new("emb/fp32", 1.0),
-        ModelMix::new("emb/int8", 1.0),
-    ];
-    let report = run_mixed_load(&router, &mix, &load).unwrap();
+    let mix = [("emb/fp32", 1.0), ("emb/int8", 1.0)];
+    let report = run_load(&router, &mix, &load).unwrap();
     assert_eq!(report.requests, 3_000);
     // The footprint the traffic left behind, read off each variant's
     // store snapshot.

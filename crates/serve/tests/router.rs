@@ -253,6 +253,11 @@ fn deregister_one_model_leaves_the_other_serving() {
     ha.get(5).unwrap();
     router.deregister("a").unwrap();
     assert!(matches!(ha.get(5), Err(ServeError::ModelNotFound { .. })));
+    // A handle's metadata outlives the registration: it keeps answering
+    // from the final snapshot and counters.
+    assert!(ha.snapshot().stored_bytes() > 0);
+    assert_eq!(ha.stats().requests, 1);
+    assert_eq!(ha.dim(), DIM);
     for id in (0..VOCAB).step_by(29) {
         assert_eq!(
             hb.get(id).unwrap().as_slice(),

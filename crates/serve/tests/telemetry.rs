@@ -17,10 +17,10 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use memcom_core::{MemCom, MemComConfig};
+use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig};
 use memcom_serve::{
-    run_load, AdmissionPolicy, EmbedServer, LatencyHistogram, LoadGenConfig, LoadMode,
-    MetricsSnapshot, ServeConfig, SpanOutcome, TelemetryConfig, TelemetryLevel,
+    run_load, AdmissionPolicy, LatencyHistogram, LoadGenConfig, LoadMode, MetricsSnapshot, Router,
+    ServeConfig, SpanOutcome, TelemetryConfig, TelemetryLevel, DEFAULT_MODEL,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,6 +29,12 @@ use rand::SeedableRng;
 fn memcom(seed: u64, vocab: usize) -> MemCom {
     let mut rng = StdRng::seed_from_u64(seed);
     MemCom::new(MemComConfig::new(vocab, 8, vocab / 10), &mut rng).unwrap()
+}
+
+fn start(emb: &dyn EmbeddingCompressor, config: ServeConfig) -> memcom_serve::Result<Router> {
+    let router = Router::start(config)?;
+    router.register(DEFAULT_MODEL, emb)?;
+    Ok(router)
 }
 
 fn hist_of(samples: &[u64]) -> LatencyHistogram {
@@ -227,7 +233,7 @@ fn prometheus_exposition_parses_and_reconciles() {
     // A model name that exercises every escape the format defines.
     let evil = "us\"east\\1\nblue";
     let emb = memcom(5, 200);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 2,
@@ -238,14 +244,14 @@ fn prometheus_exposition_parses_and_reconciles() {
         },
     )
     .unwrap();
-    server.router().register(evil, &emb).unwrap();
-    let handle = server.handle();
+    router.register(evil, &emb).unwrap();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
     for id in 0..20 {
         handle.get(id).unwrap();
     }
-    server.router().handle(evil).unwrap().get(7).unwrap();
+    router.handle(evil).unwrap().get(7).unwrap();
 
-    let snapshot = server.metrics();
+    let snapshot = router.metrics();
     let text = snapshot.to_prometheus();
     let (types, samples) = parse_exposition(&text);
 
@@ -325,9 +331,9 @@ fn prometheus_exposition_parses_and_reconciles() {
 #[test]
 fn off_level_exports_counters_without_stages() {
     let emb = memcom(6, 100);
-    let server = EmbedServer::start(&emb, ServeConfig::with_shards(2)).unwrap();
-    server.handle().get(3).unwrap();
-    let snapshot = server.metrics();
+    let router = start(&emb, ServeConfig::with_shards(2)).unwrap();
+    router.handle(DEFAULT_MODEL).unwrap().get(3).unwrap();
+    let snapshot = router.metrics();
     assert_eq!(snapshot.level, TelemetryLevel::Off);
     assert_eq!(snapshot.traced_spans, 0);
     assert!(snapshot
@@ -357,7 +363,7 @@ fn model_tuple(snapshot: &MetricsSnapshot) -> (u64, u64, u64, u64) {
 #[test]
 fn snapshot_under_load_never_tears() {
     let emb = memcom(7, 2_000);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
@@ -374,7 +380,6 @@ fn snapshot_under_load_never_tears() {
         },
     )
     .unwrap();
-    let handle = server.handle();
     let load = LoadGenConfig {
         clients: 8,
         requests_per_client: 50,
@@ -386,11 +391,11 @@ fn snapshot_under_load_never_tears() {
         seed: 5,
     };
     let (report, snapshots) = std::thread::scope(|scope| {
-        let loader = scope.spawn(|| run_load(&handle, &load).unwrap());
+        let loader = scope.spawn(|| run_load(&router, &[(DEFAULT_MODEL, 1.0)], &load).unwrap());
         let mut taken = 0u32;
         let mut prev = (0u64, 0u64, 0u64, 0u64);
         while !loader.is_finished() {
-            let now = model_tuple(&server.metrics());
+            let now = model_tuple(&router.metrics());
             let (issued, requests, shed, expired) = now;
             assert!(
                 issued >= requests + shed + expired,
@@ -413,7 +418,7 @@ fn snapshot_under_load_never_tears() {
 
     // Drained: the server-side tallies match the client-side ones row
     // for row, and the inequality closes to an equality.
-    let stats = server.shutdown();
+    let stats = router.shutdown().remove(0).1;
     assert_eq!(stats.requests, report.requests);
     assert_eq!(stats.shed, report.shed);
     assert_eq!(stats.expired, report.expired);
@@ -427,7 +432,7 @@ fn snapshot_under_load_never_tears() {
 #[test]
 fn stage_breakdown_reconciles_with_loadgen() {
     let emb = memcom(8, 2_000);
-    let server = EmbedServer::start(
+    let router = start(
         &emb,
         ServeConfig {
             n_shards: 2,
@@ -439,7 +444,8 @@ fn stage_breakdown_reconciles_with_loadgen() {
     )
     .unwrap();
     let report = run_load(
-        &server.handle(),
+        &router,
+        &[(DEFAULT_MODEL, 1.0)],
         &LoadGenConfig {
             clients: 4,
             requests_per_client: 100,
@@ -457,7 +463,7 @@ fn stage_breakdown_reconciles_with_loadgen() {
     // response by a hair; poll until the books balance, then assert.
     let deadline = Instant::now() + Duration::from_secs(5);
     let snapshot = loop {
-        let snapshot = server.metrics();
+        let snapshot = router.metrics();
         let rows: u64 = snapshot
             .stages
             .iter()
@@ -501,5 +507,5 @@ fn stage_breakdown_reconciles_with_loadgen() {
         .chain(&snapshot.recent_traces)
         .all(|span| span.outcome == SpanOutcome::Served && span.rows == 1));
 
-    server.shutdown();
+    router.shutdown();
 }

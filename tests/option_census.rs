@@ -9,7 +9,9 @@ use std::time::Duration;
 use memcom::models::TrainConfig;
 use memcom::net::{NetClientConfig, NetServerConfig};
 use memcom::ondevice::simd::Kernel;
-use memcom::serve::{AdmissionPolicy, ServeConfig, TelemetryConfig, TelemetryLevel};
+use memcom::serve::{
+    AdmissionPolicy, LoadGenConfig, LoadMode, ServeConfig, TelemetryConfig, TelemetryLevel,
+};
 
 #[test]
 fn config_structs_have_exactly_these_fields() {
@@ -60,6 +62,20 @@ fn config_structs_have_exactly_these_fields() {
         seed,
     } = TrainConfig::default();
     assert_eq!((epochs, batch_size, lr, seed), (3, 64, 2e-3, 17));
+
+    let LoadGenConfig {
+        clients,
+        requests_per_client,
+        ids_per_request,
+        zipf_exponent,
+        mode,
+        seed,
+    } = LoadGenConfig::default();
+    assert_eq!(
+        (clients, requests_per_client, ids_per_request),
+        (4, 1_000, 1)
+    );
+    assert_eq!((zipf_exponent, mode, seed), (1.1, LoadMode::Closed, 42));
 }
 
 #[test]
