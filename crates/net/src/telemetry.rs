@@ -101,11 +101,11 @@ pub struct ConnectionMetrics {
     pub id: u64,
     /// Peer address label.
     pub peer: String,
-    /// Frames received / sent on this connection.
+    /// Frames received on this connection.
     pub frames_in: u64,
     /// Frames sent.
     pub frames_out: u64,
-    /// Wire bytes received / sent.
+    /// Wire bytes received.
     pub bytes_in: u64,
     /// Wire bytes sent.
     pub bytes_out: u64,
@@ -266,9 +266,8 @@ pub struct NetMetricsSnapshot {
 }
 
 impl NetMetricsSnapshot {
-    /// Aggregate totals across every connection: `(frames_in,
-    /// frames_out, bytes_in, bytes_out, served, errors_sent,
-    /// protocol_errors, shutdown_rejected)`.
+    /// Every connection's counters summed into one row (`id` 0,
+    /// `peer` `"total"`).
     pub fn totals(&self) -> ConnectionMetrics {
         let mut t = ConnectionMetrics::aggregate("total");
         for c in &self.connections {

@@ -508,7 +508,7 @@ fn encode_row_map(row: &[f32], dtype: Dtype, scale: f32, out: &mut [u8], map: im
 /// Decodes one packed row directly into `out` (`out.len()` columns) —
 /// the zero-allocation primitive every dequantizing hot path shares: the
 /// on-device engine decodes activations in place and the serving store
-/// decodes misses straight into the caller's batch slab.
+/// decodes rows straight into the caller's batch slab.
 ///
 /// Dispatches to the runtime-selected [`crate::simd`] kernel; the
 /// scalar fallback produces bit-identical output (see that module's

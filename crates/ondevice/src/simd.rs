@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernels: row decode and the dense head's
 //! AXPY.
 //!
-//! Every cache miss in the serving store and every embedding gather in
+//! Every row read in the serving store and every embedding gather in
 //! the on-device engine funnels through
 //! [`decode_row_into`](crate::quant::decode_row_into), and every dense
 //! layer of the head

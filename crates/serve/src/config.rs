@@ -52,9 +52,8 @@ impl AdmissionPolicy {
 
 /// How much the serving tier measures about itself.
 ///
-/// The always-on counters (per-model rows, per-shard cache, control
-/// plane) are exported at both levels; the level decides whether
-/// anything is *timed*.
+/// The always-on counters (per-model rows, control plane) are exported
+/// at both levels; the level decides whether anything is *timed*.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TelemetryLevel {
     /// No telemetry (the default). The hot path pays nothing beyond the
@@ -145,11 +144,10 @@ impl TelemetryConfig {
 ///
 /// Defaults are sized for the workloads in this repository's examples:
 /// 4 shards, micro-batches of up to 32 coalesced over at most
-/// 200 µs, a 4 096-deep bounded queue per shard, a 1 024-row hot cache
-/// per shard, blocking admission, and no simulated store latency. The
-/// storage dtype is not a server-wide knob: [`crate::Router::register`]
-/// stores fp32 and [`crate::Router::register_with_dtype`] names the
-/// dtype per model.
+/// 200 µs, a 4 096-deep bounded queue per shard, blocking admission,
+/// and no simulated store latency. The storage dtype is not a
+/// server-wide knob: [`crate::Router::register`] stores fp32 and
+/// [`crate::Router::register_with_dtype`] names the dtype per model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of shards (one worker thread and one queue per shard).
@@ -161,7 +159,9 @@ pub struct ServeConfig {
     /// Bounded depth of each shard's request queue (producers block when
     /// full — natural backpressure under overload).
     pub queue_depth: usize,
-    /// Hot-row LRU capacity per shard, in rows. `0` disables caching.
+    /// Read by nothing: the store has no cache. A vestige kept because
+    /// frozen `crates/perf` names the field (ROADMAP item 8 removes it
+    /// with its reader).
     pub cache_capacity: usize,
     /// Page size of each shard's [`memcom_ondevice::PagedTable`]s (the
     /// lazily-resident pages the on-device engine also runs on).

@@ -184,10 +184,9 @@ impl StoreDelta {
         Ok(())
     }
 
-    /// Queues a removal: after apply, `id` serves the zero embedding
-    /// (and its cached copy is invalidated). Removal never shrinks the
-    /// vocabulary — ids stay addressable, which keeps the slot layout
-    /// stable across snapshots.
+    /// Queues a removal: after apply, `id` serves the zero embedding.
+    /// Removal never shrinks the vocabulary — ids stay addressable, which
+    /// keeps the slot layout stable across snapshots.
     ///
     /// # Errors
     ///

@@ -12,16 +12,16 @@
 //! * [`store`] — **storage**: [`ShardedStore`] holds one column per
 //!   table of a trained model's [`memcom_core::Recipe`] in each of N
 //!   shards — per-entity tables partitioned, shared tables replicated —
-//!   in structurally-shared pages ([`memcom_ondevice::PagedTable`])
-//!   behind a hot-row LRU ([`cache`]), and serves a miss by running the
-//!   recipe over them. Its slab API ([`ShardedStore::lookup_batch`])
+//!   in structurally-shared pages ([`memcom_ondevice::PagedTable`]),
+//!   and serves a row by running the recipe over them — the pages are
+//!   the only copy of a row. Its slab API ([`ShardedStore::lookup_batch`])
 //!   writes rows straight into a caller-owned flat buffer — no per-row
 //!   allocation.
 //! * [`delta`] — **incremental refresh**: [`StoreDelta`] batches
 //!   row-level upserts/removals; [`ShardedStore::apply_delta`] turns
-//!   one into a new snapshot that copy-on-writes only the touched pages
-//!   and carries the hot-row caches over minus the changed ids, and
-//!   [`Router::apply_delta`] flips it in atomically under traffic.
+//!   one into a new snapshot that copy-on-writes only the touched
+//!   pages, and [`Router::apply_delta`] flips it in atomically under
+//!   traffic.
 //! * [`batcher`] — **queueing**: bounded per-shard [`batcher::ShardQueue`]s
 //!   coalesce concurrent requests into micro-batches (flushing on
 //!   `max_batch`/`max_wait`), answered through [`batcher::SlabSlot`]
@@ -105,7 +105,6 @@
 
 pub mod batch;
 pub mod batcher;
-pub mod cache;
 pub mod config;
 pub mod delta;
 pub mod error;
@@ -128,7 +127,7 @@ pub use infer::{
 };
 pub use loadgen::{drive, run_load, LoadGenConfig, LoadMode, LoadReport, Outcome};
 pub use router::{Router, RouterHandle, ServeStats, DEFAULT_MODEL};
-pub use store::{CacheStats, ShardCacheStats, ShardedStore};
+pub use store::{CacheStats, ShardedStore};
 pub use telemetry::{
     MetricsSnapshot, ModelMetrics, ShardStageMetrics, SizeStats, Span, SpanOutcome,
 };

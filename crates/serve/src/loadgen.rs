@@ -618,25 +618,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn zipf_traffic_skews_toward_popular_heads() {
-        let router = test_router();
-        let config = LoadGenConfig {
-            clients: 2,
-            requests_per_client: 500,
-            zipf_exponent: 1.5,
-            ..LoadGenConfig::default()
-        };
-        run_load(&router, ONE, &config).unwrap();
-        let stats = router.stats(DEFAULT_MODEL).unwrap();
-        // Skewed traffic over a 1024-row/shard cache: most lookups hit.
-        assert!(
-            stats.cache.hit_rate() > 0.5,
-            "zipf(1.5) should cache well, got {}",
-            stats.cache.hit_rate()
-        );
-    }
-
     fn two_model_router() -> Router {
         let mut rng = StdRng::seed_from_u64(31);
         let a = MemCom::new(MemComConfig::new(1_000, 8, 100), &mut rng).unwrap();

@@ -33,7 +33,7 @@ use crate::batch::Flight;
 use crate::batcher::{FlushReason, PushError, ShardQueue, SlabOutcome, SlabSlot};
 use crate::config::AdmissionPolicy;
 use crate::infer::{BackendRegistry, InferBackend, InferScratch, ScoreBatch, LOOKUP_BACKEND};
-use crate::store::{CacheStats, ShardCacheStats, ShardedStore};
+use crate::store::ShardedStore;
 use crate::telemetry::{
     dtype_idx, MetricsRegistry, MetricsSnapshot, ModelMetrics, PendingSpan, Span, SpanOutcome,
     SIZE_SCALE,
@@ -200,9 +200,8 @@ struct BatchCounters {
 /// `issued`, `requests`, `shed`, and `expired` count rows for *this*
 /// model; the batching counters (`batches`, `flushes_*`,
 /// `max_batch_observed`) are router-wide since shard workers batch
-/// across models; `cache`/`cache_shards`/`run_stats` describe the
-/// model's *current* store snapshot (they restart from zero after a
-/// [`Router::swap`]).
+/// across models; `run_stats` describes the model's *current* store
+/// snapshot (it restarts from zero after a [`Router::swap`]).
 ///
 /// # Consistency
 ///
@@ -250,13 +249,6 @@ pub struct ServeStats {
     pub flushes_drain: u64,
     /// Largest batch observed, in rows.
     pub max_batch_observed: usize,
-    /// Hot-row cache effectiveness of the current store snapshot.
-    pub cache: CacheStats,
-    /// Per-shard hot-row cache state of the current store snapshot,
-    /// indexed by shard. Each entry is read in one consistent pass over
-    /// that shard's cache (a single lock acquisition), so its
-    /// `evictions`/`resident_bytes`/`cached_rows` agree with each other.
-    pub cache_shards: Vec<ShardCacheStats>,
     /// Counted work + resident footprint of the current store snapshot,
     /// in the on-device cost model's terms.
     pub run_stats: RunStats,
@@ -275,7 +267,7 @@ impl ServeStats {
 
 /// Always-on control-plane counters for one model: snapshot updates are
 /// operator-rare, so these cost nothing on the serving path and survive
-/// snapshot swaps (unlike the per-snapshot cache/run stats).
+/// snapshot swaps (unlike the per-snapshot run stats).
 #[derive(Debug, Default)]
 struct ControlStats {
     /// Full store swaps ([`Router::swap`]).
@@ -286,9 +278,6 @@ struct ControlStats {
     delta_cow_bytes: AtomicU64,
     /// Pages copied before first write across delta applies.
     delta_pages_touched: AtomicU64,
-    /// Hot-row cache entries dropped by delta applies (changed ids
-    /// invalidated out of the carried-over LRUs).
-    lru_invalidations: AtomicU64,
 }
 
 /// One registered model: a swappable store snapshot plus counters that
@@ -375,8 +364,6 @@ impl RouterInner {
             flushes_timeout: b.flushes_timeout.load(Ordering::Relaxed),
             flushes_drain: b.flushes_drain.load(Ordering::Relaxed),
             max_batch_observed: b.max_batch_observed.load(Ordering::Relaxed) as usize,
-            cache: store.cache_stats(),
-            cache_shards: store.per_shard_cache_stats(),
             run_stats: store.run_stats(),
         }
     }
@@ -547,7 +534,7 @@ impl Router {
     }
 
     /// Builds an fp32 store from `emb` (using the router's config for
-    /// shard count, cache capacity and page size) and registers it as
+    /// shard count and page size) and registers it as
     /// `name`.
     ///
     /// # Errors
@@ -586,13 +573,8 @@ impl Router {
         dtype: memcom_ondevice::Dtype,
     ) -> Result<()> {
         let config = &self.inner.config;
-        let store = ShardedStore::build_quantized(
-            emb,
-            config.n_shards,
-            config.cache_capacity,
-            config.page_size,
-            dtype,
-        )?;
+        let store =
+            ShardedStore::build_quantized(emb, config.n_shards, 0, config.page_size, dtype)?;
         self.register_store(name, store)
     }
 
@@ -634,13 +616,8 @@ impl Router {
         backend: &str,
     ) -> Result<()> {
         let config = &self.inner.config;
-        let store = ShardedStore::build_quantized(
-            emb,
-            config.n_shards,
-            config.cache_capacity,
-            config.page_size,
-            dtype,
-        )?;
+        let store =
+            ShardedStore::build_quantized(emb, config.n_shards, 0, config.page_size, dtype)?;
         self.register_store_with_backend(name, store, backend)
     }
 
@@ -694,10 +671,14 @@ impl Router {
     /// # Errors
     ///
     /// Returns [`ServeError::ModelNotFound`] for unknown names and
-    /// [`ServeError::BadConfig`] on a shard-count mismatch.
+    /// [`ServeError::BadConfig`] on a shard-count mismatch or a store
+    /// the model's bound backend cannot serve (its
+    /// [`check_store`](InferBackend::check_store), as at registration);
+    /// a refused swap leaves the current snapshot serving.
     pub fn swap(&self, name: &str, new_store: ShardedStore) -> Result<Arc<ShardedStore>> {
         self.inner.check_store(&new_store)?;
         let entry = self.inner.entry(name)?;
+        entry.backend.check_store(&new_store)?;
         let _updating = entry.update_lock.lock();
         entry.control.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
         let mut slot = entry.store.write();
@@ -710,9 +691,8 @@ impl Router {
     ///
     /// The new snapshot is built by [`ShardedStore::apply_delta`]:
     /// untouched pages stay physically shared with the old snapshot
-    /// (`Arc`s, not copies), each shard's hot-row LRU carries over with
-    /// only the changed ids invalidated, and the certified error bound
-    /// is re-certified over the re-encoded rows — so refreshing 0.1% of
+    /// (`Arc`s, not copies) and the certified error bound is
+    /// re-certified over the re-encoded rows — so refreshing 0.1% of
     /// a table costs ~0.1% of a rebuild in bytes and time instead of
     /// O(table) work and 2× peak memory.
     ///
@@ -762,18 +742,6 @@ impl Router {
         control
             .delta_pages_touched
             .fetch_add(new_store.cow_touched_pages(), Ordering::Relaxed);
-        // Rows the carried-over LRUs dropped: changed ids that were hot.
-        let cached = |store: &ShardedStore| -> u64 {
-            store
-                .per_shard_cache_stats()
-                .iter()
-                .map(|s| s.cached_rows as u64)
-                .sum()
-        };
-        control.lru_invalidations.fetch_add(
-            cached(&old_store).saturating_sub(cached(&new_store)),
-            Ordering::Relaxed,
-        );
         let mut slot = entry.store.write();
         Ok(std::mem::replace(&mut *slot, Arc::new(new_store)))
     }
@@ -866,8 +834,7 @@ impl Router {
                     delta_applies: control.delta_applies.load(Ordering::Relaxed),
                     delta_cow_bytes: control.delta_cow_bytes.load(Ordering::Relaxed),
                     delta_pages_touched: control.delta_pages_touched.load(Ordering::Relaxed),
-                    lru_invalidations: control.lru_invalidations.load(Ordering::Relaxed),
-                    cache_shards: entry.snapshot().per_shard_cache_stats(),
+                    lru_invalidations: 0,
                 }
             })
             .collect();
@@ -1353,15 +1320,11 @@ fn serve_batch(
             continue;
         }
         let started = stages_on.then(Instant::now);
-        // The only per-kind difference: which call fills `out`. A lookup
-        // reports its own cache hits/misses — the shard's shared counters
-        // also move under score requests gathering from other workers.
-        let mut decode_rows = None;
+        // The only per-kind difference: which call fills `out`.
         let result = match &request.backend {
             None => request
                 .store
-                .lookup_batch_counted(shard_idx, &request.ids, &mut request.out)
-                .map(|hit_miss| decode_rows = Some(hit_miss)),
+                .lookup_batch(shard_idx, &request.ids, &mut request.out),
             Some(backend) => backend.score_into(
                 &request.store,
                 &request.ids,
@@ -1369,7 +1332,8 @@ fn serve_batch(
                 &mut request.out,
             ),
         };
-        if result.is_ok() {
+        let served = result.is_ok();
+        if served {
             request
                 .counters
                 .requests
@@ -1389,24 +1353,25 @@ fn serve_batch(
         if let Some((started, filled)) = timed {
             // memcom-lint: allow(L002) -- reached only when stages are on: `started` is `stages_on.then(Instant::now)`
             let finished = Instant::now();
-            let shard_t = telemetry.shard(shard_idx);
             {
-                // A lookup's store read lands in `decode[dtype]`; a
-                // score's whole backend execution — gather + NN forward
-                // — in `forward`. The reply hand-back is `slab_write`
-                // for both.
-                let mut stages = shard_t.stages();
+                // A lookup's store read lands in `decode[dtype]` (and its
+                // rows, once served, in `decode_rows`); a score's whole
+                // backend execution — gather + NN forward — in `forward`.
+                // The reply hand-back is `slab_write` for both.
+                let mut stages = telemetry.shard(shard_idx).stages();
                 let fill_stage = match request.backend {
-                    None => &mut stages.decode[dtype_idx(dtype)],
+                    None => {
+                        if served {
+                            stages.decode_rows += n_rows as u64;
+                        }
+                        &mut stages.decode[dtype_idx(dtype)]
+                    }
                     Some(_) => &mut stages.forward,
                 };
                 fill_stage.record(filled.saturating_duration_since(started).as_nanos() as u64);
                 stages
                     .slab_write
                     .record(finished.saturating_duration_since(filled).as_nanos() as u64);
-            }
-            if let Some((hit, miss)) = decode_rows {
-                shard_t.add_decode_rows(hit, miss);
             }
             if let (Some(pending), Some(issued_at)) = (request.span, issued_at) {
                 telemetry.complete(Span {

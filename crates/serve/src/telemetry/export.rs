@@ -16,7 +16,6 @@ use std::time::Duration;
 
 use crate::config::TelemetryLevel;
 use crate::histogram::LatencyHistogram;
-use crate::store::ShardCacheStats;
 
 use super::registry::SIZE_SCALE;
 use super::trace::Span;
@@ -67,7 +66,7 @@ impl SizeStats {
 }
 
 /// Always-on counters for one registered model (rows plus control-plane
-/// events), with its current snapshot's per-shard cache state.
+/// events).
 ///
 /// The row counters are updated with relaxed atomics from many threads,
 /// so a snapshot is *eventually exact*, not linearizable — see the
@@ -96,13 +95,10 @@ pub struct ModelMetrics {
     /// Pages touched (copied before first write) across all delta
     /// applies.
     pub delta_pages_touched: u64,
-    /// Hot-row cache entries invalidated by delta applies (rows whose
-    /// ids changed and were dropped from the carried-over LRUs).
+    /// Always 0 and rendered nowhere: the store has no cache to
+    /// invalidate. A vestige kept because frozen `crates/perf` reads it
+    /// (ROADMAP item 8 removes it with its reader).
     pub lru_invalidations: u64,
-    /// Per-shard hot-row cache state of the *current* store snapshot
-    /// (restarts after a swap; each entry is one consistent pass over
-    /// that shard's cache).
-    pub cache_shards: Vec<ShardCacheStats>,
 }
 
 /// One shard's stage-latency breakdown (populated at
@@ -129,10 +125,8 @@ pub struct ShardStageMetrics {
     pub forward: LatencyHistogram,
     /// Response write duration per run (slot fills / slab hand-back).
     pub slab_write: LatencyHistogram,
-    /// Rows answered from the hot-row cache.
-    pub decode_rows_hit: u64,
-    /// Rows decoded from the backing store.
-    pub decode_rows_miss: u64,
+    /// Rows decoded from the store's pages for lookups.
+    pub decode_rows: u64,
 }
 
 /// A point-in-time snapshot of everything the telemetry layer knows,
@@ -288,7 +282,7 @@ impl MetricsSnapshot {
         // Per-model row and control-plane counters: one family at a
         // time, every model as a sample.
         type ModelValue = fn(&ModelMetrics) -> u64;
-        let model_counters: [(&str, &str, ModelValue); 9] = [
+        let model_counters: [(&str, &str, ModelValue); 8] = [
             (
                 "memcom_issued_rows_total",
                 "Rows entering the serving path, before admission.",
@@ -327,11 +321,6 @@ impl MetricsSnapshot {
                 "Pages copied before first write during delta applies.",
                 |m| m.delta_pages_touched,
             ),
-            (
-                "memcom_cache_invalidations_total",
-                "Hot-row cache entries invalidated by delta applies.",
-                |m| m.lru_invalidations,
-            ),
         ];
         for (name, help, value) in model_counters {
             family(&mut out, name, "counter", help);
@@ -345,72 +334,18 @@ impl MetricsSnapshot {
             }
         }
 
-        // Per-model, per-shard hot-row cache state.
-        type ShardValue = fn(&ShardCacheStats) -> u64;
-        let cache_families: [(&str, &str, &str, ShardValue); 5] = [
-            (
-                "memcom_cache_hits_total",
-                "counter",
-                "Hot-row cache hits (current snapshot).",
-                |s| s.hits,
-            ),
-            (
-                "memcom_cache_misses_total",
-                "counter",
-                "Hot-row cache misses (current snapshot).",
-                |s| s.misses,
-            ),
-            (
-                "memcom_cache_evictions_total",
-                "counter",
-                "Hot-row cache evictions by capacity pressure (current snapshot).",
-                |s| s.evictions,
-            ),
-            (
-                "memcom_cache_resident_bytes",
-                "gauge",
-                "Bytes of row data resident in the hot-row cache.",
-                |s| s.resident_bytes as u64,
-            ),
-            (
-                "memcom_cache_rows",
-                "gauge",
-                "Rows resident in the hot-row cache.",
-                |s| s.cached_rows as u64,
-            ),
-        ];
-        for (name, kind, help, value) in cache_families {
-            family(&mut out, name, kind, help);
-            for model in &self.models {
-                for (shard, stats) in model.cache_shards.iter().enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "{name}{{model=\"{}\",shard=\"{shard}\"}} {}",
-                        escape_label(&model.name),
-                        value(stats)
-                    );
-                }
-            }
-        }
-
         if self.level == TelemetryLevel::Full {
             family(
                 &mut out,
                 "memcom_decode_rows_total",
                 "counter",
-                "Rows decoded per shard by source (hot-row cache vs store read).",
+                "Rows decoded from the store's pages for lookups, per shard.",
             );
             for stage in &self.stages {
-                let shard = stage.shard;
                 let _ = writeln!(
                     out,
-                    "memcom_decode_rows_total{{shard=\"{shard}\",source=\"cache\"}} {}",
-                    stage.decode_rows_hit
-                );
-                let _ = writeln!(
-                    out,
-                    "memcom_decode_rows_total{{shard=\"{shard}\",source=\"store\"}} {}",
-                    stage.decode_rows_miss
+                    "memcom_decode_rows_total{{shard=\"{}\"}} {}",
+                    stage.shard, stage.decode_rows
                 );
             }
 
@@ -494,7 +429,7 @@ impl MetricsSnapshot {
                 out,
                 "{{\"name\":\"{}\",\"issued\":{},\"requests\":{},\"shed\":{},\"expired\":{},\
                  \"snapshot_swaps\":{},\"delta_applies\":{},\"delta_cow_bytes\":{},\
-                 \"delta_pages_touched\":{},\"lru_invalidations\":{},\"cache_shards\":[",
+                 \"delta_pages_touched\":{}}}",
                 escape_json(&m.name),
                 m.issued,
                 m.requests,
@@ -503,21 +438,8 @@ impl MetricsSnapshot {
                 m.snapshot_swaps,
                 m.delta_applies,
                 m.delta_cow_bytes,
-                m.delta_pages_touched,
-                m.lru_invalidations
+                m.delta_pages_touched
             );
-            for (j, s) in m.cache_shards.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"resident_bytes\":{},\
-                     \"cached_rows\":{}}}",
-                    s.hits, s.misses, s.evictions, s.resident_bytes, s.cached_rows
-                );
-            }
-            out.push_str("]}");
         }
         out.push(']');
 
@@ -528,12 +450,11 @@ impl MetricsSnapshot {
             }
             let _ = write!(
                 out,
-                "{{\"shard\":{},\"decode_rows\":{{\"cache\":{},\"store\":{}}},\
+                "{{\"shard\":{},\"decode_rows\":{},\
                  \"admission_wait\":{},\"queue_wait\":{},\"batch_assembly\":{},\
                  \"forward\":{},\"slab_write\":{}",
                 stage.shard,
-                stage.decode_rows_hit,
-                stage.decode_rows_miss,
+                stage.decode_rows,
                 json_hist(&stage.admission_wait),
                 json_hist(&stage.queue_wait),
                 json_hist(&stage.batch_assembly),
@@ -621,14 +542,7 @@ mod tests {
                 delta_applies: 3,
                 delta_cow_bytes: 4096,
                 delta_pages_touched: 2,
-                lru_invalidations: 5,
-                cache_shards: vec![ShardCacheStats {
-                    hits: 7,
-                    misses: 3,
-                    evictions: 1,
-                    resident_bytes: 256,
-                    cached_rows: 4,
-                }],
+                lru_invalidations: 0,
             }],
             stages: vec![ShardStageMetrics {
                 shard: 0,
@@ -639,8 +553,7 @@ mod tests {
                 decode: vec![("f32", LatencyHistogram::new()), ("int8", decode_int8)],
                 forward: LatencyHistogram::new(),
                 slab_write: LatencyHistogram::new(),
-                decode_rows_hit: 7,
-                decode_rows_miss: 3,
+                decode_rows: 10,
             }],
             recent_traces: vec![Span {
                 seq: 4,
@@ -662,10 +575,7 @@ mod tests {
         // Label values escape backslash, quote, and newline.
         let escaped = "quote\\\"back\\\\slash\\nline";
         assert!(text.contains(&format!("memcom_requests_total{{model=\"{escaped}\"}} 9\n")));
-        assert!(text.contains(&format!(
-            "memcom_cache_hits_total{{model=\"{escaped}\",shard=\"0\"}} 7\n"
-        )));
-        assert!(text.contains("memcom_decode_rows_total{shard=\"0\",source=\"cache\"} 7\n"));
+        assert!(text.contains("memcom_decode_rows_total{shard=\"0\"} 10\n"));
         // Histogram: +Inf carries the total count, _count/_sum agree.
         assert!(text.contains(
             "memcom_stage_latency_nanos_bucket{stage=\"queue_wait\",shard=\"0\",le=\"+Inf\"} 2\n"
@@ -686,7 +596,7 @@ mod tests {
         snapshot.level = TelemetryLevel::Off;
         let text = snapshot.to_prometheus();
         assert!(text.contains("memcom_requests_total"));
-        assert!(text.contains("memcom_cache_hits_total"));
+        assert!(text.contains("memcom_delta_applies_total"));
         assert!(!text.contains("memcom_stage_latency_nanos"));
         assert!(!text.contains("memcom_batch_size"));
     }
@@ -697,7 +607,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"name\":\"quote\\\"back\\\\slash\\nline\""));
         assert!(json.contains("\"issued\":12"));
-        assert!(json.contains("\"decode_rows\":{\"cache\":7,\"store\":3}"));
+        assert!(json.contains("\"decode_rows\":10,"));
         assert!(json.contains("\"outcome\":\"served\""));
         // Only recorded dtypes appear.
         assert!(json.contains("\"int8\":{\"count\":1"));

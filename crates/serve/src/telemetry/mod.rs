@@ -6,7 +6,7 @@
 //!
 //! * **Off** (default) — nothing timed; the hot path keeps its
 //!   zero-allocation, no-extra-clock-read discipline. The always-on
-//!   counters (per-model rows, per-shard cache, swaps, delta applies)
+//!   counters (per-model rows, swaps, delta applies)
 //!   are still exported.
 //! * **Full** — per-stage latency histograms (admission wait, queue
 //!   wait, batch assembly, store decode per dtype, response write) and

@@ -58,6 +58,8 @@ pub(crate) struct StageSet {
     /// Store decode duration per micro-batch run, by storage dtype
     /// (see [`dtype_idx`]).
     pub(crate) decode: [LatencyHistogram; 5],
+    /// Rows served to lookups (a score's gather is not counted).
+    pub(crate) decode_rows: u64,
     /// Inference-backend execution per score request (embedding gather
     /// + NN forward), recorded on the full-model scoring path.
     pub(crate) forward: LatencyHistogram,
@@ -73,8 +75,6 @@ pub(crate) struct ShardTelemetry {
     /// the worker) contend on this one — kept separate from `stages` so
     /// they never block the worker's once-per-batch lock.
     admission_wait: Mutex<LatencyHistogram>,
-    decode_rows_hit: AtomicU64,
-    decode_rows_miss: AtomicU64,
 }
 
 impl ShardTelemetry {
@@ -82,8 +82,6 @@ impl ShardTelemetry {
         ShardTelemetry {
             stages: Mutex::new(StageSet::default()),
             admission_wait: Mutex::new(LatencyHistogram::new()),
-            decode_rows_hit: AtomicU64::new(0),
-            decode_rows_miss: AtomicU64::new(0),
         }
     }
 
@@ -94,15 +92,6 @@ impl ShardTelemetry {
 
     pub(crate) fn record_admission_wait(&self, nanos: u64) {
         self.admission_wait.lock().record(nanos);
-    }
-
-    pub(crate) fn add_decode_rows(&self, hit: u64, miss: u64) {
-        if hit > 0 {
-            self.decode_rows_hit.fetch_add(hit, Ordering::Relaxed);
-        }
-        if miss > 0 {
-            self.decode_rows_miss.fetch_add(miss, Ordering::Relaxed);
-        }
     }
 }
 
@@ -187,8 +176,7 @@ impl MetricsRegistry {
                 let admission_wait = shard.admission_wait.lock().clone();
                 ShardStageMetrics {
                     shard: idx,
-                    decode_rows_hit: shard.decode_rows_hit.load(Ordering::Relaxed),
-                    decode_rows_miss: shard.decode_rows_miss.load(Ordering::Relaxed),
+                    decode_rows: stages.decode_rows,
                     admission_wait,
                     queue_wait: stages.queue_wait,
                     batch_assembly: stages.batch_assembly,
@@ -252,16 +240,16 @@ mod tests {
         let registry = MetricsRegistry::new(&TelemetryConfig::full(1.0), 1);
         let shard = registry.shard(0);
         shard.record_admission_wait(1_000);
-        shard.add_decode_rows(3, 2);
         {
             let mut stages = shard.stages();
+            stages.decode_rows += 5;
             stages.queue_wait.record(5_000);
             stages.batch_size.record(4 * SIZE_SCALE);
         }
         let snap = &registry.stage_metrics()[0];
         assert_eq!(snap.admission_wait.count(), 1);
         assert_eq!(snap.queue_wait.count(), 1);
-        assert_eq!((snap.decode_rows_hit, snap.decode_rows_miss), (3, 2));
+        assert_eq!(snap.decode_rows, 5);
         assert_eq!(snap.batch_size.count, 1);
         assert_eq!(snap.batch_size.max, 4);
         assert_eq!(snap.decode.len(), 5);

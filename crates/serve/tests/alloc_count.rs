@@ -1,11 +1,10 @@
 //! Proof that the slab batch path performs no per-row heap allocation.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` in the
-//! process. After warm-up (buffer pool primed, queue at capacity, LRU
-//! populated), a `get_batch_into` call for hundreds of rows must stay
-//! under a small constant number of allocations — the per-shard response
-//! slot `Arc` and the worker's per-batch scratch — independent of the
-//! row count. A per-row `Vec` pipeline (the old `get_many` shape) would
+//! process. After warm-up (buffer pool primed, queue at capacity), a
+//! `get_batch_into` call for hundreds of rows must stay under a small
+//! constant number of allocations — the per-shard response slot `Arc`
+//! and the worker's per-batch scratch — independent of the row count. A per-row `Vec` pipeline (the old `get_many` shape) would
 //! blow the bound by two orders of magnitude.
 //!
 //! This file holds exactly one `#[test]`: the allocator is process-wide,
@@ -16,9 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig, MethodSpec, QrCombiner};
-use memcom_serve::{
-    AdmissionPolicy, Dtype, EmbedBatch, Router, ServeConfig, ShardedStore, DEFAULT_MODEL,
-};
+use memcom_serve::{AdmissionPolicy, Dtype, EmbedBatch, Router, ServeConfig, DEFAULT_MODEL};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,94 +61,75 @@ fn get_batch_into_allocates_constant_not_per_row() {
 
     let mut rng = StdRng::seed_from_u64(7);
     let emb = MemCom::new(MemComConfig::new(1_000, 16, 100), &mut rng).unwrap();
-    let router = start(
-        &emb,
-        ServeConfig {
+    let mut rng = StdRng::seed_from_u64(13);
+    let qr_mult = MethodSpec::QuotientRemainder {
+        hash_size: 100,
+        combiner: QrCombiner::Multiply,
+    }
+    .build(1_000, 16, &mut rng)
+    .unwrap();
+    let ids: Vec<usize> = (0..ROWS).collect();
+    let mut batch = EmbedBatch::new();
+
+    // First phase: the read path. fp32 rows copy out of their pages and
+    // int8 rows dequantize out of them, either way straight into the
+    // slab: the decode must be exactly as allocation-free as the copy.
+    // Quotient–remainder-multiply reads two int8 rows per id and
+    // multiplies them, so every row borrows the executor's operand
+    // buffer — which the shard must own and reuse, not allocate per row.
+    let cases: [(&dyn EmbeddingCompressor, Dtype); 3] = [
+        (&emb, Dtype::F32),
+        (&emb, Dtype::Int8),
+        (qr_mult.as_ref(), Dtype::Int8),
+    ];
+    for (emb, dtype) in cases {
+        let name = emb.method_name();
+        let router = Router::start(ServeConfig {
             n_shards: 1,
             // Flush every queue entry immediately: no timer waits, and a
             // deterministic one-batch-per-call steady state.
             max_batch: 1,
             max_wait: Duration::from_micros(1),
-            // Every requested id stays resident, so steady-state lookups
-            // are pure cache hits.
-            cache_capacity: 1_024,
             ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let handle = router.handle(DEFAULT_MODEL).unwrap();
-    let ids: Vec<usize> = (0..ROWS).collect();
-    let mut batch = EmbedBatch::new();
+        })
+        .unwrap();
+        router
+            .register_with_dtype(DEFAULT_MODEL, emb, dtype)
+            .unwrap();
+        let handle = router.handle(DEFAULT_MODEL).unwrap();
 
-    // Warm up: fills the LRU, grows the slab/pool/queue capacities, and
-    // settles the allocator to its steady state.
-    for _ in 0..10 {
-        handle.get_batch_into(&ids, &mut batch).unwrap();
+        // Warm up: grows the slab/pool/queue capacities and settles the
+        // allocator to its steady state.
+        for _ in 0..10 {
+            handle.get_batch_into(&ids, &mut batch).unwrap();
+        }
+
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..CALLS {
+            handle.get_batch_into(&ids, &mut batch).unwrap();
+        }
+        let per_call = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / CALLS as f64;
+        eprintln!("{name} {dtype:?} read path: {per_call:.2} allocations/call");
+
+        // Expected steady state: 1 response-slot Arc (caller side) and
+        // nothing from the worker — `pop_batch_into_timed` drains into a
+        // reused buffer and the panic-blanket slot list is reused too, so
+        // the old per-flush `drain(..).collect()` + slot-`Vec` pair (~2
+        // extra allocations per call) would blow this bound.
+        assert!(
+            per_call <= 2.5,
+            "expected ~1 allocation per {ROWS}-row {name} {dtype:?} call (slot Arc only), \
+             measured {per_call:.1}"
+        );
+
+        // Sanity: the rows really were served.
+        assert_eq!(batch.len(), ROWS);
+        assert_eq!(batch.dim(), 16);
+        let stats = router.shutdown().remove(0).1;
+        assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..CALLS {
-        handle.get_batch_into(&ids, &mut batch).unwrap();
-    }
-    let per_call = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / CALLS as f64;
-    eprintln!("fp32 cached path: {per_call:.2} allocations/call");
-
-    // Expected steady state: 1 response-slot Arc (caller side) and
-    // nothing from the worker — `pop_batch_into_timed` drains into a
-    // reused buffer and the panic-blanket slot list is reused too, so
-    // the old per-flush `drain(..).collect()` + slot-`Vec` pair (~2
-    // extra allocations per call) would blow this bound.
-    assert!(
-        per_call <= 2.5,
-        "expected ~1 allocation per {ROWS}-row call (slot Arc only), measured {per_call:.1}"
-    );
-
-    // Sanity: the rows really were served.
-    assert_eq!(batch.len(), ROWS);
-    assert_eq!(batch.dim(), 16);
-    let stats = router.shutdown().remove(0).1;
-    assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
-
-    // Second phase: the *quantized miss path*. The cache is disabled, so
-    // every row of every call dequantizes int8 bytes out of the mmap —
-    // straight into the slab. That decode must be exactly as
-    // allocation-free as the fp32 memcpy it replaces.
-    let quantized = ShardedStore::build_quantized(
-        &emb,
-        1,
-        0, // no LRU: every lookup exercises dequantization
-        memcom_ondevice::pages::DEFAULT_PAGE_SIZE,
-        Dtype::Int8,
-    )
-    .unwrap();
-    let router = Router::start(ServeConfig {
-        n_shards: 1,
-        max_batch: 1,
-        max_wait: Duration::from_micros(1),
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    router.register_store(DEFAULT_MODEL, quantized).unwrap();
-    let handle = router.handle(DEFAULT_MODEL).unwrap();
-    for _ in 0..10 {
-        handle.get_batch_into(&ids, &mut batch).unwrap();
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..CALLS {
-        handle.get_batch_into(&ids, &mut batch).unwrap();
-    }
-    let per_call = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / CALLS as f64;
-    eprintln!("int8 miss path: {per_call:.2} allocations/call");
-    assert!(
-        per_call <= 2.5,
-        "expected ~1 allocation per {ROWS}-row quantized-miss call, measured {per_call:.1}"
-    );
-    assert_eq!(batch.len(), ROWS);
-    let stats = router.shutdown().remove(0).1;
-    assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
-
-    // Third phase: the *shedding* hot path. Depth-1 queue, worker
+    // Second phase: the *shedding* hot path. Depth-1 queue, worker
     // wedged behind a long simulated store read, one request in flight
     // and one parked in the queue — every push from the main thread is
     // rejected at admission for the whole store-latency window. A shed
@@ -222,50 +200,4 @@ fn get_batch_into_allocates_constant_not_per_row() {
         );
     });
     drop(router);
-
-    // Fourth phase: a recipe whose combine needs an *operand buffer*.
-    // Quotient–remainder-multiply reads two int8 rows per id and
-    // multiplies them, so every missed row borrows the executor's
-    // scratch — which the shard must own and reuse, not allocate per
-    // row.
-    let mut rng = StdRng::seed_from_u64(13);
-    let spec = MethodSpec::QuotientRemainder {
-        hash_size: 100,
-        combiner: QrCombiner::Multiply,
-    };
-    let emb = spec.build(1_000, 16, &mut rng).unwrap();
-    let quantized = ShardedStore::build_quantized(
-        emb.as_ref(),
-        1,
-        0,
-        memcom_ondevice::pages::DEFAULT_PAGE_SIZE,
-        Dtype::Int8,
-    )
-    .unwrap();
-    let router = Router::start(ServeConfig {
-        n_shards: 1,
-        max_batch: 1,
-        max_wait: Duration::from_micros(1),
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    router.register_store(DEFAULT_MODEL, quantized).unwrap();
-    let handle = router.handle(DEFAULT_MODEL).unwrap();
-    for _ in 0..10 {
-        handle.get_batch_into(&ids, &mut batch).unwrap();
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..CALLS {
-        handle.get_batch_into(&ids, &mut batch).unwrap();
-    }
-    let per_call = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / CALLS as f64;
-    eprintln!("int8 qr_mult miss path: {per_call:.2} allocations/call");
-    assert!(
-        per_call <= 2.5,
-        "expected ~1 allocation per {ROWS}-row two-operand miss call, measured {per_call:.1}"
-    );
-    assert_eq!(batch.len(), ROWS);
-    let stats = router.shutdown().remove(0).1;
-    assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
 }

@@ -3,8 +3,8 @@
 //!
 //! Same harness as `alloc_count.rs`, pointed at `score_batch_into`: a
 //! counting global allocator tallies every `alloc`/`realloc`, and after
-//! warm-up (backend scratch grown, buffer rotation primed, LRU
-//! populated) a 128-id score call — embedding gather plus the full
+//! warm-up (backend scratch grown, buffer rotation primed) a 128-id
+//! score call — embedding gather plus the full
 //! RankNet forward — must stay under a small constant number of
 //! allocations, independent of the id count. The worker's
 //! [`memcom_serve::InferScratch`] (gather scratch, head activations,
@@ -71,9 +71,6 @@ fn score_batch_into_allocates_constant_not_per_id() {
         // deterministic one-batch-per-call steady state.
         max_batch: 1,
         max_wait: Duration::from_micros(1),
-        // Every requested id stays resident, so steady-state gathers
-        // are pure cache hits.
-        cache_capacity: 1_024,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -91,8 +88,8 @@ fn score_batch_into_allocates_constant_not_per_id() {
     let ids: Vec<usize> = (0..IDS).collect();
     let mut batch = ScoreBatch::new();
 
-    // Warm up: fills the LRU, grows the id/score buffers and the
-    // worker's inference scratch, and settles the allocator.
+    // Warm up: grows the id/score buffers and the worker's inference
+    // scratch, and settles the allocator.
     for _ in 0..10 {
         handle.score_batch_into(&ids, &mut batch).unwrap();
     }

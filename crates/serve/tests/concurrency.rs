@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig, MethodSpec};
-use memcom_serve::{Router, ServeConfig, ServeError, DEFAULT_MODEL};
+use memcom_serve::{Router, ServeConfig, ServeError, ShardedStore, DEFAULT_MODEL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,6 +84,46 @@ fn concurrent_batched_results_match_serial_replay() {
     assert!(
         stats.max_batch_observed > 1,
         "some batch should exceed one request"
+    );
+}
+
+/// Any number of threads may read one shard directly: every row is the
+/// compressor's own bits and the rows-read counter is exact — the pages
+/// are the only state a read touches.
+#[test]
+fn concurrent_direct_reads_of_one_shard_are_exact() {
+    const THREADS: usize = 6;
+    const CALLS: usize = 200;
+    const N_SHARDS: usize = 2;
+    let emb = memcom(1_000, 16, 100);
+    let store = ShardedStore::build(&emb, N_SHARDS, 0, 1024).unwrap();
+    // Shard 1's ids; every thread draws from the same 64 of them, so the
+    // streams overlap heavily.
+    let ids_of = |t: usize, call: usize| -> Vec<usize> {
+        (0..24)
+            .map(|k| 1 + N_SHARDS * ((t * 7 + call * 13 + k * 5) % 64))
+            .collect()
+    };
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (store, emb) = (&store, &emb);
+            scope.spawn(move || {
+                let mut slab = vec![0f32; 24 * 16];
+                for call in 0..CALLS {
+                    let ids = ids_of(t, call);
+                    store.lookup_batch(1, &ids, &mut slab).unwrap();
+                    let want = emb.lookup(&ids).unwrap();
+                    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&slab), bits(want.as_slice()), "thread {t} call {call}");
+                }
+            });
+        }
+    });
+    let read = store.cache_stats();
+    assert_eq!(
+        (read.hits, read.misses),
+        (0, (THREADS * CALLS * 24) as u64),
+        "rows read == rows requested, exactly"
     );
 }
 

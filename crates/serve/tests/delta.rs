@@ -83,7 +83,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(19);
         let emb = FullEmbedding::new(VOCAB, DIM, &mut rng).unwrap();
         let store = ShardedStore::build_quantized(&emb, 3, 8, 128, dtype).unwrap();
-        // Warm a few rows so the carried-over cache is exercised too.
+        // Touch a few rows first, so the delta lands on resident pages too.
         for id in 0..8 {
             store.get(id).unwrap();
         }
@@ -265,8 +265,8 @@ fn deltas_under_traffic_never_tear_rows() {
 
 /// Superseded snapshots (delta-flipped or deregistered) must actually be
 /// freed once in-flight requests drain and callers drop their `Arc`s —
-/// the hot-row LRU lives inside the store, so a retained snapshot would
-/// silently pin every cached row of a dropped table.
+/// a retained snapshot would silently pin every copied page of a
+/// dropped table.
 #[test]
 fn superseded_and_deregistered_snapshots_are_released() {
     let mut rng = StdRng::seed_from_u64(3);
@@ -275,7 +275,7 @@ fn superseded_and_deregistered_snapshots_are_released() {
     router.register("m", &emb).unwrap();
     let handle = router.handle("m").unwrap();
 
-    // Warm the first snapshot's caches with real traffic.
+    // Make the first snapshot's pages resident with real traffic.
     for id in 0..32 {
         handle.get(id).unwrap();
     }
@@ -294,8 +294,7 @@ fn superseded_and_deregistered_snapshots_are_released() {
     drop(old);
     assert!(
         weak_first.upgrade().is_none(),
-        "superseded snapshot (and its LRU rows) must be freed once \
-         in-flight requests drain"
+        "superseded snapshot must be freed once in-flight requests drain"
     );
 
     // Deregistration: the final snapshot is pinned only by live handles;

@@ -19,6 +19,7 @@ use memcom_core::MethodSpec;
 use memcom_models::{ModelConfig, RecModel};
 use memcom_serve::{
     AdmissionPolicy, Dtype, RankNetBackend, Router, ScoreBatch, ServeConfig, ServeError,
+    ShardedStore,
 };
 
 const VOCAB: usize = 500;
@@ -310,5 +311,48 @@ fn registry_rejects_duplicates_unknowns_and_mismatched_stores() {
         .unwrap();
     let rows = router.handle("rows").unwrap();
     assert_eq!(rows.get(42).unwrap().len(), DIM);
+    router.shutdown();
+}
+
+/// `swap` runs the bound backend's `check_store` like registration does:
+/// a wrong-width store is refused before the flip, so the old snapshot
+/// keeps scoring the same bits and the swap is not counted.
+#[test]
+fn swap_refuses_a_store_the_bound_backend_cannot_serve() {
+    let model = ranker(19);
+    let router = router_serving(&model, Dtype::F32, ServeConfig::with_shards(2));
+    let handle = router.handle("scorer").unwrap();
+    let bits = |scores: Vec<f32>| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    let before: Vec<_> = probe_id_sets()
+        .iter()
+        .map(|ids| bits(handle.score(ids).unwrap()))
+        .collect();
+
+    let wide = RecModel::new(
+        &ModelConfig::pointwise(VOCAB, 2 * DIM, INPUT_LEN, 1),
+        &MethodSpec::MemCom {
+            hash_size: 50,
+            bias: false,
+        },
+    )
+    .unwrap();
+    let page_size = router.config().page_size;
+    let wide_store = ShardedStore::build(wide.embedding(), 2, 0, page_size).unwrap();
+    assert!(matches!(
+        router.swap("scorer", wide_store),
+        Err(ServeError::BadConfig { .. })
+    ));
+
+    let after: Vec<_> = probe_id_sets()
+        .iter()
+        .map(|ids| bits(handle.score(ids).unwrap()))
+        .collect();
+    assert_eq!(after, before, "the old snapshot keeps scoring bit for bit");
+    assert_eq!(router.metrics().models[0].snapshot_swaps, 0);
+
+    // A store of the right width still swaps in.
+    let same_store = ShardedStore::build(model.embedding(), 2, 0, page_size).unwrap();
+    router.swap("scorer", same_store).unwrap();
+    assert_eq!(router.metrics().models[0].snapshot_swaps, 1);
     router.shutdown();
 }

@@ -180,9 +180,9 @@ fn panicking_backend_fails_its_caller_but_not_the_worker() {
     }
 }
 
-/// Lookups report their own cache hits/misses, so the decode-row tally
-/// equals the lookup rows served even while score requests executing on
-/// the *other* worker gather through the same shards.
+/// The decode-row tally equals the lookup rows served even while score
+/// requests executing on the *other* worker gather through the same
+/// shards.
 #[test]
 fn decode_rows_count_lookups_only_under_mixed_traffic() {
     const THREADS: usize = 4;
@@ -193,8 +193,6 @@ fn decode_rows_count_lookups_only_under_mixed_traffic() {
         n_shards: 2,
         max_batch: 8,
         max_wait: Duration::from_micros(100),
-        // Smaller than the id range, so hits and misses both occur.
-        cache_capacity: 64,
         telemetry: TelemetryConfig::full(1.0),
         ..ServeConfig::default()
     })
@@ -227,13 +225,8 @@ fn decode_rows_count_lookups_only_under_mixed_traffic() {
     let lookup_rows = (THREADS / 2 * CALLS * IDS) as u64;
 
     // The last batch's stage recording can trail its response by a hair.
-    let decode_rows = |router: &Router| -> u64 {
-        let stages = router.metrics().stages;
-        stages
-            .iter()
-            .map(|s| s.decode_rows_hit + s.decode_rows_miss)
-            .sum()
-    };
+    let decode_rows =
+        |router: &Router| -> u64 { router.metrics().stages.iter().map(|s| s.decode_rows).sum() };
     let deadline = Instant::now() + Duration::from_secs(5);
     while decode_rows(&router) < lookup_rows && Instant::now() < deadline {
         std::thread::yield_now();

@@ -260,7 +260,6 @@ fn prometheus_exposition_parses_and_reconciles() {
         ("memcom_uptime_seconds", "gauge"),
         ("memcom_requests_total", "counter"),
         ("memcom_issued_rows_total", "counter"),
-        ("memcom_cache_resident_bytes", "gauge"),
         ("memcom_decode_rows_total", "counter"),
         ("memcom_stage_latency_nanos", "histogram"),
         ("memcom_batch_size", "summary"),
@@ -464,11 +463,7 @@ fn stage_breakdown_reconciles_with_loadgen() {
     let deadline = Instant::now() + Duration::from_secs(5);
     let snapshot = loop {
         let snapshot = router.metrics();
-        let rows: u64 = snapshot
-            .stages
-            .iter()
-            .map(|s| s.decode_rows_hit + s.decode_rows_miss)
-            .sum();
+        let rows: u64 = snapshot.stages.iter().map(|s| s.decode_rows).sum();
         if (snapshot.traced_spans == total && rows == total) || Instant::now() > deadline {
             break snapshot;
         }
@@ -486,7 +481,7 @@ fn stage_breakdown_reconciles_with_loadgen() {
     assert_eq!(sum_count(|s| s.admission_wait.count()), total);
     assert_eq!(sum_count(|s| s.queue_wait.count()), total);
     assert_eq!(sum_count(|s| s.batch_size.sum), total);
-    assert_eq!(sum_count(|s| s.decode_rows_hit + s.decode_rows_miss), total);
+    assert_eq!(sum_count(|s| s.decode_rows), total);
     // Batch assembly fires once per flush; every served request records
     // exactly one decode-or-forward sample and one slab_write sample.
     let batches = sum_count(|s| s.batch_size.count);

@@ -32,13 +32,6 @@ pub fn embedding_uniform<R: Rng + ?Sized>(dims: &[usize], rng: &mut R) -> Tensor
     Tensor::rand_uniform(dims, -0.05, 0.05, rng)
 }
 
-/// He/Kaiming-normal initialization, `N(0, sqrt(2 / fan_in))`, for
-/// ReLU-heavy stacks.
-pub fn he_normal<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
-    let std = (2.0 / fan_in as f32).sqrt();
-    Tensor::rand_normal(&[fan_in, fan_out], 0.0, std, rng)
-}
-
 /// Initializes MEmCom multiplier tables around 1.0 so that at step 0 the
 /// multiplied embedding equals the shared hashed row (`1 · U[j]`), which the
 /// paper's joint training then perturbs per entity. `jitter` adds a small
@@ -75,16 +68,6 @@ mod tests {
         let e = embedding_uniform(&[1000, 8], &mut rng);
         assert!(e.as_slice().iter().all(|&x| x.abs() <= 0.05));
         assert_eq!(e.shape().dims(), &[1000, 8]);
-    }
-
-    #[test]
-    fn he_normal_std() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let w = he_normal(200, 100, &mut rng);
-        let std_target = (2.0f32 / 200.0).sqrt();
-        let mean = w.mean();
-        let var = w.map(|x| (x - mean) * (x - mean)).mean();
-        assert!((var.sqrt() - std_target).abs() < 0.01);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! These free functions (plus a few convenience methods) implement exactly
 //! the operator set the paper's network (Code 1) requires: matrix
-//! multiplication for `Dense`, axis means for `AveragePooling1D`, softmax /
+//! multiplication for `Dense`, axis means for `AveragePooling1D`,
 //! log-softmax for the output layer, and ReLU/sigmoid for activations.
 
 use crate::error::TensorError;
@@ -75,40 +75,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Matrix–vector product `[m, k] × [k] → [m]`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] for rank or dimension mismatches.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    if a.shape().rank() != 2 || x.shape().rank() != 1 {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "matvec requires [m,k]×[k], got {} and {}",
-                a.shape(),
-                x.shape()
-            ),
-        });
-    }
-    let (m, k) = (a.shape().dims()[0], a.shape().dims()[1]);
-    if x.len() != k {
-        return Err(TensorError::ShapeMismatch {
-            context: format!("matvec inner dims differ: {} vs {}", k, x.len()),
-        });
-    }
-    let av = a.as_slice();
-    let xv = x.as_slice();
-    let mut out = vec![0f32; m];
-    for i in 0..m {
-        out[i] = av[i * k..(i + 1) * k]
-            .iter()
-            .zip(xv)
-            .map(|(&p, &q)| p * q)
-            .sum();
-    }
-    Tensor::from_vec(out, &[m])
-}
-
 /// Sums a tensor along `axis`, dropping that axis.
 ///
 /// # Errors
@@ -129,15 +95,6 @@ pub fn mean_axis(t: &Tensor, axis: usize) -> Result<Tensor> {
     let extent = t.shape().dim(axis)? as f32;
     let summed = sum_axis(t, axis)?;
     Ok(summed.scale(1.0 / extent))
-}
-
-/// Maximum along `axis`, dropping that axis.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidAxis`] when `axis` exceeds the rank.
-pub fn max_axis(t: &Tensor, axis: usize) -> Result<Tensor> {
-    reduce_axis(t, axis, f32::NEG_INFINITY, |acc, x| acc.max(x))
 }
 
 fn reduce_axis(t: &Tensor, axis: usize, init: f32, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
@@ -183,18 +140,8 @@ pub fn sigmoid(t: &Tensor) -> Tensor {
     })
 }
 
-/// Row-wise softmax over the last axis of a rank-2 tensor, computed with the
-/// max-subtraction trick for numerical stability.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] for non-rank-2 input.
-pub fn softmax_rows(logits: &Tensor) -> Result<Tensor> {
-    let log_sm = log_softmax_rows(logits)?;
-    Ok(log_sm.map(f32::exp))
-}
-
-/// Row-wise log-softmax over the last axis of a rank-2 tensor.
+/// Row-wise log-softmax over the last axis of a rank-2 tensor, computed with
+/// the max-subtraction trick for numerical stability.
 ///
 /// # Errors
 ///
@@ -219,72 +166,6 @@ pub fn log_softmax_rows(logits: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[rows, cols])
 }
 
-/// Concatenates rank-2 tensors along the column (last) axis.
-///
-/// Used by the concat variants of double hashing and quotient–remainder.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when row counts differ or the
-/// input list is empty.
-pub fn concat_cols(parts: &[&Tensor]) -> Result<Tensor> {
-    if parts.is_empty() {
-        return Err(TensorError::EmptyTensor);
-    }
-    let rows = parts[0].shape().dims()[0];
-    for p in parts {
-        if p.shape().rank() != 2 || p.shape().dims()[0] != rows {
-            return Err(TensorError::ShapeMismatch {
-                context: "concat_cols requires rank-2 tensors with equal row counts".into(),
-            });
-        }
-    }
-    let total_cols: usize = parts.iter().map(|p| p.shape().dims()[1]).sum();
-    let mut out = vec![0f32; rows * total_cols];
-    for r in 0..rows {
-        let mut col = 0usize;
-        for p in parts {
-            let c = p.shape().dims()[1];
-            out[r * total_cols + col..r * total_cols + col + c].copy_from_slice(p.row(r)?);
-            col += c;
-        }
-    }
-    Tensor::from_vec(out, &[rows, total_cols])
-}
-
-/// Splits a rank-2 tensor into column blocks of the given widths (inverse of
-/// [`concat_cols`]), used when routing gradients back through concatenating
-/// embedding compositions.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when widths do not sum to the
-/// column count.
-pub fn split_cols(t: &Tensor, widths: &[usize]) -> Result<Vec<Tensor>> {
-    if t.shape().rank() != 2 {
-        return Err(TensorError::ShapeMismatch {
-            context: format!("split_cols requires rank 2, got {}", t.shape()),
-        });
-    }
-    let (rows, cols) = (t.shape().dims()[0], t.shape().dims()[1]);
-    if widths.iter().sum::<usize>() != cols {
-        return Err(TensorError::ShapeMismatch {
-            context: format!("split widths {:?} do not sum to {} columns", widths, cols),
-        });
-    }
-    let mut outs = Vec::with_capacity(widths.len());
-    let mut start = 0usize;
-    for &w in widths {
-        let mut data = vec![0f32; rows * w];
-        for r in 0..rows {
-            data[r * w..(r + 1) * w].copy_from_slice(&t.row(r)?[start..start + w]);
-        }
-        outs.push(Tensor::from_vec(data, &[rows, w])?);
-        start += w;
-    }
-    Ok(outs)
-}
-
 /// One-hot encodes integer ids into a `[ids.len(), depth]` matrix. Ids `>=
 /// depth` map to the all-zero row, mirroring how a hashed-mod front end
 /// clamps its range. This is the Weinberger-style front end of Table 3.
@@ -296,29 +177,6 @@ pub fn one_hot(ids: &[usize], depth: usize) -> Tensor {
         }
     }
     Tensor::from_vec(data, &[ids.len(), depth]).expect("constructed shape always matches")
-}
-
-/// Stacks equal-shape rank-1 tensors into a rank-2 tensor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on length mismatch or
-/// [`TensorError::EmptyTensor`] for an empty input list.
-pub fn stack_rows(rows: &[&Tensor]) -> Result<Tensor> {
-    if rows.is_empty() {
-        return Err(TensorError::EmptyTensor);
-    }
-    let cols = rows[0].len();
-    let mut data = Vec::with_capacity(rows.len() * cols);
-    for r in rows {
-        if r.len() != cols {
-            return Err(TensorError::ShapeMismatch {
-                context: "stack_rows requires equal-length rows".into(),
-            });
-        }
-        data.extend_from_slice(r.as_slice());
-    }
-    Tensor::from_vec(data, &[rows.len(), cols])
 }
 
 impl Tensor {
@@ -412,21 +270,11 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = t(&[1., 2., 3., 4., 5., 6.], &[2, 3]);
-        let x = t(&[1., -1., 2.], &[3]);
-        let y = matvec(&a, &x).unwrap();
-        assert_eq!(y.as_slice(), &[5., 11.]);
-        assert!(matvec(&a, &t(&[1., 2.], &[2])).is_err());
-    }
-
-    #[test]
     fn axis_reductions() {
         let a = t(&[1., 2., 3., 4., 5., 6.], &[2, 3]);
         assert_eq!(sum_axis(&a, 0).unwrap().as_slice(), &[5., 7., 9.]);
         assert_eq!(sum_axis(&a, 1).unwrap().as_slice(), &[6., 15.]);
         assert_eq!(mean_axis(&a, 1).unwrap().as_slice(), &[2., 5.]);
-        assert_eq!(max_axis(&a, 0).unwrap().as_slice(), &[4., 5., 6.]);
         assert!(sum_axis(&a, 2).is_err());
     }
 
@@ -457,9 +305,9 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_sum_to_one() {
+    fn log_softmax_rows_exponentiate_to_one() {
         let logits = t(&[1., 2., 3., 1000., 1000., 1000.], &[2, 3]);
-        let p = softmax_rows(&logits).unwrap();
+        let p = log_softmax_rows(&logits).unwrap().map(f32::exp);
         for r in 0..2 {
             let s: f32 = p.row(r).unwrap().iter().sum();
             assert!((s - 1.0).abs() < 1e-5, "row {r} sums to {s}");
@@ -471,43 +319,12 @@ mod tests {
     }
 
     #[test]
-    fn log_softmax_consistent_with_softmax() {
-        let logits = t(&[0.3, -1.2, 2.0, 0.1, 0.1, 0.1], &[2, 3]);
-        let p = softmax_rows(&logits).unwrap();
-        let lp = log_softmax_rows(&logits).unwrap();
-        assert!(p.map(|x| x.ln()).allclose(&lp, 1e-5));
-    }
-
-    #[test]
-    fn concat_and_split_round_trip() {
-        let a = t(&[1., 2., 3., 4.], &[2, 2]);
-        let b = t(&[5., 6.], &[2, 1]);
-        let c = concat_cols(&[&a, &b]).unwrap();
-        assert_eq!(c.shape().dims(), &[2, 3]);
-        assert_eq!(c.as_slice(), &[1., 2., 5., 3., 4., 6.]);
-        let parts = split_cols(&c, &[2, 1]).unwrap();
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
-        assert!(split_cols(&c, &[2, 2]).is_err());
-        assert!(concat_cols(&[]).is_err());
-    }
-
-    #[test]
     fn one_hot_encodes_and_clamps() {
         let oh = one_hot(&[0, 2, 5], 3);
         assert_eq!(oh.shape().dims(), &[3, 3]);
         assert_eq!(oh.row(0).unwrap(), &[1., 0., 0.]);
         assert_eq!(oh.row(1).unwrap(), &[0., 0., 1.]);
         assert_eq!(oh.row(2).unwrap(), &[0., 0., 0.]); // out-of-range → zeros
-    }
-
-    #[test]
-    fn stack_rows_builds_matrix() {
-        let a = t(&[1., 2.], &[2]);
-        let b = t(&[3., 4.], &[2]);
-        let m = stack_rows(&[&a, &b]).unwrap();
-        assert_eq!(m.shape().dims(), &[2, 2]);
-        assert!(stack_rows(&[&a, &t(&[1.], &[1])]).is_err());
     }
 
     proptest! {
@@ -533,12 +350,12 @@ mod tests {
         }
 
         #[test]
-        fn prop_softmax_rows_probability(rows in 1usize..5, cols in 1usize..8, seed in 0u64..1000) {
+        fn prop_log_softmax_rows_probability(rows in 1usize..5, cols in 1usize..8, seed in 0u64..1000) {
             let data: Vec<f32> = (0..rows * cols)
                 .map(|i| ((i as u64 * 2654435761 + seed) % 97) as f32 / 10.0 - 4.0)
                 .collect();
             let logits = Tensor::from_vec(data, &[rows, cols]).unwrap();
-            let p = softmax_rows(&logits).unwrap();
+            let p = log_softmax_rows(&logits).unwrap().map(f32::exp);
             for r in 0..rows {
                 let s: f32 = p.row(r).unwrap().iter().sum();
                 prop_assert!((s - 1.0).abs() < 1e-4);

@@ -270,15 +270,6 @@ impl Tensor {
         self.binary(rhs, |a, b| a * b)
     }
 
-    /// Broadcasted elementwise division.
-    ///
-    /// # Errors
-    ///
-    /// Returns a broadcast error when shapes are incompatible.
-    pub fn div(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.binary(rhs, |a, b| a / b)
-    }
-
     /// Broadcasted binary operation with an arbitrary combiner.
     ///
     /// # Errors
@@ -481,7 +472,6 @@ mod tests {
         assert_eq!(a.add(&b).unwrap().as_slice(), &[11., 12., 23., 24.]);
         assert_eq!(a.mul(&b).unwrap().as_slice(), &[10., 20., 60., 80.]);
         assert_eq!(a.sub(&b).unwrap().as_slice(), &[-9., -8., -17., -16.]);
-        assert_eq!(a.div(&b).unwrap().as_slice(), &[0.1, 0.2, 0.15, 0.2]);
         assert_eq!(a.scale(2.0).as_slice(), &[2., 4., 6., 8.]);
         assert_eq!(a.add_scalar(1.0).as_slice(), &[2., 3., 4., 5.]);
     }

@@ -158,12 +158,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let before = router.apply_delta("live", &delta)?;
     let patched = router.snapshot("live")?;
     let config = router.config();
-    let rebuilt = ShardedStore::build(
-        live.as_ref(),
-        config.n_shards,
-        config.cache_capacity,
-        config.page_size,
-    )?;
+    let rebuilt = ShardedStore::build(live.as_ref(), config.n_shards, 0, config.page_size)?;
     router.swap("live", rebuilt)?;
     let rebuilt = router.snapshot("live")?;
     for (label, new, old) in [

@@ -10,11 +10,11 @@
 //! * [`data`] — synthetic power-law dataset generators (Table 2 stand-ins).
 //! * [`metrics`] — accuracy / top-k / nDCG.
 //! * [`models`] — the paper's networks, trainer, and compression sweeps.
-//! * [`ondevice`] — model serialization, mmap simulator, inference engines,
-//!   post-training quantization.
+//! * [`ondevice`] — model serialization, lazily-resident paged tables,
+//!   inference engines, post-training quantization.
 //! * [`dp`] — DP-SGD and the Rényi-DP accountant.
 //! * [`serve`] — sharded, micro-batching embedding-serving engine with
-//!   hot-row caching and Zipf load generation.
+//!   admission control, delta snapshots and Zipf load generation.
 //! * [`net`] — network-attached serving: length-framed wire protocol,
 //!   multi-client server over the serve tier, pipelined client with
 //!   deadline and backoff support.

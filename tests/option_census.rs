@@ -20,6 +20,7 @@ fn config_structs_have_exactly_these_fields() {
         max_batch,
         max_wait,
         queue_depth,
+        // Nothing reads it (the store has no cache); frozen `crates/perf` names it — ROADMAP item 8.
         cache_capacity,
         page_size,
         admission,
