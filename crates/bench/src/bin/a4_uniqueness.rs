@@ -9,7 +9,7 @@
 
 use memcom_bench::harness::{banner, scaled_spec, HarnessArgs, ResultWriter};
 use memcom_core::uniqueness::audit;
-use memcom_core::{MemCom, MethodSpec};
+use memcom_core::MethodSpec;
 use memcom_data::DatasetSpec;
 use memcom_models::trainer::{train, TrainConfig};
 use memcom_models::{ModelConfig, ModelKind, RecModel};
@@ -59,12 +59,7 @@ fn main() {
     )
     .expect("training succeeds");
 
-    let memcom = model
-        .embedding()
-        .as_any()
-        .downcast_ref::<MemCom>()
-        .expect("model was built with a MemCom embedding");
-    let report = audit(memcom);
+    let report = audit(model.embedding()).expect("model was built with a MemCom embedding");
     let mut writer = ResultWriter::new("a4_uniqueness");
     writer.header(&[
         "shared_pairs",

@@ -10,17 +10,15 @@
 //!    (each table owns its gradient accumulator and optimizer key),
 //! 2. its **recipe** ([`Recipe`]): one [`RowMap`](crate::hashing::RowMap)
 //!    per table and the [`Combine`](crate::recipe::Combine) over the rows
-//!    they select — data, not code, so the same recipe is executed here
-//!    in training, written into the on-device model file, and run by the
-//!    on-device engine and the serve store,
-//! 3. its **per-row backward**, as
-//!    [`accumulate_row`](EmbeddingCompressor::accumulate_row): the
-//!    combine differentiated for one id,
+//!    they select — data, not code, so the same recipe is executed and
+//!    differentiated here in training, written into the on-device model
+//!    file, and run by the on-device engine and the serve store,
 //!
 //! and the trait provides the rest — `row_into` (the recipe's executor
-//! over the tables), bounds checks, the batched `lookup`, the
-//! `forward`/`backward` id cache, per-table optimizer application, table
-//! enumeration and the parameter count.
+//! over the tables) and `accumulate_row` (its backward), bounds checks,
+//! the batched `lookup`, the `forward`/`backward` id cache, per-table
+//! optimizer application, table enumeration and the parameter count.
+//! Adding a technique is tables + recipe.
 //!
 //! # Adding a technique
 //!
@@ -33,7 +31,6 @@
 //! use memcom_core::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
 //! use memcom_core::hashing::RowMap;
 //! use memcom_core::recipe::{Combine, Recipe};
-//! use memcom_core::Result;
 //! use memcom_tensor::Tensor;
 //!
 //! struct NaiveHash {
@@ -53,14 +50,7 @@
 //! impl EmbeddingCompressor for NaiveHash {
 //!     fn state(&self) -> &CompressorState { &self.state }
 //!     fn state_mut(&mut self) -> &mut CompressorState { &mut self.state }
-//!     // 3. per-row backward: the whole gradient lands on the row read
-//!     fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()> {
-//!         let row = self.state.recipe().maps[0].row(id);
-//!         self.state.tables[0].add_grad(row, grad);
-//!         Ok(())
-//!     }
 //!     fn method_name(&self) -> &'static str { "naive_hash" }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
 //! }
 //!
 //! let mut layer = NaiveHash::new(100, 4, 10);
@@ -172,31 +162,21 @@ impl ParamTable {
         Ok(())
     }
 
-    /// Adds `grad` into the accumulator for row `r` of a
-    /// [`sparse`](Self::sparse) table.
+    /// Adds `grad` into the accumulator for row `r`, whichever way the
+    /// table is trained.
     ///
     /// # Panics
     ///
-    /// Panics on a [`dense`](Self::dense) table or a gradient of the wrong
-    /// width — the compressor controls both sides, so either is a bug.
+    /// Panics on a row past the table or a gradient of the wrong width —
+    /// the recipe controls both sides, so either is a bug.
     pub fn add_grad(&mut self, r: usize, grad: &[f32]) {
         match &mut self.grads {
             Grads::Sparse(rows) => rows.add(r, grad),
-            Grads::Dense(_) => panic!("{} is trained densely", self.name),
-        }
-    }
-
-    /// The weights and the gradient accumulator of a
-    /// [`dense`](Self::dense) table, borrowed together so a backward pass
-    /// can read one while adding into the other.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`sparse`](Self::sparse) table.
-    pub fn dense_grad(&mut self) -> (&Tensor, &mut Tensor) {
-        match &mut self.grads {
-            Grads::Dense(grad) => (&self.tensor, grad),
-            Grads::Sparse(_) => panic!("{} is trained row by row", self.name),
+            Grads::Dense(dense) => {
+                let row = dense.row_mut(r).expect("gradient row inside the table");
+                assert_eq!(grad.len(), row.len(), "row gradient width mismatch");
+                row.iter_mut().zip(grad).for_each(|(a, &g)| *a += g);
+            }
         }
     }
 
@@ -268,14 +248,10 @@ impl CompressorState {
     }
 
     /// Takes the ids cached by the last `forward` and checks `grad_out`
-    /// against them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BackwardBeforeForward`] without a cached id
-    /// list, or [`CoreError::BadGradient`] when `grad_out` is not
+    /// against them: [`CoreError::BackwardBeforeForward`] without a cached
+    /// id list, [`CoreError::BadGradient`] when `grad_out` is not
     /// `[ids.len(), dim]`.
-    pub fn take_ids(&mut self, grad_out: &Tensor) -> Result<Vec<usize>> {
+    fn take_ids(&mut self, grad_out: &Tensor) -> Result<Vec<usize>> {
         let ids = self
             .cached_ids
             .take()
@@ -288,9 +264,10 @@ impl CompressorState {
 /// A compressed (or uncompressed) embedding layer: the common interface of
 /// MEmCom and every baseline in the paper's evaluation.
 ///
-/// The required methods are what differs between techniques (see the
-/// [module docs](self)); everything a caller uses is provided on top of
-/// them.
+/// The required methods hand over the state and name the technique —
+/// everything that differs between techniques is the tables and recipe
+/// inside [`CompressorState`] (see the [module docs](self)); everything a
+/// caller uses is provided on top of them.
 ///
 /// Lifecycle per training step:
 /// 1. [`forward`](EmbeddingCompressor::forward) with the batch's flat id
@@ -312,21 +289,8 @@ pub trait EmbeddingCompressor: Send + Sync {
     /// Mutable access to the shared state.
     fn state_mut(&mut self) -> &mut CompressorState;
 
-    /// The technique's per-row backward: accumulates into its tables the
-    /// gradients of one looked-up `id`, given `grad = ∂L/∂E(id)`
-    /// (`output_dim()` values).
-    ///
-    /// # Errors
-    ///
-    /// Propagates table-read errors (which indicate internal bugs).
-    fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()>;
-
     /// Short technique name used in experiment output (e.g. `"memcom"`).
     fn method_name(&self) -> &'static str;
-
-    /// Upcast for downcasting to the concrete compressor type (used by
-    /// audits and serialization round-trips).
-    fn as_any(&self) -> &dyn std::any::Any;
 
     /// The technique's recipe run over its tables: writes the embedding
     /// of one `id` into `out`, overwriting it. Callers have checked
@@ -341,6 +305,22 @@ pub trait EmbeddingCompressor: Send + Sync {
     /// Propagates table-read errors (which indicate internal bugs).
     fn row_into(&self, id: usize, out: &mut [f32]) -> Result<()> {
         self.state().row_into(id, &mut Vec::new(), out)
+    }
+
+    /// The technique's recipe differentiated ([`Recipe::backward`]):
+    /// accumulates into its tables the gradients of one looked-up `id`,
+    /// given `grad = ∂L/∂E(id)` (`output_dim()` values).
+    ///
+    /// Not a customization point, for the same reason as
+    /// [`row_into`](Self::row_into): the backward of what runs is the
+    /// recipe's.
+    ///
+    /// # Errors
+    ///
+    /// Propagates table-read errors (which indicate internal bugs).
+    fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()> {
+        let state = self.state_mut();
+        state.recipe.backward(id, grad, &mut state.tables)
     }
 
     /// Writes the embedding row for one `id` into `out` without
@@ -451,14 +431,14 @@ pub trait EmbeddingCompressor: Send + Sync {
 /// id); [`RowGrads::drain`] aggregates duplicates and emits the
 /// `(rows, row_grads)` pair that [`Optimizer::step_sparse_rows`] consumes.
 #[derive(Debug)]
-pub struct RowGrads {
+struct RowGrads {
     cols: usize,
     acc: HashMap<usize, Vec<f32>>,
 }
 
 impl RowGrads {
     /// Creates an accumulator for rows of width `cols`.
-    pub fn new(cols: usize) -> Self {
+    fn new(cols: usize) -> Self {
         RowGrads {
             cols,
             acc: HashMap::new(),
@@ -471,7 +451,7 @@ impl RowGrads {
     ///
     /// Panics when `grad.len() != cols` — compressors control both sides,
     /// so a mismatch is an internal bug.
-    pub fn add(&mut self, row: usize, grad: &[f32]) {
+    fn add(&mut self, row: usize, grad: &[f32]) {
         assert_eq!(grad.len(), self.cols, "row gradient width mismatch");
         let entry = self.acc.entry(row).or_insert_with(|| vec![0.0; self.cols]);
         for (a, &g) in entry.iter_mut().zip(grad) {
@@ -479,19 +459,9 @@ impl RowGrads {
         }
     }
 
-    /// Adds a scalar gradient for width-1 tables (MEmCom multipliers).
-    pub fn add_scalar(&mut self, row: usize, grad: f32) {
-        self.add(row, &[grad]);
-    }
-
     /// Whether any gradient has been accumulated.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.acc.is_empty()
-    }
-
-    /// Number of distinct rows with accumulated gradient.
-    pub fn touched_rows(&self) -> usize {
-        self.acc.len()
     }
 
     /// Drains the accumulator into `(rows, row_grads)` sorted by row id
@@ -500,7 +470,7 @@ impl RowGrads {
     /// # Errors
     ///
     /// Never fails in practice; the `Result` covers tensor construction.
-    pub fn drain(&mut self) -> Result<(Vec<usize>, Tensor)> {
+    fn drain(&mut self) -> Result<(Vec<usize>, Tensor)> {
         let mut rows: Vec<usize> = self.acc.keys().copied().collect();
         rows.sort_unstable();
         let mut data = Vec::with_capacity(rows.len() * self.cols);
@@ -517,7 +487,7 @@ impl RowGrads {
     /// # Errors
     ///
     /// Propagates optimizer errors.
-    pub fn apply(
+    fn apply(
         &mut self,
         opt: &mut dyn Optimizer,
         id: ParamId,
@@ -645,7 +615,6 @@ mod tests {
         rg.add(3, &[1.0, 1.0]);
         rg.add(1, &[0.5, 0.5]);
         rg.add(3, &[1.0, -1.0]);
-        assert_eq!(rg.touched_rows(), 2);
         let (rows, grads) = rg.drain().unwrap();
         assert_eq!(rows, vec![1, 3]);
         assert_eq!(grads.row(0).unwrap(), &[0.5, 0.5]);
@@ -656,7 +625,7 @@ mod tests {
     #[test]
     fn row_grads_apply_updates_table() {
         let mut rg = RowGrads::new(1);
-        rg.add_scalar(0, 2.0);
+        rg.add(0, &[2.0]);
         let mut table = Tensor::ones(&[3, 1]);
         let mut opt = Sgd::new(0.5);
         rg.apply(&mut opt, ParamId::fresh(), &mut table).unwrap();

@@ -76,20 +76,8 @@ impl EmbeddingCompressor for DoubleHashEmbedding {
         &mut self.state
     }
 
-    fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
-        let (a, b) = self.buckets(id);
-        let (first, second) = g.split_at(g.len() / 2);
-        self.state.tables[0].add_grad(a, first);
-        self.state.tables[1].add_grad(b, second);
-        Ok(())
-    }
-
     fn method_name(&self) -> &'static str {
         "double_hash"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -18,7 +18,6 @@ pub struct FactorizedEmbedding {
     /// `A` (codes, `[v, h]`, trained sparsely) then `B` (projection,
     /// `[h, e]`, trained densely).
     state: CompressorState,
-    hidden: usize,
 }
 
 impl FactorizedEmbedding {
@@ -55,7 +54,6 @@ impl FactorizedEmbedding {
         let recipe = Recipe::new([RowMap::Identity], Combine::Project { hidden });
         Ok(FactorizedEmbedding {
             state: CompressorState::new(vocab, dim, tables, recipe),
-            hidden,
         })
     }
 }
@@ -69,35 +67,8 @@ impl EmbeddingCompressor for FactorizedEmbedding {
         &mut self.state
     }
 
-    fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
-        let [codes, projection] = self.state.tables.as_mut_slice() else {
-            unreachable!("built with exactly two tables");
-        };
-        let (proj, grad_proj) = projection.dense_grad();
-        // dA[id] = g · Bᵀ
-        let mut dcode = vec![0f32; self.hidden];
-        for (h, d) in dcode.iter_mut().enumerate() {
-            *d = g.iter().zip(proj.row(h)?).map(|(&a, &b)| a * b).sum();
-        }
-        // dB += A[id]ᵀ ⊗ g
-        for (h, &c) in codes.row(id)?.iter().enumerate() {
-            if c == 0.0 {
-                continue;
-            }
-            for (o, &gi) in grad_proj.row_mut(h)?.iter_mut().zip(g) {
-                *o += c * gi;
-            }
-        }
-        codes.add_grad(id, &dcode);
-        Ok(())
-    }
-
     fn method_name(&self) -> &'static str {
         "factorized"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -16,21 +16,21 @@
 //! | [`OneHotHashEncoder`] | Weinberger feature hashing (Table 3 baseline) |
 //!
 //! All implementations share one skeleton ([`compressor`]): a technique is
-//! its tables ([`ParamTable`]), its [`Recipe`] — one [`hashing::RowMap`]
-//! per table and one [`Combine`] over the rows they select, executed by
-//! the single [`Recipe::row_into`] — and that combine differentiated for
-//! one id ([`EmbeddingCompressor::accumulate_row`]). The
-//! [`EmbeddingCompressor`] trait provides everything else once — the
-//! id-batch `lookup`, the `forward`/`backward` id cache, the sparse
-//! gradient path, optimizer application that touches only the rows used in
-//! the batch, and table enumeration. Because the recipe is data, it is
-//! also what `memcom-ondevice` writes into a model file and executes on
-//! device and what `memcom-serve` chooses its store layout from: nothing
-//! outside [`recipe`] knows how any technique turns an id into a row. The
-//! four one-table techniques (uncompressed, naive hashing, truncate-rare,
-//! reduced dim) are one type, [`SingleTable`]. Adding a technique is a
-//! constructor (tables + recipe) plus `accumulate_row`; the [`compressor`]
-//! module docs walk through naive hashing as the worked example.
+//! its tables ([`ParamTable`]) and its [`Recipe`] — one
+//! [`hashing::RowMap`] per table and one [`Combine`] over the rows they
+//! select, executed by the single [`Recipe::row_into`] and differentiated
+//! by the single [`Recipe::backward`]. The [`EmbeddingCompressor`] trait
+//! provides everything else once — the id-batch `lookup`, the
+//! `forward`/`backward` id cache, the sparse gradient path, optimizer
+//! application that touches only the rows used in the batch, and table
+//! enumeration. Because the recipe is data, it is also what
+//! `memcom-ondevice` writes into a model file and executes on device and
+//! what `memcom-serve` chooses its store layout from: nothing outside
+//! [`recipe`] knows how any technique turns an id into a row. The four
+//! one-table techniques (uncompressed, naive hashing, truncate-rare,
+//! reduced dim) are one type, [`SingleTable`]. Adding a technique is
+//! tables + recipe — a constructor; the [`compressor`] module docs walk
+//! through naive hashing as the worked example.
 //!
 //! Supporting analysis lives alongside: closed-form collision rates from §4
 //! ([`collision`]), the fixed-model-size budget solver from §A.1
@@ -69,7 +69,7 @@ pub mod single_table;
 pub mod spec;
 pub mod uniqueness;
 
-pub use compressor::{CompressorState, EmbeddingCompressor, NamedTable, ParamTable, RowGrads};
+pub use compressor::{CompressorState, EmbeddingCompressor, NamedTable, ParamTable};
 pub use double_hash::DoubleHashEmbedding;
 pub use error::CoreError;
 pub use factorized::FactorizedEmbedding;

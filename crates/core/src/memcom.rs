@@ -190,34 +190,12 @@ impl EmbeddingCompressor for MemCom {
         &mut self.state
     }
 
-    fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
-        let j = self.bucket(id);
-        let u = self.state.tables[0].row(j)?;
-        let v = self.multiplier_table().as_slice()[id];
-        // ∂L/∂U[j] = g · V[i]  (broadcast multiply back through ⊙)
-        let du: Vec<f32> = g.iter().map(|&x| x * v).collect();
-        // ∂L/∂V[i] = ⟨g, U[j]⟩  (the broadcast sums over e)
-        let dv: f32 = g.iter().zip(u).map(|(&a, &b)| a * b).sum();
-        let tables = &mut self.state.tables;
-        tables[0].add_grad(j, &du);
-        tables[1].add_grad(id, &[dv]);
-        // ∂L/∂W[i] = Σ_e g
-        if let Some(bias) = tables.get_mut(2) {
-            bias.add_grad(id, &[g.iter().sum()]);
-        }
-        Ok(())
-    }
-
     fn method_name(&self) -> &'static str {
         if self.config.bias {
             "memcom"
         } else {
             "memcom_nobias"
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -1,9 +1,9 @@
 //! Weinberger feature hashing over one-hot inputs (Table 3 baseline).
 
-use memcom_tensor::{init, ops, Tensor};
+use memcom_tensor::init;
 use rand::Rng;
 
-use crate::compressor::{check_ids, CompressorState, EmbeddingCompressor, ParamTable};
+use crate::compressor::{CompressorState, EmbeddingCompressor, ParamTable};
 use crate::hashing::RowMap;
 use crate::recipe::{Combine, Recipe};
 use crate::{CoreError, Result};
@@ -19,9 +19,10 @@ pub const ONE_HOT_SEED: u64 = 0x0E1_407;
 /// compute/memory profile is completely different — the one-hot
 /// materialization costs `O(b·m)` memory and the matmul touches the whole
 /// kernel, which is exactly why Table 3 shows it losing to MEmCom's
-/// `mmap`-friendly lookup on phones. The [`lookup`](Self::lookup) path here
-/// deliberately performs the real one-hot matmul so the on-device simulator
-/// measures the honest cost.
+/// `mmap`-friendly lookup on phones. The recipe says so
+/// ([`Combine::OneHotMatmul`]) and `memcom_ondevice::engine` charges that
+/// §5.3 cost for it; training runs the recipe like every other technique,
+/// with the kernel trained densely.
 #[derive(Debug)]
 pub struct OneHotHashEncoder {
     /// The dense `m × e` kernel, read through a seeded map.
@@ -62,20 +63,8 @@ impl OneHotHashEncoder {
     pub fn bucket(&self, id: usize) -> usize {
         self.state.recipe().maps[0].row(id)
     }
-
-    /// Materializes the `[ids.len(), hash_size]` one-hot matrix — the
-    /// memory hog Table 3 measures.
-    pub fn encode_one_hot(&self, ids: &[usize]) -> Result<Tensor> {
-        check_ids(ids, self.vocab_size())?;
-        let hashed: Vec<usize> = ids.iter().map(|&i| self.bucket(i)).collect();
-        let hash_size = self.state.tables[0].tensor().shape().dims()[0];
-        Ok(ops::one_hot(&hashed, hash_size))
-    }
 }
 
-/// The only technique that overrides the skeleton's `lookup` and
-/// `backward`: the one-hot matmul *is* the §5.3 cost being reproduced, so
-/// a batch goes through it whole instead of row by row.
 impl EmbeddingCompressor for OneHotHashEncoder {
     fn state(&self) -> &CompressorState {
         &self.state
@@ -85,42 +74,15 @@ impl EmbeddingCompressor for OneHotHashEncoder {
         &mut self.state
     }
 
-    fn lookup(&self, ids: &[usize]) -> Result<Tensor> {
-        // Deliberate full one-hot × kernel matmul; see the type docs.
-        let one_hot = self.encode_one_hot(ids)?;
-        Ok(ops::matmul(&one_hot, self.state.tables[0].tensor())?)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<()> {
-        let ids = self.state.take_ids(grad_out)?;
-        // dK = one_hotᵀ · dy, accumulated densely (the kernel is dense).
-        let one_hot = self.encode_one_hot(&ids)?;
-        let dk = ops::matmul(&one_hot.transpose()?, grad_out)?;
-        self.state.tables[0].dense_grad().1.axpy(1.0, &dk)?;
-        Ok(())
-    }
-
-    fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()> {
-        let bucket = self.bucket(id);
-        let row = self.state.tables[0].dense_grad().1.row_mut(bucket)?;
-        for (o, &g) in row.iter_mut().zip(grad) {
-            *o += g;
-        }
-        Ok(())
-    }
-
     fn method_name(&self) -> &'static str {
         "weinberger_onehot"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memcom_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -143,17 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn one_hot_has_single_one_per_row() {
-        let enc = make();
-        let oh = enc.encode_one_hot(&[1, 2, 3]).unwrap();
-        for r in 0..3 {
-            let row = oh.row(r).unwrap();
-            assert_eq!(row.iter().filter(|&&x| x == 1.0).count(), 1);
-            assert_eq!(row.iter().filter(|&&x| x == 0.0).count(), 15);
-        }
-    }
-
-    #[test]
     fn gradient_flows_to_hashed_row() {
         let mut enc = make();
         let bucket = enc.bucket(7);
@@ -165,11 +116,6 @@ mod tests {
         for (b, a) in before.iter().zip(kernel(&enc).row(bucket).unwrap()) {
             assert!((a - (b - 0.1)).abs() < 1e-6);
         }
-        // The row-wise accumulate is the same gradient without the matmul.
-        let mut row_wise = make();
-        row_wise.accumulate_row(7, &[1.0; 4]).unwrap();
-        row_wise.apply_gradients(&mut opt).unwrap();
-        assert_eq!(kernel(&row_wise), kernel(&enc));
     }
 
     #[test]

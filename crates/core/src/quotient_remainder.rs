@@ -102,11 +102,6 @@ impl QuotientRemainder {
         let maps = &self.state.recipe().maps;
         (maps[1].row(id), maps[0].row(id))
     }
-
-    /// The configured combiner.
-    pub fn combiner(&self) -> QrCombiner {
-        self.combiner
-    }
 }
 
 impl EmbeddingCompressor for QuotientRemainder {
@@ -118,36 +113,11 @@ impl EmbeddingCompressor for QuotientRemainder {
         &mut self.state
     }
 
-    fn accumulate_row(&mut self, id: usize, g: &[f32]) -> Result<()> {
-        let (q, r) = self.decompose(id);
-        let tables = &mut self.state.tables;
-        match self.combiner {
-            // d/dU = g ⊙ V, d/dV = g ⊙ U (product rule per element).
-            QrCombiner::Multiply => {
-                let (rem, quo) = (tables[0].row(r)?, tables[1].row(q)?);
-                let du: Vec<f32> = g.iter().zip(quo).map(|(&a, &b)| a * b).collect();
-                let dv: Vec<f32> = g.iter().zip(rem).map(|(&a, &b)| a * b).collect();
-                tables[0].add_grad(r, &du);
-                tables[1].add_grad(q, &dv);
-            }
-            QrCombiner::Concat => {
-                let (rem, quo) = g.split_at(g.len() / 2);
-                tables[0].add_grad(r, rem);
-                tables[1].add_grad(q, quo);
-            }
-        }
-        Ok(())
-    }
-
     fn method_name(&self) -> &'static str {
         match self.combiner {
             QrCombiner::Multiply => "qr_mult",
             QrCombiner::Concat => "qr_concat",
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

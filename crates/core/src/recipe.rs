@@ -9,14 +9,17 @@
 //! training ([`EmbeddingCompressor::row_into`]), the on-device model file
 //! (which carries the recipe in its header), the on-device engine and the
 //! serve store all run [`Recipe::row_into`] over their own table storage;
-//! nothing outside this module re-derives a combine. That includes what
-//! a combine costs and how it propagates error: [`Combine::flops`] and
-//! [`Combine::error_bound`] sit beside the executor, so a runtime that
-//! stores the tables inexactly certifies its rows without knowing which
-//! technique it is serving.
+//! nothing outside this module re-derives a combine. That includes its
+//! derivative, what it costs and how it propagates error:
+//! [`Recipe::backward`] (training's only backward), [`Combine::flops`]
+//! and [`Combine::error_bound`] sit beside the executor, so a technique
+//! trains without writing a gradient and a runtime that stores the tables
+//! inexactly certifies its rows without knowing which technique it is
+//! serving.
 //!
 //! [`EmbeddingCompressor::row_into`]: crate::EmbeddingCompressor::row_into
 
+use crate::compressor::ParamTable;
 use crate::hashing::RowMap;
 use crate::{CoreError, Result};
 
@@ -229,12 +232,91 @@ impl Recipe {
         }
         Ok(())
     }
+
+    /// The executor differentiated: adds to `tables` the gradient of
+    /// every row [`row_into`](Self::row_into) reads for `id`, given
+    /// `grad = ∂L/∂E(id)` (`dim` values). Like the executor it is plain
+    /// multiply-then-add in a fixed order, so the same gradients give the
+    /// same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Tensor`] for a row past its table, which a
+    /// recipe [`check`](Self::check)ed against `tables` never reads.
+    pub fn backward(&self, id: usize, grad: &[f32], tables: &mut [ParamTable]) -> Result<()> {
+        let row = |k: usize| self.maps[k].row(id);
+        match self.combine {
+            Combine::Row | Combine::OneHotMatmul => tables[0].add_grad(row(0), grad),
+            Combine::ScaleMul | Combine::ScaleAdd => {
+                let (r, s) = (row(0), row(1));
+                let v = tables[1].row(s)?[0];
+                // ∂/∂T0 = g·v; ∂/∂T1 = ⟨g, T0[r]⟩ (the broadcast sums over e).
+                let du: Vec<f32> = grad.iter().map(|&g| g * v).collect();
+                let dv: f32 = grad
+                    .iter()
+                    .zip(tables[0].row(r)?)
+                    .map(|(&g, &u)| g * u)
+                    .sum();
+                tables[0].add_grad(r, &du);
+                tables[1].add_grad(s, &[dv]);
+                if self.combine == Combine::ScaleAdd {
+                    tables[2].add_grad(row(2), &[grad.iter().sum()]);
+                }
+            }
+            Combine::Mul => {
+                // Product rule per element: each side gets g ⊙ the other.
+                let (a, b) = (row(0), row(1));
+                let times = |other: &[f32]| -> Vec<f32> {
+                    grad.iter().zip(other).map(|(&g, &x)| g * x).collect()
+                };
+                let da = times(tables[1].row(b)?);
+                let db = times(tables[0].row(a)?);
+                tables[0].add_grad(a, &da);
+                tables[1].add_grad(b, &db);
+            }
+            Combine::Concat => {
+                let width = grad.len() / self.maps.len();
+                for (k, part) in grad.chunks_exact(width).enumerate() {
+                    tables[k].add_grad(row(k), part);
+                }
+            }
+            Combine::Project { hidden } => {
+                let [codes, projection] = tables else {
+                    unreachable!("a checked projection recipe reads two tables");
+                };
+                let r = row(0);
+                // ∂/∂code[h] = ⟨g, B[h]⟩.
+                let mut dcode = vec![0f32; hidden];
+                for (h, d) in dcode.iter_mut().enumerate() {
+                    *d = grad
+                        .iter()
+                        .zip(projection.row(h)?)
+                        .map(|(&g, &b)| g * b)
+                        .sum();
+                }
+                // ∂/∂B[h] = code[h]·g, for the code values that are not zero.
+                let mut lift = vec![0f32; grad.len()];
+                for (h, &c) in codes.row(r)?.iter().enumerate() {
+                    if c == 0.0 {
+                        continue;
+                    }
+                    lift.iter_mut().zip(grad).for_each(|(x, &g)| *x = c * g);
+                    projection.add_grad(h, &lift);
+                }
+                codes.add_grad(r, &dcode);
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressor::{CompressorState, EmbeddingCompressor};
     use crate::hashing::splitmix64;
+    use memcom_nn::Sgd;
+    use memcom_tensor::Tensor;
     use proptest::prelude::*;
 
     /// Table `k`, row `r` holds `10·k + r + 0.5·c` in column `c`.
@@ -287,6 +369,129 @@ mod tests {
         assert_eq!(
             projected,
             [1.0 * 10.0 + 1.5 * 11.0, 1.0 * 10.5 + 1.5 * 11.5]
+        );
+    }
+
+    /// A compressor that is nothing but its state: a bare recipe to train.
+    struct Bare(CompressorState);
+
+    impl EmbeddingCompressor for Bare {
+        fn state(&self) -> &CompressorState {
+            &self.0
+        }
+        fn state_mut(&mut self) -> &mut CompressorState {
+            &mut self.0
+        }
+        fn method_name(&self) -> &'static str {
+            "bare"
+        }
+    }
+
+    /// What [`Recipe::backward`] adds for `id` given `grad` to tables of
+    /// `shapes` (9 ids) holding [`read`]'s values: per table, each row it
+    /// moves and by how much — its step under `Sgd::new(1.0)`, exact at
+    /// these magnitudes.
+    #[allow(clippy::type_complexity)]
+    fn gradient(
+        recipe: Recipe,
+        shapes: &[(usize, usize)],
+        id: usize,
+        grad: &[f32],
+    ) -> Vec<Vec<(usize, Vec<f32>)>> {
+        let dense = |k: usize| match recipe.combine {
+            Combine::OneHotMatmul => true,
+            Combine::Project { .. } => k == recipe.maps.len(),
+            _ => false,
+        };
+        let tables = shapes.iter().enumerate().map(|(k, &(rows, cols))| {
+            let mut values = vec![0f32; rows * cols];
+            for (r, row) in values.chunks_exact_mut(cols).enumerate() {
+                read(k, r, row).unwrap();
+            }
+            let tensor = Tensor::from_vec(values, &[rows, cols]).unwrap();
+            if dense(k) {
+                ParamTable::dense("t", tensor)
+            } else {
+                ParamTable::sparse("t", tensor)
+            }
+        });
+        let mut bare = Bare(CompressorState::new(
+            9,
+            grad.len(),
+            tables.collect(),
+            recipe,
+        ));
+        let before: Vec<Tensor> = bare.tables().iter().map(|t| t.tensor.clone()).collect();
+        bare.accumulate_row(id, grad).unwrap();
+        bare.apply_gradients(&mut Sgd::new(1.0)).unwrap();
+        let after = bare.tables();
+        let moved = |(before, after): (&Tensor, &Tensor)| {
+            (0..before.shape().dims()[0])
+                .filter_map(|r| {
+                    let (b, a) = (before.row(r).unwrap(), after.row(r).unwrap());
+                    let step: Vec<f32> = b.iter().zip(a).map(|(b, a)| b - a).collect();
+                    step.iter().any(|&x| x != 0.0).then_some((r, step))
+                })
+                .collect()
+        };
+        before
+            .iter()
+            .zip(after.iter().map(|t| t.tensor))
+            .map(moved)
+            .collect()
+    }
+
+    #[test]
+    fn backward_matches_the_closed_form_of_every_combine() {
+        let id = 7;
+        let (m, i, d) = (RowMap::Mod(3), RowMap::Identity, RowMap::Div(3)); // rows 1, 7, 2
+        let g = [1.0, 2.0];
+        let recipe = |maps: &[RowMap], combine| Recipe::new(maps, combine);
+        // The whole gradient lands on the row read (a dense kernel's too).
+        for combine in [Combine::Row, Combine::OneHotMatmul] {
+            let row = gradient(recipe(&[m], combine), &[(3, 2)], id, &g);
+            assert_eq!(row, [vec![(1, vec![1.0, 2.0])]], "{combine:?}");
+        }
+        // T0[1] gets g·v with v = T1[7] = 17; T1[7] gets ⟨g, T0[1]⟩ = 1 + 2·1.5.
+        let scaled = [vec![(1, vec![17.0, 34.0])], vec![(7, vec![4.0])]];
+        let shapes = [(3, 2), (9, 1), (9, 1)];
+        assert_eq!(
+            gradient(recipe(&[m, i], Combine::ScaleMul), &shapes[..2], id, &g),
+            scaled
+        );
+        // … and T2[7] gets Σ g.
+        let biased = gradient(recipe(&[m, i, i], Combine::ScaleAdd), &shapes, id, &g);
+        assert_eq!(biased[..2], scaled);
+        assert_eq!(biased[2], [(7, vec![3.0])]);
+        // Each factor gets g ⊙ the other: T1[2] = [12, 12.5], T0[1] = [1, 1.5].
+        assert_eq!(
+            gradient(recipe(&[m, d], Combine::Mul), &[(3, 2), (3, 2)], id, &g),
+            [vec![(1, vec![12.0, 25.0])], vec![(2, vec![1.0, 3.0])]]
+        );
+        // One slice of g per table.
+        let shapes = [(3, 1), (3, 1), (9, 1)];
+        assert_eq!(
+            gradient(
+                recipe(&[m, d, i], Combine::Concat),
+                &shapes,
+                id,
+                &[1.0, 2.0, 3.0]
+            ),
+            [
+                vec![(1, vec![1.0])],
+                vec![(2, vec![2.0])],
+                vec![(7, vec![3.0])]
+            ]
+        );
+        // Code T0[1] = [1, 1.5] gets ⟨g, T1[h]⟩ over T1 = [[10, 10.5], [11, 11.5]];
+        // projection row h gets code[h]·g.
+        let low_rank = recipe(&[m], Combine::Project { hidden: 2 });
+        assert_eq!(
+            gradient(low_rank, &[(3, 2), (2, 2)], id, &g),
+            [
+                vec![(1, vec![31.0, 34.0])],
+                vec![(0, vec![1.0, 2.0]), (1, vec![1.5, 3.0])]
+            ]
         );
     }
 

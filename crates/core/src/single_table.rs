@@ -205,18 +205,8 @@ impl<K: 'static> EmbeddingCompressor for SingleTable<K> {
         &mut self.state
     }
 
-    fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<()> {
-        let row = self.row_for(id);
-        self.state.tables[0].add_grad(row, grad);
-        Ok(())
-    }
-
     fn method_name(&self) -> &'static str {
         self.method
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -3,11 +3,13 @@
 //! The paper validates MEmCom's unique-embedding claim empirically: on a
 //! trained Arcade model at 40x compression, more than 99.98% of multiplier
 //! pairs sharing a `U` row differ by more than `1e-5`. This module
-//! reproduces that audit for any trained [`MemCom`] layer.
+//! reproduces that audit for any trained layer whose recipe scales a
+//! shared row by a per-entity multiplier ([`MemCom`](crate::MemCom)).
 
 use std::collections::HashMap;
 
-use crate::memcom::MemCom;
+use crate::recipe::Combine;
+use crate::{CoreError, EmbeddingCompressor, Result};
 
 /// Result of auditing one trained MEmCom layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,20 +48,44 @@ impl std::fmt::Display for UniquenessReport {
 
 /// Audits multiplier uniqueness over every pair of entities sharing a
 /// hash bucket, using the paper's `1e-5` threshold.
-pub fn audit(layer: &MemCom) -> UniquenessReport {
+///
+/// # Errors
+///
+/// As [`audit_with_threshold`].
+pub fn audit(layer: &dyn EmbeddingCompressor) -> Result<UniquenessReport> {
     audit_with_threshold(layer, 1e-5)
 }
 
-/// Audits with a custom threshold.
+/// Audits with a custom threshold. The bucket of an id is the row its
+/// recipe reads from table 0, its multiplier the value it reads from
+/// table 1.
 ///
 /// Buckets with `k` members contribute `k·(k−1)/2` pairs. For very large
 /// vocabularies this is the dominant cost (the paper's Arcade audit is
 /// ~300K ids in 7.5K buckets ⇒ ~6M pairs — fine in a release build).
-pub fn audit_with_threshold(layer: &MemCom, threshold: f32) -> UniquenessReport {
-    let mults = layer.multiplier_table().as_slice();
+///
+/// # Errors
+///
+/// Returns [`CoreError::BadConfig`] unless the recipe is
+/// [`Combine::ScaleMul`] or [`Combine::ScaleAdd`] — without a multiplier
+/// there is nothing to audit.
+pub fn audit_with_threshold(
+    layer: &dyn EmbeddingCompressor,
+    threshold: f32,
+) -> Result<UniquenessReport> {
+    let state = layer.state();
+    let recipe = state.recipe();
+    if !matches!(recipe.combine, Combine::ScaleMul | Combine::ScaleAdd) {
+        return Err(CoreError::BadConfig {
+            context: format!("{recipe:?} has no per-entity multiplier to audit"),
+        });
+    }
+    let (bucket, multiplier) = (&recipe.maps[0], &recipe.maps[1]);
+    let mults = state.tables[1].tensor().as_slice();
     let mut buckets: HashMap<usize, Vec<f32>> = HashMap::new();
-    for (id, &mult) in mults.iter().enumerate().take(layer.config().vocab) {
-        buckets.entry(layer.bucket(id)).or_default().push(mult);
+    for id in 0..layer.vocab_size() {
+        let mult = mults[multiplier.row(id)];
+        buckets.entry(bucket.row(id)).or_default().push(mult);
     }
     let mut shared_pairs = 0usize;
     let mut distinct_pairs = 0usize;
@@ -73,18 +99,17 @@ pub fn audit_with_threshold(layer: &MemCom, threshold: f32) -> UniquenessReport 
             }
         }
     }
-    UniquenessReport {
+    Ok(UniquenessReport {
         shared_pairs,
         distinct_pairs,
         threshold,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memcom::MemComConfig;
-    use crate::EmbeddingCompressor;
+    use crate::{MemCom, MemComConfig, NaiveHashEmbedding};
     use memcom_nn::Sgd;
     use memcom_tensor::Tensor;
     use rand::rngs::StdRng;
@@ -94,10 +119,20 @@ mod tests {
     fn jittered_init_is_already_mostly_unique() {
         let mut rng = StdRng::seed_from_u64(0);
         let layer = MemCom::new(MemComConfig::new(1000, 8, 100), &mut rng).unwrap();
-        let report = audit(&layer);
+        let report = audit(&layer).unwrap();
         // 1000 ids in 100 buckets → 100 · C(10,2) = 4500 pairs.
         assert_eq!(report.shared_pairs, 4500);
         assert!(report.distinct_fraction() > 0.99, "{report}");
+        // The bias variant reads the same bucket and multiplier.
+        let biased = MemCom::new(MemComConfig::with_bias(1000, 8, 100), &mut rng).unwrap();
+        assert_eq!(audit(&biased).unwrap().shared_pairs, 4500);
+    }
+
+    #[test]
+    fn a_recipe_without_a_multiplier_is_refused() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let naive = NaiveHashEmbedding::new(100, 4, 10, &mut rng).unwrap();
+        assert!(matches!(audit(&naive), Err(CoreError::BadConfig { .. })));
     }
 
     #[test]
@@ -108,7 +143,7 @@ mod tests {
             ..MemComConfig::new(100, 4, 10)
         };
         let layer = MemCom::new(cfg, &mut rng).unwrap();
-        let report = audit(&layer);
+        let report = audit(&layer).unwrap();
         assert_eq!(report.distinct_pairs, 0);
         assert_eq!(report.distinct_fraction(), 0.0);
     }
@@ -133,7 +168,7 @@ mod tests {
             layer.backward(&grad).unwrap();
             layer.apply_gradients(&mut opt).unwrap();
         }
-        let report = audit(&layer);
+        let report = audit(&layer).unwrap();
         assert!(
             report.distinct_fraction() > 0.95,
             "training failed to separate multipliers: {report}"

@@ -1,8 +1,12 @@
 //! Geometric latency histogram.
 //!
-//! Fixed memory, O(1) record, mergeable across load-generator threads,
-//! and quantile queries with bucket-interpolation — the usual
-//! serving-benchmark shape (cf. HdrHistogram), kept dependency-free.
+//! Fixed memory, O(1) record, mergeable across load-generator threads —
+//! the usual serving-benchmark shape (cf. HdrHistogram), kept
+//! dependency-free. Quantiles do **not** interpolate: a quantile reports
+//! the upper edge of the bucket its rank lands in (clamped to the
+//! observed min/max), so on the 1.09× grid it reads up to 9 % above the
+//! true value, and distinct latencies in one bucket report the same
+//! number.
 
 use std::sync::LazyLock;
 
@@ -112,15 +116,16 @@ impl LatencyHistogram {
         }
     }
 
-    /// The `q`-quantile (e.g. `0.99`) in nanoseconds, clamped to the
-    /// observed min/max so bucket granularity never reports a latency
-    /// outside the actual range. Returns `0` when empty.
+    /// The `q`-quantile (e.g. `0.99`) in nanoseconds: the upper edge of
+    /// the bucket holding rank `⌈q·count⌉`, clamped to the observed
+    /// min/max so bucket granularity never reports a latency outside the
+    /// actual range. Returns `0` when empty.
     ///
     /// A rank that lands in the **saturated top bucket** reports
     /// `max_nanos()` exactly: that bucket is open-above (observations
     /// past ~25 min all collapse into it), so its nominal upper bound
-    /// can sit *below* an observed maximum and interpolating against it
-    /// would under-report the tail.
+    /// can sit *below* an observed maximum and would under-report the
+    /// tail.
     ///
     /// # Panics
     ///
@@ -238,6 +243,22 @@ mod tests {
                 "quantile {q}: got {got}, exact {exact}"
             );
         }
+    }
+
+    #[test]
+    fn distinct_observations_in_one_bucket_report_the_same_edge() {
+        // 120 000 and 127 000 ns share bucket 91, (116 776, 127 286]: with
+        // no interpolation both medians read its upper edge — the value
+        // two unrelated stages can report as one p50.
+        assert_eq!(BUCKET_EDGES[91], 127_286);
+        let p50 = |nanos: u64| {
+            let mut h = LatencyHistogram::new();
+            h.record(nanos);
+            h.record(1_000_000); // keeps the max clamp above the edge
+            h.p50()
+        };
+        assert_eq!(p50(120_000), 127_286);
+        assert_eq!(p50(127_000), 127_286);
     }
 
     #[test]

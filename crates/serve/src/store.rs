@@ -1467,14 +1467,8 @@ mod tests {
         fn state_mut(&mut self) -> &mut CompressorState {
             &mut self.0
         }
-        fn accumulate_row(&mut self, _: usize, _: &[f32]) -> memcom_core::Result<()> {
-            unreachable!("the store never trains")
-        }
         fn method_name(&self) -> &'static str {
             "triple_hash"
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
         }
     }
 

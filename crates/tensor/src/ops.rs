@@ -62,7 +62,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
                 for kk in k0..k1 {
                     let aik = av[i * k + kk];
                     if aik == 0.0 {
-                        continue; // one-hot / padded inputs are mostly zero
+                        continue; // ReLU / padded inputs are often zero
                     }
                     let b_row = &bv[kk * n..(kk + 1) * n];
                     for (o, &bj) in out_row.iter_mut().zip(b_row) {
@@ -164,19 +164,6 @@ pub fn log_softmax_rows(logits: &Tensor) -> Result<Tensor> {
         }
     }
     Tensor::from_vec(out, &[rows, cols])
-}
-
-/// One-hot encodes integer ids into a `[ids.len(), depth]` matrix. Ids `>=
-/// depth` map to the all-zero row, mirroring how a hashed-mod front end
-/// clamps its range. This is the Weinberger-style front end of Table 3.
-pub fn one_hot(ids: &[usize], depth: usize) -> Tensor {
-    let mut data = vec![0f32; ids.len() * depth];
-    for (row, &id) in ids.iter().enumerate() {
-        if id < depth {
-            data[row * depth + id] = 1.0;
-        }
-    }
-    Tensor::from_vec(data, &[ids.len(), depth]).expect("constructed shape always matches")
 }
 
 impl Tensor {
@@ -316,15 +303,6 @@ mod tests {
         assert!(p.as_slice().iter().all(|v| v.is_finite()));
         // Uniform logits → uniform distribution.
         assert!((p.at(&[1, 0]).unwrap() - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn one_hot_encodes_and_clamps() {
-        let oh = one_hot(&[0, 2, 5], 3);
-        assert_eq!(oh.shape().dims(), &[3, 3]);
-        assert_eq!(oh.row(0).unwrap(), &[1., 0., 0.]);
-        assert_eq!(oh.row(1).unwrap(), &[0., 0., 1.]);
-        assert_eq!(oh.row(2).unwrap(), &[0., 0., 0.]); // out-of-range → zeros
     }
 
     proptest! {

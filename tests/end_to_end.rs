@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full train → compress → evaluate →
 //! deploy pipeline, exercising every subsystem together.
 
-use memcom::core::{MemCom, MethodSpec};
+use memcom::core::MethodSpec;
 use memcom::data::DatasetSpec;
 use memcom::models::trainer::{train, TrainConfig};
 use memcom::models::{ModelConfig, ModelKind, RecModel};
@@ -371,12 +371,7 @@ fn uniqueness_audit_passes_on_trained_integration_model() {
         },
     )
     .expect("training succeeds");
-    let memcom = model
-        .embedding()
-        .as_any()
-        .downcast_ref::<MemCom>()
-        .expect("memcom embedding");
-    let report = memcom::core::uniqueness::audit(memcom);
+    let report = memcom::core::uniqueness::audit(model.embedding()).expect("memcom embedding");
     assert!(
         report.distinct_fraction() > 0.99,
         "trained multipliers should be distinct: {report}"

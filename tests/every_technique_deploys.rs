@@ -5,9 +5,7 @@
 
 use memcom::core::hashing::RowMap;
 use memcom::core::recipe::{Combine, Recipe};
-use memcom::core::{
-    CompressorState, CoreError, EmbeddingCompressor, MethodSpec, ParamTable, QrCombiner,
-};
+use memcom::core::{CompressorState, EmbeddingCompressor, MethodSpec, ParamTable, QrCombiner};
 use memcom::data::DatasetSpec;
 use memcom::models::trainer::{train, TrainConfig};
 use memcom::models::{ModelConfig, ModelKind, RecModel};
@@ -113,7 +111,7 @@ fn all_eleven_method_specs_serialize_and_run_on_device() {
 /// A compositional-code embedding (the shape of *Efficient On-Device
 /// Session-Based Recommendation*'s codebooks): three `m × e/3` tables,
 /// three independent seeded hashes, concatenation. All of it is the
-/// tables, the recipe and the per-row backward.
+/// tables and the recipe — no backward of its own.
 struct TripleHash {
     state: CompressorState,
 }
@@ -140,21 +138,8 @@ impl EmbeddingCompressor for TripleHash {
         &mut self.state
     }
 
-    fn accumulate_row(&mut self, id: usize, grad: &[f32]) -> Result<(), CoreError> {
-        let width = grad.len() / 3;
-        for (k, part) in grad.chunks_exact(width).enumerate() {
-            let row = self.state.recipe().maps[k].row(id);
-            self.state.tables[k].add_grad(row, part);
-        }
-        Ok(())
-    }
-
     fn method_name(&self) -> &'static str {
         "triple_hash"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -165,14 +150,29 @@ fn a_technique_defined_outside_core_deploys_everywhere() {
     let mut emb = TripleHash::new(vocab, dim, m, &mut rng);
     assert_eq!(emb.param_count(), 3 * m * (dim / 3));
 
-    // Trains: one SGD step moves exactly the rows the ids read.
+    // Trains with no backward of its own: under an all-ones gradient one
+    // SGD step moves every row of every table by exactly −0.1 × the
+    // number of batch ids that read it (and no other row at all).
     let ids: Vec<usize> = (0..len).map(|i| (i * 61 + 7) % vocab).collect();
-    let before = emb.lookup(&ids).unwrap();
+    let before: Vec<Tensor> = emb.tables().iter().map(|t| t.tensor.clone()).collect();
     emb.forward(&ids).unwrap();
     emb.backward(&Tensor::ones(&[len, dim])).unwrap();
     emb.apply_gradients(&mut Sgd::new(0.1)).unwrap();
+    let maps = &emb.state().recipe().maps;
+    for (k, (before, after)) in before.iter().zip(emb.tables()).enumerate() {
+        for r in 0..m {
+            let reads = ids.iter().filter(|&&id| maps[k].row(id) == r).count();
+            let want: Vec<f32> = (before.row(r).unwrap().iter())
+                .map(|&x| x - 0.1 * reads as f32)
+                .collect();
+            assert_eq!(
+                bits(after.tensor.row(r).unwrap()),
+                bits(&want),
+                "table {k} row {r}, read {reads} times"
+            );
+        }
+    }
     let after = emb.lookup(&ids).unwrap();
-    assert!(max_abs_diff(before.as_slice(), after.as_slice()) > 0.05);
 
     // Serializes and runs on-device: pool → dense over its own rows.
     let mut head = Sequential::new();
