@@ -204,7 +204,6 @@ fn overload_sheds_cross_the_wire_with_backoff_hints() {
     let serve = ServeConfig {
         n_shards: 1,
         max_batch: 2,
-        max_wait: Duration::from_micros(200),
         queue_depth: 2,
         store_latency: Duration::from_millis(4),
         admission: AdmissionPolicy::Shed {
@@ -269,7 +268,6 @@ fn closed_loop_latency_excludes_backoff_sleeps() {
         ServeConfig {
             n_shards: 1,
             max_batch: 1,
-            max_wait: Duration::from_micros(10),
             queue_depth: 1,
             store_latency: Duration::from_millis(20),
             admission: AdmissionPolicy::Shed {

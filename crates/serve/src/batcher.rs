@@ -1,10 +1,12 @@
 //! Micro-batching request queues and response cells.
 //!
-//! Each shard owns one bounded queue and one worker. The worker blocks
-//! for the first request, then holds the batch open until either
-//! `max_batch` requests have coalesced or `max_wait` has elapsed since
-//! the batch opened — the classic throughput/latency micro-batching
-//! trade-off, made observable through [`FlushReason`] counters.
+//! Each shard owns one bounded queue and one worker. The worker is
+//! work-conserving: it blocks for the first request, then takes up to
+//! `max_batch` of whatever is already queued and serves at once — it
+//! never holds a batch open waiting for company. Batches form under
+//! load, from the backlog that queues while the worker serves the
+//! previous batch; [`FlushReason`] counters record which bound closed
+//! each one.
 //!
 //! One response cell answers every request the router enqueues (see
 //! [`crate::router`]): a [`SlabSlot`] round-trips the caller's id/output
@@ -48,8 +50,8 @@ impl<T> PushError<T> {
 pub enum FlushReason {
     /// The batch reached `max_batch` requests.
     Full,
-    /// `max_wait` elapsed before the batch filled.
-    Timeout,
+    /// The batch took every queued request.
+    Emptied,
     /// The server is shutting down; remaining requests are drained.
     Drain,
 }
@@ -243,51 +245,20 @@ impl<T> ShardQueue<T> {
     /// Pops the next micro-batch into the caller's reusable buffer
     /// (cleared first — the worker loop's zero-allocation steady state,
     /// certified by `tests/alloc_count.rs`): blocks for the first
-    /// request, then coalesces up to `max_batch` requests over at most
-    /// `max_wait`. Returns why the batch closed and how long it was held
-    /// open (batch-open → flush, the assembly latency half of the
-    /// micro-batching trade-off — free, since phase 2 reads the clock
-    /// for its deadline anyway), or `None` when the queue is closed
-    /// *and* fully drained — the worker's exit signal.
+    /// request, then takes up to `max_batch` of whatever is queued and
+    /// returns at once, reading no clock. Returns why the batch closed,
+    /// or `None` when the queue is closed *and* fully drained — the
+    /// worker's exit signal.
     // memcom-lint: hot-path
-    pub fn pop_batch_into_timed(
-        &self,
-        batch: &mut Vec<T>,
-        max_batch: usize,
-        max_wait: Duration,
-    ) -> Option<(FlushReason, Duration)> {
+    pub fn pop_batch_into(&self, batch: &mut Vec<T>, max_batch: usize) -> Option<FlushReason> {
         batch.clear();
         let mut state = self.state.lock();
-        // Phase 1: wait for the batch-opening request.
-        loop {
-            if !state.queue.is_empty() {
-                break;
-            }
+        while state.queue.is_empty() {
             if state.closed {
                 return None;
             }
             self.ready.wait(&mut state);
         }
-        // Phase 2: hold the batch open until full, timed out, or closed.
-        // A `max_wait` too large to represent as a point in time holds
-        // the batch open until it fills or the queue closes.
-        // memcom-lint: allow(L002) -- the batch window is defined in wall-clock time; one anchor read per flush, and it doubles as the assembly-latency start
-        let opened = Instant::now();
-        let deadline = opened.checked_add(max_wait);
-        while state.queue.len() < max_batch && !state.closed {
-            match deadline {
-                Some(deadline) => {
-                    // memcom-lint: allow(L002) -- re-read only while the batch is deliberately held open waiting for more requests
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    self.ready.wait_for(&mut state, deadline - now);
-                }
-                None => self.ready.wait(&mut state),
-            }
-        }
-        let assembly = opened.elapsed();
         let take = state.queue.len().min(max_batch);
         batch.extend(state.queue.drain(..take));
         let reason = if batch.len() == max_batch {
@@ -295,11 +266,11 @@ impl<T> ShardQueue<T> {
         } else if state.closed {
             FlushReason::Drain
         } else {
-            FlushReason::Timeout
+            FlushReason::Emptied
         };
         drop(state);
         self.space.notify_all();
-        Some((reason, assembly))
+        Some(reason)
     }
     // memcom-lint: end-hot-path
 
@@ -323,43 +294,40 @@ mod tests {
     use std::sync::Arc;
 
     /// The one pop, into a fresh buffer.
-    fn pop<T>(
-        q: &ShardQueue<T>,
-        max_batch: usize,
-        wait: Duration,
-    ) -> Option<(Vec<T>, FlushReason)> {
+    fn pop<T>(q: &ShardQueue<T>, max_batch: usize) -> Option<(Vec<T>, FlushReason)> {
         let mut batch = Vec::new();
-        let (reason, _) = q.pop_batch_into_timed(&mut batch, max_batch, wait)?;
+        let reason = q.pop_batch_into(&mut batch, max_batch)?;
         Some((batch, reason))
     }
 
     #[test]
-    fn batch_flushes_when_full() {
+    fn a_backlog_splits_into_a_full_batch_then_the_rest() {
         let q = ShardQueue::new(16);
         for id in 0..5usize {
             q.push(id, None).unwrap();
         }
-        let (batch, reason) = pop(&q, 4, Duration::from_secs(10)).unwrap();
-        assert_eq!(batch.len(), 4, "full batch without waiting out the clock");
+        let t0 = Instant::now();
+        let (batch, reason) = pop(&q, 4).unwrap();
+        assert_eq!(batch, vec![0, 1, 2, 3]);
         assert_eq!(reason, FlushReason::Full);
-        assert_eq!(q.depth(), 1);
-        let (rest, reason) = pop(&q, 4, Duration::from_millis(1)).unwrap();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(reason, FlushReason::Timeout);
+        let (rest, reason) = pop(&q, 4).unwrap();
+        assert_eq!(rest, vec![4]);
+        assert_eq!(reason, FlushReason::Emptied);
+        assert_eq!(q.depth(), 0);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "no pop waited: {took:?}");
     }
 
     #[test]
-    fn batch_flushes_on_timeout() {
+    fn a_lone_request_is_served_at_once() {
         let q = ShardQueue::new(16);
         q.push(7usize, None).unwrap();
         let t0 = Instant::now();
-        let (batch, reason) = pop(&q, 64, Duration::from_millis(30)).unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(reason, FlushReason::Timeout);
-        assert!(
-            t0.elapsed() >= Duration::from_millis(25),
-            "waited out max_wait"
-        );
+        let (batch, reason) = pop(&q, 64).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(batch, vec![7]);
+        assert_eq!(reason, FlushReason::Emptied);
+        assert!(took < Duration::from_secs(1), "held the batch {took:?}");
     }
 
     #[test]
@@ -369,13 +337,10 @@ mod tests {
         q.push(2, None).unwrap();
         q.close();
         assert!(matches!(q.push(3, None), Err(PushError::Closed(3))));
-        let (batch, reason) = pop(&q, 64, Duration::from_secs(10)).unwrap();
+        let (batch, reason) = pop(&q, 64).unwrap();
         assert_eq!(batch.len(), 2, "queued work survives close");
         assert_eq!(reason, FlushReason::Drain);
-        assert!(
-            pop(&q, 64, Duration::from_secs(10)).is_none(),
-            "then the worker exits"
-        );
+        assert!(pop(&q, 64).is_none(), "then the worker exits");
     }
 
     #[test]
@@ -390,7 +355,7 @@ mod tests {
         }
         assert_eq!(q.depth(), 2);
         // Space frees up -> accepted again.
-        let (batch, _) = pop(&q, 1, Duration::from_millis(1)).unwrap();
+        let (batch, _) = pop(&q, 1).unwrap();
         assert_eq!(batch, vec![1]);
         q.push(3, Some(Duration::ZERO)).unwrap();
         q.close();
@@ -422,7 +387,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            pop(&q2, 1, Duration::from_millis(1))
+            pop(&q2, 1)
         });
         q.push(9, Some(Duration::from_secs(5))).unwrap();
         consumer.join().unwrap().unwrap();
@@ -443,27 +408,14 @@ mod tests {
         let q1 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            pop(&q1, 1, Duration::from_millis(1))
+            pop(&q1, 1)
         });
         // Full queue, so the budget is turned into a deadline here.
         q.push(1, Some(Duration::MAX)).unwrap();
         let (first, _) = consumer.join().unwrap().unwrap();
         assert_eq!(first, vec![0]);
-        let (batch, _) = pop(&q, 4, Duration::from_millis(1)).unwrap();
+        let (batch, _) = pop(&q, 4).unwrap();
         assert_eq!(batch, vec![1]);
-        // Phase-2 hold with an unrepresentable max_wait still flushes
-        // when the batch fills.
-        let q2 = Arc::new(ShardQueue::new(4));
-        let q3 = Arc::clone(&q2);
-        let producer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            q3.push(8usize, None).unwrap();
-            q3.push(9, None).unwrap();
-        });
-        let (batch, reason) = pop(&q2, 2, Duration::MAX).unwrap();
-        producer.join().unwrap();
-        assert_eq!(batch, vec![8, 9]);
-        assert_eq!(reason, FlushReason::Full);
     }
 
     #[test]
@@ -473,45 +425,17 @@ mod tests {
         for id in 0..6usize {
             q.push(id, None).unwrap();
         }
-        let (reason, _) = q
-            .pop_batch_into_timed(&mut batch, 4, Duration::from_secs(1))
-            .unwrap();
+        let reason = q.pop_batch_into(&mut batch, 4).unwrap();
         assert_eq!(batch, vec![0, 1, 2, 3]);
         assert_eq!(reason, FlushReason::Full);
         let capacity = batch.capacity();
         // Stale contents are cleared; capacity is reused, not reallocated.
-        let (reason, _) = q
-            .pop_batch_into_timed(&mut batch, 4, Duration::from_millis(1))
-            .unwrap();
+        let reason = q.pop_batch_into(&mut batch, 4).unwrap();
         assert_eq!(batch, vec![4, 5]);
-        assert_eq!(reason, FlushReason::Timeout);
+        assert_eq!(reason, FlushReason::Emptied);
         assert_eq!(batch.capacity(), capacity);
         q.close();
-        assert!(q
-            .pop_batch_into_timed(&mut batch, 4, Duration::from_secs(1))
-            .is_none());
-    }
-
-    #[test]
-    fn timed_pop_reports_assembly_hold() {
-        let q = ShardQueue::new(16);
-        let mut batch: Vec<usize> = Vec::new();
-        // A full batch flushes without waiting out the clock.
-        for id in 0..4usize {
-            q.push(id, None).unwrap();
-        }
-        let (reason, held) = q
-            .pop_batch_into_timed(&mut batch, 4, Duration::from_secs(10))
-            .unwrap();
-        assert_eq!(reason, FlushReason::Full);
-        assert!(held < Duration::from_secs(1), "held {held:?}");
-        // A timeout flush reports roughly the configured hold.
-        q.push(9, None).unwrap();
-        let (reason, held) = q
-            .pop_batch_into_timed(&mut batch, 4, Duration::from_millis(30))
-            .unwrap();
-        assert_eq!(reason, FlushReason::Timeout);
-        assert!(held >= Duration::from_millis(25), "held {held:?}");
+        assert!(q.pop_batch_into(&mut batch, 4).is_none());
     }
 
     #[test]
@@ -523,7 +447,7 @@ mod tests {
             q2.push(9usize, None).unwrap();
         });
         // Worker parked on an empty queue gets woken by the push.
-        let (batch, _) = pop(&q, 1, Duration::from_secs(5)).unwrap();
+        let (batch, _) = pop(&q, 1).unwrap();
         assert_eq!(batch[0], 9);
         producer.join().unwrap();
     }

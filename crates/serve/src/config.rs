@@ -143,25 +143,28 @@ impl TelemetryConfig {
 /// Tuning knobs for [`crate::Router`].
 ///
 /// Defaults are sized for the workloads in this repository's examples:
-/// 4 shards, micro-batches of up to 32 coalesced over at most
-/// 200 µs, a 4 096-deep bounded queue per shard, blocking admission,
-/// and no simulated store latency. The storage dtype is not a
-/// server-wide knob: [`crate::Router::register`] stores fp32 and
+/// 4 shards, micro-batches of up to 32 of whatever is queued when a
+/// worker pops (it never waits for a batch to fill), a 4 096-deep
+/// bounded queue per shard, blocking admission, and no simulated store
+/// latency. The storage dtype is not a server-wide knob:
+/// [`crate::Router::register`] stores fp32 and
 /// [`crate::Router::register_with_dtype`] names the dtype per model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of shards (one worker thread and one queue per shard).
     pub n_shards: usize,
-    /// Largest batch a worker coalesces before hitting the store.
+    /// Most queued requests a worker takes into one batch.
     pub max_batch: usize,
-    /// Longest a worker waits for a batch to fill before flushing early.
+    /// Read by nothing: a worker serves whatever is queued and never
+    /// holds a batch open. A vestige kept because frozen `crates/perf`
+    /// names the field (ROADMAP item 1(e) removes it with its reader).
     pub max_wait: Duration,
     /// Bounded depth of each shard's request queue (producers block when
     /// full — natural backpressure under overload).
     pub queue_depth: usize,
     /// Read by nothing: the store has no cache. A vestige kept because
-    /// frozen `crates/perf` names the field (ROADMAP item 8 removes it
-    /// with its reader).
+    /// frozen `crates/perf` names the field (ROADMAP item 1(e) removes
+    /// it with its reader).
     pub cache_capacity: usize,
     /// Page size of each shard's [`memcom_ondevice::PagedTable`]s (the
     /// lazily-resident pages the on-device engine also runs on).
@@ -243,12 +246,11 @@ impl ServeConfig {
     /// (plus the batch in flight) expressed in batch service times.
     /// Queue depth and `max_batch` are both in request units, so the
     /// ratio is well-defined regardless of how many ids each request
-    /// carries. Without a simulated store latency the only known
-    /// service timescale is the batching window, so `max_wait` is the
-    /// floor.
+    /// carries. Without a simulated store latency the router knows no
+    /// service time, so it gives no hint: `Duration::ZERO`.
     pub fn suggested_backoff(&self, queued_requests: usize) -> Duration {
         if self.store_latency.is_zero() {
-            return self.max_wait;
+            return Duration::ZERO;
         }
         let batches_ahead = queued_requests.div_ceil(self.max_batch) + 1;
         self.store_latency
@@ -346,10 +348,10 @@ mod tests {
         assert_eq!(config.suggested_backoff(8), Duration::from_millis(4));
         assert_eq!(config.suggested_backoff(17), Duration::from_millis(8));
         // Without a simulated store read there is no calibrated
-        // capacity; the batching window is the only known timescale.
+        // capacity and no known service time, so no hint.
         let uncalibrated = ServeConfig::default();
         assert_eq!(uncalibrated.shard_capacity_rows_per_sec(), None);
-        assert_eq!(uncalibrated.suggested_backoff(4_096), uncalibrated.max_wait);
+        assert_eq!(uncalibrated.suggested_backoff(4_096), Duration::ZERO);
     }
 
     #[test]

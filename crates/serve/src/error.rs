@@ -45,8 +45,8 @@ pub enum ServeError {
         /// Suggested backoff before retrying
         /// ([`crate::ServeConfig::suggested_backoff`]). Without a
         /// simulated `store_latency` — every configuration but the
-        /// overload tests' — there is no calibrated capacity and the
-        /// hint is always `max_wait`. With one it is the rejecting
+        /// overload tests' — the router knows no service time and the
+        /// hint is `Duration::ZERO`. With one it is the rejecting
         /// shard's queue depth divided by that capacity
         /// (`max_batch / store_latency`): roughly how long the backlog
         /// ahead of a retry needs to drain. Cooperating

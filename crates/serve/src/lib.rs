@@ -23,8 +23,9 @@
 //!   pages, and [`Router::apply_delta`] flips it in atomically under
 //!   traffic.
 //! * [`batcher`] — **queueing**: bounded per-shard [`batcher::ShardQueue`]s
-//!   coalesce concurrent requests into micro-batches (flushing on
-//!   `max_batch`/`max_wait`), answered through [`batcher::SlabSlot`]
+//!   coalesce concurrent requests into micro-batches (a worker takes up
+//!   to `max_batch` of whatever is queued and never waits for more),
+//!   answered through [`batcher::SlabSlot`]
 //!   (round-tripped request buffers). Overload behavior is an
 //!   [`AdmissionPolicy`]: block
 //!   producers on full queues (backpressure), or shed with bounded

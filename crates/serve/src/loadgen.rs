@@ -526,7 +526,6 @@ mod tests {
         let config = ServeConfig {
             n_shards: 4,
             max_batch: 16,
-            max_wait: Duration::from_micros(100),
             ..ServeConfig::default()
         };
         let router = Router::start(config).unwrap();
@@ -625,7 +624,6 @@ mod tests {
         let router = Router::start(ServeConfig {
             n_shards: 2,
             max_batch: 16,
-            max_wait: Duration::from_micros(100),
             ..ServeConfig::default()
         })
         .unwrap();
@@ -723,7 +721,6 @@ mod tests {
         let router = Router::start(ServeConfig {
             n_shards: 1,
             max_batch: 1,
-            max_wait: Duration::from_micros(10),
             queue_depth: 1,
             store_latency: Duration::from_millis(50),
             admission: AdmissionPolicy::Shed {

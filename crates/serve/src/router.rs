@@ -187,10 +187,10 @@ impl Admission {
 /// Router-global batching counters.
 #[derive(Debug, Default)]
 struct BatchCounters {
-    requests: AtomicU64,
+    rows: AtomicU64,
     batches: AtomicU64,
     flushes_full: AtomicU64,
-    flushes_timeout: AtomicU64,
+    flushes_emptied: AtomicU64,
     flushes_drain: AtomicU64,
     max_batch_observed: AtomicU64,
 }
@@ -198,10 +198,11 @@ struct BatchCounters {
 /// Aggregated serving statistics for one model (see [`Router::stats`]).
 ///
 /// `issued`, `requests`, `shed`, and `expired` count rows for *this*
-/// model; the batching counters (`batches`, `flushes_*`,
-/// `max_batch_observed`) are router-wide since shard workers batch
-/// across models; `run_stats` describes the model's *current* store
-/// snapshot (it restarts from zero after a [`Router::swap`]).
+/// model; the batching counters (`batched_rows`, `batches`,
+/// `flushes_*`, `max_batch_observed`) are router-wide since shard
+/// workers batch across models; `run_stats` describes the model's
+/// *current* store snapshot (it restarts from zero after a
+/// [`Router::swap`]).
 ///
 /// # Consistency
 ///
@@ -239,12 +240,15 @@ pub struct ServeStats {
     /// them up, so it answered [`ServeError::DeadlineExceeded`] without
     /// reading the store.
     pub expired: u64,
+    /// Rows in batches executed across the router, every model's and
+    /// expired rows included.
+    pub batched_rows: u64,
     /// Batches executed across the router.
     pub batches: u64,
-    /// Batches flushed because they reached `max_batch`.
+    /// Batches that reached `max_batch` requests.
     pub flushes_full: u64,
-    /// Batches flushed because `max_wait` elapsed.
-    pub flushes_timeout: u64,
+    /// Batches that took every queued request.
+    pub flushes_emptied: u64,
     /// Batches flushed while draining at shutdown.
     pub flushes_drain: u64,
     /// Largest batch observed, in rows.
@@ -255,12 +259,12 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Mean rows per batch (`0` before any traffic).
+    /// Mean rows per batch across the router (`0` before any traffic).
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
         } else {
-            self.requests as f64 / self.batches as f64
+            self.batched_rows as f64 / self.batches as f64
         }
     }
 }
@@ -359,9 +363,10 @@ impl RouterInner {
             requests,
             shed,
             expired,
+            batched_rows: b.rows.load(Ordering::Relaxed),
             batches: b.batches.load(Ordering::Relaxed),
             flushes_full: b.flushes_full.load(Ordering::Relaxed),
-            flushes_timeout: b.flushes_timeout.load(Ordering::Relaxed),
+            flushes_emptied: b.flushes_emptied.load(Ordering::Relaxed),
             flushes_drain: b.flushes_drain.load(Ordering::Relaxed),
             max_batch_observed: b.max_batch_observed.load(Ordering::Relaxed) as usize,
             run_stats: store.run_stats(),
@@ -518,10 +523,9 @@ impl Router {
         let workers = (0..inner.config.n_shards)
             .map(|shard_idx| {
                 let inner = Arc::clone(&inner);
-                let (max_batch, max_wait) = (inner.config.max_batch, inner.config.max_wait);
                 std::thread::Builder::new()
                     .name(format!("memcom-serve-{shard_idx}"))
-                    .spawn(move || worker_loop(&inner, shard_idx, max_batch, max_wait))
+                    .spawn(move || worker_loop(&inner, shard_idx))
                     .expect("spawn serving worker")
             })
             .collect();
@@ -1194,30 +1198,22 @@ impl RouterHandle {
     // memcom-lint: end-hot-path
 }
 
-fn worker_loop(inner: &RouterInner, shard_idx: usize, max_batch: usize, max_wait: Duration) {
-    let queue = &inner.queues[shard_idx];
+fn worker_loop(inner: &RouterInner, shard_idx: usize) {
+    let (queue, max_batch) = (&inner.queues[shard_idx], inner.config.max_batch);
     // Reusable scratch: the popped batch, its panic-blanket slot list
     // (refilled per flush), and the inference-backend scratch — the
     // worker allocates nothing per batch at a steady shape.
     let mut batch: Vec<Request> = Vec::new();
     let mut slots: Vec<Arc<SlabSlot>> = Vec::new();
     let mut infer_scratch = InferScratch::new();
-    while let Some((reason, assembly)) = queue.pop_batch_into_timed(&mut batch, max_batch, max_wait)
-    {
+    while let Some(reason) = queue.pop_batch_into(&mut batch, max_batch) {
         // A panic while serving must not strand blocked requesters: keep
         // the slots, answer `WorkerLost` to any left unfilled (fill is
         // first-write-wins), and keep the worker alive for later batches.
         slots.clear();
         slots.extend(batch.iter().map(|request| Arc::clone(&request.slot)));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_batch(
-                inner,
-                shard_idx,
-                &mut batch,
-                reason,
-                assembly,
-                &mut infer_scratch,
-            );
+            serve_batch(inner, shard_idx, &mut batch, reason, &mut infer_scratch);
         }));
         if outcome.is_err() {
             for slot in &slots {
@@ -1234,19 +1230,15 @@ fn serve_batch(
     shard_idx: usize,
     batch: &mut Vec<Request>,
     reason: FlushReason,
-    assembly: Duration,
     infer_scratch: &mut InferScratch,
 ) {
     let c = &inner.batch;
     let rows: usize = batch.iter().map(|request| request.ids.len()).sum();
-    // ORDERING: this is the batcher-wide rows tally (BatchCounters),
-    // not the per-model contract counter of the same name; worker
-    // threads only race on the total, which needs no ordering.
-    c.requests.fetch_add(rows as u64, Ordering::Relaxed);
+    c.rows.fetch_add(rows as u64, Ordering::Relaxed);
     c.batches.fetch_add(1, Ordering::Relaxed);
     match reason {
         FlushReason::Full => c.flushes_full.fetch_add(1, Ordering::Relaxed),
-        FlushReason::Timeout => c.flushes_timeout.fetch_add(1, Ordering::Relaxed),
+        FlushReason::Emptied => c.flushes_emptied.fetch_add(1, Ordering::Relaxed),
         FlushReason::Drain => c.flushes_drain.fetch_add(1, Ordering::Relaxed),
     };
     c.max_batch_observed
@@ -1266,10 +1258,8 @@ fn serve_batch(
     let stages_on = telemetry.stages_on();
     if stages_on {
         // One stage lock per flushed batch: the shard's whole dequeue
-        // story (assembly hold, batch size, every request's queue wait)
-        // folds in at once.
+        // story (batch size, every request's queue wait) folds in at once.
         let mut stages = telemetry.shard(shard_idx).stages();
-        stages.batch_assembly.record(assembly.as_nanos() as u64);
         stages.batch_size.record(rows as u64 * SIZE_SCALE);
         for request in batch.iter() {
             if let Some(issued_at) = request.admission.issued_at() {
@@ -1396,7 +1386,6 @@ mod tests {
     use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::time::Duration;
 
     fn memcom(seed: u64) -> MemCom {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1412,7 +1401,6 @@ mod tests {
         let router = Router::start(ServeConfig {
             n_shards: 1,
             max_batch: 4,
-            max_wait: Duration::from_millis(10),
             ..ServeConfig::default()
         })
         .unwrap();
@@ -1498,7 +1486,6 @@ mod tests {
         let router = Router::start(ServeConfig {
             n_shards,
             max_batch,
-            max_wait: Duration::from_millis(2),
             ..ServeConfig::default()
         })
         .unwrap();

@@ -97,7 +97,7 @@ pub struct ModelMetrics {
     pub delta_pages_touched: u64,
     /// Always 0 and rendered nowhere: the store has no cache to
     /// invalidate. A vestige kept because frozen `crates/perf` reads it
-    /// (ROADMAP item 8 removes it with its reader).
+    /// (ROADMAP item 1(e) removes it with its reader).
     pub lru_invalidations: u64,
 }
 
@@ -113,7 +113,10 @@ pub struct ShardStageMetrics {
     /// Issue → worker dequeue per request. Includes the admission wait;
     /// subtract the admission-wait histogram to isolate pure queueing.
     pub queue_wait: LatencyHistogram,
-    /// Batch-open → flush, per flushed batch.
+    /// Always empty: the worker never holds a batch open, so there is
+    /// no assembly time to record. A vestige kept because frozen
+    /// `crates/perf` reads it (ROADMAP item 1(e) removes it with its
+    /// reader).
     pub batch_assembly: LatencyHistogram,
     /// Rows per flushed batch.
     pub batch_size: SizeStats,

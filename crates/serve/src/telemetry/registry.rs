@@ -51,8 +51,6 @@ pub(crate) struct StageSet {
     /// Issue → dequeue per request (includes the admission wait; the
     /// separate admission-wait histogram isolates that component).
     pub(crate) queue_wait: LatencyHistogram,
-    /// Batch-open → flush (the phase-2 hold of the micro-batcher).
-    pub(crate) batch_assembly: LatencyHistogram,
     /// Batch sizes in rows, scaled by [`SIZE_SCALE`].
     pub(crate) batch_size: LatencyHistogram,
     /// Store decode duration per micro-batch run, by storage dtype
@@ -179,7 +177,7 @@ impl MetricsRegistry {
                     decode_rows: stages.decode_rows,
                     admission_wait,
                     queue_wait: stages.queue_wait,
-                    batch_assembly: stages.batch_assembly,
+                    batch_assembly: LatencyHistogram::new(),
                     batch_size: SizeStats::from_scaled(&stages.batch_size),
                     forward: stages.forward,
                     slab_write: stages.slab_write,

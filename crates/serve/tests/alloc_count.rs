@@ -89,7 +89,6 @@ fn get_batch_into_allocates_constant_not_per_row() {
             // Flush every queue entry immediately: no timer waits, and a
             // deterministic one-batch-per-call steady state.
             max_batch: 1,
-            max_wait: Duration::from_micros(1),
             ..ServeConfig::default()
         })
         .unwrap();
@@ -112,7 +111,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
         eprintln!("{name} {dtype:?} read path: {per_call:.2} allocations/call");
 
         // Expected steady state: 1 response-slot Arc (caller side) and
-        // nothing from the worker — `pop_batch_into_timed` drains into a
+        // nothing from the worker — `pop_batch_into` drains into a
         // reused buffer and the panic-blanket slot list is reused too, so
         // the old per-flush `drain(..).collect()` + slot-`Vec` pair (~2
         // extra allocations per call) would blow this bound.
@@ -143,7 +142,6 @@ fn get_batch_into_allocates_constant_not_per_row() {
         ServeConfig {
             n_shards: 1,
             max_batch: 1,
-            max_wait: Duration::from_micros(1),
             queue_depth: 1,
             store_latency: Duration::from_millis(400),
             admission: AdmissionPolicy::Shed {

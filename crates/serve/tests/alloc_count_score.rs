@@ -17,7 +17,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use memcom_core::MethodSpec;
 use memcom_models::{ModelConfig, RecModel};
@@ -70,7 +69,6 @@ fn score_batch_into_allocates_constant_not_per_id() {
         // Flush every queue entry immediately: no timer waits, and a
         // deterministic one-batch-per-call steady state.
         max_batch: 1,
-        max_wait: Duration::from_micros(1),
         ..ServeConfig::default()
     })
     .unwrap();

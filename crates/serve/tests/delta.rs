@@ -200,7 +200,6 @@ fn deltas_under_traffic_never_tear_rows() {
     let router = Router::start(ServeConfig {
         n_shards: 2,
         max_batch: 8,
-        max_wait: Duration::from_micros(50),
         ..ServeConfig::default()
     })
     .unwrap();

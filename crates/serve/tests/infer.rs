@@ -178,16 +178,16 @@ fn score_requests_share_the_counter_contract() {
 #[test]
 fn score_deadline_expires_at_dequeue_not_silently() {
     let model = ranker(11);
-    let deadline = Duration::from_millis(10);
-    // A lone request can never fill max_batch, so it waits out the 60ms
-    // flush timer in the queue — far past its 10ms deadline.
+    let deadline = Duration::from_millis(25);
+    // The probe queues behind a blocker the worker serves for 100ms —
+    // far past the probe's 25ms deadline.
     let router = router_serving(
         &model,
         Dtype::F32,
         ServeConfig {
             n_shards: 1,
             max_batch: 512,
-            max_wait: Duration::from_millis(60),
+            store_latency: Duration::from_millis(100),
             admission: AdmissionPolicy::Shed {
                 enqueue_timeout: Duration::from_secs(5),
                 request_deadline: Some(deadline),
@@ -197,7 +197,16 @@ fn score_deadline_expires_at_dequeue_not_silently() {
     );
     let handle = router.handle("scorer").unwrap();
 
-    match handle.score(&[1, 2, 3]) {
+    let probe = std::thread::scope(|scope| {
+        let blocker = router.handle("scorer").unwrap();
+        scope.spawn(move || blocker.score(&[0]).unwrap());
+        // `batches` counts a batch before its store read.
+        while router.stats("scorer").unwrap().batches == 0 {
+            std::thread::yield_now();
+        }
+        handle.score(&[1, 2, 3])
+    });
+    match probe {
         Err(ServeError::DeadlineExceeded {
             queued,
             deadline: reported,
@@ -209,7 +218,7 @@ fn score_deadline_expires_at_dequeue_not_silently() {
     }
     let stats = router.stats("scorer").unwrap();
     assert_eq!(stats.expired, 3, "expiry counts rows, like slab lookups");
-    assert_eq!(stats.requests, 0, "no forward for a dead request");
+    assert_eq!(stats.requests, 1, "no forward for a dead request");
     router.shutdown();
 }
 
@@ -225,7 +234,6 @@ fn score_admission_sheds_when_the_queue_is_wedged() {
         ServeConfig {
             n_shards: 1,
             max_batch: 1,
-            max_wait: Duration::from_micros(1),
             queue_depth: 1,
             // Wedge the worker: the first flush sleeps 400ms, so the
             // queue stays occupied while we probe the reject path.

@@ -192,7 +192,6 @@ fn decode_rows_count_lookups_only_under_mixed_traffic() {
     let router = Router::start(ServeConfig {
         n_shards: 2,
         max_batch: 8,
-        max_wait: Duration::from_micros(100),
         telemetry: TelemetryConfig::full(1.0),
         ..ServeConfig::default()
     })

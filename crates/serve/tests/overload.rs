@@ -43,13 +43,11 @@ fn start(emb: &dyn EmbeddingCompressor, config: ServeConfig) -> memcom_serve::Re
 fn shed_bounds_p99_where_block_collapses() {
     // Capacity: 1 shard × max_batch 4 / store_latency 4ms = 1 000 rows/s.
     const CAPACITY_QPS: f64 = 1_000.0;
-    let max_wait = Duration::from_millis(1);
     let deadline = Duration::from_millis(25);
     let store_latency = Duration::from_millis(4);
     let base = ServeConfig {
         n_shards: 1,
         max_batch: 4,
-        max_wait,
         queue_depth: 8,
         store_latency,
         ..ServeConfig::default()
@@ -172,21 +170,38 @@ fn shed_bounds_p99_where_block_collapses() {
     );
 }
 
+/// Runs `probe` while a blocker request holds the only worker asleep in
+/// its `store_latency` read, so whatever the probe enqueues ages behind
+/// it.
+fn behind_blocker<T>(router: &Router, probe: impl FnOnce() -> T) -> T {
+    let batches = || router.stats(DEFAULT_MODEL).unwrap().batches;
+    let before = batches();
+    std::thread::scope(|scope| {
+        let blocker = router.handle(DEFAULT_MODEL).unwrap();
+        scope.spawn(move || blocker.get(0).unwrap());
+        // `batches` counts a batch before its store read.
+        while batches() == before {
+            std::thread::yield_now();
+        }
+        probe()
+    })
+}
+
 /// A request whose deadline passes while it waits in the queue is
 /// answered with `DeadlineExceeded` at dequeue — never silence, and
 /// never a wasted store read.
 #[test]
 fn expired_requests_fail_at_dequeue_not_silently() {
     let emb = memcom(5);
-    let deadline = Duration::from_millis(10);
-    // A lone request can never fill max_batch, so it waits out the
-    // 60ms flush timer in the queue — far past its 10ms deadline.
+    let deadline = Duration::from_millis(25);
+    // Each probe queues behind a blocker the worker serves for 100ms —
+    // far past the probe's 25ms deadline.
     let router = start(
         &emb,
         ServeConfig {
             n_shards: 1,
             max_batch: 512,
-            max_wait: Duration::from_millis(60),
+            store_latency: Duration::from_millis(100),
             admission: AdmissionPolicy::Shed {
                 enqueue_timeout: Duration::from_secs(5),
                 request_deadline: Some(deadline),
@@ -198,7 +213,7 @@ fn expired_requests_fail_at_dequeue_not_silently() {
     let handle = router.handle(DEFAULT_MODEL).unwrap();
 
     // Single-id path.
-    match handle.get(3) {
+    match behind_blocker(&router, || handle.get(3)) {
         Err(ServeError::DeadlineExceeded {
             queued,
             deadline: reported,
@@ -210,21 +225,21 @@ fn expired_requests_fail_at_dequeue_not_silently() {
     }
     let stats = router.stats(DEFAULT_MODEL).unwrap();
     assert_eq!(stats.expired, 1);
-    assert_eq!(stats.requests, 0, "no store read for a dead request");
+    assert_eq!(stats.requests, 1, "no store read for a dead request");
 
     // Slab paths expire identically (and count in rows).
     assert!(matches!(
-        handle.get_many(&[1, 2, 3]),
+        behind_blocker(&router, || handle.get_many(&[1, 2, 3])),
         Err(ServeError::DeadlineExceeded { .. })
     ));
     let mut batch = EmbedBatch::new();
     assert!(matches!(
-        handle.get_batch_into(&[4, 5, 6], &mut batch),
+        behind_blocker(&router, || handle.get_batch_into(&[4, 5, 6], &mut batch)),
         Err(ServeError::DeadlineExceeded { .. })
     ));
     let stats = router.shutdown().remove(0).1;
     assert_eq!(stats.expired, 7);
-    assert_eq!(stats.requests, 0);
+    assert_eq!(stats.requests, 3, "the three blockers' rows only");
 }
 
 /// The admission reject is a typed, budget-stamped error, surfaced
@@ -238,7 +253,6 @@ fn shed_rejection_reports_the_enqueue_budget() {
         ServeConfig {
             n_shards: 1,
             max_batch: 1,
-            max_wait: Duration::from_micros(1),
             queue_depth: 1,
             // Wedge the worker: the first flush sleeps 400ms, so the
             // queue stays occupied while we probe the reject path.
@@ -300,7 +314,6 @@ fn partial_fanout_shed_accounts_for_every_row() {
         ServeConfig {
             n_shards: 3,
             max_batch: 1,
-            max_wait: Duration::from_micros(10),
             queue_depth: 1,
             // Wedge window: each flush sleeps 300ms.
             store_latency: Duration::from_millis(300),
@@ -368,7 +381,6 @@ fn shed_mode_drain_leaves_no_request_unanswered() {
         ServeConfig {
             n_shards: 1,
             max_batch: 1,
-            max_wait: Duration::from_millis(1),
             queue_depth: 4,
             store_latency: Duration::from_millis(60),
             admission: AdmissionPolicy::Shed {
@@ -422,7 +434,6 @@ fn closed_loop_honors_retry_after_and_reports_mean_backoff() {
         ServeConfig {
             n_shards: 1,
             max_batch: 1,
-            max_wait: Duration::from_micros(10),
             queue_depth: 1,
             store_latency,
             admission: AdmissionPolicy::Shed {
@@ -485,7 +496,6 @@ fn closed_loop_honors_retry_after_and_reports_mean_backoff() {
         ServeConfig {
             n_shards: 1,
             max_batch: 1,
-            max_wait: Duration::from_micros(10),
             queue_depth: 1,
             store_latency,
             admission: AdmissionPolicy::Shed {

@@ -95,7 +95,6 @@ fn int8_ab_reports_3x_smaller_bytes_within_bound() {
     let router = Router::start(ServeConfig {
         n_shards: 2,
         max_batch: 32,
-        max_wait: std::time::Duration::from_micros(50),
         page_size: 1024,
         ..ServeConfig::default()
     })

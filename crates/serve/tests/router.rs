@@ -26,7 +26,6 @@ fn config(n_shards: usize) -> ServeConfig {
     ServeConfig {
         n_shards,
         max_batch: 16,
-        max_wait: Duration::from_micros(200),
         ..ServeConfig::default()
     }
 }
@@ -76,6 +75,33 @@ fn models_are_isolated() {
     let stats_b = router.stats("b").unwrap();
     assert_eq!(stats_a.requests, ids.len() as u64);
     assert_eq!(stats_b.requests, 2 * ids.len() as u64);
+}
+
+/// `mean_batch` is router-wide, like the `batches` it divides by: every
+/// model reports the same value, computed from the rows of every model's
+/// batches, not from its own served rows.
+#[test]
+fn mean_batch_divides_router_wide_rows_by_router_wide_batches() {
+    let router = Router::start(config(2)).unwrap();
+    router.register("a", &memcom(3)).unwrap();
+    router.register("b", &full(4)).unwrap();
+    let ids: Vec<usize> = (0..48).map(|i| (i * 7) % VOCAB).collect();
+    let (ha, hb) = (router.handle("a").unwrap(), router.handle("b").unwrap());
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for &id in &ids {
+                ha.get(id).unwrap();
+            }
+        });
+        scope.spawn(|| hb.get_many(&ids).unwrap());
+    });
+
+    let (a, b) = (router.stats("a").unwrap(), router.stats("b").unwrap());
+    assert_eq!(a.batched_rows, a.requests + b.requests, "no row expired");
+    assert_eq!(b.batched_rows, a.batched_rows);
+    assert_eq!(a.batches, b.batches);
+    assert_eq!(a.mean_batch(), a.batched_rows as f64 / a.batches as f64);
+    assert_eq!(b.mean_batch(), a.mean_batch());
 }
 
 /// The acceptance-criteria test: an `Arc`-swapped snapshot serves new
@@ -175,7 +201,6 @@ fn multi_model_drain_neither_drops_nor_misroutes() {
     let router = Router::start(ServeConfig {
         n_shards: 2,
         max_batch: 64,
-        max_wait: Duration::from_millis(200),
         ..ServeConfig::default()
     })
     .unwrap();

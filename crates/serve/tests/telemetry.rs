@@ -238,7 +238,6 @@ fn prometheus_exposition_parses_and_reconciles() {
         ServeConfig {
             n_shards: 2,
             max_batch: 8,
-            max_wait: Duration::from_micros(200),
             telemetry: TelemetryConfig::full(1.0),
             ..ServeConfig::default()
         },
@@ -367,7 +366,6 @@ fn snapshot_under_load_never_tears() {
         ServeConfig {
             n_shards: 1,
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_depth: 4,
             store_latency: Duration::from_millis(1),
             admission: AdmissionPolicy::Shed {
@@ -436,7 +434,6 @@ fn stage_breakdown_reconciles_with_loadgen() {
         ServeConfig {
             n_shards: 2,
             max_batch: 8,
-            max_wait: Duration::from_micros(200),
             telemetry: TelemetryConfig::full(1.0),
             ..ServeConfig::default()
         },
@@ -482,10 +479,10 @@ fn stage_breakdown_reconciles_with_loadgen() {
     assert_eq!(sum_count(|s| s.queue_wait.count()), total);
     assert_eq!(sum_count(|s| s.batch_size.sum), total);
     assert_eq!(sum_count(|s| s.decode_rows), total);
-    // Batch assembly fires once per flush; every served request records
-    // exactly one decode-or-forward sample and one slab_write sample.
-    let batches = sum_count(|s| s.batch_size.count);
-    assert_eq!(sum_count(|s| s.batch_assembly.count()), batches);
+    // No batch is held open, so batch assembly records nothing; every
+    // served request records exactly one decode-or-forward sample and
+    // one slab_write sample.
+    assert_eq!(sum_count(|s| s.batch_assembly.count()), 0);
     assert_eq!(sum_count(|s| s.slab_write.count()), total);
     assert_eq!(
         sum_count(|s| s.decode.iter().map(|(_, h)| h.count()).sum::<u64>() + s.forward.count()),

@@ -118,7 +118,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let router = Router::start(ServeConfig {
             n_shards: 1,
             max_batch,
-            max_wait: Duration::from_millis(1),
             queue_depth: max_batch,
             store_latency,
             admission,
