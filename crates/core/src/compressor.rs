@@ -487,12 +487,7 @@ impl RowGrads {
     /// # Errors
     ///
     /// Propagates optimizer errors.
-    fn apply(
-        &mut self,
-        opt: &mut dyn Optimizer,
-        id: ParamId,
-        table: &mut Tensor,
-    ) -> Result<()> {
+    fn apply(&mut self, opt: &mut dyn Optimizer, id: ParamId, table: &mut Tensor) -> Result<()> {
         if self.is_empty() {
             return Ok(());
         }

@@ -372,6 +372,12 @@ impl NetClient {
                         .backoff_slept_nanos
                         .fetch_add(pause.as_nanos() as u64, Ordering::Relaxed);
                 }
+                // The pause has lapsed: clear the hint, unless a later one
+                // replaced it meanwhile, so the next sends read no clock.
+                let mut slot = self.inner.backoff_until.lock();
+                if *slot == Some(until) {
+                    *slot = None;
+                }
             }
         }
         let request_id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
@@ -537,5 +543,46 @@ fn reader_loop(inner: &ClientInner, mut stream: TcpStream) {
                 break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A send sleeps out an active hint and then clears it, so the sends
+    /// after it read no clock; a hint that lapsed before the send is
+    /// cleared without a sleep.
+    #[test]
+    fn a_lapsed_backoff_hint_is_cleared() {
+        // Frames land in the socket buffer of a connection nobody
+        // accepts; no reply is needed.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = NetClient::connect(&addr, NetClientConfig::default()).unwrap();
+        let hint = || *client.inner.backoff_until.lock();
+
+        client
+            .inner
+            .tally_error(ErrorCode::Overloaded, Duration::from_millis(5));
+        assert!(hint().is_some());
+        client.send("m", &[1], None).unwrap();
+        assert_eq!(hint(), None, "the hint outlived its pause");
+        let slept = client.stats().backoff_slept_nanos;
+        assert!(slept > 0);
+
+        client
+            .inner
+            .tally_error(ErrorCode::Overloaded, Duration::from_nanos(1));
+        std::thread::sleep(Duration::from_millis(1));
+        client.send("m", &[2], None).unwrap();
+        assert_eq!(hint(), None);
+        assert_eq!(
+            client.stats().backoff_slept_nanos,
+            slept,
+            "nothing left to sleep"
+        );
+        assert_eq!(client.close().sent, 2);
     }
 }

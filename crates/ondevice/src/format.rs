@@ -85,14 +85,6 @@ pub struct TableMeta {
     pub index: usize,
 }
 
-impl TableMeta {
-    /// Byte range of row `r` within the file.
-    pub fn row_range(&self, r: usize) -> (usize, usize) {
-        let row_bytes = self.dtype.row_bytes(self.cols);
-        (self.payload_offset + r * row_bytes, row_bytes)
-    }
-}
-
 /// One deserialized head operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HeadOp {
@@ -599,24 +591,5 @@ mod tests {
         let mut bad_version = bytes;
         bad_version[4] = 99;
         assert!(OnDeviceModel::parse(bad_version).is_err());
-    }
-
-    #[test]
-    fn table_row_ranges_are_disjoint_and_in_bounds() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let emb = FullEmbedding::new(20, 8, &mut rng).unwrap();
-        let bytes = OnDeviceModel::serialize(&emb, &tiny_head(8, 2), 4, Dtype::Int8).unwrap();
-        let model = OnDeviceModel::parse(bytes).unwrap();
-        let t = &model.emb_tables[0];
-        let mut last_end = 0usize;
-        for r in 0..t.rows {
-            let (off, len) = t.row_range(r);
-            assert!(off >= t.payload_offset);
-            assert!(off + len <= t.payload_offset + t.payload_len);
-            if r > 0 {
-                assert_eq!(off, last_end);
-            }
-            last_end = off + len;
-        }
     }
 }

@@ -2,45 +2,11 @@
 //!
 //! [`EmbedBatch`] is the response slab for the zero-copy batch API
 //! ([`crate::RouterHandle::get_batch_into`]): one flat `Vec<f32>` holds
-//! all rows, and every auxiliary buffer the call needs — per-shard id
-//! lists, per-shard output slabs, position maps — lives in its
-//! `Flight` and is recycled call over call. After a warm-up call at a
-//! given batch shape, lookups perform **no per-row heap allocation**:
-//! the only steady-state allocation on the whole path is one
-//! response-slot `Arc` per shard touched.
-
-use std::sync::Arc;
-
-use crate::batcher::SlabSlot;
-
-/// Reusable client-side state of one logical request in flight through
-/// the router's single request path: which caller positions ride which
-/// shard queue, the `(ids, out)` buffer pairs that round-trip through
-/// the shard workers, and the response slots still awaited. Embedded in
-/// [`EmbedBatch`] and [`crate::ScoreBatch`], so both paths reuse it call
-/// over call.
-#[derive(Debug, Default)]
-pub(crate) struct Flight {
-    /// Per-shard positions into the caller's id order.
-    pub(crate) shard_pos: Vec<Vec<usize>>,
-    /// Pool of `(ids, out)` buffers round-tripped through shard workers.
-    pub(crate) pool: Vec<(Vec<usize>, Vec<f32>)>,
-    /// In-flight shard slots (empty between calls).
-    pub(crate) pending: Vec<(usize, Arc<SlabSlot>)>,
-}
-
-impl Flight {
-    /// Prepares `n_shards` empty position lists, reusing prior capacity.
-    pub(crate) fn begin(&mut self, n_shards: usize) {
-        if self.shard_pos.len() < n_shards {
-            self.shard_pos.resize_with(n_shards, Vec::new);
-        }
-        for pos in &mut self.shard_pos {
-            pos.clear();
-        }
-        debug_assert!(self.pending.is_empty(), "pending cleared between calls");
-    }
-}
+//! all rows. Its id list and its row slab are the very buffers the
+//! request carries to a shard worker and back, so after a warm-up call at
+//! a given batch shape, lookups perform **no per-row heap allocation**:
+//! the only steady-state allocation on the whole path is the one
+//! response-slot `Arc`.
 
 /// A reusable batch of embedding rows, filled by
 /// [`crate::RouterHandle::get_batch_into`].
@@ -75,8 +41,6 @@ pub struct EmbedBatch {
     pub(crate) data: Vec<f32>,
     /// Row width of the current batch.
     pub(crate) dim: usize,
-    /// Fan-out scratch and buffer pool, reused across calls.
-    pub(crate) flight: Flight,
 }
 
 impl EmbedBatch {
@@ -161,16 +125,5 @@ mod tests {
         batch.begin(&[2], 4);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.data(), &[0.0; 4]);
-    }
-
-    #[test]
-    fn flight_begin_clears_positions_and_keeps_the_pool() {
-        let mut flight = Flight::default();
-        flight.begin(2);
-        flight.shard_pos[1].push(3);
-        flight.pool.push((vec![1, 2], vec![0.5; 8]));
-        flight.begin(2);
-        assert!(flight.shard_pos.iter().all(Vec::is_empty));
-        assert_eq!(flight.pool.len(), 1);
     }
 }

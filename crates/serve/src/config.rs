@@ -34,11 +34,9 @@ pub enum AdmissionPolicy {
         /// is issued (before any admission wait): a worker that
         /// dequeues a request older than this drops it with
         /// [`ServeError::DeadlineExceeded`] instead of serving it. The
-        /// budget covers admission waits too — for a multi-shard
-        /// fan-out, sub-requests share the issue stamp, so time spent
-        /// admitting earlier shards counts against later ones (the
-        /// caller has been waiting that whole time). `None` disables
-        /// the dequeue-side check (admission-only shedding).
+        /// budget covers the admission wait too (the caller has been
+        /// waiting that whole time). `None` disables the dequeue-side
+        /// check (admission-only shedding).
         request_deadline: Option<Duration>,
     },
 }
@@ -62,8 +60,9 @@ pub enum TelemetryLevel {
     #[default]
     Off,
     /// Everything: per-stage latency histograms (admission wait, queue
-    /// wait, batch assembly, store decode per dtype, slab write) and
-    /// sampled request tracing. Costs a few clock reads per batch and
+    /// wait, store decode per dtype, forward, slab write; the batch
+    /// assembly stage stays empty, since no worker holds a batch open)
+    /// and sampled request tracing. Costs a few clock reads per batch and
     /// one short uncontended lock per batch per shard.
     Full,
 }
@@ -262,10 +261,9 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::BadConfig`] for zero shard count, batch
-    /// size, queue depth, or page size, when `max_batch` exceeds
-    /// `queue_depth` (a batch could then never fill), or for a shedding
-    /// policy with a zero `request_deadline` (every request would expire
-    /// before any worker could dequeue it).
+    /// size, queue depth, or page size, or for a shedding policy with a
+    /// zero `request_deadline` (every request would expire before any
+    /// worker could dequeue it).
     pub fn validate(&self) -> Result<()> {
         let reject = |context: &str| {
             Err(ServeError::BadConfig {
@@ -280,9 +278,6 @@ impl ServeConfig {
         }
         if self.queue_depth == 0 {
             return reject("queue_depth must be >= 1");
-        }
-        if self.max_batch > self.queue_depth {
-            return reject("max_batch must not exceed queue_depth");
         }
         if self.page_size == 0 {
             return reject("page_size must be >= 1");
@@ -367,11 +362,6 @@ mod tests {
             },
             ServeConfig {
                 queue_depth: 0,
-                ..ServeConfig::default()
-            },
-            ServeConfig {
-                max_batch: 64,
-                queue_depth: 32,
                 ..ServeConfig::default()
             },
             ServeConfig {

@@ -4,7 +4,7 @@
 use crate::store::ShardedStore;
 use crate::Result;
 
-use super::{gather_rows, InferBackend, InferScratch};
+use super::{InferBackend, InferScratch};
 
 /// The identity "pipeline": N ids in, N embedding rows out
 /// (`ids.len() * dim` values, request order).
@@ -12,7 +12,8 @@ use super::{gather_rows, InferBackend, InferScratch};
 /// This is exactly the behavior every model had before backends
 /// existed, and stays the default — a model registered through
 /// [`Router::register`](crate::Router::register) serves lookups through
-/// this backend with no behavior or performance change.
+/// this backend with no behavior or performance change. Every lookup
+/// fills through it too, whichever backend its model's scores use.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LookupBackend;
 
@@ -37,7 +38,7 @@ impl InferBackend for LookupBackend {
         scratch: &mut InferScratch,
         out: &mut [f32],
     ) -> Result<()> {
-        gather_rows(store, ids, &mut scratch.gather, out)
+        store.lookup_into(ids, &mut scratch.operand, out)
     }
     // memcom-lint: end-hot-path
 }

@@ -17,8 +17,9 @@
 //!   model-specific backends (e.g. a [`RankNetBackend`] holding trained
 //!   head weights) and then bind a router model to one by name.
 //!
-//! Score requests flow through the **same** machinery as lookups: the
-//! same per-shard micro-batching queues, the same
+//! Score requests flow through the **same** machinery as lookups — a
+//! lookup is a request the router fills through [`LookupBackend`] — so
+//! they share the per-shard micro-batching queues, the same
 //! [`AdmissionPolicy`](crate::AdmissionPolicy) shedding and deadlines,
 //! the same `issued >= requests + shed + expired` counter contract, and
 //! a dedicated `forward` telemetry stage next to decode/slab_write.
@@ -59,7 +60,6 @@ use std::sync::Arc;
 use memcom_ondevice::HeadScratch;
 use parking_lot::RwLock;
 
-use crate::batch::Flight;
 use crate::store::ShardedStore;
 use crate::{Result, ServeError};
 
@@ -198,8 +198,9 @@ impl Default for BackendRegistry {
 /// discipline `tests/alloc_count.rs` certifies for the lookup path.
 #[derive(Debug, Default)]
 pub struct InferScratch {
-    /// Cross-shard gather staging ([`gather_rows`]).
-    pub(crate) gather: GatherScratch,
+    /// The store read's second-operand buffer
+    /// ([`ShardedStore::lookup_into`]).
+    pub(crate) operand: Vec<f32>,
     /// Head-executor intermediates
     /// ([`memcom_ondevice::InferenceSession::forward_head`]).
     pub(crate) head: HeadScratch,
@@ -219,18 +220,17 @@ impl InferScratch {
 /// path
 /// ([`RouterHandle::score_batch_into`](crate::RouterHandle::score_batch_into)).
 ///
-/// The request's id and output buffers round-trip through the response
-/// slot and come back warm — a served output buffer is swapped in as the
-/// current scores and the previous scores buffer rotates into the pool —
-/// so at a steady request shape a score call allocates only its
-/// response-slot `Arc`, the same discipline as the lookup batch path's
+/// The request carries this batch's own id and score buffers to a shard
+/// worker and back, so they stay warm and at a steady request shape a
+/// score call allocates only its response-slot `Arc`, the same
+/// discipline as the lookup batch path's
 /// [`EmbedBatch`](crate::EmbedBatch).
 #[derive(Debug, Default)]
 pub struct ScoreBatch {
     /// The most recent call's scores.
     pub(crate) scores: Vec<f32>,
-    /// Routing scratch and warm request buffers, reused across calls.
-    pub(crate) flight: Flight,
+    /// The most recent call's ids.
+    pub(crate) ids: Vec<usize>,
 }
 
 impl ScoreBatch {
@@ -247,74 +247,9 @@ impl ScoreBatch {
     }
 }
 
-/// Staging buffers for [`gather_rows`]: per-shard id groups, the
-/// matching request positions, and one decode slab.
-#[derive(Debug, Default)]
-pub(crate) struct GatherScratch {
-    ids: Vec<Vec<usize>>,
-    pos: Vec<Vec<usize>>,
-    rows: Vec<f32>,
-}
-
-/// Gathers the embedding rows of `ids` (in request order) into the flat
-/// `dest` slab (`ids.len() * store.dim()` values), grouping ids by
-/// shard so each group goes through the store's zero-copy
-/// [`ShardedStore::lookup_batch`] path.
-///
-/// A score request is routed to *one* shard queue (by its first id) but
-/// may reference rows on any shard; the store is thread-safe, so the
-/// executing worker reads the other shards' pages directly.
-///
-/// # Errors
-///
-/// Returns [`ServeError::IdOutOfVocab`] on any out-of-range id and
-/// propagates store read failures.
-// memcom-lint: hot-path
-pub(crate) fn gather_rows(
-    store: &ShardedStore,
-    ids: &[usize],
-    scratch: &mut GatherScratch,
-    dest: &mut [f32],
-) -> Result<()> {
-    let dim = store.dim();
-    debug_assert_eq!(dest.len(), ids.len() * dim);
-    let n_shards = store.n_shards();
-    if n_shards == 1 {
-        return store.lookup_batch(0, ids, dest);
-    }
-    scratch.ids.resize_with(n_shards, Vec::new);
-    scratch.pos.resize_with(n_shards, Vec::new);
-    for (group, pos) in scratch.ids.iter_mut().zip(scratch.pos.iter_mut()) {
-        group.clear();
-        pos.clear();
-    }
-    for (pos, &id) in ids.iter().enumerate() {
-        let s = store.shard_of(id);
-        scratch.ids[s].push(id);
-        scratch.pos[s].push(pos);
-    }
-    for s in 0..n_shards {
-        let group = &scratch.ids[s];
-        if group.is_empty() {
-            continue;
-        }
-        scratch.rows.clear();
-        scratch.rows.resize(group.len() * dim, 0.0);
-        store.lookup_batch(s, group, &mut scratch.rows)?;
-        for (j, &pos) in scratch.pos[s].iter().enumerate() {
-            dest[pos * dim..(pos + 1) * dim].copy_from_slice(&scratch.rows[j * dim..(j + 1) * dim]);
-        }
-    }
-    Ok(())
-}
-// memcom-lint: end-hot-path
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn registry_defaults_and_errors() {
@@ -334,22 +269,5 @@ mod tests {
             .register("lookup2", Arc::new(LookupBackend))
             .unwrap();
         assert_eq!(registry.names().len(), 2);
-    }
-
-    #[test]
-    fn gather_matches_single_gets_across_shards() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let emb = MemCom::new(MemComConfig::new(200, 8, 20), &mut rng).unwrap();
-        let store = ShardedStore::build(&emb, 4, 16, 4096).unwrap();
-        let ids = [7usize, 3, 150, 7, 42, 199, 0];
-        let mut scratch = GatherScratch::default();
-        let mut dest = vec![0f32; ids.len() * store.dim()];
-        gather_rows(&store, &ids, &mut scratch, &mut dest).unwrap();
-        for (pos, &id) in ids.iter().enumerate() {
-            let want = store.get(id).unwrap();
-            assert_eq!(&dest[pos * 8..(pos + 1) * 8], want.as_slice(), "id {id}");
-        }
-        let flat = emb.lookup(&ids).unwrap();
-        assert_eq!(dest, flat.as_slice(), "gather must equal compressor lookup");
     }
 }

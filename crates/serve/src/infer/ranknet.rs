@@ -9,7 +9,7 @@ use memcom_ondevice::{Dtype, InferenceSession};
 use crate::store::ShardedStore;
 use crate::{Result, ServeError};
 
-use super::{gather_rows, InferBackend, InferScratch};
+use super::{InferBackend, InferScratch};
 
 /// An [`InferBackend`] executing a trained model head (pool → ReLU →
 /// batch-norm → dense, the paper's Code-1 / RankNet shapes) over
@@ -111,12 +111,12 @@ impl InferBackend for RankNetBackend {
         out: &mut [f32],
     ) -> Result<()> {
         let InferScratch {
-            gather,
+            operand,
             head,
             logits,
         } = scratch;
         let act = head.input(ids.len(), store.dim());
-        gather_rows(store, ids, gather, act)?;
+        store.lookup_into(ids, operand, act)?;
         // Work counts are still tallied (the head executor charges
         // flops/activations) but a score request reports no per-run
         // stats; the page-level counters aggregate on the session.

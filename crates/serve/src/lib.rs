@@ -14,9 +14,9 @@
 //!   shards — per-entity tables partitioned, shared tables replicated —
 //!   in structurally-shared pages ([`memcom_ondevice::PagedTable`]),
 //!   and serves a row by running the recipe over them — the pages are
-//!   the only copy of a row. Its slab API ([`ShardedStore::lookup_batch`])
-//!   writes rows straight into a caller-owned flat buffer — no per-row
-//!   allocation.
+//!   the only copy of a row. Its slab API ([`ShardedStore::lookup_into`])
+//!   writes the rows of ids of any shards straight into a caller-owned
+//!   flat buffer, in request order — no lock, no per-row allocation.
 //! * [`delta`] — **incremental refresh**: [`StoreDelta`] batches
 //!   row-level upserts/removals; [`ShardedStore::apply_delta`] turns
 //!   one into a new snapshot that copy-on-writes only the touched
@@ -32,9 +32,10 @@
 //!   enqueue waits and per-request deadlines enforced at dequeue.
 //! * [`router`] — **routing**: the [`Router`] owns the shard workers and
 //!   a registry of named models. Lookups and scores are one request
-//!   shape on one submit → queue → worker path; they differ only in
-//!   routing (per shard touched vs first id's shard) and in the call
-//!   that fills the output. Requests capture their model's current
+//!   shape on one submit → queue → worker path: each call is one request
+//!   on its first id's shard, filled by one [`InferBackend::score_into`]
+//!   call (a lookup's backend is [`LookupBackend`]) that reads rows from
+//!   whichever shards own them. Requests capture their model's current
 //!   store `Arc` at enqueue time, so [`Router::swap`] (whole-table) and
 //!   [`Router::apply_delta`] (row-level) refresh tables atomically
 //!   while in-flight lookups finish on the old snapshot, and one worker

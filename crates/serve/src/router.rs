@@ -12,13 +12,15 @@
 //! One request shape flows through the queues: an id list answered by
 //! writing f32s into a caller-provided flat buffer that round-trips
 //! through a [`SlabSlot`], so no call performs per-row heap allocation
-//! at a steady shape. A lookup ([`RouterHandle::get_batch_into`]) fans
-//! out into one such request per shard touched, each filled with the
-//! owning shard's rows; a score ([`RouterHandle::score_batch_into`]) is
-//! one request on its first id's shard, filled by the model's
-//! [`InferBackend`]. Everything else — validation, `issued` counting,
-//! admission, deadlines, buffer recycling, the worker's serve loop — is
-//! written once, in `RouterHandle::submit` and `serve_batch`.
+//! at a steady shape. Every call — a lookup
+//! ([`RouterHandle::get_batch_into`]) or a score
+//! ([`RouterHandle::score_batch_into`]) — is exactly one such request on
+//! its first id's shard, and the worker that pops it fills it with one
+//! [`InferBackend::score_into`] call, reading rows from whichever shards
+//! own them: a lookup carries the router's [`LookupBackend`], a score its
+//! model's bound backend. Validation, `issued` counting, admission,
+//! deadlines, buffer round-trips and the worker's serve loop are written
+//! once, in `RouterHandle::submit` and `serve_batch`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,10 +31,11 @@ use std::time::{Duration, Instant};
 use memcom_ondevice::engine::RunStats;
 use parking_lot::RwLock;
 
-use crate::batch::Flight;
 use crate::batcher::{FlushReason, PushError, ShardQueue, SlabOutcome, SlabSlot};
 use crate::config::AdmissionPolicy;
-use crate::infer::{BackendRegistry, InferBackend, InferScratch, ScoreBatch, LOOKUP_BACKEND};
+use crate::infer::{
+    BackendRegistry, InferBackend, InferScratch, LookupBackend, ScoreBatch, LOOKUP_BACKEND,
+};
 use crate::store::ShardedStore;
 use crate::telemetry::{
     dtype_idx, MetricsRegistry, MetricsSnapshot, ModelMetrics, PendingSpan, Span, SpanOutcome,
@@ -96,10 +99,10 @@ impl ModelCounters {
 
 /// Admission metadata every request carries: under
 /// [`AdmissionPolicy::Shed`] with a `request_deadline`, when the
-/// request was issued (stamped once per logical request, *before* any
-/// admission wait — the deadline is end to end, so admission waits and
-/// earlier shards of a fan-out consume it) and when it stops being
-/// worth serving. Workers evaluate `expires_at` at dequeue, *before*
+/// request was issued (stamped *before* the admission wait — the
+/// deadline is end to end, so the admission wait consumes it) and when
+/// it stops being worth serving. Workers evaluate `expires_at` at
+/// dequeue, *before*
 /// touching the store, so an expired request costs a timestamp
 /// comparison instead of a store read. Policies without a deadline
 /// ([`AdmissionPolicy::Block`], or `Shed` with `request_deadline:
@@ -229,11 +232,9 @@ pub struct ServeStats {
     /// producer got [`ServeError::Overloaded`] instead of blocking.
     /// Always `0` under [`AdmissionPolicy::Block`].
     ///
-    /// For a multi-shard fan-out (`get_many`/`get_batch_into`) that
-    /// sheds partway through admission, rows on the shed shard *and*
-    /// on shards never attempted count as shed, while sub-requests
-    /// already admitted still run and count as served — so
-    /// `requests + shed + expired` always equals the rows issued.
+    /// A request is admitted or shed whole, whichever shards its ids
+    /// live on: a shed lookup or score counts every one of its rows here
+    /// and none as served.
     pub shed: u64,
     /// Rows dropped at dequeue for this model: accepted, but older than
     /// their end-to-end `request_deadline` by the time a worker picked
@@ -311,21 +312,20 @@ impl ModelEntry {
     }
 }
 
-/// What shard queues carry: `ids` in, `out` filled, both buffers
-/// round-tripped through the [`SlabSlot`] for reuse.
-///
-/// `backend: None` is a lookup sub-request — `ids` all route to the
-/// queue's shard and `out` (`ids.len() * dim` values) receives their
-/// rows. `backend: Some(_)` is a score — the whole id list rides one
-/// shard queue (its first id's) and the captured [`InferBackend`] turns
-/// N ids into `out.len()` scores. Same micro-batching, admission, and
-/// counter contract either way.
+/// What shard queues carry: `ids` in, `out` filled by `backend`, both
+/// buffers round-tripped through the [`SlabSlot`] for reuse. The whole
+/// id list rides one shard queue (its first id's), whichever shards own
+/// the rows; a lookup's backend is the router's [`LookupBackend`], a
+/// score's its model's bound one.
 #[derive(Debug)]
 pub(crate) struct Request {
     pub(crate) ids: Vec<usize>,
     pub(crate) out: Vec<f32>,
     pub(crate) store: Arc<ShardedStore>,
-    pub(crate) backend: Option<Arc<dyn InferBackend>>,
+    pub(crate) backend: Arc<dyn InferBackend>,
+    /// A lookup rather than a score — read only by telemetry, which
+    /// records a lookup's fill as store decode and a score's as forward.
+    pub(crate) lookup: bool,
     pub(crate) counters: Arc<ModelCounters>,
     pub(crate) slot: Arc<SlabSlot>,
     pub(crate) admission: Admission,
@@ -339,6 +339,8 @@ struct RouterInner {
     batch: BatchCounters,
     models: RwLock<HashMap<String, Arc<ModelEntry>>>,
     backends: BackendRegistry,
+    /// The backend every lookup fills through.
+    lookup: Arc<dyn InferBackend>,
     config: ServeConfig,
     telemetry: MetricsRegistry,
 }
@@ -387,9 +389,8 @@ impl RouterInner {
         request: Request,
     ) -> std::result::Result<(), (ServeError, Request)> {
         // memcom-lint: hot-path
-        // Admission wait is timed from a fresh stamp here — not from
-        // `issued_at`, which for a multi-shard fan-out would charge
-        // earlier shards' admission time to later shards.
+        // Admission wait is timed from a fresh stamp here, so it holds
+        // the push alone.
         let admit_t0 = self.telemetry.stages_on().then(Instant::now);
         let wait = match self.config.admission {
             AdmissionPolicy::Block => None,
@@ -517,6 +518,7 @@ impl Router {
             batch: BatchCounters::default(),
             models: RwLock::new(HashMap::new()),
             backends: BackendRegistry::new(),
+            lookup: Arc::new(LookupBackend),
             config,
             telemetry,
         });
@@ -959,8 +961,8 @@ impl RouterHandle {
         Ok(batch.data)
     }
 
-    /// Looks up many ids, pipelining one request per shard before
-    /// blocking, and returns owned per-row vectors.
+    /// Looks up many ids as one request and returns owned per-row
+    /// vectors.
     ///
     /// For the allocation-free variant feed a reusable [`EmbedBatch`] to
     /// [`get_batch_into`](Self::get_batch_into).
@@ -977,8 +979,8 @@ impl RouterHandle {
     /// Looks up many ids into the caller-owned, reusable `batch` slab —
     /// the zero-copy batch path. On success `batch` holds the rows in
     /// request order; at a steady batch shape the call performs **no
-    /// per-row heap allocation** end to end (one response-slot `Arc` per
-    /// shard touched is the only steady-state allocation).
+    /// per-row heap allocation** end to end (the response-slot `Arc` is
+    /// the only steady-state allocation).
     ///
     /// # Errors
     ///
@@ -1004,20 +1006,15 @@ impl RouterHandle {
         deadline: Option<Duration>,
     ) -> Result<()> {
         let store = self.store()?;
-        let dim = store.dim();
-        batch.begin(ids, dim);
-        let data = &mut batch.data;
+        batch.begin(ids, store.dim());
+        let lookup = Arc::clone(&self.inner.lookup);
         self.submit(
             store,
-            ids,
-            None,
+            lookup,
+            true,
             deadline,
-            &mut batch.flight,
-            |positions, out| {
-                for (j, &pos) in positions.iter().enumerate() {
-                    data[pos * dim..(pos + 1) * dim].copy_from_slice(&out[j * dim..(j + 1) * dim]);
-                }
-            },
+            &mut batch.ids,
+            &mut batch.data,
         )
     }
 
@@ -1064,47 +1061,50 @@ impl RouterHandle {
         deadline: Option<Duration>,
     ) -> Result<()> {
         let store = self.store()?;
-        let backend = Some(Arc::clone(&self.model.backend));
-        let scores = &mut batch.scores;
-        // The served output buffer becomes the scores; the previous
-        // scores buffer rotates into the pool as the next spare.
+        let backend = Arc::clone(&self.model.backend);
+        batch.ids.clear();
+        batch.ids.extend_from_slice(ids);
+        batch.scores.clear();
+        batch.scores.resize(backend.out_len(ids.len(), &store), 0.0);
         self.submit(
             store,
-            ids,
             backend,
+            false,
             deadline,
-            &mut batch.flight,
-            |_, out| std::mem::swap(scores, out),
+            &mut batch.ids,
+            &mut batch.scores,
         )
     }
 
     /// The one request path every entry point above wraps: validate →
-    /// count `issued` → plan sub-requests → admit → wait → deliver.
+    /// count `issued` → admit → wait.
     ///
-    /// `backend: None` looks rows up, one sub-request per shard touched;
-    /// `Some` scores the whole id list as one sub-request on its first
-    /// id's shard (the executing worker gathers rows across shards — the
-    /// store is thread-safe). That routing choice is the only
-    /// difference between the two. `deliver` receives each served
-    /// sub-request's positions in `ids` and its filled output buffer,
-    /// which it may read or swap out; whatever buffer it leaves behind
-    /// returns to `flight`'s pool.
+    /// `ids` holds the request's ids and `out` is sized to what
+    /// `backend` writes for them. Both ride one `Request` on the first
+    /// id's shard — the worker that pops it reads rows from every shard
+    /// (the store is thread-safe) — and come back as the served, shed or
+    /// failed request's buffers, so the caller's next call reuses them.
+    /// An empty lookup answers `Ok` without enqueuing; a score needs at
+    /// least one id.
     // memcom-lint: hot-path
     fn submit(
         &self,
         store: Arc<ShardedStore>,
-        ids: &[usize],
-        backend: Option<Arc<dyn InferBackend>>,
+        backend: Arc<dyn InferBackend>,
+        lookup: bool,
         deadline: Option<Duration>,
-        flight: &mut Flight,
-        mut deliver: impl FnMut(&[usize], &mut Vec<f32>),
+        ids: &mut Vec<usize>,
+        out: &mut Vec<f32>,
     ) -> Result<()> {
-        if backend.is_some() && ids.is_empty() {
+        let Some(&first) = ids.first() else {
+            if lookup {
+                return Ok(());
+            }
             return Err(ServeError::BadConfig {
                 context: "a score request needs at least one id".to_string(),
             });
-        }
-        for &id in ids {
+        };
+        for &id in ids.iter() {
             store.check_id(id)?;
         }
         let counters = &self.model.counters;
@@ -1115,85 +1115,34 @@ impl RouterHandle {
         counters
             .issued
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
-        let n_shards = store.n_shards();
-        flight.begin(n_shards);
-        if backend.is_some() {
-            flight.shard_pos[store.shard_of(ids[0])].extend(0..ids.len());
-        } else {
-            for (pos, &id) in ids.iter().enumerate() {
-                flight.shard_pos[store.shard_of(id)].push(pos);
-            }
+        let shard = store.shard_of(first);
+        let slot = Arc::new(SlabSlot::new());
+        let request = Request {
+            ids: std::mem::take(ids),
+            out: std::mem::take(out),
+            store,
+            backend,
+            lookup,
+            counters: Arc::clone(counters),
+            slot: Arc::clone(&slot),
+            admission: Admission::stamp_with(
+                self.inner.config.admission,
+                self.inner.telemetry.stages_on(),
+                deadline,
+            ),
+            span: self.inner.telemetry.sample(),
+        };
+        if let Err((e, rejected)) = self.inner.admit(shard, request) {
+            // A shed (or shutdown-rejected) request comes back whole —
+            // keep its buffers so the shedding hot path allocates nothing.
+            (*ids, *out) = (rejected.ids, rejected.out);
+            return Err(e);
         }
-        let admission = Admission::stamp_with(
-            self.inner.config.admission,
-            self.inner.telemetry.stages_on(),
-            deadline,
-        );
-        let mut first_err = None;
-        for shard in 0..n_shards {
-            let positions = &flight.shard_pos[shard];
-            if positions.is_empty() {
-                continue;
-            }
-            let (mut sub_ids, mut out) = flight.pool.pop().unwrap_or_default();
-            sub_ids.clear();
-            sub_ids.extend(positions.iter().map(|&pos| ids[pos]));
-            out.clear();
-            let out_len = match &backend {
-                Some(backend) => backend.out_len(sub_ids.len(), &store),
-                None => sub_ids.len() * store.dim(),
-            };
-            out.resize(out_len, 0.0);
-            let slot = Arc::new(SlabSlot::new());
-            let request = Request {
-                ids: sub_ids,
-                out,
-                store: Arc::clone(&store),
-                backend: backend.clone(),
-                counters: Arc::clone(counters),
-                slot: Arc::clone(&slot),
-                admission,
-                span: self.inner.telemetry.sample(),
-            };
-            match self.inner.admit(shard, request) {
-                Ok(()) => flight.pending.push((shard, slot)),
-                Err((e, rejected)) => {
-                    // A shed (or shutdown-rejected) request comes back
-                    // whole — recycle its buffers so the shedding hot
-                    // path allocates nothing.
-                    flight.pool.push((rejected.ids, rejected.out));
-                    if matches!(e, ServeError::Overloaded { .. }) {
-                        // Rows on shards never attempted were refused
-                        // admission along with this one: counting them
-                        // shed keeps `requests + shed + expired` equal
-                        // to the rows issued for partially-admitted
-                        // fan-outs (admitted sub-requests still run and
-                        // count as served).
-                        let skipped: usize =
-                            flight.shard_pos[shard + 1..].iter().map(Vec::len).sum();
-                        counters.shed.fetch_add(skipped as u64, Ordering::Release);
-                    }
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        while let Some((shard, slot)) = flight.pending.pop() {
-            let mut outcome = slot.wait();
-            match outcome.result {
-                Ok(()) => deliver(&flight.shard_pos[shard], &mut outcome.out),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-            // A worker-lost blanket returns capacity-less placeholders
-            // (the real buffers died with the panicking batch) — keep
-            // those out of the pool so it only ever holds warm buffers.
-            if outcome.out.capacity() > 0 || outcome.ids.capacity() > 0 {
-                flight.pool.push((outcome.ids, outcome.out));
-            }
-        }
-        first_err.map_or(Ok(()), Err)
+        // A worker-lost blanket returns empty buffers (the real ones died
+        // with the panicking batch); the next call regrows them.
+        let outcome = slot.wait();
+        (*ids, *out) = (outcome.ids, outcome.out);
+        outcome.result
     }
     // memcom-lint: end-hot-path
 }
@@ -1310,18 +1259,12 @@ fn serve_batch(
             continue;
         }
         let started = stages_on.then(Instant::now);
-        // The only per-kind difference: which call fills `out`.
-        let result = match &request.backend {
-            None => request
-                .store
-                .lookup_batch(shard_idx, &request.ids, &mut request.out),
-            Some(backend) => backend.score_into(
-                &request.store,
-                &request.ids,
-                infer_scratch,
-                &mut request.out,
-            ),
-        };
+        let result = request.backend.score_into(
+            &request.store,
+            &request.ids,
+            infer_scratch,
+            &mut request.out,
+        );
         let served = result.is_ok();
         if served {
             request
@@ -1346,17 +1289,16 @@ fn serve_batch(
             {
                 // A lookup's store read lands in `decode[dtype]` (and its
                 // rows, once served, in `decode_rows`); a score's whole
-                // backend execution — gather + NN forward — in `forward`.
-                // The reply hand-back is `slab_write` for both.
+                // backend execution — row read + NN forward — in
+                // `forward`. The reply hand-back is `slab_write` for both.
                 let mut stages = telemetry.shard(shard_idx).stages();
-                let fill_stage = match request.backend {
-                    None => {
-                        if served {
-                            stages.decode_rows += n_rows as u64;
-                        }
-                        &mut stages.decode[dtype_idx(dtype)]
+                let fill_stage = if request.lookup {
+                    if served {
+                        stages.decode_rows += n_rows as u64;
                     }
-                    Some(_) => &mut stages.forward,
+                    &mut stages.decode[dtype_idx(dtype)]
+                } else {
+                    &mut stages.forward
                 };
                 fill_stage.record(filled.saturating_duration_since(started).as_nanos() as u64);
                 stages
@@ -1416,7 +1358,8 @@ mod tests {
                     ids: vec![0, 1],
                     out: vec![0f32; 1],
                     store: Arc::clone(&store),
-                    backend: None,
+                    backend: Arc::new(LookupBackend),
+                    lookup: true,
                     counters: Arc::new(ModelCounters::default()),
                     slot: Arc::clone(&slot),
                     admission: Admission::stamp_with(AdmissionPolicy::Block, false, None),

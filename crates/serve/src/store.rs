@@ -29,10 +29,11 @@
 //! column, MEmCom is `[replicated shared table, partitioned multipliers,
 //! partitioned biases?]`, naive hashing is one replicated `m × e` column.
 //!
-//! The batch read path is slab-based: [`ShardedStore::lookup_batch`]
-//! writes rows straight into a caller-owned flat buffer — one loop that
-//! runs the recipe over page reads in place — and nothing on that path
-//! allocates per row.
+//! The read path is slab-based: [`ShardedStore::lookup_into`] writes the
+//! rows of ids of any shards, in request order, straight into a
+//! caller-owned flat buffer — one loop that runs the recipe over page
+//! reads in place, with the recipe's operand buffer owned by the caller —
+//! so it takes no lock and nothing on it allocates per row.
 //!
 //! Any store can hold its rows below fp32
 //! ([`ShardedStore::build_quantized`]): column pages then hold
@@ -78,7 +79,6 @@ use memcom_ondevice::pages::PagedTable;
 use memcom_ondevice::quant::{
     decode_stored_row, encode_stored_row, quantize_row, stored_zero_row, Dtype,
 };
-use parking_lot::Mutex;
 
 use crate::delta::{DeltaOp, StoreDelta};
 use crate::{Result, ServeError};
@@ -373,70 +373,18 @@ impl Column {
 }
 
 struct Shard {
-    /// How an id reads `columns`.
-    recipe: Recipe,
     /// One column per recipe table, in recipe order.
     columns: Vec<Column>,
     /// Rows owned by this shard (its slot count).
     slots: usize,
-    /// Counted flops of one row: the combine, plus one multiply (or
-    /// half-to-float convert) per value when the rows dequantize.
-    row_flops: u64,
-    /// The executor's operand buffer ([`Recipe::row_into`]'s `scratch`),
-    /// per shard so allocation settles after the first row.
-    operand: Mutex<Vec<f32>>,
-    /// Rows served since construction.
-    rows_read: AtomicU64,
-}
-
-impl Shard {
-    fn new(recipe: Recipe, columns: Vec<Column>, slots: usize, row_flops: u64) -> Self {
-        Shard {
-            recipe,
-            columns,
-            slots,
-            row_flops,
-            operand: Mutex::new(Vec::new()),
-            rows_read: AtomicU64::new(0),
-        }
-    }
-
-    /// Serves a batch of ids owned by this shard into the flat slab
-    /// `out` (`ids.len() * dim` values, row-major): the recipe runs over
-    /// the backing pages straight into each id's row — quantized bytes
-    /// dequantize in place, and the only intermediate buffer is the
-    /// reused `operand` — so nothing here allocates per row.
-    fn lookup_into(
-        &self,
-        ids: &[usize],
-        n_shards: usize,
-        dim: usize,
-        out: &mut [f32],
-    ) -> Result<()> {
-        assert_eq!(
-            out.len(),
-            ids.len() * dim,
-            "slab holds {} values for {} rows of dim {dim}",
-            out.len(),
-            ids.len()
-        );
-        let mut operand = self.operand.lock();
-        for (&id, row) in ids.iter().zip(out.chunks_exact_mut(dim)) {
-            let slot = id / n_shards;
-            debug_assert!(slot < self.slots, "slot routed to wrong shard");
-            let read = |k: usize, r: usize, buf: &mut [f32]| self.columns[k].read(slot, r, buf);
-            self.recipe.row_into(id, read, &mut operand, row)?;
-        }
-        self.rows_read
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
 }
 
 /// A sharded, page-backed read-only row store built from any
 /// [`EmbeddingCompressor`].
 pub struct ShardedStore {
     shards: Vec<Shard>,
+    /// How an id reads its shard's columns.
+    recipe: Recipe,
     vocab: usize,
     dim: usize,
     dtype: Dtype,
@@ -444,6 +392,11 @@ pub struct ShardedStore {
     /// store was asked to hold.
     error_bound: f32,
     method: &'static str,
+    /// Counted flops of one row: the combine, plus one multiply (or
+    /// half-to-float convert) per value when the rows dequantize.
+    row_flops: u64,
+    /// Rows served since construction.
+    rows_read: AtomicU64,
 }
 
 impl ShardedStore {
@@ -556,13 +509,12 @@ impl ShardedStore {
             parts.push((max_abs, err));
         }
         let dequant = if dtype == Dtype::F32 { 0 } else { dim };
-        let row_flops = (recipe.combine.flops(dim) + dequant) as u64;
         let shards = columns
             .into_iter()
             .enumerate()
-            .map(|(shard_idx, columns)| {
-                let slots = shard_slots(shard_idx, vocab, n_shards);
-                Shard::new(recipe.clone(), columns, slots, row_flops)
+            .map(|(shard_idx, columns)| Shard {
+                columns,
+                slots: shard_slots(shard_idx, vocab, n_shards),
             })
             .collect();
         Ok(ShardedStore {
@@ -572,6 +524,9 @@ impl ShardedStore {
             dtype,
             error_bound: recipe.combine.error_bound(&parts),
             method: emb.method_name(),
+            row_flops: (recipe.combine.flops(dim) + dequant) as u64,
+            rows_read: AtomicU64::new(0),
+            recipe: recipe.clone(),
         })
     }
 
@@ -619,7 +574,7 @@ impl ShardedStore {
                 ),
             });
         }
-        let recipe = &self.shards[0].recipe;
+        let recipe = &self.recipe;
         let identity = |maps: &[RowMap]| maps.iter().all(|map| *map == RowMap::Identity);
         let scaled = match recipe.combine {
             Combine::Row if identity(&recipe.maps) => false,
@@ -709,20 +664,21 @@ impl ShardedStore {
                 let drift = served(wv.neighbor_drift, wb.neighbor_drift);
                 error_bound = (error_bound + drift).max(residual + served(wv.err, wb.err));
             }
-            shards.push(Shard::new(
-                recipe.clone(),
+            shards.push(Shard {
                 columns,
-                new_slots,
-                old.row_flops,
-            ));
+                slots: new_slots,
+            });
         }
         Ok(ShardedStore {
             shards,
+            recipe: recipe.clone(),
             vocab: new_vocab,
             dim: self.dim,
             dtype: self.dtype,
             error_bound,
             method: self.method,
+            row_flops: self.row_flops,
+            rows_read: AtomicU64::new(0),
         })
     }
 
@@ -818,28 +774,23 @@ impl ShardedStore {
     ///
     /// Returns [`ServeError::IdOutOfVocab`] for ids past the vocabulary.
     pub fn get(&self, id: usize) -> Result<Vec<f32>> {
-        self.check_id(id)?;
         let mut row = vec![0f32; self.dim];
-        let shard = &self.shards[self.shard_of(id)];
-        shard.lookup_into(
-            std::slice::from_ref(&id),
-            self.shards.len(),
-            self.dim,
-            &mut row,
-        )?;
+        self.lookup_into(std::slice::from_ref(&id), &mut Vec::new(), &mut row)?;
         Ok(row)
     }
 
-    /// Serves a batch of ids that all route to `shard_idx` into the flat
-    /// slab `out` — the zero-copy batch path. `out` must hold exactly
-    /// `ids.len() * dim()` values; row `k` of the result lands at
-    /// `out[k*dim .. (k+1)*dim]`.
+    /// Reads the rows of `ids`, whichever shards own them, into the flat
+    /// slab `out` in request order — the one read path. `out` must hold
+    /// exactly `ids.len() * dim()` values; row `k` lands at
+    /// `out[k*dim .. (k+1)*dim]`. Per id the recipe runs over its shard's
+    /// pages straight into the row, quantized bytes dequantizing in
+    /// place; `operand` is [`Recipe::row_into`]'s second-operand buffer,
+    /// owned and reused by the caller, so the read takes no lock and
+    /// allocates nothing per row.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::IdOutOfVocab`] on any out-of-range id and
-    /// [`ServeError::BadConfig`] when an id routes to a different shard
-    /// (an internal routing bug).
+    /// Returns [`ServeError::IdOutOfVocab`] on any out-of-range id.
     ///
     /// # Panics
     ///
@@ -848,6 +799,44 @@ impl ShardedStore {
     /// panicking (rather than quietly truncating) lets the worker's
     /// panic recovery fail the whole batch loudly.
     // memcom-lint: hot-path
+    pub fn lookup_into(
+        &self,
+        ids: &[usize],
+        operand: &mut Vec<f32>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let dim = self.dim;
+        assert_eq!(
+            out.len(),
+            ids.len() * dim,
+            "slab holds {} values for {} rows of dim {dim}",
+            out.len(),
+            ids.len()
+        );
+        let n_shards = self.shards.len();
+        for (&id, row) in ids.iter().zip(out.chunks_exact_mut(dim)) {
+            self.check_id(id)?;
+            let (columns, slot) = (&self.shards[id % n_shards].columns, id / n_shards);
+            let read = |k: usize, r: usize, buf: &mut [f32]| columns[k].read(slot, r, buf);
+            self.recipe.row_into(id, read, operand, row)?;
+        }
+        self.rows_read
+            .fetch_add(ids.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+    // memcom-lint: end-hot-path
+
+    /// [`lookup_into`](Self::lookup_into) for ids that all route to
+    /// `shard_idx`, with a fresh operand buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::IdOutOfVocab`] on any out-of-range id and
+    /// [`ServeError::BadConfig`] when an id routes to a different shard.
+    ///
+    /// # Panics
+    ///
+    /// As [`lookup_into`](Self::lookup_into).
     pub fn lookup_batch(&self, shard_idx: usize, ids: &[usize], out: &mut [f32]) -> Result<()> {
         for &id in ids {
             self.check_id(id)?;
@@ -857,10 +846,8 @@ impl ShardedStore {
                 });
             }
         }
-        self.shards[shard_idx].lookup_into(ids, self.shards.len(), self.dim, out)
+        self.lookup_into(ids, &mut Vec::new(), out)
     }
-
-    // memcom-lint: end-hot-path
 
     /// Page clone-on-write events while building this snapshot — the
     /// number of pages physically copied off their shared allocation
@@ -874,10 +861,9 @@ impl ShardedStore {
     /// is always 0) — exact under any number of concurrent readers. A
     /// vestige of the deleted hot-row cache, see [`CacheStats`].
     pub fn cache_stats(&self) -> CacheStats {
-        let rows_read = |shard: &Shard| shard.rows_read.load(Ordering::Relaxed);
         CacheStats {
             hits: 0,
-            misses: self.shards.iter().map(rows_read).sum(),
+            misses: self.rows_read.load(Ordering::Relaxed),
         }
     }
 
@@ -891,9 +877,7 @@ impl ShardedStore {
             work.cold_bytes += cold;
             work.warm_bytes += table.total_read_bytes().saturating_sub(cold);
         }
-        for shard in &self.shards {
-            work.flops += shard.rows_read.load(Ordering::Relaxed) * shard.row_flops;
-        }
+        work.flops = self.rows_read.load(Ordering::Relaxed) * self.row_flops;
         work.activation_bytes = (self.dim * 4) as u64;
         work
     }
@@ -1096,6 +1080,30 @@ mod tests {
             emb.lookup(&[14]).unwrap().as_slice(),
             "slab reuse"
         );
+    }
+
+    #[test]
+    fn lookup_into_matches_single_gets_across_shards() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let emb = MemCom::new(MemComConfig::new(200, 8, 20), &mut rng).unwrap();
+        let store = ShardedStore::build(&emb, 4, 16, 4096).unwrap();
+        let ids = [7usize, 3, 150, 7, 42, 199, 0];
+        let mut dest = vec![0f32; ids.len() * store.dim()];
+        store.lookup_into(&ids, &mut Vec::new(), &mut dest).unwrap();
+        for (pos, &id) in ids.iter().enumerate() {
+            let want = store.get(id).unwrap();
+            assert_eq!(&dest[pos * 8..(pos + 1) * 8], want.as_slice(), "id {id}");
+        }
+        let flat = emb.lookup(&ids).unwrap();
+        assert_eq!(
+            dest,
+            flat.as_slice(),
+            "the read must equal compressor lookup"
+        );
+        assert!(matches!(
+            store.lookup_into(&[3, 200], &mut Vec::new(), &mut dest[..16]),
+            Err(ServeError::IdOutOfVocab { id: 200, .. })
+        ));
     }
 
     #[test]

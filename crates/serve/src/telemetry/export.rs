@@ -108,7 +108,7 @@ pub struct ShardStageMetrics {
     /// Shard index.
     pub shard: usize,
     /// Time producers spent inside admission (blocking for queue space
-    /// or shedding), per sub-request.
+    /// or shedding), per request.
     pub admission_wait: LatencyHistogram,
     /// Issue → worker dequeue per request. Includes the admission wait;
     /// subtract the admission-wait histogram to isolate pure queueing.

@@ -9,7 +9,8 @@
 //!   counters (per-model rows, swaps, delta applies)
 //!   are still exported.
 //! * **Full** — per-stage latency histograms (admission wait, queue
-//!   wait, batch assembly, store decode per dtype, response write) and
+//!   wait, store decode per dtype, forward, response write; the batch
+//!   assembly stage stays empty, since no worker holds a batch open) and
 //!   sampled request tracing. Recording is O(1) and shard-local: the
 //!   worker folds a whole batch into its shard's accumulators under one
 //!   uncontended lock, and a snapshot merges per-shard state on demand.

@@ -98,7 +98,7 @@ impl ShardTelemetry {
 #[derive(Debug)]
 pub(crate) struct MetricsRegistry {
     level: TelemetryLevel,
-    /// Trace every k-th sub-request; `0` disables tracing.
+    /// Trace every k-th request; `0` disables tracing.
     sample_every: u64,
     seq: AtomicU64,
     shards: Vec<ShardTelemetry>,
@@ -136,7 +136,7 @@ impl MetricsRegistry {
         &self.shards[idx]
     }
 
-    /// Sampling decision for one sub-request: one atomic increment, a
+    /// Sampling decision for one request: one atomic increment, a
     /// span for every k-th caller.
     pub(crate) fn sample(&self) -> Option<PendingSpan> {
         if self.sample_every == 0 {

@@ -1,6 +1,6 @@
 //! Sampled request tracing.
 //!
-//! At [`crate::TelemetryLevel::Full`] every k-th sub-request (with
+//! At [`crate::TelemetryLevel::Full`] every k-th request (with
 //! `k = round(1 / sample_rate)`, so sampling costs one atomic increment
 //! and no random-number source) is stamped with a pending span. The
 //! worker that finishes the request completes the span with the stage
@@ -34,8 +34,7 @@ impl SpanOutcome {
 }
 
 /// One completed trace span: the per-stage breakdown of a single sampled
-/// sub-request (a multi-shard fan-out traces each shard's sub-request
-/// independently).
+/// request — a lookup or a score, whichever shards its ids live on.
 ///
 /// `queue_wait_nanos` runs from the issue stamp to the moment a worker
 /// started on the request, so it *includes* the admission wait (the
@@ -46,9 +45,10 @@ impl SpanOutcome {
 pub struct Span {
     /// Sample sequence number (global, monotonically increasing).
     pub seq: u64,
-    /// Shard that served (or shed/expired) the sub-request.
+    /// Shard whose worker served (or shed/expired) the request: its
+    /// first id's.
     pub shard: usize,
-    /// Rows the sub-request carried.
+    /// Rows the request carried.
     pub rows: usize,
     /// Issue → dequeue, including the admission wait. For a shed
     /// request this is the time spent failing admission.

@@ -1,11 +1,12 @@
 //! Proof that the slab batch path performs no per-row heap allocation.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` in the
-//! process. After warm-up (buffer pool primed, queue at capacity), a
+//! process. After warm-up (buffers primed, queue at capacity), a
 //! `get_batch_into` call for hundreds of rows must stay under a small
-//! constant number of allocations — the per-shard response slot `Arc`
-//! and the worker's per-batch scratch — independent of the row count. A per-row `Vec` pipeline (the old `get_many` shape) would
-//! blow the bound by two orders of magnitude.
+//! constant number of allocations — the response slot `Arc` — independent
+//! of the row count and of the number of shards the rows live on. A
+//! per-row `Vec` pipeline (the old `get_many` shape) would blow the bound
+//! by two orders of magnitude.
 //!
 //! This file holds exactly one `#[test]`: the allocator is process-wide,
 //! so a sibling test running concurrently would pollute the counter.
@@ -76,7 +77,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
     // slab: the decode must be exactly as allocation-free as the copy.
     // Quotient–remainder-multiply reads two int8 rows per id and
     // multiplies them, so every row borrows the executor's operand
-    // buffer — which the shard must own and reuse, not allocate per row.
+    // buffer — which the worker must own and reuse, not allocate per row.
     let cases: [(&dyn EmbeddingCompressor, Dtype); 3] = [
         (&emb, Dtype::F32),
         (&emb, Dtype::Int8),
@@ -84,55 +85,72 @@ fn get_batch_into_allocates_constant_not_per_row() {
     ];
     for (emb, dtype) in cases {
         let name = emb.method_name();
-        let router = Router::start(ServeConfig {
-            n_shards: 1,
-            // Flush every queue entry immediately: no timer waits, and a
-            // deterministic one-batch-per-call steady state.
-            max_batch: 1,
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        router
-            .register_with_dtype(DEFAULT_MODEL, emb, dtype)
+        // The ids run 0..512, so on 4 shards every call touches all of
+        // them — and is still one request.
+        let mut per_call_by_shards = Vec::new();
+        for n_shards in [1, 4] {
+            let router = Router::start(ServeConfig {
+                n_shards,
+                // Flush every queue entry immediately: no timer waits, and
+                // a deterministic one-batch-per-call steady state.
+                max_batch: 1,
+                ..ServeConfig::default()
+            })
             .unwrap();
-        let handle = router.handle(DEFAULT_MODEL).unwrap();
+            router
+                .register_with_dtype(DEFAULT_MODEL, emb, dtype)
+                .unwrap();
+            let handle = router.handle(DEFAULT_MODEL).unwrap();
 
-        // Warm up: grows the slab/pool/queue capacities and settles the
-        // allocator to its steady state.
-        for _ in 0..10 {
-            handle.get_batch_into(&ids, &mut batch).unwrap();
+            // Warm up: grows the slab/pool/queue capacities and settles
+            // the allocator to its steady state.
+            for _ in 0..10 {
+                handle.get_batch_into(&ids, &mut batch).unwrap();
+            }
+
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            for _ in 0..CALLS {
+                handle.get_batch_into(&ids, &mut batch).unwrap();
+            }
+            let per_call = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / CALLS as f64;
+            eprintln!(
+                "{name} {dtype:?} {n_shards}-shard read path: {per_call:.2} allocations/call"
+            );
+
+            // Expected steady state: 1 response-slot Arc (caller side) and
+            // nothing from the worker — `pop_batch_into` drains into a
+            // reused buffer and the panic-blanket slot list is reused too,
+            // so the old per-flush `drain(..).collect()` + slot-`Vec` pair
+            // (~2 extra allocations per call) would blow this bound.
+            assert!(
+                per_call <= 2.5,
+                "expected ~1 allocation per {ROWS}-row {name} {dtype:?} call on {n_shards} \
+                 shards (slot Arc only), measured {per_call:.1}"
+            );
+            per_call_by_shards.push(per_call);
+
+            // Sanity: the rows really were served.
+            assert_eq!(batch.len(), ROWS);
+            assert_eq!(batch.dim(), 16);
+            let stats = router.shutdown().remove(0).1;
+            assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
         }
-
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for _ in 0..CALLS {
-            handle.get_batch_into(&ids, &mut batch).unwrap();
-        }
-        let per_call = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / CALLS as f64;
-        eprintln!("{name} {dtype:?} read path: {per_call:.2} allocations/call");
-
-        // Expected steady state: 1 response-slot Arc (caller side) and
-        // nothing from the worker — `pop_batch_into` drains into a
-        // reused buffer and the panic-blanket slot list is reused too, so
-        // the old per-flush `drain(..).collect()` + slot-`Vec` pair (~2
-        // extra allocations per call) would blow this bound.
+        // A call that touches 4 shards allocates what one touching 1
+        // does: one request, one slot, whatever the shard count.
+        let [one, four] = per_call_by_shards[..] else {
+            unreachable!("two shard counts measured")
+        };
         assert!(
-            per_call <= 2.5,
-            "expected ~1 allocation per {ROWS}-row {name} {dtype:?} call (slot Arc only), \
-             measured {per_call:.1}"
+            four <= one + 0.5,
+            "{name} {dtype:?}: {four:.2} allocations/call on 4 shards vs {one:.2} on 1"
         );
-
-        // Sanity: the rows really were served.
-        assert_eq!(batch.len(), ROWS);
-        assert_eq!(batch.dim(), 16);
-        let stats = router.shutdown().remove(0).1;
-        assert!(stats.requests >= (CALLS + 10) * ROWS as u64);
     }
 
     // Second phase: the *shedding* hot path. Depth-1 queue, worker
     // wedged behind a long simulated store read, one request in flight
     // and one parked in the queue — every push from the main thread is
     // rejected at admission for the whole store-latency window. A shed
-    // slab request must hand its id/out buffers back through the pool,
+    // slab request must hand its id/out buffers back to the caller's batch,
     // so the reject path — which under overload runs for most traffic —
     // costs the same single slot-`Arc` allocation as a served call.
     let mut rng = StdRng::seed_from_u64(11);

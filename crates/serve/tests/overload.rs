@@ -301,13 +301,11 @@ fn shed_rejection_reports_the_enqueue_budget() {
     assert_eq!(stats.requests, 2, "wedger and parker were served");
 }
 
-/// A multi-shard fan-out that sheds partway through admission must
-/// still account for every row: already-admitted sub-requests run and
-/// count as served, the shed shard's rows count as shed, and rows on
-/// shards never attempted count as shed too — `requests + shed +
-/// expired` equals the rows issued.
+/// A lookup whose ids span every shard is one request on its first id's
+/// shard, admitted or shed whole: shed, all its rows count as shed and
+/// none as served — `requests + shed + expired` equals the rows issued.
 #[test]
-fn partial_fanout_shed_accounts_for_every_row() {
+fn a_shed_lookup_spanning_shards_counts_every_row_shed() {
     let emb = memcom(13);
     let router = start(
         &emb,
@@ -327,17 +325,17 @@ fn partial_fanout_shed_accounts_for_every_row() {
     .unwrap();
     let handle = router.handle(DEFAULT_MODEL).unwrap();
     std::thread::scope(|scope| {
-        // Wedge shard 1 (ids ≡ 1 mod 3): one request in flight, one
+        // Wedge shard 0 (ids ≡ 0 mod 3): one request in flight, one
         // parked in its depth-1 queue.
         let wedger = handle.clone();
-        scope.spawn(move || wedger.get(1).unwrap());
+        scope.spawn(move || wedger.get(0).unwrap());
         std::thread::sleep(Duration::from_millis(50));
         let parker = handle.clone();
-        scope.spawn(move || parker.get(4).unwrap());
+        scope.spawn(move || parker.get(3).unwrap());
         std::thread::sleep(Duration::from_millis(50));
 
-        // Fan out over shards 0, 1, 2: shard 0 is admitted (and
-        // served), shard 1 sheds, shard 2 is never attempted.
+        // Ids on shards 0, 1 and 2 ride shard 0's full queue: shed whole,
+        // though shards 1 and 2 are idle.
         let mut batch = EmbedBatch::new();
         assert!(matches!(
             handle.get_batch_into(&[0, 1, 2], &mut batch),
@@ -345,12 +343,9 @@ fn partial_fanout_shed_accounts_for_every_row() {
         ));
     });
     let stats = router.shutdown().remove(0).1;
-    // Rows issued: wedger 1 + parker 1 + fan-out 3 = 5.
-    assert_eq!(stats.requests, 3, "wedger, parker, and the shard-0 row");
-    assert_eq!(
-        stats.shed, 2,
-        "the shed shard-1 row and the skipped shard-2 row"
-    );
+    // Rows issued: wedger 1 + parker 1 + the spanning lookup 3 = 5.
+    assert_eq!(stats.requests, 2, "wedger and parker only");
+    assert_eq!(stats.shed, 3, "every row of the spanning lookup");
     assert_eq!(stats.expired, 0);
     assert_eq!(stats.requests + stats.shed + stats.expired, 5);
 }

@@ -77,6 +77,28 @@ fn models_are_isolated() {
     assert_eq!(stats_b.requests, 2 * ids.len() as u64);
 }
 
+/// A lookup is one request whichever shards its ids live on: on three
+/// shards, ids touching all of them make exactly one batch and come back
+/// in request order with the compressor's own bits.
+#[test]
+fn a_lookup_touching_every_shard_is_one_batch() {
+    let emb = memcom(40);
+    let router = Router::start(config(3)).unwrap();
+    router.register(DEFAULT_MODEL, &emb).unwrap();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
+    let ids = [5usize, 0, 1, 399, 2, 5];
+    let shards: std::collections::BTreeSet<usize> = ids.iter().map(|id| id % 3).collect();
+    assert_eq!(shards.len(), 3);
+
+    let before = handle.stats().batches;
+    let mut batch = EmbedBatch::new();
+    handle.get_batch_into(&ids, &mut batch).unwrap();
+    assert_eq!(handle.stats().batches, before + 1);
+    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want = emb.lookup(&ids).unwrap();
+    assert_eq!(bits(batch.data()), bits(want.as_slice()));
+}
+
 /// `mean_batch` is router-wide, like the `batches` it divides by: every
 /// model reports the same value, computed from the rows of every model's
 /// batches, not from its own served rows.
