@@ -285,11 +285,6 @@ impl NetClient {
         })
     }
 
-    /// The client's configuration.
-    pub fn config(&self) -> &NetClientConfig {
-        &self.inner.config
-    }
-
     /// Current outcome tallies.
     pub fn stats(&self) -> NetClientStats {
         let c = &self.inner.counters;

@@ -359,16 +359,7 @@ fn handle_frame(
         Ok(Message::Lookup(req)) => (req, false),
         // A score frame has the lookup frame's layout; only the kind
         // byte — carried on as `score` — differs.
-        Ok(Message::Score(req)) => (
-            LookupRequest {
-                request_id: req.request_id,
-                model: req.model,
-                ids: req.ids,
-                dtype_hint: req.dtype_hint,
-                deadline: req.deadline,
-            },
-            true,
-        ),
+        Ok(Message::Score(req)) => (req, true),
         // Rows/Error frames flow server→client only; a client sending
         // one is confused but the framing is intact, so answer typed
         // and keep the connection.

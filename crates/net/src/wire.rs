@@ -250,23 +250,9 @@ pub struct LookupRequest {
 
 /// A full-model score request: the ids are gathered as embedding rows
 /// server-side and pushed through the model's registered inference
-/// backend; the response is one row of K scores. Wire layout is
-/// identical to [`LookupRequest`] — only the kind byte differs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoreRequest {
-    /// Client-chosen id echoed in the response (pipelining key).
-    pub request_id: u64,
-    /// Registered model name on the server's router.
-    pub model: String,
-    /// Item ids to score together (one request = one forward pass).
-    pub ids: Vec<u64>,
-    /// Advisory storage-dtype hint (`None` = no preference), same
-    /// semantics as [`LookupRequest::dtype_hint`].
-    pub dtype_hint: Option<Dtype>,
-    /// Per-request end-to-end deadline, same semantics as
-    /// [`LookupRequest::deadline`]. `None` = no deadline.
-    pub deadline: Option<Duration>,
-}
+/// backend; the response is one row of K scores. Its body is a
+/// [`LookupRequest`]'s — on the wire only the kind byte differs.
+pub type ScoreRequest = LookupRequest;
 
 /// A row-slab response: `data.len() / dim` rows of `dim` f32 values in
 /// request order.
@@ -300,8 +286,8 @@ pub struct ErrorResponse {
 pub enum Message {
     /// A batch-lookup request.
     Lookup(LookupRequest),
-    /// A full-model score request.
-    Score(ScoreRequest),
+    /// A full-model score request: a lookup's body under the score kind.
+    Score(LookupRequest),
     /// A row-slab response.
     Rows(RowsResponse),
     /// A typed-error response.
@@ -658,25 +644,20 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
     let kind = c.u8("kind")?;
     let request_id = c.u64("request id")?;
     match kind {
-        KIND_LOOKUP => {
+        KIND_LOOKUP | KIND_SCORE => {
             let (model, ids, dtype_hint, deadline) = decode_request_body(c, payload)?;
-            Ok(Message::Lookup(LookupRequest {
+            let req = LookupRequest {
                 request_id,
                 model,
                 ids,
                 dtype_hint,
                 deadline,
-            }))
-        }
-        KIND_SCORE => {
-            let (model, ids, dtype_hint, deadline) = decode_request_body(c, payload)?;
-            Ok(Message::Score(ScoreRequest {
-                request_id,
-                model,
-                ids,
-                dtype_hint,
-                deadline,
-            }))
+            };
+            Ok(if kind == KIND_LOOKUP {
+                Message::Lookup(req)
+            } else {
+                Message::Score(req)
+            })
         }
         KIND_ROWS => {
             let rows = c.u32("row count")? as usize;

@@ -8,7 +8,8 @@
 //! Table 3 contrasts between MEmCom's row lookups and Weinberger's
 //! whole-kernel matmul. Both consumers sit on it: the on-device
 //! [`crate::InferenceSession`] holds one table per serialized table of
-//! the model file, and `memcom-serve`'s `ShardedStore` one per shard.
+//! the model file, and `memcom-serve`'s `ShardedStore` one per recipe
+//! table, the same way.
 //!
 //! * Rows of a fixed `stride` are packed into fixed-size **pages**, each
 //!   its own `Arc<Vec<u8>>` allocation. Pages are row-aligned (a page

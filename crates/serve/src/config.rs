@@ -222,26 +222,10 @@ impl ServeConfig {
         }
     }
 
-    /// The calibrated service capacity of one shard in rows per second
-    /// (`max_batch / store_latency`), or `None` when no store latency is
-    /// simulated (the in-memory page store alone has no meaningful
-    /// capacity to calibrate against).
-    ///
-    /// Unit caveat: `max_batch` counts *queued requests*, so this is
-    /// exact in rows for single-id requests — the shape every overload
-    /// calibration in this repository uses — and an underestimate when
-    /// requests carry many ids each.
-    pub fn shard_capacity_rows_per_sec(&self) -> Option<f64> {
-        if self.store_latency.is_zero() {
-            None
-        } else {
-            Some(self.max_batch as f64 / self.store_latency.as_secs_f64())
-        }
-    }
-
     /// Suggested client backoff after an admission rejection observing
     /// `queued_requests` in the shard's queue: the backlog ahead of a
-    /// retry divided by the shard's calibrated capacity — i.e. the queue
+    /// retry divided by the shard's calibrated capacity (`max_batch`
+    /// requests per `store_latency`) — i.e. the queue
     /// (plus the batch in flight) expressed in batch service times.
     /// Queue depth and `max_batch` are both in request units, so the
     /// ratio is well-defined regardless of how many ids each request
@@ -333,7 +317,6 @@ mod tests {
             store_latency: Duration::from_millis(2),
             ..ServeConfig::default()
         };
-        assert_eq!(config.shard_capacity_rows_per_sec(), Some(4_000.0));
         // Queue depth ÷ capacity, plus the in-flight batch.
         assert_eq!(
             config.suggested_backoff(0),
@@ -345,7 +328,6 @@ mod tests {
         // Without a simulated store read there is no calibrated
         // capacity and no known service time, so no hint.
         let uncalibrated = ServeConfig::default();
-        assert_eq!(uncalibrated.shard_capacity_rows_per_sec(), None);
         assert_eq!(uncalibrated.suggested_backoff(4_096), Duration::ZERO);
     }
 

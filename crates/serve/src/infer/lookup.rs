@@ -18,10 +18,6 @@ use super::{InferBackend, InferScratch};
 pub struct LookupBackend;
 
 impl InferBackend for LookupBackend {
-    fn name(&self) -> &'static str {
-        "lookup"
-    }
-
     fn out_len(&self, n_ids: usize, store: &ShardedStore) -> usize {
         n_ids * store.dim()
     }

@@ -79,10 +79,6 @@ pub const LOOKUP_BACKEND: &str = "lookup";
 /// shape — every intermediate belongs in the caller-provided
 /// [`InferScratch`], which each worker owns and reuses.
 pub trait InferBackend: Send + Sync + std::fmt::Debug {
-    /// A short human-readable kind label (e.g. `"lookup"`,
-    /// `"ranknet"`), used in diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Output values produced for a request of `n_ids` ids over
     /// `store` — the `K` in "N ids in, K scores out". The serving layer
     /// sizes the response slab to exactly this.
@@ -175,13 +171,6 @@ impl BackendRegistry {
                 context: format!("no inference backend named {name:?} is registered"),
             })
     }
-
-    /// Registered backend names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.backends.read().keys().cloned().collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 impl Default for BackendRegistry {
@@ -254,9 +243,7 @@ mod tests {
     #[test]
     fn registry_defaults_and_errors() {
         let registry = BackendRegistry::new();
-        assert_eq!(registry.names(), vec![LOOKUP_BACKEND.to_string()]);
-        let lookup = registry.get(LOOKUP_BACKEND).unwrap();
-        assert_eq!(lookup.name(), "lookup");
+        registry.get(LOOKUP_BACKEND).unwrap();
         assert!(matches!(
             registry.get("missing"),
             Err(ServeError::BadConfig { .. })
@@ -268,6 +255,6 @@ mod tests {
         registry
             .register("lookup2", Arc::new(LookupBackend))
             .unwrap();
-        assert_eq!(registry.names().len(), 2);
+        registry.get("lookup2").unwrap();
     }
 }

@@ -81,10 +81,6 @@ impl RankNetBackend {
 }
 
 impl InferBackend for RankNetBackend {
-    fn name(&self) -> &'static str {
-        "ranknet"
-    }
-
     fn out_len(&self, _n_ids: usize, _store: &ShardedStore) -> usize {
         self.session.head_out_len()
     }

@@ -10,13 +10,12 @@
 //! Bottom-up, each module is one layer of the engine:
 //!
 //! * [`store`] — **storage**: [`ShardedStore`] holds one column per
-//!   table of a trained model's [`memcom_core::Recipe`] in each of N
-//!   shards — per-entity tables partitioned, shared tables replicated —
-//!   in structurally-shared pages ([`memcom_ondevice::PagedTable`]),
-//!   and serves a row by running the recipe over them — the pages are
-//!   the only copy of a row. Its slab API ([`ShardedStore::lookup_into`])
-//!   writes the rows of ids of any shards straight into a caller-owned
-//!   flat buffer, in request order — no lock, no per-row allocation.
+//!   table of a trained model's [`memcom_core::Recipe`], in
+//!   structurally-shared pages ([`memcom_ondevice::PagedTable`]), and
+//!   serves a row by running the recipe over them — the pages are the
+//!   only copy of a row. Its slab API ([`ShardedStore::lookup_into`])
+//!   writes the rows of `ids` straight into a caller-owned flat buffer,
+//!   in request order — no lock, no per-row allocation.
 //! * [`delta`] — **incremental refresh**: [`StoreDelta`] batches
 //!   row-level upserts/removals; [`ShardedStore::apply_delta`] turns
 //!   one into a new snapshot that copy-on-writes only the touched
@@ -34,8 +33,8 @@
 //!   a registry of named models. Lookups and scores are one request
 //!   shape on one submit → queue → worker path: each call is one request
 //!   on its first id's shard, filled by one [`InferBackend::score_into`]
-//!   call (a lookup's backend is [`LookupBackend`]) that reads rows from
-//!   whichever shards own them. Requests capture their model's current
+//!   call (a lookup's backend is [`LookupBackend`]) that reads the rows
+//!   of all its ids from the one store. Requests capture their model's current
 //!   store `Arc` at enqueue time, so [`Router::swap`] (whole-table) and
 //!   [`Router::apply_delta`] (row-level) refresh tables atomically
 //!   while in-flight lookups finish on the old snapshot, and one worker
@@ -64,13 +63,10 @@
 //!   Prometheus/JSON exporters over [`Router::metrics`]'s
 //!   [`MetricsSnapshot`].
 //!
-//! Sharding exploits the structure of the recipe itself: a table an id
-//! reads through a hash is *small* — that is the compression — and is
-//! replicated per shard, while a table with one row per id (MEmCom's
-//! multipliers and biases, an uncompressed table) is *large* and is
-//! partitioned, so shards stay compressed, whatever the technique, and
-//! never contend on a common lock. Costs plug into the on-device
-//! compute-unit model: [`ShardedStore::run_stats`] returns the same
+//! Shards are worker queues, not storage: a store holds each recipe
+//! table once, whatever the shard count, so a served model costs what
+//! its tables cost, and workers read it without a lock. Costs plug into
+//! the on-device compute-unit model: [`ShardedStore::run_stats`] returns the same
 //! [`memcom_ondevice::RunStats`] the single-inference engines report.
 //!
 //! ```

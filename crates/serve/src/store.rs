@@ -1,39 +1,32 @@
-//! The sharded row store.
+//! The row store.
 //!
-//! Serves a trained embedding model from N shards by running the
-//! technique's own [`Recipe`] over its own tables — the executor
-//! ([`Recipe::row_into`]) training and the on-device engine run, hence the
-//! same bits — so a served model costs what its tables cost, never
-//! `vocab × dim`. Each shard holds one **column** per recipe table, backed
-//! by structurally-shared pages ([`memcom_ondevice::PagedTable`]: its own
-//! lazy residency and fault accounting, so shards never contend on a
-//! shared lock). Those pages are the only copy of a row the store keeps:
-//! a lookup touches the rows it needs and the footprint is the resident
-//! pages (the paper's mmap model, §5.3).
+//! Serves a trained embedding model by running the technique's own
+//! [`Recipe`] over its own tables — the executor ([`Recipe::row_into`])
+//! training and the on-device engine run, hence the same bits — so a
+//! served model costs what its tables cost, never `vocab × dim`. The store
+//! holds one **column** per recipe table, as the model file and
+//! [`memcom_ondevice::InferenceSession`] do, backed by structurally-shared
+//! pages ([`memcom_ondevice::PagedTable`]: lazy residency and fault
+//! accounting). Those pages are the only copy of a row the store keeps: a
+//! lookup touches the rows it needs and the footprint is the resident
+//! pages (the paper's mmap model, §5.3), each counted once.
 //!
-//! One placement rule, read off the recipe — something the store can
-//! observe, not an option:
+//! A read of table `k` for `id` reads row `recipe.maps[k].row(id)` of
+//! column `k` — `id` itself for an [`RowMap::Identity`] map. The
+//! uncompressed baseline is thus [`Combine::Row`] over one identity-mapped
+//! column, MEmCom is `[hashed shared table, identity multipliers, identity
+//! biases?]`, naive hashing is one hashed `m × e` column.
 //!
-//! * a table whose map is [`RowMap::Identity`] holds one row per id, so it
-//!   is **partitioned** with the ids: `shard = id % n_shards`,
-//!   `slot = id / n_shards` (contiguous popular ids — the paper
-//!   frequency-sorts ids, §5.1 — spread across all shards, so Zipf-skewed
-//!   traffic load-balances naturally);
-//! * every other table (hashed, clamped or quotient maps, and
-//!   [`Combine::Project`]'s map-less projection) is small by construction
-//!   — that is the compression — so it is encoded once and **replicated**:
-//!   every shard `Arc`-shares the same physical pages and keeps only its
-//!   own residency accounting.
-//!
-//! The uncompressed baseline is thus [`Combine::Row`] over one partitioned
-//! column, MEmCom is `[replicated shared table, partitioned multipliers,
-//! partitioned biases?]`, naive hashing is one replicated `m × e` column.
+//! The shard count is a routing number only: it names which worker queue
+//! a request joins ([`ShardedStore::shard_of`]) and decides nothing about
+//! where a byte lives, so two stores of one model with different shard
+//! counts hold, serve and count the same bytes.
 //!
 //! The read path is slab-based: [`ShardedStore::lookup_into`] writes the
-//! rows of ids of any shards, in request order, straight into a
-//! caller-owned flat buffer — one loop that runs the recipe over page
-//! reads in place, with the recipe's operand buffer owned by the caller —
-//! so it takes no lock and nothing on it allocates per row.
+//! rows of `ids`, in request order, straight into a caller-owned flat
+//! buffer — one loop that runs the recipe over page reads in place, with
+//! the recipe's operand buffer owned by the caller — so it takes no lock
+//! and nothing on it allocates per row.
 //!
 //! Any store can hold its rows below fp32
 //! ([`ShardedStore::build_quantized`]): column pages then hold
@@ -59,9 +52,9 @@
 //! refresh ([`crate::Router::apply_delta`]) affordable.
 //!
 //! A per-id write needs a per-id row to land in, so the recipes that take
-//! deltas are the ones with a partitioned column to write: [`Combine::Row`]
-//! over an identity map (uncompressed, reduced dim — the row is
-//! re-encoded) and [`Combine::ScaleMul`] / [`Combine::ScaleAdd`] over
+//! deltas are the ones with an identity-mapped column to write:
+//! [`Combine::Row`] over an identity map (uncompressed, reduced dim — the
+//! row is re-encoded) and [`Combine::ScaleMul`] / [`Combine::ScaleAdd`] over
 //! identity-mapped scalars (MEmCom — the row is projected onto its shared
 //! row). Under every other recipe an id owns no row — its embedding is
 //! shared with every id it collides with — so `apply_delta` refuses with
@@ -107,24 +100,24 @@ impl CacheStats {
     }
 }
 
-/// Slots per int8 scalar block ([`ColumnRows::Int8`]).
+/// Consecutive ids per int8 scalar block ([`ColumnRows::Int8`]).
 const SCALAR_BLOCK: usize = 64;
 /// Stored bytes per int8 scalar block: inline `f32` scale + one code
-/// per slot.
+/// per id.
 const SCALAR_BLOCK_BYTES: usize = 4 + SCALAR_BLOCK;
 
 /// The rows of one column, in one of two encodings.
 ///
-/// A 1-wide partitioned column (MEmCom's multipliers and biases: one
-/// value per slot, the dominant per-entity store term at scale) is a
+/// A 1-wide identity-mapped column (MEmCom's multipliers and biases: one
+/// value per id, the dominant per-entity store term at scale) is a
 /// scalar column. An F32 store keeps it as 1-wide rows like any other
-/// column; quantized stores pack it as [`SCALAR_BLOCK`]-slot
-/// **int8 blocks with per-block scales** — the same symmetric linear
-/// scheme the wide rows use, with the block standing in for the row — at
-/// `(4 + 64) / 64 ≈ 1.06` bytes per slot instead of 4. A zeroed block
-/// stores scale `0.0` (codes decode to exact 0 at any scale, and a
-/// zero scale forces the first real write through the re-scale path
-/// instead of rounding against a meaningless step).
+/// column; quantized stores pack it as **int8 blocks of
+/// [`SCALAR_BLOCK`] consecutive ids with per-block scales** — the same
+/// symmetric linear scheme the wide rows use, with the block standing in
+/// for the row — at `(4 + 64) / 64 ≈ 1.06` bytes per id instead of 4. A
+/// zeroed block stores scale `0.0` (codes decode to exact 0 at any
+/// scale, and a zero scale forces the first real write through the
+/// re-scale path instead of rounding against a meaningless step).
 #[derive(Debug)]
 enum ColumnRows {
     /// `dtype`-packed stored rows of `cols` values, each integer row
@@ -152,27 +145,24 @@ struct Written {
 }
 
 impl ColumnRows {
-    /// Encodes rows `rows` of `values` (`cols` wide, row-major), in that
-    /// order; a 1-wide `partitioned` column of a quantized store takes
-    /// the scalar-block encoding. Returns the rows and the worst
-    /// `|source − stored|` they certify.
+    /// Encodes `values` (`cols` wide, row-major); a 1-wide `identity`
+    /// column of a quantized store takes the scalar-block encoding.
+    /// Returns the rows and the worst `|source − stored|` they certify.
     fn build(
         values: &[f32],
         cols: usize,
-        rows: impl ExactSizeIterator<Item = usize>,
-        partitioned: bool,
+        identity: bool,
         dtype: Dtype,
         page_size: usize,
     ) -> (Self, f32) {
-        if partitioned && cols == 1 && dtype != Dtype::F32 {
-            return Self::build_scalars(rows.map(|r| values[r]), page_size);
+        if identity && cols == 1 && dtype != Dtype::F32 {
+            return Self::build_scalars(values, page_size);
         }
         let stride = dtype.stored_row_bytes(cols);
-        let mut bytes = Vec::with_capacity(rows.len() * stride);
+        let mut bytes = Vec::with_capacity(values.len() / cols * stride);
         let mut payload = vec![0u8; dtype.row_bytes(cols)];
         let mut err = 0f32;
-        for r in rows {
-            let row = &values[r * cols..(r + 1) * cols];
+        for row in values.chunks_exact(cols) {
             if dtype == Dtype::F32 {
                 // The bytes `encode_stored_row` writes for F32 (verbatim,
                 // no scale prefix, certified error 0) without its per-row
@@ -187,26 +177,18 @@ impl ColumnRows {
         (ColumnRows::Wide { table, dtype, cols }, err)
     }
 
-    /// Builds an int8-block scalar column from per-slot values. Returns
-    /// the rows and the measured max `|source − stored|` across slots.
-    fn build_scalars(values: impl ExactSizeIterator<Item = f32>, page_size: usize) -> (Self, f32) {
-        let slots = values.len();
-        let blocks = slots.div_ceil(SCALAR_BLOCK);
+    /// Builds an int8-block scalar column from per-id values. Returns
+    /// the rows and the measured max `|source − stored|` across ids.
+    fn build_scalars(values: &[f32], page_size: usize) -> (Self, f32) {
+        let blocks = values.len().div_ceil(SCALAR_BLOCK);
         let mut bytes = Vec::with_capacity(blocks * SCALAR_BLOCK_BYTES);
         let mut block = [0f32; SCALAR_BLOCK];
         let mut payload = [0u8; SCALAR_BLOCK];
         let mut err = 0f32;
-        let mut values = values;
-        for _ in 0..blocks {
-            let mut fill = 0usize;
+        for chunk in values.chunks(SCALAR_BLOCK) {
+            let fill = chunk.len();
             block.fill(0.0);
-            for slot in block.iter_mut() {
-                match values.next() {
-                    Some(v) => *slot = v,
-                    None => break,
-                }
-                fill += 1;
-            }
+            block[..fill].copy_from_slice(chunk);
             let mut scale = quantize_row(&block, Dtype::Int8, &mut payload);
             if block.iter().all(|&x| x == 0.0) {
                 scale = 0.0; // zero blocks stay re-scalable
@@ -223,7 +205,7 @@ impl ColumnRows {
         )
     }
 
-    /// Decodes row (scalar columns: slot) `r` into `buf`.
+    /// Decodes row `r` into `buf`.
     fn read(&self, r: usize, buf: &mut [f32]) -> Result<()> {
         match self {
             ColumnRows::Wide { table, dtype, .. } => {
@@ -238,7 +220,7 @@ impl ColumnRows {
         Ok(())
     }
 
-    /// Stores `values` as row (slot) `r`. Wide rows re-encode around
+    /// Stores `values` as row `r`. Wide rows re-encode around
     /// their own scale. Int8 blocks re-use the block's existing scale
     /// when the value fits its code range (no other slot moves);
     /// otherwise the whole block re-encodes around a new scale and the
@@ -305,18 +287,16 @@ impl ColumnRows {
         }
     }
 
-    /// Appends zeroed rows for vocabulary growth (`old_slots` →
-    /// `new_slots`).
-    fn extend(&mut self, old_slots: usize, new_slots: usize) {
+    /// Appends zeroed rows for vocabulary growth (`old_vocab` →
+    /// `new_vocab`).
+    fn extend(&mut self, old_vocab: usize, new_vocab: usize) {
         match self {
             ColumnRows::Wide { table, dtype, cols } => {
-                table.extend_rows(new_slots - old_slots, &stored_zero_row(*dtype, *cols))
+                table.extend_rows(new_vocab - old_vocab, &stored_zero_row(*dtype, *cols))
             }
             ColumnRows::Int8(t) => {
-                let extra = new_slots.div_ceil(SCALAR_BLOCK) - old_slots.div_ceil(SCALAR_BLOCK);
-                if extra > 0 {
-                    t.extend_rows(extra, &[0u8; SCALAR_BLOCK_BYTES]);
-                }
+                let extra = new_vocab.div_ceil(SCALAR_BLOCK) - old_vocab.div_ceil(SCALAR_BLOCK);
+                t.extend_rows(extra, &[0u8; SCALAR_BLOCK_BYTES]);
             }
         }
     }
@@ -342,13 +322,10 @@ impl ColumnRows {
     }
 }
 
-/// One recipe table as a shard holds it.
+/// One recipe table as the store holds it.
 #[derive(Debug)]
 struct Column {
     rows: ColumnRows,
-    /// Whether the table is partitioned — this shard holds only its own
-    /// ids' rows, at their slots — or replicated whole.
-    partitioned: bool,
     /// Upper bound on `|x|` for any value the column decoded to when it
     /// was built. A delta that re-encodes scalars beside a column it
     /// never writes (MEmCom's shared table) needs it: it is the factor
@@ -357,13 +334,6 @@ struct Column {
 }
 
 impl Column {
-    /// Fills `buf` with what an id at `slot` reads from this column when
-    /// its map names row `r`: a partitioned column holds the id's own row
-    /// at its slot, a replicated one holds every row.
-    fn read(&self, slot: usize, r: usize, buf: &mut [f32]) -> Result<()> {
-        self.rows.read(if self.partitioned { slot } else { r }, buf)
-    }
-
     fn shared_clone(&self) -> Self {
         Column {
             rows: self.rows.shared_clone(),
@@ -372,18 +342,15 @@ impl Column {
     }
 }
 
-struct Shard {
+/// A page-backed read-only row store built from any
+/// [`EmbeddingCompressor`], routed over `n_shards` worker queues.
+pub struct ShardedStore {
     /// One column per recipe table, in recipe order.
     columns: Vec<Column>,
-    /// Rows owned by this shard (its slot count).
-    slots: usize,
-}
-
-/// A sharded, page-backed read-only row store built from any
-/// [`EmbeddingCompressor`].
-pub struct ShardedStore {
-    shards: Vec<Shard>,
-    /// How an id reads its shard's columns.
+    /// How many worker queues ids route over ([`shard_of`](Self::shard_of));
+    /// it places no byte.
+    n_shards: usize,
+    /// How an id reads the columns.
     recipe: Recipe,
     vocab: usize,
     dim: usize,
@@ -400,7 +367,7 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Builds an fp32 store with `n_shards` shards from a trained
+    /// Builds an fp32 store routed over `n_shards` shards from a trained
     /// compressor, using the given page size. Served rows are bit-exact
     /// ([`error_bound`](Self::error_bound) is 0); for sub-fp32 row
     /// storage use [`build_quantized`](Self::build_quantized).
@@ -427,10 +394,11 @@ impl ShardedStore {
     ///
     /// Each integer-quantized row is encoded with its **own** linear
     /// scale (stored inline before the payload), so the error of any row
-    /// is bounded by *that row's* half-step, not the worst row's; a
-    /// partitioned scalar column (MEmCom's per-entity multipliers and
-    /// biases) is packed as int8 blocks with a per-block `f32` scale (64
-    /// codes per scale — about 3.8× smaller than one `f32` per entity).
+    /// is bounded by *that row's* half-step, not the worst row's; an
+    /// identity-mapped scalar column (MEmCom's per-entity multipliers and
+    /// biases) is packed as int8 blocks of 64 consecutive ids with a
+    /// per-block `f32` scale (about 3.8× smaller than one `f32` per
+    /// entity).
     /// The reconstruction error of a served row composes the columns'
     /// errors the way the recipe composes their values
     /// ([`Combine::error_bound`]; for MEmCom
@@ -467,58 +435,25 @@ impl ShardedStore {
 
         let recipe = emb.state().recipe();
         let tables = emb.tables();
-        let mut columns: Vec<Vec<Column>> = (0..n_shards)
-            .map(|_| Vec::with_capacity(tables.len()))
-            .collect();
+        let mut columns = Vec::with_capacity(tables.len());
         // Per table, what the bound composes: (max |value|, max error).
         let mut parts = Vec::with_capacity(tables.len());
         for (k, table) in tables.iter().enumerate() {
             let values = table.tensor.as_slice();
-            let dims = table.tensor.shape().dims();
-            let (n_rows, cols) = (dims[0], dims[1]);
+            let cols = table.tensor.shape().dims()[1];
             let max_abs = values.iter().fold(0f32, |acc, &x| acc.max(x.abs()));
-            // The placement rule: an identity-mapped table has one row per
-            // id, which lives with the id (shard_idx, shard_idx + n, …);
-            // any other table is shared by ids of every shard.
-            let partitioned = recipe.maps.get(k) == Some(&RowMap::Identity);
-            let per_shard: Vec<(ColumnRows, f32)> = if partitioned {
-                let build = |shard_idx| {
-                    let slots = shard_slots(shard_idx, vocab, n_shards);
-                    let ids = (0..slots).map(|slot| shard_idx + slot * n_shards);
-                    ColumnRows::build(values, cols, ids, true, dtype, page_size)
-                };
-                (0..n_shards).map(build).collect()
-            } else {
-                // Identical for every shard: encode it once into one page
-                // set and let every shard `Arc`-share those pages
-                // (per-shard residency accounting over one physical
-                // allocation).
-                let (whole, err) =
-                    ColumnRows::build(values, cols, 0..n_rows, false, dtype, page_size);
-                (0..n_shards).map(|_| (whole.shared_clone(), err)).collect()
-            };
-            let mut err = 0f32;
-            for (shard, (rows, shard_err)) in columns.iter_mut().zip(per_shard) {
-                err = err.max(shard_err);
-                shard.push(Column {
-                    rows,
-                    partitioned,
-                    max_abs: max_abs + shard_err,
-                });
-            }
+            let identity = recipe.maps.get(k) == Some(&RowMap::Identity);
+            let (rows, err) = ColumnRows::build(values, cols, identity, dtype, page_size);
+            columns.push(Column {
+                rows,
+                max_abs: max_abs + err,
+            });
             parts.push((max_abs, err));
         }
         let dequant = if dtype == Dtype::F32 { 0 } else { dim };
-        let shards = columns
-            .into_iter()
-            .enumerate()
-            .map(|(shard_idx, columns)| Shard {
-                columns,
-                slots: shard_slots(shard_idx, vocab, n_shards),
-            })
-            .collect();
         Ok(ShardedStore {
-            shards,
+            columns,
+            n_shards,
             vocab,
             dim,
             dtype,
@@ -538,12 +473,12 @@ impl ShardedStore {
     ///   copies on the order of 0.1% of the store
     ///   ([`shared_bytes_with`](Self::shared_bytes_with) /
     ///   [`cow_copied_bytes`](Self::cow_copied_bytes) quantify it).
-    /// * Under [`Combine::Row`] over a partitioned column, upserted rows
-    ///   are re-encoded at the store's [`Dtype`] with their own inline
+    /// * Under [`Combine::Row`] over an identity-mapped column, upserted
+    ///   rows are re-encoded at the store's [`Dtype`] with their own inline
     ///   scale, and [`error_bound`](Self::error_bound) is re-certified
     ///   to cover them.
     /// * Under [`Combine::ScaleMul`] / [`Combine::ScaleAdd`] over
-    ///   partitioned scalars, an upserted row is projected onto the
+    ///   identity-mapped scalars, an upserted row is projected onto the
     ///   (stored) shared row by least squares — the per-entity
     ///   multiplier/bias become the best scalars for the requested row,
     ///   exact when the row came from a retrained model sharing the
@@ -596,81 +531,67 @@ impl ShardedStore {
                 });
             }
         }
-        let n_shards = self.shards.len();
         let new_vocab = match delta.max_upsert_id() {
             Some(max_id) => self.vocab.max(max_id + 1),
             None => self.vocab,
         };
+        let mut columns: Vec<Column> = self.columns.iter().map(Column::shared_clone).collect();
+        for (column, map) in columns.iter_mut().zip(&recipe.maps) {
+            if *map == RowMap::Identity {
+                column.rows.extend(self.vocab, new_vocab);
+            }
+        }
         let mut error_bound = self.error_bound;
         let zero_row = vec![0f32; self.dim];
         let mut u_scratch = vec![0f32; self.dim];
         let mut encode_scratch = [Vec::new(), Vec::new()];
-        let mut shards = Vec::with_capacity(n_shards);
-        for (shard_idx, old) in self.shards.iter().enumerate() {
-            let mut columns: Vec<Column> = old.columns.iter().map(Column::shared_clone).collect();
-            let new_slots = shard_slots(shard_idx, new_vocab, n_shards);
-            if new_slots > old.slots {
-                for column in columns.iter_mut().filter(|c| c.partitioned) {
-                    column.rows.extend(old.slots, new_slots);
-                }
+        for (id, op) in delta.ops() {
+            if !scaled {
+                let row = match op {
+                    DeltaOp::Upsert(row) => row,
+                    DeltaOp::Remove => &zero_row,
+                };
+                let write = columns[0].rows.write(id, row, &mut encode_scratch)?;
+                error_bound = (error_bound + write.neighbor_drift).max(write.err);
+                continue;
             }
-            for (id, op) in delta.ops() {
-                if id % n_shards != shard_idx {
-                    continue;
+            let (shared, scalars) = columns.split_first_mut().expect("a recipe has tables");
+            let (v, w, residual) = match op {
+                // Project the requested row onto the *stored* (possibly
+                // quantized) shared row, so the fit — and its residual —
+                // are against what lookups will actually reconstruct.
+                DeltaOp::Upsert(row) => {
+                    shared.rows.read(recipe.maps[0].row(id), &mut u_scratch)?;
+                    project_scalars(&u_scratch, row, scalars.len() == 2)
                 }
-                let slot = id / n_shards;
-                if !scaled {
-                    let row = match op {
-                        DeltaOp::Upsert(row) => row,
-                        DeltaOp::Remove => &zero_row,
-                    };
-                    let write = columns[0].rows.write(slot, row, &mut encode_scratch)?;
-                    error_bound = (error_bound + write.neighbor_drift).max(write.err);
-                    continue;
-                }
-                let (shared, scalars) = columns.split_first_mut().expect("a recipe has tables");
-                let (v, w, residual) = match op {
-                    // Project the requested row onto the *stored*
-                    // (possibly quantized) shared row, so the fit — and
-                    // its residual — are against what lookups will
-                    // actually reconstruct.
-                    DeltaOp::Upsert(row) => {
-                        shared.read(slot, recipe.maps[0].row(id), &mut u_scratch)?;
-                        project_scalars(&u_scratch, row, scalars.len() == 2)
-                    }
-                    // Code 0 decodes to exactly 0.0 at any block scale,
-                    // so tombstoning is exact (err 0) and never re-scales
-                    // a block (drift 0) — but the terms are folded like
-                    // an upsert's, so the bound stays certified even if
-                    // the write path changes.
-                    DeltaOp::Remove => (0.0, 0.0, 0.0),
-                };
-                let wv = scalars[0].rows.write(slot, &[v], &mut encode_scratch)?;
-                let wb = match scalars.get_mut(1) {
-                    Some(bias) => bias.rows.write(slot, &[w], &mut encode_scratch)?,
-                    None => Written::default(),
-                };
-                // What scalar errors `ev`, `ew` do to a row served off the
-                // stored shared row (`err(u) = 0`: the fit was against it).
-                let served = |ev: f32, ew: f32| {
-                    let parts = [(shared.max_abs, 0.0), (0.0, ev), (0.0, ew)];
-                    recipe.combine.error_bound(&parts)
-                };
-                // Re-quantizing the scalars adds its own error, and
-                // re-scaling a block may nudge neighbours: the drift term
-                // widens the whole bound (every row may sit on a re-scaled
-                // block), while the quant term only gates this row's
-                // residual.
-                let drift = served(wv.neighbor_drift, wb.neighbor_drift);
-                error_bound = (error_bound + drift).max(residual + served(wv.err, wb.err));
-            }
-            shards.push(Shard {
-                columns,
-                slots: new_slots,
-            });
+                // Code 0 decodes to exactly 0.0 at any block scale, so
+                // tombstoning is exact (err 0) and never re-scales a block
+                // (drift 0) — but the terms are folded like an upsert's,
+                // so the bound stays certified even if the write path
+                // changes.
+                DeltaOp::Remove => (0.0, 0.0, 0.0),
+            };
+            let wv = scalars[0].rows.write(id, &[v], &mut encode_scratch)?;
+            let wb = match scalars.get_mut(1) {
+                Some(bias) => bias.rows.write(id, &[w], &mut encode_scratch)?,
+                None => Written::default(),
+            };
+            // What scalar errors `ev`, `ew` do to a row served off the
+            // stored shared row (`err(u) = 0`: the fit was against it).
+            let served = |ev: f32, ew: f32| {
+                let parts = [(shared.max_abs, 0.0), (0.0, ev), (0.0, ew)];
+                recipe.combine.error_bound(&parts)
+            };
+            // Re-quantizing the scalars adds its own error, and re-scaling
+            // a block may nudge neighbours: the drift term widens the
+            // whole bound (every row may sit on a re-scaled block), while
+            // the quant term only gates this row's residual.
+            let drift = served(wv.neighbor_drift, wb.neighbor_drift);
+            error_bound = (error_bound + drift).max(residual + served(wv.err, wb.err));
         }
         Ok(ShardedStore {
-            shards,
+            columns,
+            n_shards: self.n_shards,
             recipe: recipe.clone(),
             vocab: new_vocab,
             dim: self.dim,
@@ -682,20 +603,15 @@ impl ShardedStore {
         })
     }
 
-    /// Every page table of every shard (accounting).
+    /// Every column's page table (accounting).
     fn tables(&self) -> impl Iterator<Item = &PagedTable> {
-        let columns = self.shards.iter().flat_map(|s| &s.columns);
-        columns.map(|c| c.rows.table())
+        self.columns.iter().map(|c| c.rows.table())
     }
 
-    /// Bytes of shard pages physically shared (same allocations) with
-    /// `other` — for two snapshots related by
-    /// [`apply_delta`](Self::apply_delta), everything the delta did not
-    /// touch. Returns 0 for stores of different shard counts.
+    /// Bytes of pages physically shared (same allocations) with `other` —
+    /// for two snapshots related by [`apply_delta`](Self::apply_delta),
+    /// everything the delta did not touch.
     pub fn shared_bytes_with(&self, other: &ShardedStore) -> usize {
-        if self.shards.len() != other.shards.len() {
-            return 0;
-        }
         self.tables()
             .zip(other.tables())
             .map(|(a, b)| a.shared_bytes_with(b))
@@ -708,9 +624,9 @@ impl ShardedStore {
         self.tables().map(PagedTable::cow_copied_bytes).sum()
     }
 
-    /// Number of shards.
+    /// Number of shards ids route over.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.n_shards
     }
 
     /// Served vocabulary size.
@@ -728,7 +644,7 @@ impl ShardedStore {
         self.method
     }
 
-    /// Storage dtype of the shard row bytes.
+    /// Storage dtype of the row bytes.
     pub fn dtype(&self) -> Dtype {
         self.dtype
     }
@@ -741,14 +657,13 @@ impl ShardedStore {
         self.error_bound
     }
 
-    /// The shard owning `id`.
+    /// The shard whose worker queue `id` routes to.
     pub fn shard_of(&self, id: usize) -> usize {
-        id % self.shards.len()
+        id % self.n_shards
     }
 
-    /// Total bytes held by all shard stores (on-"disk" model size,
-    /// counting a replicated table once per shard even though the
-    /// shards physically share those pages).
+    /// Total bytes of the store's pages (on-"disk" model size), each page
+    /// counted once — the same whatever the shard count.
     pub fn stored_bytes(&self) -> usize {
         self.tables().map(PagedTable::len).sum()
     }
@@ -768,7 +683,7 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// Looks up a single id from its shard's pages.
+    /// Looks up a single id from the pages.
     ///
     /// # Errors
     ///
@@ -779,11 +694,10 @@ impl ShardedStore {
         Ok(row)
     }
 
-    /// Reads the rows of `ids`, whichever shards own them, into the flat
-    /// slab `out` in request order — the one read path. `out` must hold
-    /// exactly `ids.len() * dim()` values; row `k` lands at
-    /// `out[k*dim .. (k+1)*dim]`. Per id the recipe runs over its shard's
-    /// pages straight into the row, quantized bytes dequantizing in
+    /// Reads the rows of `ids` into the flat slab `out` in request order
+    /// — the one read path. `out` must hold exactly `ids.len() * dim()`
+    /// values; row `k` lands at `out[k*dim .. (k+1)*dim]`. Per id the
+    /// recipe runs over the pages straight into the row, quantized bytes dequantizing in
     /// place; `operand` is [`Recipe::row_into`]'s second-operand buffer,
     /// owned and reused by the caller, so the read takes no lock and
     /// allocates nothing per row.
@@ -813,11 +727,10 @@ impl ShardedStore {
             out.len(),
             ids.len()
         );
-        let n_shards = self.shards.len();
+        let columns = &self.columns;
         for (&id, row) in ids.iter().zip(out.chunks_exact_mut(dim)) {
             self.check_id(id)?;
-            let (columns, slot) = (&self.shards[id % n_shards].columns, id / n_shards);
-            let read = |k: usize, r: usize, buf: &mut [f32]| columns[k].read(slot, r, buf);
+            let read = |k: usize, r: usize, buf: &mut [f32]| columns[k].rows.read(r, buf);
             self.recipe.row_into(id, read, operand, row)?;
         }
         self.rows_read
@@ -900,7 +813,7 @@ impl std::fmt::Debug for ShardedStore {
             .field("vocab", &self.vocab)
             .field("dim", &self.dim)
             .field("dtype", &self.dtype)
-            .field("n_shards", &self.shards.len())
+            .field("n_shards", &self.n_shards)
             .field("stored_bytes", &self.stored_bytes())
             .finish()
     }
@@ -945,12 +858,6 @@ fn project_scalars(u: &[f32], row: &[f32], fit_bias: bool) -> (f32, f32, f32) {
         .map(|(&x, &r)| (r - (v * x + w)).abs())
         .fold(0f32, f32::max);
     (v, w, residual)
-}
-
-/// How many of the ids `0..vocab` shard `shard_idx` of `n_shards` owns
-/// (`shard_idx`, `shard_idx + n_shards`, …): its slot count.
-fn shard_slots(shard_idx: usize, vocab: usize, n_shards: usize) -> usize {
-    (shard_idx..vocab).step_by(n_shards).len()
 }
 
 fn decode_f32(bytes: &[u8]) -> f32 {
@@ -1023,19 +930,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let full = FullEmbedding::new(5_000, 32, &mut rng).unwrap();
         let dense = ShardedStore::build(&full, 4, 0, 4096).unwrap();
-        // 4 shards × replicated shared table + scalars ≪ dense rows.
+        // Shared table + scalars ≪ dense rows.
         assert!(compressed.stored_bytes() * 2 < dense.stored_bytes());
-    }
-
-    #[test]
-    fn memcom_shards_physically_share_the_shared_table() {
-        let emb = memcom(1_000, 16, 100, true);
-        let store = ShardedStore::build(&emb, 4, 0, 1024).unwrap();
-        // stored_bytes counts the replicated shared table per shard; the
-        // physical allocations behind it are shared, so a snapshot clone
-        // of the whole store costs pointer bumps only.
-        let clone_bytes = store.shared_bytes_with(&store);
-        assert_eq!(clone_bytes, store.stored_bytes());
     }
 
     #[test]
@@ -1303,10 +1199,9 @@ mod tests {
         let quant = ShardedStore::build_quantized(&emb, 4, 0, 4096, Dtype::Int8).unwrap();
         // 4 B per f32 scalar vs 68 B per 64-code block: ~3.76× smaller.
         // The scalar columns are what is left of `stored_bytes()` after
-        // the shared table's 50 rows, replicated once per shard.
-        let scalar_bytes = |store: &ShardedStore| {
-            store.stored_bytes() - 4 * 50 * store.dtype().stored_row_bytes(16)
-        };
+        // the shared table's 50 rows.
+        let scalar_bytes =
+            |store: &ShardedStore| store.stored_bytes() - 50 * store.dtype().stored_row_bytes(16);
         assert!(
             scalar_bytes(&quant) * 3 < scalar_bytes(&exact),
             "{} vs {}",
@@ -1480,39 +1375,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_technique_stores_what_its_tables_cost() {
-        const VOCAB: usize = 120;
-        const N_SHARDS: usize = 3;
+    /// All 11 specs plus [`TripleHash`], at vocabulary `VOCAB`.
+    fn every_technique(vocab: usize) -> Vec<Box<dyn EmbeddingCompressor>> {
         let mut rng = StdRng::seed_from_u64(29);
         let mut embs: Vec<Box<dyn EmbeddingCompressor>> = all_specs()
             .iter()
-            .map(|spec| spec.build(VOCAB, 16, &mut rng).unwrap())
+            .map(|spec| spec.build(vocab, 16, &mut rng).unwrap())
             .collect();
-        embs.push(Box::new(TripleHash::new(VOCAB, 12, 10, &mut rng)));
+        embs.push(Box::new(TripleHash::new(vocab, 12, 10, &mut rng)));
+        embs
+    }
+
+    #[test]
+    fn every_technique_stores_what_its_tables_cost() {
+        const VOCAB: usize = 120;
         let mut fp32_bytes = Vec::new();
-        for emb in &embs {
+        for emb in &every_technique(VOCAB) {
             let (name, recipe) = (emb.method_name(), emb.state().recipe());
             for dtype in [Dtype::F32, Dtype::Int8] {
-                let store =
-                    ShardedStore::build_quantized(emb.as_ref(), N_SHARDS, 8, 256, dtype).unwrap();
+                let store = ShardedStore::build_quantized(emb.as_ref(), 3, 8, 256, dtype).unwrap();
                 // What the recipe implies, from the table shapes and maps
-                // alone: an identity-mapped table is split across the
-                // shards (1-wide ones as 64-slot int8 blocks below fp32),
-                // any other is held whole by each.
+                // alone: every table is held once, a 1-wide identity-mapped
+                // one as 64-id int8 blocks below fp32.
                 let mut want = 0;
                 for (k, table) in emb.tables().iter().enumerate() {
                     let dims = table.tensor.shape().dims();
                     let (rows, row_bytes) = (dims[0], dtype.stored_row_bytes(dims[1]));
-                    want += if recipe.maps.get(k) != Some(&RowMap::Identity) {
-                        N_SHARDS * rows * row_bytes
-                    } else if dims[1] == 1 && dtype != Dtype::F32 {
-                        let slots = |shard| (shard..VOCAB).step_by(N_SHARDS).len();
-                        (0..N_SHARDS)
-                            .map(|shard| slots(shard).div_ceil(64) * 68)
-                            .sum()
+                    let identity = recipe.maps.get(k) == Some(&RowMap::Identity);
+                    want += if identity && dims[1] == 1 && dtype != Dtype::F32 {
+                        rows.div_ceil(64) * 68
                     } else {
-                        VOCAB * row_bytes
+                        rows * row_bytes
                     };
                 }
                 assert_eq!(store.stored_bytes(), want, "{name} {dtype:?}");
@@ -1530,15 +1423,34 @@ mod tests {
             }
         }
         // The compression the paper is about, no longer given back at
-        // serving time: 3 shards × 10 rows × 64 B, not 120 rows × 64 B.
-        assert!(
-            fp32_bytes.contains(&("naive_hash", 1_920)),
-            "{fp32_bytes:?}"
-        );
+        // serving time: 10 rows × 64 B, not 120 rows × 64 B.
+        assert!(fp32_bytes.contains(&("naive_hash", 640)), "{fp32_bytes:?}");
         assert!(
             fp32_bytes.contains(&("uncompressed", 7_680)),
             "{fp32_bytes:?}"
         );
+    }
+
+    #[test]
+    fn the_shard_count_is_not_part_of_the_model() {
+        for emb in &every_technique(150) {
+            for dtype in [Dtype::F32, Dtype::Int8] {
+                let observe = |n_shards| {
+                    let store =
+                        ShardedStore::build_quantized(emb.as_ref(), n_shards, 0, 256, dtype)
+                            .unwrap();
+                    let fnv = served_fnv(&store); // the full scan the resident bytes follow
+                    let resident = store.run_stats().resident_model_bytes;
+                    let bound = store.error_bound().to_bits();
+                    (store.stored_bytes(), resident, bound, fnv)
+                };
+                let one = observe(1);
+                for n_shards in [2, 3, 7] {
+                    let name = emb.method_name();
+                    assert_eq!(observe(n_shards), one, "{name} {dtype:?} {n_shards} shards");
+                }
+            }
+        }
     }
 
     /// FNV-1a over the bits of every served row, ids ascending.
@@ -1571,19 +1483,22 @@ mod tests {
     /// FNV of all served row bits)`.
     type Pin = (usize, usize, u32, u64);
 
-    /// Recorded at cbf36a3, the last commit with the hand-written
-    /// `Rows`/`Scaled` layouts: `(model, dtype, as built, after the fixed
-    /// three-op delta)`.
+    /// `(model, dtype, as built, after the fixed three-op delta)`. The
+    /// `uncompressed` rows and the fp32 MEmCom bits were recorded at
+    /// cbf36a3, the last commit with the hand-written `Rows`/`Scaled`
+    /// layouts; the MEmCom bytes and sub-fp32 bits were re-recorded once
+    /// when the store stopped splitting columns per shard (each table held
+    /// once, scalar blocks over 64 consecutive ids).
     #[rustfmt::skip]
     const PINS: [(&str, Dtype, Pin, Pin); 12] = [
-        ("memcom", Dtype::F32, (4996, 4996, 0x0, 0xabd8755a4bee0f59), (5012, 5012, 0x4028ea12, 0x4f8e36e75845b119)),
-        ("memcom", Dtype::F16, (2324, 2324, 0x3a201a76, 0x3dcbe1ca3fbde96), (2528, 2528, 0x4028ea48, 0xb350eef137c3e1f8)),
-        ("memcom", Dtype::Int8, (1828, 1828, 0x3a80b6c0, 0xbe3c1d071bb48977), (2032, 2032, 0x4028eae9, 0xa306a97bc1ee835f)),
-        ("memcom", Dtype::Int4, (1332, 1332, 0x3c1ad1b4, 0xba84f5431258337e), (1536, 1536, 0x402a84f3, 0xf34db38813619d46)),
-        ("memcom_bias", Dtype::F32, (6024, 6024, 0x0, 0xb7b1d89d75c70f76), (6056, 6056, 0x3fd13609, 0x28fa3b087c0473b1)),
-        ("memcom_bias", Dtype::F16, (2664, 2664, 0x3b198d9e, 0xaf82057f85097480), (3072, 3072, 0x3fd13797, 0x42e195b311cf1e6a)),
-        ("memcom_bias", Dtype::Int8, (2168, 2168, 0x3b31e260, 0xce67baf5cc32013d), (2576, 2576, 0x3fd121c7, 0x3aa023f93e4cc3d2)),
-        ("memcom_bias", Dtype::Int4, (1672, 1672, 0x3c373374, 0x3d0c75e2cbb6e9f6), (2080, 2080, 0x3fd108b8, 0xb046b6a098386aa0)),
+        ("memcom", Dtype::F32, (2020, 2020, 0x0, 0xabd8755a4bee0f59), (2036, 2036, 0x4028ea12, 0x4f8e36e75845b119)),
+        ("memcom", Dtype::F16, (836, 836, 0x3a201a76, 0x2611d5cde805ba0c), (836, 836, 0x4028ec99, 0x6597f5a2b632ad08)),
+        ("memcom", Dtype::Int8, (712, 712, 0x3a80b6c0, 0xb097fc8ade3c7303), (712, 712, 0x4028ec7f, 0x3b0a0da4ca17ef98)),
+        ("memcom", Dtype::Int4, (588, 588, 0x3c1ad1b4, 0xe4ae9df53558d158), (588, 588, 0x402a8f54, 0x5dca37cbd7522e74)),
+        ("memcom_bias", Dtype::F32, (3048, 3048, 0x0, 0xb7b1d89d75c70f76), (3080, 3080, 0x3fd13609, 0x28fa3b087c0473b1)),
+        ("memcom_bias", Dtype::F16, (1176, 1176, 0x3b198d9e, 0x5d7aa820fc2638b9), (1176, 1176, 0x3fd14c3b, 0x50be111f6d18bfd9)),
+        ("memcom_bias", Dtype::Int8, (1052, 1052, 0x3b31e260, 0xd7e58ca3172cb9e), (1052, 1052, 0x3fd1366b, 0x2fb0a09fa86c9054)),
+        ("memcom_bias", Dtype::Int4, (928, 928, 0x3c373374, 0x26f2168a4d667775), (928, 928, 0x3fd11d5c, 0x77dd86d440545a0)),
         ("uncompressed", Dtype::F32, (2400, 2400, 0x0, 0x54b8bfe3ec7ee753), (2496, 2496, 0x0, 0x78bd0c90ab61fa15)),
         ("uncompressed", Dtype::F16, (1200, 1200, 0x384ce43f, 0xaccba8753f6ce5), (1248, 1248, 0x3ae00203, 0x709bca1361e2ef03)),
         ("uncompressed", Dtype::Int8, (1000, 1000, 0x394e4053, 0x72a37767373eca52), (1040, 1040, 0x3be1c387, 0x1b92d53b3de87773)),
@@ -1638,11 +1553,10 @@ mod tests {
 
     impl ShardedStore {
         /// Test helper: the decoded stored shared row `mod_hash(id, m)`
-        /// of `id`'s shard (column 0 of a MEmCom store).
+        /// (column 0 of a MEmCom store).
         fn get_shared_row_for_test(&self, id: usize, m: usize) -> Vec<f32> {
-            let shard = &self.shards[self.shard_of(id)];
             let mut out = vec![0f32; self.dim];
-            shard.columns[0].read(0, id % m, &mut out).unwrap();
+            self.columns[0].rows.read(id % m, &mut out).unwrap();
             out
         }
     }

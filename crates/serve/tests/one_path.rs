@@ -109,10 +109,6 @@ fn lookups_on_a_ranknet_model_still_return_rows() {
 struct PanickingBackend;
 
 impl InferBackend for PanickingBackend {
-    fn name(&self) -> &'static str {
-        "panicking"
-    }
-
     fn out_len(&self, _n_ids: usize, _store: &ShardedStore) -> usize {
         1
     }
