@@ -39,9 +39,8 @@ use parking_lot::Mutex;
 use crate::error::{error_response_for, ErrorCode, NetError};
 use crate::telemetry::{ConnTelemetry, NetMetricsSnapshot, NetTelemetry};
 use crate::wire::{
-    decode_payload, encode_error_lossy, encode_rows, ErrorResponse, FrameError, FrameReader,
-    LookupRequest, Message, ReadEvent, RowsResponse, WireError, CONNECTION_REQUEST_ID,
-    DEFAULT_MAX_FRAME_LEN,
+    decode_frame, encode_error_lossy, encode_rows, ErrorResponse, Frame, FrameError, FrameReader,
+    ReadEvent, RequestRef, WireError, CONNECTION_REQUEST_ID, DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Server tuning knobs.
@@ -234,9 +233,10 @@ impl NetServer {
 }
 
 /// Per-connection service state, reused across requests so the steady
-/// state allocates nothing per frame.
+/// state allocates nothing per frame. The [`FrameReader`] lives beside
+/// it: a decoded request borrows the reader's payload while the reply
+/// is built here.
 struct ConnCtx {
-    reader: FrameReader,
     write_buf: Vec<u8>,
     ids: Vec<usize>,
     batch: EmbedBatch,
@@ -250,8 +250,8 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, conn: &ConnTelemetry
     // Latency-bound RPC: frames go on the wire immediately.
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_TICK));
+    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_LEN);
     let mut ctx = ConnCtx {
-        reader: FrameReader::new(DEFAULT_MAX_FRAME_LEN),
         write_buf: Vec::new(),
         ids: Vec::new(),
         batch: EmbedBatch::new(),
@@ -264,9 +264,9 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, conn: &ConnTelemetry
         if shared.draining.load(Ordering::Acquire) {
             break;
         }
-        match ctx.reader.read_frame(&mut stream) {
+        match reader.read_frame(&mut stream) {
             Ok(ReadEvent::Frame) => {
-                if !handle_frame(shared, &mut stream, conn, &mut ctx, false) {
+                if !handle_frame(shared, &mut stream, conn, &mut ctx, reader.payload(), false) {
                     drain_eligible = false;
                     break;
                 }
@@ -301,7 +301,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, conn: &ConnTelemetry
         }
     }
     if drain_eligible && shared.draining.load(Ordering::Acquire) {
-        drain_connection(shared, &mut stream, conn, &mut ctx);
+        drain_connection(shared, &mut stream, conn, &mut reader, &mut ctx);
     }
     let _ = stream.shutdown(Shutdown::Both);
     shared.telemetry.connection_closed(conn);
@@ -315,6 +315,7 @@ fn drain_connection(
     shared: &Shared,
     stream: &mut TcpStream,
     conn: &ConnTelemetry,
+    reader: &mut FrameReader,
     ctx: &mut ConnCtx,
 ) {
     let deadline = Instant::now() + shared.config.drain_grace;
@@ -324,9 +325,9 @@ fn drain_connection(
             return;
         }
         let _ = stream.set_read_timeout(Some((deadline - now).min(POLL_TICK)));
-        match ctx.reader.read_frame(stream) {
+        match reader.read_frame(stream) {
             Ok(ReadEvent::Frame) => {
-                if !handle_frame(shared, stream, conn, ctx, true) {
+                if !handle_frame(shared, stream, conn, ctx, reader.payload(), true) {
                     return;
                 }
             }
@@ -344,27 +345,26 @@ fn handle_frame(
     stream: &mut TcpStream,
     conn: &ConnTelemetry,
     ctx: &mut ConnCtx,
+    payload: &[u8],
     draining: bool,
 ) -> bool {
-    let payload = ctx.reader.payload();
     conn.frames_in.fetch_add(1, Ordering::Relaxed);
     conn.bytes_in
         .fetch_add(4 + payload.len() as u64, Ordering::Relaxed);
     let started = ctx.stages_on.then(Instant::now);
-    let decoded = decode_payload(payload);
+    let decoded = decode_frame(payload);
     if let Some(started) = started {
         conn.record_stage(|s| &mut s.frame_decode, started);
     }
     let (req, score) = match decoded {
-        Ok(Message::Lookup(req)) => (req, false),
+        Ok(Frame::Lookup(req)) => (req, false),
         // A score frame has the lookup frame's layout; only the kind
         // byte — carried on as `score` — differs.
-        Ok(Message::Score(req)) => (req, true),
+        Ok(Frame::Score(req)) => (req, true),
         // Rows/Error frames flow server→client only; a client sending
         // one is confused but the framing is intact, so answer typed
         // and keep the connection.
-        Ok(Message::Rows(RowsResponse { request_id, .. }))
-        | Ok(Message::Error(ErrorResponse { request_id, .. })) => {
+        Ok(Frame::Rows { request_id, .. }) | Ok(Frame::Error(ErrorResponse { request_id, .. })) => {
             conn.protocol_errors.fetch_add(1, Ordering::Relaxed);
             return send_error(
                 stream,
@@ -409,7 +409,7 @@ fn handle_frame(
             "server is draining",
         );
     }
-    serve_request(shared, stream, conn, ctx, &req, score)
+    serve_request(shared, stream, conn, ctx, req, score)
 }
 
 /// Serves one lookup (`score == false`: rows through
@@ -422,19 +422,21 @@ fn serve_request(
     stream: &mut TcpStream,
     conn: &ConnTelemetry,
     ctx: &mut ConnCtx,
-    req: &LookupRequest,
+    req: RequestRef<'_>,
     score: bool,
 ) -> bool {
+    // The one copy of the ids: frame bytes straight into the buffer the
+    // router reads.
     ctx.ids.clear();
-    ctx.ids.extend(req.ids.iter().map(|&id| id as usize));
+    ctx.ids.extend(req.ids().map(|id| id as usize));
     // The dtype hint is advisory (a cache/runtime prefetch hint); the
     // server always answers decoded f32 values regardless.
     let mut retried = false;
     let result = loop {
-        let handle = match ctx.handles.get(&req.model) {
+        let handle = match ctx.handles.get(req.model) {
             Some(h) => h,
-            None => match shared.router.handle(&req.model) {
-                Ok(h) => ctx.handles.entry(req.model.clone()).or_insert(h),
+            None => match shared.router.handle(req.model) {
+                Ok(h) => ctx.handles.entry(req.model.to_string()).or_insert(h),
                 Err(e) => break Err(e),
             },
         };
@@ -447,7 +449,7 @@ fn serve_request(
         // once more so a re-registered model under the same name is
         // picked up.
         if !retried && matches!(r, Err(ServeError::ModelNotFound { .. })) {
-            ctx.handles.remove(&req.model);
+            ctx.handles.remove(req.model);
             retried = true;
             continue;
         }

@@ -102,8 +102,14 @@
 //! trailing bytes, oversized model names, and invalid dtype codes are
 //! all [`WireError`]s — the server answers them with a typed error
 //! frame (or closes, when the stream itself can no longer be trusted)
-//! and **never panics** on hostile input; `tests/wire.rs` drives the
-//! decoder through exactly these corruptions.
+//! and **never panics** on hostile input; `tests/wire_prop.rs` drives
+//! the decoder through exactly these corruptions.
+//!
+//! The id and row slabs are the bulk of a frame (a 1024-row reply at
+//! dim 64 is 256 KB). Each crosses the codec in one pass: the encoders
+//! append a slab with one exact-length `extend`, and the decoder
+//! bounds-checks a slab once and reads it in place ([`decode_payload`]
+//! then copies it into its `Vec` in one exact-length pass).
 
 use std::io::Read;
 use std::time::Duration;
@@ -433,10 +439,20 @@ pub(crate) fn encode_request(
     out.extend_from_slice(&model_len.to_le_bytes());
     out.extend_from_slice(model);
     out.extend_from_slice(&n_ids.to_le_bytes());
-    for &id in ids {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
+    put_slab(out, ids, u64::to_le_bytes);
     end_frame(out, len_at)
+}
+
+/// Appends a slab of values to `out`, each as its little-endian bytes,
+/// in one pass. A flat-map over fixed-size arrays has an exact length,
+/// so `extend` reserves once and copies with no per-value capacity
+/// check — on little-endian targets a straight vectorized copy.
+fn put_slab<T: Copy, const N: usize>(
+    out: &mut Vec<u8>,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    out.extend(values.iter().flat_map(|&v| to_le(v)));
 }
 
 /// Encodes a row-slab response as one complete frame appended to `out`.
@@ -479,9 +495,7 @@ pub fn encode_rows(
     let len_at = begin_frame(out, KIND_ROWS, request_id);
     out.extend_from_slice(&rows.to_le_bytes());
     out.extend_from_slice(&dim.to_le_bytes());
-    for &v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    put_slab(out, data, f32::to_le_bytes);
     end_frame(out, len_at)
 }
 
@@ -588,6 +602,18 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
+    /// Takes a slab of `n` values of `N` bytes with one bounds check. A
+    /// count the payload cannot hold is a truncation, found before
+    /// anything is allocated for it.
+    fn slab<const N: usize>(
+        &mut self,
+        n: usize,
+        field: &'static str,
+    ) -> Result<&'a [[u8; N]], WireError> {
+        let len = n.checked_mul(N).ok_or(WireError::Truncated(field))?;
+        Ok(self.take(len, field)?.as_chunks::<N>().0)
+    }
+
     fn finish(self) -> Result<(), WireError> {
         let left = self.buf.len() - self.at;
         if left != 0 {
@@ -597,42 +623,51 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes the shared lookup/score request body (everything after the
-/// header): dtype hint, deadline, model name, ids.
-#[allow(clippy::type_complexity)]
-fn decode_request_body(
-    mut c: Cursor<'_>,
-    payload: &[u8],
-) -> Result<(String, Vec<u64>, Option<Dtype>, Option<Duration>), WireError> {
-    let dtype_hint = dtype_from_code(c.u8("dtype hint")?)?;
-    let deadline_nanos = c.u64("deadline")?;
-    let model_len = c.u16("model length")? as usize;
-    if model_len > MAX_MODEL_LEN {
-        return Err(WireError::ModelTooLong(model_len));
-    }
-    let model = std::str::from_utf8(c.take(model_len, "model name")?)
-        .map_err(|_| WireError::BadModelUtf8)?
-        .to_string();
-    let n_ids = c.u32("id count")? as usize;
-    // The remaining payload bounds n_ids before any allocation,
-    // so a hostile count cannot balloon memory past the frame
-    // cap the reader already enforced.
-    let mut ids = Vec::with_capacity(n_ids.min(payload.len() / 8 + 1));
-    for _ in 0..n_ids {
-        ids.push(c.u64("id")?);
-    }
-    c.finish()?;
-    Ok((
-        model,
-        ids,
-        dtype_hint,
-        (deadline_nanos != 0).then(|| Duration::from_nanos(deadline_nanos)),
-    ))
+/// A lookup or score request decoded in place: the model name and the
+/// ids borrow the payload, so the server reads a request without
+/// allocating and copies its ids once, into the buffer it submits.
+pub(crate) struct RequestRef<'a> {
+    pub(crate) request_id: u64,
+    pub(crate) model: &'a str,
+    ids: &'a [[u8; 8]],
+    dtype_hint: Option<Dtype>,
+    pub(crate) deadline: Option<Duration>,
 }
 
-/// Decodes one payload (everything after the length prefix) into a
-/// [`Message`], rejecting every malformation with a [`WireError`].
-pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
+impl<'a> RequestRef<'a> {
+    /// The ids, in request order.
+    pub(crate) fn ids(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.ids.iter().map(|&b| u64::from_le_bytes(b))
+    }
+
+    fn owned(self) -> LookupRequest {
+        LookupRequest {
+            request_id: self.request_id,
+            model: self.model.to_string(),
+            ids: self.ids().collect(),
+            dtype_hint: self.dtype_hint,
+            deadline: self.deadline,
+        }
+    }
+}
+
+/// One payload decoded in place by [`decode_frame`]: names and slabs
+/// borrow the payload. [`decode_payload`] is this plus one copy of each
+/// into the owned [`Message`].
+pub(crate) enum Frame<'a> {
+    Lookup(RequestRef<'a>),
+    Score(RequestRef<'a>),
+    Rows {
+        request_id: u64,
+        dim: u32,
+        data: &'a [[u8; 4]],
+    },
+    Error(ErrorResponse),
+}
+
+/// Decodes one payload (everything after the length prefix) in place,
+/// rejecting every malformation with a [`WireError`].
+pub(crate) fn decode_frame(payload: &[u8]) -> Result<Frame<'_>, WireError> {
     let mut c = Cursor {
         buf: payload,
         at: 0,
@@ -643,21 +678,29 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
     }
     let kind = c.u8("kind")?;
     let request_id = c.u64("request id")?;
-    match kind {
+    let frame = match kind {
         KIND_LOOKUP | KIND_SCORE => {
-            let (model, ids, dtype_hint, deadline) = decode_request_body(c, payload)?;
-            let req = LookupRequest {
+            let dtype_hint = dtype_from_code(c.u8("dtype hint")?)?;
+            let deadline_nanos = c.u64("deadline")?;
+            let model_len = c.u16("model length")? as usize;
+            if model_len > MAX_MODEL_LEN {
+                return Err(WireError::ModelTooLong(model_len));
+            }
+            let model = std::str::from_utf8(c.take(model_len, "model name")?)
+                .map_err(|_| WireError::BadModelUtf8)?;
+            let n_ids = c.u32("id count")? as usize;
+            let req = RequestRef {
                 request_id,
                 model,
-                ids,
+                ids: c.slab(n_ids, "id")?,
                 dtype_hint,
-                deadline,
+                deadline: (deadline_nanos != 0).then(|| Duration::from_nanos(deadline_nanos)),
             };
-            Ok(if kind == KIND_LOOKUP {
-                Message::Lookup(req)
+            if kind == KIND_LOOKUP {
+                Frame::Lookup(req)
             } else {
-                Message::Score(req)
-            })
+                Frame::Score(req)
+            }
         }
         KIND_ROWS => {
             let rows = c.u32("row count")? as usize;
@@ -665,18 +708,11 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
             let values = rows
                 .checked_mul(dim as usize)
                 .ok_or(WireError::Truncated("row data"))?;
-            let mut data = Vec::with_capacity(values.min(payload.len() / 4 + 1));
-            for _ in 0..values {
-                let b = c.take(4, "row data")?;
-                let b = b.try_into().map_err(|_| WireError::Truncated("row data"))?;
-                data.push(f32::from_le_bytes(b));
-            }
-            c.finish()?;
-            Ok(Message::Rows(RowsResponse {
+            Frame::Rows {
                 request_id,
                 dim,
-                data,
-            }))
+                data: c.slab(values, "row data")?,
+            }
         }
         KIND_ERROR => {
             let raw = c.u16("error code")?;
@@ -684,16 +720,37 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
             let retry_after = Duration::from_nanos(c.u64("retry after")?);
             let msg_len = c.u32("message length")? as usize;
             let message = String::from_utf8_lossy(c.take(msg_len, "message")?).into_owned();
-            c.finish()?;
-            Ok(Message::Error(ErrorResponse {
+            Frame::Error(ErrorResponse {
                 request_id,
                 code,
                 retry_after,
                 message,
-            }))
+            })
         }
-        other => Err(WireError::UnknownKind(other)),
-    }
+        other => return Err(WireError::UnknownKind(other)),
+    };
+    c.finish()?;
+    Ok(frame)
+}
+
+/// Decodes one payload (everything after the length prefix) into a
+/// [`Message`], rejecting every malformation with a [`WireError`].
+pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
+    Ok(match decode_frame(payload)? {
+        Frame::Lookup(req) => Message::Lookup(req.owned()),
+        Frame::Score(req) => Message::Score(req.owned()),
+        // An exact-length map over the slab: one pass, one allocation.
+        Frame::Rows {
+            request_id,
+            dim,
+            data,
+        } => Message::Rows(RowsResponse {
+            request_id,
+            dim,
+            data: data.iter().map(|&b| f32::from_le_bytes(b)).collect(),
+        }),
+        Frame::Error(err) => Message::Error(err),
+    })
 }
 
 /// What one [`FrameReader::read_frame`] call observed.
@@ -1117,6 +1174,96 @@ mod tests {
             panic!("expected error");
         };
         assert_eq!(err.message, "shed");
+    }
+
+    /// The slab codecs write each value's little-endian bytes in order —
+    /// the layout the per-value encoders wrote — and carry every bit:
+    /// NaN payloads, signed zeros, subnormals, infinities, `u64::MAX`.
+    #[test]
+    fn slabs_keep_the_per_value_layout_and_every_bit() {
+        let data = [
+            f32::from_bits(0x7fc0_1234),
+            -0.0,
+            f32::from_bits(1),
+            f32::NEG_INFINITY,
+            f32::MAX,
+            1.5,
+        ];
+        let mut want = Vec::new();
+        for v in data {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        let mut frame = Vec::new();
+        encode_rows(5, 3, &data, &mut frame).expect("encodes");
+        assert_eq!(frame[4 + HEADER_LEN + 8..], want[..]);
+        let Message::Rows(rows) = decode_payload(&frame[4..]).unwrap() else {
+            panic!("expected rows");
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rows.data), bits(&data));
+
+        let req = LookupRequest {
+            request_id: 2,
+            model: "m".into(),
+            ids: vec![0, u64::MAX, 0x0102_0304_0506_0708, 1],
+            dtype_hint: None,
+            deadline: None,
+        };
+        let mut want = Vec::new();
+        for id in &req.ids {
+            want.extend_from_slice(&id.to_le_bytes());
+        }
+        let frame = frame_of(&req);
+        assert_eq!(frame[frame.len() - want.len()..], want[..]);
+        assert_eq!(decode_payload(&frame[4..]).unwrap(), Message::Lookup(req));
+    }
+
+    /// The server's decode borrows: the model name and the ids point
+    /// into the payload, so reading a request copies nothing.
+    #[test]
+    fn a_request_decodes_in_place() {
+        let req = LookupRequest {
+            request_id: 4,
+            model: "in-place".into(),
+            ids: vec![9, 8, 7],
+            dtype_hint: Some(Dtype::F16),
+            deadline: Some(Duration::from_micros(3)),
+        };
+        let frame = frame_of(&req);
+        let payload = &frame[4..];
+        let Ok(Frame::Lookup(got)) = decode_frame(payload) else {
+            panic!("expected a lookup");
+        };
+        let inside = payload.as_ptr_range();
+        assert!(inside.contains(&got.model.as_ptr()));
+        assert!(inside.contains(&got.ids.as_ptr().cast::<u8>()));
+        assert_eq!(got.owned(), req);
+    }
+
+    /// A slab count the payload cannot hold is a typed truncation found
+    /// before allocation, including counts whose byte length overflows.
+    #[test]
+    fn hostile_slab_counts_are_truncations() {
+        let header = |kind: u8| {
+            let mut p = vec![PROTOCOL_VERSION, kind];
+            p.extend_from_slice(&7u64.to_le_bytes());
+            p
+        };
+        // u32::MAX rows of u32::MAX values: the byte length overflows.
+        let mut rows = header(KIND_ROWS);
+        rows.extend_from_slice(&u32::MAX.to_le_bytes());
+        rows.extend_from_slice(&u32::MAX.to_le_bytes());
+        rows.extend_from_slice(&[0; 8]);
+        assert_eq!(decode_payload(&rows), Err(WireError::Truncated("row data")));
+        // u32::MAX ids with two present.
+        let mut ids = header(KIND_SCORE);
+        ids.push(0);
+        ids.extend_from_slice(&0u64.to_le_bytes());
+        ids.extend_from_slice(&1u16.to_le_bytes());
+        ids.push(b'm');
+        ids.extend_from_slice(&u32::MAX.to_le_bytes());
+        ids.extend_from_slice(&[0; 16]);
+        assert_eq!(decode_payload(&ids), Err(WireError::Truncated("id")));
     }
 
     #[test]
