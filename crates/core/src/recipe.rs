@@ -76,7 +76,10 @@ impl Combine {
     /// it instead of deriving a bound per technique.
     pub fn error_bound(self, parts: &[(f32, f32)]) -> f32 {
         // |a·b − a'·b'| ≤ |b|·err(a) + |a'|·err(b), and |a'| ≤ |a| + err(a).
-        let product = |a: (f32, f32), b: (f32, f32)| b.0 * a.1 + (a.0 + a.1) * b.1;
+        // An exact factor (err 0) adds exactly 0, even beside an infinite
+        // magnitude, where `inf · 0` would make the bound NaN.
+        let term = |magnitude: f32, err: f32| if err == 0.0 { 0.0 } else { magnitude * err };
+        let product = |a: (f32, f32), b: (f32, f32)| term(b.0, a.1) + term(a.0 + a.1, b.1);
         match self {
             Combine::Row | Combine::OneHotMatmul => parts[0].1,
             Combine::ScaleMul | Combine::Mul => product(parts[0], parts[1]),

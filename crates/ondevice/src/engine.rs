@@ -1,20 +1,22 @@
 //! The on-device inference engines.
 //!
 //! [`InferenceSession`] executes a parsed [`OnDeviceModel`] over lazily
-//! paged tables ([`PagedTable`], one per serialized table), counting the
-//! work that the compute-unit models convert into Table-3 milliseconds
-//! and megabytes. The embedding front end is the file's
-//! [`Recipe`](memcom_core::Recipe), run by the one executor
-//! ([`Recipe::row_into`](memcom_core::Recipe::row_into)) over paged row
-//! reads — the engine knows no technique by name, so whatever
-//! `memcom-core` can describe runs here with the bits it trained with,
-//! reading only the rows the query touches (`O(L)` row faults). The one
-//! thing modelled apart is the *cost* of
+//! paged tables, counting the work that the compute-unit models convert
+//! into Table-3 milliseconds and megabytes. The embedding front end is
+//! the model file's embedding tables loaded into an [`EmbeddingTables`] —
+//! the type `memcom-serve`'s store reads too — and read through its one
+//! loop ([`EmbeddingTables::lookup_into`]), which runs the file's
+//! [`Recipe`](memcom_core::Recipe) with the one executor
+//! ([`Recipe::row_into`](memcom_core::Recipe::row_into)): the engine knows
+//! no technique by name, so whatever `memcom-core` can describe runs here
+//! with the bits it trained with, reading only the rows the query touches
+//! (`O(L)` row faults). The one thing modelled apart is the *cost* of
 //! [`Combine::OneHotMatmul`] (Weinberger): the delegate materializes the
 //! `L × m` one-hot activation and multiplies it against the entire
 //! kernel, so the whole table faults in and `L·m·e` MACs are charged —
 //! the numerical result is the same row; what differs, and what §5.3
-//! measures, is the cost profile.
+//! measures, is the cost profile. The head ops run over the session's
+//! own paged head tables.
 
 use memcom_core::recipe::Combine;
 
@@ -22,6 +24,7 @@ use crate::compute::{ComputeUnit, WorkCounts};
 use crate::format::{HeadOp, OnDeviceModel, TableMeta};
 use crate::pages::{PagedTable, DEFAULT_PAGE_SIZE};
 use crate::quant::{decode_row_into, Dtype};
+use crate::tables::EmbeddingTables;
 use crate::{simd, OnDeviceError, Result};
 
 /// Output columns a dense layer accumulates at a time. The accumulator
@@ -104,23 +107,40 @@ impl HeadScratch {
 
 /// A loaded model ready for repeated inference over simulated mmap.
 ///
-/// The file's tables are copied once, at load, into one [`PagedTable`]
-/// each — the same lazily-resident pages `memcom-serve`'s stores sit on.
-/// Pages are row-aligned per table, so the file header and the table
-/// headers are not part of any page and never count as resident.
+/// The file's tables are copied once, at load, into pages: the head's
+/// into one [`PagedTable`] each, the embedding's into an
+/// [`EmbeddingTables`] — the lazily-resident pages and the read loop
+/// `memcom-serve`'s stores sit on. Pages are row-aligned per table, so
+/// the file header and the table headers are not part of any page and
+/// never count as resident.
 ///
-/// `run` takes `&self` and [`PagedTable`] reads are lock-free, so one
-/// session can serve concurrent inferences from many worker threads.
-/// Results are always correct under concurrency; per-run byte
-/// *attribution* in [`RunStats`] is exact only for non-overlapping runs —
-/// overlapping runs may observe each other's page faults in their
-/// cold/warm deltas, and a concurrent `reset` clamps the deltas to zero
-/// rather than corrupting them.
+/// `run` takes `&self` and page reads are lock-free, so one session can
+/// serve concurrent inferences from many worker threads. Results are
+/// always correct under concurrency; per-run byte *attribution* in
+/// [`RunStats`] is exact only for non-overlapping runs — overlapping runs
+/// may observe each other's page faults in their cold/warm deltas, and a
+/// concurrent `reset` clamps the deltas to zero rather than corrupting
+/// them.
 #[derive(Debug)]
 pub struct InferenceSession {
     meta: OnDeviceModel,
-    /// One paged table per serialized table, at its [`TableMeta::index`].
-    tables: Vec<PagedTable>,
+    tables: Tables,
+}
+
+/// Every table of a loaded model file.
+#[derive(Debug)]
+struct Tables {
+    /// One paged table per head table, at its [`TableMeta::index`].
+    head: Vec<PagedTable>,
+    /// The embedding tables, in recipe order.
+    embedding: EmbeddingTables,
+}
+
+impl Tables {
+    /// Every page table: the head's, then the embedding's.
+    fn iter(&self) -> impl Iterator<Item = &PagedTable> {
+        self.head.iter().chain(self.embedding.pages())
+    }
 }
 
 impl InferenceSession {
@@ -137,27 +157,24 @@ impl InferenceSession {
     /// [`OnDeviceModel::parse`] and its table metadata misdescribes it.
     pub fn with_page_size(mut model: OnDeviceModel, page_size: usize) -> Self {
         let bytes = std::mem::take(&mut model.bytes);
-        let mut metas: Vec<&TableMeta> = Vec::new();
+        let mut head = Vec::new();
         for op in &model.head_ops {
-            match op {
-                HeadOp::AveragePool | HeadOp::Relu => {}
-                HeadOp::BatchNorm { tables, .. } => metas.extend(tables),
-                HeadOp::Dense { weight, bias, .. } => metas.extend([weight, bias]),
+            let metas = match op {
+                HeadOp::AveragePool | HeadOp::Relu => vec![],
+                HeadOp::BatchNorm { tables, .. } => tables.iter().collect(),
+                HeadOp::Dense { weight, bias, .. } => vec![weight, bias],
+            };
+            for t in metas {
+                assert_eq!(t.index, head.len(), "tables are numbered in file order");
+                let payload = &bytes[t.payload_offset..t.payload_offset + t.payload_len];
+                let pages = PagedTable::from_rows(payload, t.dtype.row_bytes(t.cols), page_size);
+                head.push(pages);
             }
         }
-        metas.extend(&model.emb_tables);
-        let tables = metas
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                assert_eq!(t.index, i, "tables are numbered in file order");
-                let payload = &bytes[t.payload_offset..t.payload_offset + t.payload_len];
-                PagedTable::from_rows(payload, t.dtype.row_bytes(t.cols), page_size)
-            })
-            .collect();
+        let embedding = EmbeddingTables::from_file(&model, &bytes, page_size);
         InferenceSession {
             meta: model,
-            tables,
+            tables: Tables { head, embedding },
         }
     }
 
@@ -353,7 +370,7 @@ impl InferenceSession {
                     // each `acc[c]` still takes bias, then `x[i]·w[i][c]`
                     // in ascending `i` — the row-at-a-time result, bit
                     // for bit, from one pass over the kernel.
-                    let kernel = &self.tables[weight.index];
+                    let kernel = &self.tables.head[weight.index];
                     for (tile, xs) in act.chunks(DENSE_TILE_ROWS).enumerate() {
                         let mut rows = [&[][..]; DENSE_TILE_ROWS];
                         for (k, row) in rows[..xs.len()].iter_mut().enumerate() {
@@ -392,37 +409,31 @@ impl InferenceSession {
     /// Runs the embedding front end, filling the caller's `[L, e]`
     /// activation slice (`act.len() == ids.len() * emb_dim`).
     fn embed_into(&self, ids: &[usize], act: &mut [f32], work: &mut WorkCounts) -> Result<()> {
-        let e = self.meta.emb_dim;
-        let recipe = &self.meta.recipe;
-        let tables = &self.meta.emb_tables;
-        debug_assert_eq!(act.len(), ids.len() * e);
-        let mut row_flops = recipe.combine.flops(e);
+        let embedding = &self.tables.embedding;
+        let recipe = embedding.recipe();
+        if recipe.combine != Combine::OneHotMatmul {
+            embedding.lookup_into(ids, &mut Vec::new(), act)?;
+            work.flops += ids.len() as u64 * embedding.row_flops();
+            return Ok(());
+        }
         // The §5.3 cost of the dense `[L, m] × [m, e]` product: the
         // `L × m` one-hot activation is live, every kernel row is read
         // (once, into the dense operand the executor then reads from),
         // and each id pays for all `m` rows.
-        let mut dense = Vec::new();
-        if recipe.combine == Combine::OneHotMatmul {
-            let kernel = &tables[0];
-            track_activation(work, ids.len() * kernel.rows);
-            dense.resize(kernel.rows * e, 0.0);
-            for (r, row) in dense.chunks_exact_mut(e).enumerate() {
-                self.read_row_into(kernel, r, row)?;
-            }
-            row_flops *= kernel.rows;
+        let (e, m) = (self.meta.emb_dim, self.meta.emb_tables[0].rows);
+        track_activation(work, ids.len() * m);
+        let mut dense = vec![0f32; m * e];
+        for (r, row) in dense.chunks_exact_mut(e).enumerate() {
+            embedding.read(0, r, row)?;
         }
-        let read = |k: usize, r: usize, out: &mut [f32]| {
-            if dense.is_empty() {
-                return self.read_row_into(&tables[k], r, out);
-            }
+        let read = |_: usize, r: usize, out: &mut [f32]| -> Result<()> {
             out.copy_from_slice(&dense[r * e..][..e]);
             Ok(())
         };
-        let mut scratch = Vec::new();
         for (&id, slot) in ids.iter().zip(act.chunks_exact_mut(e)) {
-            recipe.row_into(id, read, &mut scratch, slot)?;
+            recipe.row_into(id, read, &mut Vec::new(), slot)?;
         }
-        work.flops += (ids.len() * row_flops) as u64;
+        work.flops += (ids.len() * recipe.combine.flops(e) * m) as u64;
         Ok(())
     }
 
@@ -433,10 +444,11 @@ impl InferenceSession {
     ///
     /// # Panics
     ///
-    /// Panics when `table` is not one of this session's model's tables
+    /// Panics when `table` is not one of this session's head tables
+    /// (the embedding tables are read through its [`EmbeddingTables`])
     /// or `out` is longer than `table.cols`.
     pub fn read_row_into(&self, table: &TableMeta, r: usize, out: &mut [f32]) -> Result<()> {
-        let bytes = self.tables[table.index].read_row(r)?;
+        let bytes = self.tables.head[table.index].read_row(r)?;
         decode_row_into(bytes, table.dtype, table.scale, out);
         Ok(())
     }
@@ -785,6 +797,24 @@ mod tests {
             assert_eq!(logits.len(), 3, "{spec:?}");
             assert!(logits.iter().all(|x| x.is_finite()), "{spec:?}");
             assert!(stats.footprint_mb(ComputeUnit::TfLiteCpu) > 0.0);
+        }
+    }
+
+    #[test]
+    fn a_quantized_run_counts_its_dequantize() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let emb = MemCom::new(MemComConfig::with_bias(200, 8, 20), &mut rng).unwrap();
+        let ids = [3usize, 33, 133, 199];
+        let flops = |dtype| {
+            let bytes = OnDeviceModel::serialize(&emb, &head(8, 4), ids.len(), dtype).unwrap();
+            let session = InferenceSession::new(OnDeviceModel::parse(bytes).unwrap());
+            session.run(&ids).unwrap().1.work.flops
+        };
+        // One multiply (or half-to-float convert) per embedding value read;
+        // the head's flops do not depend on the dtype.
+        let exact = flops(Dtype::F32);
+        for dtype in [Dtype::F16, Dtype::Int8] {
+            assert_eq!(flops(dtype), exact + (ids.len() * 8) as u64, "{dtype:?}");
         }
     }
 

@@ -3,13 +3,9 @@
 use std::error::Error;
 use std::fmt;
 
-use memcom_tensor::TensorError;
-
 /// Errors produced by serialization, the mmap simulator, and the engines.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OnDeviceError {
-    /// An underlying tensor operation failed.
-    Tensor(TensorError),
     /// The byte stream is not a valid model file.
     BadFormat {
         /// What was wrong with the stream.
@@ -39,7 +35,6 @@ pub enum OnDeviceError {
 impl fmt::Display for OnDeviceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OnDeviceError::Tensor(e) => write!(f, "tensor operation failed: {e}"),
             OnDeviceError::BadFormat { context } => write!(f, "bad model file: {context}"),
             OnDeviceError::Unsupported { context } => write!(f, "unsupported model: {context}"),
             OnDeviceError::OutOfBounds { offset, len, size } => {
@@ -53,20 +48,7 @@ impl fmt::Display for OnDeviceError {
     }
 }
 
-impl Error for OnDeviceError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            OnDeviceError::Tensor(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<TensorError> for OnDeviceError {
-    fn from(e: TensorError) -> Self {
-        OnDeviceError::Tensor(e)
-    }
-}
+impl Error for OnDeviceError {}
 
 #[cfg(test)]
 mod tests {
@@ -93,6 +75,5 @@ mod tests {
         for e in errs {
             assert!(!e.to_string().is_empty());
         }
-        assert!(Error::source(&OnDeviceError::from(TensorError::EmptyTensor)).is_some());
     }
 }

@@ -14,12 +14,17 @@
 //!   the engine here and the serving tier's stores, where its
 //!   structurally-shared, copy-on-write pages also carry row-level delta
 //!   updates (a snapshot clone shares every untouched page).
-//! * [`engine`] — the inference engine over the paged tables: it runs the
-//!   file's recipe through `memcom-core`'s one executor, touching only
-//!   the embedding rows a query needs (MEmCom-style lookups), except that
-//!   a `OneHotMatmul` recipe (Weinberger-style) is charged what the paper
-//!   measures — the `L × m` one-hot activation and a product against the
-//!   whole kernel.
+//! * [`tables`] — the embedding front end both runtimes share: a
+//!   recipe's tables as paged columns (the model file's one-scale-per-table
+//!   rows, the store's per-row-scale rows, int8 scalar blocks) and the one
+//!   loop that runs `memcom-core`'s executor over them, with its page and
+//!   flop accounting.
+//! * [`engine`] — the inference engine: the file's embedding tables read
+//!   through [`tables`], touching only the rows a query needs
+//!   (MEmCom-style lookups), except that a `OneHotMatmul` recipe
+//!   (Weinberger-style) is charged what the paper measures — the `L × m`
+//!   one-hot activation and a product against the whole kernel — then the
+//!   head ops over their own paged tables.
 //! * [`compute`] — per-compute-unit latency models (CoreML `all` /
 //!   `cpuOnly` / `cpuAndGPU`, TF-Lite CPU) translating counted work into
 //!   Table-3-style milliseconds.
@@ -42,6 +47,7 @@ pub mod format;
 pub mod pages;
 pub mod quant;
 pub mod simd;
+pub mod tables;
 
 pub use compute::ComputeUnit;
 pub use engine::{HeadScratch, InferenceSession, RunStats};
@@ -50,6 +56,7 @@ pub use format::{OnDeviceModel, MAGIC};
 pub use pages::PagedTable;
 pub use quant::{decode_row_into, dequant_error_bound, quantize_row, Dtype, QuantizedTable};
 pub use simd::{active_kernel, Kernel};
+pub use tables::EmbeddingTables;
 
 /// Convenience alias for results returned throughout this crate.
 pub type Result<T> = std::result::Result<T, OnDeviceError>;

@@ -6,10 +6,11 @@
 //! granularity — reads fault pages in lazily, and the **resident set**
 //! (the pages an inference actually touched) is the memory footprint
 //! Table 3 contrasts between MEmCom's row lookups and Weinberger's
-//! whole-kernel matmul. Both consumers sit on it: the on-device
-//! [`crate::InferenceSession`] holds one table per serialized table of
-//! the model file, and `memcom-serve`'s `ShardedStore` one per recipe
-//! table, the same way.
+//! whole-kernel matmul. Every table sits on one: an
+//! [`EmbeddingTables`](crate::EmbeddingTables) column holds each recipe
+//! table — the embedding front end of both the on-device
+//! [`crate::InferenceSession`] and `memcom-serve`'s `ShardedStore` — and
+//! the session holds one more per head table of the model file.
 //!
 //! * Rows of a fixed `stride` are packed into fixed-size **pages**, each
 //!   its own `Arc<Vec<u8>>` allocation. Pages are row-aligned (a page
@@ -103,21 +104,6 @@ impl PagedTable {
         }
     }
 
-    /// An empty table (no rows, no pages) of the given geometry.
-    pub fn empty(stride: usize, page_size: usize) -> Self {
-        Self::from_rows(&[], stride, page_size)
-    }
-
-    /// Bytes per row.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Total stored bytes across all pages.
     pub fn len(&self) -> usize {
         self.pages.iter().map(|p| p.len()).sum()
@@ -128,22 +114,12 @@ impl PagedTable {
         self.rows == 0
     }
 
-    /// Number of pages.
-    pub fn n_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Rows per full page.
-    pub fn rows_per_page(&self) -> usize {
-        self.rows_per_page
-    }
-
     /// Reads row `r` (one contiguous `stride`-byte slice), faulting the
     /// covering page in on first touch.
     ///
     /// # Errors
     ///
-    /// Returns [`OnDeviceError::OutOfBounds`] for `r >= rows()`.
+    /// Returns [`OnDeviceError::OutOfBounds`] for a row past the table's end.
     pub fn read_row(&self, r: usize) -> Result<&[u8]> {
         if r >= self.rows {
             return Err(self.out_of_bounds(r));
@@ -199,11 +175,12 @@ impl PagedTable {
     ///
     /// # Errors
     ///
-    /// Returns [`OnDeviceError::OutOfBounds`] for `r >= rows()`.
+    /// Returns [`OnDeviceError::OutOfBounds`] for a row past the table's end.
     ///
     /// # Panics
     ///
-    /// Panics when `bytes.len() != stride()` — a caller sizing bug.
+    /// Panics when `bytes` is not one row's stride long — a caller sizing
+    /// bug.
     pub fn write_row(&mut self, r: usize, bytes: &[u8]) -> Result<()> {
         assert_eq!(bytes.len(), self.stride, "row write must be stride bytes");
         if r >= self.rows {
@@ -228,7 +205,7 @@ impl PagedTable {
     ///
     /// # Panics
     ///
-    /// Panics when `fill.len() != stride()`.
+    /// Panics when `fill` is not one row's stride long.
     pub fn extend_rows(&mut self, extra: usize, fill: &[u8]) {
         assert_eq!(fill.len(), self.stride, "fill row must be stride bytes");
         let page_bytes = self.rows_per_page * self.stride;
@@ -359,8 +336,8 @@ mod tests {
     #[test]
     fn rows_read_back_exactly() {
         let t = table(10, 3, 7); // 2 rows per page -> 5 pages
-        assert_eq!(t.n_pages(), 5);
-        assert_eq!(t.rows_per_page(), 2);
+        assert_eq!(t.pages.len(), 5);
+        assert_eq!(t.rows_per_page, 2);
         assert_eq!(t.len(), 30);
         for r in 0..10 {
             let want: Vec<u8> = (r * 3..(r + 1) * 3).map(|i| (i % 251) as u8).collect();
@@ -376,8 +353,8 @@ mod tests {
     #[test]
     fn stride_larger_than_page_size_still_works() {
         let t = table(4, 16, 8); // one row per page despite 8-byte pages
-        assert_eq!(t.rows_per_page(), 1);
-        assert_eq!(t.n_pages(), 4);
+        assert_eq!(t.rows_per_page, 1);
+        assert_eq!(t.pages.len(), 4);
         assert_eq!(t.read_row(3).unwrap().len(), 16);
     }
 
@@ -406,7 +383,7 @@ mod tests {
             t.read_row(r).unwrap();
             assert!(t.resident_page_count() >= before, "monotone");
         }
-        assert_eq!((t.faults(), t.resident_page_count()), (5, t.n_pages()));
+        assert_eq!((t.faults(), t.resident_page_count()), (5, t.pages.len()));
         // A full scan holds the whole table, and faulted each byte once.
         assert_eq!(t.resident_bytes(), t.len());
         assert_eq!(t.cold_read_bytes(), t.len() as u64);
@@ -464,29 +441,29 @@ mod tests {
     fn extend_rows_grows_through_partial_and_new_pages() {
         let mut t = table(3, 4, 8); // 2 rows/page: pages of 2 + 1 rows
         t.extend_rows(4, &[5; 4]); // tops up page 1, adds 2 pages... (1+2, then rows 4..7)
-        assert_eq!(t.rows(), 7);
+        assert_eq!(t.rows, 7);
         assert_eq!(t.read_row(2).unwrap(), &[8, 9, 10, 11], "old row intact");
         for r in 3..7 {
             assert_eq!(t.read_row(r).unwrap(), &[5; 4], "row {r}");
         }
-        assert_eq!(t.n_pages(), 4);
+        assert_eq!(t.pages.len(), 4);
         // Growth off a shared snapshot copies only the partial last page.
         let base = table(3, 4, 8);
         let mut grown = base.shared_clone();
         grown.extend_rows(1, &[6; 4]);
         assert_eq!(grown.cow_copied_bytes(), 4, "partial page CoW");
         assert_eq!(grown.shared_bytes_with(&base), 8, "full page still shared");
-        assert_eq!(base.rows(), 3);
+        assert_eq!(base.rows, 3);
         assert_eq!(grown.read_row(3).unwrap(), &[6; 4]);
     }
 
     #[test]
     fn empty_table_grows_from_nothing() {
-        let mut t = PagedTable::empty(4, 8);
+        let mut t = PagedTable::from_rows(&[], 4, 8);
         assert!(t.is_empty());
-        assert_eq!(t.n_pages(), 0);
+        assert_eq!(t.pages.len(), 0);
         t.extend_rows(3, &[1; 4]);
-        assert_eq!(t.rows(), 3);
+        assert_eq!(t.rows, 3);
         assert_eq!(t.read_row(2).unwrap(), &[1; 4]);
         assert_eq!(t.resident_bytes(), 12);
     }

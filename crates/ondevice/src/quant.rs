@@ -179,7 +179,12 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 }
 
 /// A quantized table: payload bytes plus the affine metadata needed to
-/// reconstruct approximate `f32` values.
+/// reconstruct approximate `f32` values — the model file's table encoding
+/// (one scale per table). A loaded file's rows decode through its
+/// [`EmbeddingTables`](crate::EmbeddingTables) columns, or
+/// [`decode_row_into`] for head tables, at this `scale`; the certified
+/// error of any value is [`dequant_error_bound`] at `scale` and
+/// `max_abs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTable {
     /// Storage type.
@@ -236,54 +241,6 @@ impl QuantizedTable {
             data,
         })
     }
-
-    /// Reconstructs the full tensor.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for tables built by [`QuantizedTable::quantize`].
-    pub fn dequantize(&self) -> Result<Tensor> {
-        let mut out = vec![0f32; self.rows * self.cols];
-        for r in 0..self.rows {
-            self.dequantize_row_into(r, &mut out[r * self.cols..(r + 1) * self.cols]);
-        }
-        Ok(Tensor::from_vec(out, &[self.rows, self.cols])?)
-    }
-
-    /// Reconstructs one row, allocating a fresh `Vec` (convenience over
-    /// [`dequantize_row_into`](Self::dequantize_row_into)).
-    pub fn dequantize_row(&self, r: usize) -> Vec<f32> {
-        let mut out = vec![0f32; self.cols];
-        self.dequantize_row_into(r, &mut out);
-        out
-    }
-
-    /// Reconstructs one row directly into `out` — the zero-allocation
-    /// hot path: touches only that row's bytes and writes into the
-    /// caller's buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != self.cols` or `r >= self.rows` — both
-    /// are caller sizing bugs, not data-dependent conditions.
-    pub fn dequantize_row_into(&self, r: usize, out: &mut [f32]) {
-        assert_eq!(out.len(), self.cols, "row buffer must hold cols values");
-        let row_bytes = self.dtype.row_bytes(self.cols);
-        decode_row_into(
-            &self.data[r * row_bytes..(r + 1) * row_bytes],
-            self.dtype,
-            self.scale,
-            out,
-        );
-    }
-
-    /// Worst-case absolute reconstruction error: half a quantization step
-    /// for integer dtypes, a half-ULP-at-`max_abs` bound for f16 (its
-    /// error is relative, so the table's largest magnitude dominates),
-    /// and 0 for f32.
-    pub fn max_abs_error_bound(&self) -> f32 {
-        dequant_error_bound(self.dtype, self.scale, self.max_abs)
-    }
 }
 
 /// The symmetric linear quantization scale for a source whose *finite*
@@ -318,7 +275,7 @@ fn linear_scale(max_abs: f32, dtype: Dtype) -> f32 {
 /// and error-bound computation uses: an infinity must widen the scale
 /// to infinity (encoding every finite value to 0 with a lying bound)
 /// exactly never, and NaN must not poison the `f32::max` fold.
-fn finite_max_abs(row: &[f32]) -> (f32, bool) {
+pub(crate) fn finite_max_abs(row: &[f32]) -> (f32, bool) {
     let mut max_abs = 0f32;
     let mut any_non_finite = false;
     for &x in row {
@@ -366,63 +323,6 @@ pub fn dequant_error_bound(dtype: Dtype, scale: f32, max_abs: f32) -> f32 {
         Dtype::F16 => max_abs * (1.0 / 1024.0) + 6e-8,
         Dtype::Int8 | Dtype::Int4 | Dtype::Int2 => scale * 0.5,
     }
-}
-
-/// Encodes one row in the serving store's **stored-row** layout — the
-/// optional inline per-row `f32` scale ([`Dtype::scale_prefix_bytes`])
-/// followed by the packed payload — appending to `out` and reusing
-/// `payload_scratch` ([`Dtype::row_bytes`]`(row.len())` bytes) across
-/// calls. Returns the row's worst-case absolute dequantization error.
-///
-/// This is the page-granular re-encode primitive: store builds encode
-/// whole tables through it, and row-level delta updates re-encode just
-/// the changed rows into copy-on-written pages
-/// ([`crate::pages::PagedTable`]).
-///
-/// # Panics
-///
-/// Panics on a mis-sized `payload_scratch` — a caller sizing bug.
-pub fn encode_stored_row(
-    row: &[f32],
-    dtype: Dtype,
-    payload_scratch: &mut [u8],
-    out: &mut Vec<u8>,
-) -> f32 {
-    let scale = quantize_row(row, dtype, payload_scratch);
-    if dtype.scale_prefix_bytes() > 0 {
-        out.extend_from_slice(&scale.to_le_bytes());
-    }
-    out.extend_from_slice(payload_scratch);
-    let (max_abs, _) = finite_max_abs(row);
-    dequant_error_bound(dtype, scale, max_abs)
-}
-
-/// Decodes one stored row (optional inline scale + packed payload, the
-/// layout written by [`encode_stored_row`]) straight into `out`.
-///
-/// # Panics
-///
-/// Panics when `bytes` is shorter than
-/// [`Dtype::stored_row_bytes`]`(out.len())`.
-pub fn decode_stored_row(bytes: &[u8], dtype: Dtype, out: &mut [f32]) {
-    let prefix = dtype.scale_prefix_bytes();
-    let scale = if prefix == 0 {
-        1.0
-    } else {
-        f32::from_le_bytes(bytes[..prefix].try_into().expect("4-byte scale prefix"))
-    };
-    decode_row_into(&bytes[prefix..], dtype, scale, out);
-}
-
-/// The stored-row encoding of an all-zero row of `cols` values — what a
-/// removed (tombstoned) or not-yet-upserted grown slot holds. Decodes
-/// exactly to zeros at every dtype, with a certified error of 0.
-pub fn stored_zero_row(dtype: Dtype, cols: usize) -> Vec<u8> {
-    let mut payload = vec![0u8; dtype.row_bytes(cols)];
-    let mut out = Vec::with_capacity(dtype.stored_row_bytes(cols));
-    let bound = encode_stored_row(&vec![0f32; cols], dtype, &mut payload, &mut out);
-    debug_assert_eq!(bound, 0.0);
-    out
 }
 
 /// Quantizes one row independently of its table — the per-row-scale
@@ -538,6 +438,23 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The whole table decoded row by row, as a model file's column reads
+    /// it (`tables.rs`), and the bound the table certifies.
+    impl QuantizedTable {
+        fn dequantize(&self) -> memcom_tensor::Result<Tensor> {
+            let mut out = vec![0f32; self.rows * self.cols];
+            let stored = self.data.chunks_exact(self.dtype.row_bytes(self.cols));
+            for (bytes, row) in stored.zip(out.chunks_exact_mut(self.cols)) {
+                decode_row_into(bytes, self.dtype, self.scale, row);
+            }
+            Tensor::from_vec(out, &[self.rows, self.cols])
+        }
+
+        fn max_abs_error_bound(&self) -> f32 {
+            dequant_error_bound(self.dtype, self.scale, self.max_abs)
+        }
+    }
+
     #[test]
     fn f16_round_trip_exact_values() {
         for x in [0.0f32, 1.0, -1.0, 0.5, 2.0, 65504.0, -65504.0] {
@@ -627,34 +544,6 @@ mod tests {
         assert!(e16 < e8, "f16 {e16} vs int8 {e8}");
         assert!(e8 < e4, "int8 {e8} vs int4 {e4}");
         assert!(e4 < e2, "int4 {e4} vs int2 {e2}");
-    }
-
-    #[test]
-    fn row_access_matches_full_dequantize() {
-        let data: Vec<f32> = (0..60).map(|i| (i as f32) * 0.1 - 3.0).collect();
-        let t = Tensor::from_vec(data, &[12, 5]).unwrap();
-        for dtype in [
-            Dtype::F32,
-            Dtype::F16,
-            Dtype::Int8,
-            Dtype::Int4,
-            Dtype::Int2,
-        ] {
-            let q = QuantizedTable::quantize(&t, dtype).unwrap();
-            let full = q.dequantize().unwrap();
-            let mut scratch = vec![0f32; 5];
-            for r in 0..12 {
-                assert_eq!(
-                    q.dequantize_row(r),
-                    full.row(r).unwrap(),
-                    "{dtype:?} row {r}"
-                );
-                // The zero-copy variant writes the identical values.
-                scratch.fill(f32::NAN);
-                q.dequantize_row_into(r, &mut scratch);
-                assert_eq!(scratch, q.dequantize_row(r), "{dtype:?} row {r} into");
-            }
-        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use memcom_core::CoreError;
 use memcom_ondevice::OnDeviceError;
 
 /// Everything that can go wrong while building or querying a server.
@@ -70,8 +69,6 @@ pub enum ServeError {
     /// A serving worker disappeared without answering (a bug, not a load
     /// condition).
     WorkerLost,
-    /// Error from the compression layer during store construction.
-    Core(CoreError),
     /// Error from the simulated mmap / on-device layer.
     OnDevice(OnDeviceError),
 }
@@ -101,7 +98,6 @@ impl fmt::Display for ServeError {
                 "request deadline exceeded: queued {queued:?} against a {deadline:?} budget"
             ),
             ServeError::WorkerLost => write!(f, "serving worker dropped a request"),
-            ServeError::Core(e) => write!(f, "core error: {e}"),
             ServeError::OnDevice(e) => write!(f, "on-device error: {e}"),
         }
     }
@@ -110,16 +106,9 @@ impl fmt::Display for ServeError {
 impl Error for ServeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            ServeError::Core(e) => Some(e),
             ServeError::OnDevice(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<CoreError> for ServeError {
-    fn from(e: CoreError) -> Self {
-        ServeError::Core(e)
     }
 }
 

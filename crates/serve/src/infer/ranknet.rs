@@ -39,10 +39,13 @@ pub struct RankNetBackend {
 impl RankNetBackend {
     /// Builds a backend from a trained [`RecModel`] (e.g.
     /// [`RankNet::shared_model`](memcom_models::RankNet::shared_model)):
-    /// the head weights are serialized through the on-device model
-    /// format (dropout is eval-mode, i.e. skipped) and loaded into an
-    /// [`InferenceSession`]; the embedding tables travel separately, as
-    /// the router store the model is registered with.
+    /// the whole model is serialized through the on-device model format
+    /// at fp32 (dropout is eval-mode, i.e. skipped) and loaded into an
+    /// [`InferenceSession`]. Scoring reads embedding rows from the router
+    /// store the model is registered with, never from the session, so the
+    /// session's fp32 copy of the embedding tables only backs
+    /// [`session`](Self::session)`().run`, the direct reference a served
+    /// score is compared against.
     ///
     /// # Errors
     ///
@@ -177,4 +180,62 @@ fn head_error_amplification(session: &InferenceSession) -> Result<f32> {
         }
     }
     Ok(amp)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use memcom_core::{MethodSpec, QrCombiner};
+    use memcom_models::ModelConfig;
+
+    /// Every spec `tests/every_technique_deploys.rs` deploys, at a
+    /// vocabulary of 300.
+    fn all_specs() -> [MethodSpec; 11] {
+        let hash_size = 30;
+        let qr = |combiner| MethodSpec::QuotientRemainder {
+            hash_size,
+            combiner,
+        };
+        [
+            MethodSpec::Uncompressed,
+            MethodSpec::MemCom {
+                hash_size,
+                bias: true,
+            },
+            MethodSpec::MemCom {
+                hash_size,
+                bias: false,
+            },
+            MethodSpec::NaiveHash { hash_size },
+            MethodSpec::DoubleHash { hash_size },
+            qr(QrCombiner::Multiply),
+            qr(QrCombiner::Concat),
+            MethodSpec::Factorized { hidden: 4 },
+            MethodSpec::ReduceDim { dim: 8 },
+            MethodSpec::TruncateRare { keep: hash_size },
+            MethodSpec::WeinbergerOneHot { hash_size },
+        ]
+    }
+
+    #[test]
+    fn every_technique_scores_as_the_session_runs_bit_for_bit() {
+        let config = ModelConfig::pointwise(300, 16, 4, 1);
+        let id_sets = [[0, 1, 2, 3], [299, 150, 7, 7], [31, 62, 93, 124]];
+        for spec in all_specs() {
+            let model = RecModel::new(&config, &spec).unwrap();
+            let backend = RankNetBackend::from_model(&model).unwrap();
+            let store = ShardedStore::build(model.embedding(), 2, 0, 256).unwrap();
+            backend.check_store(&store).unwrap();
+            let mut scratch = InferScratch::new();
+            for ids in id_sets {
+                let mut served = vec![0f32; backend.out_len(ids.len(), &store)];
+                backend
+                    .score_into(&store, &ids, &mut scratch, &mut served)
+                    .unwrap();
+                let (direct, _) = backend.session().run(&ids).unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&served), bits(&direct), "{} ids {ids:?}", spec.label());
+            }
+        }
+    }
 }

@@ -9,11 +9,13 @@
 //!
 //! Bottom-up, each module is one layer of the engine:
 //!
-//! * [`store`] — **storage**: [`ShardedStore`] holds one column per
-//!   table of a trained model's [`memcom_core::Recipe`], in
-//!   structurally-shared pages ([`memcom_ondevice::PagedTable`]), and
-//!   serves a row by running the recipe over them — the pages are the
-//!   only copy of a row. Its slab API ([`ShardedStore::lookup_into`])
+//! * [`store`] — **storage**: [`ShardedStore`] is a trained model's
+//!   [`memcom_ondevice::EmbeddingTables`] — the embedding front end the
+//!   on-device engine reads through too: one column per table of the
+//!   model's [`memcom_core::Recipe`], in structurally-shared pages — plus
+//!   routing, a certified error bound and delta snapshots. It serves a
+//!   row by running the recipe over the pages, the only copy of a row
+//!   the store keeps. Its slab API ([`ShardedStore::lookup_into`])
 //!   writes the rows of `ids` straight into a caller-owned flat buffer,
 //!   in request order — no lock, no per-row allocation.
 //! * [`delta`] — **incremental refresh**: [`StoreDelta`] batches
@@ -66,8 +68,10 @@
 //! Shards are worker queues, not storage: a store holds each recipe
 //! table once, whatever the shard count, so a served model costs what
 //! its tables cost, and workers read it without a lock. Costs plug into
-//! the on-device compute-unit model: [`ShardedStore::run_stats`] returns the same
-//! [`memcom_ondevice::RunStats`] the single-inference engines report.
+//! the on-device compute-unit model: a store's tables report
+//! ([`EmbeddingTables::run_stats`](memcom_ondevice::EmbeddingTables::run_stats))
+//! the same [`memcom_ondevice::RunStats`] the single-inference engines
+//! report.
 //!
 //! ```
 //! use memcom_core::{MemCom, MemComConfig};

@@ -1,14 +1,15 @@
 //! The row store.
 //!
 //! Serves a trained embedding model by running the technique's own
-//! [`Recipe`] over its own tables — the executor ([`Recipe::row_into`])
-//! training and the on-device engine run, hence the same bits — so a
-//! served model costs what its tables cost, never `vocab × dim`. The store
-//! holds one **column** per recipe table, as the model file and
-//! [`memcom_ondevice::InferenceSession`] do, backed by structurally-shared
-//! pages ([`memcom_ondevice::PagedTable`]: lazy residency and fault
-//! accounting). Those pages are the only copy of a row the store keeps: a
-//! lookup touches the rows it needs and the footprint is the resident
+//! [`Recipe`](memcom_core::Recipe) over its own tables, as the on-device
+//! engine does and through the same type: a store is an [`EmbeddingTables`] — one paged
+//! column per recipe table and the one read loop
+//! ([`EmbeddingTables::lookup_into`]) that runs the executor training
+//! runs ([`Recipe::row_into`](memcom_core::Recipe::row_into)), hence the
+//! same bits — plus routing, a certified error bound and delta
+//! snapshots. A served model costs what its tables cost, never
+//! `vocab × dim`. The pages are the only copy of a row the store keeps:
+//! a lookup touches the rows it needs and the footprint is the resident
 //! pages (the paper's mmap model, §5.3), each counted once.
 //!
 //! A read of table `k` for `id` reads row `recipe.maps[k].row(id)` of
@@ -22,20 +23,12 @@
 //! where a byte lives, so two stores of one model with different shard
 //! counts hold, serve and count the same bytes.
 //!
-//! The read path is slab-based: [`ShardedStore::lookup_into`] writes the
-//! rows of `ids`, in request order, straight into a caller-owned flat
-//! buffer — one loop that runs the recipe over page reads in place, with
-//! the recipe's operand buffer owned by the caller — so it takes no lock
-//! and nothing on it allocates per row.
-//!
 //! Any store can hold its rows below fp32
-//! ([`ShardedStore::build_quantized`]): column pages then hold
-//! [`Dtype`]-packed row bytes — each integer-quantized row carries its
-//! own inline `f32` scale, so one page-local read yields both — and the
-//! read path dequantizes **directly into the caller's slab** through
-//! [`memcom_ondevice::decode_row_into`], preserving the zero-allocation
-//! guarantee. [`ShardedStore::error_bound`] certifies the worst-case
-//! absolute error any served row can carry: each column's `(max |value|, max
+//! ([`ShardedStore::build_quantized`]): each integer-quantized row then
+//! carries its own inline `f32` scale and a per-entity scalar table packs
+//! into int8 blocks, and a read dequantizes **directly into the caller's
+//! slab**. [`ShardedStore::error_bound`] certifies the worst-case absolute
+//! error any served row can carry: each table's `(max |value|, max
 //! dequantization error)` composed by [`Combine::error_bound`].
 //!
 //! ## Delta snapshots
@@ -45,7 +38,7 @@
 //! snapshot that copy-on-writes only the pages a [`StoreDelta`]'s
 //! upserts/removals touch — every untouched page is the same physical
 //! allocation as the old snapshot's
-//! ([`ShardedStore::shared_bytes_with`] proves it), and the certified
+//! ([`EmbeddingTables::shared_bytes_with`] proves it), and the certified
 //! error bound is re-certified over the re-encoded rows. A
 //! 0.1%-of-rows delta therefore costs ~0.1% of a rebuild in bytes
 //! copied and wall time, which is what makes high-frequency online
@@ -61,17 +54,12 @@
 //! [`ServeError::BadConfig`] instead of un-compressing the store: rebuild
 //! from the retrained model and [`crate::Router::swap`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use memcom_core::hashing::RowMap;
-use memcom_core::recipe::{Combine, Recipe};
+use memcom_core::recipe::Combine;
 use memcom_core::EmbeddingCompressor;
-use memcom_ondevice::compute::WorkCounts;
-use memcom_ondevice::engine::RunStats;
-use memcom_ondevice::pages::PagedTable;
-use memcom_ondevice::quant::{
-    decode_stored_row, encode_stored_row, quantize_row, stored_zero_row, Dtype,
-};
+use memcom_ondevice::quant::Dtype;
+use memcom_ondevice::tables::Written;
+use memcom_ondevice::EmbeddingTables;
 
 use crate::delta::{DeltaOp, StoreDelta};
 use crate::{Result, ServeError};
@@ -100,270 +88,25 @@ impl CacheStats {
     }
 }
 
-/// Consecutive ids per int8 scalar block ([`ColumnRows::Int8`]).
-const SCALAR_BLOCK: usize = 64;
-/// Stored bytes per int8 scalar block: inline `f32` scale + one code
-/// per id.
-const SCALAR_BLOCK_BYTES: usize = 4 + SCALAR_BLOCK;
-
-/// The rows of one column, in one of two encodings.
-///
-/// A 1-wide identity-mapped column (MEmCom's multipliers and biases: one
-/// value per id, the dominant per-entity store term at scale) is a
-/// scalar column. An F32 store keeps it as 1-wide rows like any other
-/// column; quantized stores pack it as **int8 blocks of
-/// [`SCALAR_BLOCK`] consecutive ids with per-block scales** — the same
-/// symmetric linear scheme the wide rows use, with the block standing in
-/// for the row — at `(4 + 64) / 64 ≈ 1.06` bytes per id instead of 4. A
-/// zeroed block stores scale `0.0` (codes decode to exact 0 at any
-/// scale, and a zero scale forces the first real write through the
-/// re-scale path instead of rounding against a meaningless step).
-#[derive(Debug)]
-enum ColumnRows {
-    /// `dtype`-packed stored rows of `cols` values, each integer row
-    /// behind its own inline scale.
-    Wide {
-        table: PagedTable,
-        dtype: Dtype,
-        cols: usize,
-    },
-    /// Int8 blocks with inline per-block scales (scalar column of a
-    /// quantized store).
-    Int8(PagedTable),
-}
-
-/// What a [`ColumnRows::write`] actually did to served values — the
-/// terms [`ShardedStore::apply_delta`] folds into the certified bound.
-#[derive(Debug, Clone, Copy, Default)]
-struct Written {
-    /// Max `|requested − stored|` over the written row.
-    err: f32,
-    /// Max `|old − new|` over the *other* slots of a re-scaled int8 block
-    /// (0 when the write fit the block's existing scale, and for the
-    /// other encodings).
-    neighbor_drift: f32,
-}
-
-impl ColumnRows {
-    /// Encodes `values` (`cols` wide, row-major); a 1-wide `identity`
-    /// column of a quantized store takes the scalar-block encoding.
-    /// Returns the rows and the worst `|source − stored|` they certify.
-    fn build(
-        values: &[f32],
-        cols: usize,
-        identity: bool,
-        dtype: Dtype,
-        page_size: usize,
-    ) -> (Self, f32) {
-        if identity && cols == 1 && dtype != Dtype::F32 {
-            return Self::build_scalars(values, page_size);
-        }
-        let stride = dtype.stored_row_bytes(cols);
-        let mut bytes = Vec::with_capacity(values.len() / cols * stride);
-        let mut payload = vec![0u8; dtype.row_bytes(cols)];
-        let mut err = 0f32;
-        for row in values.chunks_exact(cols) {
-            if dtype == Dtype::F32 {
-                // The bytes `encode_stored_row` writes for F32 (verbatim,
-                // no scale prefix, certified error 0) without its per-row
-                // call and bound fold, which the 200 000 one-value rows
-                // of a MEmCom scalar column make visible in `setup_s`.
-                bytes.extend(row.iter().flat_map(|v| v.to_le_bytes()));
-            } else {
-                err = err.max(encode_stored_row(row, dtype, &mut payload, &mut bytes));
-            }
-        }
-        let table = PagedTable::from_rows(&bytes, stride, page_size);
-        (ColumnRows::Wide { table, dtype, cols }, err)
-    }
-
-    /// Builds an int8-block scalar column from per-id values. Returns
-    /// the rows and the measured max `|source − stored|` across ids.
-    fn build_scalars(values: &[f32], page_size: usize) -> (Self, f32) {
-        let blocks = values.len().div_ceil(SCALAR_BLOCK);
-        let mut bytes = Vec::with_capacity(blocks * SCALAR_BLOCK_BYTES);
-        let mut block = [0f32; SCALAR_BLOCK];
-        let mut payload = [0u8; SCALAR_BLOCK];
-        let mut err = 0f32;
-        for chunk in values.chunks(SCALAR_BLOCK) {
-            let fill = chunk.len();
-            block.fill(0.0);
-            block[..fill].copy_from_slice(chunk);
-            let mut scale = quantize_row(&block, Dtype::Int8, &mut payload);
-            if block.iter().all(|&x| x == 0.0) {
-                scale = 0.0; // zero blocks stay re-scalable
-            }
-            for (&src, &code) in block.iter().zip(&payload).take(fill) {
-                err = err.max((src - (code as i8) as f32 * scale).abs());
-            }
-            bytes.extend_from_slice(&scale.to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        (
-            ColumnRows::Int8(PagedTable::from_rows(&bytes, SCALAR_BLOCK_BYTES, page_size)),
-            err,
-        )
-    }
-
-    /// Decodes row `r` into `buf`.
-    fn read(&self, r: usize, buf: &mut [f32]) -> Result<()> {
-        match self {
-            ColumnRows::Wide { table, dtype, .. } => {
-                decode_stored_row(table.read_row(r)?, *dtype, buf)
-            }
-            ColumnRows::Int8(t) => {
-                let row = t.read_row(r / SCALAR_BLOCK)?;
-                let scale = decode_f32(&row[..4]);
-                buf[0] = (row[4 + r % SCALAR_BLOCK] as i8) as f32 * scale;
-            }
-        }
-        Ok(())
-    }
-
-    /// Stores `values` as row `r`. Wide rows re-encode around
-    /// their own scale. Int8 blocks re-use the block's existing scale
-    /// when the value fits its code range (no other slot moves);
-    /// otherwise the whole block re-encodes around a new scale and the
-    /// returned [`Written::neighbor_drift`] reports how far the block's
-    /// other slots moved. `scratch` is the wide rows' `[payload, stored]`
-    /// encode buffers, reused across the writes of one delta.
-    fn write(&mut self, r: usize, values: &[f32], scratch: &mut [Vec<u8>; 2]) -> Result<Written> {
-        match self {
-            ColumnRows::Wide { table, dtype, .. } => {
-                let [payload, stored] = scratch;
-                payload.resize(dtype.row_bytes(values.len()), 0);
-                stored.clear();
-                let err = encode_stored_row(values, *dtype, payload, stored);
-                table.write_row(r, stored)?;
-                Ok(Written {
-                    err,
-                    neighbor_drift: 0.0,
-                })
-            }
-            ColumnRows::Int8(t) => {
-                let value = values[0];
-                let (block, idx) = (r / SCALAR_BLOCK, r % SCALAR_BLOCK);
-                let mut row = t.read_row(block)?.to_vec();
-                let scale = decode_f32(&row[..4]);
-                if scale > 0.0 {
-                    let q = (value / scale).round();
-                    if q.abs() <= 127.0 {
-                        let q = q as i8;
-                        row[4 + idx] = q as u8;
-                        t.write_row(block, &row)?;
-                        return Ok(Written {
-                            err: (value - q as f32 * scale).abs(),
-                            neighbor_drift: 0.0,
-                        });
-                    }
-                }
-                // Out of range (or a zeroed block): re-encode the whole
-                // block around a fresh scale.
-                let mut vals = [0f32; SCALAR_BLOCK];
-                for (i, v) in vals.iter_mut().enumerate() {
-                    *v = (row[4 + i] as i8) as f32 * scale;
-                }
-                let old = vals;
-                vals[idx] = value;
-                let mut payload = [0u8; SCALAR_BLOCK];
-                let mut new_scale = quantize_row(&vals, Dtype::Int8, &mut payload);
-                if vals.iter().all(|&x| x == 0.0) {
-                    new_scale = 0.0;
-                }
-                row[..4].copy_from_slice(&new_scale.to_le_bytes());
-                row[4..].copy_from_slice(&payload);
-                t.write_row(block, &row)?;
-                let mut write = Written::default();
-                for (i, (&was, &code)) in old.iter().zip(&payload).enumerate() {
-                    let now = (code as i8) as f32 * new_scale;
-                    if i == idx {
-                        write.err = (value - now).abs();
-                    } else {
-                        write.neighbor_drift = write.neighbor_drift.max((was - now).abs());
-                    }
-                }
-                Ok(write)
-            }
-        }
-    }
-
-    /// Appends zeroed rows for vocabulary growth (`old_vocab` →
-    /// `new_vocab`).
-    fn extend(&mut self, old_vocab: usize, new_vocab: usize) {
-        match self {
-            ColumnRows::Wide { table, dtype, cols } => {
-                table.extend_rows(new_vocab - old_vocab, &stored_zero_row(*dtype, *cols))
-            }
-            ColumnRows::Int8(t) => {
-                let extra = new_vocab.div_ceil(SCALAR_BLOCK) - old_vocab.div_ceil(SCALAR_BLOCK);
-                t.extend_rows(extra, &[0u8; SCALAR_BLOCK_BYTES]);
-            }
-        }
-    }
-
-    /// A snapshot clone sharing every page (see
-    /// [`PagedTable::shared_clone`]).
-    fn shared_clone(&self) -> Self {
-        match self {
-            ColumnRows::Wide { table, dtype, cols } => ColumnRows::Wide {
-                table: table.shared_clone(),
-                dtype: *dtype,
-                cols: *cols,
-            },
-            ColumnRows::Int8(t) => ColumnRows::Int8(t.shared_clone()),
-        }
-    }
-
-    /// The backing page table (accounting).
-    fn table(&self) -> &PagedTable {
-        match self {
-            ColumnRows::Wide { table: t, .. } | ColumnRows::Int8(t) => t,
-        }
-    }
-}
-
-/// One recipe table as the store holds it.
-#[derive(Debug)]
-struct Column {
-    rows: ColumnRows,
-    /// Upper bound on `|x|` for any value the column decoded to when it
-    /// was built. A delta that re-encodes scalars beside a column it
-    /// never writes (MEmCom's shared table) needs it: it is the factor
-    /// that turns a scalar's write error into served-row error.
-    max_abs: f32,
-}
-
-impl Column {
-    fn shared_clone(&self) -> Self {
-        Column {
-            rows: self.rows.shared_clone(),
-            ..*self
-        }
-    }
-}
-
 /// A page-backed read-only row store built from any
-/// [`EmbeddingCompressor`], routed over `n_shards` worker queues.
+/// [`EmbeddingCompressor`], routed over `n_shards` worker queues: the
+/// compressor's [`EmbeddingTables`] (which the store derefs to) plus
+/// routing, a certified error bound and delta snapshots.
 pub struct ShardedStore {
-    /// One column per recipe table, in recipe order.
-    columns: Vec<Column>,
+    /// The recipe's tables and their one read loop.
+    tables: EmbeddingTables,
     /// How many worker queues ids route over ([`shard_of`](Self::shard_of));
     /// it places no byte.
     n_shards: usize,
-    /// How an id reads the columns.
-    recipe: Recipe,
-    vocab: usize,
-    dim: usize,
-    dtype: Dtype,
     /// Worst-case absolute error of any served row vs. the rows the
     /// store was asked to hold.
     error_bound: f32,
+    /// Upper bound on `|x|` for any value table 0 decoded to when it was
+    /// built. A delta that re-encodes scalars beside the table it never
+    /// writes (MEmCom's shared table) needs it: it is the factor that
+    /// turns a scalar's write error into served-row error.
+    shared_max_abs: f32,
     method: &'static str,
-    /// Counted flops of one row: the combine, plus one multiply (or
-    /// half-to-float convert) per value when the rows dequantize.
-    row_flops: u64,
-    /// Rows served since construction.
-    rows_read: AtomicU64,
 }
 
 impl ShardedStore {
@@ -425,43 +168,20 @@ impl ShardedStore {
                 ),
             });
         }
-        let vocab = emb.vocab_size();
-        let dim = emb.output_dim();
+        let (vocab, dim) = (emb.vocab_size(), emb.output_dim());
         if vocab == 0 || dim == 0 {
             return Err(ServeError::BadConfig {
                 context: format!("degenerate model: vocab {vocab}, dim {dim}"),
             });
         }
-
-        let recipe = emb.state().recipe();
-        let tables = emb.tables();
-        let mut columns = Vec::with_capacity(tables.len());
         // Per table, what the bound composes: (max |value|, max error).
-        let mut parts = Vec::with_capacity(tables.len());
-        for (k, table) in tables.iter().enumerate() {
-            let values = table.tensor.as_slice();
-            let cols = table.tensor.shape().dims()[1];
-            let max_abs = values.iter().fold(0f32, |acc, &x| acc.max(x.abs()));
-            let identity = recipe.maps.get(k) == Some(&RowMap::Identity);
-            let (rows, err) = ColumnRows::build(values, cols, identity, dtype, page_size);
-            columns.push(Column {
-                rows,
-                max_abs: max_abs + err,
-            });
-            parts.push((max_abs, err));
-        }
-        let dequant = if dtype == Dtype::F32 { 0 } else { dim };
+        let (tables, parts) = EmbeddingTables::build(emb, dtype, page_size);
         Ok(ShardedStore {
-            columns,
+            error_bound: tables.recipe().combine.error_bound(&parts),
+            shared_max_abs: parts[0].0 + parts[0].1,
+            tables,
             n_shards,
-            vocab,
-            dim,
-            dtype,
-            error_bound: recipe.combine.error_bound(&parts),
             method: emb.method_name(),
-            row_flops: (recipe.combine.flops(dim) + dequant) as u64,
-            rows_read: AtomicU64::new(0),
-            recipe: recipe.clone(),
         })
     }
 
@@ -471,8 +191,8 @@ impl ShardedStore {
     /// * Untouched pages stay physically shared with `self` (`Arc`
     ///   clones, zero bytes copied) — a delta touching 0.1% of rows
     ///   copies on the order of 0.1% of the store
-    ///   ([`shared_bytes_with`](Self::shared_bytes_with) /
-    ///   [`cow_copied_bytes`](Self::cow_copied_bytes) quantify it).
+    ///   ([`EmbeddingTables::shared_bytes_with`] /
+    ///   [`EmbeddingTables::cow_copied_bytes`] quantify it).
     /// * Under [`Combine::Row`] over an identity-mapped column, upserted
     ///   rows are re-encoded at the store's [`Dtype`] with their own inline
     ///   scale, and [`error_bound`](Self::error_bound) is re-certified
@@ -500,16 +220,16 @@ impl ShardedStore {
     /// (see the module docs). Returns [`ServeError::IdOutOfVocab`] for a
     /// removal past the current vocabulary (removals never grow a store).
     pub fn apply_delta(&self, delta: &StoreDelta) -> Result<ShardedStore> {
-        if delta.dim() != self.dim {
+        if delta.dim() != self.dim() {
             return Err(ServeError::BadConfig {
                 context: format!(
                     "delta carries dim-{} rows for a dim-{} store",
                     delta.dim(),
-                    self.dim
+                    self.dim()
                 ),
             });
         }
-        let recipe = &self.recipe;
+        let recipe = self.tables.recipe();
         let identity = |maps: &[RowMap]| maps.iter().all(|map| *map == RowMap::Identity);
         let scaled = match recipe.combine {
             Combine::Row if identity(&recipe.maps) => false,
@@ -524,45 +244,36 @@ impl ShardedStore {
             }
         };
         for (id, op) in delta.ops() {
-            if matches!(op, DeltaOp::Remove) && id >= self.vocab {
-                return Err(ServeError::IdOutOfVocab {
-                    id,
-                    vocab: self.vocab,
-                });
+            if matches!(op, DeltaOp::Remove) {
+                self.check_id(id)?;
             }
         }
-        let new_vocab = match delta.max_upsert_id() {
-            Some(max_id) => self.vocab.max(max_id + 1),
-            None => self.vocab,
-        };
-        let mut columns: Vec<Column> = self.columns.iter().map(Column::shared_clone).collect();
-        for (column, map) in columns.iter_mut().zip(&recipe.maps) {
-            if *map == RowMap::Identity {
-                column.rows.extend(self.vocab, new_vocab);
-            }
+        let mut tables = self.tables.shared_clone();
+        if let Some(max_id) = delta.max_upsert_id() {
+            tables.grow(max_id + 1);
         }
         let mut error_bound = self.error_bound;
-        let zero_row = vec![0f32; self.dim];
-        let mut u_scratch = vec![0f32; self.dim];
+        let zero_row = vec![0f32; self.dim()];
+        let mut u_scratch = vec![0f32; self.dim()];
         let mut encode_scratch = [Vec::new(), Vec::new()];
+        let bias = recipe.maps.len() == 3;
         for (id, op) in delta.ops() {
             if !scaled {
                 let row = match op {
                     DeltaOp::Upsert(row) => row,
                     DeltaOp::Remove => &zero_row,
                 };
-                let write = columns[0].rows.write(id, row, &mut encode_scratch)?;
+                let write = tables.write(0, id, row, &mut encode_scratch)?;
                 error_bound = (error_bound + write.neighbor_drift).max(write.err);
                 continue;
             }
-            let (shared, scalars) = columns.split_first_mut().expect("a recipe has tables");
             let (v, w, residual) = match op {
                 // Project the requested row onto the *stored* (possibly
                 // quantized) shared row, so the fit — and its residual —
                 // are against what lookups will actually reconstruct.
                 DeltaOp::Upsert(row) => {
-                    shared.rows.read(recipe.maps[0].row(id), &mut u_scratch)?;
-                    project_scalars(&u_scratch, row, scalars.len() == 2)
+                    tables.read(0, recipe.maps[0].row(id), &mut u_scratch)?;
+                    project_scalars(&u_scratch, row, bias)
                 }
                 // Code 0 decodes to exactly 0.0 at any block scale, so
                 // tombstoning is exact (err 0) and never re-scales a block
@@ -571,15 +282,16 @@ impl ShardedStore {
                 // changes.
                 DeltaOp::Remove => (0.0, 0.0, 0.0),
             };
-            let wv = scalars[0].rows.write(id, &[v], &mut encode_scratch)?;
-            let wb = match scalars.get_mut(1) {
-                Some(bias) => bias.rows.write(id, &[w], &mut encode_scratch)?,
-                None => Written::default(),
+            let wv = tables.write(1, id, &[v], &mut encode_scratch)?;
+            let wb = if bias {
+                tables.write(2, id, &[w], &mut encode_scratch)?
+            } else {
+                Written::default()
             };
             // What scalar errors `ev`, `ew` do to a row served off the
             // stored shared row (`err(u) = 0`: the fit was against it).
             let served = |ev: f32, ew: f32| {
-                let parts = [(shared.max_abs, 0.0), (0.0, ev), (0.0, ew)];
+                let parts = [(self.shared_max_abs, 0.0), (0.0, ev), (0.0, ew)];
                 recipe.combine.error_bound(&parts)
             };
             // Re-quantizing the scalars adds its own error, and re-scaling
@@ -590,38 +302,10 @@ impl ShardedStore {
             error_bound = (error_bound + drift).max(residual + served(wv.err, wb.err));
         }
         Ok(ShardedStore {
-            columns,
-            n_shards: self.n_shards,
-            recipe: recipe.clone(),
-            vocab: new_vocab,
-            dim: self.dim,
-            dtype: self.dtype,
+            tables,
             error_bound,
-            method: self.method,
-            row_flops: self.row_flops,
-            rows_read: AtomicU64::new(0),
+            ..*self
         })
-    }
-
-    /// Every column's page table (accounting).
-    fn tables(&self) -> impl Iterator<Item = &PagedTable> {
-        self.columns.iter().map(|c| c.rows.table())
-    }
-
-    /// Bytes of pages physically shared (same allocations) with `other` —
-    /// for two snapshots related by [`apply_delta`](Self::apply_delta),
-    /// everything the delta did not touch.
-    pub fn shared_bytes_with(&self, other: &ShardedStore) -> usize {
-        self.tables()
-            .zip(other.tables())
-            .map(|(a, b)| a.shared_bytes_with(b))
-            .sum()
-    }
-
-    /// Bytes physically copied by copy-on-write writes while building
-    /// this snapshot (0 for a freshly built store).
-    pub fn cow_copied_bytes(&self) -> u64 {
-        self.tables().map(PagedTable::cow_copied_bytes).sum()
     }
 
     /// Number of shards ids route over.
@@ -629,24 +313,9 @@ impl ShardedStore {
         self.n_shards
     }
 
-    /// Served vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Compression technique backing the store (e.g. `"memcom"`).
     pub fn method(&self) -> &'static str {
         self.method
-    }
-
-    /// Storage dtype of the row bytes.
-    pub fn dtype(&self) -> Dtype {
-        self.dtype
     }
 
     /// Certified worst-case absolute error of any served row relative to
@@ -662,23 +331,15 @@ impl ShardedStore {
         id % self.n_shards
     }
 
-    /// Total bytes of the store's pages (on-"disk" model size), each page
-    /// counted once — the same whatever the shard count.
-    pub fn stored_bytes(&self) -> usize {
-        self.tables().map(PagedTable::len).sum()
-    }
-
     /// Validates an id against the served vocabulary.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::IdOutOfVocab`] when out of range.
     pub fn check_id(&self, id: usize) -> Result<()> {
-        if id >= self.vocab {
-            return Err(ServeError::IdOutOfVocab {
-                id,
-                vocab: self.vocab,
-            });
+        let vocab = self.vocab();
+        if id >= vocab {
+            return Err(ServeError::IdOutOfVocab { id, vocab });
         }
         Ok(())
     }
@@ -689,18 +350,15 @@ impl ShardedStore {
     ///
     /// Returns [`ServeError::IdOutOfVocab`] for ids past the vocabulary.
     pub fn get(&self, id: usize) -> Result<Vec<f32>> {
-        let mut row = vec![0f32; self.dim];
+        let mut row = vec![0f32; self.dim()];
         self.lookup_into(std::slice::from_ref(&id), &mut Vec::new(), &mut row)?;
         Ok(row)
     }
 
-    /// Reads the rows of `ids` into the flat slab `out` in request order
-    /// — the one read path. `out` must hold exactly `ids.len() * dim()`
-    /// values; row `k` lands at `out[k*dim .. (k+1)*dim]`. Per id the
-    /// recipe runs over the pages straight into the row, quantized bytes dequantizing in
-    /// place; `operand` is [`Recipe::row_into`]'s second-operand buffer,
-    /// owned and reused by the caller, so the read takes no lock and
-    /// allocates nothing per row.
+    /// Reads the rows of `ids` into the flat slab `out` in request order:
+    /// the tables' one read loop, [`EmbeddingTables::lookup_into`] (its
+    /// docs give the slab layout and the `operand` buffer), with its
+    /// out-of-vocabulary error typed for the serving tier.
     ///
     /// # Errors
     ///
@@ -712,32 +370,15 @@ impl ShardedStore {
     /// by the serving layer, so a mismatch is an internal bug, and
     /// panicking (rather than quietly truncating) lets the worker's
     /// panic recovery fail the whole batch loudly.
-    // memcom-lint: hot-path
     pub fn lookup_into(
         &self,
         ids: &[usize],
         operand: &mut Vec<f32>,
         out: &mut [f32],
     ) -> Result<()> {
-        let dim = self.dim;
-        assert_eq!(
-            out.len(),
-            ids.len() * dim,
-            "slab holds {} values for {} rows of dim {dim}",
-            out.len(),
-            ids.len()
-        );
-        let columns = &self.columns;
-        for (&id, row) in ids.iter().zip(out.chunks_exact_mut(dim)) {
-            self.check_id(id)?;
-            let read = |k: usize, r: usize, buf: &mut [f32]| columns[k].rows.read(r, buf);
-            self.recipe.row_into(id, read, operand, row)?;
-        }
-        self.rows_read
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
-        Ok(())
+        ids.iter().try_for_each(|&id| self.check_id(id))?;
+        Ok(self.tables.lookup_into(ids, operand, out)?)
     }
-    // memcom-lint: end-hot-path
 
     /// [`lookup_into`](Self::lookup_into) for ids that all route to
     /// `shard_idx`, with a fresh operand buffer.
@@ -762,47 +403,32 @@ impl ShardedStore {
         self.lookup_into(ids, &mut Vec::new(), out)
     }
 
-    /// Page clone-on-write events while building this snapshot — the
-    /// number of pages physically copied off their shared allocation
-    /// (0 for a freshly built store; each page counts once even when
-    /// several delta rows land on it).
-    pub fn cow_touched_pages(&self) -> u64 {
-        self.tables().map(PagedTable::cow_touched_pages).sum()
-    }
-
     /// Rows read since construction, as [`CacheStats::misses`] (`hits`
     /// is always 0) — exact under any number of concurrent readers. A
     /// vestige of the deleted hot-row cache, see [`CacheStats`].
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: 0,
-            misses: self.rows_read.load(Ordering::Relaxed),
+            misses: self.tables.rows_read(),
         }
     }
+}
 
-    /// Counted work since construction, in the on-device cost model's
-    /// terms: store reads split into cold (first page touch) and warm
-    /// bytes, plus reconstruction flops for compressed layouts.
-    pub fn work(&self) -> WorkCounts {
-        let mut work = WorkCounts::default();
-        for table in self.tables() {
-            let cold = table.cold_read_bytes();
-            work.cold_bytes += cold;
-            work.warm_bytes += table.total_read_bytes().saturating_sub(cold);
-        }
-        work.flops = self.rows_read.load(Ordering::Relaxed) * self.row_flops;
-        work.activation_bytes = (self.dim * 4) as u64;
-        work
-    }
+/// A store reads, counts and shares its pages as the [`EmbeddingTables`]
+/// it is: `vocab()`, `dim()`, `dtype()`, `stored_bytes()` (each page
+/// counted once, whatever the shard count), `shared_bytes_with` and
+/// `cow_copied_bytes`/`cow_touched_pages` (what [`apply_delta`]
+/// copied), `work()` and `run_stats()` (Table 3's cost model over every
+/// read since construction) are the tables'. Its own
+/// [`lookup_into`](ShardedStore::lookup_into) types the tables' read
+/// error for the serving tier.
+///
+/// [`apply_delta`]: ShardedStore::apply_delta
+impl std::ops::Deref for ShardedStore {
+    type Target = EmbeddingTables;
 
-    /// Snapshot of counted work + resident footprint as a [`RunStats`],
-    /// so serving cost plugs into the same per-compute-unit model as
-    /// single-inference runs (Table 3's units).
-    pub fn run_stats(&self) -> RunStats {
-        RunStats {
-            work: self.work(),
-            resident_model_bytes: self.tables().map(PagedTable::resident_bytes).sum(),
-        }
+    fn deref(&self) -> &EmbeddingTables {
+        &self.tables
     }
 }
 
@@ -810,9 +436,9 @@ impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
             .field("method", &self.method)
-            .field("vocab", &self.vocab)
-            .field("dim", &self.dim)
-            .field("dtype", &self.dtype)
+            .field("vocab", &self.vocab())
+            .field("dim", &self.dim())
+            .field("dtype", &self.dtype())
             .field("n_shards", &self.n_shards)
             .field("stored_bytes", &self.stored_bytes())
             .finish()
@@ -860,16 +486,12 @@ fn project_scalars(u: &[f32], row: &[f32], fit_bias: bool) -> (f32, f32, f32) {
     (v, w, residual)
 }
 
-fn decode_f32(bytes: &[u8]) -> f32 {
-    f32::from_le_bytes(bytes.try_into().expect("4-byte scalar"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use memcom_core::{
         CompressorState, EmbeddingCompressor, FullEmbedding, MemCom, MemComConfig, MethodSpec,
-        ParamTable, QrCombiner,
+        ParamTable, QrCombiner, Recipe,
     };
     use memcom_ondevice::quant::{dequant_error_bound, quantize_row};
     use memcom_tensor::{init, Tensor};
@@ -1551,12 +1173,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_non_finite_weight_never_makes_the_bound_nan() {
+        for bad in [f32::INFINITY, f32::NAN] {
+            let mut emb = memcom(100, 8, 10, false);
+            let mut shared = emb.shared_table().clone();
+            shared.as_mut_slice()[3] = bad;
+            let multiplier = emb.multiplier_table().clone();
+            emb.set_tables(shared, multiplier, None).unwrap();
+            for dtype in [Dtype::F32, Dtype::F16, Dtype::Int8] {
+                let store = ShardedStore::build_quantized(&emb, 2, 0, 256, dtype).unwrap();
+                let bound = store.error_bound();
+                assert!(!bound.is_nan(), "{bad} weight at {dtype:?}: bound {bound}");
+                if dtype == Dtype::F32 {
+                    assert_eq!(bound, 0.0, "{bad} weight: an exact store certifies 0");
+                }
+                let mut delta = StoreDelta::new(8);
+                delta.upsert_row(4, &[0.5; 8]).unwrap();
+                let bound = store.apply_delta(&delta).unwrap().error_bound();
+                assert!(!bound.is_nan(), "{bad} weight at {dtype:?} after a delta");
+            }
+        }
+    }
+
     impl ShardedStore {
         /// Test helper: the decoded stored shared row `mod_hash(id, m)`
         /// (column 0 of a MEmCom store).
         fn get_shared_row_for_test(&self, id: usize, m: usize) -> Vec<f32> {
-            let mut out = vec![0f32; self.dim];
-            self.columns[0].rows.read(id % m, &mut out).unwrap();
+            let mut out = vec![0f32; self.dim()];
+            self.tables.read(0, id % m, &mut out).unwrap();
             out
         }
     }
