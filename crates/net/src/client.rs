@@ -3,8 +3,11 @@
 //! One connection carries many in-flight requests: [`NetClient::send`]
 //! writes a frame and returns a [`Pending`] ticket immediately; a
 //! dedicated reader thread matches response frames back to tickets by
-//! request id, so callers overlap request latency freely. The blocking
-//! [`NetClient::lookup`] is `send` + [`Pending::wait`].
+//! request id, so callers overlap request latency freely. `send` takes
+//! the request's [`RequestKind`], lookup or score, and an optional
+//! per-request deadline; the blocking [`NetClient::lookup`] and
+//! [`NetClient::score`] are `send` + [`Pending::wait`] with the config's
+//! default deadline.
 //!
 //! # Backoff
 //!
@@ -25,6 +28,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use memcom_serve::RequestKind;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{ErrorCode, NetError};
@@ -38,8 +42,8 @@ use crate::Result;
 #[derive(Debug, Clone)]
 pub struct NetClientConfig {
     /// Default per-request deadline attached to every
-    /// [`lookup`](NetClient::lookup); the server maps it onto admission
-    /// control under shed-mode policies.
+    /// [`lookup`](NetClient::lookup) and [`score`](NetClient::score); the
+    /// server maps it onto admission control under shed-mode policies.
     pub deadline: Option<Duration>,
     /// Sleep out the server's most recent `retry_after` hint before
     /// the next send.
@@ -305,8 +309,10 @@ impl NetClient {
         self.inner.pending.lock().len()
     }
 
-    /// Sends one lookup without waiting; pipeline as many as you like
-    /// before collecting the [`Pending`] tickets.
+    /// Sends one lookup or score request without waiting; pipeline as
+    /// many as you like before collecting the [`Pending`] tickets. A
+    /// lookup's reply slab holds the ids' rows, a score's one row of the
+    /// backend's K output scores.
     ///
     /// Honors the active backoff hint first (when configured), so a
     /// shed storm self-paces even in pipelined use.
@@ -318,36 +324,12 @@ impl NetClient {
     /// encoded (model name over [`crate::wire::MAX_MODEL_LEN`], id
     /// batch over the frame cap).
     // memcom-lint: hot-path
-    pub fn send(&self, model: &str, ids: &[u64], deadline: Option<Duration>) -> Result<Pending> {
-        self.send_frame(model, ids, deadline, false)
-    }
-
-    /// Sends one full-model score request without waiting — the
-    /// scoring-path twin of [`send`](NetClient::send), with identical
-    /// pipelining, backoff, and error semantics. The reply slab carries
-    /// one row of the backend's K output scores.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`send`](NetClient::send).
-    pub fn send_score(
+    pub fn send(
         &self,
+        kind: RequestKind,
         model: &str,
         ids: &[u64],
         deadline: Option<Duration>,
-    ) -> Result<Pending> {
-        self.send_frame(model, ids, deadline, true)
-    }
-
-    /// The shared send path: backoff pacing, ticket registration, frame
-    /// encoding (lookup or score — same body, different kind byte), and
-    /// the serialized socket write.
-    fn send_frame(
-        &self,
-        model: &str,
-        ids: &[u64],
-        deadline: Option<Duration>,
-        score: bool,
     ) -> Result<Pending> {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(NetError::ClientClosed);
@@ -387,7 +369,10 @@ impl NetClient {
         }
         let mut w = self.inner.writer.lock();
         w.buf.clear();
-        let kind = if score { KIND_SCORE } else { KIND_LOOKUP };
+        let kind = match kind {
+            RequestKind::Lookup => KIND_LOOKUP,
+            RequestKind::Score => KIND_SCORE,
+        };
         // The server answers decoded f32 whatever the advisory dtype
         // hint says, so the client sends none.
         if let Err(e) = encode_request(kind, request_id, model, ids, None, deadline, &mut w.buf) {
@@ -420,21 +405,8 @@ impl NetClient {
     ///
     /// See [`Pending::wait`] and [`send`](NetClient::send).
     pub fn lookup(&self, model: &str, ids: &[u64]) -> Result<RowsResponse> {
-        self.lookup_with_deadline(model, ids, self.inner.config.deadline)
-    }
-
-    /// Blocking lookup with an explicit per-request deadline.
-    ///
-    /// # Errors
-    ///
-    /// See [`Pending::wait`] and [`send`](NetClient::send).
-    pub fn lookup_with_deadline(
-        &self,
-        model: &str,
-        ids: &[u64],
-        deadline: Option<Duration>,
-    ) -> Result<RowsResponse> {
-        self.send(model, ids, deadline)?.wait()
+        self.send(RequestKind::Lookup, model, ids, self.inner.config.deadline)?
+            .wait()
     }
 
     /// Blocking full-model score with the config's default deadline:
@@ -442,23 +414,10 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// See [`Pending::wait`] and [`send_score`](NetClient::send_score).
+    /// See [`Pending::wait`] and [`send`](NetClient::send).
     pub fn score(&self, model: &str, ids: &[u64]) -> Result<RowsResponse> {
-        self.score_with_deadline(model, ids, self.inner.config.deadline)
-    }
-
-    /// Blocking full-model score with an explicit per-request deadline.
-    ///
-    /// # Errors
-    ///
-    /// See [`Pending::wait`] and [`send_score`](NetClient::send_score).
-    pub fn score_with_deadline(
-        &self,
-        model: &str,
-        ids: &[u64],
-        deadline: Option<Duration>,
-    ) -> Result<RowsResponse> {
-        self.send_score(model, ids, deadline)?.wait()
+        self.send(RequestKind::Score, model, ids, self.inner.config.deadline)?
+            .wait()
     }
 
     /// Closes the connection, fails any still-pending requests with
@@ -562,7 +521,7 @@ mod tests {
             .inner
             .tally_error(ErrorCode::Overloaded, Duration::from_millis(5));
         assert!(hint().is_some());
-        client.send("m", &[1], None).unwrap();
+        client.send(RequestKind::Lookup, "m", &[1], None).unwrap();
         assert_eq!(hint(), None, "the hint outlived its pause");
         let slept = client.stats().backoff_slept_nanos;
         assert!(slept > 0);
@@ -571,7 +530,7 @@ mod tests {
             .inner
             .tally_error(ErrorCode::Overloaded, Duration::from_nanos(1));
         std::thread::sleep(Duration::from_millis(1));
-        client.send("m", &[2], None).unwrap();
+        client.send(RequestKind::Lookup, "m", &[2], None).unwrap();
         assert_eq!(hint(), None);
         assert_eq!(
             client.stats().backoff_slept_nanos,

@@ -18,17 +18,24 @@
 //!   [`WireError`], never a panic; oversized length prefixes are
 //!   rejected before allocation.
 //! * [`NetServer`] — accepts many concurrent clients, one OS thread
-//!   per connection, and feeds the existing [`Router`](memcom_serve::Router)'s shard queues; wire
-//!   deadlines map onto admission control via the serve tier's
-//!   per-request deadline hooks. Graceful shutdown drains connections
+//!   per connection, and feeds the existing
+//!   [`Router`](memcom_serve::Router)'s shard queues: each lookup or
+//!   score frame is one
+//!   [`RouterHandle::submit`](memcom_serve::RouterHandle::submit), its
+//!   ids decoded straight into the buffer the router reads, and its
+//!   wire deadline the call's per-request deadline. Graceful shutdown
+//!   drains connections
 //!   (in-flight responses flushed, already-sent frames answered with a
 //!   typed `shutting_down` — never silence) before stopping workers.
 //!   Both endpoints are concrete over `std::net` TCP: there is no
 //!   transport seam in the product, and fault injection belongs in a
 //!   seeded loopback TCP proxy under `tests/` (real short reads, resets
 //!   and stalls).
-//! * [`NetClient`] — request pipelining over one connection, blocking
-//!   or ticket-based, honoring server `retry_after` hints
+//! * [`NetClient`] — request pipelining over one connection: one
+//!   ticket-based [`NetClient::send`] taking a
+//!   [`RequestKind`](memcom_serve::RequestKind) and an optional
+//!   deadline, with blocking [`NetClient::lookup`] /
+//!   [`NetClient::score`] over it, honoring server `retry_after` hints
 //!   automatically.
 //! * [`loadgen`] — [`memcom_serve::drive`], the serve tier's load
 //!   driver, submitting through one [`NetClient`] per client thread:

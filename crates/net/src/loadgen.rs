@@ -15,10 +15,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use memcom_serve::{drive, LoadGenConfig, LoadReport, Outcome};
+use memcom_serve::{drive, LoadGenConfig, LoadReport, Outcome, RequestKind};
 use parking_lot::Mutex;
 
-use crate::client::{NetClient, NetClientConfig, NetClientStats};
+use crate::client::{NetClient, NetClientConfig, NetClientStats, Pending};
 use crate::error::ErrorCode;
 use crate::Result;
 
@@ -40,7 +40,7 @@ pub fn run_net_load(
     config: &LoadGenConfig,
     deadline: Option<Duration>,
 ) -> Result<(LoadReport, NetClientStats)> {
-    run_over_wire(addr, model, vocab, config, deadline, false)
+    run_over_wire(addr, model, vocab, config, deadline, RequestKind::Lookup)
 }
 
 /// [`run_net_load`] over the **score path**: the same traffic (same
@@ -58,7 +58,7 @@ pub fn run_net_score_load(
     config: &LoadGenConfig,
     deadline: Option<Duration>,
 ) -> Result<(LoadReport, NetClientStats)> {
-    run_over_wire(addr, model, vocab, config, deadline, true)
+    run_over_wire(addr, model, vocab, config, deadline, RequestKind::Score)
 }
 
 fn run_over_wire(
@@ -67,7 +67,7 @@ fn run_over_wire(
     vocab: usize,
     config: &LoadGenConfig,
     deadline: Option<Duration>,
-    score: bool,
+    kind: RequestKind,
 ) -> Result<(LoadReport, NetClientStats)> {
     let client_config = NetClientConfig {
         deadline,
@@ -81,12 +81,10 @@ fn run_over_wire(
         Ok(move |_, ids: &[usize]| {
             wire_ids.clear();
             wire_ids.extend(ids.iter().map(|&id| id as u64));
-            let reply = if score {
-                client.score_with_deadline(model, &wire_ids, deadline)
-            } else {
-                client.lookup_with_deadline(model, &wire_ids, deadline)
-            };
-            match reply {
+            match client
+                .send(kind, model, &wire_ids, deadline)
+                .and_then(Pending::wait)
+            {
                 Ok(_) => Ok(Outcome::Served),
                 Err(e) => match e.code() {
                     Some(ErrorCode::Overloaded) => Ok(Outcome::Shed {

@@ -1,5 +1,6 @@
 //! The network server: accepts many concurrent clients and feeds their
-//! lookups into an existing [`Router`]'s shard queues.
+//! lookups and scores into an existing [`Router`]'s shard queues, each
+//! frame one [`RouterHandle::submit`].
 //!
 //! # Shutdown ordering
 //!
@@ -31,9 +32,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use memcom_serve::{
-    EmbedBatch, Router, RouterHandle, ScoreBatch, ServeError, ServeStats, TelemetryConfig,
-};
+use memcom_serve::{RequestKind, Router, RouterHandle, ServeError, ServeStats, TelemetryConfig};
 use parking_lot::Mutex;
 
 use crate::error::{error_response_for, ErrorCode, NetError};
@@ -235,12 +234,12 @@ impl NetServer {
 /// Per-connection service state, reused across requests so the steady
 /// state allocates nothing per frame. The [`FrameReader`] lives beside
 /// it: a decoded request borrows the reader's payload while the reply
-/// is built here.
+/// is built here. `ids` and `out` are the buffers every request hands
+/// to [`RouterHandle::submit`], lookup or score.
 struct ConnCtx {
     write_buf: Vec<u8>,
     ids: Vec<usize>,
-    batch: EmbedBatch,
-    score_batch: ScoreBatch,
+    out: Vec<f32>,
     handles: HashMap<String, RouterHandle>,
     stages_on: bool,
 }
@@ -254,8 +253,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, conn: &ConnTelemetry
     let mut ctx = ConnCtx {
         write_buf: Vec::new(),
         ids: Vec::new(),
-        batch: EmbedBatch::new(),
-        score_batch: ScoreBatch::new(),
+        out: Vec::new(),
         handles: HashMap::new(),
         stages_on: shared.telemetry.stages_on(),
     };
@@ -356,11 +354,11 @@ fn handle_frame(
     if let Some(started) = started {
         conn.record_stage(|s| &mut s.frame_decode, started);
     }
-    let (req, score) = match decoded {
-        Ok(Frame::Lookup(req)) => (req, false),
+    let (req, kind) = match decoded {
+        Ok(Frame::Lookup(req)) => (req, RequestKind::Lookup),
         // A score frame has the lookup frame's layout; only the kind
-        // byte — carried on as `score` — differs.
-        Ok(Frame::Score(req)) => (req, true),
+        // byte — carried on as `kind` — differs.
+        Ok(Frame::Score(req)) => (req, RequestKind::Score),
         // Rows/Error frames flow server→client only; a client sending
         // one is confused but the framing is intact, so answer typed
         // and keep the connection.
@@ -409,21 +407,20 @@ fn handle_frame(
             "server is draining",
         );
     }
-    serve_request(shared, stream, conn, ctx, req, score)
+    serve_request(shared, stream, conn, ctx, req, kind)
 }
 
-/// Serves one lookup (`score == false`: rows through
-/// `get_batch_into`) or score (`score == true`: ids through the model's
-/// inference backend, answered as a single-row slab of `dim = K` output
-/// scores) — same handle caching, deregistration retry, and
-/// downgrade-to-typed-error paths for both.
+/// Serves one request through [`RouterHandle::submit`]: a lookup is
+/// answered as `ids.len()` rows of the store's `dim`, a score as a
+/// single-row slab of `dim = K` output scores — same handle caching,
+/// deregistration retry, and downgrade-to-typed-error paths for both.
 fn serve_request(
     shared: &Shared,
     stream: &mut TcpStream,
     conn: &ConnTelemetry,
     ctx: &mut ConnCtx,
     req: RequestRef<'_>,
-    score: bool,
+    kind: RequestKind,
 ) -> bool {
     // The one copy of the ids: frame bytes straight into the buffer the
     // router reads.
@@ -440,14 +437,11 @@ fn serve_request(
                 Err(e) => break Err(e),
             },
         };
-        let r = if score {
-            handle.score_batch_into_with_deadline(&ctx.ids, &mut ctx.score_batch, req.deadline)
-        } else {
-            handle.get_batch_into_with_deadline(&ctx.ids, &mut ctx.batch, req.deadline)
-        };
+        let r = handle.submit(kind, &mut ctx.ids, req.deadline, &mut ctx.out);
         // A cached handle outlives deregistration; drop it and resolve
-        // once more so a re-registered model under the same name is
-        // picked up.
+        // once more (the ids are untouched: a retired model fails before
+        // its request is built) so a re-registered model under the same
+        // name is picked up.
         if !retried && matches!(r, Err(ServeError::ModelNotFound { .. })) {
             ctx.handles.remove(req.model);
             retried = true;
@@ -455,23 +449,20 @@ fn serve_request(
         }
         break r;
     };
-    if let Err(err) = result {
-        let resp = error_response_for(req.request_id, &err);
-        return send_error(
-            stream,
-            conn,
-            ctx,
-            resp.request_id,
-            resp.code,
-            resp.retry_after,
-            &resp.message,
-        );
-    }
-    let (dim, data) = if score {
-        let scores = ctx.score_batch.scores();
-        (scores.len(), scores)
-    } else {
-        (ctx.batch.dim(), ctx.batch.data())
+    let dim = match result {
+        Ok(dim) => dim,
+        Err(err) => {
+            let resp = error_response_for(req.request_id, &err);
+            return send_error(
+                stream,
+                conn,
+                ctx,
+                resp.request_id,
+                resp.code,
+                resp.retry_after,
+                &resp.message,
+            );
+        }
     };
     ctx.write_buf.clear();
     let started = ctx.stages_on.then(Instant::now);
@@ -480,7 +471,7 @@ fn serve_request(
             payload: dim as u64,
             max: DEFAULT_MAX_FRAME_LEN,
         })
-        .and_then(|dim| encode_rows(req.request_id, dim, data, &mut ctx.write_buf));
+        .and_then(|dim| encode_rows(req.request_id, dim, &ctx.out, &mut ctx.write_buf));
     if let Err(wire_err) = encoded {
         // The slab cannot travel (e.g. a batch over the frame cap): the
         // client still deserves an answer on this request id, so

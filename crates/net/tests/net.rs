@@ -13,11 +13,11 @@ use memcom_models::{ModelConfig, RecModel};
 use memcom_net::wire::{decode_payload, FrameReader, Message, ReadEvent};
 use memcom_net::{
     run_net_load, run_net_score_load, ErrorCode, NetClient, NetClientConfig, NetError, NetServer,
-    NetServerConfig,
+    NetServerConfig, Pending,
 };
 use memcom_serve::{
-    run_load, AdmissionPolicy, Dtype, LoadGenConfig, LoadMode, RankNetBackend, Router, ServeConfig,
-    TelemetryConfig, DEFAULT_MODEL,
+    run_load, AdmissionPolicy, Dtype, LoadGenConfig, LoadMode, RankNetBackend, RequestKind, Router,
+    ServeConfig, TelemetryConfig, DEFAULT_MODEL,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,7 +97,12 @@ fn pipelined_requests_all_resolve() {
     let tickets: Vec<_> = (0..32)
         .map(|k| {
             client
-                .send(DEFAULT_MODEL, &[k as u64, k as u64 + 1], None)
+                .send(
+                    RequestKind::Lookup,
+                    DEFAULT_MODEL,
+                    &[k as u64, k as u64 + 1],
+                    None,
+                )
                 .unwrap()
         })
         .collect();
@@ -144,11 +149,15 @@ fn wire_deadlines_map_onto_admission_control() {
                     let client = NetClient::connect(addr, NetClientConfig::default()).unwrap();
                     let mut expired = 0u64;
                     for k in 0..20u64 {
-                        match client.lookup_with_deadline(
-                            DEFAULT_MODEL,
-                            &[(c * 131 + k) % VOCAB as u64],
-                            Some(Duration::from_millis(1)),
-                        ) {
+                        match client
+                            .send(
+                                RequestKind::Lookup,
+                                DEFAULT_MODEL,
+                                &[(c * 131 + k) % VOCAB as u64],
+                                Some(Duration::from_millis(1)),
+                            )
+                            .and_then(Pending::wait)
+                        {
                             Ok(_) => {}
                             Err(err) => {
                                 assert_eq!(err.code(), Some(ErrorCode::DeadlineExceeded));
@@ -183,7 +192,12 @@ fn wire_deadlines_map_onto_admission_control() {
     let tickets: Vec<_> = (0..16)
         .map(|k| {
             client
-                .send(DEFAULT_MODEL, &[k as u64], Some(Duration::from_nanos(1)))
+                .send(
+                    RequestKind::Lookup,
+                    DEFAULT_MODEL,
+                    &[k as u64],
+                    Some(Duration::from_nanos(1)),
+                )
                 .unwrap()
         })
         .collect();

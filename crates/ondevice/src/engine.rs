@@ -818,6 +818,18 @@ mod tests {
         }
     }
 
+    /// Loading moves the file's bytes into the session's pages; the
+    /// manifest must still report the file's size.
+    #[test]
+    fn a_loaded_session_keeps_its_file_size() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let emb = MemCom::new(MemComConfig::new(100, 8, 10), &mut rng).unwrap();
+        let bytes = OnDeviceModel::serialize(&emb, &head(8, 3), 4, Dtype::F32).unwrap();
+        let len = bytes.len();
+        let session = InferenceSession::new(OnDeviceModel::parse(bytes).unwrap());
+        assert_eq!(session.model().file_size(), len);
+    }
+
     #[test]
     fn quantized_model_runs_close_to_f32() {
         let mut rng = StdRng::seed_from_u64(6);

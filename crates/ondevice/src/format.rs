@@ -117,7 +117,9 @@ pub enum HeadOp {
 /// A parsed on-device model: raw bytes plus the manifest needed to run it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnDeviceModel {
-    /// The serialized file contents.
+    /// The serialized file contents; an
+    /// [`InferenceSession`](crate::InferenceSession) moves them into its
+    /// pages when it loads the model, leaving this empty.
     pub bytes: Vec<u8>,
     /// How an id becomes an embedding row of `emb_tables`.
     pub recipe: Recipe,
@@ -131,6 +133,8 @@ pub struct OnDeviceModel {
     pub head_ops: Vec<HeadOp>,
     /// Embedding tables, in recipe order.
     pub emb_tables: Vec<TableMeta>,
+    /// The file's length, recorded at parse so it outlives `bytes`.
+    file_size: usize,
 }
 
 struct Writer {
@@ -467,6 +471,7 @@ impl OnDeviceModel {
             emb_dim,
             head_ops,
             emb_tables,
+            file_size: bytes.len(),
             bytes,
         })
     }
@@ -475,7 +480,7 @@ impl OnDeviceModel {
     /// ratios control ("by compression, we refer to … the on-disk model
     /// size").
     pub fn file_size(&self) -> usize {
-        self.bytes.len()
+        self.file_size
     }
 }
 

@@ -119,9 +119,7 @@ pub trait InferBackend: Send + Sync + std::fmt::Debug {
 /// A fresh registry always contains [`LookupBackend`] under
 /// [`LOOKUP_BACKEND`] (`"lookup"`) — the backend every model gets
 /// unless registered with
-/// [`Router::register_with_backend`](crate::Router::register_with_backend)
-/// or
-/// [`Router::register_store_with_backend`](crate::Router::register_store_with_backend).
+/// [`Router::register_with_backend`](crate::Router::register_with_backend).
 /// Registration resolves the backend name once and binds the `Arc` into
 /// the model entry, so per-request serving never touches the registry
 /// lock.

@@ -33,10 +33,14 @@
 //!   enqueue waits and per-request deadlines enforced at dequeue.
 //! * [`router`] — **routing**: the [`Router`] owns the shard workers and
 //!   a registry of named models. Lookups and scores are one request
-//!   shape on one submit → queue → worker path: each call is one request
-//!   on its first id's shard, filled by one [`InferBackend::score_into`]
-//!   call (a lookup's backend is [`LookupBackend`]) that reads the rows
-//!   of all its ids from the one store. Requests capture their model's current
+//!   shape through one door, [`RouterHandle::submit`], whose
+//!   [`RequestKind`] picks the backend and whose optional deadline
+//!   tightens the admission policy's; `get`, `get_many`,
+//!   `get_batch_into`, `score` and `score_batch_into` are one-line calls
+//!   of it. Each call is one request on its first id's shard, filled by
+//!   one [`InferBackend::score_into`] call (a lookup's backend is
+//!   [`LookupBackend`]) that reads the rows of all its ids from the one
+//!   store. Requests capture their model's current
 //!   store `Arc` at enqueue time, so [`Router::swap`] (whole-table) and
 //!   [`Router::apply_delta`] (row-level) refresh tables atomically
 //!   while in-flight lookups finish on the old snapshot, and one worker
@@ -48,7 +52,7 @@
 //!   default) keeps plain row serving, [`RankNetBackend`] runs the
 //!   trained head via `memcom-ondevice`'s executor over served rows.
 //!   Score requests ride the same shard queues, admission policy, and
-//!   counters as lookups ([`RouterHandle::score`]).
+//!   counters as lookups ([`RequestKind::Score`]).
 //! * [`batch`] — **client buffers**: [`EmbedBatch`], the reusable
 //!   response slab for the zero-copy batch API
 //!   ([`RouterHandle::get_batch_into`]), and [`ScoreBatch`], its
@@ -128,7 +132,7 @@ pub use infer::{
     LOOKUP_BACKEND,
 };
 pub use loadgen::{drive, run_load, LoadGenConfig, LoadMode, LoadReport, Outcome};
-pub use router::{Router, RouterHandle, ServeStats, DEFAULT_MODEL};
+pub use router::{RequestKind, Router, RouterHandle, ServeStats, DEFAULT_MODEL};
 pub use store::{CacheStats, ShardedStore};
 pub use telemetry::{
     MetricsSnapshot, ModelMetrics, ShardStageMetrics, SizeStats, Span, SpanOutcome,

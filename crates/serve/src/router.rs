@@ -12,15 +12,14 @@
 //! One request shape flows through the queues: an id list answered by
 //! writing f32s into a caller-provided flat buffer that round-trips
 //! through a [`SlabSlot`], so no call performs per-row heap allocation
-//! at a steady shape. Every call — a lookup
-//! ([`RouterHandle::get_batch_into`]) or a score
-//! ([`RouterHandle::score_batch_into`]) — is exactly one such request on
-//! its first id's shard, and the worker that pops it fills it with one
-//! [`InferBackend::score_into`] call, reading rows from whichever shards
-//! own them: a lookup carries the router's [`LookupBackend`], a score its
-//! model's bound backend. Validation, `issued` counting, admission,
-//! deadlines, buffer round-trips and the worker's serve loop are written
-//! once, in `RouterHandle::submit` and `serve_batch`.
+//! at a steady shape. Every call is one [`RouterHandle::submit`] of a
+//! [`RequestKind`] — a lookup or a score — and so exactly one such
+//! request on its first id's shard; the worker that pops it fills it
+//! with one [`InferBackend::score_into`] call, reading rows from
+//! whichever shards own them: a lookup carries the router's
+//! [`LookupBackend`], a score its model's bound backend. Validation,
+//! `issued` counting, admission, deadlines, buffer round-trips and the
+//! worker's serve loop are written once, in `submit` and `serve_batch`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,6 +44,16 @@ use crate::{EmbedBatch, Result, ServeConfig, ServeError, StoreDelta};
 
 /// The conventional name for a single-model deployment's model.
 pub const DEFAULT_MODEL: &str = "default";
+
+/// What a request asks of its model (see [`RouterHandle::submit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestKind {
+    /// The ids' embedding rows, in request order, filled through the
+    /// router's [`LookupBackend`].
+    Lookup,
+    /// The output of the model's bound [`InferBackend`] over the ids.
+    Score,
+}
 
 /// Per-model row counters (issued at handle entry; served, shed at
 /// admission, expired at dequeue — all in rows, like `requests`).
@@ -323,9 +332,9 @@ pub(crate) struct Request {
     pub(crate) out: Vec<f32>,
     pub(crate) store: Arc<ShardedStore>,
     pub(crate) backend: Arc<dyn InferBackend>,
-    /// A lookup rather than a score — read only by telemetry, which
-    /// records a lookup's fill as store decode and a score's as forward.
-    pub(crate) lookup: bool,
+    /// Read only by telemetry, which records a lookup's fill as store
+    /// decode and a score's as forward.
+    pub(crate) kind: RequestKind,
     pub(crate) counters: Arc<ModelCounters>,
     pub(crate) slot: Arc<SlabSlot>,
     pub(crate) admission: Admission,
@@ -578,28 +587,12 @@ impl Router {
         emb: &dyn memcom_core::EmbeddingCompressor,
         dtype: memcom_ondevice::Dtype,
     ) -> Result<()> {
-        let config = &self.inner.config;
-        let store =
-            ShardedStore::build_quantized(emb, config.n_shards, 0, config.page_size, dtype)?;
-        self.register_store(name, store)
-    }
-
-    /// Registers an already-built store as `name`, serving through the
-    /// default [`crate::infer::LookupBackend`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ModelExists`] for duplicate names and
-    /// [`ServeError::BadConfig`] when the store's shard count disagrees
-    /// with the router's.
-    pub fn register_store(&self, name: &str, store: ShardedStore) -> Result<()> {
-        self.register_store_with_backend(name, store, LOOKUP_BACKEND)
+        self.register_with_backend(name, emb, dtype, LOOKUP_BACKEND)
     }
 
     /// The router's [`BackendRegistry`]: register named
     /// [`InferBackend`]s here, then bind models to them with
-    /// [`register_with_backend`](Self::register_with_backend) /
-    /// [`register_store_with_backend`](Self::register_store_with_backend).
+    /// [`register_with_backend`](Self::register_with_backend).
     pub fn backends(&self) -> &BackendRegistry {
         &self.inner.backends
     }
@@ -607,13 +600,17 @@ impl Router {
     /// Builds a `dtype`-quantized store from `emb` and registers it as
     /// `name`, serving score requests through the backend registered
     /// under `backend` — the full-model counterpart of
-    /// [`register_with_dtype`](Self::register_with_dtype).
+    /// [`register_with_dtype`](Self::register_with_dtype). The name is
+    /// resolved (and the backend's
+    /// [`check_store`](InferBackend::check_store) validated) once,
+    /// here — serving never touches the registry again.
     ///
     /// # Errors
     ///
-    /// Same conditions as
-    /// [`register_store_with_backend`](Self::register_store_with_backend),
-    /// plus propagated store-construction failures.
+    /// Returns [`ServeError::ModelExists`] for duplicate model names,
+    /// [`ServeError::BadConfig`] for unknown backend names or a
+    /// store/backend incompatibility, and propagates store-construction
+    /// failures.
     pub fn register_with_backend(
         &self,
         name: &str,
@@ -624,26 +621,13 @@ impl Router {
         let config = &self.inner.config;
         let store =
             ShardedStore::build_quantized(emb, config.n_shards, 0, config.page_size, dtype)?;
-        self.register_store_with_backend(name, store, backend)
+        self.insert(name, store, backend)
     }
 
-    /// Registers an already-built store as `name`, bound to the
-    /// [`InferBackend`] registered under `backend`. The name is
-    /// resolved (and the backend's
-    /// [`check_store`](InferBackend::check_store) validated) once,
-    /// here — serving never touches the registry again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ModelExists`] for duplicate model names
-    /// and [`ServeError::BadConfig`] for unknown backend names, a
-    /// store/backend incompatibility, or a shard-count mismatch.
-    pub fn register_store_with_backend(
-        &self,
-        name: &str,
-        store: ShardedStore,
-        backend: &str,
-    ) -> Result<()> {
+    /// Registers a built store as `name`, bound to the backend registered
+    /// under `backend`: the one insert behind every register door. It
+    /// refuses a store whose shard count disagrees with the router's.
+    fn insert(&self, name: &str, store: ShardedStore, backend: &str) -> Result<()> {
         self.inner.check_store(&store)?;
         let backend = self.inner.backends.get(backend)?;
         backend.check_store(&store)?;
@@ -948,17 +932,11 @@ impl RouterHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::IdOutOfVocab`] for bad ids,
-    /// [`ServeError::ModelNotFound`] after deregistration, and
-    /// [`ServeError::ShuttingDown`] after shutdown. Under
-    /// [`AdmissionPolicy::Shed`] a full queue sheds the request with
-    /// [`ServeError::Overloaded`] after at most `enqueue_timeout`, and a
-    /// request whose `request_deadline` passes while queued is answered
-    /// with [`ServeError::DeadlineExceeded`] instead of a row.
+    /// Same conditions as [`submit`](Self::submit).
     pub fn get(&self, id: usize) -> Result<Vec<f32>> {
-        let mut batch = EmbedBatch::new();
-        self.get_batch_into(&[id], &mut batch)?;
-        Ok(batch.data)
+        let mut row = Vec::new();
+        self.submit(RequestKind::Lookup, &mut vec![id], None, &mut row)?;
+        Ok(row)
     }
 
     /// Looks up many ids as one request and returns owned per-row
@@ -969,11 +947,11 @@ impl RouterHandle {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`get`](Self::get); the first failure wins.
+    /// Same conditions as [`submit`](Self::submit).
     pub fn get_many(&self, ids: &[usize]) -> Result<Vec<Vec<f32>>> {
-        let mut batch = EmbedBatch::new();
-        self.get_batch_into(ids, &mut batch)?;
-        Ok(batch.rows().map(<[f32]>::to_vec).collect())
+        let mut rows = Vec::new();
+        let dim = self.submit(RequestKind::Lookup, &mut ids.to_vec(), None, &mut rows)?;
+        Ok(rows.chunks_exact(dim.max(1)).map(<[f32]>::to_vec).collect())
     }
 
     /// Looks up many ids into the caller-owned, reusable `batch` slab —
@@ -984,55 +962,28 @@ impl RouterHandle {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`get`](Self::get); on error the batch's
+    /// Same conditions as [`submit`](Self::submit); on error the batch's
     /// contents are unspecified but the buffer stays reusable.
     pub fn get_batch_into(&self, ids: &[usize], batch: &mut EmbedBatch) -> Result<()> {
-        self.get_batch_into_with_deadline(ids, batch, None)
-    }
-
-    /// [`get_batch_into`](Self::get_batch_into) with a per-request
-    /// deadline override.
-    ///
-    /// Under [`AdmissionPolicy::Shed`] the effective deadline is the
-    /// tightest of the policy's `request_deadline` and `deadline`;
-    /// under [`AdmissionPolicy::Block`] the override is ignored, so a
-    /// blocking router still never expires requests. Remote callers
-    /// (the `memcom-net` tier) use this to map wire-level deadlines
-    /// onto admission control without reconfiguring the router.
-    pub fn get_batch_into_with_deadline(
-        &self,
-        ids: &[usize],
-        batch: &mut EmbedBatch,
-        deadline: Option<Duration>,
-    ) -> Result<()> {
-        let store = self.store()?;
-        batch.begin(ids, store.dim());
-        let lookup = Arc::clone(&self.inner.lookup);
-        self.submit(
-            store,
-            lookup,
-            true,
-            deadline,
-            &mut batch.ids,
-            &mut batch.data,
-        )
+        // `submit` sizes the slab; `begin` only records the ids here.
+        batch.begin(ids, 0);
+        batch.dim = self.submit(RequestKind::Lookup, &mut batch.ids, None, &mut batch.data)?;
+        Ok(())
     }
 
     /// Scores `ids` through the model's [`InferBackend`] — N item ids
     /// in, K values out (K = the backend's
     /// [`out_len`](InferBackend::out_len); for the default lookup
     /// backend this is the flattened rows, for a ranking backend the
-    /// head's scores). The request rides the same shard queues,
-    /// admission policy, and counters as lookups.
+    /// head's scores).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`get`](Self::get), plus
-    /// [`ServeError::BadConfig`] for an empty id list.
+    /// Same conditions as [`submit`](Self::submit).
     pub fn score(&self, ids: &[usize]) -> Result<Vec<f32>> {
-        let mut batch = ScoreBatch::new();
-        self.score_batch_into(ids, &mut batch)?;
-        Ok(batch.scores)
+        let mut scores = Vec::new();
+        self.submit(RequestKind::Score, &mut ids.to_vec(), None, &mut scores)?;
+        Ok(scores)
     }
 
     /// Scores `ids` into the caller-owned, reusable `batch` — the
@@ -1044,65 +995,72 @@ impl RouterHandle {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`score`](Self::score); on error the batch's
+    /// Same conditions as [`submit`](Self::submit); on error the batch's
     /// contents are unspecified but its buffers stay reusable.
     pub fn score_batch_into(&self, ids: &[usize], batch: &mut ScoreBatch) -> Result<()> {
-        self.score_batch_into_with_deadline(ids, batch, None)
-    }
-
-    /// [`score_batch_into`](Self::score_batch_into) with a per-request
-    /// deadline override; see
-    /// [`get_batch_into_with_deadline`](Self::get_batch_into_with_deadline)
-    /// for the override semantics.
-    pub fn score_batch_into_with_deadline(
-        &self,
-        ids: &[usize],
-        batch: &mut ScoreBatch,
-        deadline: Option<Duration>,
-    ) -> Result<()> {
-        let store = self.store()?;
-        let backend = Arc::clone(&self.model.backend);
         batch.ids.clear();
         batch.ids.extend_from_slice(ids);
-        batch.scores.clear();
-        batch.scores.resize(backend.out_len(ids.len(), &store), 0.0);
-        self.submit(
-            store,
-            backend,
-            false,
-            deadline,
-            &mut batch.ids,
-            &mut batch.scores,
-        )
+        self.submit(RequestKind::Score, &mut batch.ids, None, &mut batch.scores)?;
+        Ok(())
     }
 
-    /// The one request path every entry point above wraps: validate →
-    /// count `issued` → admit → wait.
+    /// The one request door every entry point above wraps: validate →
+    /// count `issued` → admit → wait. Returns the row width of `out`:
+    /// the store's `dim` for a lookup, the whole output for a score.
     ///
-    /// `ids` holds the request's ids and `out` is sized to what
-    /// `backend` writes for them. Both ride one `Request` on the first
-    /// id's shard — the worker that pops it reads rows from every shard
-    /// (the store is thread-safe) — and come back as the served, shed or
-    /// failed request's buffers, so the caller's next call reuses them.
-    /// An empty lookup answers `Ok` without enqueuing; a score needs at
+    /// `kind` picks the backend that fills the request — the router's
+    /// [`LookupBackend`] for a lookup, the model's bound backend for a
+    /// score — and `out` is resized to what that backend writes for
+    /// `ids`. Both buffers ride one `Request` on the first id's shard —
+    /// the worker that pops it reads rows from every shard (the store is
+    /// thread-safe) — and come back as the served, shed or failed
+    /// request's buffers, so the caller's next call reuses them. An
+    /// empty lookup answers `Ok` without enqueuing; a score needs at
     /// least one id.
+    ///
+    /// `deadline` overrides the policy's per request: under
+    /// [`AdmissionPolicy::Shed`] the tightest of the policy's
+    /// `request_deadline` and `deadline` wins; under
+    /// [`AdmissionPolicy::Block`] it is ignored, so a blocking router
+    /// never expires requests. The `memcom-net` tier maps wire-level
+    /// deadlines onto admission control through it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::IdOutOfVocab`] for bad ids,
+    /// [`ServeError::ModelNotFound`] after deregistration,
+    /// [`ServeError::ShuttingDown`] after shutdown, and
+    /// [`ServeError::BadConfig`] for a score without ids. Under
+    /// [`AdmissionPolicy::Shed`] a full queue sheds the request with
+    /// [`ServeError::Overloaded`] after at most `enqueue_timeout`, and a
+    /// request whose deadline passes while queued is answered with
+    /// [`ServeError::DeadlineExceeded`] instead of an output.
     // memcom-lint: hot-path
-    fn submit(
+    pub fn submit(
         &self,
-        store: Arc<ShardedStore>,
-        backend: Arc<dyn InferBackend>,
-        lookup: bool,
-        deadline: Option<Duration>,
+        kind: RequestKind,
         ids: &mut Vec<usize>,
+        deadline: Option<Duration>,
         out: &mut Vec<f32>,
-    ) -> Result<()> {
+    ) -> Result<usize> {
+        let store = self.store()?;
+        let backend = match kind {
+            RequestKind::Lookup => &self.inner.lookup,
+            RequestKind::Score => &self.model.backend,
+        };
+        out.clear();
+        out.resize(backend.out_len(ids.len(), &store), 0.0);
+        let width = match kind {
+            RequestKind::Lookup => store.dim(),
+            RequestKind::Score => out.len(),
+        };
         let Some(&first) = ids.first() else {
-            if lookup {
-                return Ok(());
-            }
-            return Err(ServeError::BadConfig {
-                context: "a score request needs at least one id".to_string(),
-            });
+            return match kind {
+                RequestKind::Lookup => Ok(width),
+                RequestKind::Score => Err(ServeError::BadConfig {
+                    context: "a score request needs at least one id".to_string(),
+                }),
+            };
         };
         for &id in ids.iter() {
             store.check_id(id)?;
@@ -1121,8 +1079,8 @@ impl RouterHandle {
             ids: std::mem::take(ids),
             out: std::mem::take(out),
             store,
-            backend,
-            lookup,
+            backend: Arc::clone(backend),
+            kind,
             counters: Arc::clone(counters),
             slot: Arc::clone(&slot),
             admission: Admission::stamp_with(
@@ -1142,7 +1100,7 @@ impl RouterHandle {
         // with the panicking batch); the next call regrows them.
         let outcome = slot.wait();
         (*ids, *out) = (outcome.ids, outcome.out);
-        outcome.result
+        outcome.result.map(|()| width)
     }
     // memcom-lint: end-hot-path
 }
@@ -1292,13 +1250,14 @@ fn serve_batch(
                 // backend execution — row read + NN forward — in
                 // `forward`. The reply hand-back is `slab_write` for both.
                 let mut stages = telemetry.shard(shard_idx).stages();
-                let fill_stage = if request.lookup {
-                    if served {
-                        stages.decode_rows += n_rows as u64;
+                let fill_stage = match request.kind {
+                    RequestKind::Lookup => {
+                        if served {
+                            stages.decode_rows += n_rows as u64;
+                        }
+                        &mut stages.decode[dtype_idx(dtype)]
                     }
-                    &mut stages.decode[dtype_idx(dtype)]
-                } else {
-                    &mut stages.forward
+                    RequestKind::Score => &mut stages.forward,
                 };
                 fill_stage.record(filled.saturating_duration_since(started).as_nanos() as u64);
                 stages
@@ -1359,7 +1318,7 @@ mod tests {
                     out: vec![0f32; 1],
                     store: Arc::clone(&store),
                     backend: Arc::new(LookupBackend),
-                    lookup: true,
+                    kind: RequestKind::Lookup,
                     counters: Arc::new(ModelCounters::default()),
                     slot: Arc::clone(&slot),
                     admission: Admission::stamp_with(AdmissionPolicy::Block, false, None),
@@ -1412,7 +1371,7 @@ mod tests {
         let router = Router::start(ServeConfig::with_shards(4)).unwrap();
         let store = ShardedStore::build(&emb, 2, 8, 4096).unwrap();
         assert!(matches!(
-            router.register_store("a", store),
+            router.insert("a", store, LOOKUP_BACKEND),
             Err(ServeError::BadConfig { .. })
         ));
         let store = ShardedStore::build(&emb, 2, 8, 4096).unwrap();
@@ -1519,6 +1478,76 @@ mod tests {
             handle.get_batch_into(&[1, 2], &mut batch),
             Err(ServeError::ShuttingDown)
         ));
+    }
+
+    /// One worker serving one request per batch behind a 20 ms store
+    /// read, under `admission`.
+    fn wedgeable(admission: AdmissionPolicy) -> (Router, RouterHandle) {
+        let router = Router::start(ServeConfig {
+            n_shards: 1,
+            max_batch: 1,
+            store_latency: Duration::from_millis(20),
+            admission,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        router.register(DEFAULT_MODEL, &memcom(4)).unwrap();
+        let handle = router.handle(DEFAULT_MODEL).unwrap();
+        (router, handle)
+    }
+
+    /// Submits `kind` with `deadline` while the worker serves a blocker
+    /// (counted in `batches` before its store read), so the request waits
+    /// out the blocker's 20 ms in the queue. A blocker the worker was slow
+    /// to pop can itself expire under a 1 ms policy deadline and wedge
+    /// nothing, so that attempt is made again.
+    fn behind_blocker(
+        handle: &RouterHandle,
+        kind: RequestKind,
+        deadline: Option<Duration>,
+    ) -> Result<usize> {
+        for _ in 0..10 {
+            let before = handle.stats().batches;
+            let (blocker, probe) = std::thread::scope(|scope| {
+                let blocker = scope.spawn(|| handle.get(0));
+                while handle.stats().batches == before {
+                    std::thread::yield_now();
+                }
+                let probe = handle.submit(kind, &mut vec![1, 2], deadline, &mut Vec::new());
+                (blocker.join().unwrap(), probe)
+            });
+            if blocker.is_ok() {
+                return probe;
+            }
+        }
+        panic!("no blocker was served in 10 attempts");
+    }
+
+    /// `submit`'s per-call deadline meets the policy's: under Shed the
+    /// tighter one expires the request, whichever it is; under Block
+    /// neither does.
+    #[test]
+    fn a_call_deadline_meets_the_policy_deadline_for_both_kinds() {
+        let shed = |policy: Duration| AdmissionPolicy::Shed {
+            enqueue_timeout: Duration::from_secs(10),
+            request_deadline: Some(policy),
+        };
+        let (tight, loose) = (Duration::from_millis(1), Duration::from_secs(10));
+        for kind in [RequestKind::Lookup, RequestKind::Score] {
+            for (policy, call) in [(loose, tight), (tight, loose)] {
+                let (_router, handle) = wedgeable(shed(policy));
+                match behind_blocker(&handle, kind, Some(call)) {
+                    Err(ServeError::DeadlineExceeded { deadline, .. }) => {
+                        assert_eq!(deadline, tight, "{kind:?} policy {policy:?} call {call:?}");
+                    }
+                    other => panic!("{kind:?} policy {policy:?} call {call:?}: {other:?}"),
+                }
+                assert!(handle.stats().expired > 0);
+            }
+            let (_router, handle) = wedgeable(AdmissionPolicy::Block);
+            behind_blocker(&handle, kind, Some(Duration::from_nanos(1))).unwrap();
+            assert_eq!(handle.stats().expired, 0, "{kind:?}");
+        }
     }
 
     #[test]

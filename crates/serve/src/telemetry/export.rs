@@ -114,9 +114,9 @@ pub struct ShardStageMetrics {
     /// subtract the admission-wait histogram to isolate pure queueing.
     pub queue_wait: LatencyHistogram,
     /// Always empty: the worker never holds a batch open, so there is
-    /// no assembly time to record. A vestige kept because frozen
-    /// `crates/perf` reads it (ROADMAP item 1(e) removes it with its
-    /// reader).
+    /// no assembly time to record, and neither exporter renders it. A
+    /// vestige kept because frozen `crates/perf` reads it (ROADMAP item
+    /// 1(e) removes it with its reader).
     pub batch_assembly: LatencyHistogram,
     /// Rows per flushed batch.
     pub batch_size: SizeStats,
@@ -363,7 +363,6 @@ impl MetricsSnapshot {
                 for (label, hist) in [
                     ("admission_wait", &stage.admission_wait),
                     ("queue_wait", &stage.queue_wait),
-                    ("batch_assembly", &stage.batch_assembly),
                     ("forward", &stage.forward),
                     ("slab_write", &stage.slab_write),
                 ] {
@@ -454,13 +453,12 @@ impl MetricsSnapshot {
             let _ = write!(
                 out,
                 "{{\"shard\":{},\"decode_rows\":{},\
-                 \"admission_wait\":{},\"queue_wait\":{},\"batch_assembly\":{},\
+                 \"admission_wait\":{},\"queue_wait\":{},\
                  \"forward\":{},\"slab_write\":{}",
                 stage.shard,
                 stage.decode_rows,
                 json_hist(&stage.admission_wait),
                 json_hist(&stage.queue_wait),
-                json_hist(&stage.batch_assembly),
                 json_hist(&stage.forward),
                 json_hist(&stage.slab_write)
             );
@@ -591,6 +589,7 @@ mod tests {
         // Batch-size summary is unscaled back to rows.
         assert!(text.contains("memcom_batch_size{shard=\"0\",quantile=\"1\"} 8\n"));
         assert!(text.contains("memcom_batch_size_sum{shard=\"0\"} 12\n"));
+        assert!(!text.contains("batch_assembly"));
     }
 
     #[test]
@@ -615,6 +614,7 @@ mod tests {
         // Only recorded dtypes appear.
         assert!(json.contains("\"int8\":{\"count\":1"));
         assert!(!json.contains("\"f32\""));
+        assert!(!json.contains("batch_assembly"));
     }
 
     #[test]
