@@ -1,9 +1,10 @@
 //! Compression-vs-quality sweeps (the engine behind Figures 1–3).
 //!
-//! A sweep trains the uncompressed baseline once, then trains one model
-//! per [`MethodSpec`] grid point (in parallel across worker threads) and
-//! reports each point as `(compression ratio, % quality loss)` — exactly
-//! the axes of the paper's figures. Ratios are whole-model, "for
+//! A sweep trains the uncompressed baseline, then every [`MethodSpec`]
+//! grid point in parallel across worker threads, and averages each
+//! point over its replicate runs. It reports each point as
+//! `(compression ratio, % quality loss)` — exactly the axes of the
+//! paper's figures. Ratios are whole-model, "for
 //! consistency across the datasets, we measure the number of parameters of
 //! all the layers and not just the embedding layers".
 
@@ -157,76 +158,52 @@ pub fn paper_method_grid(vocab: usize, embedding_dim: usize) -> Vec<MethodSpec> 
     specs
 }
 
-/// Trains one (dataset, spec) point and returns its quality numbers.
-/// Label, parameter count, accuracy, and nDCG of one trained point.
-type PointOutcome = Result<(String, usize, f64, f64)>;
+/// Parameter count, accuracy, and nDCG of one training run.
+type RunOutcome = Result<(usize, f64, f64)>;
 
+/// Trains `spec` once per replicate through `train_one(spec, seed)` and
+/// averages the quality numbers; replicate `r` runs at seed
+/// `config.train.seed + 7919·r`.
 fn run_point(
-    data: &GeneratedData,
-    dataset: &DatasetSpec,
     config: &SweepConfig,
     spec: &MethodSpec,
-) -> Result<(String, usize, f64, f64)> {
+    train_one: &impl Fn(&MethodSpec, u64) -> RunOutcome,
+) -> Result<SweepPoint> {
     let replicates = config.replicates.max(1);
     let mut params = 0usize;
     let mut acc_sum = 0f64;
     let mut ndcg_sum = 0f64;
     for r in 0..replicates {
-        let seed = config.train.seed.wrapping_add(r as u64 * 7919);
-        let model_config = ModelConfig {
-            kind: config.kind,
-            vocab: dataset.input_vocab(),
-            embedding_dim: config.embedding_dim,
-            input_len: dataset.input_len,
-            n_classes: dataset.output_vocab,
-            dropout: 0.05,
-            seed,
-        };
-        let mut model = RecModel::new(&model_config, spec)?;
-        let train_config = TrainConfig {
-            seed,
-            ..config.train.clone()
-        };
-        let report = train(&mut model, &data.train, &data.eval, &train_config)?;
-        params = model.param_count();
-        acc_sum += report.eval_accuracy;
-        ndcg_sum += report.eval_ndcg;
+        let (p, accuracy, ndcg) = train_one(spec, config.train.seed.wrapping_add(r as u64 * 7919))?;
+        params = p;
+        acc_sum += accuracy;
+        ndcg_sum += ndcg;
     }
-    Ok((
-        spec.label(),
+    Ok(SweepPoint {
+        label: spec.label(),
         params,
-        acc_sum / replicates as f64,
-        ndcg_sum / replicates as f64,
-    ))
-}
-
-/// Runs a full sweep: baseline plus `specs`, parallel across
-/// `config.workers` threads.
-///
-/// # Errors
-///
-/// Fails if any individual training run fails (the first error wins).
-pub fn run_sweep(
-    dataset: &DatasetSpec,
-    data: &GeneratedData,
-    specs: &[MethodSpec],
-    config: &SweepConfig,
-) -> Result<SweepResult> {
-    // Baseline first: its quality anchors every loss percentage.
-    let (base_label, base_params, base_acc, base_ndcg) =
-        run_point(data, dataset, config, &MethodSpec::Uncompressed)?;
-    let baseline = SweepPoint {
-        label: base_label,
-        params: base_params,
         compression_ratio: 1.0,
-        accuracy: base_acc,
-        ndcg: base_ndcg,
+        accuracy: acc_sum / replicates as f64,
+        ndcg: ndcg_sum / replicates as f64,
         accuracy_loss_pct: 0.0,
         ndcg_loss_pct: 0.0,
-    };
+    })
+}
+
+/// The one sweep driver: the baseline first, then every spec in
+/// parallel across `config.workers` threads, each point scored against
+/// the baseline.
+fn sweep(
+    dataset: &DatasetSpec,
+    specs: &[MethodSpec],
+    config: &SweepConfig,
+    train_one: impl Fn(&MethodSpec, u64) -> RunOutcome + Sync,
+) -> Result<SweepResult> {
+    // Baseline first: its quality anchors every loss percentage.
+    let baseline = run_point(config, &MethodSpec::Uncompressed, &train_one)?;
 
     // Parallel grid: a shared atomic cursor feeds worker threads.
-    let results: std::sync::Mutex<Vec<Option<PointOutcome>>> =
+    let results: std::sync::Mutex<Vec<Option<Result<SweepPoint>>>> =
         std::sync::Mutex::new(vec![None; specs.len()]);
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let workers = config.workers.max(1).min(specs.len().max(1));
@@ -238,7 +215,7 @@ pub fn run_sweep(
                     if i >= specs.len() {
                         break;
                     }
-                    let outcome = run_point(data, dataset, config, &specs[i]);
+                    let outcome = run_point(config, &specs[i], &train_one);
                     if let Some(slot) = results.lock().expect("no poisoned workers").get_mut(i) {
                         *slot = Some(outcome);
                     }
@@ -259,15 +236,12 @@ pub fn run_sweep(
 
     let mut points = Vec::with_capacity(specs.len());
     for slot in results.into_inner().expect("workers joined") {
-        let (label, params, accuracy, ndcg) = slot.expect("cursor covered every index")?;
+        let point = slot.expect("cursor covered every index")?;
         points.push(SweepPoint {
-            compression_ratio: compression_ratio(base_params, params),
-            accuracy_loss_pct: relative_loss_pct(base_acc, accuracy),
-            ndcg_loss_pct: relative_loss_pct(base_ndcg, ndcg),
-            label,
-            params,
-            accuracy,
-            ndcg,
+            compression_ratio: compression_ratio(baseline.params, point.params),
+            accuracy_loss_pct: relative_loss_pct(baseline.accuracy, point.accuracy),
+            ndcg_loss_pct: relative_loss_pct(baseline.ndcg, point.ndcg),
+            ..point
         });
     }
     Ok(SweepResult {
@@ -277,7 +251,49 @@ pub fn run_sweep(
     })
 }
 
-/// Runs a pairwise (Figure 3) sweep with the RankNet model.
+fn model_config(
+    dataset: &DatasetSpec,
+    config: &SweepConfig,
+    kind: ModelKind,
+    seed: u64,
+) -> ModelConfig {
+    ModelConfig {
+        kind,
+        vocab: dataset.input_vocab(),
+        embedding_dim: config.embedding_dim,
+        input_len: dataset.input_len,
+        n_classes: dataset.output_vocab,
+        dropout: 0.05,
+        seed,
+    }
+}
+
+/// Runs a full sweep: baseline plus `specs`, parallel across
+/// `config.workers` threads.
+///
+/// # Errors
+///
+/// Fails if any individual training run fails (the first error wins).
+pub fn run_sweep(
+    dataset: &DatasetSpec,
+    data: &GeneratedData,
+    specs: &[MethodSpec],
+    config: &SweepConfig,
+) -> Result<SweepResult> {
+    sweep(dataset, specs, config, |spec, seed| {
+        let mut model = RecModel::new(&model_config(dataset, config, config.kind, seed), spec)?;
+        let train_config = TrainConfig {
+            seed,
+            ..config.train.clone()
+        };
+        let report = train(&mut model, &data.train, &data.eval, &train_config)?;
+        Ok((model.param_count(), report.eval_accuracy, report.eval_ndcg))
+    })
+}
+
+/// Runs a pairwise (Figure 3) sweep with the RankNet model over the
+/// pairs `dataset` generates at `seed`; replicates and workers as
+/// [`run_sweep`].
 ///
 /// # Errors
 ///
@@ -289,52 +305,15 @@ pub fn run_pairwise_sweep(
     seed: u64,
 ) -> Result<SweepResult> {
     let (train_pairs, eval_pairs) = dataset.try_generate_pairs(seed)?;
-    let model_config = ModelConfig {
-        kind: ModelKind::PointwiseRanker,
-        vocab: dataset.input_vocab(),
-        embedding_dim: config.embedding_dim,
-        input_len: dataset.input_len,
-        n_classes: dataset.output_vocab,
-        dropout: 0.05,
-        seed: config.train.seed,
-    };
-    let run_one = |spec: &MethodSpec| -> Result<(String, usize, f64, f64)> {
+    sweep(dataset, specs, config, |spec, seed| {
+        let model_config = model_config(dataset, config, ModelKind::PointwiseRanker, seed);
         let mut net = RankNet::new(&model_config, spec)?;
-        let report = net.train(&train_pairs, &eval_pairs, &config.train)?;
-        Ok((
-            spec.label(),
-            net.param_count(),
-            report.pair_accuracy,
-            report.eval_ndcg,
-        ))
-    };
-    let (base_label, base_params, base_acc, base_ndcg) = run_one(&MethodSpec::Uncompressed)?;
-    let baseline = SweepPoint {
-        label: base_label,
-        params: base_params,
-        compression_ratio: 1.0,
-        accuracy: base_acc,
-        ndcg: base_ndcg,
-        accuracy_loss_pct: 0.0,
-        ndcg_loss_pct: 0.0,
-    };
-    let mut points = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let (label, params, accuracy, ndcg) = run_one(spec)?;
-        points.push(SweepPoint {
-            compression_ratio: compression_ratio(base_params, params),
-            accuracy_loss_pct: relative_loss_pct(base_acc, accuracy),
-            ndcg_loss_pct: relative_loss_pct(base_ndcg, ndcg),
-            label,
-            params,
-            accuracy,
-            ndcg,
-        });
-    }
-    Ok(SweepResult {
-        dataset: dataset.name,
-        baseline,
-        points,
+        let train_config = TrainConfig {
+            seed,
+            ..config.train.clone()
+        };
+        let report = net.train(&train_pairs, &eval_pairs, &train_config)?;
+        Ok((net.param_count(), report.pair_accuracy, report.eval_ndcg))
     })
 }
 
@@ -445,5 +424,45 @@ mod tests {
         let result = run_pairwise_sweep(&dataset, &specs, &config, 3).unwrap();
         assert_eq!(result.points.len(), 1);
         assert!(result.points[0].compression_ratio > 1.0);
+    }
+
+    /// A pairwise sweep honors `replicates`: each point is the mean of
+    /// single-replicate runs at seeds `s` and `s + 7919`.
+    #[test]
+    fn pairwise_sweep_averages_its_replicates() {
+        let mut dataset = tiny_dataset();
+        dataset.train_samples = 200;
+        let specs = vec![MethodSpec::NaiveHash {
+            hash_size: dataset.input_vocab() / 10,
+        }];
+        let config = |seed, replicates| SweepConfig {
+            embedding_dim: 8,
+            train: TrainConfig {
+                epochs: 1,
+                batch_size: 64,
+                seed,
+                ..TrainConfig::default()
+            },
+            workers: 2,
+            replicates,
+            ..SweepConfig::default()
+        };
+        let s = 5;
+        let run = |seed, replicates| {
+            run_pairwise_sweep(&dataset, &specs, &config(seed, replicates), 3).unwrap()
+        };
+        let (mean, first, second) = (run(s, 2), run(s, 1), run(s + 7919, 1));
+        let all = |r: &SweepResult| std::iter::once(r.baseline.clone()).chain(r.points.clone());
+        for ((m, a), b) in all(&mean).zip(all(&first)).zip(all(&second)) {
+            assert_eq!(m.label, a.label);
+            assert_eq!(m.params, a.params);
+            assert_eq!(m.accuracy, (a.accuracy + b.accuracy) / 2.0, "{}", m.label);
+            assert_eq!(m.ndcg, (a.ndcg + b.ndcg) / 2.0, "{}", m.label);
+        }
+        assert_ne!(
+            (first.baseline.accuracy, first.baseline.ndcg),
+            (second.baseline.accuracy, second.baseline.ndcg),
+            "the two replicate seeds must train different models"
+        );
     }
 }

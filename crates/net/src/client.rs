@@ -3,22 +3,18 @@
 //! One connection carries many in-flight requests: [`NetClient::send`]
 //! writes a frame and returns a [`Pending`] ticket immediately; a
 //! dedicated reader thread matches response frames back to tickets by
-//! request id, so callers overlap request latency freely. `send` takes
-//! the request's [`RequestKind`], lookup or score, and an optional
+//! request id and answers each ticket through the serve tier's
+//! [`ReplySlot`], so callers overlap request latency freely. `send`
+//! takes the request's [`RequestKind`], lookup or score, and an optional
 //! per-request deadline; the blocking [`NetClient::lookup`] and
-//! [`NetClient::score`] are `send` + [`Pending::wait`] with the config's
-//! default deadline.
+//! [`NetClient::score`] are `send` + [`Pending::wait`] with none.
 //!
-//! # Backoff
-//!
-//! Overload rejections carry the server's `retry_after` hint. With
-//! [`NetClientConfig::honor_backoff`] set (the default) the client
-//! sleeps out the most recent hint before its next send, and
-//! [`NetClientStats`] reports both the hinted and the actually-slept
-//! backoff so experiments can prove the hints were honored. That sleep
-//! happens *inside* `send`, so a caller timing its calls sees it as
-//! latency; the load driver ([`crate::loadgen`]) therefore connects with
-//! it off and paces between requests itself.
+//! The client sends and matches, nothing else: it never sleeps and
+//! never paces. An overload rejection reaches the caller as
+//! [`NetError::Remote`] carrying the server's `retry_after` hint, and
+//! [`NetClientStats::backoff_hint_nanos`] sums the hints; when to retry
+//! is the caller's call (the load driver, [`crate::loadgen`], sleeps a
+//! hint between requests, outside the latency it times).
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -26,10 +22,10 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use memcom_serve::RequestKind;
-use parking_lot::{Condvar, Mutex};
+use memcom_serve::{ReplySlot, RequestKind};
+use parking_lot::Mutex;
 
 use crate::error::{ErrorCode, NetError};
 use crate::wire::{
@@ -38,29 +34,12 @@ use crate::wire::{
 };
 use crate::Result;
 
-/// Client tuning knobs.
-#[derive(Debug, Clone)]
-pub struct NetClientConfig {
-    /// Default per-request deadline attached to every
-    /// [`lookup`](NetClient::lookup) and [`score`](NetClient::score); the
-    /// server maps it onto admission control under shed-mode policies.
-    pub deadline: Option<Duration>,
-    /// Sleep out the server's most recent `retry_after` hint before
-    /// the next send.
-    pub honor_backoff: bool,
-}
+/// Client settings: there are none. [`NetClient::connect`] still takes
+/// one, so its callers keep their signature.
+#[derive(Debug, Clone, Default)]
+pub struct NetClientConfig {}
 
-impl Default for NetClientConfig {
-    fn default() -> Self {
-        NetClientConfig {
-            deadline: None,
-            honor_backoff: true,
-        }
-    }
-}
-
-/// Outcome tallies and backoff accounting, snapshot via
-/// [`NetClient::stats`].
+/// Outcome tallies, snapshot via [`NetClient::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetClientStats {
     /// Requests successfully written to the socket.
@@ -78,8 +57,6 @@ pub struct NetClientStats {
     pub other_errors: u64,
     /// Sum of the server's `retry_after` hints, nanoseconds.
     pub backoff_hint_nanos: u64,
-    /// Backoff actually slept before sends, nanoseconds.
-    pub backoff_slept_nanos: u64,
 }
 
 /// Folds another connection's tallies in (a load run sums its clients).
@@ -92,7 +69,6 @@ impl std::ops::AddAssign for NetClientStats {
         self.shutdown_rejected += other.shutdown_rejected;
         self.other_errors += other.other_errors;
         self.backoff_hint_nanos += other.backoff_hint_nanos;
-        self.backoff_slept_nanos += other.backoff_slept_nanos;
     }
 }
 
@@ -105,44 +81,11 @@ struct Counters {
     shutdown_rejected: AtomicU64,
     other_errors: AtomicU64,
     backoff_hint_nanos: AtomicU64,
-    backoff_slept_nanos: AtomicU64,
 }
 
 /// One reply's rendezvous: the reader thread fills it, the waiter
 /// blocks on it.
-struct ReplySlot {
-    state: Mutex<Option<Result<RowsResponse>>>,
-    cv: Condvar,
-}
-
-impl ReplySlot {
-    fn new() -> Self {
-        ReplySlot {
-            state: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, result: Result<RowsResponse>) {
-        let mut state = self.state.lock();
-        // First write wins: a race between a real reply and the
-        // connection teardown must not clobber the reply.
-        if state.is_none() {
-            *state = Some(result);
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self) -> Result<RowsResponse> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(result) = state.take() {
-                return result;
-            }
-            self.cv.wait(&mut state);
-        }
-    }
-}
+type Reply = ReplySlot<Result<RowsResponse>>;
 
 struct WriterState {
     stream: TcpStream,
@@ -150,15 +93,13 @@ struct WriterState {
 }
 
 struct ClientInner {
-    config: NetClientConfig,
     writer: Mutex<WriterState>,
-    pending: Mutex<HashMap<u64, Arc<ReplySlot>>>,
+    pending: Mutex<HashMap<u64, Arc<Reply>>>,
     next_id: AtomicU64,
     closed: AtomicBool,
     /// Set (under the `pending` lock) when the reader thread gives up
     /// on the connection; no reply can arrive past this point.
     dead: AtomicBool,
-    backoff_until: Mutex<Option<Instant>>,
     counters: Counters,
 }
 
@@ -169,7 +110,7 @@ impl ClientInner {
     /// concurrent `send` either sees the flag (and refuses) or its
     /// entry is drained here — a ticket can never be orphaned.
     fn fail_all(&self, make: impl Fn() -> NetError) {
-        let drained: Vec<Arc<ReplySlot>> = {
+        let drained: Vec<Arc<Reply>> = {
             let mut pending = self.pending.lock();
             self.dead.store(true, Ordering::Release);
             pending.drain().map(|(_, s)| s).collect()
@@ -189,13 +130,6 @@ impl ClientInner {
                 self.counters
                     .backoff_hint_nanos
                     .fetch_add(retry_after.as_nanos() as u64, Ordering::Relaxed);
-                if !retry_after.is_zero() {
-                    let until = Instant::now() + retry_after;
-                    let mut slot = self.backoff_until.lock();
-                    if slot.is_none_or(|prev| until > prev) {
-                        *slot = Some(until);
-                    }
-                }
             }
             ErrorCode::DeadlineExceeded => {
                 // ORDERING: same single-reader client tally as `shed`
@@ -217,7 +151,7 @@ impl ClientInner {
 /// A ticket for one in-flight request; [`wait`](Pending::wait) blocks
 /// until its response frame arrives (or the connection dies).
 pub struct Pending {
-    slot: Arc<ReplySlot>,
+    slot: Arc<Reply>,
     request_id: u64,
 }
 
@@ -256,14 +190,13 @@ impl NetClient {
     ///
     /// Connection and socket-option failures surface as
     /// [`NetError::Io`].
-    pub fn connect(addr: &str, config: NetClientConfig) -> Result<Self> {
+    pub fn connect(addr: &str, _config: NetClientConfig) -> Result<Self> {
         let stream = TcpStream::connect(addr)?;
         // Latency-bound RPC: frames go on the wire immediately.
         stream.set_nodelay(true)?;
         stream.set_read_timeout(None)?;
         let read_half = stream.try_clone()?;
         let inner = Arc::new(ClientInner {
-            config,
             writer: Mutex::new(WriterState {
                 stream,
                 buf: Vec::new(),
@@ -273,7 +206,6 @@ impl NetClient {
             next_id: AtomicU64::new(1),
             closed: AtomicBool::new(false),
             dead: AtomicBool::new(false),
-            backoff_until: Mutex::new(None),
             counters: Counters::default(),
         });
         let reader = {
@@ -300,7 +232,6 @@ impl NetClient {
             shutdown_rejected: c.shutdown_rejected.load(Ordering::Relaxed),
             other_errors: c.other_errors.load(Ordering::Relaxed),
             backoff_hint_nanos: c.backoff_hint_nanos.load(Ordering::Relaxed),
-            backoff_slept_nanos: c.backoff_slept_nanos.load(Ordering::Relaxed),
         }
     }
 
@@ -313,9 +244,6 @@ impl NetClient {
     /// many as you like before collecting the [`Pending`] tickets. A
     /// lookup's reply slab holds the ids' rows, a score's one row of the
     /// backend's K output scores.
-    ///
-    /// Honors the active backoff hint first (when configured), so a
-    /// shed storm self-paces even in pipelined use.
     ///
     /// # Errors
     ///
@@ -334,31 +262,8 @@ impl NetClient {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(NetError::ClientClosed);
         }
-        if self.inner.config.honor_backoff {
-            let until = *self.inner.backoff_until.lock();
-            if let Some(until) = until {
-                // memcom-lint: allow(L002) -- reached only while a server
-                // backoff hint is active; deciding whether the pause has
-                // lapsed requires a wall-clock read.
-                let now = Instant::now();
-                if until > now {
-                    let pause = until - now;
-                    std::thread::sleep(pause);
-                    self.inner
-                        .counters
-                        .backoff_slept_nanos
-                        .fetch_add(pause.as_nanos() as u64, Ordering::Relaxed);
-                }
-                // The pause has lapsed: clear the hint, unless a later one
-                // replaced it meanwhile, so the next sends read no clock.
-                let mut slot = self.inner.backoff_until.lock();
-                if *slot == Some(until) {
-                    *slot = None;
-                }
-            }
-        }
         let request_id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(ReplySlot::new());
+        let slot = Arc::new(Reply::new());
         {
             let mut pending = self.inner.pending.lock();
             if self.inner.dead.load(Ordering::Acquire) {
@@ -399,25 +304,23 @@ impl NetClient {
     }
     // memcom-lint: end-hot-path
 
-    /// Blocking lookup with the config's default deadline.
+    /// Blocking lookup with no deadline.
     ///
     /// # Errors
     ///
     /// See [`Pending::wait`] and [`send`](NetClient::send).
     pub fn lookup(&self, model: &str, ids: &[u64]) -> Result<RowsResponse> {
-        self.send(RequestKind::Lookup, model, ids, self.inner.config.deadline)?
-            .wait()
+        self.send(RequestKind::Lookup, model, ids, None)?.wait()
     }
 
-    /// Blocking full-model score with the config's default deadline:
-    /// the returned slab is one row of K scores (`dim == data.len()`).
+    /// Blocking full-model score with no deadline: the returned slab is
+    /// one row of K scores (`dim == data.len()`).
     ///
     /// # Errors
     ///
     /// See [`Pending::wait`] and [`send`](NetClient::send).
     pub fn score(&self, model: &str, ids: &[u64]) -> Result<RowsResponse> {
-        self.send(RequestKind::Score, model, ids, self.inner.config.deadline)?
-            .wait()
+        self.send(RequestKind::Score, model, ids, None)?.wait()
     }
 
     /// Closes the connection, fails any still-pending requests with
@@ -504,39 +407,26 @@ fn reader_loop(inner: &ClientInner, mut stream: TcpStream) {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::time::Instant;
 
-    /// A send sleeps out an active hint and then clears it, so the sends
-    /// after it read no clock; a hint that lapsed before the send is
-    /// cleared without a sleep.
+    /// The client never sleeps on a backoff hint: an `overloaded`
+    /// answer is tallied, and the next send goes straight out.
     #[test]
-    fn a_lapsed_backoff_hint_is_cleared() {
+    fn a_backoff_hint_never_delays_a_send() {
         // Frames land in the socket buffer of a connection nobody
         // accepts; no reply is needed.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let client = NetClient::connect(&addr, NetClientConfig::default()).unwrap();
-        let hint = || *client.inner.backoff_until.lock();
 
         client
             .inner
-            .tally_error(ErrorCode::Overloaded, Duration::from_millis(5));
-        assert!(hint().is_some());
+            .tally_error(ErrorCode::Overloaded, Duration::from_secs(5));
+        let start = Instant::now();
         client.send(RequestKind::Lookup, "m", &[1], None).unwrap();
-        assert_eq!(hint(), None, "the hint outlived its pause");
-        let slept = client.stats().backoff_slept_nanos;
-        assert!(slept > 0);
-
-        client
-            .inner
-            .tally_error(ErrorCode::Overloaded, Duration::from_nanos(1));
-        std::thread::sleep(Duration::from_millis(1));
-        client.send(RequestKind::Lookup, "m", &[2], None).unwrap();
-        assert_eq!(hint(), None);
-        assert_eq!(
-            client.stats().backoff_slept_nanos,
-            slept,
-            "nothing left to sleep"
-        );
-        assert_eq!(client.close().sent, 2);
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "send slept {took:?}");
+        assert_eq!(client.stats().backoff_hint_nanos, 5_000_000_000);
+        assert_eq!(client.close().sent, 1);
     }
 }

@@ -35,10 +35,13 @@
 //!   ticket-based [`NetClient::send`] taking a
 //!   [`RequestKind`](memcom_serve::RequestKind) and an optional
 //!   deadline, with blocking [`NetClient::lookup`] /
-//!   [`NetClient::score`] over it, honoring server `retry_after` hints
-//!   automatically.
-//! * [`loadgen`] — [`memcom_serve::drive`], the serve tier's load
-//!   driver, submitting through one [`NetClient`] per client thread:
+//!   [`NetClient::score`] over it. The client never sleeps: a shed
+//!   reaches the caller with the server's `retry_after` hint, and
+//!   pacing is the caller's.
+//! * [`loadgen`] — [`run_net_load`]: [`memcom_serve::drive`], the serve
+//!   tier's load driver, submitting one
+//!   [`RequestKind`](memcom_serve::RequestKind) through one
+//!   [`NetClient`] per client thread:
 //!   the traffic, schedule, pacing, and [`memcom_serve::LoadReport`]
 //!   are the in-process generator's own, so networked and in-process
 //!   runs are directly comparable.
@@ -69,7 +72,7 @@ pub mod wire;
 
 pub use client::{NetClient, NetClientConfig, NetClientStats, Pending};
 pub use error::{error_response_for, ErrorCode, NetError, Result};
-pub use loadgen::{run_net_load, run_net_score_load};
+pub use loadgen::run_net_load;
 pub use server::{NetServer, NetServerConfig};
 pub use telemetry::{ConnectionMetrics, NetMetricsSnapshot};
 pub use wire::{

@@ -5,12 +5,12 @@
 //! digest), the schedule, the pacing, and the report; this module only
 //! supplies what a client *is* over the wire — one [`NetClient`]
 //! connection per client thread, blocking lookups or scores, and typed
-//! error frames classified into [`Outcome`]s. The connections run with
-//! `honor_backoff: false`: the driver sleeps a shed's `retry_after`
-//! between requests, so closed-loop latency covers the request alone on
-//! this tier exactly as it does in-process. Each run hands back the
-//! summed [`NetClientStats`] of its connections next to the report —
-//! the client half of the client/server reconciliation.
+//! error frames classified into [`Outcome`]s. The driver sleeps a
+//! shed's `retry_after` between requests (the client itself never
+//! sleeps), so closed-loop latency covers the request alone on this tier
+//! exactly as it does in-process. Each run hands back the summed
+//! [`NetClientStats`] of its connections next to the report — the
+//! client half of the client/server reconciliation.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,7 +22,10 @@ use crate::client::{NetClient, NetClientConfig, NetClientStats, Pending};
 use crate::error::ErrorCode;
 use crate::Result;
 
-/// Runs Zipf lookup traffic against the network server at `addr`.
+/// Runs Zipf traffic of one [`RequestKind`] against the network server
+/// at `addr`: row lookups, or full-model scores of the same traffic
+/// (same `traffic_checksum`), so any throughput delta between the two
+/// is the inference backend's.
 ///
 /// `vocab` is the served model's vocabulary size (the Zipf support);
 /// `deadline` is attached to every request and mapped onto the
@@ -35,47 +38,15 @@ use crate::Result;
 /// `shutting_down` propagate from the first client that hits one.
 pub fn run_net_load(
     addr: &str,
-    model: &str,
-    vocab: usize,
-    config: &LoadGenConfig,
-    deadline: Option<Duration>,
-) -> Result<(LoadReport, NetClientStats)> {
-    run_over_wire(addr, model, vocab, config, deadline, RequestKind::Lookup)
-}
-
-/// [`run_net_load`] over the **score path**: the same traffic (same
-/// `traffic_checksum`), but every request is a full-model
-/// [`NetClient::score`] instead of a row lookup, so any throughput
-/// delta is the inference backend's.
-///
-/// # Errors
-///
-/// Same as [`run_net_load`].
-pub fn run_net_score_load(
-    addr: &str,
-    model: &str,
-    vocab: usize,
-    config: &LoadGenConfig,
-    deadline: Option<Duration>,
-) -> Result<(LoadReport, NetClientStats)> {
-    run_over_wire(addr, model, vocab, config, deadline, RequestKind::Score)
-}
-
-fn run_over_wire(
-    addr: &str,
-    model: &str,
-    vocab: usize,
-    config: &LoadGenConfig,
-    deadline: Option<Duration>,
     kind: RequestKind,
+    model: &str,
+    vocab: usize,
+    config: &LoadGenConfig,
+    deadline: Option<Duration>,
 ) -> Result<(LoadReport, NetClientStats)> {
-    let client_config = NetClientConfig {
-        deadline,
-        honor_backoff: false,
-    };
     let connections = Mutex::new(Vec::with_capacity(config.clients));
     let report = drive(config, &[(model, vocab, 1.0)], |_| -> Result<_> {
-        let client = Arc::new(NetClient::connect(addr, client_config.clone())?);
+        let client = Arc::new(NetClient::connect(addr, NetClientConfig::default())?);
         connections.lock().push(Arc::clone(&client));
         let mut wire_ids: Vec<u64> = Vec::with_capacity(config.ids_per_request);
         Ok(move |_, ids: &[usize]| {

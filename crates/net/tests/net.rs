@@ -10,10 +10,10 @@ use std::time::Duration;
 
 use memcom_core::{MemCom, MemComConfig, MethodSpec};
 use memcom_models::{ModelConfig, RecModel};
-use memcom_net::wire::{decode_payload, FrameReader, Message, ReadEvent};
+use memcom_net::wire::{decode_payload, FrameReader, Message, ReadEvent, MAX_MODEL_LEN};
 use memcom_net::{
-    run_net_load, run_net_score_load, ErrorCode, NetClient, NetClientConfig, NetError, NetServer,
-    NetServerConfig, Pending,
+    run_net_load, ErrorCode, NetClient, NetClientConfig, NetError, NetServer, NetServerConfig,
+    Pending,
 };
 use memcom_serve::{
     run_load, AdmissionPolicy, Dtype, LoadGenConfig, LoadMode, RankNetBackend, RequestKind, Router,
@@ -86,6 +86,29 @@ fn typed_errors_cross_the_wire() {
     let stats = client.close();
     assert_eq!(stats.other_errors, 2);
     assert_eq!(stats.served, 1);
+    server.shutdown();
+}
+
+/// A request the codec cannot encode fails typed before anything is
+/// sent: the reply slot is forgotten, nothing counts as sent, and the
+/// same connection goes on serving.
+#[test]
+fn an_unencodable_request_fails_typed_and_the_connection_survives() {
+    let server = start_server(ServeConfig::default(), NetServerConfig::default());
+    let client = NetClient::connect(server.local_addr(), NetClientConfig::default()).unwrap();
+
+    let model = "m".repeat(MAX_MODEL_LEN + 1);
+    match client.send(RequestKind::Lookup, &model, &[1], None) {
+        Err(NetError::Protocol(_)) => {}
+        Err(other) => panic!("expected a protocol error, got {other:?}"),
+        Ok(_) => panic!("an over-long model name must not encode"),
+    }
+    assert_eq!(client.in_flight(), 0, "the reply slot must be forgotten");
+    assert_eq!(client.stats().sent, 0);
+
+    let rows = client.lookup(DEFAULT_MODEL, &[1]).unwrap();
+    assert_eq!(rows.data.len(), DIM);
+    assert_eq!(client.close().sent, 1);
     server.shutdown();
 }
 
@@ -237,8 +260,15 @@ fn overload_sheds_cross_the_wire_with_backoff_hints() {
         },
         seed: 7,
     };
-    let (report, client) =
-        run_net_load(server.local_addr(), DEFAULT_MODEL, VOCAB, &load, None).unwrap();
+    let (report, client) = run_net_load(
+        server.local_addr(),
+        RequestKind::Lookup,
+        DEFAULT_MODEL,
+        VOCAB,
+        &load,
+        None,
+    )
+    .unwrap();
     let (per_model, snapshot) = server.shutdown();
     let stats = &per_model[0].1;
 
@@ -300,16 +330,19 @@ fn closed_loop_latency_excludes_backoff_sleeps() {
         mode: LoadMode::Closed,
         seed: 3,
     };
-    let (report, client) =
-        run_net_load(server.local_addr(), DEFAULT_MODEL, VOCAB, &load, None).unwrap();
+    let (report, _) = run_net_load(
+        server.local_addr(),
+        RequestKind::Lookup,
+        DEFAULT_MODEL,
+        VOCAB,
+        &load,
+        None,
+    )
+    .unwrap();
     server.shutdown();
 
     assert!(report.shed > 0, "the saturated depth-1 queue must shed");
     assert!(!report.slept.is_zero(), "closed-loop sheds must be paced");
-    assert_eq!(
-        client.backoff_slept_nanos, 0,
-        "the driver paces; the connections must not sleep as well"
-    );
     let completed = Duration::from_nanos(report.histogram.sum_nanos() as u64);
     let budget = report.elapsed * load.clients as u32;
     assert!(
@@ -345,14 +378,15 @@ fn networked_traffic_checksum_matches_in_process_generator() {
     assert_eq!(single.traffic_checksum, 0x1ab8_4e97_3ced_20ed);
     let server = NetServer::start(router, NetServerConfig::default()).unwrap();
     let addr = server.local_addr();
-    let (lookups, _) = run_net_load(addr, DEFAULT_MODEL, VOCAB, &load, None).unwrap();
-    let (scores, _) = run_net_score_load(addr, "scorer", VOCAB, &load, None).unwrap();
+    let (lookups, _) =
+        run_net_load(addr, RequestKind::Lookup, DEFAULT_MODEL, VOCAB, &load, None).unwrap();
+    let (scores, _) = run_net_load(addr, RequestKind::Score, "scorer", VOCAB, &load, None).unwrap();
     server.shutdown();
 
     for (entry, report) in [
         ("run_load", &single),
-        ("run_net_load", &lookups),
-        ("run_net_score_load", &scores),
+        ("run_net_load(Lookup)", &lookups),
+        ("run_net_load(Score)", &scores),
     ] {
         assert_eq!(report.traffic_checksum, single.traffic_checksum, "{entry}");
         assert_eq!(report.offered(), 120, "{entry}");
@@ -746,10 +780,24 @@ fn networked_score_load_reconciles_with_router_counters() {
         mode: LoadMode::Closed,
         seed: 11,
     };
-    let (lookups, _) =
-        run_net_load(server.local_addr(), DEFAULT_MODEL, VOCAB, &load, None).unwrap();
-    let (scores, _) =
-        run_net_score_load(server.local_addr(), "scorer", VOCAB, &load, None).unwrap();
+    let (lookups, _) = run_net_load(
+        server.local_addr(),
+        RequestKind::Lookup,
+        DEFAULT_MODEL,
+        VOCAB,
+        &load,
+        None,
+    )
+    .unwrap();
+    let (scores, _) = run_net_load(
+        server.local_addr(),
+        RequestKind::Score,
+        "scorer",
+        VOCAB,
+        &load,
+        None,
+    )
+    .unwrap();
     let (per_model, snapshot) = server.shutdown();
 
     // Identical issued traffic: only the kind byte differs.

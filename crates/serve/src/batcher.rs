@@ -9,8 +9,9 @@
 //! each one.
 //!
 //! One response cell answers every request the router enqueues (see
-//! [`crate::router`]): a [`SlabSlot`] round-trips the caller's id/output
-//! buffers, so they can be pooled and reused across calls.
+//! [`crate::router`]): a [`SlabSlot`], the [`ReplySlot`] that
+//! round-trips the caller's id/output buffers, so they can be pooled and
+//! reused across calls.
 //!
 //! Producers pick their overload behavior per [`ShardQueue::push`]:
 //! with no budget it blocks while the queue is full (backpressure);
@@ -70,34 +71,59 @@ pub struct SlabOutcome {
     pub result: Result<()>,
 }
 
-/// The single-consumer response cell a requester blocks on: round-trips
-/// the caller's buffers so the steady state allocates nothing per row.
+/// The single-consumer response cell a requester blocks on: one
+/// answer, first write wins. The router answers through a [`SlabSlot`];
+/// `memcom-net`'s client answers its tickets through one too.
 #[derive(Debug)]
-pub struct SlabSlot {
-    state: Mutex<Option<SlabOutcome>>,
+pub struct ReplySlot<T> {
+    state: Mutex<Option<T>>,
     ready: Condvar,
 }
 
-impl SlabSlot {
+/// The router's reply cell: round-trips the caller's buffers so the
+/// steady state allocates nothing per row.
+pub type SlabSlot = ReplySlot<SlabOutcome>;
+
+impl<T> ReplySlot<T> {
     /// Creates an unfilled slot.
     pub fn new() -> Self {
-        SlabSlot {
+        ReplySlot {
             state: Mutex::new(None),
             ready: Condvar::new(),
         }
     }
 
-    /// Publishes the outcome, waking the waiting requester. The first
+    /// Publishes the answer, waking the waiting requester. The first
     /// write wins: a later fill (e.g. the worker's panic-recovery path
-    /// blanketing a batch with errors) cannot clobber a real answer.
-    pub fn fill(&self, outcome: SlabOutcome) {
+    /// blanketing a batch with errors, or a connection teardown racing
+    /// a real reply) cannot clobber a real answer.
+    pub fn fill(&self, answer: T) {
         let mut state = self.state.lock();
         if state.is_none() {
-            *state = Some(outcome);
+            *state = Some(answer);
             self.ready.notify_all();
         }
     }
 
+    /// Blocks until the answer arrives and takes it.
+    pub fn wait(&self) -> T {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(answer) = state.take() {
+                return answer;
+            }
+            self.ready.wait(&mut state);
+        }
+    }
+}
+
+impl<T> Default for ReplySlot<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SlabSlot {
     /// Fails the request while handing the caller's buffers back for
     /// reuse. This is the failure path whenever the worker still owns
     /// the buffers (store error, expired-at-dequeue) — under load
@@ -122,23 +148,6 @@ impl SlabSlot {
             out: Vec::new(),
             result: Err(error),
         });
-    }
-
-    /// Blocks until the outcome arrives and takes it.
-    pub fn wait(&self) -> SlabOutcome {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(outcome) = state.take() {
-                return outcome;
-            }
-            self.ready.wait(&mut state);
-        }
-    }
-}
-
-impl Default for SlabSlot {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -26,9 +26,9 @@
 //! * [`batcher`] — **queueing**: bounded per-shard [`batcher::ShardQueue`]s
 //!   coalesce concurrent requests into micro-batches (a worker takes up
 //!   to `max_batch` of whatever is queued and never waits for more),
-//!   answered through [`batcher::SlabSlot`]
-//!   (round-tripped request buffers). Overload behavior is an
-//!   [`AdmissionPolicy`]: block
+//!   answered through [`batcher::SlabSlot`], a first-write-wins
+//!   [`ReplySlot`] that round-trips the request buffers. Overload
+//!   behavior is an [`AdmissionPolicy`]: block
 //!   producers on full queues (backpressure), or shed with bounded
 //!   enqueue waits and per-request deadlines enforced at dequeue.
 //! * [`router`] — **routing**: the [`Router`] owns the shard workers and
@@ -122,7 +122,7 @@ pub mod store;
 pub mod telemetry;
 
 pub use batch::EmbedBatch;
-pub use batcher::PushError;
+pub use batcher::{PushError, ReplySlot};
 pub use config::{AdmissionPolicy, ServeConfig, TelemetryConfig, TelemetryLevel};
 pub use delta::StoreDelta;
 pub use error::ServeError;

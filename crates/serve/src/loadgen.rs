@@ -1,4 +1,4 @@
-//! Zipf-driven load generation: one driver, three entry points.
+//! Zipf-driven load generation: one driver, two entry points.
 //!
 //! Replays the paper's traffic assumption — power-law id popularity over
 //! a frequency-sorted vocabulary (§4, §5.1) — against a running server.
@@ -9,8 +9,8 @@
 //! not own is *how a request is submitted*: each client thread gets a
 //! closure from `connect(client_idx)` that turns `(model_idx, ids)` into
 //! an [`Outcome`]. [`run_load`] connects that closure to
-//! [`RouterHandle::get_batch_into`]; `memcom-net`'s `run_net_load` /
-//! `run_net_score_load` connect it to a socket. Same config and targets
+//! [`RouterHandle::get_batch_into`]; `memcom-net`'s `run_net_load`
+//! connects it to a socket, for lookups or scores. Same config and targets
 //! ⇒ same `traffic_checksum` through every one of them, so a difference
 //! between two runs is the tier's, not the traffic's.
 //!

@@ -24,10 +24,10 @@ use std::time::Duration;
 
 use memcom::core::{MethodSpec, QrCombiner};
 use memcom::models::{ModelConfig, RecModel};
-use memcom::net::{run_net_score_load, NetClient, NetClientConfig, NetServer, NetServerConfig};
+use memcom::net::{run_net_load, NetClient, NetClientConfig, NetServer, NetServerConfig};
 use memcom::serve::{
-    run_load, AdmissionPolicy, Dtype, LoadGenConfig, LoadMode, RankNetBackend, Router, ServeConfig,
-    ShardedStore, StoreDelta,
+    run_load, AdmissionPolicy, Dtype, LoadGenConfig, LoadMode, RankNetBackend, RequestKind, Router,
+    ServeConfig, ShardedStore, StoreDelta,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -210,8 +210,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let bound = backend.score_error_bound(router.snapshot("score/int8")?.as_ref());
     let server = NetServer::start(router, NetServerConfig::default())?;
-    let (report, _) =
-        run_net_score_load(server.local_addr(), "score/int8", vocab, &sessions, None)?;
+    let (report, _) = run_net_load(
+        server.local_addr(),
+        RequestKind::Score,
+        "score/int8",
+        vocab,
+        &sessions,
+        None,
+    )?;
     let client = NetClient::connect(server.local_addr(), NetClientConfig::default())?;
     let session: Vec<u64> = (0..SESSION as u64).collect();
     let exact = client.score("score/fp32", &session)?.data[0];

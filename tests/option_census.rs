@@ -50,12 +50,7 @@ fn config_structs_have_exactly_these_fields() {
     assert_eq!(drain_grace, Duration::from_millis(50));
     assert_eq!(telemetry, TelemetryConfig::off());
 
-    let NetClientConfig {
-        deadline,
-        honor_backoff,
-    } = NetClientConfig::default();
-    assert_eq!(deadline, None);
-    assert!(honor_backoff);
+    let NetClientConfig {} = NetClientConfig::default();
 
     let TrainConfig {
         epochs,
