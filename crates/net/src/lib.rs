@@ -45,12 +45,14 @@
 //!   the traffic, schedule, pacing, and [`memcom_serve::LoadReport`]
 //!   are the in-process generator's own, so networked and in-process
 //!   runs are directly comparable.
-//! * [`telemetry`] — network-stage histograms (`frame_decode`,
+//! * [`telemetry`] — the connection registry and this tier's metric
+//!   tables: network-stage histograms (`frame_decode`,
 //!   `response_encode`, `socket_write`) and always-on per-connection
-//!   counters, exported as `memcom_net_*` Prometheus series or JSON
-//!   with the serve tier's snapshot embedded. The serve tier's
-//!   zero-clock-read guarantee at `TelemetryConfig::off()` extends
-//!   across the network stages.
+//!   counters, each declared once and rendered as `memcom_net_*`
+//!   Prometheus series or JSON by the serve tier's one exporter, with
+//!   the serve tier's snapshot embedded. The registry holds the serve
+//!   tier's `LevelGate`, so the zero-clock-read guarantee at
+//!   `TelemetryConfig::off()` covers the network stages too.
 //!
 //! # Reconciliation contract
 //!

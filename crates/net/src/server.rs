@@ -36,7 +36,7 @@ use memcom_serve::{RequestKind, Router, RouterHandle, ServeError, ServeStats, Te
 use parking_lot::Mutex;
 
 use crate::error::{error_response_for, ErrorCode, NetError};
-use crate::telemetry::{ConnTelemetry, NetMetricsSnapshot, NetTelemetry};
+use crate::telemetry::{ConnTelemetry, Count, NetMetricsSnapshot, NetStage, NetTelemetry};
 use crate::wire::{
     decode_frame, encode_error_lossy, encode_rows, ErrorResponse, Frame, FrameError, FrameReader,
     ReadEvent, RequestRef, WireError, CONNECTION_REQUEST_ID, DEFAULT_MAX_FRAME_LEN,
@@ -130,8 +130,10 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// Fails on bind errors.
+    /// Fails on bind errors, and with [`NetError::BadConfig`] for a
+    /// `telemetry` config [`Router::start`] would refuse.
     pub fn start(router: Router, config: NetServerConfig) -> crate::Result<Self> {
+        config.telemetry.validate()?;
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?.to_string();
         let telemetry = NetTelemetry::new(&config.telemetry);
@@ -279,7 +281,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, conn: &ConnTelemetry
                 // An oversized length prefix — rejected before any
                 // allocation. The framing is no longer trustworthy, so
                 // answer once at connection level and close.
-                conn.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                conn.count(Count::ProtocolErrors, 1);
                 send_error(
                     &mut stream,
                     conn,
@@ -346,13 +348,12 @@ fn handle_frame(
     payload: &[u8],
     draining: bool,
 ) -> bool {
-    conn.frames_in.fetch_add(1, Ordering::Relaxed);
-    conn.bytes_in
-        .fetch_add(4 + payload.len() as u64, Ordering::Relaxed);
+    conn.count(Count::FramesIn, 1);
+    conn.count(Count::BytesIn, 4 + payload.len() as u64);
     let started = ctx.stages_on.then(Instant::now);
     let decoded = decode_frame(payload);
     if let Some(started) = started {
-        conn.record_stage(|s| &mut s.frame_decode, started);
+        conn.record_stage(NetStage::FrameDecode, started);
     }
     let (req, kind) = match decoded {
         Ok(Frame::Lookup(req)) => (req, RequestKind::Lookup),
@@ -363,7 +364,7 @@ fn handle_frame(
         // one is confused but the framing is intact, so answer typed
         // and keep the connection.
         Ok(Frame::Rows { request_id, .. }) | Ok(Frame::Error(ErrorResponse { request_id, .. })) => {
-            conn.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            conn.count(Count::ProtocolErrors, 1);
             return send_error(
                 stream,
                 conn,
@@ -378,7 +379,7 @@ fn handle_frame(
             // The payload did not parse: answer once at connection
             // level, then close — a peer this confused may also have
             // confused framing.
-            conn.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            conn.count(Count::ProtocolErrors, 1);
             let code = match err {
                 WireError::UnknownVersion(_) | WireError::UnknownKind(_) => ErrorCode::Unsupported,
                 _ => ErrorCode::Malformed,
@@ -396,7 +397,7 @@ fn handle_frame(
         }
     };
     if draining {
-        conn.shutdown_rejected.fetch_add(1, Ordering::Relaxed);
+        conn.count(Count::ShutdownRejected, 1);
         return send_error(
             stream,
             conn,
@@ -487,9 +488,9 @@ fn serve_request(
         );
     }
     if let Some(started) = started {
-        conn.record_stage(|s| &mut s.response_encode, started);
+        conn.record_stage(NetStage::ResponseEncode, started);
     }
-    conn.served.fetch_add(1, Ordering::Relaxed);
+    conn.count(Count::Served, 1);
     send_buffered(stream, conn, ctx)
 }
 
@@ -506,9 +507,9 @@ fn send_error(
     let started = ctx.stages_on.then(Instant::now);
     encode_error_lossy(request_id, code, retry_after, message, &mut ctx.write_buf);
     if let Some(started) = started {
-        conn.record_stage(|s| &mut s.response_encode, started);
+        conn.record_stage(NetStage::ResponseEncode, started);
     }
-    conn.errors_sent.fetch_add(1, Ordering::Relaxed);
+    conn.count(Count::ErrorsSent, 1);
     send_buffered(stream, conn, ctx)
 }
 
@@ -521,12 +522,11 @@ fn send_buffered(stream: &mut TcpStream, conn: &ConnTelemetry, ctx: &mut ConnCtx
         .and_then(|_| stream.flush())
         .is_ok();
     if let Some(started) = started {
-        conn.record_stage(|s| &mut s.socket_write, started);
+        conn.record_stage(NetStage::SocketWrite, started);
     }
     if ok {
-        conn.frames_out.fetch_add(1, Ordering::Relaxed);
-        conn.bytes_out
-            .fetch_add(ctx.write_buf.len() as u64, Ordering::Relaxed);
+        conn.count(Count::FramesOut, 1);
+        conn.count(Count::BytesOut, ctx.write_buf.len() as u64);
     }
     ok
 }

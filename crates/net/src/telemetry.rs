@@ -1,92 +1,177 @@
-//! Network-tier telemetry: frame-level stage histograms and
-//! per-connection counters, exported next to the serve tier's snapshot.
-//!
-//! The discipline mirrors `memcom-serve`'s registry exactly:
+//! Network-tier telemetry: the connection registry, and the tables that
+//! declare this tier's metrics for `memcom-serve`'s exporter.
 //!
 //! * **Counters are always on** — per-connection frame/byte counts are
 //!   relaxed atomics, like the serve tier's per-model row counters.
-//! * **Stage histograms cost clock reads only at
-//!   [`TelemetryLevel::Full`]** — the connection loop takes its
-//!   `Instant::now` stamps *only* when `stages_on()` says so, so the
-//!   `off()` zero-extra-clock-read guarantee extends across the network
-//!   stages (`frame_decode`, `response_encode`, `socket_write`);
+//! * **Stage histograms are timed only at [`TelemetryLevel::Full`]** —
+//!   the registry holds serve's [`LevelGate`], so the connection loop
+//!   reads its clocks (`frame_decode`, `response_encode`,
+//!   `socket_write`) behind the same `stages_on()` the router does;
 //!   `tests/net.rs` asserts the off-level snapshot stays empty under
 //!   traffic.
-//! * Histograms live behind per-connection mutexes the connection's
-//!   single handler thread locks uncontended; snapshots merge them on
-//!   demand.
+//! * A closing connection folds its counters and histograms into one
+//!   `closed` row, so what a long-lived server tracks is bounded by the
+//!   connections open now.
+//!
+//! Each metric is declared once, as a row of `NET_METRICS`,
+//! `CONN_METRICS` or `NET_STAGES`; the connection fold and sum iterate
+//! the same rows, and rendering is `memcom_serve::telemetry`'s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use memcom_serve::telemetry::{escape_json, escape_label, family, json_hist, render_hist};
+use memcom_serve::telemetry::{
+    json_field, json_histograms, json_key, json_metrics, json_object, json_objects, json_string,
+    json_uptime, labels, prom_histograms, prom_metrics, LevelGate, Metric, Stage,
+};
 use memcom_serve::{LatencyHistogram, MetricsSnapshot, TelemetryConfig, TelemetryLevel};
 use parking_lot::Mutex;
 
-/// The network stage histograms of one connection.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct NetStageSet {
+/// Counters of the server as a whole.
+const NET_METRICS: [Metric<NetMetricsSnapshot>; 2] = [
+    Metric {
+        family: "memcom_net_connections_accepted_total",
+        help: "Connections accepted since server start.",
+        series: &[("accepted", "", |n| n.accepted)],
+    },
+    Metric {
+        family: "memcom_net_connections_active",
+        help: "Connections currently open.",
+        series: &[("active", "", |n| n.active)],
+    },
+];
+
+/// Always-on counters per connection. Their series, in order, are the
+/// slots of [`ConnTelemetry`]'s counter array, indexed by [`Count`].
+const CONN_METRICS: [Metric<ConnectionMetrics>; 6] = [
+    Metric {
+        family: "memcom_net_frames_total",
+        help: "Frames received per connection.",
+        series: &[
+            ("frames_in", "direction=\"in\"", |c| c.frames_in),
+            ("frames_out", "direction=\"out\"", |c| c.frames_out),
+        ],
+    },
+    Metric {
+        family: "memcom_net_bytes_total",
+        help: "Wire bytes per connection.",
+        series: &[
+            ("bytes_in", "direction=\"in\"", |c| c.bytes_in),
+            ("bytes_out", "direction=\"out\"", |c| c.bytes_out),
+        ],
+    },
+    Metric {
+        family: "memcom_net_served_total",
+        help: "Lookup and score requests answered with a rows frame, per connection.",
+        series: &[("served", "", |c| c.served)],
+    },
+    Metric {
+        family: "memcom_net_errors_sent_total",
+        help: "Typed error frames sent, per connection.",
+        series: &[("errors_sent", "", |c| c.errors_sent)],
+    },
+    Metric {
+        family: "memcom_net_protocol_errors_total",
+        help: "Malformed or unsupported inbound frames, per connection.",
+        series: &[("protocol_errors", "", |c| c.protocol_errors)],
+    },
+    Metric {
+        family: "memcom_net_shutdown_rejected_total",
+        help: "Requests rejected shutting_down during the drain, per connection.",
+        series: &[("shutdown_rejected", "", |c| c.shutdown_rejected)],
+    },
+];
+
+/// Network stage histograms. Their order is the slots of a connection's
+/// stage array, indexed by [`NetStage`].
+const NET_STAGES: [Stage<NetMetricsSnapshot>; 3] = [
+    ("frame_decode", |n| &n.frame_decode),
+    ("response_encode", |n| &n.response_encode),
+    ("socket_write", |n| &n.socket_write),
+];
+
+/// Number of connection counters: the series of [`CONN_METRICS`].
+const COUNTS: usize = Count::ShutdownRejected as usize + 1;
+
+/// A connection counter: its slot in the series order of
+/// [`CONN_METRICS`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Count {
+    FramesIn,
+    FramesOut,
+    BytesIn,
+    BytesOut,
+    /// Lookup and score requests answered with a rows frame.
+    Served,
+    /// Typed error frames sent (any code).
+    ErrorsSent,
+    /// Malformed/unsupported frames received.
+    ProtocolErrors,
+    /// Requests answered `shutting_down` during the drain grace.
+    ShutdownRejected,
+}
+
+/// A network stage: its row in [`NET_STAGES`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum NetStage {
     /// Wire bytes → decoded request (strict parse of one payload).
-    pub(crate) frame_decode: LatencyHistogram,
+    FrameDecode,
     /// Router answer → encoded response frame.
-    pub(crate) response_encode: LatencyHistogram,
+    ResponseEncode,
     /// Encoded frame → socket accepted the bytes (`write_all` +
     /// `flush`).
-    pub(crate) socket_write: LatencyHistogram,
+    SocketWrite,
 }
 
-impl NetStageSet {
-    fn merge(&mut self, other: &NetStageSet) {
-        self.frame_decode.merge(&other.frame_decode);
-        self.response_encode.merge(&other.response_encode);
-        self.socket_write.merge(&other.socket_write);
-    }
-}
+type StageSet = [LatencyHistogram; NET_STAGES.len()];
 
-/// Always-on counters plus Full-level stage state for one connection.
+/// Always-on counters plus Full-level stage state for one connection
+/// (or, with `id` 0, for every connection that has closed).
 #[derive(Debug, Default)]
 pub(crate) struct ConnTelemetry {
-    pub(crate) id: u64,
-    pub(crate) peer: String,
-    pub(crate) frames_in: AtomicU64,
-    pub(crate) frames_out: AtomicU64,
-    pub(crate) bytes_in: AtomicU64,
-    pub(crate) bytes_out: AtomicU64,
-    /// Lookup and score requests answered with a rows frame.
-    pub(crate) served: AtomicU64,
-    /// Typed error frames sent (any code).
-    pub(crate) errors_sent: AtomicU64,
-    /// Malformed/unsupported frames received.
-    pub(crate) protocol_errors: AtomicU64,
-    /// Requests answered `shutting_down` during the drain grace.
-    pub(crate) shutdown_rejected: AtomicU64,
-    stages: Mutex<NetStageSet>,
+    id: u64,
+    peer: String,
+    counts: [AtomicU64; COUNTS],
+    stages: Mutex<StageSet>,
 }
 
 impl ConnTelemetry {
-    pub(crate) fn record_stage(
-        &self,
-        pick: impl FnOnce(&mut NetStageSet) -> &mut LatencyHistogram,
-        started: Instant,
-    ) {
-        pick(&mut self.stages.lock()).record(started.elapsed().as_nanos() as u64);
+    fn new(id: u64, peer: String) -> Self {
+        ConnTelemetry {
+            id,
+            peer,
+            ..ConnTelemetry::default()
+        }
     }
 
-    fn metrics(&self) -> ConnectionMetrics {
-        ConnectionMetrics {
-            id: self.id,
-            peer: self.peer.clone(),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            errors_sent: self.errors_sent.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            shutdown_rejected: self.shutdown_rejected.load(Ordering::Relaxed),
-            open: true,
+    /// One relaxed add — inlined into the connection loop.
+    #[inline]
+    pub(crate) fn count(&self, counter: Count, n: u64) {
+        self.counts[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_stage(&self, stage: NetStage, started: Instant) {
+        self.stages.lock()[stage as usize].record(started.elapsed().as_nanos() as u64);
+    }
+
+    /// Adds `other`'s counters and histograms into this one.
+    fn absorb(&self, other: &ConnTelemetry) {
+        for (n, m) in self.counts.iter().zip(&other.counts) {
+            n.fetch_add(m.load(Ordering::Relaxed), Ordering::Relaxed);
         }
+        merge(&mut self.stages.lock(), &other.stages.lock());
+    }
+
+    fn metrics(&self, open: bool) -> ConnectionMetrics {
+        let counts = self.counts.each_ref().map(|n| n.load(Ordering::Relaxed));
+        ConnectionMetrics::from_counts(self.id, self.peer.clone(), open, counts)
+    }
+}
+
+fn merge(into: &mut StageSet, from: &StageSet) {
+    for (h, g) in into.iter_mut().zip(from) {
+        h.merge(g);
     }
 }
 
@@ -122,115 +207,96 @@ pub struct ConnectionMetrics {
 }
 
 impl ConnectionMetrics {
-    /// An all-zero aggregate row (`id` 0 is never a connection's).
-    fn aggregate(peer: &str) -> Self {
+    /// A row from its counters in [`Count`] order.
+    fn from_counts(id: u64, peer: String, open: bool, counts: [u64; COUNTS]) -> Self {
         ConnectionMetrics {
-            id: 0,
-            peer: peer.into(),
-            frames_in: 0,
-            frames_out: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            served: 0,
-            errors_sent: 0,
-            protocol_errors: 0,
-            shutdown_rejected: 0,
-            open: false,
+            id,
+            peer,
+            frames_in: counts[Count::FramesIn as usize],
+            frames_out: counts[Count::FramesOut as usize],
+            bytes_in: counts[Count::BytesIn as usize],
+            bytes_out: counts[Count::BytesOut as usize],
+            served: counts[Count::Served as usize],
+            errors_sent: counts[Count::ErrorsSent as usize],
+            protocol_errors: counts[Count::ProtocolErrors as usize],
+            shutdown_rejected: counts[Count::ShutdownRejected as usize],
+            open,
         }
-    }
-
-    fn add(&mut self, c: &ConnectionMetrics) {
-        self.frames_in += c.frames_in;
-        self.frames_out += c.frames_out;
-        self.bytes_in += c.bytes_in;
-        self.bytes_out += c.bytes_out;
-        self.served += c.served;
-        self.errors_sent += c.errors_sent;
-        self.protocol_errors += c.protocol_errors;
-        self.shutdown_rejected += c.shutdown_rejected;
     }
 }
 
 /// The connections a server is tracking: the open ones, plus everything
-/// the closed ones counted, folded into one aggregate as each closes.
+/// the closed ones counted, folded into one row as each closes.
 #[derive(Debug, Default)]
 struct Conns {
     live: Vec<Arc<ConnTelemetry>>,
-    closed: Option<(ConnectionMetrics, NetStageSet)>,
+    closed: Option<ConnTelemetry>,
 }
 
-/// The server's network-telemetry registry.
+/// The server's network-telemetry registry: its level gate and the
+/// connections it tracks.
 #[derive(Debug)]
 pub(crate) struct NetTelemetry {
-    level: TelemetryLevel,
-    started_at: Instant,
+    gate: LevelGate,
     accepted: AtomicU64,
     conns: Mutex<Conns>,
+}
+
+impl std::ops::Deref for NetTelemetry {
+    type Target = LevelGate;
+
+    fn deref(&self) -> &LevelGate {
+        &self.gate
+    }
 }
 
 impl NetTelemetry {
     pub(crate) fn new(config: &TelemetryConfig) -> Self {
         NetTelemetry {
-            level: config.level,
-            started_at: Instant::now(),
+            gate: LevelGate::new(config.level),
             accepted: AtomicU64::new(0),
             conns: Mutex::new(Conns::default()),
         }
     }
 
-    /// Whether stage histograms (and their clock reads) are on.
-    pub(crate) fn stages_on(&self) -> bool {
-        self.level == TelemetryLevel::Full
-    }
-
     pub(crate) fn connection_opened(&self, peer: String) -> Arc<ConnTelemetry> {
         let mut conns = self.conns.lock();
         let id = self.accepted.fetch_add(1, Ordering::Relaxed) + 1;
-        let conn = Arc::new(ConnTelemetry {
-            id,
-            peer,
-            ..ConnTelemetry::default()
-        });
+        let conn = Arc::new(ConnTelemetry::new(id, peer));
         conns.live.push(Arc::clone(&conn));
         conn
     }
 
-    /// Folds a finished connection into the `closed` aggregate and stops
+    /// Folds a finished connection into the `closed` row and stops
     /// tracking it: a long-lived server with connection churn keeps one
     /// entry per *open* connection, not one per connection ever accepted.
     pub(crate) fn connection_closed(&self, conn: &ConnTelemetry) {
         let mut conns = self.conns.lock();
         conns.live.retain(|c| c.id != conn.id);
-        let (counters, stages) = conns.closed.get_or_insert_with(|| {
-            (
-                ConnectionMetrics::aggregate("closed"),
-                NetStageSet::default(),
-            )
-        });
-        counters.add(&conn.metrics());
-        stages.merge(&conn.stages.lock());
+        conns
+            .closed
+            .get_or_insert_with(|| ConnTelemetry::new(0, "closed".into()))
+            .absorb(conn);
     }
 
     pub(crate) fn snapshot(&self, serve: MetricsSnapshot) -> NetMetricsSnapshot {
         let conns = self.conns.lock();
-        let mut connections: Vec<ConnectionMetrics> =
-            conns.live.iter().map(|c| c.metrics()).collect();
-        let mut stages = NetStageSet::default();
-        for c in &conns.live {
-            stages.merge(&c.stages.lock());
+        let rows = conns.live.iter().map(|c| (&**c, true));
+        let mut connections = Vec::new();
+        let mut stages = StageSet::default();
+        for (conn, open) in rows.chain(conns.closed.iter().map(|c| (c, false))) {
+            connections.push(conn.metrics(open));
+            merge(&mut stages, &conn.stages.lock());
         }
-        if let Some((counters, closed_stages)) = &conns.closed {
-            connections.push(counters.clone());
-            stages.merge(closed_stages);
-        }
+        let [frame_decode, response_encode, socket_write] = stages;
         NetMetricsSnapshot {
-            level: self.level,
-            uptime: self.started_at.elapsed(),
+            level: self.level(),
+            uptime: self.uptime(),
             accepted: self.accepted.load(Ordering::Relaxed),
             active: conns.live.len() as u64,
-            frame_decode: stages.frame_decode,
-            response_encode: stages.response_encode,
-            socket_write: stages.socket_write,
+            frame_decode,
+            response_encode,
+            socket_write,
             connections,
             serve,
         }
@@ -269,121 +335,36 @@ impl NetMetricsSnapshot {
     /// Every connection's counters summed into one row (`id` 0,
     /// `peer` `"total"`).
     pub fn totals(&self) -> ConnectionMetrics {
-        let mut t = ConnectionMetrics::aggregate("total");
+        let mut sums = [0; COUNTS];
         for c in &self.connections {
-            t.add(c);
+            let series = CONN_METRICS.iter().flat_map(|metric| metric.series);
+            for (sum, (_, _, get)) in sums.iter_mut().zip(series) {
+                *sum += get(c);
+            }
         }
-        t
+        ConnectionMetrics::from_counts(0, "total".into(), false, sums)
     }
 
     /// Prometheus text exposition: `memcom_net_*` series for the
     /// network tier followed by the embedded serve-tier exposition, so
     /// one scrape endpoint serves both.
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        family(
-            &mut out,
-            "memcom_net_connections_accepted_total",
-            "counter",
-            "Connections accepted since server start.",
-        );
-        let _ = writeln!(
-            out,
-            "memcom_net_connections_accepted_total {}",
-            self.accepted
-        );
-        family(
-            &mut out,
-            "memcom_net_connections_active",
-            "gauge",
-            "Connections currently open.",
-        );
-        let _ = writeln!(out, "memcom_net_connections_active {}", self.active);
-
-        for (name, help, pick) in [
-            (
-                "memcom_net_frames_total",
-                "Frames received per connection.",
-                0usize,
-            ),
-            ("memcom_net_bytes_total", "Wire bytes per connection.", 1),
-            (
-                "memcom_net_served_total",
-                "Lookup and score requests answered with a rows frame, per connection.",
-                2,
-            ),
-            (
-                "memcom_net_errors_sent_total",
-                "Typed error frames sent, per connection.",
-                3,
-            ),
-            (
-                "memcom_net_protocol_errors_total",
-                "Malformed or unsupported inbound frames, per connection.",
-                4,
-            ),
-            (
-                "memcom_net_shutdown_rejected_total",
-                "Requests rejected shutting_down during the drain, per connection.",
-                5,
-            ),
-        ] {
-            family(&mut out, name, "counter", help);
-            for c in &self.connections {
-                let conn = format!("conn=\"{}\",peer=\"{}\"", c.id, escape_label(&c.peer));
-                match pick {
-                    0 => {
-                        let _ = writeln!(
-                            out,
-                            "{name}{{{conn},direction=\"in\"}} {}\n{name}{{{conn},direction=\"out\"}} {}",
-                            c.frames_in, c.frames_out
-                        );
-                    }
-                    1 => {
-                        let _ = writeln!(
-                            out,
-                            "{name}{{{conn},direction=\"in\"}} {}\n{name}{{{conn},direction=\"out\"}} {}",
-                            c.bytes_in, c.bytes_out
-                        );
-                    }
-                    2 => {
-                        let _ = writeln!(out, "{name}{{{conn}}} {}", c.served);
-                    }
-                    3 => {
-                        let _ = writeln!(out, "{name}{{{conn}}} {}", c.errors_sent);
-                    }
-                    4 => {
-                        let _ = writeln!(out, "{name}{{{conn}}} {}", c.protocol_errors);
-                    }
-                    _ => {
-                        let _ = writeln!(out, "{name}{{{conn}}} {}", c.shutdown_rejected);
-                    }
-                }
-            }
-        }
-
-        family(
+        prom_metrics(&mut out, &NET_METRICS, std::slice::from_ref(self), |_| {
+            String::new()
+        });
+        prom_metrics(&mut out, &CONN_METRICS, &self.connections, |c| {
+            labels(&[("conn", &c.id.to_string()), ("peer", &c.peer)])
+        });
+        prom_histograms(
             &mut out,
             "memcom_net_stage_latency_nanos",
-            "histogram",
             "Network-stage latency: frame_decode, response_encode, socket_write.",
+            NET_STAGES
+                .iter()
+                .map(|(stage, get)| (labels(&[("stage", stage)]), get(self)))
+                .filter(|(_, h)| h.count() > 0),
         );
-        for (stage, hist) in [
-            ("frame_decode", &self.frame_decode),
-            ("response_encode", &self.response_encode),
-            ("socket_write", &self.socket_write),
-        ] {
-            if hist.count() > 0 {
-                render_hist(
-                    &mut out,
-                    "memcom_net_stage_latency_nanos",
-                    &format!("stage=\"{stage}\""),
-                    hist,
-                );
-            }
-        }
-
         out.push_str(&self.serve.to_prometheus());
         out
     }
@@ -391,48 +372,84 @@ impl NetMetricsSnapshot {
     /// JSON rendering: a `net` object plus the embedded serve snapshot
     /// under `serve`.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n  \"net\": {\n");
-        let _ = writeln!(
-            out,
-            "    \"uptime_seconds\": {:.3},\n    \"accepted\": {},\n    \"active\": {},",
-            self.uptime.as_secs_f64(),
-            self.accepted,
-            self.active
-        );
-        let _ = writeln!(
-            out,
-            "    \"stages\": {{\"frame_decode\": {}, \"response_encode\": {}, \"socket_write\": {}}},",
-            json_hist(&self.frame_decode),
-            json_hist(&self.response_encode),
-            json_hist(&self.socket_write)
-        );
-        out.push_str("    \"connections\": [");
-        for (i, c) in self.connections.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"id\": {}, \"peer\": \"{}\", \"frames_in\": {}, \"frames_out\": {}, \
-                 \"bytes_in\": {}, \"bytes_out\": {}, \"served\": {}, \"errors_sent\": {}, \
-                 \"protocol_errors\": {}, \"shutdown_rejected\": {}, \"open\": {}}}",
-                c.id,
-                escape_json(&c.peer),
-                c.frames_in,
-                c.frames_out,
-                c.bytes_in,
-                c.bytes_out,
-                c.served,
-                c.errors_sent,
-                c.protocol_errors,
-                c.shutdown_rejected,
-                c.open
-            );
-        }
-        out.push_str("]\n  },\n  \"serve\": ");
-        out.push_str(&self.serve.to_json());
-        out.push_str("\n}\n");
+        let mut out = String::new();
+        json_object(&mut out, |out| {
+            json_key(out, "net");
+            json_object(out, |out| {
+                json_uptime(out, self.uptime);
+                json_metrics(out, &NET_METRICS, self);
+                json_key(out, "stages");
+                json_histograms(out, NET_STAGES.iter().map(|(key, get)| (*key, get(self))));
+                json_objects(out, "connections", &self.connections, |out, c| {
+                    json_field(out, "id", c.id);
+                    json_string(out, "peer", &c.peer);
+                    json_metrics(out, &CONN_METRICS, c);
+                    json_field(out, "open", c.open);
+                });
+            });
+            json_key(out, "serve");
+            out.push_str(&self.serve.to_json());
+        });
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counter_slots_follow_the_table() {
+        let series: Vec<_> = CONN_METRICS.iter().flat_map(|m| m.series).collect();
+        assert_eq!(series.len(), COUNTS);
+        let row = ConnectionMetrics::from_counts(1, "p".into(), true, [1, 2, 3, 4, 5, 6, 7, 8]);
+        let read: Vec<u64> = series.iter().map(|(_, _, get)| get(&row)).collect();
+        assert_eq!(read, [1, 2, 3, 4, 5, 6, 7, 8]);
+        for (count, key) in [
+            (Count::FramesIn, "frames_in"),
+            (Count::FramesOut, "frames_out"),
+            (Count::BytesIn, "bytes_in"),
+            (Count::BytesOut, "bytes_out"),
+            (Count::Served, "served"),
+            (Count::ErrorsSent, "errors_sent"),
+            (Count::ProtocolErrors, "protocol_errors"),
+            (Count::ShutdownRejected, "shutdown_rejected"),
+        ] {
+            assert_eq!(series[count as usize].0, key);
+        }
+        for (stage, key) in [
+            (NetStage::FrameDecode, "frame_decode"),
+            (NetStage::ResponseEncode, "response_encode"),
+            (NetStage::SocketWrite, "socket_write"),
+        ] {
+            assert_eq!(NET_STAGES[stage as usize].0, key);
+        }
+    }
+
+    #[test]
+    fn a_closed_connection_folds_into_the_closed_row() {
+        let telemetry = NetTelemetry::new(&TelemetryConfig::full(1.0));
+        let serve = || {
+            memcom_serve::Router::start(Default::default())
+                .unwrap()
+                .metrics()
+        };
+        for peer in ["a", "b"] {
+            let conn = telemetry.connection_opened(peer.into());
+            conn.count(Count::Served, 2);
+            conn.record_stage(NetStage::SocketWrite, Instant::now());
+            telemetry.connection_closed(&conn);
+        }
+        let live = telemetry.connection_opened("c".into());
+        live.count(Count::Served, 1);
+        let snapshot = telemetry.snapshot(serve());
+        let rows: Vec<(u64, &str, u64, bool)> = snapshot
+            .connections
+            .iter()
+            .map(|c| (c.id, c.peer.as_str(), c.served, c.open))
+            .collect();
+        assert_eq!(rows, [(3, "c", 1, true), (0, "closed", 4, false)]);
+        assert_eq!(snapshot.totals().served, 5);
+        assert_eq!(snapshot.socket_write.count(), 2);
     }
 }

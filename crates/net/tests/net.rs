@@ -515,6 +515,52 @@ fn telemetry_full_records_network_stages() {
     assert!(keys_of("frame_decode").contains(&"p99_nanos".to_string()));
 }
 
+/// At Full, every frame out is timed exactly once — rows answers and
+/// typed errors (`send_error`'s path) alike.
+#[test]
+fn telemetry_full_times_every_frame_out_once() {
+    let server = start_server(
+        ServeConfig::default(),
+        NetServerConfig {
+            telemetry: TelemetryConfig::full(1.0),
+            ..NetServerConfig::default()
+        },
+    );
+    let client = NetClient::connect(server.local_addr(), NetClientConfig::default()).unwrap();
+    for k in 0..5 {
+        client.lookup(DEFAULT_MODEL, &[k]).unwrap();
+    }
+    for _ in 0..3 {
+        let err = client.lookup("no-such-model", &[1]).unwrap_err();
+        assert_eq!(err.code(), Some(ErrorCode::ModelNotFound));
+    }
+    client.close();
+    let (_, snapshot) = server.shutdown();
+
+    let totals = snapshot.totals();
+    assert_eq!((totals.served, totals.errors_sent), (5, 3));
+    assert_eq!(totals.frames_out, totals.served + totals.errors_sent);
+    assert_eq!(snapshot.response_encode.count(), totals.frames_out);
+    assert_eq!(snapshot.socket_write.count(), totals.frames_out);
+}
+
+/// The network tier refuses the telemetry configs the router refuses.
+#[test]
+fn a_bad_telemetry_config_is_refused_at_start() {
+    for sample_rate in [f64::NAN, 1.5, -0.5] {
+        let router = Router::start(ServeConfig::default()).unwrap();
+        let config = NetServerConfig {
+            telemetry: TelemetryConfig::full(sample_rate),
+            ..NetServerConfig::default()
+        };
+        let err = NetServer::start(router, config).err();
+        assert!(
+            matches!(err, Some(NetError::BadConfig(_))),
+            "sample_rate {sample_rate}: {err:?}"
+        );
+    }
+}
+
 /// Connection churn must not accumulate: a closing connection's
 /// counters and stage histograms fold into one `closed` row, so what a
 /// long-lived server tracks and exports is bounded by the connections

@@ -156,13 +156,13 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Read by nothing: a worker serves whatever is queued and never
     /// holds a batch open. A vestige kept because frozen `crates/perf`
-    /// names the field (ROADMAP item 1(e) removes it with its reader).
+    /// names the field (ROADMAP item 1(f) removes it with its reader).
     pub max_wait: Duration,
     /// Bounded depth of each shard's request queue (producers block when
     /// full — natural backpressure under overload).
     pub queue_depth: usize,
     /// Read by nothing: the store has no cache. A vestige kept because
-    /// frozen `crates/perf` names the field (ROADMAP item 1(e) removes
+    /// frozen `crates/perf` names the field (ROADMAP item 1(f) removes
     /// it with its reader).
     pub cache_capacity: usize,
     /// Page size of each shard's [`memcom_ondevice::PagedTable`]s (the

@@ -66,7 +66,7 @@ use crate::{Result, ServeError};
 
 /// Rows read, in the shape of the hot-row cache counters the store had
 /// before its cache was deleted — a vestige kept because frozen
-/// `crates/perf` compiles against it (ROADMAP item 1(e) removes it with its
+/// `crates/perf` compiles against it (ROADMAP item 1(f) removes it with its
 /// readers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -117,7 +117,7 @@ impl ShardedStore {
     ///
     /// `_cache_capacity` is ignored — the store has no cache. The
     /// positional parameter is a vestige kept because frozen
-    /// `crates/perf` passes it (ROADMAP item 1(e) removes it with its
+    /// `crates/perf` passes it (ROADMAP item 1(f) removes it with its
     /// callers' argument).
     ///
     /// # Errors

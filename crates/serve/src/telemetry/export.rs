@@ -1,17 +1,21 @@
-//! Exporters: point-in-time snapshots of the metrics registry, rendered
-//! as Prometheus text exposition or JSON.
+//! The one exporter: point-in-time snapshots of both tiers rendered as
+//! Prometheus text exposition or JSON.
 //!
 //! A [`MetricsSnapshot`] is plain owned data — taking one clones the
 //! shard-local accumulators under their (uncontended) locks and reads
 //! the counters once, so rendering never blocks the serving path and a
 //! snapshot stays internally consistent while being formatted.
 //!
-//! The rendering primitives ([`family`], [`render_hist`],
-//! [`escape_label`], [`escape_json`], [`json_hist`]) are public so a tier
-//! that embeds this exposition in its own scrape (`memcom-net`) renders
-//! its families with the same rules instead of a second copy of them.
+//! Every metric is declared once, as one row of its entity's table: a
+//! [`Metric`] (JSON key, Prometheus family, help, getter) for a counter
+//! or gauge, a [`Stage`] for a latency histogram. The writers here
+//! ([`prom_metrics`], [`prom_histograms`], [`json_metrics`],
+//! [`json_histograms`] and the `json_*` field writers) render any table,
+//! so both renderers iterate the same rows. `memcom-net` declares its
+//! connection and stage tables and renders through these writers too,
+//! with no formatting code of its own.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::time::Duration;
 
 use crate::config::TelemetryLevel;
@@ -97,7 +101,7 @@ pub struct ModelMetrics {
     pub delta_pages_touched: u64,
     /// Always 0 and rendered nowhere: the store has no cache to
     /// invalidate. A vestige kept because frozen `crates/perf` reads it
-    /// (ROADMAP item 1(e) removes it with its reader).
+    /// (ROADMAP item 1(f) removes it with its reader).
     pub lru_invalidations: u64,
 }
 
@@ -116,7 +120,7 @@ pub struct ShardStageMetrics {
     /// Always empty: the worker never holds a batch open, so there is
     /// no assembly time to record, and neither exporter renders it. A
     /// vestige kept because frozen `crates/perf` reads it (ROADMAP item
-    /// 1(e) removes it with its reader).
+    /// 1(f) removes it with its reader).
     pub batch_assembly: LatencyHistogram,
     /// Rows per flushed batch.
     pub batch_size: SizeStats,
@@ -181,23 +185,204 @@ pub struct MetricsSnapshot {
     pub slowest_traces: Vec<Span>,
 }
 
-/// Escapes a Prometheus label value (`\`, `"`, and newlines).
-pub fn escape_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
+/// One series of a [`Metric`]: the JSON key it renders under, the extra
+/// Prometheus label it carries (`""` for none; an in/out pair is two
+/// series of one family), and its value on the entity `T`.
+pub type Series<T> = (&'static str, &'static str, fn(&T) -> u64);
+
+/// A counter or gauge, declared once for every renderer: one row of its
+/// entity's table.
+#[derive(Debug)]
+pub struct Metric<T: 'static> {
+    /// Prometheus family name: a counter's ends in `_total` (the
+    /// Prometheus naming rule), any other family is a gauge.
+    pub family: &'static str,
+    /// Prometheus help text.
+    pub help: &'static str,
+    /// The family's series, in render order.
+    pub series: &'static [Series<T>],
+}
+
+/// A latency histogram of the entity `T`, declared once: its JSON key
+/// (also its Prometheus `stage` label) and where it lives.
+pub type Stage<T> = (&'static str, fn(&T) -> &LatencyHistogram);
+
+/// Counters of the router as a whole.
+const ROUTER_METRICS: [Metric<MetricsSnapshot>; 1] = [Metric {
+    family: "memcom_traced_spans_total",
+    help: "Sampled request spans completed.",
+    series: &[("traced_spans", "", |s| s.traced_spans)],
+}];
+
+/// Per-model row and control-plane counters.
+const MODEL_METRICS: [Metric<ModelMetrics>; 8] = [
+    Metric {
+        family: "memcom_issued_rows_total",
+        help: "Rows entering the serving path, before admission.",
+        series: &[("issued", "", |m| m.issued)],
+    },
+    Metric {
+        family: "memcom_requests_total",
+        help: "Rows served through batches.",
+        series: &[("requests", "", |m| m.requests)],
+    },
+    Metric {
+        family: "memcom_shed_rows_total",
+        help: "Rows shed at admission.",
+        series: &[("shed", "", |m| m.shed)],
+    },
+    Metric {
+        family: "memcom_expired_rows_total",
+        help: "Rows dropped at dequeue past their deadline.",
+        series: &[("expired", "", |m| m.expired)],
+    },
+    Metric {
+        family: "memcom_snapshot_swaps_total",
+        help: "Full store snapshot swaps.",
+        series: &[("snapshot_swaps", "", |m| m.snapshot_swaps)],
+    },
+    Metric {
+        family: "memcom_delta_applies_total",
+        help: "Incremental delta refreshes applied.",
+        series: &[("delta_applies", "", |m| m.delta_applies)],
+    },
+    Metric {
+        family: "memcom_delta_cow_bytes_total",
+        help: "Bytes copied by copy-on-write page updates during delta applies.",
+        series: &[("delta_cow_bytes", "", |m| m.delta_cow_bytes)],
+    },
+    Metric {
+        family: "memcom_delta_pages_touched_total",
+        help: "Pages copied before first write during delta applies.",
+        series: &[("delta_pages_touched", "", |m| m.delta_pages_touched)],
+    },
+];
+
+/// Per-shard counters (rendered at [`TelemetryLevel::Full`]).
+const SHARD_METRICS: [Metric<ShardStageMetrics>; 1] = [Metric {
+    family: "memcom_decode_rows_total",
+    help: "Rows decoded from the store's pages for lookups, per shard.",
+    series: &[("decode_rows", "", |s| s.decode_rows)],
+}];
+
+/// Per-shard stage histograms; the per-dtype decode histograms follow
+/// them, recorded dtypes only.
+const SHARD_STAGES: [Stage<ShardStageMetrics>; 4] = [
+    ("admission_wait", |s| &s.admission_wait),
+    ("queue_wait", |s| &s.queue_wait),
+    ("forward", |s| &s.forward),
+    ("slab_write", |s| &s.slab_write),
+];
+
+/// A Prometheus label set, `key="value",...`, with each value escaped
+/// (`\`, `"`, and newlines).
+pub fn labels(pairs: &[(&str, &str)]) -> String {
+    let mut out = String::new();
+    for (key, value) in pairs {
+        if !out.is_empty() {
+            out.push(',');
         }
+        let value = value.replace('\\', "\\\\").replace('"', "\\\"");
+        let _ = write!(out, "{key}=\"{}\"", value.replace('\n', "\\n"));
     }
     out
 }
 
-/// Escapes a JSON string value.
-pub fn escape_json(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
+/// `# HELP` / `# TYPE` preamble for one metric family.
+fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// One sample line: `name{labels} value`, its label set joined from
+/// the non-empty `labels`, or `name value` when all are empty.
+fn sample(out: &mut String, name: &str, labels: &[&str], value: impl Display) {
+    let labels: Vec<&str> = labels.iter().copied().filter(|l| !l.is_empty()).collect();
+    if labels.is_empty() {
+        let _ = writeln!(out, "{name} {value}");
+    } else {
+        let _ = writeln!(out, "{name}{{{}}} {value}", labels.join(","));
+    }
+}
+
+/// Renders each metric of `table` as one Prometheus family, with one
+/// sample per series of every entity in `rows` (labelled by `label`).
+pub fn prom_metrics<T>(
+    out: &mut String,
+    table: &[Metric<T>],
+    rows: &[T],
+    label: impl Fn(&T) -> String,
+) {
+    for metric in table {
+        let kind = if metric.family.ends_with("_total") {
+            "counter"
+        } else {
+            "gauge"
+        };
+        family(out, metric.family, kind, metric.help);
+        for row in rows {
+            let labels = label(row);
+            for (_, extra, get) in metric.series {
+                sample(out, metric.family, &[&labels, extra], get(row));
+            }
+        }
+    }
+}
+
+/// Renders one Prometheus histogram family: the preamble, then each
+/// `(labels, histogram)` row as `_bucket`/`_sum`/`_count` samples.
+/// Zero-count buckets are elided — a valid exposition, since `le`
+/// boundaries are cumulative — and the open-above top bucket folds into
+/// `+Inf`.
+pub fn prom_histograms<'a>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    rows: impl IntoIterator<Item = (String, &'a LatencyHistogram)>,
+) {
+    family(out, name, "histogram", help);
+    let bucket = format!("{name}_bucket");
+    for (labels, h) in rows {
+        let buckets: Vec<(u64, u64)> = h.iter_buckets().collect();
+        let mut cumulative = 0u64;
+        for (idx, &(upper, count)) in buckets.iter().enumerate() {
+            cumulative += count;
+            if count == 0 || idx == buckets.len() - 1 {
+                continue;
+            }
+            let le = format!("le=\"{upper}\"");
+            sample(out, &bucket, &[&labels, &le], cumulative);
+        }
+        sample(out, &bucket, &[&labels, "le=\"+Inf\""], h.count());
+        sample(out, &format!("{name}_sum"), &[&labels], h.sum_nanos());
+        sample(out, &format!("{name}_count"), &[&labels], h.count());
+    }
+}
+
+/// Writes the comma that separates a JSON value from the one before it:
+/// none at the start of the text, of an object or array, or after a key.
+fn json_sep(out: &mut String) {
+    if !matches!(out.as_bytes().last(), None | Some(b'{' | b'[' | b':')) {
+        out.push(',');
+    }
+}
+
+/// Writes `"key":`, the value to follow.
+pub fn json_key(out: &mut String, key: &str) {
+    json_sep(out);
+    let _ = write!(out, "\"{key}\":");
+}
+
+/// Writes `"key":value` with `value` as its `Display` renders it.
+pub fn json_field(out: &mut String, key: &str, value: impl Display) {
+    json_key(out, key);
+    let _ = write!(out, "{value}");
+}
+
+/// Writes `"key":"value"` with `value` escaped.
+pub fn json_string(out: &mut String, key: &str, value: &str) {
+    json_key(out, key);
+    out.push('"');
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -211,44 +396,76 @@ pub fn escape_json(value: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
-/// `# HELP` / `# TYPE` preamble for one metric family.
-pub fn family(out: &mut String, name: &str, kind: &str, help: &str) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
+/// Writes `"uptime_seconds"` at millisecond precision.
+pub fn json_uptime(out: &mut String, uptime: Duration) {
+    json_field(
+        out,
+        "uptime_seconds",
+        format_args!("{:.3}", uptime.as_secs_f64()),
+    );
 }
 
-/// Renders one histogram as Prometheus `_bucket`/`_sum`/`_count` samples
-/// under `labels` (no trailing comma). Zero-count buckets are elided —
-/// a valid exposition, since `le` boundaries are cumulative — and the
-/// open-above top bucket folds into `+Inf`.
-pub fn render_hist(out: &mut String, name: &str, labels: &str, h: &LatencyHistogram) {
-    let buckets: Vec<(u64, u64)> = h.iter_buckets().collect();
-    let mut cumulative = 0u64;
-    for (idx, &(upper, count)) in buckets.iter().enumerate() {
-        cumulative += count;
-        if count == 0 || idx == buckets.len() - 1 {
-            continue;
-        }
-        let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{upper}\"}} {cumulative}");
+/// Writes one JSON object, its fields written by `fields`.
+pub fn json_object(out: &mut String, fields: impl FnOnce(&mut String)) {
+    json_sep(out);
+    out.push('{');
+    fields(out);
+    out.push('}');
+}
+
+/// Writes `"key":[...]`: one object per item, its fields written by
+/// `fields`.
+pub fn json_objects<I>(
+    out: &mut String,
+    key: &str,
+    items: impl IntoIterator<Item = I>,
+    mut fields: impl FnMut(&mut String, I),
+) {
+    json_key(out, key);
+    out.push('[');
+    for item in items {
+        json_object(out, |out| fields(out, item));
     }
-    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {}", h.count());
-    let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum_nanos());
-    let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count());
+    out.push(']');
 }
 
-/// Summary stats of one latency histogram for the JSON rendering.
-pub fn json_hist(h: &LatencyHistogram) -> String {
-    format!(
-        "{{\"count\":{},\"mean_nanos\":{:.1},\"p50_nanos\":{},\"p99_nanos\":{},\"max_nanos\":{}}}",
-        h.count(),
-        h.mean_nanos(),
-        h.p50(),
-        h.p99(),
-        h.max_nanos()
-    )
+/// Writes every series of `table` on `row` as a `"key":value` field.
+pub fn json_metrics<T>(out: &mut String, table: &[Metric<T>], row: &T) {
+    for (key, _, get) in table.iter().flat_map(|metric| metric.series) {
+        json_field(out, key, get(row));
+    }
+}
+
+/// Writes `"key":{summary}` for one latency histogram.
+fn json_histogram(out: &mut String, key: &str, h: &LatencyHistogram) {
+    json_field(
+        out,
+        key,
+        format_args!(
+            "{{\"count\":{},\"mean_nanos\":{:.1},\"p50_nanos\":{},\"p99_nanos\":{},\"max_nanos\":{}}}",
+            h.count(),
+            h.mean_nanos(),
+            h.p50(),
+            h.p99(),
+            h.max_nanos()
+        ),
+    );
+}
+
+/// Writes a JSON object of histogram summaries, one field per
+/// `(key, histogram)` row.
+pub fn json_histograms<'a>(
+    out: &mut String,
+    rows: impl IntoIterator<Item = (&'static str, &'a LatencyHistogram)>,
+) {
+    json_object(out, |out| {
+        for (key, h) in rows {
+            json_histogram(out, key, h);
+        }
+    });
 }
 
 impl MetricsSnapshot {
@@ -256,155 +473,59 @@ impl MetricsSnapshot {
     /// (version 0.0.4): `# HELP`/`# TYPE` preambles, `_total`-suffixed
     /// counters, label values escaped per the format rules.
     ///
-    /// Stage histograms and traces appear only at
-    /// [`TelemetryLevel::Full`]; the always-on model counters render at
-    /// every level.
+    /// Stage histograms appear only at [`TelemetryLevel::Full`]; the
+    /// always-on model counters render at every level.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-
-        family(
+        let (name, uptime) = ("memcom_uptime_seconds", self.uptime.as_secs_f64());
+        family(&mut out, name, "gauge", "Seconds since the router started.");
+        sample(&mut out, name, &[], format!("{uptime:.3}"));
+        prom_metrics(
             &mut out,
-            "memcom_uptime_seconds",
-            "gauge",
-            "Seconds since the router started.",
+            &ROUTER_METRICS,
+            std::slice::from_ref(self),
+            |_| String::new(),
         );
-        let _ = writeln!(
-            out,
-            "memcom_uptime_seconds {:.3}",
-            self.uptime.as_secs_f64()
-        );
-
-        family(
-            &mut out,
-            "memcom_traced_spans_total",
-            "counter",
-            "Sampled request spans completed.",
-        );
-        let _ = writeln!(out, "memcom_traced_spans_total {}", self.traced_spans);
-
-        // Per-model row and control-plane counters: one family at a
-        // time, every model as a sample.
-        type ModelValue = fn(&ModelMetrics) -> u64;
-        let model_counters: [(&str, &str, ModelValue); 8] = [
-            (
-                "memcom_issued_rows_total",
-                "Rows entering the serving path, before admission.",
-                |m| m.issued,
-            ),
-            (
-                "memcom_requests_total",
-                "Rows served through batches.",
-                |m| m.requests,
-            ),
-            ("memcom_shed_rows_total", "Rows shed at admission.", |m| {
-                m.shed
-            }),
-            (
-                "memcom_expired_rows_total",
-                "Rows dropped at dequeue past their deadline.",
-                |m| m.expired,
-            ),
-            (
-                "memcom_snapshot_swaps_total",
-                "Full store snapshot swaps.",
-                |m| m.snapshot_swaps,
-            ),
-            (
-                "memcom_delta_applies_total",
-                "Incremental delta refreshes applied.",
-                |m| m.delta_applies,
-            ),
-            (
-                "memcom_delta_cow_bytes_total",
-                "Bytes copied by copy-on-write page updates during delta applies.",
-                |m| m.delta_cow_bytes,
-            ),
-            (
-                "memcom_delta_pages_touched_total",
-                "Pages copied before first write during delta applies.",
-                |m| m.delta_pages_touched,
-            ),
-        ];
-        for (name, help, value) in model_counters {
-            family(&mut out, name, "counter", help);
-            for model in &self.models {
-                let _ = writeln!(
-                    out,
-                    "{name}{{model=\"{}\"}} {}",
-                    escape_label(&model.name),
-                    value(model)
-                );
-            }
+        prom_metrics(&mut out, &MODEL_METRICS, &self.models, |m| {
+            labels(&[("model", &m.name)])
+        });
+        if self.level != TelemetryLevel::Full {
+            return out;
         }
 
-        if self.level == TelemetryLevel::Full {
-            family(
-                &mut out,
-                "memcom_decode_rows_total",
-                "counter",
-                "Rows decoded from the store's pages for lookups, per shard.",
-            );
-            for stage in &self.stages {
-                let _ = writeln!(
-                    out,
-                    "memcom_decode_rows_total{{shard=\"{}\"}} {}",
-                    stage.shard, stage.decode_rows
-                );
+        prom_metrics(&mut out, &SHARD_METRICS, &self.stages, |s| {
+            labels(&[("shard", &s.shard.to_string())])
+        });
+        let mut rows = Vec::new();
+        for stage in &self.stages {
+            let shard = stage.shard.to_string();
+            for (key, get) in SHARD_STAGES {
+                rows.push((labels(&[("stage", key), ("shard", &shard)]), get(stage)));
             }
-
-            family(
-                &mut out,
-                "memcom_stage_latency_nanos",
-                "histogram",
-                "Per-stage request lifecycle latency in nanoseconds.",
-            );
-            for stage in &self.stages {
-                let shard = stage.shard;
-                for (label, hist) in [
-                    ("admission_wait", &stage.admission_wait),
-                    ("queue_wait", &stage.queue_wait),
-                    ("forward", &stage.forward),
-                    ("slab_write", &stage.slab_write),
-                ] {
-                    let labels = format!("stage=\"{label}\",shard=\"{shard}\"");
-                    render_hist(&mut out, "memcom_stage_latency_nanos", &labels, hist);
-                }
-                for (dtype, hist) in &stage.decode {
-                    if hist.count() == 0 {
-                        continue;
-                    }
-                    let labels = format!("stage=\"decode\",shard=\"{shard}\",dtype=\"{dtype}\"");
-                    render_hist(&mut out, "memcom_stage_latency_nanos", &labels, hist);
-                }
-            }
-
-            family(
-                &mut out,
-                "memcom_batch_size",
-                "summary",
-                "Rows per flushed batch.",
-            );
-            for stage in &self.stages {
-                let (shard, size) = (stage.shard, &stage.batch_size);
-                for (q, v) in [("0.5", size.p50), ("0.99", size.p99), ("1", size.max)] {
-                    let _ = writeln!(
-                        out,
-                        "memcom_batch_size{{shard=\"{shard}\",quantile=\"{q}\"}} {v}"
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "memcom_batch_size_sum{{shard=\"{shard}\"}} {}",
-                    size.sum
-                );
-                let _ = writeln!(
-                    out,
-                    "memcom_batch_size_count{{shard=\"{shard}\"}} {}",
-                    size.count
-                );
+            for (dtype, h) in stage.decode.iter().filter(|(_, h)| h.count() > 0) {
+                let decode = [("stage", "decode"), ("shard", &shard), ("dtype", dtype)];
+                rows.push((labels(&decode), h));
             }
         }
+        prom_histograms(
+            &mut out,
+            "memcom_stage_latency_nanos",
+            "Per-stage request lifecycle latency in nanoseconds.",
+            rows,
+        );
 
+        let name = "memcom_batch_size";
+        family(&mut out, name, "summary", "Rows per flushed batch.");
+        for stage in &self.stages {
+            let shard = labels(&[("shard", &stage.shard.to_string())]);
+            let size = &stage.batch_size;
+            for (q, v) in [("0.5", size.p50), ("0.99", size.p99), ("1", size.max)] {
+                let quantile = labels(&[("quantile", q)]);
+                sample(&mut out, name, &[&shard, &quantile], v);
+            }
+            sample(&mut out, &format!("{name}_sum"), &[&shard], size.sum);
+            sample(&mut out, &format!("{name}_count"), &[&shard], size.count);
+        }
         out
     }
 
@@ -413,104 +534,53 @@ impl MetricsSnapshot {
     /// counterpart of [`to_prometheus`](Self::to_prometheus).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push('{');
-        let _ = write!(
-            out,
-            "\"level\":\"{}\",\"uptime_seconds\":{:.3},\"traced_spans\":{}",
-            level_name(self.level),
-            self.uptime.as_secs_f64(),
-            self.traced_spans
-        );
-
-        out.push_str(",\"models\":[");
-        for (i, m) in self.models.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"issued\":{},\"requests\":{},\"shed\":{},\"expired\":{},\
-                 \"snapshot_swaps\":{},\"delta_applies\":{},\"delta_cow_bytes\":{},\
-                 \"delta_pages_touched\":{}}}",
-                escape_json(&m.name),
-                m.issued,
-                m.requests,
-                m.shed,
-                m.expired,
-                m.snapshot_swaps,
-                m.delta_applies,
-                m.delta_cow_bytes,
-                m.delta_pages_touched
-            );
-        }
-        out.push(']');
-
-        out.push_str(",\"stages\":[");
-        for (i, stage) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"shard\":{},\"decode_rows\":{},\
-                 \"admission_wait\":{},\"queue_wait\":{},\
-                 \"forward\":{},\"slab_write\":{}",
-                stage.shard,
-                stage.decode_rows,
-                json_hist(&stage.admission_wait),
-                json_hist(&stage.queue_wait),
-                json_hist(&stage.forward),
-                json_hist(&stage.slab_write)
-            );
-            let size = &stage.batch_size;
-            let _ = write!(
-                out,
-                ",\"batch_size\":{{\"count\":{},\"sum\":{},\"mean\":{:.2},\"p50\":{},\
-                 \"p99\":{},\"max\":{}}}",
-                size.count, size.sum, size.mean, size.p50, size.p99, size.max
-            );
-            out.push_str(",\"decode\":{");
-            let mut first = true;
-            for (dtype, hist) in &stage.decode {
-                if hist.count() == 0 {
-                    continue;
+        json_object(&mut out, |out| {
+            json_string(out, "level", level_name(self.level));
+            json_uptime(out, self.uptime);
+            json_metrics(out, &ROUTER_METRICS, self);
+            json_objects(out, "models", &self.models, |out, m| {
+                json_string(out, "name", &m.name);
+                json_metrics(out, &MODEL_METRICS, m);
+            });
+            json_objects(out, "stages", &self.stages, |out, stage| {
+                json_field(out, "shard", stage.shard);
+                json_metrics(out, &SHARD_METRICS, stage);
+                for (key, get) in SHARD_STAGES {
+                    json_histogram(out, key, get(stage));
                 }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "\"{dtype}\":{}", json_hist(hist));
-            }
-            out.push_str("}}");
-        }
-        out.push(']');
-
-        for (key, spans) in [
-            ("recent_traces", &self.recent_traces),
-            ("slowest_traces", &self.slowest_traces),
-        ] {
-            let _ = write!(out, ",\"{key}\":[");
-            for (i, span) in spans.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
+                let size = &stage.batch_size;
+                json_field(
                     out,
-                    "{{\"seq\":{},\"shard\":{},\"rows\":{},\"queue_wait_nanos\":{},\
-                     \"service_nanos\":{},\"total_nanos\":{},\"outcome\":\"{}\"}}",
-                    span.seq,
-                    span.shard,
-                    span.rows,
-                    span.queue_wait_nanos,
-                    span.service_nanos,
-                    span.total_nanos,
-                    span.outcome.as_str()
+                    "batch_size",
+                    format_args!(
+                        "{{\"count\":{},\"sum\":{},\"mean\":{:.2},\"p50\":{},\"p99\":{},\"max\":{}}}",
+                        size.count, size.sum, size.mean, size.p50, size.p99, size.max
+                    ),
                 );
+                json_key(out, "decode");
+                let recorded = stage.decode.iter().filter(|(_, h)| h.count() > 0);
+                json_histograms(out, recorded.map(|(dtype, h)| (*dtype, h)));
+            });
+            for (key, spans) in [
+                ("recent_traces", &self.recent_traces),
+                ("slowest_traces", &self.slowest_traces),
+            ] {
+                json_objects(out, key, spans, |out, span| {
+                    let _ = write!(
+                        out,
+                        "\"seq\":{},\"shard\":{},\"rows\":{},\"queue_wait_nanos\":{},\
+                         \"service_nanos\":{},\"total_nanos\":{},\"outcome\":\"{}\"",
+                        span.seq,
+                        span.shard,
+                        span.rows,
+                        span.queue_wait_nanos,
+                        span.service_nanos,
+                        span.total_nanos,
+                        span.outcome.as_str()
+                    );
+                });
             }
-            out.push(']');
-        }
-
-        out.push('}');
+        });
         out
     }
 }

@@ -16,16 +16,21 @@
 //!   uncontended lock, and a snapshot merges per-shard state on demand.
 //!
 //! Entry points: [`crate::Router::metrics`] returns a
-//! [`MetricsSnapshot`] renderable as Prometheus text or JSON.
+//! [`MetricsSnapshot`] renderable as Prometheus text or JSON. The
+//! exporter's table types and writers, and the [`LevelGate`] both
+//! tiers' registries hold, are public so `memcom-net` renders its
+//! snapshot through the same code.
 
 mod export;
 mod registry;
 mod trace;
 
 pub use export::{
-    escape_json, escape_label, family, json_hist, render_hist, MetricsSnapshot, ModelMetrics,
-    ShardStageMetrics, SizeStats,
+    json_field, json_histograms, json_key, json_metrics, json_object, json_objects, json_string,
+    json_uptime, labels, prom_histograms, prom_metrics, Metric, MetricsSnapshot, ModelMetrics,
+    Series, ShardStageMetrics, SizeStats, Stage,
 };
+pub use registry::LevelGate;
 pub use trace::{Span, SpanOutcome};
 
 pub(crate) use registry::{dtype_idx, MetricsRegistry, SIZE_SCALE};

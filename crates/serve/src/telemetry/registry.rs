@@ -93,17 +93,63 @@ impl ShardTelemetry {
     }
 }
 
-/// The router's telemetry registry: per-shard stage state, the sampling
-/// sequence, and the trace ring.
+/// The level gate both tiers' registries hold — the router's
+/// registry and `memcom-net`'s connection registry.
+///
+/// At [`TelemetryLevel::Off`], [`stages_on`](Self::stages_on) is false
+/// and a recording site reads no clock: every hot-path timestamp is
+/// taken as `stages_on().then(Instant::now)`, and `memcom-lint` L002
+/// rejects any other clock read inside a `hot-path` fence. At
+/// [`TelemetryLevel::Full`] the stage histograms are timed.
+#[derive(Debug)]
+pub struct LevelGate {
+    level: TelemetryLevel,
+    started_at: Instant,
+}
+
+impl LevelGate {
+    /// A gate at `level`, its uptime counted from now.
+    pub fn new(level: TelemetryLevel) -> Self {
+        LevelGate {
+            level,
+            started_at: Instant::now(),
+        }
+    }
+
+    /// The level the registry runs at.
+    pub fn level(&self) -> TelemetryLevel {
+        self.level
+    }
+
+    /// Whether stage histograms (and their clock reads) are on (`Full`).
+    pub fn stages_on(&self) -> bool {
+        self.level == TelemetryLevel::Full
+    }
+
+    /// Time since the gate was made.
+    pub fn uptime(&self) -> Duration {
+        self.started_at.elapsed()
+    }
+}
+
+/// The router's telemetry registry: its level gate, per-shard stage
+/// state, the sampling sequence, and the trace ring.
 #[derive(Debug)]
 pub(crate) struct MetricsRegistry {
-    level: TelemetryLevel,
+    gate: LevelGate,
     /// Trace every k-th request; `0` disables tracing.
     sample_every: u64,
     seq: AtomicU64,
     shards: Vec<ShardTelemetry>,
     traces: Mutex<TraceRing>,
-    started_at: Instant,
+}
+
+impl std::ops::Deref for MetricsRegistry {
+    type Target = LevelGate;
+
+    fn deref(&self) -> &LevelGate {
+        &self.gate
+    }
 }
 
 impl MetricsRegistry {
@@ -114,22 +160,12 @@ impl MetricsRegistry {
             0
         };
         MetricsRegistry {
-            level: config.level,
+            gate: LevelGate::new(config.level),
             sample_every,
             seq: AtomicU64::new(0),
             shards: (0..n_shards).map(|_| ShardTelemetry::new()).collect(),
             traces: Mutex::new(TraceRing::new()),
-            started_at: Instant::now(),
         }
-    }
-
-    pub(crate) fn level(&self) -> TelemetryLevel {
-        self.level
-    }
-
-    /// Whether stage histograms and tracing are on (`Full`).
-    pub(crate) fn stages_on(&self) -> bool {
-        self.level == TelemetryLevel::Full
     }
 
     pub(crate) fn shard(&self, idx: usize) -> &ShardTelemetry {
@@ -151,10 +187,6 @@ impl MetricsRegistry {
     /// lock is cold).
     pub(crate) fn complete(&self, span: Span) {
         self.traces.lock().push(span);
-    }
-
-    pub(crate) fn uptime(&self) -> Duration {
-        self.started_at.elapsed()
     }
 
     /// `(completed, most-recent, slowest)` spans.
