@@ -48,7 +48,7 @@
 //! * [`telemetry`] — the connection registry and this tier's metric
 //!   tables: network-stage histograms (`frame_decode`,
 //!   `response_encode`, `socket_write`) and always-on per-connection
-//!   counters, each declared once and rendered as `memcom_net_*`
+//!   counters, each named once and rendered as `memcom_net_*`
 //!   Prometheus series or JSON by the serve tier's one exporter, with
 //!   the serve tier's snapshot embedded. The registry holds the serve
 //!   tier's `LevelGate`, so the zero-clock-read guarantee at

@@ -257,7 +257,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, conn: &ConnTelemetry
         ids: Vec::new(),
         out: Vec::new(),
         handles: HashMap::new(),
-        stages_on: shared.telemetry.stages_on(),
+        stages_on: shared.telemetry.gate.stages_on(),
     };
     let mut drain_eligible = true;
     loop {

@@ -611,6 +611,14 @@ fn connection_churn_folds_into_one_closed_row() {
         "one live row and one closed row, got {}",
         snapshot.connections.len()
     );
+    // Live rows come first, in accept order, then the one `closed` row.
+    let rows: Vec<_> = snapshot
+        .connections
+        .iter()
+        .map(|c| (c.id, c.peer.as_str(), c.served, c.open))
+        .collect();
+    assert_eq!(rows[1..], [(0, "closed", 64, false)]);
+    assert_eq!((rows[0].0, rows[0].2, rows[0].3), (1, 1, true));
     let totals = snapshot.totals();
     assert_eq!((totals.frames_in, totals.frames_out), (65, 65));
     assert_eq!(totals.served, 65);

@@ -68,7 +68,7 @@
 //!   per-stage latency histograms, sampled request tracing, and the
 //!   one Prometheus/JSON exporter — for [`Router::metrics`]'s
 //!   [`MetricsSnapshot`] and for `memcom-net`'s snapshot alike, each
-//!   metric declared once as a row of its entity's table.
+//!   metric named once, as a row of its entity's table.
 //!
 //! Shards are worker queues, not storage: a store holds each recipe
 //! table once, whatever the shard count, so a served model costs what

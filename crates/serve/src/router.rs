@@ -400,7 +400,7 @@ impl RouterInner {
         // memcom-lint: hot-path
         // Admission wait is timed from a fresh stamp here, so it holds
         // the push alone.
-        let admit_t0 = self.telemetry.stages_on().then(Instant::now);
+        let admit_t0 = self.telemetry.gate.stages_on().then(Instant::now);
         let wait = match self.config.admission {
             AdmissionPolicy::Block => None,
             AdmissionPolicy::Shed {
@@ -832,8 +832,8 @@ impl Router {
         let telemetry = &self.inner.telemetry;
         let (traced_spans, recent_traces, slowest_traces) = telemetry.traces_snapshot();
         MetricsSnapshot {
-            level: telemetry.level(),
-            uptime: telemetry.uptime(),
+            level: telemetry.gate.level(),
+            uptime: telemetry.gate.uptime(),
             traced_spans,
             models,
             stages: telemetry.stage_metrics(),
@@ -1085,7 +1085,7 @@ impl RouterHandle {
             slot: Arc::clone(&slot),
             admission: Admission::stamp_with(
                 self.inner.config.admission,
-                self.inner.telemetry.stages_on(),
+                self.inner.telemetry.gate.stages_on(),
                 deadline,
             ),
             span: self.inner.telemetry.sample(),
@@ -1162,7 +1162,7 @@ fn serve_batch(
     };
 
     let telemetry = &inner.telemetry;
-    let stages_on = telemetry.stages_on();
+    let stages_on = telemetry.gate.stages_on();
     if stages_on {
         // One stage lock per flushed batch: the shard's whole dequeue
         // story (batch size, every request's queue wait) folds in at once.

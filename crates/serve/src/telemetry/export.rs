@@ -6,9 +6,11 @@
 //! the counters once, so rendering never blocks the serving path and a
 //! snapshot stays internally consistent while being formatted.
 //!
-//! Every metric is declared once, as one row of its entity's table: a
-//! [`Metric`] (JSON key, Prometheus family, help, getter) for a counter
-//! or gauge, a [`Stage`] for a latency histogram. The writers here
+//! Every metric's names are written once, as one row of its entity's
+//! table: a [`Metric`] (JSON key, Prometheus family, help, getter) for a
+//! counter or gauge, a [`Stage`] for a latency histogram. The value the
+//! getter reads is a snapshot field, filled by the registry that counts
+//! it. The writers here
 //! ([`prom_metrics`], [`prom_histograms`], [`json_metrics`],
 //! [`json_histograms`] and the `json_*` field writers) render any table,
 //! so both renderers iterate the same rows. `memcom-net` declares its
@@ -190,7 +192,7 @@ pub struct MetricsSnapshot {
 /// series of one family), and its value on the entity `T`.
 pub type Series<T> = (&'static str, &'static str, fn(&T) -> u64);
 
-/// A counter or gauge, declared once for every renderer: one row of its
+/// A counter or gauge, named once for every renderer: one row of its
 /// entity's table.
 #[derive(Debug)]
 pub struct Metric<T: 'static> {
@@ -203,7 +205,7 @@ pub struct Metric<T: 'static> {
     pub series: &'static [Series<T>],
 }
 
-/// A latency histogram of the entity `T`, declared once: its JSON key
+/// A latency histogram of the entity `T`, named once: its JSON key
 /// (also its Prometheus `stage` label) and where it lives.
 pub type Stage<T> = (&'static str, fn(&T) -> &LatencyHistogram);
 

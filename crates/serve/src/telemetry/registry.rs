@@ -136,20 +136,12 @@ impl LevelGate {
 /// state, the sampling sequence, and the trace ring.
 #[derive(Debug)]
 pub(crate) struct MetricsRegistry {
-    gate: LevelGate,
+    pub(crate) gate: LevelGate,
     /// Trace every k-th request; `0` disables tracing.
     sample_every: u64,
     seq: AtomicU64,
     shards: Vec<ShardTelemetry>,
     traces: Mutex<TraceRing>,
-}
-
-impl std::ops::Deref for MetricsRegistry {
-    type Target = LevelGate;
-
-    fn deref(&self) -> &LevelGate {
-        &self.gate
-    }
 }
 
 impl MetricsRegistry {
@@ -244,11 +236,11 @@ mod tests {
     #[test]
     fn levels_gate_what_records() {
         let off = MetricsRegistry::new(&TelemetryConfig::off(), 2);
-        assert!(!off.stages_on());
-        assert_eq!(off.level(), TelemetryLevel::Off);
+        assert!(!off.gate.stages_on());
+        assert_eq!(off.gate.level(), TelemetryLevel::Off);
         let full = MetricsRegistry::new(&TelemetryConfig::full(1.0), 2);
-        assert!(full.stages_on());
-        assert_eq!(full.level(), TelemetryLevel::Full);
+        assert!(full.gate.stages_on());
+        assert_eq!(full.gate.level(), TelemetryLevel::Full);
         assert_eq!(full.stage_metrics().len(), 2);
     }
 
