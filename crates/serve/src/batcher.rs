@@ -1,12 +1,24 @@
 //! Micro-batching request queues and response cells.
 //!
-//! Each shard owns one bounded queue and one worker. The worker is
-//! work-conserving: it blocks for the first request, then takes up to
-//! `max_batch` of whatever is already queued and serves at once — it
-//! never holds a batch open waiting for company. Batches form under
-//! load, from the backlog that queues while the worker serves the
-//! previous batch; [`FlushReason`] counters record which bound closed
-//! each one.
+//! Each shard owns one bounded queue and one **serve turn**: at most one
+//! thread serves a shard at a time — its worker, or a producer whose
+//! push found the shard idle. [`ShardQueue::push`] hands such a producer
+//! the [`Turn`] and wakes nobody, so an uncontended request is served on
+//! the thread that submitted it, with no worker round trip. A push onto
+//! a shard that is being served wakes nobody either: the turn holder
+//! re-checks the queue as its turn ends and, if requests arrived in the
+//! meantime, hands them to the worker ([`ShardQueue::next_turn`]) and
+//! wakes it. The worker keeps the turn while a backlog lasts, and pushes
+//! queue behind it: requests that overlap in time batch as they did when
+//! the worker served every request, while requests that never overlap —
+//! one client, or clients the scheduler runs one after another — are
+//! each served on their own thread, in batches of one.
+//!
+//! Serving is work-conserving: a turn takes up to `max_batch` of
+//! whatever is already queued and serves at once — it never holds a
+//! batch open waiting for company. Batches form under load, from the
+//! backlog that queues while the shard serves the previous batch;
+//! [`FlushReason`] counters record which bound closed each one.
 //!
 //! One response cell answers every request the router enqueues (see
 //! [`crate::router`]): a [`SlabSlot`], the [`ReplySlot`] that
@@ -151,10 +163,23 @@ impl SlabSlot {
     }
 }
 
+/// Who may serve a shard next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TurnState {
+    /// Nobody serves and nothing is queued: the next push takes the turn.
+    Free,
+    /// A [`Turn`] is out.
+    Held,
+    /// A turn ended on a non-empty queue: the backlog is the worker's,
+    /// and pushes queue behind it (batching) until it takes the turn.
+    Handed,
+}
+
 #[derive(Debug)]
 struct QueueState<T> {
     queue: VecDeque<T>,
     closed: bool,
+    turn: TurnState,
 }
 
 impl<T> Default for QueueState<T> {
@@ -162,17 +187,18 @@ impl<T> Default for QueueState<T> {
         QueueState {
             queue: VecDeque::new(),
             closed: false,
+            turn: TurnState::Free,
         }
     }
 }
 
-/// A bounded MPSC queue with batch-oriented consumption, generic over
-/// the queued request type (the router enqueues [`crate::router`]'s
-/// `Request`; tests use plain values).
+/// A bounded MPSC queue with batch-oriented consumption and one serve
+/// [`Turn`], generic over the queued request type (the router enqueues
+/// [`crate::router`]'s `Request`; tests use plain values).
 #[derive(Debug)]
 pub struct ShardQueue<T> {
     state: Mutex<QueueState<T>>,
-    /// Wakes the worker when requests arrive or the queue closes.
+    /// Wakes the worker when a turn is handed to it or the queue closes.
     ready: Condvar,
     /// Wakes blocked producers when capacity frees up.
     space: Condvar,
@@ -205,6 +231,13 @@ impl<T> ShardQueue<T> {
     /// and `Some(Duration::ZERO)` never waits. The clock is read only
     /// once the queue is found full.
     ///
+    /// Returns the shard's [`Turn`] when the shard was idle: the
+    /// producer serves (a batch holding its own request) or drops the
+    /// turn, which hands what is queued to the worker. A push onto a
+    /// shard being served, or whose backlog the worker is yet to take,
+    /// returns `None` and wakes nobody — the turn holder re-checks the
+    /// queue when its turn ends.
+    ///
     /// # Errors
     ///
     /// Returns [`PushError::Full`] when the queue stayed full for the
@@ -217,7 +250,7 @@ impl<T> ShardQueue<T> {
         &self,
         request: T,
         wait: Option<Duration>,
-    ) -> std::result::Result<(), PushError<T>> {
+    ) -> std::result::Result<Option<Turn<'_, T>>, PushError<T>> {
         let mut deadline = None;
         let mut state = self.state.lock();
         loop {
@@ -245,46 +278,34 @@ impl<T> ShardQueue<T> {
             }
         }
         state.queue.push_back(request);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
+        if state.turn != TurnState::Free {
+            return Ok(None);
+        }
+        state.turn = TurnState::Held;
+        Ok(Some(Turn { queue: self }))
     }
     // memcom-lint: end-hot-path
 
-    /// Pops the next micro-batch into the caller's reusable buffer
-    /// (cleared first — the worker loop's zero-allocation steady state,
-    /// certified by `tests/alloc_count.rs`): blocks for the first
-    /// request, then takes up to `max_batch` of whatever is queued and
-    /// returns at once, reading no clock. Returns why the batch closed,
-    /// or `None` when the queue is closed *and* fully drained — the
-    /// worker's exit signal.
-    // memcom-lint: hot-path
-    pub fn pop_batch_into(&self, batch: &mut Vec<T>, max_batch: usize) -> Option<FlushReason> {
-        batch.clear();
+    /// The worker's wait: blocks until a turn that ended on a non-empty
+    /// queue hands the backlog over, then takes the turn. Returns `None`
+    /// when the queue is closed, drained *and* no turn is out — the
+    /// worker's exit signal, which so waits out a producer's turn in
+    /// flight.
+    pub fn next_turn(&self) -> Option<Turn<'_, T>> {
         let mut state = self.state.lock();
-        while state.queue.is_empty() {
-            if state.closed {
-                return None;
+        loop {
+            match state.turn {
+                TurnState::Handed => break,
+                TurnState::Free if state.closed => return None,
+                TurnState::Free | TurnState::Held => self.ready.wait(&mut state),
             }
-            self.ready.wait(&mut state);
         }
-        let take = state.queue.len().min(max_batch);
-        batch.extend(state.queue.drain(..take));
-        let reason = if batch.len() == max_batch {
-            FlushReason::Full
-        } else if state.closed {
-            FlushReason::Drain
-        } else {
-            FlushReason::Emptied
-        };
-        drop(state);
-        self.space.notify_all();
-        Some(reason)
+        state.turn = TurnState::Held;
+        Some(Turn { queue: self })
     }
-    // memcom-lint: end-hot-path
 
     /// Closes the queue: producers start failing, the worker drains what
-    /// remains and exits.
+    /// remains and exits once no turn is out.
     pub fn close(&self) {
         self.state.lock().closed = true;
         self.ready.notify_all();
@@ -297,10 +318,79 @@ impl<T> ShardQueue<T> {
     }
 }
 
+/// The right to serve one shard: while a `Turn` is out, nobody else pops
+/// the shard's queue. [`ShardQueue::push`] hands it to a producer that
+/// found the shard idle and [`ShardQueue::next_turn`] to the worker.
+/// Dropping it ends the turn: requests that queued meanwhile are handed
+/// to the worker, which is woken for them (or for its exit, once the
+/// queue is closed and empty); an empty queue wakes nobody.
+#[derive(Debug)]
+pub struct Turn<'a, T> {
+    queue: &'a ShardQueue<T>,
+}
+
+impl<T> Turn<'_, T> {
+    /// Takes the next micro-batch into the caller's reusable buffer
+    /// (cleared first — the zero-allocation steady state certified by
+    /// `tests/alloc_count.rs`): up to `max_batch` of whatever is queued,
+    /// at once, reading no clock. A turn begins on a non-empty queue and
+    /// nobody else pops while it is out, so a turn's first batch holds at
+    /// least one request. Frees queue space for `Block` producers and
+    /// returns why the batch closed.
+    // memcom-lint: hot-path
+    pub fn pop_batch_into(&mut self, batch: &mut Vec<T>, max_batch: usize) -> FlushReason {
+        batch.clear();
+        let mut state = self.queue.state.lock();
+        let take = state.queue.len().min(max_batch);
+        batch.extend(state.queue.drain(..take));
+        let reason = if batch.len() == max_batch {
+            FlushReason::Full
+        } else if state.closed {
+            FlushReason::Drain
+        } else {
+            FlushReason::Emptied
+        };
+        drop(state);
+        self.queue.space.notify_all();
+        reason
+    }
+    // memcom-lint: end-hot-path
+}
+
+impl<T> Drop for Turn<'_, T> {
+    fn drop(&mut self) {
+        let mut state = self.queue.state.lock();
+        let handed = !state.queue.is_empty();
+        state.turn = if handed {
+            TurnState::Handed
+        } else {
+            TurnState::Free
+        };
+        let wake = handed || state.closed;
+        drop(state);
+        if wake {
+            self.queue.ready.notify_one();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// A consumer's one turn, one batch.
+    trait PopBatch<T> {
+        fn pop_batch_into(&self, batch: &mut Vec<T>, max_batch: usize) -> Option<FlushReason>;
+    }
+
+    impl<T> PopBatch<T> for ShardQueue<T> {
+        /// Waits as [`ShardQueue::next_turn`] does and takes a batch
+        /// with [`Turn::pop_batch_into`]; the turn ends as this returns.
+        fn pop_batch_into(&self, batch: &mut Vec<T>, max_batch: usize) -> Option<FlushReason> {
+            Some(self.next_turn()?.pop_batch_into(batch, max_batch))
+        }
+    }
 
     /// The one pop, into a fresh buffer.
     fn pop<T>(q: &ShardQueue<T>, max_batch: usize) -> Option<(Vec<T>, FlushReason)> {
@@ -459,6 +549,63 @@ mod tests {
         let (batch, _) = pop(&q, 1).unwrap();
         assert_eq!(batch[0], 9);
         producer.join().unwrap();
+    }
+
+    #[test]
+    fn a_dropped_turn_hands_its_backlog_to_a_parked_pop() {
+        let q = Arc::new(ShardQueue::new(4));
+        let turn = q.push(1usize, None).unwrap().expect("an idle shard's turn");
+        let q2 = Arc::clone(&q);
+        let consumer = std::thread::spawn(move || pop(&q2, 4));
+        // The consumer cannot pop while the turn is out, whatever it
+        // waits on; what queues meanwhile is handed over on drop.
+        assert!(q.push(2, None).unwrap().is_none());
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(q.depth(), 2);
+        drop(turn);
+        let (batch, reason) = consumer.join().unwrap().unwrap();
+        assert_eq!(batch, vec![1, 2]);
+        assert_eq!(reason, FlushReason::Emptied);
+    }
+
+    #[test]
+    fn a_push_onto_a_served_shard_returns_no_turn() {
+        let q = ShardQueue::new(4);
+        let mut turn = q.push(1usize, None).unwrap().expect("an idle shard's turn");
+        assert!(q.push(2, None).unwrap().is_none(), "the shard is served");
+        let mut batch = Vec::new();
+        assert_eq!(turn.pop_batch_into(&mut batch, 4), FlushReason::Emptied);
+        assert_eq!(batch, vec![1, 2]);
+        assert!(q.push(3, None).unwrap().is_none(), "still served");
+        drop(turn);
+        // The turn ended on a backlog: it is the worker's, not a pusher's.
+        assert!(q.push(4, None).unwrap().is_none());
+        let mut turn = q.next_turn().unwrap();
+        assert_eq!(turn.pop_batch_into(&mut batch, 4), FlushReason::Emptied);
+        assert_eq!(batch, vec![3, 4]);
+        drop(turn);
+        // Drained: the next push finds the shard idle again.
+        assert!(q.push(5, None).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_callers_turn_releases_a_blocked_producer() {
+        let q = Arc::new(ShardQueue::new(1));
+        let mut turn = q.push(0usize, None).unwrap().expect("an idle shard's turn");
+        let q2 = Arc::clone(&q);
+        let producer = std::thread::spawn(move || q2.push(1, None).map(|turn| turn.is_some()));
+        std::thread::sleep(Duration::from_millis(10));
+        let mut batch = Vec::new();
+        turn.pop_batch_into(&mut batch, 4);
+        assert_eq!(batch, vec![0]);
+        // Taking the batch freed the queue's one slot: the blocked
+        // producer's push lands, behind the turn still out.
+        assert!(matches!(producer.join().unwrap(), Ok(false)));
+        assert_eq!(q.depth(), 1);
+        drop(turn);
+        q.close();
+        assert_eq!(pop(&q, 4).unwrap().0, vec![1]);
+        assert!(pop(&q, 4).is_none());
     }
 
     #[test]

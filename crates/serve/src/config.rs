@@ -143,16 +143,19 @@ impl TelemetryConfig {
 ///
 /// Defaults are sized for the workloads in this repository's examples:
 /// 4 shards, micro-batches of up to 32 of whatever is queued when a
-/// worker pops (it never waits for a batch to fill), a 4 096-deep
+/// shard is served (it never waits for a batch to fill), a 4 096-deep
 /// bounded queue per shard, blocking admission, and no simulated store
 /// latency. The storage dtype is not a server-wide knob:
 /// [`crate::Router::register`] stores fp32 and
 /// [`crate::Router::register_with_dtype`] names the dtype per model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Number of shards (one worker thread and one queue per shard).
+    /// Number of shards: one queue, one serve turn and one worker thread
+    /// per shard. A request pushed onto an idle shard is served on the
+    /// submitting thread; the worker serves what queues while the shard
+    /// is busy.
     pub n_shards: usize,
-    /// Most queued requests a worker takes into one batch.
+    /// Most queued requests one serve turn takes into a batch.
     pub max_batch: usize,
     /// Read by nothing: a worker serves whatever is queued and never
     /// holds a batch open. A vestige kept because frozen `crates/perf`

@@ -8,7 +8,7 @@
 //!
 //! * [`InferBackend`] — the trait a scoring pipeline implements. A
 //!   backend receives the request's ids, the model's current
-//!   [`ShardedStore`] snapshot, and a reusable per-worker
+//!   [`ShardedStore`] snapshot, and its shard's reusable
 //!   [`InferScratch`]; it writes its [`out_len`](InferBackend::out_len)
 //!   output values into the caller's slab.
 //! * [`BackendRegistry`] — named backends, pre-seeded with
@@ -74,10 +74,11 @@ pub const LOOKUP_BACKEND: &str = "lookup";
 
 /// A scoring pipeline servable behind the [`Router`](crate::Router).
 ///
-/// Implementations are called from shard workers, so they must be
-/// `Send + Sync` and must not allocate per call at a steady request
-/// shape — every intermediate belongs in the caller-provided
-/// [`InferScratch`], which each worker owns and reuses.
+/// Implementations are called by whichever thread serves a shard — its
+/// worker, or a submitting caller that found the shard idle — so they
+/// must be `Send + Sync` and must not allocate per call at a steady
+/// request shape: every intermediate belongs in the caller-provided
+/// [`InferScratch`], which each shard owns and reuses.
 pub trait InferBackend: Send + Sync + std::fmt::Debug {
     /// Output values produced for a request of `n_ids` ids over
     /// `store` — the `K` in "N ids in, K scores out". The serving layer
@@ -98,7 +99,7 @@ pub trait InferBackend: Send + Sync + std::fmt::Debug {
     /// `out`.
     ///
     /// `ids` are pre-validated against the store's vocabulary and
-    /// non-empty; `scratch` is this worker's reusable buffer set.
+    /// non-empty; `scratch` is the shard's reusable buffer set.
     ///
     /// # Errors
     ///
@@ -177,9 +178,10 @@ impl Default for BackendRegistry {
     }
 }
 
-/// Reusable per-worker buffers for [`InferBackend::score_into`].
+/// Reusable per-shard buffers for [`InferBackend::score_into`].
 ///
-/// Each shard worker owns one scratch for its whole lifetime; at a
+/// Each shard owns one scratch for its whole lifetime, used by whichever
+/// thread holds its serve turn (the worker or a submitting caller); at a
 /// steady request shape every buffer reaches capacity once and the
 /// scoring path stops allocating — the same O(1)-allocations-per-call
 /// discipline `tests/alloc_count.rs` certifies for the lookup path.
@@ -207,8 +209,8 @@ impl InferScratch {
 /// path
 /// ([`RouterHandle::score_batch_into`](crate::RouterHandle::score_batch_into)).
 ///
-/// The request carries this batch's own id and score buffers to a shard
-/// worker and back, so they stay warm and at a steady request shape a
+/// The request carries this batch's own id and score buffers to the
+/// thread serving its shard and back, so they stay warm and at a steady request shape a
 /// score call allocates only its response-slot `Arc`, the same
 /// discipline as the lookup batch path's
 /// [`EmbedBatch`](crate::EmbedBatch).

@@ -26,7 +26,7 @@ use super::{InferBackend, InferScratch};
 ///
 /// Per request: N item ids in, K scores out, where K is the head's
 /// final dense width (1 for a pointwise ranker). All intermediates live
-/// in the worker's [`InferScratch`], so steady-state scoring allocates
+/// in the shard's [`InferScratch`], so steady-state scoring allocates
 /// nothing per call.
 #[derive(Debug)]
 pub struct RankNetBackend {

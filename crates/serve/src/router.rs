@@ -1,10 +1,10 @@
 //! Multi-model routing: one set of shard workers, many named models.
 //!
-//! The [`Router`] owns the serving machinery — per-shard bounded queues
-//! and worker threads — while a registry maps model names to
+//! The [`Router`] owns the serving machinery — per-shard bounded queues,
+//! serve turns and worker threads — while a registry maps model names to
 //! [`ShardedStore`] snapshots. Registering a model costs nothing at the
 //! worker level: every request captures an `Arc` of its model's current
-//! store at enqueue time, so workers are stateless dispatchers and a
+//! store at enqueue time, so serving threads are stateless dispatchers and a
 //! [`swap`](Router::swap) is a single atomic `Arc` flip. In-flight
 //! requests finish against the snapshot they were routed to; the next
 //! request sees the new table — online refresh without stopping traffic.
@@ -14,12 +14,19 @@
 //! through a [`SlabSlot`], so no call performs per-row heap allocation
 //! at a steady shape. Every call is one [`RouterHandle::submit`] of a
 //! [`RequestKind`] — a lookup or a score — and so exactly one such
-//! request on its first id's shard; the worker that pops it fills it
+//! request on its first id's shard; the thread that serves it fills it
 //! with one [`InferBackend::score_into`] call, reading rows from
 //! whichever shards own them: a lookup carries the router's
-//! [`LookupBackend`], a score its model's bound backend. Validation,
-//! `issued` counting, admission, deadlines, buffer round-trips and the
-//! worker's serve loop are written once, in `submit` and `serve_batch`.
+//! [`LookupBackend`], a score its model's bound backend.
+//!
+//! A shard is served by one thread at a time, the holder of its queue's
+//! [`Turn`]: a `submit` whose push finds the shard idle serves the batch
+//! holding its own request on its own thread, so an uncontended call
+//! makes no thread hand-off; requests that queue while a turn is out go
+//! to the shard's worker, which serves the backlog in micro-batches.
+//! Validation, `issued` counting, admission, deadlines, buffer
+//! round-trips and serving are written once, in `submit`, `serve_turn`
+//! and `serve_batch`, whichever thread serves.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,7 +37,7 @@ use std::time::{Duration, Instant};
 use memcom_ondevice::engine::RunStats;
 use parking_lot::RwLock;
 
-use crate::batcher::{FlushReason, PushError, ShardQueue, SlabOutcome, SlabSlot};
+use crate::batcher::{FlushReason, PushError, ShardQueue, SlabOutcome, SlabSlot, Turn};
 use crate::config::AdmissionPolicy;
 use crate::infer::{
     BackendRegistry, InferBackend, InferScratch, LookupBackend, ScoreBatch, LOOKUP_BACKEND,
@@ -342,9 +349,30 @@ pub(crate) struct Request {
     pub(crate) span: Option<PendingSpan>,
 }
 
+/// One shard: its bounded queue and the scratch whoever holds the
+/// queue's [`Turn`] serves with — its worker or a caller that found it
+/// idle.
+#[derive(Debug)]
+struct Shard {
+    queue: ShardQueue<Request>,
+    /// Locked only by the turn holder, so never contended; a caller's
+    /// turn reuses the worker's buffers and allocates nothing.
+    scratch: parking_lot::Mutex<ServeScratch>,
+}
+
+/// Reusable serve buffers: the popped batch, its panic-blanket slot list
+/// (refilled per batch), and the inference-backend scratch — serving
+/// allocates nothing per batch at a steady shape.
+#[derive(Debug, Default)]
+struct ServeScratch {
+    batch: Vec<Request>,
+    slots: Vec<Arc<SlabSlot>>,
+    infer: InferScratch,
+}
+
 #[derive(Debug)]
 struct RouterInner {
-    queues: Vec<ShardQueue<Request>>,
+    shards: Vec<Shard>,
     batch: BatchCounters,
     models: RwLock<HashMap<String, Arc<ModelEntry>>>,
     backends: BackendRegistry,
@@ -387,7 +415,8 @@ impl RouterInner {
     /// Enqueues `request` on `shard` under the configured admission
     /// policy: [`AdmissionPolicy::Block`] waits for queue space,
     /// [`AdmissionPolicy::Shed`] waits at most `enqueue_timeout` and
-    /// then sheds. A rejected request is handed back alongside the
+    /// then sheds. Returns the shard's [`Turn`] when nobody was serving
+    /// it. A rejected request is handed back alongside the
     /// error so the caller can salvage the buffers it owns — that
     /// hand-back (not an oversight) is what makes the Err variant
     /// large, and it only travels one internal frame.
@@ -396,7 +425,7 @@ impl RouterInner {
         &self,
         shard: usize,
         request: Request,
-    ) -> std::result::Result<(), (ServeError, Request)> {
+    ) -> std::result::Result<Option<Turn<'_, Request>>, (ServeError, Request)> {
         // memcom-lint: hot-path
         // Admission wait is timed from a fresh stamp here, so it holds
         // the push alone.
@@ -407,14 +436,14 @@ impl RouterInner {
                 enqueue_timeout, ..
             } => Some(enqueue_timeout),
         };
-        let outcome = self.queues[shard].push(request, wait);
+        let outcome = self.shards[shard].queue.push(request, wait);
         if let Some(t0) = admit_t0 {
             self.telemetry
                 .shard(shard)
                 .record_admission_wait(t0.elapsed().as_nanos() as u64);
         }
         match outcome {
-            Ok(()) => Ok(()),
+            Ok(turn) => Ok(turn),
             Err(PushError::Closed(request)) => Err((ServeError::ShuttingDown, request)),
             Err(PushError::Full(request)) => {
                 request
@@ -449,7 +478,9 @@ impl RouterInner {
                 };
                 // Queue depth ÷ calibrated shard capacity: how long the
                 // backlog ahead of a retry needs to drain.
-                let retry_after = self.config.suggested_backoff(self.queues[shard].depth());
+                let retry_after = self
+                    .config
+                    .suggested_backoff(self.shards[shard].queue.depth());
                 Err((
                     ServeError::Overloaded {
                         waited,
@@ -518,12 +549,15 @@ impl Router {
     /// unconditional, callers cannot skip validation.
     pub fn start(config: ServeConfig) -> Result<Self> {
         config.validate()?;
-        let queues = (0..config.n_shards)
-            .map(|_| ShardQueue::new(config.queue_depth))
+        let shards = (0..config.n_shards)
+            .map(|_| Shard {
+                queue: ShardQueue::new(config.queue_depth),
+                scratch: parking_lot::Mutex::new(ServeScratch::default()),
+            })
             .collect();
         let telemetry = MetricsRegistry::new(&config.telemetry, config.n_shards);
         let inner = Arc::new(RouterInner {
-            queues,
+            shards,
             batch: BatchCounters::default(),
             models: RwLock::new(HashMap::new()),
             backends: BackendRegistry::new(),
@@ -844,7 +878,8 @@ impl Router {
 
     /// Stops accepting requests, drains every queue (in-flight requests
     /// of **all** models are answered, none dropped or misrouted), joins
-    /// the workers, and returns final per-model statistics sorted by
+    /// the workers — each exits only once no caller's serve turn is out
+    /// on its shard — and returns final per-model statistics sorted by
     /// name.
     pub fn shutdown(mut self) -> Vec<(String, ServeStats)> {
         self.shutdown_in_place();
@@ -858,8 +893,8 @@ impl Router {
     }
 
     fn shutdown_in_place(&mut self) {
-        for queue in &self.inner.queues {
-            queue.close();
+        for shard in &self.inner.shards {
+            shard.queue.close();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -1012,8 +1047,8 @@ impl RouterHandle {
     /// [`LookupBackend`] for a lookup, the model's bound backend for a
     /// score — and `out` is resized to what that backend writes for
     /// `ids`. Both buffers ride one `Request` on the first id's shard —
-    /// the worker that pops it reads rows from every shard (the store is
-    /// thread-safe) — and come back as the served, shed or failed
+    /// the thread that serves it reads rows from every shard (the store
+    /// is thread-safe) — and come back as the served, shed or failed
     /// request's buffers, so the caller's next call reuses them. An
     /// empty lookup answers `Ok` without enqueuing; a score needs at
     /// least one id.
@@ -1090,11 +1125,16 @@ impl RouterHandle {
             ),
             span: self.inner.telemetry.sample(),
         };
-        if let Err((e, rejected)) = self.inner.admit(shard, request) {
-            // A shed (or shutdown-rejected) request comes back whole —
-            // keep its buffers so the shedding hot path allocates nothing.
-            (*ids, *out) = (rejected.ids, rejected.out);
-            return Err(e);
+        match self.inner.admit(shard, request) {
+            // The shard was idle: serve it here, no worker round trip.
+            Ok(Some(turn)) => serve_turn(&self.inner, shard, turn),
+            Ok(None) => {}
+            Err((e, rejected)) => {
+                // A shed (or shutdown-rejected) request comes back whole —
+                // keep its buffers so the shedding hot path allocates nothing.
+                (*ids, *out) = (rejected.ids, rejected.out);
+                return Err(e);
+            }
         }
         // A worker-lost blanket returns empty buffers (the real ones died
         // with the panicking batch); the next call regrows them.
@@ -1106,29 +1146,39 @@ impl RouterHandle {
 }
 
 fn worker_loop(inner: &RouterInner, shard_idx: usize) {
-    let (queue, max_batch) = (&inner.queues[shard_idx], inner.config.max_batch);
-    // Reusable scratch: the popped batch, its panic-blanket slot list
-    // (refilled per flush), and the inference-backend scratch — the
-    // worker allocates nothing per batch at a steady shape.
-    let mut batch: Vec<Request> = Vec::new();
-    let mut slots: Vec<Arc<SlabSlot>> = Vec::new();
-    let mut infer_scratch = InferScratch::new();
-    while let Some(reason) = queue.pop_batch_into(&mut batch, max_batch) {
-        // A panic while serving must not strand blocked requesters: keep
-        // the slots, answer `WorkerLost` to any left unfilled (fill is
-        // first-write-wins), and keep the worker alive for later batches.
-        slots.clear();
-        slots.extend(batch.iter().map(|request| Arc::clone(&request.slot)));
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_batch(inner, shard_idx, &mut batch, reason, &mut infer_scratch);
-        }));
-        if outcome.is_err() {
-            for slot in &slots {
-                slot.fail(ServeError::WorkerLost);
-            }
-            batch.clear();
-        }
+    while let Some(turn) = inner.shards[shard_idx].queue.next_turn() {
+        serve_turn(inner, shard_idx, turn);
     }
+}
+
+/// The one serving function, for the worker and for a caller that found
+/// its shard idle alike: takes one batch with `turn` and serves it with
+/// the shard's scratch. A panic while serving must not strand blocked
+/// requesters: the batch's slots are kept, any left unfilled are
+/// answered `WorkerLost` (fill is first-write-wins), and the thread
+/// carries on — a worker to its next turn, a caller to its own reply.
+fn serve_turn(inner: &RouterInner, shard_idx: usize, mut turn: Turn<'_, Request>) {
+    let mut scratch = inner.shards[shard_idx].scratch.lock();
+    let ServeScratch {
+        batch,
+        slots,
+        infer,
+    } = &mut *scratch;
+    let reason = turn.pop_batch_into(batch, inner.config.max_batch);
+    slots.extend(batch.iter().map(|request| Arc::clone(&request.slot)));
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        serve_batch(inner, shard_idx, batch, reason, infer);
+    }));
+    if outcome.is_err() {
+        for slot in slots.iter() {
+            slot.fail(ServeError::WorkerLost);
+        }
+        batch.clear();
+    }
+    slots.clear();
+    // The scratch is free before the turn ends and the next holder locks it.
+    drop(scratch);
+    drop(turn);
 }
 
 // memcom-lint: hot-path
@@ -1311,7 +1361,8 @@ mod tests {
 
         // Hand-craft a poisoned request: 2 ids but a 1-value slab.
         let slot = Arc::new(SlabSlot::new());
-        router.inner.queues[0]
+        router.inner.shards[0]
+            .queue
             .push(
                 Request {
                     ids: vec![0, 1],

@@ -8,14 +8,15 @@
 //! caller; and the per-lookup telemetry must stay exact while scores on
 //! other workers read through the same shard.
 
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig, MethodSpec};
 use memcom_models::{ModelConfig, RecModel};
 use memcom_serve::{
-    Dtype, EmbedBatch, InferBackend, InferScratch, RankNetBackend, Router, ScoreBatch, ServeConfig,
-    ServeError, ShardedStore, TelemetryConfig,
+    AdmissionPolicy, Dtype, EmbedBatch, InferBackend, InferScratch, LookupBackend, RankNetBackend,
+    Router, ScoreBatch, ServeConfig, ServeError, ShardedStore, TelemetryConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -230,4 +231,219 @@ fn decode_rows_count_lookups_only_under_mixed_traffic() {
     let stats = router.stats("rows").unwrap();
     assert_eq!(stats.requests, (THREADS * CALLS * IDS) as u64);
     router.shutdown();
+}
+
+/// One id in this many makes [`FaultyRows`] panic.
+const PANIC_EVERY: usize = 50;
+
+/// The id [`FaultyRows`] holds its serving thread on before panicking.
+const HELD: usize = 0;
+
+/// Scores like a lookup, but panics on a request holding an id divisible
+/// by [`PANIC_EVERY`] — on [`HELD`] only once the test releases it.
+#[derive(Debug)]
+struct FaultyRows {
+    entered: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl InferBackend for FaultyRows {
+    fn out_len(&self, n_ids: usize, store: &ShardedStore) -> usize {
+        LookupBackend.out_len(n_ids, store)
+    }
+
+    fn check_store(&self, store: &ShardedStore) -> memcom_serve::Result<()> {
+        LookupBackend.check_store(store)
+    }
+
+    fn score_into(
+        &self,
+        store: &ShardedStore,
+        ids: &[usize],
+        scratch: &mut InferScratch,
+        out: &mut [f32],
+    ) -> memcom_serve::Result<()> {
+        if ids.contains(&HELD) {
+            self.entered.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+        if ids.iter().any(|id| id % PANIC_EVERY == 0) {
+            panic!("injected backend fault");
+        }
+        LookupBackend.score_into(store, ids, scratch, out)
+    }
+}
+
+/// Client-side tallies of one thread's calls.
+#[derive(Debug, Default)]
+struct Tally {
+    ok_rows: u64,
+    shed_rows: u64,
+    faulty_calls: u64,
+    faulty_lost: u64,
+    healthy_lost: u64,
+}
+
+/// Hand-offs between submitting threads and the shard worker under
+/// faults: on one shard behind a depth-8 shedding queue, a panicking
+/// caller's turn leaves what queued behind it to the worker; 8 threads ×
+/// 300 submits each get one answer — the compressor's bits, `WorkerLost`
+/// or `Overloaded` — that the router's counters agree with; and a
+/// shutdown racing live submitters returns promptly.
+#[test]
+fn hand_offs_under_faults_answer_every_call_once() {
+    const THREADS: usize = 8;
+    const CALLS: usize = 300;
+    const VOCAB: usize = 1_000;
+    const MAX_BATCH: u64 = 4;
+    let emb = Arc::new(memcom(4, VOCAB));
+    let (entered, entered_rx) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let router = Router::start(ServeConfig {
+        n_shards: 1,
+        max_batch: MAX_BATCH as usize,
+        queue_depth: 8,
+        admission: AdmissionPolicy::Shed {
+            enqueue_timeout: Duration::ZERO,
+            request_deadline: None,
+        },
+        telemetry: TelemetryConfig::full(1.0),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    router
+        .backends()
+        .register(
+            "faulty",
+            Arc::new(FaultyRows {
+                entered: Mutex::new(entered),
+                release: Mutex::new(release_rx),
+            }),
+        )
+        .unwrap();
+    router
+        .register_with_backend("rows", emb.as_ref(), Dtype::F32, "faulty")
+        .unwrap();
+    let handle = router.handle("rows").unwrap();
+
+    // A caller whose turn panics answers itself `WorkerLost`; the request
+    // that queued behind the turn is the worker's, and is served.
+    let admitted = || router.metrics().stages[0].admission_wait.count();
+    std::thread::scope(|scope| {
+        let holder = scope.spawn(|| handle.score(&[HELD]));
+        entered_rx.recv().unwrap();
+        let before = admitted();
+        let queued = scope.spawn(|| handle.score(&[7, 8]));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while admitted() == before {
+            assert!(Instant::now() < deadline, "the second request never queued");
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        assert!(matches!(
+            holder.join().unwrap(),
+            Err(ServeError::WorkerLost)
+        ));
+        let want = bits(emb.lookup(&[7, 8]).unwrap().as_slice());
+        assert_eq!(bits(&queued.join().unwrap().unwrap()), want);
+    });
+
+    // The bulk, on unscoped threads: a stranded call fails the bounded
+    // wait below instead of hanging the test.
+    let before = handle.stats();
+    let (done, results) = mpsc::channel();
+    let mut clients = Vec::new();
+    for t in 0..THREADS {
+        let (handle, emb, done) = (handle.clone(), Arc::clone(&emb), done.clone());
+        clients.push(std::thread::spawn(move || {
+            let mut tally = Tally::default();
+            let mut batch = ScoreBatch::new();
+            for call in 0..CALLS {
+                let first = 1 + (t * 389 + call * 97) % (VOCAB - 3);
+                let ids: Vec<usize> = (first..first + 1 + call % 3).collect();
+                let faulty = ids.iter().any(|id| id % PANIC_EVERY == 0);
+                tally.faulty_calls += u64::from(faulty);
+                match handle.score_batch_into(&ids, &mut batch) {
+                    Ok(()) => {
+                        assert!(!faulty, "a faulty call {ids:?} was served");
+                        let want = bits(emb.lookup(&ids).unwrap().as_slice());
+                        assert_eq!(bits(batch.scores()), want, "{ids:?}");
+                        tally.ok_rows += ids.len() as u64;
+                    }
+                    Err(ServeError::WorkerLost) if faulty => tally.faulty_lost += 1,
+                    Err(ServeError::WorkerLost) => tally.healthy_lost += 1,
+                    Err(ServeError::Overloaded { .. }) => tally.shed_rows += ids.len() as u64,
+                    Err(other) => panic!("{ids:?}: unexpected {other:?}"),
+                }
+            }
+            done.send(tally).unwrap();
+        }));
+    }
+    drop(done);
+    let mut total = Tally::default();
+    loop {
+        let tally = match results.recv_timeout(Duration::from_secs(60)) {
+            Ok(tally) => tally,
+            // Every client finished (a panicking one surfaces at its join).
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("a call was never answered"),
+        };
+        total.ok_rows += tally.ok_rows;
+        total.shed_rows += tally.shed_rows;
+        total.faulty_calls += tally.faulty_calls;
+        total.faulty_lost += tally.faulty_lost;
+        total.healthy_lost += tally.healthy_lost;
+    }
+    for client in clients {
+        client.join().unwrap();
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.requests - before.requests, total.ok_rows, "{total:?}");
+    assert_eq!(stats.shed - before.shed, total.shed_rows, "{total:?}");
+    assert!(stats.issued >= stats.requests + stats.shed + stats.expired);
+    assert!(total.faulty_calls > 0, "the fault was injected");
+    // A panic costs at most the other requests of its own batch.
+    assert!(
+        total.healthy_lost <= (MAX_BATCH - 1) * total.faulty_lost,
+        "{total:?}"
+    );
+
+    // Shutdown while submitters are live: it returns promptly and every
+    // call ends in an answer or a clean rejection.
+    let calls = Arc::new(AtomicUsize::new(0));
+    let live: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (handle, calls) = (handle.clone(), Arc::clone(&calls));
+            std::thread::spawn(move || {
+                for call in 0.. {
+                    let id = 1 + (t * 389 + call * 97) % (VOCAB - 1);
+                    match handle.score(&[id]) {
+                        Err(ServeError::ShuttingDown) => return,
+                        Ok(_)
+                        | Err(ServeError::WorkerLost)
+                        | Err(ServeError::Overloaded { .. }) => {}
+                        Err(other) => panic!("{id}: unexpected {other:?}"),
+                    }
+                    calls.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while calls.load(Ordering::Relaxed) < 200 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let t0 = Instant::now();
+    let stats = router.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(10), "shutdown took {took:?}");
+    for thread in live {
+        thread.join().unwrap();
+    }
+    for (name, stats) in stats {
+        assert!(
+            stats.issued >= stats.requests + stats.shed + stats.expired,
+            "{name}: {stats:?}"
+        );
+    }
 }

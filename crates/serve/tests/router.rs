@@ -2,10 +2,14 @@
 //! swaps under concurrent traffic, and drain semantics across models.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use memcom_core::{EmbeddingCompressor, FullEmbedding, MemCom, MemComConfig};
-use memcom_serve::{EmbedBatch, Router, ServeConfig, ServeError, ShardedStore, DEFAULT_MODEL};
+use memcom_serve::{
+    Dtype, EmbedBatch, InferBackend, InferScratch, LookupBackend, Router, ServeConfig, ServeError,
+    ShardedStore, TelemetryConfig, DEFAULT_MODEL,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -313,4 +317,143 @@ fn deregister_one_model_leaves_the_other_serving() {
         );
     }
     assert_eq!(router.model_names(), vec!["b".to_string()]);
+}
+
+/// The id [`ThreadRecorder`] holds its serving thread on.
+const HELD: usize = 0;
+
+/// Scores like a lookup, records the name of the thread that served each
+/// request, and holds the serving thread on [`HELD`] until released.
+#[derive(Debug)]
+struct ThreadRecorder {
+    served_on: Mutex<Vec<(usize, String)>>,
+    entered: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl InferBackend for ThreadRecorder {
+    fn out_len(&self, n_ids: usize, store: &ShardedStore) -> usize {
+        LookupBackend.out_len(n_ids, store)
+    }
+
+    fn check_store(&self, store: &ShardedStore) -> memcom_serve::Result<()> {
+        LookupBackend.check_store(store)
+    }
+
+    fn score_into(
+        &self,
+        store: &ShardedStore,
+        ids: &[usize],
+        scratch: &mut InferScratch,
+        out: &mut [f32],
+    ) -> memcom_serve::Result<()> {
+        let thread = std::thread::current().name().unwrap_or("").to_string();
+        self.served_on.lock().unwrap().push((ids[0], thread));
+        if ids[0] == HELD {
+            self.entered.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+        LookupBackend.score_into(store, ids, scratch, out)
+    }
+}
+
+/// Polls until `done` holds, failing the test after 10 s.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// An idle shard is served on the thread that submitted to it, not on
+/// its worker. While that turn is held, later requests queue; when it
+/// ends, the shard's worker serves them — the burst as one batch.
+#[test]
+fn an_idle_shard_is_served_on_the_callers_thread() {
+    let emb = memcom(50);
+    let (entered, entered_rx) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let recorder = Arc::new(ThreadRecorder {
+        served_on: Mutex::new(Vec::new()),
+        entered: Mutex::new(entered),
+        release: Mutex::new(release_rx),
+    });
+    let router = Router::start(ServeConfig {
+        n_shards: 1,
+        max_batch: 16,
+        telemetry: TelemetryConfig::full(1.0),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    router
+        .backends()
+        .register("recorder", Arc::clone(&recorder) as Arc<dyn InferBackend>)
+        .unwrap();
+    router
+        .register_with_backend(DEFAULT_MODEL, &emb, Dtype::F32, "recorder")
+        .unwrap();
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
+    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let score = |id: usize| {
+        let got = handle.score(&[id]).unwrap();
+        assert_eq!(
+            bits(&got),
+            bits(emb.lookup(&[id]).unwrap().as_slice()),
+            "id {id}"
+        );
+    };
+    let served_on = |id: usize| -> Vec<String> {
+        let served = recorder.served_on.lock().unwrap();
+        served
+            .iter()
+            .filter(|(i, _)| *i == id)
+            .map(|(_, t)| t.clone())
+            .collect()
+    };
+    // Admission waits are recorded once a push has landed.
+    let admitted = || router.metrics().stages[0].admission_wait.count();
+    let named = |name: &str| std::thread::Builder::new().name(name.to_string());
+
+    std::thread::scope(|scope| {
+        named("caller")
+            .spawn_scoped(scope, || score(1))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(
+            served_on(1),
+            ["caller"],
+            "an idle shard serves on its caller"
+        );
+
+        let holder = named("holder").spawn_scoped(scope, || score(HELD)).unwrap();
+        entered_rx.recv().unwrap();
+        let before = admitted();
+        let queued: Vec<_> = (2..7)
+            .map(|id| named(&format!("queued-{id}")).spawn_scoped(scope, move || score(id)))
+            .collect::<std::io::Result<_>>()
+            .unwrap();
+        wait_until("the burst to queue", || {
+            admitted() == before + queued.len() as u64
+        });
+        release.send(()).unwrap();
+        holder.join().unwrap();
+        for thread in queued {
+            thread.join().unwrap();
+        }
+    });
+    assert_eq!(served_on(HELD), ["holder"]);
+    for id in 2..7 {
+        assert_eq!(
+            served_on(id),
+            ["memcom-serve-0"],
+            "id {id} queued behind a held turn"
+        );
+    }
+    assert!(
+        handle.stats().max_batch_observed >= 2,
+        "the burst behind the held turn coalesced: {:?}",
+        handle.stats()
+    );
 }
