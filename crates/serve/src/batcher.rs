@@ -8,11 +8,11 @@
 //! a shard that is being served wakes nobody either: the turn holder
 //! re-checks the queue as its turn ends and, if requests arrived in the
 //! meantime, hands them to the worker ([`ShardQueue::next_turn`]) and
-//! wakes it. The worker keeps the turn while a backlog lasts, and pushes
-//! queue behind it: requests that overlap in time batch as they did when
-//! the worker served every request, while requests that never overlap —
-//! one client, or clients the scheduler runs one after another — are
-//! each served on their own thread, in batches of one.
+//! wakes it; a producer that drops its turn unused hands its own request
+//! over the same way. The worker keeps the turn while a backlog lasts,
+//! and pushes queue behind it: requests that overlap in time batch as
+//! they did when the worker served every request, while a request that
+//! overlaps with none is served on its own thread, in a batch of one.
 //!
 //! Serving is work-conserving: a turn takes up to `max_batch` of
 //! whatever is already queued and serves at once — it never holds a
