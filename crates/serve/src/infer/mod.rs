@@ -210,9 +210,9 @@ impl InferScratch {
 /// ([`RouterHandle::score_batch_into`](crate::RouterHandle::score_batch_into)).
 ///
 /// The request carries this batch's own id and score buffers to the
-/// thread serving its shard and back, so they stay warm and at a steady request shape a
-/// score call allocates only its response-slot `Arc`, the same
-/// discipline as the lookup batch path's
+/// thread serving its shard and back, so they stay warm and at a steady
+/// request shape a score call allocates only its response-slot `Arc`,
+/// the same discipline as the lookup batch path's
 /// [`EmbedBatch`](crate::EmbedBatch).
 #[derive(Debug, Default)]
 pub struct ScoreBatch {
