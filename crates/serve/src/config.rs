@@ -151,9 +151,9 @@ impl TelemetryConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of shards: one queue, one serve turn and one worker thread
-    /// per shard. A request pushed onto an idle shard, with no other
-    /// request in flight on it, is served on the submitting thread; the
-    /// worker serves what queues while the shard is busy.
+    /// per shard. A request pushed onto an idle shard is served on the
+    /// submitting thread; the worker serves what queues while the shard
+    /// is busy.
     pub n_shards: usize,
     /// Most queued requests one serve turn takes into a batch.
     pub max_batch: usize,

@@ -27,7 +27,7 @@
 //!   coalesce concurrent requests into micro-batches (a serve turn takes
 //!   up to `max_batch` of whatever is queued and never waits for more;
 //!   a push onto an idle shard hands its producer the turn, so a
-//!   request with no company in flight is served on the submitting
+//!   request that finds its shard idle is served on the submitting
 //!   thread),
 //!   answered through [`batcher::SlabSlot`], a first-write-wins
 //!   [`ReplySlot`] that round-trips the request buffers. Overload

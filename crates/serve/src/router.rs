@@ -20,18 +20,18 @@
 //! [`LookupBackend`], a score its model's bound backend.
 //!
 //! A shard is served by one thread at a time, the holder of its queue's
-//! [`Turn`]: a `submit` whose push finds the shard idle, with no other
-//! submitter in flight on it, serves the batch holding its own request
-//! on its own thread, so an uncontended call makes no thread hand-off;
-//! requests that queue while a turn is out, or that have company in
-//! flight, go to the shard's worker, which serves the backlog in
+//! [`Turn`]: a `submit` whose push finds the shard idle yields the CPU
+//! once, so that runnable threads may push behind its turn, then serves
+//! the batch holding its own request on its own thread, so an
+//! uncontended call makes no thread hand-off; requests that queue while
+//! a turn is out go to the shard's worker, which serves the backlog in
 //! micro-batches.
 //! Validation, `issued` counting, admission, deadlines, buffer
 //! round-trips and serving are written once, in `submit`, `serve_turn`
 //! and `serve_batch`, whichever thread serves.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -357,11 +357,6 @@ pub(crate) struct Request {
 #[derive(Debug)]
 struct Shard {
     queue: ShardQueue<Request>,
-    /// Submitters between choosing this shard and taking their reply. A
-    /// caller serves an idle shard itself only when it is alone here;
-    /// with company, the worker serves, so requests in flight together
-    /// batch even when the scheduler runs their threads one at a time.
-    in_flight: AtomicUsize,
     /// Locked only by the turn holder, so never contended; a caller's
     /// turn reuses the worker's buffers and allocates nothing.
     scratch: parking_lot::Mutex<ServeScratch>,
@@ -559,7 +554,6 @@ impl Router {
         let shards = (0..config.n_shards)
             .map(|_| Shard {
                 queue: ShardQueue::new(config.queue_depth),
-                in_flight: AtomicUsize::new(0),
                 scratch: parking_lot::Mutex::new(ServeScratch::default()),
             })
             .collect();
@@ -1117,10 +1111,6 @@ impl RouterHandle {
             .issued
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
         let shard = store.shard_of(first);
-        let in_flight = &self.inner.shards[shard].in_flight;
-        // ORDERING: Relaxed — the count publishes no data; it only picks
-        // which thread serves, and either choice serves correctly.
-        let alone = in_flight.fetch_add(1, Ordering::Relaxed) == 0;
         let slot = Arc::new(SlabSlot::new());
         let request = Request {
             ids: std::mem::take(ids),
@@ -1138,13 +1128,17 @@ impl RouterHandle {
             span: self.inner.telemetry.sample(),
         };
         match self.inner.admit(shard, request) {
-            // The shard was idle and no one else is on it: serve it here,
-            // no worker round trip.
-            Ok(Some(turn)) if alone => serve_turn(&self.inner, shard, turn),
-            // Dropping an unused turn hands the request to the worker.
-            Ok(turn) => drop(turn),
+            // The shard was idle: serve it here, no worker round trip.
+            // Yield once first, so that threads a busy CPU runs one after
+            // another still push behind this turn and batch with it; with
+            // nothing else runnable the yield returns at once.
+            Ok(Some(turn)) => {
+                std::thread::yield_now();
+                serve_turn(&self.inner, shard, turn);
+            }
+            // The shard is being served: its worker serves this request.
+            Ok(None) => {}
             Err((e, rejected)) => {
-                in_flight.fetch_sub(1, Ordering::Relaxed);
                 // A shed (or shutdown-rejected) request comes back whole —
                 // keep its buffers so the shedding hot path allocates nothing.
                 (*ids, *out) = (rejected.ids, rejected.out);
@@ -1154,7 +1148,6 @@ impl RouterHandle {
         // A worker-lost blanket returns empty buffers (the real ones died
         // with the panicking batch); the next call regrows them.
         let outcome = slot.wait();
-        in_flight.fetch_sub(1, Ordering::Relaxed);
         (*ids, *out) = (outcome.ids, outcome.out);
         outcome.result.map(|()| width)
     }
