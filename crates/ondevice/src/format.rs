@@ -42,7 +42,7 @@ use memcom_core::EmbeddingCompressor;
 use memcom_nn::{BatchNorm1d, Dense, Sequential};
 use memcom_tensor::Tensor;
 
-use crate::quant::{Dtype, QuantizedTable};
+use crate::quant::{quantize_rows, Dtype};
 use crate::{OnDeviceError, Result};
 
 /// File magic: `MEMC`.
@@ -179,13 +179,27 @@ impl Writer {
         }
         Ok(())
     }
+    /// Writes one table, quantized to `dtype` straight into the file
+    /// (a rank-1 tensor is one row).
     fn table(&mut self, t: &Tensor, dtype: Dtype) -> Result<()> {
-        let q = QuantizedTable::quantize(t, dtype)?;
+        let (rows, cols) = match *t.shape().dims() {
+            [cols] => (1, cols),
+            [rows, cols] => (rows, cols),
+            ref dims => {
+                return Err(OnDeviceError::Unsupported {
+                    context: format!("cannot serialize rank-{} tensor", dims.len()),
+                })
+            }
+        };
         self.u8(dtype.tag());
-        self.u64(q.rows as u64);
-        self.u64(q.cols as u64);
-        self.f32(q.scale);
-        self.buf.extend_from_slice(&q.data);
+        self.u64(rows as u64);
+        self.u64(cols as u64);
+        let scale_at = self.buf.len();
+        let payload_at = scale_at + 4;
+        self.buf
+            .resize(payload_at + rows * dtype.row_bytes(cols), 0);
+        let scale = quantize_rows(t.as_slice(), rows, cols, dtype, &mut self.buf[payload_at..]);
+        self.buf[scale_at..payload_at].copy_from_slice(&scale.to_le_bytes());
         Ok(())
     }
 }
@@ -543,6 +557,21 @@ mod tests {
     }
 
     #[test]
+    fn rank1_treated_as_single_row() {
+        let mut w = Writer { buf: Vec::new() };
+        let t = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]).unwrap();
+        w.table(&t, Dtype::F32).unwrap();
+        let mut r = Reader {
+            buf: &w.buf,
+            pos: 0,
+            tables: 0,
+        };
+        let meta = r.table_meta("rank-1").unwrap();
+        assert_eq!((meta.rows, meta.cols), (1, 3));
+        assert!(w.table(&Tensor::zeros(&[2, 2, 2]), Dtype::F32).is_err());
+    }
+
+    #[test]
     fn quantized_file_is_smaller() {
         let mut rng = StdRng::seed_from_u64(0);
         let emb = FullEmbedding::new(1000, 32, &mut rng).unwrap();
@@ -574,6 +603,184 @@ mod tests {
         assert!(
             OnDeviceModel::serialize(&emb, &tiny_head(4, 2), u32::MAX as usize, Dtype::F32).is_ok()
         );
+    }
+
+    /// FNV-1a-64 of a byte string.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    const DTYPES: [Dtype; 5] = [
+        Dtype::F32,
+        Dtype::F16,
+        Dtype::Int8,
+        Dtype::Int4,
+        Dtype::Int2,
+    ];
+
+    /// The Code-1 head with batch-norm statistics a trained model has and
+    /// a seeded dense layer, so every head table carries real values.
+    fn pinned_head(e: usize) -> Sequential {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut stat = |low, high| Tensor::rand_uniform(&[e], low, high, &mut rng);
+        let (gamma, beta) = (stat(0.5, 1.5), stat(-0.5, 0.5));
+        let (mean, var) = (stat(-1.0, 1.0), stat(0.5, 2.0));
+        let mut bn = BatchNorm1d::new(e);
+        bn.set_state(gamma, beta, mean, var).unwrap();
+        let mut head = Sequential::new();
+        head.push(AveragePool1d::new());
+        head.push(Relu::new());
+        head.push(bn);
+        head.push(Dense::new(e, 3, &mut rng));
+        head
+    }
+
+    /// FNV-1a-64 of the serialized file of every `MethodSpec` (rows, in
+    /// the test's order) at every dtype (`DTYPES` order). Re-record only
+    /// for an intended format change: a refactor of the writer or the
+    /// quantizer must leave every byte.
+    const FILE_PINS: [[u64; 5]; 11] = [
+        [
+            0x11b023ef6e109f62,
+            0x1cba82c996711726,
+            0xf17ce9c6e62a9ea6,
+            0x55083e5dac9d2a4a,
+            0xb8a55e1129c883d0,
+        ],
+        [
+            0x54f139414239c8e1,
+            0x65673d9c95a90c8b,
+            0x9bfd9edd1c787eec,
+            0x220933930041ef27,
+            0x5bfb41035ec70044,
+        ],
+        [
+            0x4472be16dd239e1d,
+            0xb9ef00a9651f5474,
+            0x5e1a5dc761c03a7c,
+            0xbba766c807751900,
+            0x16fc3491040e0b63,
+        ],
+        [
+            0xc1f71a2d1ab4d80c,
+            0xbca61a0bf857370b,
+            0xb4c6643e5405b357,
+            0x2b89f18e431c4235,
+            0x137e56a831ceed09,
+        ],
+        [
+            0xbe84785f76e7c049,
+            0x553c6b1ae8748f9a,
+            0x991e93db76a4e5be,
+            0xcfec2a355f71d786,
+            0xf8993f77d148281f,
+        ],
+        [
+            0x95a964a0e51e9afd,
+            0x25594b32ee796be8,
+            0xdeecbdd68eee287e,
+            0x63edacacedc5839c,
+            0xd4d13615786bccf6,
+        ],
+        [
+            0x9ae7b6f63960d9f7,
+            0x640e112ee15073ed,
+            0xfa5a8366663f9d47,
+            0x43d3e276c97b6b3c,
+            0x7ddc3406183933c9,
+        ],
+        [
+            0x0d4a6a6e1a8243fd,
+            0x20e2046684af4fa6,
+            0x641be469f353e29f,
+            0x2860f3378eebbd27,
+            0x972f62b3ceee011c,
+        ],
+        [
+            0x597f450ed77e74db,
+            0xd4daf6076a1f3d6a,
+            0x2440bc133a1a2706,
+            0x1dd93a87e78d2d0f,
+            0x214ba0b9099d4ae6,
+        ],
+        [
+            0xe057325647dd787e,
+            0x05f32853f311b43a,
+            0x604f46f4d45a4125,
+            0x3dd1a6560bd1d405,
+            0xc1de23f5ca324c7a,
+        ],
+        [
+            0x7e5a4597a9399dbc,
+            0x8c9be38d2ac76f30,
+            0xb1064a72a8e424db,
+            0x594aa8ec2109ee67,
+            0x1797d215e28cb0a2,
+        ],
+    ];
+    /// The same for one table holding NaN and ±inf, at each lossy dtype:
+    /// the file's sanitize path (NaN → 0, ±inf → the table's signed
+    /// largest finite magnitude).
+    const NON_FINITE_PINS: [u64; 4] = [
+        0xb785214b47816737,
+        0x3cd7e91b9ee6b424,
+        0xa00f0b75ebe732ce,
+        0x2d8368574df9d32e,
+    ];
+
+    #[test]
+    fn serialized_bytes_are_pinned() {
+        use memcom_core::{MethodSpec, QrCombiner};
+        let specs = [
+            MethodSpec::Uncompressed,
+            MethodSpec::MemCom {
+                hash_size: 10,
+                bias: true,
+            },
+            MethodSpec::MemCom {
+                hash_size: 10,
+                bias: false,
+            },
+            MethodSpec::NaiveHash { hash_size: 10 },
+            MethodSpec::DoubleHash { hash_size: 10 },
+            MethodSpec::QuotientRemainder {
+                hash_size: 10,
+                combiner: QrCombiner::Multiply,
+            },
+            MethodSpec::QuotientRemainder {
+                hash_size: 10,
+                combiner: QrCombiner::Concat,
+            },
+            MethodSpec::Factorized { hidden: 4 },
+            MethodSpec::ReduceDim { dim: 8 },
+            MethodSpec::TruncateRare { keep: 20 },
+            MethodSpec::WeinbergerOneHot { hash_size: 10 },
+        ];
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut got = Vec::new();
+        for spec in &specs {
+            let emb = spec.build(60, 16, &mut rng).unwrap();
+            let head = pinned_head(emb.output_dim());
+            let hashes = DTYPES.map(|dtype| {
+                fnv1a(&OnDeviceModel::serialize(emb.as_ref(), &head, 4, dtype).unwrap())
+            });
+            got.push(hashes);
+        }
+        let mut emb = FullEmbedding::new(6, 5, &mut rng).unwrap();
+        let mut table = Tensor::rand_uniform(&[6, 5], -2.0, 2.0, &mut rng);
+        let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN];
+        for (i, x) in hostile.into_iter().enumerate() {
+            table.as_mut_slice()[i * 7] = x;
+        }
+        emb.state_mut().tables[0].set_tensor(table).unwrap();
+        let [_, lossy @ ..] = DTYPES;
+        let non_finite = lossy.map(|dtype| {
+            fnv1a(&OnDeviceModel::serialize(&emb, &pinned_head(5), 4, dtype).unwrap())
+        });
+        assert_eq!(got, FILE_PINS);
+        assert_eq!(non_finite, NON_FINITE_PINS);
     }
 
     #[test]

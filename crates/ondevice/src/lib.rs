@@ -54,7 +54,7 @@ pub use engine::{HeadScratch, InferenceSession, RunStats};
 pub use error::OnDeviceError;
 pub use format::{OnDeviceModel, MAGIC};
 pub use pages::PagedTable;
-pub use quant::{decode_row_into, dequant_error_bound, quantize_row, Dtype, QuantizedTable};
+pub use quant::{decode_row_into, dequant_error_bound, quantize_row, Dtype};
 pub use simd::{active_kernel, Kernel};
 pub use tables::EmbeddingTables;
 

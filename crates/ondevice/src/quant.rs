@@ -5,8 +5,6 @@
 //! scheme: symmetric per-tensor linear quantization for integer widths and
 //! IEEE-754 half precision for 16 bits.
 
-use memcom_tensor::Tensor;
-
 use crate::{OnDeviceError, Result};
 
 /// Storage type of a serialized table.
@@ -178,71 +176,6 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// A quantized table: payload bytes plus the affine metadata needed to
-/// reconstruct approximate `f32` values — the model file's table encoding
-/// (one scale per table). A loaded file's rows decode through its
-/// [`EmbeddingTables`](crate::EmbeddingTables) columns, or
-/// [`decode_row_into`] for head tables, at this `scale`; the certified
-/// error of any value is [`dequant_error_bound`] at `scale` and
-/// `max_abs`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedTable {
-    /// Storage type.
-    pub dtype: Dtype,
-    /// Row count.
-    pub rows: usize,
-    /// Column count.
-    pub cols: usize,
-    /// Linear scale (integer dtypes; 1.0 for float dtypes).
-    pub scale: f32,
-    /// Largest *finite* absolute source value (drives the f16 error
-    /// bound; non-finite inputs are sanitized out of lossy encodings).
-    pub max_abs: f32,
-    /// Packed payload (rows are byte-aligned).
-    pub data: Vec<u8>,
-}
-
-impl QuantizedTable {
-    /// Quantizes a rank-2 tensor (rank-1 tensors are treated as one row).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OnDeviceError::Unsupported`] for tensors of rank > 2.
-    pub fn quantize(t: &Tensor, dtype: Dtype) -> Result<Self> {
-        let (rows, cols) = match t.shape().rank() {
-            1 => (1, t.len()),
-            2 => (t.shape().dims()[0], t.shape().dims()[1]),
-            r => {
-                return Err(OnDeviceError::Unsupported {
-                    context: format!("cannot serialize rank-{r} tensor"),
-                })
-            }
-        };
-        let src = t.as_slice();
-        let row_bytes = dtype.row_bytes(cols);
-        let mut data = vec![0u8; rows * row_bytes];
-        let (max_abs, any_non_finite) = finite_max_abs(src);
-        let scale = linear_scale(max_abs, dtype);
-        for r in 0..rows {
-            let row = &src[r * cols..(r + 1) * cols];
-            let out = &mut data[r * row_bytes..(r + 1) * row_bytes];
-            if any_non_finite && dtype != Dtype::F32 {
-                encode_row_map(row, dtype, scale, out, |x| sanitize_non_finite(x, max_abs));
-            } else {
-                encode_row(row, dtype, scale, out);
-            }
-        }
-        Ok(QuantizedTable {
-            dtype,
-            rows,
-            cols,
-            scale,
-            max_abs,
-            data,
-        })
-    }
-}
-
 /// The symmetric linear quantization scale for a source whose *finite*
 /// magnitudes are bounded by `max_abs` (callers sanitize via
 /// [`finite_max_abs`]): one step maps `max_abs` onto the dtype's
@@ -327,49 +260,72 @@ pub fn dequant_error_bound(dtype: Dtype, scale: f32, max_abs: f32) -> f32 {
 
 /// Quantizes one row independently of its table — the per-row-scale
 /// layout the serving store uses — returning the row's linear scale
-/// (`1.0` for float dtypes). `out` must be exactly
-/// [`Dtype::row_bytes`]`(row.len())` long; it is zeroed before the
-/// packed encodings OR into place.
-///
-/// Non-finite inputs are sanitized before any lossy encoding (NaN → 0,
-/// ±inf → the row's largest finite magnitude, signed): the returned
-/// scale is always finite, and [`dequant_error_bound`] at the row's
-/// finite `max_abs` certifies the error *relative to the sanitized
-/// row*. The F32 dtype stays a verbatim bit-exact passthrough.
+/// (`1.0` for float dtypes). It is the one-row case of the encoder a
+/// model file's tables go through, with the same sanitize rule: NaN → 0
+/// and ±inf → the row's signed largest finite magnitude before a lossy
+/// encoding, so the scale is finite and [`dequant_error_bound`] at the
+/// row's finite `max_abs` certifies the sanitized row; F32 stays a
+/// verbatim bit-exact passthrough.
 ///
 /// # Panics
 ///
 /// Panics on a mis-sized `out` — a caller sizing bug.
 pub fn quantize_row(row: &[f32], dtype: Dtype, out: &mut [u8]) -> f32 {
-    assert_eq!(
-        out.len(),
-        dtype.row_bytes(row.len()),
-        "payload buffer must hold row_bytes"
+    quantize_rows(row, 1, row.len(), dtype, out)
+}
+
+/// Quantizes `src`, `rows` rows of `cols` values, under one linear scale
+/// taken over all of them, returning that scale (`1.0` for float
+/// dtypes). A model file stores each table this way (one scale per
+/// table, format v2); [`quantize_row`] is the single-row case. `out`
+/// holds the rows back to back, each [`Dtype::row_bytes`]`(cols)` long
+/// and byte-aligned; it is zeroed before the packed encodings OR into
+/// place.
+///
+/// Non-finite inputs are sanitized before any lossy encoding (NaN → 0,
+/// ±inf → the largest finite magnitude of `src`, signed): the returned
+/// scale is always finite, and [`dequant_error_bound`] at the finite
+/// `max_abs` certifies the error *relative to the sanitized values*. The
+/// F32 dtype stays a verbatim bit-exact passthrough.
+///
+/// # Panics
+///
+/// Panics when `src` or `out` is mis-sized — a caller sizing bug.
+pub(crate) fn quantize_rows(
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    dtype: Dtype,
+    out: &mut [u8],
+) -> f32 {
+    let row_bytes = dtype.row_bytes(cols);
+    assert!(
+        src.len() == rows * cols && out.len() == rows * row_bytes,
+        "payload buffer must hold row_bytes per row"
     );
     out.fill(0);
-    let (max_abs, any_non_finite) = finite_max_abs(row);
+    let (max_abs, any_non_finite) = finite_max_abs(src);
     let scale = linear_scale(max_abs, dtype);
-    if any_non_finite && dtype != Dtype::F32 {
-        encode_row_map(row, dtype, scale, out, |x| sanitize_non_finite(x, max_abs));
-    } else {
-        encode_row(row, dtype, scale, out);
+    for r in 0..rows {
+        let row = &src[r * cols..(r + 1) * cols];
+        let out = &mut out[r * row_bytes..(r + 1) * row_bytes];
+        if any_non_finite && dtype != Dtype::F32 {
+            encode_row(row, dtype, scale, out, |x| sanitize_non_finite(x, max_abs));
+        } else {
+            encode_row(row, dtype, scale, out, |x| x);
+        }
     }
     scale
 }
 
 /// Encodes one row of f32s into the packed representation. `out` must be
 /// [`Dtype::row_bytes`]`(row.len())` long and zeroed (the sub-byte
-/// encodings OR into place — [`quantize_row`] is the public entry point
-/// and zeroes the buffer itself).
-pub(crate) fn encode_row(row: &[f32], dtype: Dtype, scale: f32, out: &mut [u8]) {
-    encode_row_map(row, dtype, scale, out, |x| x);
-}
-
-/// [`encode_row`] with a value transform applied ahead of every lossy
+/// encodings OR into place — [`quantize_rows`] is the entry point and
+/// zeroes the buffer itself). `map` is applied ahead of every lossy
 /// encoding — the sanitization hook for non-finite inputs. The F32 arm
 /// deliberately bypasses `map`: exact storage needs no sanitizing, and
 /// F32 stores must stay bit-identical to their source.
-fn encode_row_map(row: &[f32], dtype: Dtype, scale: f32, out: &mut [u8], map: impl Fn(f32) -> f32) {
+fn encode_row(row: &[f32], dtype: Dtype, scale: f32, out: &mut [u8], map: impl Fn(f32) -> f32) {
     match dtype {
         Dtype::F32 => {
             for (i, &x) in row.iter().enumerate() {
@@ -438,21 +394,20 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The whole table decoded row by row, as a model file's column reads
-    /// it (`tables.rs`), and the bound the table certifies.
-    impl QuantizedTable {
-        fn dequantize(&self) -> memcom_tensor::Result<Tensor> {
-            let mut out = vec![0f32; self.rows * self.cols];
-            let stored = self.data.chunks_exact(self.dtype.row_bytes(self.cols));
-            for (bytes, row) in stored.zip(out.chunks_exact_mut(self.cols)) {
-                decode_row_into(bytes, self.dtype, self.scale, row);
-            }
-            Tensor::from_vec(out, &[self.rows, self.cols])
+    /// `src` quantized as a model file stores a table of `cols`-wide rows
+    /// ([`quantize_rows`]), then decoded row by row as the file's column
+    /// reads it (`tables.rs`): the decoded values, the table's scale and
+    /// the bound the table certifies.
+    fn file_round_trip(src: &[f32], cols: usize, dtype: Dtype) -> (Vec<f32>, f32, f32) {
+        let (rows, row_bytes) = (src.len() / cols, dtype.row_bytes(cols));
+        let mut data = vec![0u8; rows * row_bytes];
+        let scale = quantize_rows(src, rows, cols, dtype, &mut data);
+        let mut out = vec![f32::NAN; src.len()];
+        for (bytes, row) in data.chunks_exact(row_bytes).zip(out.chunks_exact_mut(cols)) {
+            decode_row_into(bytes, dtype, scale, row);
         }
-
-        fn max_abs_error_bound(&self) -> f32 {
-            dequant_error_bound(self.dtype, self.scale, self.max_abs)
-        }
+        let bound = dequant_error_bound(dtype, scale, finite_max_abs(src).0);
+        (out, scale, bound)
     }
 
     #[test]
@@ -514,11 +469,9 @@ mod tests {
     #[test]
     fn int8_round_trip_error_bounded() {
         let data: Vec<f32> = (0..100).map(|i| (i as f32 - 50.0) / 10.0).collect();
-        let t = Tensor::from_vec(data.clone(), &[10, 10]).unwrap();
-        let q = QuantizedTable::quantize(&t, Dtype::Int8).unwrap();
-        let deq = q.dequantize().unwrap();
-        let bound = q.max_abs_error_bound() + 1e-6;
-        for (a, b) in data.iter().zip(deq.as_slice()) {
+        let (deq, _, bound) = file_round_trip(&data, 10, Dtype::Int8);
+        let bound = bound + 1e-6;
+        for (a, b) in data.iter().zip(&deq) {
             assert!((a - b).abs() <= bound, "{a} vs {b} (bound {bound})");
         }
     }
@@ -526,12 +479,10 @@ mod tests {
     #[test]
     fn lower_precision_is_lossier() {
         let data: Vec<f32> = (0..256).map(|i| ((i as f32) * 0.37).sin()).collect();
-        let t = Tensor::from_vec(data.clone(), &[16, 16]).unwrap();
         let err = |d: Dtype| {
-            let q = QuantizedTable::quantize(&t, d).unwrap();
-            let deq = q.dequantize().unwrap();
+            let (deq, _, _) = file_round_trip(&data, 16, d);
             data.iter()
-                .zip(deq.as_slice())
+                .zip(&deq)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0f32, f32::max)
         };
@@ -548,10 +499,9 @@ mod tests {
 
     #[test]
     fn zero_tensor_quantizes_cleanly() {
-        let t = Tensor::zeros(&[4, 4]);
         for dtype in [Dtype::Int8, Dtype::Int4, Dtype::Int2] {
-            let q = QuantizedTable::quantize(&t, dtype).unwrap();
-            assert!(q.dequantize().unwrap().as_slice().iter().all(|&x| x == 0.0));
+            let (deq, _, _) = file_round_trip(&[0.0; 16], 4, dtype);
+            assert!(deq.iter().all(|&x| x == 0.0));
         }
     }
 
@@ -570,12 +520,12 @@ mod tests {
         }
         // The table-level bound degenerates to 0 for an all-zero tensor
         // too, and a mixed table still reports a positive bound.
-        let zeros = QuantizedTable::quantize(&Tensor::zeros(&[2, 3]), Dtype::Int8).unwrap();
-        assert_eq!(zeros.max_abs_error_bound(), 0.0);
-        let mixed = Tensor::from_vec(vec![0.0, 0.0, 0.0, 1.0, -2.0, 0.5], &[2, 3]).unwrap();
-        let q = QuantizedTable::quantize(&mixed, Dtype::Int8).unwrap();
-        assert!(q.max_abs_error_bound() > 0.0);
-        assert!(q.max_abs_error_bound() < 0.01);
+        let (_, _, zeros_bound) = file_round_trip(&[0.0; 6], 3, Dtype::Int8);
+        assert_eq!(zeros_bound, 0.0);
+        let mixed = [0.0, 0.0, 0.0, 1.0, -2.0, 0.5];
+        let (_, _, bound) = file_round_trip(&mixed, 3, Dtype::Int8);
+        assert!(bound > 0.0);
+        assert!(bound < 0.01);
     }
 
     #[test]
@@ -639,14 +589,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rank1_treated_as_single_row() {
-        let t = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]).unwrap();
-        let q = QuantizedTable::quantize(&t, Dtype::F32).unwrap();
-        assert_eq!((q.rows, q.cols), (1, 3));
-        assert!(QuantizedTable::quantize(&Tensor::zeros(&[2, 2, 2]), Dtype::F32).is_err());
-    }
-
     proptest! {
         #[test]
         fn prop_f16_round_trip_relative_error(x in -60000.0f32..60000.0) {
@@ -660,12 +602,9 @@ mod tests {
             vals in proptest::collection::vec(-10.0f32..10.0, 4..64),
             bits in prop_oneof![Just(8usize), Just(4), Just(2)]
         ) {
-            let n = vals.len();
-            let t = Tensor::from_vec(vals.clone(), &[1, n]).unwrap();
-            let q = QuantizedTable::quantize(&t, Dtype::for_bits(bits).unwrap()).unwrap();
-            let deq = q.dequantize().unwrap();
-            let bound = q.scale * 0.5 + 1e-5;
-            for (a, b) in vals.iter().zip(deq.as_slice()) {
+            let (deq, scale, _) = file_round_trip(&vals, vals.len(), Dtype::for_bits(bits).unwrap());
+            let bound = scale * 0.5 + 1e-5;
+            for (a, b) in vals.iter().zip(&deq) {
                 prop_assert!((a - b).abs() <= bound, "{} vs {} bound {}", a, b, bound);
             }
         }
@@ -684,12 +623,9 @@ mod tests {
             // certification relies on. (F16's bound is relative to the
             // table's max_abs, so the range stays well inside f16's
             // finite ±65504.)
-            let n = vals.len();
-            let t = Tensor::from_vec(vals.clone(), &[1, n]).unwrap();
-            let q = QuantizedTable::quantize(&t, dtype).unwrap();
-            let deq = q.dequantize().unwrap();
-            let bound = q.max_abs_error_bound() * (1.0 + 1e-5) + 1e-6;
-            for (a, b) in vals.iter().zip(deq.as_slice()) {
+            let (deq, _, bound) = file_round_trip(&vals, vals.len(), dtype);
+            let bound = bound * (1.0 + 1e-5) + 1e-6;
+            for (a, b) in vals.iter().zip(&deq) {
                 prop_assert!(
                     (a - b).abs() <= bound,
                     "{:?}: {} vs {} bound {}", dtype, a, b, bound

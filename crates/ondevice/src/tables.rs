@@ -579,7 +579,7 @@ fn decode_f32(bytes: &[u8]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QuantizedTable;
+    use crate::quant::quantize_rows;
     use memcom_core::{FullEmbedding, MemCom, MemComConfig, MethodSpec, QrCombiner};
     use memcom_nn::Sequential;
     use rand::rngs::StdRng;
@@ -646,11 +646,12 @@ mod tests {
             Dtype::Int4,
             Dtype::Int2,
         ] {
-            let q = QuantizedTable::quantize(table, dtype).unwrap();
+            let mut data = vec![0u8; 12 * dtype.row_bytes(5)];
+            let scale = quantize_rows(table.as_slice(), 12, 5, dtype, &mut data);
             let tables = file_tables(&emb, dtype);
             let (mut want, mut got) = ([0f32; 5], [f32::NAN; 5]);
-            for (r, bytes) in q.data.chunks_exact(dtype.row_bytes(5)).enumerate() {
-                decode_row_into(bytes, dtype, q.scale, &mut want);
+            for (r, bytes) in data.chunks_exact(dtype.row_bytes(5)).enumerate() {
+                decode_row_into(bytes, dtype, scale, &mut want);
                 tables.read(0, r, &mut got).unwrap();
                 assert_eq!(bits(&got), bits(&want), "{dtype:?} row {r}");
             }

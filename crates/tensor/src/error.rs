@@ -13,7 +13,8 @@ pub enum TensorError {
         /// Number of elements the shape requires.
         expected: usize,
     },
-    /// Two shapes could not be broadcast together.
+    /// The right-hand shape is neither the left-hand shape nor a row of
+    /// it (its dims, leading 1s dropped, are not the left's trailing dims).
     BroadcastIncompatible {
         /// Left-hand shape.
         lhs: Vec<usize>,

@@ -1,10 +1,12 @@
 //! Dense `f32` tensor substrate for the MEmCom reproduction.
 //!
-//! This crate provides the minimal-but-complete numerical core that the
-//! paper's training stack needs: row-major dense tensors, NumPy-style
-//! broadcasting (the paper leans on broadcasting for MEmCom's `v×1`
-//! multiplier table), blocked matrix multiplication, axis reductions,
-//! activations, and seeded weight initializers.
+//! This crate provides the minimal numerical core that the paper's
+//! training stack needs: row-major dense tensors, elementwise ops that
+//! broadcast a row across a batch (a `Dense` bias or a `BatchNorm1d`
+//! parameter `[d]` against `[n, d]` — MEmCom's `v×1` multiplier is applied
+//! row by row in `memcom-core`, not broadcast here), blocked matrix
+//! multiplication, axis reductions, activations, and seeded weight
+//! initializers.
 //!
 //! Design notes:
 //! * Everything is `f32` — matching the paper's FP32 training/inference
@@ -22,14 +24,15 @@
 //!
 //! # fn main() -> Result<(), memcom_tensor::TensorError> {
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-//! let b = Tensor::from_vec(vec![10.0, 20.0], &[2, 1])?;
-//! let c = a.mul(&b)?; // broadcasts the column across a's columns
-//! assert_eq!(c.as_slice(), &[10.0, 20.0, 60.0, 80.0]);
+//! let b = Tensor::from_vec(vec![10.0, 20.0], &[2])?;
+//! let c = a.mul(&b)?; // broadcasts the row across a's rows
+//! assert_eq!(c.as_slice(), &[10.0, 40.0, 30.0, 80.0]);
+//! // A column is not a row: only trailing dims broadcast.
+//! assert!(a.mul(&Tensor::from_vec(vec![10.0, 20.0], &[2, 1])?).is_err());
 //! # Ok(())
 //! # }
 //! ```
 
-pub mod broadcast;
 pub mod error;
 pub mod init;
 pub mod ops;

@@ -3,7 +3,7 @@
 //! These free functions (plus a few convenience methods) implement exactly
 //! the operator set the paper's network (Code 1) requires: matrix
 //! multiplication for `Dense`, axis means for `AveragePooling1D`,
-//! log-softmax for the output layer, and ReLU/sigmoid for activations.
+//! log-softmax for the output layer, and ReLU for activations.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
@@ -128,18 +128,6 @@ pub fn relu_grad_mask(input: &Tensor) -> Tensor {
     input.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
 }
 
-/// Logistic sigmoid, elementwise, computed stably for large |x|.
-pub fn sigmoid(t: &Tensor) -> Tensor {
-    t.map(|x| {
-        if x >= 0.0 {
-            1.0 / (1.0 + (-x).exp())
-        } else {
-            let e = x.exp();
-            e / (1.0 + e)
-        }
-    })
-}
-
 /// Row-wise log-softmax over the last axis of a rank-2 tensor, computed with
 /// the max-subtraction trick for numerical stability.
 ///
@@ -194,10 +182,6 @@ impl Tensor {
         sum_axis(self, axis)
     }
 }
-
-/// Re-export of the broadcast shape resolver for callers who only pull in
-/// `ops`.
-pub use crate::broadcast::broadcast_shape;
 
 #[cfg(test)]
 mod tests {
@@ -279,16 +263,6 @@ mod tests {
         let x = t(&[-1., 0., 2.], &[3]);
         assert_eq!(relu(&x).as_slice(), &[0., 0., 2.]);
         assert_eq!(relu_grad_mask(&x).as_slice(), &[0., 0., 1.]);
-    }
-
-    #[test]
-    fn sigmoid_stable_extremes() {
-        let x = t(&[-100., 0., 100.], &[3]);
-        let s = sigmoid(&x);
-        assert!(s.as_slice()[0].abs() < 1e-6);
-        assert!((s.as_slice()[1] - 0.5).abs() < 1e-6);
-        assert!((s.as_slice()[2] - 1.0).abs() < 1e-6);
-        assert!(s.as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]

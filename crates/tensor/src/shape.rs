@@ -104,27 +104,6 @@ impl Shape {
         Ok(flat)
     }
 
-    /// Converts a flat row-major offset back to a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `flat >= volume`.
-    pub fn multi_index(&self, flat: usize) -> Result<Vec<usize>> {
-        if flat >= self.volume() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: flat,
-                extent: self.volume(),
-            });
-        }
-        let mut rem = flat;
-        let mut out = vec![0usize; self.rank()];
-        for (axis, stride) in self.strides().iter().enumerate() {
-            out[axis] = rem / stride;
-            rem %= stride;
-        }
-        Ok(out)
-    }
-
     /// Returns the shape with dimension `axis` removed (used by reductions).
     ///
     /// Reducing the only dimension yields the scalar shape.
@@ -192,11 +171,16 @@ mod tests {
     }
 
     #[test]
-    fn flat_index_round_trip() {
+    fn flat_index_is_row_major() {
         let s = Shape::new(&[2, 3, 4]);
-        for flat in 0..s.volume() {
-            let idx = s.multi_index(flat).unwrap();
-            assert_eq!(s.flat_index(&idx).unwrap(), flat);
+        let mut flat = 0;
+        for i in 0..2 {
+            for j in 0..3 {
+                for k in 0..4 {
+                    assert_eq!(s.flat_index(&[i, j, k]).unwrap(), flat);
+                    flat += 1;
+                }
+            }
         }
     }
 
@@ -214,7 +198,6 @@ mod tests {
             s.flat_index(&[0]),
             Err(TensorError::ShapeMismatch { .. })
         ));
-        assert!(s.multi_index(6).is_err());
     }
 
     #[test]
@@ -232,15 +215,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_round_trip_indexing(dims in proptest::collection::vec(1usize..6, 1..4)) {
-            let s = Shape::from(dims);
-            for flat in 0..s.volume() {
-                let idx = s.multi_index(flat).unwrap();
-                prop_assert_eq!(s.flat_index(&idx).unwrap(), flat);
-            }
-        }
-
         #[test]
         fn prop_strides_decreasing_and_consistent(
             dims in proptest::collection::vec(1usize..6, 1..5)

@@ -2,7 +2,6 @@
 
 use rand::Rng;
 
-use crate::broadcast::binary_op;
 use crate::error::TensorError;
 use crate::shape::Shape;
 use crate::Result;
@@ -48,14 +47,6 @@ impl Tensor {
             });
         }
         Ok(Tensor { data, shape })
-    }
-
-    /// Creates a rank-0 tensor holding one value.
-    pub fn scalar(value: f32) -> Self {
-        Tensor {
-            data: vec![value],
-            shape: Shape::scalar(),
-        }
     }
 
     /// Creates a tensor filled with zeros.
@@ -243,46 +234,61 @@ impl Tensor {
         }
     }
 
-    /// Broadcasted elementwise addition.
+    /// Elementwise addition, `rhs` broadcast as a row (see [`Tensor::binary`]).
     ///
     /// # Errors
     ///
-    /// Returns a broadcast error when shapes are incompatible.
+    /// Returns [`TensorError::BroadcastIncompatible`] unless `rhs` is a row of `self`.
     pub fn add(&self, rhs: &Tensor) -> Result<Tensor> {
         self.binary(rhs, |a, b| a + b)
     }
 
-    /// Broadcasted elementwise subtraction.
+    /// Elementwise subtraction, `rhs` broadcast as a row (see [`Tensor::binary`]).
     ///
     /// # Errors
     ///
-    /// Returns a broadcast error when shapes are incompatible.
+    /// Returns [`TensorError::BroadcastIncompatible`] unless `rhs` is a row of `self`.
     pub fn sub(&self, rhs: &Tensor) -> Result<Tensor> {
         self.binary(rhs, |a, b| a - b)
     }
 
-    /// Broadcasted elementwise multiplication (the paper's `⊙`).
+    /// Elementwise multiplication (the paper's `⊙`), `rhs` broadcast as a
+    /// row (see [`Tensor::binary`]).
     ///
     /// # Errors
     ///
-    /// Returns a broadcast error when shapes are incompatible.
+    /// Returns [`TensorError::BroadcastIncompatible`] unless `rhs` is a row of `self`.
     pub fn mul(&self, rhs: &Tensor) -> Result<Tensor> {
         self.binary(rhs, |a, b| a * b)
     }
 
-    /// Broadcasted binary operation with an arbitrary combiner.
+    /// The one elementwise path: `out[i] = f(self[i], rhs[i % rhs.len()])`,
+    /// in `self`'s shape. `rhs` is either `self`'s shape or a row of it —
+    /// its dims, leading 1s dropped, equal `self`'s trailing dims — which
+    /// covers every broadcast the layers make: a `Dense` bias or a
+    /// `BatchNorm1d` parameter `[d]` against an `[n, d]` batch.
     ///
     /// # Errors
     ///
-    /// Returns a broadcast error when shapes are incompatible.
+    /// Returns [`TensorError::BroadcastIncompatible`] for any other pair,
+    /// a column `[n, 1]` against `[n, d]` or an `rhs` larger than `self`
+    /// included.
     pub fn binary(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
-        let (data, shape) = binary_op(&self.data, &self.shape, &rhs.data, &rhs.shape, f)?;
-        Ok(Tensor { data, shape })
-    }
-
-    /// Adds `scalar` to every element.
-    pub fn add_scalar(&self, scalar: f32) -> Tensor {
-        self.map(|x| x + scalar)
+        let (dims, row) = (self.shape.dims(), rhs.shape.dims());
+        let row = &row[row.iter().take_while(|&&d| d == 1).count()..];
+        if !dims.ends_with(row) {
+            return Err(TensorError::BroadcastIncompatible {
+                lhs: dims.to_vec(),
+                rhs: rhs.shape.dims().to_vec(),
+            });
+        }
+        // A row of zero values means an empty `self`, so the cycle is
+        // never asked for an element it does not have.
+        let data = self.data.iter().zip(rhs.data.iter().cycle());
+        Ok(Tensor {
+            data: data.map(|(&a, &b)| f(a, b)).collect(),
+            shape: self.shape.clone(),
+        })
     }
 
     /// Multiplies every element by `scalar`.
@@ -340,24 +346,6 @@ impl Tensor {
                 Some(acc.map_or(x, |m| m.max(x)))
             })
             .ok_or(TensorError::EmptyTensor)
-    }
-
-    /// Index of the maximum element (first occurrence wins).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyTensor`] for empty tensors.
-    pub fn argmax(&self) -> Result<usize> {
-        if self.data.is_empty() {
-            return Err(TensorError::EmptyTensor);
-        }
-        let mut best = 0usize;
-        for (i, &x) in self.data.iter().enumerate() {
-            if x > self.data[best] {
-                best = i;
-            }
-        }
-        Ok(best)
     }
 
     /// Squared L2 norm of all elements.
@@ -441,7 +429,6 @@ mod tests {
         assert_eq!(Tensor::zeros(&[2, 2]).as_slice(), &[0.0; 4]);
         assert_eq!(Tensor::ones(&[3]).as_slice(), &[1.0; 3]);
         assert_eq!(Tensor::full(&[2], 7.0).as_slice(), &[7.0, 7.0]);
-        assert_eq!(Tensor::scalar(5.0).shape().rank(), 0);
         assert!(Tensor::from_vec(vec![1.0], &[2]).is_err());
     }
 
@@ -468,12 +455,11 @@ mod tests {
     #[test]
     fn elementwise_ops() {
         let a = Tensor::from_vec(vec![1., 2., 3., 4.], &[2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![10., 20.], &[2, 1]).unwrap();
-        assert_eq!(a.add(&b).unwrap().as_slice(), &[11., 12., 23., 24.]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[10., 20., 60., 80.]);
-        assert_eq!(a.sub(&b).unwrap().as_slice(), &[-9., -8., -17., -16.]);
+        let b = Tensor::from_vec(vec![10., 20.], &[2]).unwrap();
+        assert_eq!(a.add(&b).unwrap().as_slice(), &[11., 22., 13., 24.]);
+        assert_eq!(a.mul(&b).unwrap().as_slice(), &[10., 40., 30., 80.]);
+        assert_eq!(a.sub(&b).unwrap().as_slice(), &[-9., -18., -7., -16.]);
         assert_eq!(a.scale(2.0).as_slice(), &[2., 4., 6., 8.]);
-        assert_eq!(a.add_scalar(1.0).as_slice(), &[2., 3., 4., 5.]);
     }
 
     #[test]
@@ -482,16 +468,8 @@ mod tests {
         assert_eq!(a.sum(), 6.0);
         assert_eq!(a.mean(), 1.5);
         assert_eq!(a.max().unwrap(), 4.0);
-        assert_eq!(a.argmax().unwrap(), 3);
         assert_eq!(a.sq_norm(), 1. + 4. + 9. + 16.);
         assert!(Tensor::zeros(&[0]).max().is_err());
-        assert!(Tensor::zeros(&[0]).argmax().is_err());
-    }
-
-    #[test]
-    fn argmax_first_occurrence() {
-        let a = Tensor::from_vec(vec![3., 1., 3.], &[3]).unwrap();
-        assert_eq!(a.argmax().unwrap(), 0);
     }
 
     #[test]
@@ -555,6 +533,31 @@ mod tests {
         assert!(!a.allclose(&Tensor::zeros(&[3]), 1.0));
     }
 
+    /// A tensor of `dims` holding distinct, signed, non-round values, so a
+    /// misplaced operand shows in the bits.
+    fn distinct(dims: &[usize], salt: f32) -> Tensor {
+        let n = dims.iter().product::<usize>();
+        let data = (0..n)
+            .map(|i| (i as f32 * 0.37 + salt).sin() * 3.1)
+            .collect();
+        Tensor::from_vec(data, dims).unwrap()
+    }
+
+    /// Every pairing the layers make: equal shapes of rank 1–3, and a
+    /// row — `[d]` or `[1, d]` against `[n, d]`, `[c]` or `[b, c]`
+    /// against `[a, b, c]`.
+    fn layer_pairs() -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
+        (1usize..5, 1usize..5, 1usize..5, 0usize..7).prop_map(|(a, b, c, kind)| match kind {
+            0 => (vec![c], vec![c]),
+            1 => (vec![b, c], vec![b, c]),
+            2 => (vec![a, b, c], vec![a, b, c]),
+            3 => (vec![b, c], vec![c]),
+            4 => (vec![b, c], vec![1, c]),
+            5 => (vec![a, b, c], vec![c]),
+            _ => (vec![a, b, c], vec![b, c]),
+        })
+    }
+
     proptest! {
         #[test]
         fn prop_add_commutes(v in proptest::collection::vec(-100f32..100.0, 1..40)) {
@@ -562,6 +565,30 @@ mod tests {
             let a = Tensor::from_vec(v.clone(), &[n]).unwrap();
             let b = Tensor::from_vec(v.iter().rev().copied().collect(), &[n]).unwrap();
             prop_assert!(a.add(&b).unwrap().allclose(&b.add(&a).unwrap(), 1e-6));
+        }
+
+        #[test]
+        fn prop_binary_is_the_row_broadcast((ld, rd) in layer_pairs()) {
+            let (lhs, rhs) = (distinct(&ld, 0.5), distinct(&rd, -1.25));
+            let f = |a: f32, b: f32| a * b - a / (b.abs() + 1.0);
+            let got = lhs.binary(&rhs, f).unwrap();
+            let (l, r) = (lhs.as_slice(), rhs.as_slice());
+            let want: Vec<u32> = (0..l.len()).map(|i| f(l[i], r[i % r.len()]).to_bits()).collect();
+            prop_assert_eq!(got.shape(), lhs.shape());
+            prop_assert_eq!(got.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want);
+        }
+
+        #[test]
+        fn prop_columns_and_broadcast_lhs_are_refused(n in 2usize..6, d in 2usize..6) {
+            let refused = |lhs: &[usize], rhs: &[usize]| {
+                matches!(
+                    distinct(lhs, 0.0).add(&distinct(rhs, 1.0)),
+                    Err(TensorError::BroadcastIncompatible { .. })
+                )
+            };
+            prop_assert!(refused(&[n, d], &[n, 1]), "a column is not a row");
+            prop_assert!(refused(&[d], &[n, d]), "the lhs is never broadcast");
+            prop_assert!(refused(&[n, d], &[d + 1]), "a row of another width");
         }
 
         #[test]

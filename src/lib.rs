@@ -4,7 +4,7 @@
 //! *Learning Compressed Embeddings for On-Device Inference*, MLSys 2022).
 //! Re-exports every subsystem crate under one namespace:
 //!
-//! * [`tensor`] — dense f32 tensors, broadcasting, matmul, activations.
+//! * [`tensor`] — dense f32 tensors, row broadcasting, matmul, activations.
 //! * [`nn`] — layers, losses, optimizers, gradient checking.
 //! * [`core`] — MEmCom and every baseline embedding-compression technique.
 //! * [`data`] — synthetic power-law dataset generators (Table 2 stand-ins).
