@@ -366,7 +366,8 @@ impl InferenceSession {
                         decoded.resize(DENSE_CHUNK_COLS, 0.0);
                     }
                     // Each kernel row is read from its page exactly once
-                    // (one fault/byte charge, as a whole-row read), and
+                    // (one fault/byte charge, as a whole-row read, the
+                    // bytes charged once per tile), and
                     // each `acc[c]` still takes bias, then `x[i]·w[i][c]`
                     // in ascending `i` — the row-at-a-time result, bit
                     // for bit, from one pass over the kernel.
@@ -376,6 +377,7 @@ impl InferenceSession {
                         for (k, row) in rows[..xs.len()].iter_mut().enumerate() {
                             *row = kernel.read_row(tile * DENSE_TILE_ROWS + k)?;
                         }
+                        kernel.charge(xs.len());
                         for (c, acc) in acc.chunks_mut(DENSE_CHUNK_COLS).enumerate() {
                             let col = c * DENSE_CHUNK_COLS;
                             let bytes = dtype.row_bytes(col)..dtype.row_bytes(col + acc.len());
@@ -430,8 +432,9 @@ impl InferenceSession {
             out.copy_from_slice(&dense[r * e..][..e]);
             Ok(())
         };
+        let mut operand = Vec::new();
         for (&id, slot) in ids.iter().zip(act.chunks_exact_mut(e)) {
-            recipe.row_into(id, read, &mut Vec::new(), slot)?;
+            recipe.row_into(id, read, &mut operand, slot)?;
         }
         work.flops += (ids.len() * recipe.combine.flops(e) * m) as u64;
         Ok(())
@@ -448,8 +451,9 @@ impl InferenceSession {
     /// (the embedding tables are read through its [`EmbeddingTables`])
     /// or `out` is longer than `table.cols`.
     pub fn read_row_into(&self, table: &TableMeta, r: usize, out: &mut [f32]) -> Result<()> {
-        let bytes = self.tables.head[table.index].read_row(r)?;
-        decode_row_into(bytes, table.dtype, table.scale, out);
+        let pages = &self.tables.head[table.index];
+        decode_row_into(pages.read_row(r)?, table.dtype, table.scale, out);
+        pages.charge(1);
         Ok(())
     }
 }

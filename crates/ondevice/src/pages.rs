@@ -19,6 +19,15 @@
 //! * First touch of a page counts one fault and the page's cold bytes;
 //!   the resident set and the cold/total byte split feed the on-device
 //!   cost model. [`PagedTable::reset`] evicts everything again.
+//! * A read and its byte charge are two calls: [`PagedTable::read_row`]
+//!   keeps only the first-touch rule (one load, and a `swap` only on a
+//!   page's first touch), and the reader charges the rows it read with
+//!   one [`PagedTable::charge`] per call — the embedding read loop once
+//!   per column after a whole batch, the other readers after each row or
+//!   tile — so a batch pays one atomic add per column, not two per row.
+//! * [`PagedTable::prefetch_row`] asks the CPU to start loading a row's
+//!   cache lines. A hint is not a read: it marks no page resident and
+//!   charges nothing.
 //! * [`PagedTable::shared_clone`] is O(pages) pointer copies: the clone
 //!   *shares* every page with the original. Writing a row through
 //!   [`PagedTable::write_row`] copy-on-writes only the covering page
@@ -36,7 +45,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::{OnDeviceError, Result};
+use crate::{simd, OnDeviceError, Result};
 
 /// Default page size (16 KiB — the page size of Apple Silicon / modern
 /// Android kernels).
@@ -51,6 +60,9 @@ pub struct PagedTable {
     rows: usize,
     /// Rows per full page (the last page may hold fewer).
     rows_per_page: usize,
+    /// `⌈2⁶⁴ / rows_per_page⌉`, or 0 where that does not fit a `u64` or
+    /// `rows_per_page` exceeds `u32::MAX`: see [`page_of`](Self::page_of).
+    reciprocal: u64,
     /// The pages; all but the last hold exactly `rows_per_page * stride`
     /// bytes.
     pages: Vec<Arc<Vec<u8>>>,
@@ -94,6 +106,7 @@ impl PagedTable {
             stride,
             rows,
             rows_per_page,
+            reciprocal: reciprocal(rows_per_page),
             pages,
             resident: (0..n_pages).map(|_| AtomicBool::new(false)).collect(),
             faults: AtomicU64::new(0),
@@ -115,7 +128,9 @@ impl PagedTable {
     }
 
     /// Reads row `r` (one contiguous `stride`-byte slice), faulting the
-    /// covering page in on first touch.
+    /// covering page in on first touch. The read's bytes are not
+    /// charged here: the caller charges the rows it read with
+    /// [`charge`](Self::charge), once per call.
     ///
     /// # Errors
     ///
@@ -124,10 +139,7 @@ impl PagedTable {
         if r >= self.rows {
             return Err(self.out_of_bounds(r));
         }
-        let page = r / self.rows_per_page;
-        let offset = (r % self.rows_per_page) * self.stride;
-        self.total_read_bytes
-            .fetch_add(self.stride as u64, Ordering::Relaxed);
+        let page = self.page_of(r);
         // First touch of the page counts one fault pulling the whole
         // page from "storage". `swap` makes a racing first touch count
         // exactly once.
@@ -138,7 +150,46 @@ impl PagedTable {
             self.cold_read_bytes
                 .fetch_add(self.pages[page].len() as u64, Ordering::Relaxed);
         }
-        Ok(&self.pages[page][offset..offset + self.stride])
+        Ok(self.row(r))
+    }
+
+    /// Adds `rows` row reads to the read bytes: each reader charges
+    /// what it read through [`read_row`](Self::read_row) with one call.
+    pub fn charge(&self, rows: usize) {
+        let bytes = (rows * self.stride) as u64;
+        self.total_read_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Hints the CPU to load row `r`'s cache lines
+    /// ([`simd::prefetch`]) so a read shortly after finds them close. A
+    /// hint is not a read: it faults no page, marks nothing resident and
+    /// charges nothing. A row past the table's end is ignored.
+    pub fn prefetch_row(&self, r: usize) {
+        if r < self.rows {
+            simd::prefetch(self.row(r));
+        }
+    }
+
+    /// The bytes of row `r < rows`, touching no counter.
+    fn row(&self, r: usize) -> &[u8] {
+        let page = self.page_of(r);
+        let offset = (r - page * self.rows_per_page) * self.stride;
+        &self.pages[page][offset..offset + self.stride]
+    }
+
+    /// `r / rows_per_page`, the page holding row `r`. Below 2³² rows it
+    /// is a multiply by the reciprocal instead of a division, which a
+    /// read and a prefetch would each pay per row: with
+    /// `c = ⌈2⁶⁴ / d⌉` and `d ≤ 2³²`, `⌊r / d⌋ = ⌊c·r / 2⁶⁴⌋` for every
+    /// `r < 2³²` (Lemire, Kaser and Kurz, "Faster remainder by direct
+    /// computation", 2019, Theorem 1).
+    fn page_of(&self, r: usize) -> usize {
+        match u32::try_from(r) {
+            Ok(r) if self.reciprocal > 0 => {
+                ((u128::from(self.reciprocal) * u128::from(r)) >> 64) as usize
+            }
+            _ => r / self.rows_per_page,
+        }
     }
 
     /// A snapshot clone sharing every page with `self` (O(pages) `Arc`
@@ -156,6 +207,7 @@ impl PagedTable {
             stride: self.stride,
             rows: self.rows,
             rows_per_page: self.rows_per_page,
+            reciprocal: self.reciprocal,
             pages: self.pages.iter().map(Arc::clone).collect(),
             resident,
             faults: AtomicU64::new(0),
@@ -186,8 +238,8 @@ impl PagedTable {
         if r >= self.rows {
             return Err(self.out_of_bounds(r));
         }
-        let page = r / self.rows_per_page;
-        let offset = (r % self.rows_per_page) * self.stride;
+        let page = self.page_of(r);
+        let offset = (r - page * self.rows_per_page) * self.stride;
         if Arc::get_mut(&mut self.pages[page]).is_none() {
             self.cow_copied_bytes += self.pages[page].len() as u64;
             self.cow_touched_pages += 1;
@@ -313,7 +365,8 @@ impl PagedTable {
         self.faults.load(Ordering::Relaxed)
     }
 
-    /// Total bytes returned by row reads (hot + cold).
+    /// Total bytes of row reads (hot + cold), as their readers charged
+    /// them.
     pub fn total_read_bytes(&self) -> u64 {
         self.total_read_bytes.load(Ordering::Relaxed)
     }
@@ -321,6 +374,15 @@ impl PagedTable {
     /// Bytes pulled from "storage" by first-touch faults.
     pub fn cold_read_bytes(&self) -> u64 {
         self.cold_read_bytes.load(Ordering::Relaxed)
+    }
+}
+
+/// [`PagedTable::reciprocal`] of `rows_per_page`.
+fn reciprocal(rows_per_page: usize) -> u64 {
+    match u32::try_from(rows_per_page) {
+        // ⌊(2⁶⁴ − 1) / d⌋ + 1 = ⌈2⁶⁴ / d⌉ for every d ≥ 2.
+        Ok(d) if d >= 2 => u64::MAX / u64::from(d) + 1,
+        _ => 0,
     }
 }
 
@@ -364,6 +426,7 @@ mod tests {
         assert_eq!(t.resident_page_count(), 0);
         t.read_row(0).unwrap();
         t.read_row(1).unwrap(); // same page: warm
+        t.charge(2);
         assert_eq!(t.faults(), 1);
         assert_eq!(t.resident_page_count(), 1);
         assert_eq!(t.cold_read_bytes(), 8);
@@ -371,6 +434,35 @@ mod tests {
         t.read_row(7).unwrap();
         assert_eq!(t.faults(), 2);
         assert_eq!(t.resident_bytes(), 16);
+    }
+
+    #[test]
+    fn the_page_of_a_row_is_its_quotient() {
+        let widths = [1, 2, 3, 7, 64, 240, 241, 4096, 1 << 31, u32::MAX as usize];
+        for rows_per_page in widths {
+            // No data: only the page arithmetic is exercised.
+            let t = PagedTable::from_rows(&[], 1, rows_per_page);
+            assert_eq!(t.rows_per_page, rows_per_page);
+            let edges = [0, 1, rows_per_page - 1, rows_per_page, rows_per_page + 1];
+            let far = [u32::MAX as usize, u32::MAX as usize + 1, usize::MAX];
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            for r in edges.into_iter().chain(far).chain((0..2_000).map(|_| {
+                rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (rng >> 32) as usize
+            })) {
+                assert_eq!(t.page_of(r), r / rows_per_page, "{r} / {rows_per_page}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_prefetch_is_not_a_read() {
+        let t = table(8, 4, 8);
+        for r in [0, 5, 7, 8, usize::MAX] {
+            t.prefetch_row(r);
+        }
+        assert_eq!((t.resident_page_count(), t.faults()), (0, 0));
+        assert_eq!((t.cold_read_bytes(), t.total_read_bytes()), (0, 0));
     }
 
     #[test]
@@ -480,6 +572,7 @@ mod tests {
                         let bytes = t.read_row(r).expect("in bounds");
                         assert_eq!(bytes[0], ((r * 8) % 251) as u8);
                     }
+                    t.charge(200);
                 });
             }
         });

@@ -1,5 +1,6 @@
 //! Runtime-dispatched SIMD kernels: row decode and the dense head's
-//! AXPY.
+//! AXPY, plus the cache-line [`prefetch`] hint the embedding read loop
+//! issues ahead of its rows.
 //!
 //! Every row read in the serving store and every embedding gather in
 //! the on-device engine funnels through
@@ -221,6 +222,39 @@ pub fn axpy_le_bytes(x: f32, bytes: &[u8], acc: &mut [f32]) {
         Kernel::Avx2 => unsafe { x86::axpy_avx2(x, bytes.as_ptr().cast(), acc) },
         _ => scalar::axpy_le_bytes(x, bytes, acc),
     }
+}
+
+/// Bytes per cache line on every target this crate tunes for.
+const CACHE_LINE: usize = 64;
+
+/// Hints the CPU to load every cache line `bytes` covers into L1, so a
+/// read issued shortly after finds its data instead of waiting on
+/// memory. The row reads of one batch are independent, so hinting rows
+/// ahead of the read overlaps their cache misses.
+///
+/// A hint reads nothing and cannot fault: it changes no value and no
+/// counter. It is `_mm_prefetch` with `_MM_HINT_T0` on `x86_64` (SSE,
+/// part of the baseline, so on both kernel tiers) and a no-op on every
+/// other target and under Miri.
+#[inline]
+pub fn prefetch(bytes: &[u8]) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = bytes.as_ptr();
+        let mut offset = 0;
+        while offset < bytes.len() {
+            // SAFETY: SSE is part of the x86_64 baseline, and a prefetch
+            // only hints the cache: it dereferences nothing, so no
+            // address can fault. `offset < bytes.len()` keeps the
+            // pointer inside the slice anyway.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_add(offset).cast()) };
+            // On to the first byte of the next line.
+            offset += CACHE_LINE - (start as usize + offset) % CACHE_LINE;
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = bytes;
 }
 
 /// The portable scalar reference kernels — the semantics every vector

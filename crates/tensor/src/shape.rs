@@ -30,11 +30,6 @@ impl Shape {
         }
     }
 
-    /// Creates the rank-0 (scalar) shape.
-    pub fn scalar() -> Self {
-        Shape { dims: Vec::new() }
-    }
-
     /// The dimension extents, outermost first.
     pub fn dims(&self) -> &[usize] {
         &self.dims
@@ -158,8 +153,8 @@ mod tests {
     fn volume_and_rank() {
         assert_eq!(Shape::new(&[2, 3, 4]).volume(), 24);
         assert_eq!(Shape::new(&[2, 3, 4]).rank(), 3);
-        assert_eq!(Shape::scalar().volume(), 1);
-        assert_eq!(Shape::scalar().rank(), 0);
+        assert_eq!(Shape::new(&[]).volume(), 1);
+        assert_eq!(Shape::new(&[]).rank(), 0);
         assert_eq!(Shape::new(&[0, 5]).volume(), 0);
     }
 
@@ -167,7 +162,7 @@ mod tests {
     fn strides_row_major() {
         assert_eq!(Shape::new(&[2, 3, 4]).strides(), vec![12, 4, 1]);
         assert_eq!(Shape::new(&[7]).strides(), vec![1]);
-        assert!(Shape::scalar().strides().is_empty());
+        assert!(Shape::new(&[]).strides().is_empty());
     }
 
     #[test]
@@ -204,14 +199,14 @@ mod tests {
     fn without_axis_reduces_rank() {
         let s = Shape::new(&[2, 3, 4]);
         assert_eq!(s.without_axis(1).unwrap(), Shape::new(&[2, 4]));
-        assert_eq!(Shape::new(&[5]).without_axis(0).unwrap(), Shape::scalar());
+        assert_eq!(Shape::new(&[5]).without_axis(0).unwrap(), Shape::new(&[]));
         assert!(s.without_axis(3).is_err());
     }
 
     #[test]
     fn display_formats_like_a_list() {
         assert_eq!(Shape::new(&[2, 3]).to_string(), "[2, 3]");
-        assert_eq!(Shape::scalar().to_string(), "[]");
+        assert_eq!(Shape::new(&[]).to_string(), "[]");
     }
 
     proptest! {
