@@ -1080,7 +1080,14 @@ mod tests {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for id in 0..store.vocab() {
             for x in store.get(id).unwrap() {
-                for byte in x.to_bits().to_le_bytes() {
+                // Every NaN hashes as one: which payload an arithmetic NaN
+                // carries is the codegen's choice, not the store's.
+                let bits = if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                };
+                for byte in bits.to_le_bytes() {
                     hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
                 }
             }
@@ -1101,6 +1108,29 @@ mod tests {
         emb
     }
 
+    /// `trained_memcom(true)` holding NaN and ±inf: in the shared table
+    /// (a row with all three, a row with +inf beside finite values) and
+    /// in both scalar columns (an infinite and a NaN multiplier, an
+    /// infinite bias), so every encoding's sanitize path is pinned.
+    fn non_finite_memcom() -> MemCom {
+        let mut emb = trained_memcom(true);
+        let (mut shared, mut mult) = (emb.shared_table().clone(), emb.multiplier_table().clone());
+        let mut offs = emb.tables()[2].tensor.clone();
+        for (at, bad) in [
+            (3 * 8, f32::NAN),
+            (3 * 8 + 1, f32::INFINITY),
+            (3 * 8 + 5, f32::NEG_INFINITY),
+            (20 * 8 + 2, f32::INFINITY),
+        ] {
+            shared.as_mut_slice()[at] = bad;
+        }
+        mult.as_mut_slice()[40] = f32::INFINITY;
+        mult.as_mut_slice()[130] = f32::NAN;
+        offs.as_mut_slice()[200] = f32::NEG_INFINITY;
+        emb.set_tables(shared, mult, Some(offs)).unwrap();
+        emb
+    }
+
     /// `(stored_bytes, full-scan resident_model_bytes, error_bound bits,
     /// FNV of all served row bits)`.
     type Pin = (usize, usize, u32, u64);
@@ -1110,21 +1140,32 @@ mod tests {
     /// cbf36a3, the last commit with the hand-written `Rows`/`Scaled`
     /// layouts; the MEmCom bytes and sub-fp32 bits were re-recorded once
     /// when the store stopped splitting columns per shard (each table held
-    /// once, scalar blocks over 64 consecutive ids).
+    /// once, scalar blocks over 64 consecutive ids). The `Int2` rows and
+    /// the `non_finite` model were recorded before the encoder's rounding
+    /// rule, finite max and fp32 copy were rewritten, which they pin
+    /// unchanged.
     #[rustfmt::skip]
-    const PINS: [(&str, Dtype, Pin, Pin); 12] = [
+    const PINS: [(&str, Dtype, Pin, Pin); 20] = [
         ("memcom", Dtype::F32, (2020, 2020, 0x0, 0xabd8755a4bee0f59), (2036, 2036, 0x4028ea12, 0x4f8e36e75845b119)),
         ("memcom", Dtype::F16, (836, 836, 0x3a201a76, 0x2611d5cde805ba0c), (836, 836, 0x4028ec99, 0x6597f5a2b632ad08)),
         ("memcom", Dtype::Int8, (712, 712, 0x3a80b6c0, 0xb097fc8ade3c7303), (712, 712, 0x4028ec7f, 0x3b0a0da4ca17ef98)),
         ("memcom", Dtype::Int4, (588, 588, 0x3c1ad1b4, 0xe4ae9df53558d158), (588, 588, 0x402a8f54, 0x5dca37cbd7522e74)),
+        ("memcom", Dtype::Int2, (526, 526, 0x3d817822, 0xf21c9a6ee77a97e0), (526, 526, 0x402ab2a4, 0x7742f583cdec0655)),
         ("memcom_bias", Dtype::F32, (3048, 3048, 0x0, 0xb7b1d89d75c70f76), (3080, 3080, 0x3fd13609, 0x28fa3b087c0473b1)),
         ("memcom_bias", Dtype::F16, (1176, 1176, 0x3b198d9e, 0x5d7aa820fc2638b9), (1176, 1176, 0x3fd14c3b, 0x50be111f6d18bfd9)),
         ("memcom_bias", Dtype::Int8, (1052, 1052, 0x3b31e260, 0xd7e58ca3172cb9e), (1052, 1052, 0x3fd1366b, 0x2fb0a09fa86c9054)),
         ("memcom_bias", Dtype::Int4, (928, 928, 0x3c373374, 0x26f2168a4d667775), (928, 928, 0x3fd11d5c, 0x77dd86d440545a0)),
+        ("memcom_bias", Dtype::Int2, (866, 866, 0x3d85045a, 0x2dfa2a92cb6cb242), (866, 866, 0x3fe014a4, 0x29fa04a66594a6af)),
         ("uncompressed", Dtype::F32, (2400, 2400, 0x0, 0x54b8bfe3ec7ee753), (2496, 2496, 0x0, 0x78bd0c90ab61fa15)),
         ("uncompressed", Dtype::F16, (1200, 1200, 0x384ce43f, 0xaccba8753f6ce5), (1248, 1248, 0x3ae00203, 0x709bca1361e2ef03)),
         ("uncompressed", Dtype::Int8, (1000, 1000, 0x394e4053, 0x72a37767373eca52), (1040, 1040, 0x3be1c387, 0x1b92d53b3de87773)),
         ("uncompressed", Dtype::Int4, (700, 700, 0x3b69dfcb, 0xce4c03f6bb77c543), (728, 728, 0x3e000000, 0x8a0bfa5ccc6d07c8)),
+        ("uncompressed", Dtype::Int2, (600, 600, 0x3ccca3d2, 0x9cdc8eb5e61f1ccc), (624, 624, 0x3f600000, 0x132ff7bec93e0d16)),
+        ("non_finite", Dtype::F32, (3048, 3048, 0x0, 0xcf1e357bf6f437dc), (3080, 3080, 0x3fd13609, 0x85533b588a083e83)),
+        ("non_finite", Dtype::F16, (1176, 1176, 0x7f800000, 0x8d39555a2b18cdfc), (1176, 1176, 0x7f800000, 0x31de8b1028dea7fd)),
+        ("non_finite", Dtype::Int8, (1052, 1052, 0x7f800000, 0x6a3b62785be220e6), (1052, 1052, 0x7f800000, 0x6d2ba55a602b0ebf)),
+        ("non_finite", Dtype::Int4, (928, 928, 0x7f800000, 0xfcfea69d62694c1a), (928, 928, 0x7f800000, 0xc77dcb171d3b07d7)),
+        ("non_finite", Dtype::Int2, (866, 866, 0x7f800000, 0x404b7668024cd526), (866, 866, 0x7f800000, 0x2b81081653c98842)),
     ];
 
     #[test]
@@ -1132,6 +1173,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let full = FullEmbedding::new(100, 6, &mut rng).unwrap();
         let (with_bias, without) = (trained_memcom(true), trained_memcom(false));
+        let non_finite = non_finite_memcom();
         let pin = |store: &ShardedStore| -> Pin {
             let fnv = served_fnv(store); // the full scan the resident bytes follow
             let resident = store.run_stats().resident_model_bytes;
@@ -1142,6 +1184,7 @@ mod tests {
             let (emb, n_shards, cache, page): (&dyn EmbeddingCompressor, _, _, _) = match name {
                 "memcom" => (&without, 4, 16, 256),
                 "memcom_bias" => (&with_bias, 4, 16, 256),
+                "non_finite" => (&non_finite, 4, 16, 256),
                 _ => (&full, 3, 8, 128),
             };
             let store = ShardedStore::build_quantized(emb, n_shards, cache, page, dtype).unwrap();
