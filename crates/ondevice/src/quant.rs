@@ -207,18 +207,24 @@ fn linear_scale(max_abs: f32, dtype: Dtype) -> f32 {
 /// value (NaN or ±inf) was present. This is the `max_abs` every scale
 /// and error-bound computation uses: an infinity must widen the scale
 /// to infinity (encoding every finite value to 0 with a lying bound)
-/// exactly never, and NaN must not poison the `f32::max` fold.
+/// exactly never, and NaN must not poison the fold.
+///
+/// The fold is an integer max over `bits & 0x7fff_ffff`, the magnitude's
+/// bit pattern, of the finite values (those patterns below the
+/// exponent-all-ones `0x7f80_0000`), which the compiler vectorizes. It
+/// returns the same bits a float `max(|x|)` fold would: non-negative
+/// finite floats, subnormals and `+0.0` included, order exactly as their
+/// bit patterns do, and `−0.0` masks to `+0.0`.
 pub(crate) fn finite_max_abs(row: &[f32]) -> (f32, bool) {
-    let mut max_abs = 0f32;
+    let mut max_bits = 0u32;
     let mut any_non_finite = false;
     for &x in row {
-        if x.is_finite() {
-            max_abs = max_abs.max(x.abs());
-        } else {
-            any_non_finite = true;
-        }
+        let bits = x.to_bits() & 0x7fff_ffff;
+        let finite = bits < 0x7f80_0000;
+        max_bits = max_bits.max(if finite { bits } else { 0 });
+        any_non_finite |= !finite;
     }
-    (max_abs, any_non_finite)
+    (f32::from_bits(max_bits), any_non_finite)
 }
 
 /// The value a lossy encoding stores in place of `x`: NaN becomes 0
@@ -286,7 +292,10 @@ pub fn quantize_row(row: &[f32], dtype: Dtype, out: &mut [u8]) -> f32 {
 /// ±inf → the largest finite magnitude of `src`, signed): the returned
 /// scale is always finite, and [`dequant_error_bound`] at the finite
 /// `max_abs` certifies the error *relative to the sanitized values*. The
-/// F32 dtype stays a verbatim bit-exact passthrough.
+/// F32 dtype stays a verbatim bit-exact passthrough: fp32 rows pack with
+/// no padding, so the whole table is copied as little-endian bytes in
+/// one pass, with no max scan, zero fill or per-row loop, and the scale
+/// is `1.0`. Integer codes round as [`quantize_value`] describes.
 ///
 /// # Panics
 ///
@@ -303,13 +312,17 @@ pub(crate) fn quantize_rows(
         src.len() == rows * cols && out.len() == rows * row_bytes,
         "payload buffer must hold row_bytes per row"
     );
+    if dtype == Dtype::F32 {
+        encode_row(src, dtype, 1.0, out, |x| x);
+        return 1.0;
+    }
     out.fill(0);
     let (max_abs, any_non_finite) = finite_max_abs(src);
     let scale = linear_scale(max_abs, dtype);
     for r in 0..rows {
         let row = &src[r * cols..(r + 1) * cols];
         let out = &mut out[r * row_bytes..(r + 1) * row_bytes];
-        if any_non_finite && dtype != Dtype::F32 {
+        if any_non_finite {
             encode_row(row, dtype, scale, out, |x| sanitize_non_finite(x, max_abs));
         } else {
             encode_row(row, dtype, scale, out, |x| x);
@@ -328,8 +341,8 @@ pub(crate) fn quantize_rows(
 fn encode_row(row: &[f32], dtype: Dtype, scale: f32, out: &mut [u8], map: impl Fn(f32) -> f32) {
     match dtype {
         Dtype::F32 => {
-            for (i, &x) in row.iter().enumerate() {
-                out[i * 4..(i + 1) * 4].copy_from_slice(&x.to_le_bytes());
+            for (bytes, &x) in out.chunks_exact_mut(4).zip(row) {
+                bytes.copy_from_slice(&x.to_le_bytes());
             }
         }
         Dtype::F16 => {
@@ -384,9 +397,25 @@ pub fn decode_row_into(bytes: &[u8], dtype: Dtype, scale: f32, out: &mut [f32]) 
     }
 }
 
-fn quantize_value(x: f32, scale: f32, bits: usize) -> i8 {
+/// The `bits`-wide code of `x` at linear `scale`: `x / scale` rounded to
+/// the nearest integer, halves away from zero, and clamped to
+/// `±qmax = ±(2^(bits−1) − 1)`; NaN codes to 0. This is exactly
+/// `(x / scale).round().clamp(-qmax, qmax) as i8`, without the libm
+/// `roundf` call that keeps an encode loop scalar: the quotient is
+/// clamped first (the codes in range are the same either way, since
+/// `qmax` is an integer), truncated toward zero, and moved one step away
+/// from zero when the part truncated is at least ½ in magnitude. The
+/// clamped quotient is at most 127 in magnitude, far below 2²³, so the
+/// truncation is exact and so is the subtraction that yields the
+/// fraction (the two operands are within a factor of two, or the
+/// truncation is 0). A NaN quotient survives the clamp and truncates to
+/// 0, with a NaN fraction that moves it nowhere.
+pub(crate) fn quantize_value(x: f32, scale: f32, bits: usize) -> i8 {
     let qmax = ((1usize << (bits - 1)) - 1) as f32;
-    (x / scale).round().clamp(-qmax, qmax) as i8
+    let q = (x / scale).clamp(-qmax, qmax);
+    let whole = q as i32;
+    let frac = q - whole as f32;
+    (whole + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i8
 }
 
 #[cfg(test)]
@@ -585,6 +614,56 @@ mod tests {
             assert!(bound > 0.0, "{dtype:?}");
             for (a, b) in row.iter().zip(&out) {
                 assert!((a - b).abs() <= bound, "{dtype:?} {a:e} vs {b:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_rounding_rule_is_round_then_clamp_on_every_probed_input() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            -f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        for payload in [
+            0x7fc0_0000u32,
+            0x7f80_0001,
+            0x7fbf_ffff,
+            0x7fff_ffff,
+            0x7fd2_3456,
+        ] {
+            inputs.extend([
+                f32::from_bits(payload),
+                f32::from_bits(payload | 0x8000_0000),
+            ]);
+        }
+        // Every half-integer boundary in and just past the widest code
+        // range (−128.5 ..= 128.5), ±64 ulps.
+        for k in -129..=128 {
+            let half = (k as f32 + 0.5).to_bits() as i64;
+            inputs.extend((-64..=64).map(|ulps| f32::from_bits((half + ulps) as u32)));
+        }
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let random = (0..1 << 20).map(|_| f32::from_bits(rng.gen::<u32>()));
+        inputs.extend(random);
+        for bits in [8, 4, 2] {
+            let qmax = ((1usize << (bits - 1)) - 1) as f32;
+            for &x in &inputs {
+                let want = x.round().clamp(-qmax, qmax) as i8;
+                let got = quantize_value(x, 1.0, bits);
+                assert_eq!(got, want, "{bits} bits: {x:e} ({:#010x})", x.to_bits());
             }
         }
     }

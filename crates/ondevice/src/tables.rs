@@ -40,7 +40,9 @@ use crate::compute::WorkCounts;
 use crate::engine::RunStats;
 use crate::format::OnDeviceModel;
 use crate::pages::PagedTable;
-use crate::quant::{decode_row_into, dequant_error_bound, finite_max_abs, quantize_row, Dtype};
+use crate::quant::{
+    decode_row_into, dequant_error_bound, finite_max_abs, quantize_row, quantize_value, Dtype,
+};
 use crate::{OnDeviceError, Result};
 
 /// Consecutive ids per int8 scalar block.
@@ -116,16 +118,14 @@ impl Column {
         }
         let stride = dtype.stored_row_bytes(cols);
         let mut bytes = Vec::with_capacity(values.len() / cols * stride);
-        let mut payload = vec![0u8; dtype.row_bytes(cols)];
         let mut err = 0f32;
-        for row in values.chunks_exact(cols) {
-            if dtype == Dtype::F32 {
-                // The bytes `encode_stored_row` writes for F32 (verbatim,
-                // no scale prefix, certified error 0) without its per-row
-                // call and bound fold, which the 200 000 one-value rows
-                // of a MEmCom scalar column make visible in `setup_s`.
-                bytes.extend(row.iter().flat_map(|v| v.to_le_bytes()));
-            } else {
+        if dtype == Dtype::F32 {
+            // The bytes `encode_stored_row` writes for F32 rows (verbatim,
+            // no scale prefix, certified error 0), all rows in one pass.
+            bytes.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+        } else {
+            let mut payload = vec![0u8; dtype.row_bytes(cols)];
+            for row in values.chunks_exact(cols) {
                 err = err.max(encode_stored_row(row, dtype, &mut payload, &mut bytes));
             }
         }
@@ -210,21 +210,21 @@ impl Column {
             Encoding::Int8Blocks => {
                 let value = values[0];
                 let (block, idx) = (r / SCALAR_BLOCK, r % SCALAR_BLOCK);
-                let mut row = pages.read_row(block)?.to_vec();
+                let mut row = [0u8; SCALAR_BLOCK_BYTES];
+                row.copy_from_slice(pages.read_row(block)?);
                 pages.charge(1);
                 let scale = decode_f32(&row[..4]);
-                if scale > 0.0 {
-                    let q = (value / scale).round();
-                    if q.abs() <= 127.0 {
-                        let q = q as i8;
-                        row[4 + idx] = q as u8;
-                        pages.write_row(block, &row)?;
-                        let err = (value - q as f32 * scale).abs();
-                        return Ok(Written {
-                            err,
-                            ..Written::default()
-                        });
-                    }
+                // The value's code is in range iff its quotient rounds to
+                // at most 127 in magnitude, i.e. `|value / scale| < 127.5`.
+                if scale > 0.0 && (value / scale).abs() < 127.5 {
+                    let q = quantize_value(value, scale, 8);
+                    row[4 + idx] = q as u8;
+                    pages.write_row(block, &row)?;
+                    let err = (value - q as f32 * scale).abs();
+                    return Ok(Written {
+                        err,
+                        ..Written::default()
+                    });
                 }
                 // Out of range (or a zeroed block): re-encode the whole
                 // block around a fresh scale.
