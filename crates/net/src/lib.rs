@@ -26,7 +26,8 @@
 //!   wire deadline the call's per-request deadline. Graceful shutdown
 //!   drains connections
 //!   (in-flight responses flushed, already-sent frames answered with a
-//!   typed `shutting_down` — never silence) before stopping workers.
+//!   typed `shutting_down` — never silence) before shutting the
+//!   router down.
 //!   Both endpoints are concrete over `std::net` TCP: there is no
 //!   transport seam in the product, and fault injection belongs in a
 //!   seeded loopback TCP proxy under `tests/` (real short reads, resets

@@ -14,7 +14,7 @@
 //!    already on the wire with a typed `shutting_down` error — an
 //!    answer, not silence — before closing.
 //! 3. Every connection thread is joined, and only then is the
-//!    router shut down (workers drain their queues per the serve
+//!    router shut down (its queued requests are answered per the serve
 //!    tier's own guarantees).
 //!
 //! The reconciliation consequence: every lookup a client sent either

@@ -198,7 +198,8 @@ impl Writer {
         let payload_at = scale_at + 4;
         self.buf
             .resize(payload_at + rows * dtype.row_bytes(cols), 0);
-        let scale = quantize_rows(t.as_slice(), rows, cols, dtype, &mut self.buf[payload_at..]);
+        let (scale, _) =
+            quantize_rows(t.as_slice(), rows, cols, dtype, &mut self.buf[payload_at..]);
         self.buf[scale_at..payload_at].copy_from_slice(&scale.to_le_bytes());
         Ok(())
     }

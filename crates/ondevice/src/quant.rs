@@ -277,12 +277,14 @@ pub fn dequant_error_bound(dtype: Dtype, scale: f32, max_abs: f32) -> f32 {
 ///
 /// Panics on a mis-sized `out` — a caller sizing bug.
 pub fn quantize_row(row: &[f32], dtype: Dtype, out: &mut [u8]) -> f32 {
-    quantize_rows(row, 1, row.len(), dtype, out)
+    quantize_rows(row, 1, row.len(), dtype, out).0
 }
 
 /// Quantizes `src`, `rows` rows of `cols` values, under one linear scale
 /// taken over all of them, returning that scale (`1.0` for float
-/// dtypes). A model file stores each table this way (one scale per
+/// dtypes) and the finite `max_abs` of `src` it was taken over, the one
+/// [`dequant_error_bound`] certifies at (`0.0` for F32, which scans no
+/// max and certifies no error at any). A model file stores each table this way (one scale per
 /// table, format v2); [`quantize_row`] is the single-row case. `out`
 /// holds the rows back to back, each [`Dtype::row_bytes`]`(cols)` long
 /// and byte-aligned; it is zeroed before the packed encodings OR into
@@ -306,7 +308,7 @@ pub(crate) fn quantize_rows(
     cols: usize,
     dtype: Dtype,
     out: &mut [u8],
-) -> f32 {
+) -> (f32, f32) {
     let row_bytes = dtype.row_bytes(cols);
     assert!(
         src.len() == rows * cols && out.len() == rows * row_bytes,
@@ -314,7 +316,7 @@ pub(crate) fn quantize_rows(
     );
     if dtype == Dtype::F32 {
         encode_row(src, dtype, 1.0, out, |x| x);
-        return 1.0;
+        return (1.0, 0.0);
     }
     out.fill(0);
     let (max_abs, any_non_finite) = finite_max_abs(src);
@@ -328,7 +330,7 @@ pub(crate) fn quantize_rows(
             encode_row(row, dtype, scale, out, |x| x);
         }
     }
-    scale
+    (scale, max_abs)
 }
 
 /// Encodes one row of f32s into the packed representation. `out` must be
@@ -430,7 +432,7 @@ mod tests {
     fn file_round_trip(src: &[f32], cols: usize, dtype: Dtype) -> (Vec<f32>, f32, f32) {
         let (rows, row_bytes) = (src.len() / cols, dtype.row_bytes(cols));
         let mut data = vec![0u8; rows * row_bytes];
-        let scale = quantize_rows(src, rows, cols, dtype, &mut data);
+        let (scale, _) = quantize_rows(src, rows, cols, dtype, &mut data);
         let mut out = vec![f32::NAN; src.len()];
         for (bytes, row) in data.chunks_exact(row_bytes).zip(out.chunks_exact_mut(cols)) {
             decode_row_into(bytes, dtype, scale, row);

@@ -41,7 +41,7 @@ use crate::engine::RunStats;
 use crate::format::OnDeviceModel;
 use crate::pages::PagedTable;
 use crate::quant::{
-    decode_row_into, dequant_error_bound, finite_max_abs, quantize_row, quantize_value, Dtype,
+    decode_row_into, dequant_error_bound, quantize_row, quantize_rows, quantize_value, Dtype,
 };
 use crate::{OnDeviceError, Result};
 
@@ -626,12 +626,12 @@ impl EmbeddingTables {
 /// Returns the row's worst-case absolute dequantization error; an
 /// all-zero row is stored exactly, at every dtype.
 fn encode_stored_row(row: &[f32], dtype: Dtype, payload: &mut [u8], out: &mut Vec<u8>) -> f32 {
-    let scale = quantize_row(row, dtype, payload);
+    let (scale, max_abs) = quantize_rows(row, 1, row.len(), dtype, payload);
     if dtype.scale_prefix_bytes() > 0 {
         out.extend_from_slice(&scale.to_le_bytes());
     }
     out.extend_from_slice(payload);
-    dequant_error_bound(dtype, scale, finite_max_abs(row).0)
+    dequant_error_bound(dtype, scale, max_abs)
 }
 
 fn decode_f32(bytes: &[u8]) -> f32 {
@@ -641,7 +641,6 @@ fn decode_f32(bytes: &[u8]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::quantize_rows;
     use memcom_core::{FullEmbedding, MemCom, MemComConfig, MethodSpec, QrCombiner};
     use memcom_nn::Sequential;
     use rand::rngs::StdRng;
@@ -762,7 +761,7 @@ mod tests {
             Dtype::Int2,
         ] {
             let mut data = vec![0u8; 12 * dtype.row_bytes(5)];
-            let scale = quantize_rows(table.as_slice(), 12, 5, dtype, &mut data);
+            let (scale, _) = quantize_rows(table.as_slice(), 12, 5, dtype, &mut data);
             let tables = file_tables(&emb, dtype);
             let (mut want, mut got) = ([0f32; 5], [f32::NAN; 5]);
             for (r, bytes) in data.chunks_exact(dtype.row_bytes(5)).enumerate() {

@@ -3,7 +3,7 @@
 //! [`EmbedBatch`] is the response slab for the zero-copy batch API
 //! ([`crate::RouterHandle::get_batch_into`]): one flat `Vec<f32>` holds
 //! all rows. Its id list and its row slab are the very buffers the
-//! request carries to a shard worker and back, so after a warm-up call at
+//! request carries through a shard queue and back, so after a warm-up call at
 //! a given batch shape, lookups perform **no per-row heap allocation**:
 //! the only steady-state allocation on the whole path is the one
 //! response-slot `Arc`.

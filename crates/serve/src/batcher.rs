@@ -1,18 +1,22 @@
 //! Micro-batching request queues and response cells.
 //!
 //! Each shard owns one bounded queue and one **serve turn**: at most one
-//! thread serves a shard at a time — its worker, or a producer whose
-//! push found the shard idle. [`ShardQueue::push`] hands such a producer
-//! the [`Turn`] and wakes nobody, so an uncontended request is served on
-//! the thread that submitted it, with no worker round trip. A push onto
-//! a shard that is being served wakes nobody either: the turn holder
-//! re-checks the queue as its turn ends and, if requests arrived in the
-//! meantime, hands them to the worker ([`ShardQueue::next_turn`]) and
-//! wakes it; a producer that drops its turn unused hands its own request
-//! over the same way. The worker keeps the turn while a backlog lasts,
-//! and pushes queue behind it: requests that overlap in time batch as
-//! they did when the worker served every request, while a request that
-//! overlaps with none is served on its own thread, in a batch of one.
+//! thread serves a shard at a time, and it is always the thread of a
+//! request in the shard's queue — no thread exists only to serve.
+//! [`ShardQueue::push`] hands a producer that found the shard idle the
+//! [`Turn`] and wakes nobody, so an uncontended request is served on the
+//! thread that submitted it. A push onto a shard that is being served
+//! wakes nobody either: it queues, and its producer blocks on its reply.
+//! The turn holder re-checks the queue as its turn ends and, if requests
+//! arrived in the meantime, passes the turn to the caller of the oldest
+//! one ([`Caller::pass_turn`]), which takes it
+//! ([`ShardQueue::take_turn`]) and serves one batch — a batch that
+//! holds its own request, so it then reads its own answer and ends the
+//! turn the same way. Each batch is served on the thread of its oldest
+//! request, and no caller serves more than one batch: flat combining
+//! with the combiner chosen by queue order. Requests that overlap in
+//! time batch; a request that overlaps with none is served on its own
+//! thread, in a batch of one.
 //!
 //! Serving is work-conserving: a turn takes up to `max_batch` of
 //! whatever is already queued and serves at once — it never holds a
@@ -23,7 +27,8 @@
 //! One response cell answers every request the router enqueues (see
 //! [`crate::router`]): a [`SlabSlot`], the [`ReplySlot`] that
 //! round-trips the caller's id/output buffers, so they can be pooled and
-//! reused across calls.
+//! reused across calls, and that wakes its caller with the serve turn
+//! instead of an answer when its request heads a backlog.
 //!
 //! Producers pick their overload behavior per [`ShardQueue::push`]:
 //! with no budget it blocks while the queue is full (backpressure);
@@ -58,7 +63,7 @@ impl<T> PushError<T> {
     }
 }
 
-/// Why a worker closed a batch.
+/// Why a serve turn closed a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushReason {
     /// The batch reached `max_batch` requests.
@@ -88,7 +93,9 @@ pub struct SlabOutcome {
 /// `memcom-net`'s client answers its tickets through one too.
 #[derive(Debug)]
 pub struct ReplySlot<T> {
-    state: Mutex<Option<T>>,
+    /// The answer, and whether a serve turn was passed to the waiter and
+    /// not yet taken.
+    state: Mutex<(Option<T>, bool)>,
     ready: Condvar,
 }
 
@@ -100,29 +107,52 @@ impl<T> ReplySlot<T> {
     /// Creates an unfilled slot.
     pub fn new() -> Self {
         ReplySlot {
-            state: Mutex::new(None),
+            state: Mutex::new((None, false)),
             ready: Condvar::new(),
         }
     }
 
     /// Publishes the answer, waking the waiting requester. The first
-    /// write wins: a later fill (e.g. the worker's panic-recovery path
+    /// write wins: a later fill (e.g. the panic-recovery path
     /// blanketing a batch with errors, or a connection teardown racing
     /// a real reply) cannot clobber a real answer.
     pub fn fill(&self, answer: T) {
         let mut state = self.state.lock();
-        if state.is_none() {
-            *state = Some(answer);
+        if state.0.is_none() {
+            state.0 = Some(answer);
             self.ready.notify_all();
         }
     }
 
     /// Blocks until the answer arrives and takes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a serve turn is passed to this waiter instead — only
+    /// the router's callers are passed turns, and they wait with
+    /// `wait_or_turn`, which returns it.
     pub fn wait(&self) -> T {
+        self.wait_or_turn()
+            .expect("a serve turn was passed to a plain wait")
+    }
+
+    /// Wakes the waiter with a shard's serve turn instead of an answer
+    /// (see [`Caller`]).
+    pub(crate) fn pass_turn(&self) {
+        self.state.lock().1 = true;
+        self.ready.notify_all();
+    }
+
+    /// Blocks until the answer arrives and takes it — or returns `None`,
+    /// once, when the serve turn is passed to this waiter first.
+    pub(crate) fn wait_or_turn(&self) -> Option<T> {
         let mut state = self.state.lock();
         loop {
-            if let Some(answer) = state.take() {
-                return answer;
+            if let Some(answer) = state.0.take() {
+                return Some(answer);
+            }
+            if std::mem::take(&mut state.1) {
+                return None;
             }
             self.ready.wait(&mut state);
         }
@@ -137,8 +167,8 @@ impl<T> Default for ReplySlot<T> {
 
 impl SlabSlot {
     /// Fails the request while handing the caller's buffers back for
-    /// reuse. This is the failure path whenever the worker still owns
-    /// the buffers (store error, expired-at-dequeue) — under load
+    /// reuse. This is the failure path whenever the serving thread still
+    /// owns the buffers (store error, expired-at-dequeue) — under load
     /// shedding it is hot, and losing the buffers here would cost the
     /// caller a reallocation per failed request.
     pub fn fail_with_buffers(&self, ids: Vec<usize>, out: Vec<f32>, error: ServeError) {
@@ -163,23 +193,24 @@ impl SlabSlot {
     }
 }
 
-/// Who may serve a shard next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TurnState {
-    /// Nobody serves and nothing is queued: the next push takes the turn.
-    Free,
-    /// A [`Turn`] is out.
-    Held,
-    /// A turn ended on a non-empty queue: the backlog is the worker's,
-    /// and pushes queue behind it (batching) until it takes the turn.
-    Handed,
+/// A queued request whose caller blocks until it is answered — and so
+/// can be woken to serve instead.
+pub trait Caller {
+    /// Passes the shard's serve turn to this request's caller, who takes
+    /// it with [`ShardQueue::take_turn`]. Called under the queue's lock,
+    /// on the request at the head of the queue.
+    fn pass_turn(&self);
 }
 
 #[derive(Debug)]
 struct QueueState<T> {
     queue: VecDeque<T>,
     closed: bool,
-    turn: TurnState,
+    /// Whether the serve turn is out — held by a [`Turn`], or passed to
+    /// the caller of the queue's head and not yet taken. While it is,
+    /// pushes queue behind it (batching); while it is not, nothing is
+    /// queued and the next push takes it.
+    held: bool,
 }
 
 impl<T> Default for QueueState<T> {
@@ -187,7 +218,7 @@ impl<T> Default for QueueState<T> {
         QueueState {
             queue: VecDeque::new(),
             closed: false,
-            turn: TurnState::Free,
+            held: false,
         }
     }
 }
@@ -198,14 +229,15 @@ impl<T> Default for QueueState<T> {
 #[derive(Debug)]
 pub struct ShardQueue<T> {
     state: Mutex<QueueState<T>>,
-    /// Wakes the worker when a turn is handed to it or the queue closes.
-    ready: Condvar,
+    /// Wakes [`wait_drained`](Self::wait_drained) when a turn ends on a
+    /// closed, empty queue.
+    drained: Condvar,
     /// Wakes blocked producers when capacity frees up.
     space: Condvar,
     capacity: usize,
 }
 
-impl<T> ShardQueue<T> {
+impl<T: Caller> ShardQueue<T> {
     /// Creates a queue holding at most `capacity` pending requests.
     ///
     /// # Panics
@@ -216,7 +248,7 @@ impl<T> ShardQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
         ShardQueue {
             state: Mutex::new(QueueState::default()),
-            ready: Condvar::new(),
+            drained: Condvar::new(),
             space: Condvar::new(),
             capacity,
         }
@@ -232,11 +264,11 @@ impl<T> ShardQueue<T> {
     /// once the queue is found full.
     ///
     /// Returns the shard's [`Turn`] when the shard was idle: the
-    /// producer serves (a batch holding its own request) or drops the
-    /// turn, which hands what is queued to the worker. A push onto a
-    /// shard being served, or whose backlog the worker is yet to take,
-    /// returns `None` and wakes nobody — the turn holder re-checks the
-    /// queue when its turn ends.
+    /// producer serves a batch holding its own request (or drops the
+    /// turn unused, which passes it to the caller of the queue's head).
+    /// A push onto a shard being served, or whose turn is yet to be
+    /// taken, returns `None` and wakes nobody — the turn holder
+    /// re-checks the queue when its turn ends.
     ///
     /// # Errors
     ///
@@ -278,38 +310,37 @@ impl<T> ShardQueue<T> {
             }
         }
         state.queue.push_back(request);
-        if state.turn != TurnState::Free {
+        if state.held {
             return Ok(None);
         }
-        state.turn = TurnState::Held;
+        state.held = true;
         Ok(Some(Turn { queue: self }))
     }
     // memcom-lint: end-hot-path
 
-    /// The worker's wait: blocks until a turn that ended on a non-empty
-    /// queue hands the backlog over, then takes the turn. Returns `None`
-    /// when the queue is closed, drained *and* no turn is out — the
-    /// worker's exit signal, which so waits out a producer's turn in
-    /// flight.
-    pub fn next_turn(&self) -> Option<Turn<'_, T>> {
-        let mut state = self.state.lock();
-        loop {
-            match state.turn {
-                TurnState::Handed => break,
-                TurnState::Free if state.closed => return None,
-                TurnState::Free | TurnState::Held => self.ready.wait(&mut state),
-            }
-        }
-        state.turn = TurnState::Held;
-        Some(Turn { queue: self })
+    /// Takes the turn an ending [`Turn`] passed to the caller of the
+    /// queue's head ([`Caller::pass_turn`]): the turn stayed out in
+    /// transit, so only the caller it was passed to may take it, once.
+    pub fn take_turn(&self) -> Turn<'_, T> {
+        Turn { queue: self }
     }
 
-    /// Closes the queue: producers start failing, the worker drains what
-    /// remains and exits once no turn is out.
+    /// Closes the queue: producers start failing, while what is queued
+    /// stays to be served by its callers.
     pub fn close(&self) {
         self.state.lock().closed = true;
-        self.ready.notify_all();
         self.space.notify_all();
+    }
+
+    /// After [`close`](Self::close), blocks until the queue is drained:
+    /// no turn is out and, so, nothing is queued. Each queued request's
+    /// caller serves its batch when the turn passes to it, so this waits
+    /// out exactly the requests accepted before the close.
+    pub fn wait_drained(&self) {
+        let mut state = self.state.lock();
+        while state.held {
+            self.drained.wait(&mut state);
+        }
     }
 
     /// Pending request count (diagnostics).
@@ -320,23 +351,25 @@ impl<T> ShardQueue<T> {
 
 /// The right to serve one shard: while a `Turn` is out, nobody else pops
 /// the shard's queue. [`ShardQueue::push`] hands it to a producer that
-/// found the shard idle and [`ShardQueue::next_turn`] to the worker.
-/// Dropping it ends the turn: requests that queued meanwhile are handed
-/// to the worker, which is woken for them (or for its exit, once the
-/// queue is closed and empty); an empty queue wakes nobody.
+/// found the shard idle and [`ShardQueue::take_turn`] to a caller it was
+/// passed to. Dropping it ends the turn: when requests queued meanwhile,
+/// it passes to the caller of the oldest one; an empty queue frees the
+/// shard and wakes nobody but, once the queue is closed,
+/// [`ShardQueue::wait_drained`].
 #[derive(Debug)]
-pub struct Turn<'a, T> {
+pub struct Turn<'a, T: Caller> {
     queue: &'a ShardQueue<T>,
 }
 
-impl<T> Turn<'_, T> {
+impl<T: Caller> Turn<'_, T> {
     /// Takes the next micro-batch into the caller's reusable buffer
     /// (cleared first — the zero-allocation steady state certified by
     /// `tests/alloc_count.rs`): up to `max_batch` of whatever is queued,
     /// at once, reading no clock. A turn begins on a non-empty queue and
     /// nobody else pops while it is out, so a turn's first batch holds at
-    /// least one request. Frees queue space for `Block` producers and
-    /// returns why the batch closed.
+    /// least one request — and a passed turn's holds its taker's own.
+    /// Frees queue space for `Block` producers and returns why the batch
+    /// closed.
     // memcom-lint: hot-path
     pub fn pop_batch_into(&mut self, batch: &mut Vec<T>, max_batch: usize) -> FlushReason {
         batch.clear();
@@ -357,19 +390,17 @@ impl<T> Turn<'_, T> {
     // memcom-lint: end-hot-path
 }
 
-impl<T> Drop for Turn<'_, T> {
+impl<T: Caller> Drop for Turn<'_, T> {
     fn drop(&mut self) {
         let mut state = self.queue.state.lock();
-        let handed = !state.queue.is_empty();
-        state.turn = if handed {
-            TurnState::Handed
-        } else {
-            TurnState::Free
-        };
-        let wake = handed || state.closed;
-        drop(state);
-        if wake {
-            self.queue.ready.notify_one();
+        match state.queue.front() {
+            Some(head) => head.pass_turn(),
+            None => {
+                state.held = false;
+                if state.closed {
+                    self.queue.drained.notify_all();
+                }
+            }
         }
     }
 }
@@ -379,24 +410,54 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// A consumer's one turn, one batch.
-    trait PopBatch<T> {
-        fn pop_batch_into(&self, batch: &mut Vec<T>, max_batch: usize) -> Option<FlushReason>;
+    /// A plain value's caller is the test itself, which takes a passed
+    /// turn with [`ShardQueue::take_turn`].
+    impl Caller for usize {
+        fn pass_turn(&self) {}
     }
 
-    impl<T> PopBatch<T> for ShardQueue<T> {
-        /// Waits as [`ShardQueue::next_turn`] does and takes a batch
-        /// with [`Turn::pop_batch_into`]; the turn ends as this returns.
-        fn pop_batch_into(&self, batch: &mut Vec<T>, max_batch: usize) -> Option<FlushReason> {
-            Some(self.next_turn()?.pop_batch_into(batch, max_batch))
+    /// A queued value whose caller blocks on a reply slot, as the
+    /// router's callers do.
+    #[derive(Debug)]
+    struct Call(usize, Arc<ReplySlot<()>>);
+
+    impl Caller for Call {
+        fn pass_turn(&self) {
+            self.1.pass_turn();
         }
     }
 
-    /// The one pop, into a fresh buffer.
-    fn pop<T>(q: &ShardQueue<T>, max_batch: usize) -> Option<(Vec<T>, FlushReason)> {
+    /// The caller of the queue's head takes the turn passed to it and
+    /// pops one batch; the turn ends as this returns.
+    fn pop<T: Caller>(q: &ShardQueue<T>, max_batch: usize) -> (Vec<T>, FlushReason) {
         let mut batch = Vec::new();
-        let reason = q.pop_batch_into(&mut batch, max_batch)?;
-        Some((batch, reason))
+        let reason = q.take_turn().pop_batch_into(&mut batch, max_batch);
+        (batch, reason)
+    }
+
+    /// Pushes `id` as a [`Call`] from a new thread whose caller waits on
+    /// its slot, serves the batch the turn passes to it with `max_batch`,
+    /// and returns that batch's ids (none when it was answered unpassed).
+    fn call(
+        q: &Arc<ShardQueue<Call>>,
+        id: usize,
+        max_batch: usize,
+    ) -> std::thread::JoinHandle<Vec<usize>> {
+        let q = Arc::clone(q);
+        let slot = Arc::new(ReplySlot::new());
+        assert!(q.push(Call(id, Arc::clone(&slot)), None).unwrap().is_none());
+        std::thread::spawn(move || {
+            let mut served = Vec::new();
+            while slot.wait_or_turn().is_none() {
+                let (mut turn, mut batch) = (q.take_turn(), Vec::new());
+                turn.pop_batch_into(&mut batch, max_batch);
+                for Call(id, slot) in batch {
+                    served.push(id);
+                    slot.fill(());
+                }
+            }
+            served
+        })
     }
 
     #[test]
@@ -406,10 +467,10 @@ mod tests {
             q.push(id, None).unwrap();
         }
         let t0 = Instant::now();
-        let (batch, reason) = pop(&q, 4).unwrap();
+        let (batch, reason) = pop(&q, 4);
         assert_eq!(batch, vec![0, 1, 2, 3]);
         assert_eq!(reason, FlushReason::Full);
-        let (rest, reason) = pop(&q, 4).unwrap();
+        let (rest, reason) = pop(&q, 4);
         assert_eq!(rest, vec![4]);
         assert_eq!(reason, FlushReason::Emptied);
         assert_eq!(q.depth(), 0);
@@ -422,7 +483,7 @@ mod tests {
         let q = ShardQueue::new(16);
         q.push(7usize, None).unwrap();
         let t0 = Instant::now();
-        let (batch, reason) = pop(&q, 64).unwrap();
+        let (batch, reason) = pop(&q, 64);
         let took = t0.elapsed();
         assert_eq!(batch, vec![7]);
         assert_eq!(reason, FlushReason::Emptied);
@@ -430,16 +491,17 @@ mod tests {
     }
 
     #[test]
-    fn close_drains_then_signals_exit() {
+    fn close_drains_then_frees_the_shard() {
         let q = ShardQueue::new(16);
         q.push(1usize, None).unwrap();
         q.push(2, None).unwrap();
         q.close();
         assert!(matches!(q.push(3, None), Err(PushError::Closed(3))));
-        let (batch, reason) = pop(&q, 64).unwrap();
+        let (batch, reason) = pop(&q, 64);
         assert_eq!(batch.len(), 2, "queued work survives close");
         assert_eq!(reason, FlushReason::Drain);
-        assert!(pop(&q, 64).is_none(), "then the worker exits");
+        // The turn ended on an empty queue: drained, so this returns.
+        q.wait_drained();
     }
 
     #[test]
@@ -454,7 +516,7 @@ mod tests {
         }
         assert_eq!(q.depth(), 2);
         // Space frees up -> accepted again.
-        let (batch, _) = pop(&q, 1).unwrap();
+        let (batch, _) = pop(&q, 1);
         assert_eq!(batch, vec![1]);
         q.push(3, Some(Duration::ZERO)).unwrap();
         q.close();
@@ -489,7 +551,7 @@ mod tests {
             pop(&q2, 1)
         });
         q.push(9, Some(Duration::from_secs(5))).unwrap();
-        consumer.join().unwrap().unwrap();
+        consumer.join().unwrap();
         assert_eq!(q.depth(), 1);
         // A zero budget on a full queue rejects at once.
         assert!(matches!(
@@ -511,9 +573,9 @@ mod tests {
         });
         // Full queue, so the budget is turned into a deadline here.
         q.push(1, Some(Duration::MAX)).unwrap();
-        let (first, _) = consumer.join().unwrap().unwrap();
+        let (first, _) = consumer.join().unwrap();
         assert_eq!(first, vec![0]);
-        let (batch, _) = pop(&q, 4).unwrap();
+        let (batch, _) = pop(&q, 4);
         assert_eq!(batch, vec![1]);
     }
 
@@ -524,48 +586,73 @@ mod tests {
         for id in 0..6usize {
             q.push(id, None).unwrap();
         }
-        let reason = q.pop_batch_into(&mut batch, 4).unwrap();
+        let reason = q.take_turn().pop_batch_into(&mut batch, 4);
         assert_eq!(batch, vec![0, 1, 2, 3]);
         assert_eq!(reason, FlushReason::Full);
         let capacity = batch.capacity();
         // Stale contents are cleared; capacity is reused, not reallocated.
-        let reason = q.pop_batch_into(&mut batch, 4).unwrap();
+        let reason = q.take_turn().pop_batch_into(&mut batch, 4);
         assert_eq!(batch, vec![4, 5]);
         assert_eq!(reason, FlushReason::Emptied);
         assert_eq!(batch.capacity(), capacity);
         q.close();
-        assert!(q.pop_batch_into(&mut batch, 4).is_none());
+        q.wait_drained();
     }
 
     #[test]
-    fn cross_thread_wakeup() {
+    fn cross_thread_hand_off() {
         let q = Arc::new(ShardQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            q2.push(9usize, None).unwrap();
-        });
-        // Worker parked on an empty queue gets woken by the push.
-        let (batch, _) = pop(&q, 1).unwrap();
-        assert_eq!(batch[0], 9);
-        producer.join().unwrap();
+        let mut turn = q
+            .push(Call(1, Arc::new(ReplySlot::new())), None)
+            .unwrap()
+            .expect("an idle shard's turn");
+        // A caller parked on its slot is woken by the turn's end.
+        let caller = call(&q, 9, 1);
+        let mut batch = Vec::new();
+        turn.pop_batch_into(&mut batch, 1);
+        assert_eq!(batch[0].0, 1);
+        drop(turn);
+        assert_eq!(caller.join().unwrap(), vec![9]);
+        q.close();
+        q.wait_drained();
     }
 
     #[test]
-    fn a_dropped_turn_hands_its_backlog_to_a_parked_pop() {
+    fn a_dropped_turn_passes_its_backlog_to_the_oldest_caller() {
         let q = Arc::new(ShardQueue::new(4));
-        let turn = q.push(1usize, None).unwrap().expect("an idle shard's turn");
-        let q2 = Arc::clone(&q);
-        let consumer = std::thread::spawn(move || pop(&q2, 4));
-        // The consumer cannot pop while the turn is out, whatever it
-        // waits on; what queues meanwhile is handed over on drop.
-        assert!(q.push(2, None).unwrap().is_none());
-        std::thread::sleep(Duration::from_millis(10));
+        let mut turn = q
+            .push(Call(1, Arc::new(ReplySlot::new())), None)
+            .unwrap()
+            .expect("an idle shard's turn");
+        let mut batch = Vec::new();
+        turn.pop_batch_into(&mut batch, 4);
+        // Nobody else pops while the turn is out, whoever waits; what
+        // queues meanwhile passes, on drop, to its oldest caller, who
+        // serves it in one batch, its own request first.
+        let (oldest, next) = (call(&q, 2, 4), call(&q, 3, 4));
         assert_eq!(q.depth(), 2);
         drop(turn);
-        let (batch, reason) = consumer.join().unwrap().unwrap();
-        assert_eq!(batch, vec![1, 2]);
-        assert_eq!(reason, FlushReason::Emptied);
+        assert_eq!(oldest.join().unwrap(), vec![2, 3]);
+        assert_eq!(next.join().unwrap(), Vec::<usize>::new());
+        q.close();
+        q.wait_drained();
+    }
+
+    #[test]
+    fn each_batch_of_a_backlog_is_served_by_its_oldest_caller() {
+        let q = Arc::new(ShardQueue::new(8));
+        let mut turn = q
+            .push(Call(0, Arc::new(ReplySlot::new())), None)
+            .unwrap()
+            .expect("an idle shard's turn");
+        let mut batch = Vec::new();
+        turn.pop_batch_into(&mut batch, 2);
+        let callers: Vec<_> = (1..6).map(|id| call(&q, id, 2)).collect();
+        drop(turn);
+        let served: Vec<Vec<usize>> = callers.into_iter().map(|c| c.join().unwrap()).collect();
+        assert_eq!(served, [vec![1, 2], vec![], vec![3, 4], vec![], vec![5]]);
+        q.close();
+        q.wait_drained();
     }
 
     #[test]
@@ -578,9 +665,10 @@ mod tests {
         assert_eq!(batch, vec![1, 2]);
         assert!(q.push(3, None).unwrap().is_none(), "still served");
         drop(turn);
-        // The turn ended on a backlog: it is the worker's, not a pusher's.
+        // The turn ended on a backlog: it was passed to the head's
+        // caller, not to a pusher.
         assert!(q.push(4, None).unwrap().is_none());
-        let mut turn = q.next_turn().unwrap();
+        let mut turn = q.take_turn();
         assert_eq!(turn.pop_batch_into(&mut batch, 4), FlushReason::Emptied);
         assert_eq!(batch, vec![3, 4]);
         drop(turn);
@@ -604,8 +692,8 @@ mod tests {
         assert_eq!(q.depth(), 1);
         drop(turn);
         q.close();
-        assert_eq!(pop(&q, 4).unwrap().0, vec![1]);
-        assert!(pop(&q, 4).is_none());
+        assert_eq!(pop(&q, 4).0, vec![1]);
+        q.wait_drained();
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub enum AdmissionPolicy {
         /// means reject immediately when full.
         enqueue_timeout: Duration,
         /// End-to-end time budget, measured from the moment a request
-        /// is issued (before any admission wait): a worker that
+        /// is issued (before any admission wait): a serve turn that
         /// dequeues a request older than this drops it with
         /// [`ServeError::DeadlineExceeded`] instead of serving it. The
         /// budget covers the admission wait too (the caller has been
@@ -61,7 +61,7 @@ pub enum TelemetryLevel {
     Off,
     /// Everything: per-stage latency histograms (admission wait, queue
     /// wait, store decode per dtype, forward, slab write; the batch
-    /// assembly stage stays empty, since no worker holds a batch open)
+    /// assembly stage stays empty, since no serve turn holds a batch open)
     /// and sampled request tracing. Costs a few clock reads per batch and
     /// one short uncontended lock per batch per shard.
     Full,
@@ -150,14 +150,14 @@ impl TelemetryConfig {
 /// [`crate::Router::register_with_dtype`] names the dtype per model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Number of shards: one queue, one serve turn and one worker thread
-    /// per shard. A request pushed onto an idle shard is served on the
-    /// submitting thread; the worker serves what queues while the shard
-    /// is busy.
+    /// Number of shards: one queue and one serve turn per shard, and no
+    /// thread. A request pushed onto an idle shard is served on the
+    /// submitting thread; what queues while the shard is busy is served
+    /// batch by batch, each batch on the thread of its oldest request.
     pub n_shards: usize,
     /// Most queued requests one serve turn takes into a batch.
     pub max_batch: usize,
-    /// Read by nothing: a worker serves whatever is queued and never
+    /// Read by nothing: a serve turn takes whatever is queued and never
     /// holds a batch open. A vestige kept because frozen `crates/perf`
     /// names the field (ROADMAP item 1(f) removes it with its reader).
     pub max_wait: Duration,
@@ -175,7 +175,7 @@ pub struct ServeConfig {
     /// enqueue time, and whether queued requests carry a deadline.
     pub admission: AdmissionPolicy,
     /// Simulated backing-store service time, charged once per flushed
-    /// batch before the shard worker touches its store. The in-memory
+    /// batch before the serving thread touches its store. The in-memory
     /// [`memcom_ondevice::PagedTable`] costs nanoseconds per row, so a real
     /// on-device backing store (flash/NVMe page reads) is modeled here;
     /// a non-zero value gives each shard a calibrated service capacity
@@ -250,7 +250,7 @@ impl ServeConfig {
     /// Returns [`ServeError::BadConfig`] for zero shard count, batch
     /// size, queue depth, or page size, or for a shedding policy with a
     /// zero `request_deadline` (every request would expire before any
-    /// worker could dequeue it).
+    /// serve turn could dequeue it).
     pub fn validate(&self) -> Result<()> {
         let reject = |context: &str| {
             Err(ServeError::BadConfig {

@@ -55,10 +55,11 @@ pub enum ServeError {
     },
     /// Dropped at dequeue: the request was older than its end-to-end
     /// deadline ([`crate::AdmissionPolicy::Shed`]`::request_deadline`)
-    /// by the time a worker picked it up, so the worker failed it
-    /// instead of computing an answer nobody is still waiting for.
+    /// by the time a serve turn picked it up, so the serving thread
+    /// failed it instead of computing an answer nobody is still waiting
+    /// for.
     DeadlineExceeded {
-        /// How long the request had been outstanding when a worker
+        /// How long the request had been outstanding when a serve turn
         /// dequeued it — measured from issue, so it includes admission
         /// waits (and, for a fanned-out request, the admission of
         /// earlier shards), not just time in this shard's queue.
@@ -66,8 +67,9 @@ pub enum ServeError {
         /// The deadline it was issued under.
         deadline: std::time::Duration,
     },
-    /// A serving worker disappeared without answering (a bug, not a load
-    /// condition).
+    /// The batch holding the request panicked while it was served, so
+    /// the caller serving it answered this instead of a result (a bug,
+    /// not a load condition).
     WorkerLost,
     /// Error from the simulated mmap / on-device layer.
     OnDevice(OnDeviceError),

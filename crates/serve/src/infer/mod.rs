@@ -74,8 +74,9 @@ pub const LOOKUP_BACKEND: &str = "lookup";
 
 /// A scoring pipeline servable behind the [`Router`](crate::Router).
 ///
-/// Implementations are called by whichever thread serves a shard — its
-/// worker, or a submitting caller that found the shard idle — so they
+/// Implementations are called by whichever thread serves a shard — a
+/// submitting caller that found the shard idle, or one whose queued
+/// request the shard's turn passed to — so they
 /// must be `Send + Sync` and must not allocate per call at a steady
 /// request shape: every intermediate belongs in the caller-provided
 /// [`InferScratch`], which each shard owns and reuses.
@@ -181,7 +182,7 @@ impl Default for BackendRegistry {
 /// Reusable per-shard buffers for [`InferBackend::score_into`].
 ///
 /// Each shard owns one scratch for its whole lifetime, used by whichever
-/// thread holds its serve turn (the worker or a submitting caller); at a
+/// caller holds its serve turn; at a
 /// steady request shape every buffer reaches capacity once and the
 /// scoring path stops allocating — the same O(1)-allocations-per-call
 /// discipline `tests/alloc_count.rs` certifies for the lookup path.

@@ -28,14 +28,15 @@
 //!   up to `max_batch` of whatever is queued and never waits for more;
 //!   a push onto an idle shard hands its producer the turn, so a
 //!   request that finds its shard idle is served on the submitting
-//!   thread),
+//!   thread, and a turn that ends on a backlog passes to the caller of
+//!   its oldest request — no thread exists only to serve),
 //!   answered through [`batcher::SlabSlot`], a first-write-wins
 //!   [`ReplySlot`] that round-trips the request buffers. Overload
 //!   behavior is an [`AdmissionPolicy`]: block
 //!   producers on full queues (backpressure), or shed with bounded
 //!   enqueue waits and per-request deadlines enforced at dequeue.
-//! * [`router`] — **routing**: the [`Router`] owns the shard workers and
-//!   a registry of named models. Lookups and scores are one request
+//! * [`router`] — **routing**: the [`Router`] owns the shard queues and
+//!   a registry of named models, and spawns no thread. Lookups and scores are one request
 //!   shape through one door, [`RouterHandle::submit`], whose
 //!   [`RequestKind`] picks the backend and whose optional deadline
 //!   tightens the admission policy's; `get`, `get_many`,
@@ -46,8 +47,8 @@
 //!   store. Requests capture their model's current
 //!   store `Arc` at enqueue time, so [`Router::swap`] (whole-table) and
 //!   [`Router::apply_delta`] (row-level) refresh tables atomically
-//!   while in-flight lookups finish on the old snapshot, and one worker
-//!   set serves every model. Per-model stats via [`Router::stats`].
+//!   while in-flight lookups finish on the old snapshot, and one set of
+//!   shard queues serves every model. Per-model stats via [`Router::stats`].
 //! * [`infer`] — **full-model scoring**: an [`InferBackend`] turns a
 //!   registered model from a row store into a scoring pipeline (embed →
 //!   pool → dense forward; N item ids in, K scores out). Backends live
@@ -73,9 +74,9 @@
 //!   [`MetricsSnapshot`] and for `memcom-net`'s snapshot alike, each
 //!   metric named once, as a row of its entity's table.
 //!
-//! Shards are worker queues, not storage: a store holds each recipe
+//! Shards are request queues, not storage: a store holds each recipe
 //! table once, whatever the shard count, so a served model costs what
-//! its tables cost, and workers read it without a lock. Costs plug into
+//! its tables cost, and serving threads read it without a lock. Costs plug into
 //! the on-device compute-unit model: a store's tables report
 //! ([`EmbeddingTables::run_stats`](memcom_ondevice::EmbeddingTables::run_stats))
 //! the same [`memcom_ondevice::RunStats`] the single-inference engines

@@ -70,8 +70,8 @@ pub struct LoadGenConfig {
     /// Requests each client issues.
     pub requests_per_client: usize,
     /// Ids embedded per request (`1` = point lookups; the paper's
-    /// session inputs are 128-id requests, each read whole by one worker
-    /// from every shard its ids live on).
+    /// session inputs are 128-id requests, each read whole by one serving
+    /// thread from every shard its ids live on).
     pub ids_per_request: usize,
     /// Zipf exponent of the id popularity distribution.
     pub zipf_exponent: f64,

@@ -1,10 +1,11 @@
-//! Multi-model routing: one set of shard workers, many named models.
+//! Multi-model routing: one set of shard queues, many named models.
 //!
-//! The [`Router`] owns the serving machinery — per-shard bounded queues,
-//! serve turns and worker threads — while a registry maps model names to
-//! [`ShardedStore`] snapshots. Registering a model costs nothing at the
-//! worker level: every request captures an `Arc` of its model's current
-//! store at enqueue time, so serving threads are stateless dispatchers and a
+//! The [`Router`] owns the serving machinery — per-shard bounded queues
+//! and serve turns, and no thread of its own — while a registry maps
+//! model names to [`ShardedStore`] snapshots. Registering a model costs
+//! nothing at the serving level: every request captures an `Arc` of its
+//! model's current store at enqueue time, so serving threads are
+//! stateless dispatchers and a
 //! [`swap`](Router::swap) is a single atomic `Arc` flip. In-flight
 //! requests finish against the snapshot they were routed to; the next
 //! request sees the new table — online refresh without stopping traffic.
@@ -23,9 +24,13 @@
 //! [`Turn`]: a `submit` whose push finds the shard idle yields the CPU
 //! once, so that runnable threads may push behind its turn, then serves
 //! the batch holding its own request on its own thread, so an
-//! uncontended call makes no thread hand-off; requests that queue while
-//! a turn is out go to the shard's worker, which serves the backlog in
-//! micro-batches.
+//! uncontended call makes no thread hand-off. Requests that queue while
+//! a turn is out form a backlog, served in micro-batches by the callers
+//! that submitted them: the ending turn passes to the caller of the
+//! oldest queued request, which serves one batch holding its own
+//! request and passes the turn on. A shard is only ever served by a
+//! thread with a request in it, and no caller serves more than one
+//! batch.
 //! Validation, `issued` counting, admission, deadlines, buffer
 //! round-trips and serving are written once, in `submit`, `serve_turn`
 //! and `serve_batch`, whichever thread serves.
@@ -33,13 +38,12 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use memcom_ondevice::engine::RunStats;
 use parking_lot::RwLock;
 
-use crate::batcher::{FlushReason, PushError, ShardQueue, SlabOutcome, SlabSlot, Turn};
+use crate::batcher::{Caller, FlushReason, PushError, ShardQueue, SlabOutcome, SlabSlot, Turn};
 use crate::config::AdmissionPolicy;
 use crate::infer::{
     BackendRegistry, InferBackend, InferScratch, LookupBackend, ScoreBatch, LOOKUP_BACKEND,
@@ -119,13 +123,12 @@ impl ModelCounters {
 /// [`AdmissionPolicy::Shed`] with a `request_deadline`, when the
 /// request was issued (stamped *before* the admission wait — the
 /// deadline is end to end, so the admission wait consumes it) and when
-/// it stops being worth serving. Workers evaluate `expires_at` at
-/// dequeue, *before*
-/// touching the store, so an expired request costs a timestamp
-/// comparison instead of a store read. Policies without a deadline
-/// ([`AdmissionPolicy::Block`], or `Shed` with `request_deadline:
-/// None`) carry `None` — the stamp is lazy, so the default hot path
-/// pays no clock read.
+/// it stops being worth serving. The serving thread evaluates
+/// `expires_at` at dequeue, *before* touching the store, so an expired
+/// request costs a timestamp comparison instead of a store read.
+/// Policies without a deadline ([`AdmissionPolicy::Block`], or `Shed`
+/// with `request_deadline: None`) carry `None` — the stamp is lazy, so
+/// the default hot path pays no clock read.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Admission {
     /// The issue stamp — present when a deadline is in force *or* when
@@ -220,8 +223,8 @@ struct BatchCounters {
 ///
 /// `issued`, `requests`, `shed`, and `expired` count rows for *this*
 /// model; the batching counters (`batched_rows`, `batches`,
-/// `flushes_*`, `max_batch_observed`) are router-wide since shard
-/// workers batch across models; `run_stats` describes the model's
+/// `flushes_*`, `max_batch_observed`) are router-wide since a shard's
+/// batches mix models; `run_stats` describes the model's
 /// *current* store snapshot (it restarts from zero after a
 /// [`Router::swap`]).
 ///
@@ -255,9 +258,9 @@ pub struct ServeStats {
     /// and none as served.
     pub shed: u64,
     /// Rows dropped at dequeue for this model: accepted, but older than
-    /// their end-to-end `request_deadline` by the time a worker picked
-    /// them up, so it answered [`ServeError::DeadlineExceeded`] without
-    /// reading the store.
+    /// their end-to-end `request_deadline` by the time a serve turn
+    /// picked them up, so it answered [`ServeError::DeadlineExceeded`]
+    /// without reading the store.
     pub expired: u64,
     /// Rows in batches executed across the router, every model's and
     /// expired rows included.
@@ -351,14 +354,20 @@ pub(crate) struct Request {
     pub(crate) span: Option<PendingSpan>,
 }
 
+impl Caller for Request {
+    fn pass_turn(&self) {
+        self.slot.pass_turn();
+    }
+}
+
 /// One shard: its bounded queue and the scratch whoever holds the
-/// queue's [`Turn`] serves with — its worker or a caller that found it
-/// idle.
+/// queue's [`Turn`] serves with — a caller that found it idle or one the
+/// turn was passed to.
 #[derive(Debug)]
 struct Shard {
     queue: ShardQueue<Request>,
-    /// Locked only by the turn holder, so never contended; a caller's
-    /// turn reuses the worker's buffers and allocates nothing.
+    /// Locked only by the turn holder, so never contended; every turn
+    /// reuses the same buffers and allocates nothing.
     scratch: parking_lot::Mutex<ServeScratch>,
 }
 
@@ -453,7 +462,7 @@ impl RouterInner {
                     .shed
                     .fetch_add(request.ids.len() as u64, Ordering::Release);
                 // A sampled shed completes its span client-side: it
-                // never reaches a worker. `queue_wait` is the time
+                // never reaches a serve turn. `queue_wait` is the time
                 // spent failing admission; there is no service time.
                 if let (Some(t0), Some(pending)) = (admit_t0, request.span) {
                     let total = request
@@ -509,8 +518,9 @@ impl RouterInner {
     }
 }
 
-/// A multi-model embedding router: shared shard workers serving any
-/// number of named, atomically swappable model snapshots.
+/// A multi-model embedding router: shared shard queues serving any
+/// number of named, atomically swappable model snapshots on the threads
+/// that submit to them.
 ///
 /// ```
 /// use memcom_core::{MemCom, MemComConfig};
@@ -539,11 +549,11 @@ impl RouterInner {
 #[derive(Debug)]
 pub struct Router {
     inner: Arc<RouterInner>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Router {
-    /// Validates `config` and starts the shard workers (no models yet).
+    /// Validates `config` and builds the shard queues (no models yet).
+    /// It starts no thread: callers serve.
     ///
     /// # Errors
     ///
@@ -567,16 +577,7 @@ impl Router {
             config,
             telemetry,
         });
-        let workers = (0..inner.config.n_shards)
-            .map(|shard_idx| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("memcom-serve-{shard_idx}"))
-                    .spawn(move || worker_loop(&inner, shard_idx))
-                    .expect("spawn serving worker")
-            })
-            .collect();
-        Ok(Router { inner, workers })
+        Ok(Router { inner })
     }
 
     /// The active configuration.
@@ -598,7 +599,7 @@ impl Router {
 
     /// Like [`register`](Self::register), but stores `name`'s rows as
     /// `dtype` — so fp32 and int8 variants of the *same* model can
-    /// coexist under one worker set for an A/B:
+    /// coexist under one router for an A/B:
     ///
     /// ```
     /// # use memcom_core::{MemCom, MemComConfig};
@@ -878,35 +879,33 @@ impl Router {
         }
     }
 
-    /// Stops accepting requests, drains every queue (in-flight requests
-    /// of **all** models are answered, none dropped or misrouted), joins
-    /// the workers — each exits only once no caller's serve turn is out
-    /// on its shard — and returns final per-model statistics sorted by
-    /// name.
-    pub fn shutdown(mut self) -> Vec<(String, ServeStats)> {
-        self.shutdown_in_place();
-        let entries: Vec<Arc<ModelEntry>> = self.inner.models.read().values().cloned().collect();
+    /// Stops accepting requests, waits until every queue is drained
+    /// (in-flight requests of **all** models are answered by their
+    /// callers, none dropped or misrouted, and no serve turn is out) and
+    /// returns final per-model statistics sorted by name.
+    pub fn shutdown(self) -> Vec<(String, ServeStats)> {
+        let inner = Arc::clone(&self.inner);
+        drop(self);
+        let entries: Vec<Arc<ModelEntry>> = inner.models.read().values().cloned().collect();
         let mut stats: Vec<(String, ServeStats)> = entries
             .iter()
-            .map(|e| (e.name.clone(), self.inner.stats_for(e)))
+            .map(|e| (e.name.clone(), inner.stats_for(e)))
             .collect();
         stats.sort_by(|a, b| a.0.cmp(&b.0));
         stats
     }
-
-    fn shutdown_in_place(&mut self) {
-        for shard in &self.inner.shards {
-            shard.queue.close();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
 }
 
 impl Drop for Router {
+    /// Closes every queue, then waits until each is drained: the one
+    /// shutdown path, for [`Router::shutdown`] and a plain drop alike.
     fn drop(&mut self) {
-        self.shutdown_in_place();
+        for shard in &self.inner.shards {
+            shard.queue.close();
+        }
+        for shard in &self.inner.shards {
+            shard.queue.wait_drained();
+        }
     }
 }
 
@@ -1128,7 +1127,7 @@ impl RouterHandle {
             span: self.inner.telemetry.sample(),
         };
         match self.inner.admit(shard, request) {
-            // The shard was idle: serve it here, no worker round trip.
+            // The shard was idle: serve it here, no thread round trip.
             // Yield once first, so that threads a busy CPU runs one after
             // another still push behind this turn and batch with it; with
             // nothing else runnable the yield returns at once.
@@ -1136,7 +1135,7 @@ impl RouterHandle {
                 std::thread::yield_now();
                 serve_turn(&self.inner, shard, turn);
             }
-            // The shard is being served: its worker serves this request.
+            // The shard is being served: this request waits in its queue.
             Ok(None) => {}
             Err((e, rejected)) => {
                 // A shed (or shutdown-rejected) request comes back whole —
@@ -1145,27 +1144,31 @@ impl RouterHandle {
                 return Err(e);
             }
         }
-        // A worker-lost blanket returns empty buffers (the real ones died
-        // with the panicking batch); the next call regrows them.
-        let outcome = slot.wait();
+        // A queued request's caller may be passed the shard's turn before
+        // its answer: its request then heads the queue, so the one batch
+        // it serves holds it. A worker-lost blanket returns empty buffers
+        // (the real ones died with the panicking batch); the next call
+        // regrows them.
+        let queue = &self.inner.shards[shard].queue;
+        let outcome = loop {
+            match slot.wait_or_turn() {
+                Some(outcome) => break outcome,
+                None => serve_turn(&self.inner, shard, queue.take_turn()),
+            }
+        };
         (*ids, *out) = (outcome.ids, outcome.out);
         outcome.result.map(|()| width)
     }
     // memcom-lint: end-hot-path
 }
 
-fn worker_loop(inner: &RouterInner, shard_idx: usize) {
-    while let Some(turn) = inner.shards[shard_idx].queue.next_turn() {
-        serve_turn(inner, shard_idx, turn);
-    }
-}
-
-/// The one serving function, for the worker and for a caller that found
-/// its shard idle alike: takes one batch with `turn` and serves it with
-/// the shard's scratch. A panic while serving must not strand blocked
-/// requesters: the batch's slots are kept, any left unfilled are
-/// answered `WorkerLost` (fill is first-write-wins), and the thread
-/// carries on — a worker to its next turn, a caller to its own reply.
+/// The one serving function, for a caller that found its shard idle and
+/// for one passed a backlog's turn alike: takes one batch with `turn`
+/// and serves it with the shard's scratch. A panic while serving must
+/// not strand blocked requesters: the batch's slots are kept, any left
+/// unfilled are answered `WorkerLost` (fill is first-write-wins), and
+/// the caller carries on to its own reply. Ending the turn passes it to
+/// the caller of the oldest request still queued, if any.
 fn serve_turn(inner: &RouterInner, shard_idx: usize, mut turn: Turn<'_, Request>) {
     let mut scratch = inner.shards[shard_idx].scratch.lock();
     let ServeScratch {
@@ -1249,9 +1252,9 @@ fn serve_batch(
         let issued_at = request.admission.issued_at();
         if !live(&request) {
             // Failed at dequeue because the deadline passed while queued:
-            // count the drop, hand the caller's buffers back (the worker
-            // still owns them here), and end a sampled span — queued its
-            // whole life, no service.
+            // count the drop, hand the caller's buffers back (the serving
+            // thread still owns them here), and end a sampled span —
+            // queued its whole life, no service.
             request
                 .counters
                 .expired
@@ -1353,8 +1356,9 @@ mod tests {
     }
 
     /// A slab whose `out` buffer violates the sizing contract panics the
-    /// worker mid-batch; the panic blanket must answer every slot in the
-    /// batch with `WorkerLost` and keep the worker serving afterwards.
+    /// serving thread mid-batch; the panic blanket must answer every slot
+    /// in the batch with `WorkerLost` and leave the shard serving
+    /// afterwards.
     #[test]
     fn poisoned_slab_slot_fails_batch_but_not_worker() {
         let emb = memcom(3);
@@ -1368,9 +1372,10 @@ mod tests {
         let handle = router.handle(DEFAULT_MODEL).unwrap();
         let store = handle.store().unwrap();
 
-        // Hand-craft a poisoned request: 2 ids but a 1-value slab.
+        // Hand-craft a poisoned request: 2 ids but a 1-value slab, and
+        // serve the idle shard's turn its push returns, as `submit` does.
         let slot = Arc::new(SlabSlot::new());
-        router.inner.shards[0]
+        let turn = router.inner.shards[0]
             .queue
             .push(
                 Request {
@@ -1386,11 +1391,13 @@ mod tests {
                 },
                 None,
             )
-            .unwrap();
+            .unwrap()
+            .expect("an idle shard's turn");
+        serve_turn(&router.inner, 0, turn);
         let outcome = slot.wait();
         assert!(matches!(outcome.result, Err(ServeError::WorkerLost)));
 
-        // The worker survived the panic and keeps serving.
+        // The shard survived the panic and keeps serving.
         let row = handle.get(7).unwrap();
         assert_eq!(row.as_slice(), emb.lookup(&[7]).unwrap().as_slice());
     }
@@ -1540,7 +1547,7 @@ mod tests {
         ));
     }
 
-    /// One worker serving one request per batch behind a 20 ms store
+    /// One shard serving one request per batch behind a 20 ms store
     /// read, under `admission`.
     fn wedgeable(admission: AdmissionPolicy) -> (Router, RouterHandle) {
         let router = Router::start(ServeConfig {
@@ -1556,11 +1563,11 @@ mod tests {
         (router, handle)
     }
 
-    /// Submits `kind` with `deadline` while the worker serves a blocker
-    /// (counted in `batches` before its store read), so the request waits
-    /// out the blocker's 20 ms in the queue. A blocker the worker was slow
-    /// to pop can itself expire under a 1 ms policy deadline and wedge
-    /// nothing, so that attempt is made again.
+    /// Submits `kind` with `deadline` while a blocker is served on its
+    /// caller's thread (counted in `batches` before its store read), so
+    /// the request waits out the blocker's 20 ms in the queue. A blocker
+    /// its caller was slow to serve can itself expire under a 1 ms policy
+    /// deadline and wedge nothing, so that attempt is made again.
     fn behind_blocker(
         handle: &RouterHandle,
         kind: RequestKind,

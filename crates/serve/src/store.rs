@@ -18,7 +18,7 @@
 //! column, MEmCom is `[hashed shared table, identity multipliers, identity
 //! biases?]`, naive hashing is one hashed `m × e` column.
 //!
-//! The shard count is a routing number only: it names which worker queue
+//! The shard count is a routing number only: it names which shard queue
 //! a request joins ([`ShardedStore::shard_of`]) and decides nothing about
 //! where a byte lives, so two stores of one model with different shard
 //! counts hold, serve and count the same bytes.
@@ -89,13 +89,13 @@ impl CacheStats {
 }
 
 /// A page-backed read-only row store built from any
-/// [`EmbeddingCompressor`], routed over `n_shards` worker queues: the
+/// [`EmbeddingCompressor`], routed over `n_shards` shard queues: the
 /// compressor's [`EmbeddingTables`] (which the store derefs to) plus
 /// routing, a certified error bound and delta snapshots.
 pub struct ShardedStore {
     /// The recipe's tables and their one read loop.
     tables: EmbeddingTables,
-    /// How many worker queues ids route over ([`shard_of`](Self::shard_of));
+    /// How many shard queues ids route over ([`shard_of`](Self::shard_of));
     /// it places no byte.
     n_shards: usize,
     /// Worst-case absolute error of any served row vs. the rows the
@@ -326,7 +326,7 @@ impl ShardedStore {
         self.error_bound
     }
 
-    /// The shard whose worker queue `id` routes to.
+    /// The shard whose queue `id` routes to.
     pub fn shard_of(&self, id: usize) -> usize {
         id % self.n_shards
     }
@@ -368,7 +368,7 @@ impl ShardedStore {
     ///
     /// Panics when `out.len() != ids.len() * dim()` — the slab is sized
     /// by the serving layer, so a mismatch is an internal bug, and
-    /// panicking (rather than quietly truncating) lets the worker's
+    /// panicking (rather than quietly truncating) lets the serve turn's
     /// panic recovery fail the whole batch loudly.
     pub fn lookup_into(
         &self,

@@ -116,10 +116,10 @@ pub struct ShardStageMetrics {
     /// Time producers spent inside admission (blocking for queue space
     /// or shedding), per request.
     pub admission_wait: LatencyHistogram,
-    /// Issue → worker dequeue per request. Includes the admission wait;
+    /// Issue → dequeue per request. Includes the admission wait;
     /// subtract the admission-wait histogram to isolate pure queueing.
     pub queue_wait: LatencyHistogram,
-    /// Always empty: the worker never holds a batch open, so there is
+    /// Always empty: a serve turn never holds a batch open, so there is
     /// no assembly time to record, and neither exporter renders it. A
     /// vestige kept because frozen `crates/perf` reads it (ROADMAP item
     /// 1(f) removes it with its reader).

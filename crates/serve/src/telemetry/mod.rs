@@ -10,10 +10,10 @@
 //!   are still exported.
 //! * **Full** — per-stage latency histograms (admission wait, queue
 //!   wait, store decode per dtype, forward, response write; the batch
-//!   assembly stage stays empty, since no worker holds a batch open) and
-//!   sampled request tracing. Recording is O(1) and shard-local: the
-//!   worker folds a whole batch into its shard's accumulators under one
-//!   uncontended lock, and a snapshot merges per-shard state on demand.
+//!   assembly stage stays empty, since no serve turn holds a batch open)
+//!   and sampled request tracing. Recording is O(1) and shard-local: the
+//!   thread holding a shard's serve turn folds a whole batch into the
+//!   shard's accumulators under one uncontended lock, and a snapshot merges per-shard state on demand.
 //!
 //! Entry points: [`crate::Router::metrics`] returns a
 //! [`MetricsSnapshot`] renderable as Prometheus text or JSON. The

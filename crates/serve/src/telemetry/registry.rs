@@ -7,7 +7,7 @@
 //!
 //! * counters are relaxed atomics;
 //! * stage histograms are shard-local accumulators behind a mutex the
-//!   shard's *single worker* locks once per batch (uncontended except
+//!   holder of the shard's *single serve turn* locks once per batch (uncontended except
 //!   for the brief clone a snapshot takes), merged only at snapshot
 //!   time;
 //! * nothing on the store lookup path takes a telemetry lock.
@@ -44,8 +44,8 @@ pub(crate) fn dtype_idx(dtype: Dtype) -> usize {
 /// single-digit row counts; [`SizeStats`] unscales on snapshot.
 pub(crate) const SIZE_SCALE: u64 = 1_000;
 
-/// One shard's stage histograms — owned by the shard's worker, locked
-/// once per batch.
+/// One shard's stage histograms — locked once per batch by the holder
+/// of the shard's serve turn.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StageSet {
     /// Issue → dequeue per request (includes the admission wait; the
@@ -70,8 +70,8 @@ pub(crate) struct StageSet {
 pub(crate) struct ShardTelemetry {
     stages: Mutex<StageSet>,
     /// Recorded client-side around admission, so producer threads (not
-    /// the worker) contend on this one — kept separate from `stages` so
-    /// they never block the worker's once-per-batch lock.
+    /// the turn holder) contend on this one — kept separate from `stages`
+    /// so they never block the turn holder's once-per-batch lock.
     admission_wait: Mutex<LatencyHistogram>,
 }
 
@@ -83,7 +83,7 @@ impl ShardTelemetry {
         }
     }
 
-    /// The worker's once-per-batch lock on the stage histograms.
+    /// The turn holder's once-per-batch lock on the stage histograms.
     pub(crate) fn stages(&self) -> MutexGuard<'_, StageSet> {
         self.stages.lock()
     }

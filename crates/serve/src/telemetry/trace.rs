@@ -3,7 +3,7 @@
 //! At [`crate::TelemetryLevel::Full`] every k-th request (with
 //! `k = round(1 / sample_rate)`, so sampling costs one atomic increment
 //! and no random-number source) is stamped with a pending span. The
-//! worker that finishes the request completes the span with the stage
+//! thread that serves the request completes the span with the stage
 //! timings it measures anyway, and completed spans land in a
 //! [`TraceRing`]: a fixed-size most-recent ring plus a slowest-N
 //! retention list, so a p99 outlier can be explained long after the
@@ -18,7 +18,7 @@ pub enum SpanOutcome {
     /// dequeue without a store read.
     Expired,
     /// Admission refused the request (queue full past the enqueue
-    /// budget); it never reached a worker.
+    /// budget); it never reached a serve turn.
     Shed,
 }
 
@@ -36,8 +36,8 @@ impl SpanOutcome {
 /// One completed trace span: the per-stage breakdown of a single sampled
 /// request — a lookup or a score, whichever shards its ids live on.
 ///
-/// `queue_wait_nanos` runs from the issue stamp to the moment a worker
-/// started on the request, so it *includes* the admission wait (the
+/// `queue_wait_nanos` runs from the issue stamp to the moment a serve
+/// turn started on the request, so it *includes* the admission wait (the
 /// per-stage histograms split the two) and the service of requests
 /// ahead of it in its micro-batch. `service_nanos` is the request's own
 /// fill (store decode or backend forward) plus response write.
@@ -45,8 +45,7 @@ impl SpanOutcome {
 pub struct Span {
     /// Sample sequence number (global, monotonically increasing).
     pub seq: u64,
-    /// Shard whose worker served (or shed/expired) the request: its
-    /// first id's.
+    /// Shard that served (or shed/expired) the request: its first id's.
     pub shard: usize,
     /// Rows the request carried.
     pub rows: usize,

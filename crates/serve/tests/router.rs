@@ -366,43 +366,15 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// An idle shard is served on the thread that submitted to it, not on
-/// its worker. While that turn is held, later requests queue; when it
-/// ends, the shard's worker serves them — the burst as one batch.
+/// An idle shard is served on the thread that submitted to it. While
+/// that turn is held, later requests queue; when it ends, it passes to
+/// the caller of the oldest of them, which serves the burst as one batch.
 #[test]
 fn an_idle_shard_is_served_on_the_callers_thread() {
     let emb = memcom(50);
-    let (entered, entered_rx) = mpsc::channel();
-    let (release, release_rx) = mpsc::channel();
-    let recorder = Arc::new(ThreadRecorder {
-        served_on: Mutex::new(Vec::new()),
-        entered: Mutex::new(entered),
-        release: Mutex::new(release_rx),
-    });
-    let router = Router::start(ServeConfig {
-        n_shards: 1,
-        max_batch: 16,
-        telemetry: TelemetryConfig::full(1.0),
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    router
-        .backends()
-        .register("recorder", Arc::clone(&recorder) as Arc<dyn InferBackend>)
-        .unwrap();
-    router
-        .register_with_backend(DEFAULT_MODEL, &emb, Dtype::F32, "recorder")
-        .unwrap();
+    let (router, recorder, entered_rx, release) = recording_router(&emb, 1, 16);
     let handle = router.handle(DEFAULT_MODEL).unwrap();
-    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let score = |id: usize| {
-        let got = handle.score(&[id]).unwrap();
-        assert_eq!(
-            bits(&got),
-            bits(emb.lookup(&[id]).unwrap().as_slice()),
-            "id {id}"
-        );
-    };
+    let score = |id: usize| score_exact(&handle, &emb, id);
     let served_on = |id: usize| -> Vec<String> {
         let served = recorder.served_on.lock().unwrap();
         served
@@ -413,7 +385,6 @@ fn an_idle_shard_is_served_on_the_callers_thread() {
     };
     // Admission waits are recorded once a push has landed.
     let admitted = || router.metrics().stages[0].admission_wait.count();
-    let named = |name: &str| std::thread::Builder::new().name(name.to_string());
 
     std::thread::scope(|scope| {
         named("caller")
@@ -444,16 +415,192 @@ fn an_idle_shard_is_served_on_the_callers_thread() {
         }
     });
     assert_eq!(served_on(HELD), ["holder"]);
+    let burst = served_on(2);
+    assert!(
+        burst.len() == 1 && burst[0].starts_with("queued-"),
+        "the burst ran on a queued caller's thread: {burst:?}"
+    );
     for id in 2..7 {
-        assert_eq!(
-            served_on(id),
-            ["memcom-serve-0"],
-            "id {id} queued behind a held turn"
-        );
+        assert_eq!(served_on(id), burst, "id {id} queued behind a held turn");
     }
     assert!(
         handle.stats().max_batch_observed >= 2,
         "the burst behind the held turn coalesced: {:?}",
         handle.stats()
     );
+}
+
+/// A router whose one model scores through a [`ThreadRecorder`], at full
+/// telemetry so that admission waits are counted: the recorder, the
+/// channel that says a serving thread is held on [`HELD`] and the one
+/// that releases it.
+fn recording_router(
+    emb: &MemCom,
+    n_shards: usize,
+    max_batch: usize,
+) -> (
+    Router,
+    Arc<ThreadRecorder>,
+    mpsc::Receiver<()>,
+    mpsc::Sender<()>,
+) {
+    let (entered, entered_rx) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let recorder = Arc::new(ThreadRecorder {
+        served_on: Mutex::new(Vec::new()),
+        entered: Mutex::new(entered),
+        release: Mutex::new(release_rx),
+    });
+    let router = Router::start(ServeConfig {
+        n_shards,
+        max_batch,
+        telemetry: TelemetryConfig::full(1.0),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    router
+        .backends()
+        .register("recorder", Arc::clone(&recorder) as Arc<dyn InferBackend>)
+        .unwrap();
+    router
+        .register_with_backend(DEFAULT_MODEL, emb, Dtype::F32, "recorder")
+        .unwrap();
+    (router, recorder, entered_rx, release)
+}
+
+/// Scores `id` through `handle`, checking the compressor's bits.
+fn score_exact(handle: &memcom_serve::RouterHandle, emb: &MemCom, id: usize) {
+    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let got = handle.score(&[id]).unwrap();
+    assert_eq!(
+        bits(&got),
+        bits(emb.lookup(&[id]).unwrap().as_slice()),
+        "id {id}"
+    );
+}
+
+fn named(name: &str) -> std::thread::Builder {
+    std::thread::Builder::new().name(name.to_string())
+}
+
+/// A backlog is served batch by batch, each batch on the thread of its
+/// oldest request: five requests queued behind a held turn at
+/// `max_batch` 2 make three batches, served by the first, third and
+/// fifth callers. No thread serves twice, and none exists only to serve.
+#[test]
+fn each_batch_of_a_backlog_runs_on_its_oldest_callers_thread() {
+    let emb = memcom(51);
+    let (router, recorder, entered, release) = recording_router(&emb, 1, 2);
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
+    let (handle_ref, emb_ref) = (&handle, &emb);
+    let admitted = || router.metrics().stages[0].admission_wait.count();
+    let batches = std::thread::scope(|scope| {
+        let holder = named("holder")
+            .spawn_scoped(scope, || score_exact(&handle, &emb, HELD))
+            .unwrap();
+        entered.recv().unwrap();
+        let batches = handle.stats().batches;
+        // One push at a time, so that the queue holds them in id order.
+        let queued: Vec<_> = (2..7)
+            .map(|id| {
+                let before = admitted();
+                let thread = named(&format!("queued-{id}"))
+                    .spawn_scoped(scope, move || score_exact(handle_ref, emb_ref, id))
+                    .unwrap();
+                wait_until("the push to land", || admitted() == before + 1);
+                thread
+            })
+            .collect();
+        release.send(()).unwrap();
+        holder.join().unwrap();
+        for thread in queued {
+            thread.join().unwrap();
+        }
+        handle.stats().batches - batches
+    });
+    assert_eq!(batches, 3, "five requests at max_batch 2");
+    let served = recorder.served_on.lock().unwrap().clone();
+    let on = |id: usize, thread: &str| (id, thread.to_string());
+    assert_eq!(
+        served,
+        [
+            on(HELD, "holder"),
+            on(2, "queued-2"),
+            on(3, "queued-2"),
+            on(4, "queued-4"),
+            on(5, "queued-4"),
+            on(6, "queued-6"),
+        ],
+        "each batch on its first request's thread, in queue order"
+    );
+    assert!(served.iter().all(|(_, t)| !t.starts_with("memcom-serve-")));
+}
+
+/// `shutdown` drains the backlog behind a held turn. Called while the
+/// turn is held, it closes every queue at once and returns only after
+/// every queued request is answered, with stats that count them exactly;
+/// the router then refuses requests.
+#[test]
+fn shutdown_returns_once_the_backlog_behind_a_held_turn_is_answered() {
+    let emb = memcom(52);
+    // Two shards: even ids queue on shard 0 behind the held turn, and
+    // odd ids probe shard 1, idle, for the close.
+    let (router, recorder, entered, release) = recording_router(&emb, 2, 2);
+    let handle = router.handle(DEFAULT_MODEL).unwrap();
+    let queued_ids = [2usize, 4, 6, 8];
+    let released = AtomicBool::new(false);
+    let served_ids = || -> Vec<usize> {
+        let served = recorder.served_on.lock().unwrap();
+        served.iter().map(|(id, _)| *id).collect()
+    };
+    let (handle_ref, emb_ref) = (&handle, &emb);
+    let (probes, (released_first, served_then, stats)) = std::thread::scope(|scope| {
+        let holder = scope.spawn(|| score_exact(handle_ref, emb_ref, HELD));
+        entered.recv().unwrap();
+        let admitted = || router.metrics().stages[0].admission_wait.count();
+        let before = admitted();
+        let queued: Vec<_> = queued_ids
+            .iter()
+            .map(|&id| scope.spawn(move || score_exact(handle_ref, emb_ref, id)))
+            .collect();
+        wait_until("the backlog to queue", || {
+            admitted() == before + queued_ids.len() as u64
+        });
+        let (released, served_ids) = (&released, &served_ids);
+        let shutdown = scope.spawn(move || {
+            let stats = router.shutdown();
+            (released.load(Ordering::SeqCst), served_ids(), stats)
+        });
+        // Shard 1 closes after shard 0: once a probe is refused, both are.
+        let mut probes = 0u64;
+        loop {
+            match handle_ref.score(&[1]) {
+                Ok(_) => probes += 1,
+                Err(ServeError::ShuttingDown) => break,
+                Err(other) => panic!("probe: {other:?}"),
+            }
+        }
+        released.store(true, Ordering::SeqCst);
+        release.send(()).unwrap();
+        holder.join().unwrap();
+        for thread in queued {
+            thread.join().unwrap();
+        }
+        (probes, shutdown.join().unwrap())
+    });
+    assert!(
+        released_first,
+        "shutdown returned before the held turn ended"
+    );
+    for id in queued_ids {
+        assert!(served_then.contains(&id), "id {id} unanswered at shutdown");
+    }
+    let [(model, stats)] = stats.as_slice() else {
+        panic!("one model: {stats:?}");
+    };
+    assert_eq!(model, DEFAULT_MODEL);
+    assert_eq!(stats.requests, 1 + queued_ids.len() as u64 + probes);
+    assert_eq!((stats.shed, stats.expired), (0, 0));
+    assert_eq!(stats.issued, stats.requests + 1, "the refused probe");
+    assert!(matches!(handle.get(3), Err(ServeError::ShuttingDown)));
 }

@@ -11,7 +11,7 @@
 //! 3. **Delta vs rebuild** — `apply_delta` copies the pages it touches
 //!    and shares the rest with the superseded snapshot; a rebuild+swap
 //!    shares nothing.
-//! 4. **fp32/int8 A/B on one worker set** — two `register` calls, mixed
+//! 4. **fp32/int8 A/B on one router** — two `register` calls, mixed
 //!    traffic, and a served int8 row within its certified `error_bound()`.
 //! 5. **Scores over loopback** — client and server tallies reconcile,
 //!    and an int8-served score stays within `score_error_bound()`.
