@@ -18,6 +18,8 @@
 //! measures, is the cost profile. The head ops run over the session's
 //! own paged head tables.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use memcom_core::recipe::Combine;
 
 use crate::compute::{ComputeUnit, WorkCounts};
@@ -27,15 +29,21 @@ use crate::quant::{decode_row_into, Dtype};
 use crate::tables::EmbeddingTables;
 use crate::{simd, OnDeviceError, Result};
 
-/// Output columns a dense layer accumulates at a time. The accumulator
-/// chunk (8 KB) and the stretch of kernel row feeding it stay in L1
-/// while every input row passes over them, so the kernel streams
-/// through the cache once per call. A multiple of four, so a chunk of an
+/// Output columns a dense layer hands the tile kernel
+/// ([`simd::dense_tile`]) at a time. The kernel keeps each block of
+/// accumulators in registers across the whole tile, so the chunk does
+/// not bound accumulator traffic; it bounds the quantized path's
+/// decoded tile (`DENSE_TILE_ROWS` × 8 KB, reused from L2 as the kernel
+/// reads it), and it is the step of the alternating column sweep (see
+/// [`InferenceSession`]'s `backward_sweep`). fp32 rows are read in
+/// place, chunk by chunk. A multiple of four, so a chunk of an
 /// int4/int2 row starts on a byte boundary.
 const DENSE_CHUNK_COLS: usize = 2048;
 
-/// Kernel rows whose page slices a dense layer holds at once (a stack
-/// array; wider layers go tile by tile, in row order).
+/// Kernel rows one tile-kernel call adds (a stack array of page
+/// slices; wider layers go tile by tile, in row order). Each tile loads
+/// and stores every accumulator once, so a 32-wide input makes one
+/// pass over the output.
 const DENSE_TILE_ROWS: usize = 32;
 
 /// Work and memory observed during one inference.
@@ -69,21 +77,24 @@ impl RunStats {
 /// ([`InferenceSession::forward_head`]).
 ///
 /// A scratch owns every intermediate the head needs — the ping/pong
-/// activation pair, one dequantized chunk of a kernel row (quantized
-/// models only; fp32 kernels are read in place), and the four
-/// batch-norm parameter rows — so a warmed scratch executes the whole
-/// head without allocating. `memcom-serve`'s scoring backends keep one
-/// per worker to extend the O(1)-allocations-per-call certification to
-/// the forward pass.
+/// activation pair, one decoded chunk of a dense layer's bias and of
+/// each kernel row of a tile (the latter for quantized models only;
+/// fp32 kernels are read in place), and the four batch-norm parameter
+/// rows — so a warmed
+/// scratch executes the whole head without allocating. `memcom-serve`'s
+/// scoring backends keep one per shard to extend the
+/// O(1)-allocations-per-call certification to the forward pass.
 #[derive(Debug, Default)]
 pub struct HeadScratch {
     /// Current activation (the executor's "ping" buffer).
     act: Vec<f32>,
     /// Next activation (the "pong" buffer ops write into before a swap).
     next: Vec<f32>,
-    /// Up to [`DENSE_CHUNK_COLS`] dequantized values of one dense-kernel
-    /// row.
-    chunk: Vec<f32>,
+    /// One decoded [`DENSE_CHUNK_COLS`] chunk of a dense layer's bias.
+    bias: Vec<f32>,
+    /// One dequantized [`DENSE_CHUNK_COLS`] chunk of each kernel row of
+    /// a tile ([`DENSE_TILE_ROWS`] slots).
+    tile: Vec<f32>,
     /// Batch-norm gamma/beta/mean/var rows.
     bn: [Vec<f32>; 4],
 }
@@ -125,6 +136,16 @@ impl HeadScratch {
 pub struct InferenceSession {
     meta: OnDeviceModel,
     tables: Tables,
+    /// Whether the next `forward_head` sweeps each dense layer's output
+    /// chunks from the last back to the first. Consecutive calls sweep
+    /// in opposite directions, so a call starts on the kernel columns
+    /// the previous call read last, which are still in cache: Table 3's
+    /// 2 MB fp32 output kernel about fills a core's L2, and a sweep in
+    /// one fixed direction evicts each line just before the next call
+    /// reads it. Outputs are independent and each still takes its terms
+    /// in the same order, so the direction changes no bit and no count;
+    /// concurrent calls may share a direction.
+    backward_sweep: AtomicBool,
 }
 
 /// Every table of a loaded model file.
@@ -175,6 +196,7 @@ impl InferenceSession {
         InferenceSession {
             meta: model,
             tables: Tables { head, embedding },
+            backward_sweep: AtomicBool::new(false),
         }
     }
 
@@ -298,6 +320,9 @@ impl InferenceSession {
         }
         let mut act_dims = (rows, e);
         track_activation(work, scratch.act.len());
+        // ORDERING: a cache hint that publishes no data; any order is
+        // correct.
+        let backward = self.backward_sweep.fetch_xor(true, Ordering::Relaxed);
 
         for op in &self.meta.head_ops {
             let act = &mut scratch.act;
@@ -339,8 +364,10 @@ impl InferenceSession {
                         self.read_row_into(table, 0, buf)?;
                     }
                     let [gamma, beta, mean, var] = &scratch.bn;
+                    // Training's eval order: `((x−μ)·(1/√(σ²+ε)))·γ+β`.
                     for i in 0..*dim {
-                        act[i] = gamma[i] * (act[i] - mean[i]) / (var[i] + eps).sqrt() + beta[i];
+                        let inv_std = 1.0 / (var[i] + eps).sqrt();
+                        act[i] = (act[i] - mean[i]) * inv_std * gamma[i] + beta[i];
                     }
                     work.flops += 5 * *dim as u64;
                 }
@@ -355,41 +382,73 @@ impl InferenceSession {
                             context: format!("dense in {in_dim} vs activation {}", act.len()),
                         });
                     }
+                    let bias_pages = &self.tables.head[bias.index];
+                    let bias_row = bias_pages.read_row(0)?;
+                    bias_pages.charge(1);
+                    debug_assert_eq!(bias.cols, *out_dim);
+                    let bias_chunk = &mut scratch.bias;
+                    bias_chunk.resize(DENSE_CHUNK_COLS, 0.0);
                     let acc = &mut scratch.next;
                     acc.clear();
-                    acc.resize(bias.cols, 0.0);
-                    self.read_row_into(bias, 0, acc)?;
-                    debug_assert_eq!(acc.len(), *out_dim);
+                    acc.resize(*out_dim, 0.0);
                     let dtype = weight.dtype;
-                    let decoded = &mut scratch.chunk;
+                    let decoded = &mut scratch.tile;
                     if dtype != Dtype::F32 {
-                        decoded.resize(DENSE_CHUNK_COLS, 0.0);
+                        decoded.resize(DENSE_TILE_ROWS * DENSE_CHUNK_COLS, 0.0);
                     }
                     // Each kernel row is read from its page exactly once
                     // (one fault/byte charge, as a whole-row read, the
-                    // bytes charged once per tile), and
-                    // each `acc[c]` still takes bias, then `x[i]·w[i][c]`
-                    // in ascending `i` — the row-at-a-time result, bit
-                    // for bit, from one pass over the kernel.
+                    // bytes charged once per tile), and each `acc[c]`
+                    // takes `x[i]·w[i][c]` in ascending `i` from 0, then
+                    // the bias as the last tile stores — training's
+                    // products-then-bias order, bit for bit, from one
+                    // pass over the kernel. One divergence is left:
+                    // training's matmul skips a zero input where this
+                    // adds `0·w`, which differs only for a ±inf or NaN
+                    // weight.
                     let kernel = &self.tables.head[weight.index];
-                    for (tile, xs) in act.chunks(DENSE_TILE_ROWS).enumerate() {
+                    // At least one tile, so a zero-width input still
+                    // takes its bias.
+                    let tiles = in_dim.div_ceil(DENSE_TILE_ROWS).max(1);
+                    for tile in 0..tiles {
+                        let first = tile * DENSE_TILE_ROWS;
+                        let xs = &act[first..(first + DENSE_TILE_ROWS).min(*in_dim)];
                         let mut rows = [&[][..]; DENSE_TILE_ROWS];
                         for (k, row) in rows[..xs.len()].iter_mut().enumerate() {
-                            *row = kernel.read_row(tile * DENSE_TILE_ROWS + k)?;
+                            *row = kernel.read_row(first + k)?;
                         }
                         kernel.charge(xs.len());
-                        for (c, acc) in acc.chunks_mut(DENSE_CHUNK_COLS).enumerate() {
+                        let rows = &rows[..xs.len()];
+                        // This call's sweep direction (`backward_sweep`).
+                        let chunks = out_dim.div_ceil(DENSE_CHUNK_COLS);
+                        for k in 0..chunks {
+                            let c = if backward { chunks - 1 - k } else { k };
                             let col = c * DENSE_CHUNK_COLS;
+                            let acc = &mut acc[col..(col + DENSE_CHUNK_COLS).min(*out_dim)];
+                            let bias = if tile + 1 == tiles {
+                                let b = &mut bias_chunk[..acc.len()];
+                                let stored = bias.dtype.row_bytes(col)..;
+                                decode_row_into(&bias_row[stored], bias.dtype, bias.scale, b);
+                                Some(&*b)
+                            } else {
+                                None
+                            };
                             let bytes = dtype.row_bytes(col)..dtype.row_bytes(col + acc.len());
-                            for (&xi, row) in xs.iter().zip(&rows) {
-                                let stored = &row[bytes.clone()];
-                                if dtype == Dtype::F32 {
-                                    simd::axpy_le_bytes(xi, stored, acc);
-                                } else {
-                                    let w = &mut decoded[..acc.len()];
-                                    decode_row_into(stored, dtype, weight.scale, w);
-                                    simd::axpy(xi, w, acc);
+                            if dtype == Dtype::F32 {
+                                let mut stored = [&[][..]; DENSE_TILE_ROWS];
+                                for (s, row) in stored.iter_mut().zip(rows) {
+                                    *s = &row[bytes.clone()];
                                 }
+                                simd::dense_tile(xs, &stored[..xs.len()], bias, acc);
+                            } else {
+                                let mut w = [&[][..]; DENSE_TILE_ROWS];
+                                let slots = decoded.chunks_exact_mut(DENSE_CHUNK_COLS);
+                                for ((w, row), slot) in w.iter_mut().zip(rows).zip(slots) {
+                                    let slot = &mut slot[..acc.len()];
+                                    decode_row_into(&row[bytes.clone()], dtype, weight.scale, slot);
+                                    *w = slot;
+                                }
+                                simd::dense_tile(xs, &w[..xs.len()], bias, acc);
                             }
                         }
                     }
@@ -651,18 +710,26 @@ mod tests {
             let emb = MemCom::new(MemComConfig::new(20, in_dim, 4), &mut rng).unwrap();
             let x: Vec<f32> = (0..in_dim).map(|i| (i as f32 * 1.7 + 0.3).sin()).collect();
             for (out_dim, dtype) in out_dims.iter().flat_map(|&o| dtypes.map(|d| (o, d))) {
+                // A non-zero bias, so bias-first and products-then-bias
+                // orders round apart.
+                let mut layer = Dense::new(in_dim, out_dim, &mut rng);
+                let bias: Vec<f32> = (0..out_dim)
+                    .map(|c| (c as f32 * 0.37 - 1.1).cos())
+                    .collect();
+                let bias = memcom_tensor::Tensor::from_vec(bias, &[out_dim]).unwrap();
+                layer.set_weights(layer.weight().clone(), bias).unwrap();
                 let mut dense = Sequential::new();
-                dense.push(Dense::new(in_dim, out_dim, &mut rng));
+                dense.push(layer);
                 let bytes = OnDeviceModel::serialize(&emb, &dense, 1, dtype).unwrap();
                 let session = InferenceSession::new(OnDeviceModel::parse(bytes).unwrap());
                 let HeadOp::Dense { weight, bias, .. } = &session.model().head_ops[0] else {
                     panic!("the head is one dense layer");
                 };
 
-                // The loop this executor replaced: copy out the whole
-                // row, then a scalar multiply-add over the copy.
+                // The row-at-a-time loop in training's order: copy out
+                // each whole row, a scalar multiply-add over the copy
+                // from zero, then the bias.
                 let mut want = vec![0f32; out_dim];
-                session.read_row_into(bias, 0, &mut want).unwrap();
                 let mut w_row = vec![0f32; out_dim];
                 for (i, &xi) in x.iter().enumerate() {
                     session.read_row_into(weight, i, &mut w_row).unwrap();
@@ -670,15 +737,25 @@ mod tests {
                         *o += xi * w;
                     }
                 }
+                let mut b_row = vec![0f32; out_dim];
+                session.read_row_into(bias, 0, &mut b_row).unwrap();
+                for (o, &b) in want.iter_mut().zip(&b_row) {
+                    *o += b;
+                }
 
+                // Twice: consecutive calls sweep the columns in
+                // opposite directions.
                 let mut scratch = HeadScratch::new();
-                scratch.input(1, in_dim).copy_from_slice(&x);
-                let mut got = Vec::new();
-                session
-                    .forward_head(1, &mut scratch, &mut got, &mut WorkCounts::default())
-                    .unwrap();
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "{dtype:?} {in_dim}x{out_dim}");
+                for sweep in ["forward", "backward"] {
+                    scratch.input(1, in_dim).copy_from_slice(&x);
+                    let mut got = Vec::new();
+                    session
+                        .forward_head(1, &mut scratch, &mut got, &mut WorkCounts::default())
+                        .unwrap();
+                    let what = format!("{dtype:?} {in_dim}x{out_dim} {sweep}");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                }
             }
         }
     }

@@ -31,9 +31,9 @@
 //! * [`quant`] — post-training linear quantization (FP16/INT8/INT4/INT2)
 //!   for the Figure-4 precision sweep.
 //! * [`simd`] — the dequantization kernels underneath the decode hot
-//!   path and the AXPY underneath the engine's dense layers: an AVX2
-//!   tier, dispatched at runtime where the CPU has it, bit-identical to
-//!   the scalar reference that runs everywhere else.
+//!   path and the tile kernel underneath the engine's dense layers: an
+//!   AVX2 tier, dispatched at runtime where the CPU has it,
+//!   bit-identical to the scalar reference that runs everywhere else.
 //!
 //! Absolute milliseconds are simulator units calibrated to Table 3's
 //! magnitudes; the reproduced *shape* is what matters — who wins on which

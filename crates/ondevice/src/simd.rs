@@ -1,13 +1,14 @@
 //! Runtime-dispatched SIMD kernels: row decode and the dense head's
-//! AXPY, plus the cache-line [`prefetch`] hint the embedding read loop
-//! issues ahead of its rows.
+//! tile kernel, plus the cache-line [`prefetch`] hint the embedding read
+//! loop issues ahead of its rows.
 //!
 //! Every row read in the serving store and every embedding gather in
 //! the on-device engine funnels through
 //! [`decode_row_into`](crate::quant::decode_row_into), and every dense
 //! layer of the head
 //! ([`InferenceSession::forward_head`](crate::InferenceSession::forward_head))
-//! accumulates through [`axpy`] / [`axpy_le_bytes`]; this module is the
+//! accumulates through [`dense_tile`], over fp32 kernel rows in their
+//! pages or quantized rows decoded once per tile; this module is the
 //! vector back end underneath both. There are two tiers, selected once
 //! per process by [`active_kernel`]: AVX2 on an `x86_64` CPU that
 //! reports it, and the scalar reference everywhere else (an `x86_64`
@@ -21,14 +22,20 @@
 //! replicating [`f16_bits_to_f32`] branchlessly (hardware `F16C` would
 //! quiet signaling-NaN payloads).
 //!
-//! The AXPY kernels compute `acc[c] += x * w[c]` as one IEEE multiply
-//! rounded to `f32`, then one add — never fused, on either tier — so
-//! every result that is not a NaN (subnormals, signed zeros and
-//! infinities included) is bit-identical to [`scalar`]. Where the
-//! scalar result is a NaN the vector result is a NaN too, but its
-//! *payload* is not part of the contract: which operand's payload an
-//! x86 multiply or add propagates depends on the operand order the
-//! compiler picked, and no decoded model weight is a NaN.
+//! The tile kernel adds `x[i] * w[i][c]` to each accumulator `acc[c]`
+//! for every kernel row `i` of a tile in ascending `i`, then the bias,
+//! each term as one IEEE multiply rounded to `f32`, then one add —
+//! never fused, on either tier. The scalar reference is the
+//! row-at-a-time loop; the AVX2 tier holds a block of 64 accumulators
+//! in registers across the whole tile instead, so each weight is loaded
+//! once and each accumulator loaded and stored once per tile, but every
+//! output sees the same operations in the same order. So every result
+//! that is not a NaN (subnormals, signed zeros and infinities included)
+//! is bit-identical to [`scalar`]. Where the scalar result is a NaN the
+//! vector result is a NaN too, but its *payload* is not part of the
+//! contract: which operand's payload an x86 multiply or add propagates
+//! depends on the operand order the compiler picked, and no decoded
+//! model weight is a NaN.
 //!
 //! The `simd_equiv` proptest suite compares the dispatched kernels
 //! with [`scalar`] across all dtypes, dims, alignments and non-finite
@@ -184,43 +191,89 @@ pub fn dequant_i2(bytes: &[u8], scale: f32, out: &mut [f32]) {
     scalar::dequant_i2(bytes, scale, out);
 }
 
-/// `acc[c] += x * w[c]` over `acc.len()` decoded weights: multiply,
-/// round, add — never fused (see the module docs for the NaN-payload
-/// caveat).
-///
-/// # Panics
-///
-/// Panics when `w` holds fewer than `acc.len()` values.
-pub fn axpy(x: f32, w: &[f32], acc: &mut [f32]) {
-    assert!(w.len() >= acc.len(), "short axpy row");
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified at runtime by active_kernel(); the
-        // assert above puts `acc.len()` readable f32s behind the
-        // pointer.
-        Kernel::Avx2 => unsafe { x86::axpy_avx2(x, w.as_ptr(), acc) },
-        _ => scalar::axpy(x, w, acc),
+/// A row of dense-kernel weights the tile kernel ([`dense_tile`])
+/// reads: decoded `f32`s (`[f32]`), or `f32`s still in the F32
+/// stored-row layout (`[u8]`: little-endian, in a page slice at any
+/// alignment), so an fp32 kernel row is never copied out of its page.
+/// Sealed: these two are the only rows.
+pub trait WeightRow: sealed::Row {}
+
+impl WeightRow for [f32] {}
+impl WeightRow for [u8] {}
+
+mod sealed {
+    /// What the kernels read of a [`WeightRow`](super::WeightRow).
+    pub trait Row {
+        /// Weights in the row.
+        fn width(&self) -> usize;
+        /// The weights, in column order.
+        fn weights(&self) -> impl Iterator<Item = f32> + '_;
+        /// The first weight's address. Only the AVX2 tier reads through
+        /// it — `width()` unaligned `f32`s in native byte order, which
+        /// on `x86_64` is the little-endian stored order.
+        fn as_f32_ptr(&self) -> *const f32;
+    }
+
+    impl Row for [f32] {
+        fn width(&self) -> usize {
+            self.len()
+        }
+        fn weights(&self) -> impl Iterator<Item = f32> + '_ {
+            self.iter().copied()
+        }
+        fn as_f32_ptr(&self) -> *const f32 {
+            self.as_ptr()
+        }
+    }
+
+    impl Row for [u8] {
+        fn width(&self) -> usize {
+            self.len() / 4
+        }
+        fn weights(&self) -> impl Iterator<Item = f32> + '_ {
+            let le = |c: &[u8]| f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+            self.chunks_exact(4).map(le)
+        }
+        fn as_f32_ptr(&self) -> *const f32 {
+            self.as_ptr().cast()
+        }
     }
 }
 
-/// [`axpy`] over weights still in the F32 stored-row layout:
-/// `acc.len()` little-endian `f32`s read straight from `bytes` (a page
-/// slice at any alignment), so an fp32 kernel row is never copied out
-/// of its page.
+/// The dense head's tile kernel. For every column `c < acc.len()` it
+/// adds `xs[i] * rows[i][c]` for each kernel row `i` of the tile in
+/// ascending `i` — one IEEE multiply rounded to `f32`, then one add,
+/// never fused — and then, when `bias` is given, `bias[c]`. The AVX2
+/// tier keeps a block of accumulators in registers across the whole
+/// tile, so it loads and stores each accumulator once per call and
+/// each weight once; every output still sees exactly the reference's
+/// operation order (see the module docs for the NaN-payload caveat).
 ///
 /// # Panics
 ///
-/// Panics when `bytes` holds fewer than `4 * acc.len()` bytes.
-pub fn axpy_le_bytes(x: f32, bytes: &[u8], acc: &mut [f32]) {
-    assert!(bytes.len() >= acc.len() * 4, "short f32 row");
+/// Panics when `rows` and `xs` differ in length, or a row or the bias
+/// holds fewer than `acc.len()` values.
+pub fn dense_tile<W: WeightRow + ?Sized>(
+    xs: &[f32],
+    rows: &[&W],
+    bias: Option<&[f32]>,
+    acc: &mut [f32],
+) {
+    assert_eq!(rows.len(), xs.len(), "one kernel row per input");
+    assert!(
+        rows.iter().all(|r| r.width() >= acc.len()),
+        "short kernel row"
+    );
+    assert!(bias.is_none_or(|b| b.len() >= acc.len()), "short bias row");
     match active_kernel() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 verified at runtime by active_kernel(); the
-        // assert above puts `4 * acc.len()` readable bytes behind the
-        // pointer, the kernel reads them unaligned, and x86_64 is
-        // little-endian, so its native f32 reads are the stored values.
-        Kernel::Avx2 => unsafe { x86::axpy_avx2(x, bytes.as_ptr().cast(), acc) },
-        _ => scalar::axpy_le_bytes(x, bytes, acc),
+        // asserts above put `acc.len()` readable f32s behind every row
+        // pointer and the bias, the kernel reads them unaligned, and
+        // x86_64 is little-endian, so native f32 reads of page bytes
+        // are the stored values.
+        Kernel::Avx2 => unsafe { x86::dense_tile_avx2(xs, rows, bias, acc) },
+        _ => scalar::dense_tile(xs, rows, bias, acc),
     }
 }
 
@@ -261,7 +314,7 @@ pub fn prefetch(bytes: &[u8]) {
 /// tier must reproduce bit-for-bit, and the mandatory fallback for
 /// loop tails, non-`x86_64` targets and the forced-scalar override.
 pub mod scalar {
-    use super::f16_bits_to_f32;
+    use super::{f16_bits_to_f32, WeightRow};
 
     /// Scalar [`copy_f32`](super::copy_f32).
     pub fn copy_f32(bytes: &[u8], out: &mut [f32]) {
@@ -308,18 +361,25 @@ pub mod scalar {
         }
     }
 
-    /// Scalar [`axpy`](super::axpy): the multiply-then-add every tier
+    /// Scalar [`dense_tile`](super::dense_tile): the row-at-a-time
+    /// loop — each kernel row's multiply-then-add over every column,
+    /// then the bias — whose per-output operation order every tier
     /// must reproduce.
-    pub fn axpy(x: f32, w: &[f32], acc: &mut [f32]) {
-        for (a, &w) in acc.iter_mut().zip(w) {
-            *a += x * w;
+    pub fn dense_tile<W: WeightRow + ?Sized>(
+        xs: &[f32],
+        rows: &[&W],
+        bias: Option<&[f32]>,
+        acc: &mut [f32],
+    ) {
+        for (&x, row) in xs.iter().zip(rows) {
+            for (a, w) in acc.iter_mut().zip(row.weights()) {
+                *a += x * w;
+            }
         }
-    }
-
-    /// Scalar [`axpy_le_bytes`](super::axpy_le_bytes).
-    pub fn axpy_le_bytes(x: f32, bytes: &[u8], acc: &mut [f32]) {
-        for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(4)) {
-            *a += x * f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+        if let Some(bias) = bias {
+            for (a, &b) in acc.iter_mut().zip(bias) {
+                *a += b;
+            }
         }
     }
 
@@ -343,7 +403,7 @@ mod x86 {
 
     use std::arch::x86_64::*;
 
-    use super::scalar;
+    use super::{scalar, WeightRow};
 
     /// `2⁻²⁴`, the value of one f16 subnormal mantissa unit. The
     /// product `f as f32 * 2⁻²⁴` is exact (power-of-two scaling of an
@@ -475,28 +535,81 @@ mod x86 {
     }
 
     // ------------------------------------------------------------------
-    // AXPY (mul then add — never FMA, which would round once)
+    // Dense tile (mul then add — never FMA, which would round once)
     // ------------------------------------------------------------------
 
-    // SAFETY: caller must have verified AVX2 and that `w` points at
-    // `acc.len()` readable `f32`s in native (little-endian) byte order;
-    // `w` needs no alignment — vector loads are the unaligned variant
-    // and the tail uses `read_unaligned` — so it may point into page
-    // bytes. Every access stays below index `acc.len()`.
+    /// Accumulator registers in the main column block: 8 × 8 = 64
+    /// columns, leaving the other half of the 16 ymm registers for the
+    /// broadcast input and the products.
+    const BLOCK_REGS: usize = 8;
+
+    // SAFETY: caller must have verified AVX2 and that every row and the
+    // bias hold `acc.len()` readable f32s (the public wrapper asserts
+    // it); rows need no alignment — loads are the unaligned variant and
+    // the tail uses `read_unaligned`. Every access stays below column
+    // `acc.len()`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_avx2(x: f32, w: *const f32, acc: &mut [f32]) {
+    pub(super) unsafe fn dense_tile_avx2<W: WeightRow + ?Sized>(
+        xs: &[f32],
+        rows: &[&W],
+        bias: Option<&[f32]>,
+        acc: &mut [f32],
+    ) {
         let n = acc.len();
-        let a = acc.as_mut_ptr();
-        let vx = _mm256_set1_ps(x);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let prod = _mm256_mul_ps(vx, _mm256_loadu_ps(w.add(i)));
-            _mm256_storeu_ps(a.add(i), _mm256_add_ps(_mm256_loadu_ps(a.add(i)), prod));
-            i += 8;
+        let mut c = 0usize;
+        while c + 8 * BLOCK_REGS <= n {
+            block::<BLOCK_REGS, W>(xs, rows, bias, acc, c);
+            c += 8 * BLOCK_REGS;
         }
-        while i < n {
-            *a.add(i) += x * w.add(i).read_unaligned();
-            i += 1;
+        while c + 8 <= n {
+            block::<1, W>(xs, rows, bias, acc, c);
+            c += 8;
+        }
+        for c in c..n {
+            let mut a = acc[c];
+            for (&x, row) in xs.iter().zip(rows) {
+                a += x * row.as_f32_ptr().add(c).read_unaligned();
+            }
+            if let Some(bias) = bias {
+                a += bias[c];
+            }
+            acc[c] = a;
+        }
+    }
+
+    /// Columns `c..c + 8 * REGS`: load their accumulators into `REGS`
+    /// registers, add every row's products in row order, then the bias,
+    /// and store them once.
+    // SAFETY: as `dense_tile_avx2`, with `c + 8 * REGS <= acc.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block<const REGS: usize, W: WeightRow + ?Sized>(
+        xs: &[f32],
+        rows: &[&W],
+        bias: Option<&[f32]>,
+        acc: &mut [f32],
+        c: usize,
+    ) {
+        let a = acc.as_mut_ptr().add(c);
+        let mut v = [_mm256_setzero_ps(); REGS];
+        for (j, v) in v.iter_mut().enumerate() {
+            *v = _mm256_loadu_ps(a.add(8 * j));
+        }
+        for (&x, row) in xs.iter().zip(rows) {
+            let vx = _mm256_set1_ps(x);
+            let w = row.as_f32_ptr().add(c);
+            for (j, v) in v.iter_mut().enumerate() {
+                *v = _mm256_add_ps(*v, _mm256_mul_ps(vx, _mm256_loadu_ps(w.add(8 * j))));
+            }
+        }
+        if let Some(bias) = bias {
+            let b = bias.as_ptr().add(c);
+            for (j, v) in v.iter_mut().enumerate() {
+                *v = _mm256_add_ps(*v, _mm256_loadu_ps(b.add(8 * j)));
+            }
+        }
+        for (j, v) in v.iter().enumerate() {
+            _mm256_storeu_ps(a.add(8 * j), *v);
         }
     }
 }

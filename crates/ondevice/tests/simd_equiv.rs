@@ -10,9 +10,20 @@
 //! suite with `MEMCOM_FORCE_SCALAR=1` so both sides of the contract are
 //! exercised.
 
+use memcom_core::{MemCom, MemComConfig};
+use memcom_nn::{Dense, Sequential};
+use memcom_ondevice::compute::WorkCounts;
+use memcom_ondevice::format::{HeadOp, OnDeviceModel};
 use memcom_ondevice::quant::{f16_bits_to_f32, quantize_row, Dtype};
-use memcom_ondevice::simd;
+use memcom_ondevice::{simd, HeadScratch, InferenceSession};
+use memcom_tensor::Tensor;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Kernel rows the engine hands the dense tile kernel at once (its
+/// private `DENSE_TILE_ROWS`).
+const DENSE_TILE_ROWS: usize = 32;
 
 /// Asserts two f32 slices are bit-identical.
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
@@ -28,10 +39,11 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Asserts an AXPY result matches the scalar reference: bit-identical,
-/// except that where the reference is a NaN any NaN will do (which
-/// payload a multiply or add propagates depends on operand order).
-fn assert_axpy_eq(got: &[f32], want: &[f32], what: &str) {
+/// Asserts a dense-tile result matches the scalar reference:
+/// bit-identical, except that where the reference is a NaN any NaN will
+/// do (which payload a multiply or add propagates depends on operand
+/// order).
+fn assert_dense_eq(got: &[f32], want: &[f32], what: &str) {
     let one_nan = |v: &[f32]| -> Vec<f32> {
         let canonical = |x: &f32| if x.is_nan() { f32::NAN } else { *x };
         v.iter().map(canonical).collect()
@@ -47,20 +59,6 @@ fn misalign(bytes: &[u8]) -> Vec<u8> {
     buf.push(0xA5);
     buf.extend_from_slice(bytes);
     buf
-}
-
-/// `f32` bit patterns weighted towards the classes a uniform draw
-/// almost never hits: anything, ±subnormals, ±0, ±inf.
-fn f32_bits() -> impl Strategy<Value = u32> {
-    prop_oneof![
-        0u32..=u32::MAX,
-        0x0000_0000u32..=0x007F_FFFF,
-        0x8000_0000u32..=0x807F_FFFF,
-        0x0000_0000u32..=0x0000_0000,
-        0x8000_0000u32..=0x8000_0000,
-        0x7F80_0000u32..=0x7F80_0000,
-        0xFF80_0000u32..=0xFF80_0000,
-    ]
 }
 
 proptest! {
@@ -155,34 +153,22 @@ proptest! {
         assert_bits_eq(&got, &want, "dequant_i2");
     }
 
-    // AXPY: multiply then add, never fused, over arbitrary bit patterns
-    // (subnormals, ±0, ±inf, NaNs) in the scale, the weights and the
-    // accumulator — from a decoded row and straight from misaligned
-    // page bytes.
+    // Dense tile: per output, every row's multiply then add in row
+    // order, then the bias, never fused — over arbitrary bit patterns
+    // (subnormals, ±0, ±inf, NaNs) in the inputs, the weights, the
+    // accumulators and the bias, and over tame values that expose any
+    // reordering, from decoded rows and straight from misaligned page
+    // bytes, at any tile height and width.
     #[test]
-    fn axpy_matches_scalar(
-        lanes in proptest::collection::vec((f32_bits(), f32_bits()), 1..257),
-        x_bits in f32_bits(),
+    fn dense_tile_matches_scalar(
+        height in 1usize..=DENSE_TILE_ROWS,
+        width in 1usize..=200,
+        seed in 0u64..=u64::MAX,
+        with_bias in proptest::bool::ANY,
+        hostile in proptest::bool::ANY,
     ) {
-        let x = f32::from_bits(x_bits);
-        let w: Vec<f32> = lanes.iter().map(|&(w, _)| f32::from_bits(w)).collect();
-        let acc: Vec<f32> = lanes.iter().map(|&(_, a)| f32::from_bits(a)).collect();
-        let bytes: Vec<u8> = w.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let mut want = acc.clone();
-        simd::scalar::axpy(x, &w, &mut want);
-        let mut from_bytes = acc.clone();
-        simd::scalar::axpy_le_bytes(x, &bytes, &mut from_bytes);
-        assert_axpy_eq(&from_bytes, &want, "scalar axpy_le_bytes");
-
-        let mut got = acc.clone();
-        simd::axpy(x, &w, &mut got);
-        assert_axpy_eq(&got, &want, "axpy");
-        got.copy_from_slice(&acc);
-        simd::axpy_le_bytes(x, &bytes, &mut got);
-        assert_axpy_eq(&got, &want, "axpy_le_bytes");
-        got.copy_from_slice(&acc);
-        simd::axpy_le_bytes(x, &misalign(&bytes)[1..], &mut got);
-        assert_axpy_eq(&got, &want, "axpy_le_bytes misaligned");
+        let tile = Tile::new(height, width, seed, with_bias, hostile);
+        tile.check(&format!("{height}x{width}"));
     }
 
     // End-to-end: a quantize → dispatch-decode round trip equals the
@@ -239,4 +225,160 @@ fn active_kernel_honors_the_force_scalar_env() {
         simd::Kernel::Scalar
     };
     assert_eq!(simd::active_kernel(), want);
+}
+
+/// An `f32` bit pattern weighted towards the classes a uniform draw
+/// almost never hits: anything (NaN payloads included), ±subnormals,
+/// ±0, ±inf.
+fn hostile_f32(rng: &mut StdRng) -> f32 {
+    let bits = match rng.gen_range(0..7u32) {
+        0 => rng.gen::<u32>(),
+        1 => rng.gen_range(0u32..=0x007F_FFFF),
+        2 => rng.gen_range(0x8000_0000u32..=0x807F_FFFF),
+        3 => 0x0000_0000,
+        4 => 0x8000_0000,
+        5 => 0x7F80_0000,
+        _ => 0xFF80_0000,
+    };
+    f32::from_bits(bits)
+}
+
+/// One dense tile's operands: `height` inputs and kernel rows of
+/// `width` weights, the accumulators it starts from and an optional
+/// bias, all hostile bit patterns.
+struct Tile {
+    xs: Vec<f32>,
+    rows: Vec<Vec<f32>>,
+    acc: Vec<f32>,
+    bias: Option<Vec<f32>>,
+}
+
+impl Tile {
+    /// Hostile bit patterns when `hostile`; otherwise finite values in
+    /// ±1, where no term dominates a sum, so any change of operation
+    /// order moves bits.
+    fn new(height: usize, width: usize, seed: u64, with_bias: bool, hostile: bool) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let value = |rng: &mut StdRng| match hostile {
+            true => hostile_f32(rng),
+            false => rng.gen_range(-1.0f32..1.0),
+        };
+        let mut values = |n: usize| (0..n).map(|_| value(&mut rng)).collect::<Vec<_>>();
+        Tile {
+            xs: values(height),
+            rows: (0..height).map(|_| values(width)).collect(),
+            acc: values(width),
+            bias: with_bias.then(|| values(width)),
+        }
+    }
+
+    /// The dispatched kernel over decoded rows and over misaligned page
+    /// bytes equals the scalar reference, which itself reads page bytes
+    /// as it reads decoded rows — NaN payloads excepted everywhere, the
+    /// reference's two instances included: which operand's payload an
+    /// add propagates is codegen's choice on either tier.
+    fn check(&self, what: &str) {
+        let bias = self.bias.as_deref();
+        let decoded: Vec<&[f32]> = self.rows.iter().map(Vec::as_slice).collect();
+        let mut want = self.acc.clone();
+        simd::scalar::dense_tile(&self.xs, &decoded, bias, &mut want);
+
+        // Each row at its own offset past a 16-byte boundary.
+        let pages: Vec<Vec<u8>> = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let mut page = vec![0xA5; i % 16];
+                page.extend(row.iter().flat_map(|w| w.to_le_bytes()));
+                page
+            })
+            .collect();
+        let stored: Vec<&[u8]> = pages
+            .iter()
+            .enumerate()
+            .map(|(i, p)| &p[i % 16..])
+            .collect();
+        let mut got = self.acc.clone();
+        simd::scalar::dense_tile(&self.xs, &stored, bias, &mut got);
+        assert_dense_eq(&got, &want, &format!("scalar dense_tile from bytes {what}"));
+
+        got.copy_from_slice(&self.acc);
+        simd::dense_tile(&self.xs, &decoded, bias, &mut got);
+        assert_dense_eq(&got, &want, &format!("dense_tile {what}"));
+        got.copy_from_slice(&self.acc);
+        simd::dense_tile(&self.xs, &stored, bias, &mut got);
+        assert_dense_eq(&got, &want, &format!("dense_tile from bytes {what}"));
+    }
+}
+
+#[test]
+fn dense_tile_matches_scalar_at_every_height_and_block_edge() {
+    // Widths around the AVX2 tier's blocks: below one 8-lane register,
+    // at and past one and eight registers (64 columns), and tails of
+    // every length after a full block.
+    let widths = [
+        1, 3, 7, 8, 9, 15, 16, 63, 64, 65, 71, 72, 127, 128, 129, 135,
+    ];
+    for height in 1..=DENSE_TILE_ROWS {
+        for (k, &width) in widths.iter().enumerate() {
+            let seed = (height * 1000 + width) as u64;
+            for hostile in [true, false] {
+                let tile = Tile::new(height, width, seed, k % 2 == 0, hostile);
+                tile.check(&format!("{height}x{width}, hostile {hostile}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn every_head_dtype_runs_the_scalar_reference_through_forward_head() {
+    // Two tiles (32 + 9 kernel rows), a column count past one
+    // `DENSE_CHUNK_COLS` chunk (2048) with a register tail, a non-zero
+    // bias: `forward_head` equals the scalar kernel run row at a time
+    // over the rows the session decodes, then the bias.
+    let (in_dim, out_dim) = (DENSE_TILE_ROWS + 9, 2048 + 77);
+    let mut rng = StdRng::seed_from_u64(45);
+    let emb = MemCom::new(MemComConfig::new(20, in_dim, 4), &mut rng).unwrap();
+    let mut layer = Dense::new(in_dim, out_dim, &mut rng);
+    let bias: Vec<f32> = (0..out_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let bias = Tensor::from_vec(bias, &[out_dim]).unwrap();
+    layer.set_weights(layer.weight().clone(), bias).unwrap();
+    let mut head = Sequential::new();
+    head.push(layer);
+    let x: Vec<f32> = (0..in_dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+    for dtype in [
+        Dtype::F32,
+        Dtype::F16,
+        Dtype::Int8,
+        Dtype::Int4,
+        Dtype::Int2,
+    ] {
+        let bytes = OnDeviceModel::serialize(&emb, &head, 1, dtype).unwrap();
+        let session = InferenceSession::new(OnDeviceModel::parse(bytes).unwrap());
+        let HeadOp::Dense { weight, bias, .. } = &session.model().head_ops[0] else {
+            panic!("the head is one dense layer");
+        };
+        let mut rows = vec![vec![0f32; out_dim]; in_dim];
+        for (i, row) in rows.iter_mut().enumerate() {
+            session.read_row_into(weight, i, row).unwrap();
+        }
+        let mut b = vec![0f32; out_dim];
+        session.read_row_into(bias, 0, &mut b).unwrap();
+        let rows: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+        let mut want = vec![0f32; out_dim];
+        simd::scalar::dense_tile(&x, &rows, Some(&b), &mut want);
+
+        // Twice: consecutive calls sweep the column chunks in opposite
+        // directions.
+        let mut scratch = HeadScratch::new();
+        for sweep in ["forward", "backward"] {
+            scratch.input(1, in_dim).copy_from_slice(&x);
+            let mut got = Vec::new();
+            session
+                .forward_head(1, &mut scratch, &mut got, &mut WorkCounts::default())
+                .unwrap();
+            assert_bits_eq(&got, &want, &format!("forward_head at {dtype:?}, {sweep}"));
+        }
+    }
 }

@@ -77,7 +77,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
     // slab: the decode must be exactly as allocation-free as the copy.
     // Quotient–remainder-multiply reads two int8 rows per id and
     // multiplies them, so every row borrows the executor's operand
-    // buffer — which the worker must own and reuse, not allocate per row.
+    // buffer — which the shard must own and reuse, not allocate per row.
     let cases: [(&dyn EmbeddingCompressor, Dtype); 3] = [
         (&emb, Dtype::F32),
         (&emb, Dtype::Int8),
@@ -118,7 +118,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
             );
 
             // Expected steady state: 1 response-slot Arc (caller side) and
-            // nothing from the worker — `pop_batch_into` drains into a
+            // nothing from serving — `pop_batch_into` drains into a
             // reused buffer and the panic-blanket slot list is reused too,
             // so the old per-flush `drain(..).collect()` + slot-`Vec` pair
             // (~2 extra allocations per call) would blow this bound.
@@ -146,8 +146,8 @@ fn get_batch_into_allocates_constant_not_per_row() {
         );
     }
 
-    // Second phase: the *shedding* hot path. Depth-1 queue, worker
-    // wedged behind a long simulated store read, one request in flight
+    // Second phase: the *shedding* hot path. Depth-1 queue, serving
+    // thread wedged behind a long simulated store read, one request in flight
     // and one parked in the queue — every push from the main thread is
     // rejected at admission for the whole store-latency window. A shed
     // slab request must hand its id/out buffers back to the caller's batch,
@@ -173,7 +173,7 @@ fn get_batch_into_allocates_constant_not_per_row() {
     let handle = router.handle(DEFAULT_MODEL).unwrap();
     let mut outcomes = [0u64; 2]; // [accepted, shed]
     std::thread::scope(|scope| {
-        // Wedge: the worker pops this immediately and sleeps 400ms.
+        // Wedge: the serving thread pops this immediately and sleeps 400ms.
         let wedger = handle.clone();
         scope.spawn(move || wedger.get(0).unwrap());
         std::thread::sleep(Duration::from_millis(50));

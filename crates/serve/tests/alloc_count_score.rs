@@ -6,7 +6,7 @@
 //! warm-up (backend scratch grown, buffer rotation primed) a 128-id
 //! score call — embedding gather plus the full
 //! RankNet forward — must stay under a small constant number of
-//! allocations, independent of the id count. The worker's
+//! allocations, independent of the id count. The shard's
 //! [`memcom_serve::InferScratch`] (gather scratch, head activations,
 //! logit buffer) is reused across calls; a per-call scratch would blow
 //! the bound immediately.
@@ -86,7 +86,7 @@ fn score_batch_into_allocates_constant_not_per_id() {
     let ids: Vec<usize> = (0..IDS).collect();
     let mut batch = ScoreBatch::new();
 
-    // Warm up: grows the id/score buffers and the worker's inference
+    // Warm up: grows the id/score buffers and the shard's inference
     // scratch, and settles the allocator.
     for _ in 0..10 {
         handle.score_batch_into(&ids, &mut batch).unwrap();
@@ -100,8 +100,8 @@ fn score_batch_into_allocates_constant_not_per_id() {
     eprintln!("score path: {per_call:.2} allocations/call");
 
     // Expected steady state: 1 response-slot Arc (caller side), nothing
-    // from the worker — the gather scratch, head activations, and logit
-    // buffer all live in the per-worker `InferScratch` and are reused
+    // from serving — the gather scratch, head activations, and logit
+    // buffer all live in the per-shard `InferScratch` and are reused
     // across batches.
     assert!(
         per_call <= 2.5,

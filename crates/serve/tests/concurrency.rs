@@ -154,8 +154,8 @@ fn every_method_serves_exact_rows() {
     }
 }
 
-/// A burst of exactly `max_batch` requests that queues while the worker
-/// is busy is served as one full batch: the backlog is where batches
+/// A burst of exactly `max_batch` requests that queues while the serving
+/// thread is busy is served as one full batch: the backlog is where batches
 /// come from.
 #[test]
 fn flush_triggers_on_max_batch() {
@@ -166,7 +166,8 @@ fn flush_triggers_on_max_batch() {
         ServeConfig {
             n_shards: 1, // single shard: the whole burst coalesces
             max_batch,
-            // Holds the worker in the blocker's batch while the burst queues.
+            // Holds the serving thread in the blocker's batch while the burst
+            // queues.
             store_latency: Duration::from_millis(50),
             ..ServeConfig::default()
         },
@@ -179,7 +180,7 @@ fn flush_triggers_on_max_batch() {
         let blocker = handle.clone();
         scope.spawn(move || blocker.get(1).unwrap());
         // `batches` counts a batch before its store read: once it reads
-        // 1, the worker is asleep in the blocker's.
+        // 1, the serving thread is asleep in the blocker's.
         while router.stats(DEFAULT_MODEL).unwrap().batches == 0 {
             std::thread::yield_now();
         }
@@ -201,7 +202,7 @@ fn flush_triggers_on_max_batch() {
 }
 
 /// A lone request is served at once, however long `max_wait` is: the
-/// worker takes whatever is queued and never waits for company.
+/// serving thread takes whatever is queued and never waits for company.
 #[test]
 fn a_lone_request_never_waits_for_company() {
     let emb = memcom(400, 8, 40);

@@ -58,7 +58,7 @@ fn router_serving(model: &RecModel, dtype: Dtype, config: ServeConfig) -> Router
 
 /// Deterministic id sets that span shards (ids are routed by
 /// `id % n_shards`, so mixing parities exercises the cross-shard
-/// gather inside the executing worker).
+/// gather inside the serving thread).
 fn probe_id_sets() -> Vec<Vec<usize>> {
     vec![
         vec![0, 1, 2, 3],
@@ -179,7 +179,7 @@ fn score_requests_share_the_counter_contract() {
 fn score_deadline_expires_at_dequeue_not_silently() {
     let model = ranker(11);
     let deadline = Duration::from_millis(25);
-    // The probe queues behind a blocker the worker serves for 100ms —
+    // The probe queues behind a blocker served for 100ms —
     // far past the probe's 25ms deadline.
     let router = router_serving(
         &model,
@@ -235,7 +235,7 @@ fn score_admission_sheds_when_the_queue_is_wedged() {
             n_shards: 1,
             max_batch: 1,
             queue_depth: 1,
-            // Wedge the worker: the first flush sleeps 400ms, so the
+            // Wedge the serving thread: the first flush sleeps 400ms, so the
             // queue stays occupied while we probe the reject path.
             store_latency: Duration::from_millis(400),
             admission: AdmissionPolicy::Shed {
@@ -253,7 +253,7 @@ fn score_admission_sheds_when_the_queue_is_wedged() {
         let parker = router.handle("scorer").unwrap();
         scope.spawn(move || parker.score(&[1]).unwrap());
         std::thread::sleep(Duration::from_millis(50));
-        // Queue full, worker asleep: this push waits out its budget,
+        // Queue full, serving thread asleep: this push waits out its budget,
         // then sheds.
         match handle.score(&[2]) {
             Err(ServeError::Overloaded {

@@ -2,11 +2,11 @@
 //!
 //! Every `RouterHandle` entry point — `get`, `get_many`,
 //! `get_batch_into`, `score`, `score_batch_into` — is a wrapper of one
-//! submit → queue → worker path, so for the same ids they must agree
+//! submit → queue → serve-turn path, so for the same ids they must agree
 //! bit for bit, whatever backend the model is bound to; a fault inside
 //! that path (a panicking backend) must stay a typed error for its one
 //! caller; and the per-lookup telemetry must stay exact while scores on
-//! other workers read through the same shard.
+//! other threads read through the same shard.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
@@ -132,8 +132,8 @@ impl InferBackend for PanickingBackend {
 #[test]
 fn panicking_backend_fails_its_caller_but_not_the_worker() {
     let emb = memcom(2, 200);
-    // One shard: the worker that catches the panic is the one that must
-    // serve everything after it.
+    // One shard: the shard whose serve turn catches the panic is the one
+    // that must serve everything after it.
     let router = Router::start(ServeConfig::with_shards(1)).unwrap();
     router
         .backends()
@@ -156,7 +156,7 @@ fn panicking_backend_fails_its_caller_but_not_the_worker() {
             faulty.score_batch_into(&ids, &mut scores),
             Err(ServeError::WorkerLost)
         ));
-        // The same worker answers the next lookup and the next score —
+        // The same shard answers the next lookup and the next score —
         // on the faulty model's own rows too — and the batch that rode
         // through the panic is still usable.
         assert_eq!(bits(&faulty.get_many(&ids).unwrap().concat()), want);
@@ -178,7 +178,7 @@ fn panicking_backend_fails_its_caller_but_not_the_worker() {
 }
 
 /// The decode-row tally equals the lookup rows served even while score
-/// requests executing on the *other* worker gather through the same
+/// requests executing on *other* threads gather through the same
 /// shards.
 #[test]
 fn decode_rows_count_lookups_only_under_mixed_traffic() {
@@ -284,12 +284,13 @@ struct Tally {
     healthy_lost: u64,
 }
 
-/// Hand-offs between submitting threads and the shard worker under
+/// Hand-offs of the shard's serve turn between submitting threads under
 /// faults: on one shard behind a depth-8 shedding queue, a panicking
-/// caller's turn leaves what queued behind it to the worker; 8 threads ×
-/// 300 submits each get one answer — the compressor's bits, `WorkerLost`
-/// or `Overloaded` — that the router's counters agree with; and a
-/// shutdown racing live submitters returns promptly.
+/// caller's turn passes what queued behind it to the caller that
+/// queued it; 8 threads × 300 submits each get one answer — the
+/// compressor's bits, `WorkerLost` or `Overloaded` — that the router's
+/// counters agree with; and a shutdown racing live submitters returns
+/// promptly.
 #[test]
 fn hand_offs_under_faults_answer_every_call_once() {
     const THREADS: usize = 8;
@@ -327,7 +328,7 @@ fn hand_offs_under_faults_answer_every_call_once() {
     let handle = router.handle("rows").unwrap();
 
     // A caller whose turn panics answers itself `WorkerLost`; the request
-    // that queued behind the turn is the worker's, and is served.
+    // that queued behind the turn is passed the turn, and is served.
     let admitted = || router.metrics().stages[0].admission_wait.count();
     std::thread::scope(|scope| {
         let holder = scope.spawn(|| handle.score(&[HELD]));

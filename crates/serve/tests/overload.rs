@@ -55,8 +55,8 @@ fn shed_bounds_p99_where_block_collapses() {
     // Offered: 4× capacity, paced by 32 open-loop clients. Each client
     // is sequential, so only clients beyond the 12 the queue (8) and the
     // batch in service (4) can hold find the queue full: there must be
-    // more of them, or Shed sheds only when a client beats the worker's
-    // next pop (and Block never really wedges producers).
+    // more of them, or Shed sheds only when a client beats the serving
+    // thread's next pop (and Block never really wedges producers).
     let load = LoadGenConfig {
         clients: 32,
         requests_per_client: 40,
@@ -107,8 +107,8 @@ fn shed_bounds_p99_where_block_collapses() {
         "goodput {:.0} cannot exceed capacity",
         shed_report.goodput()
     );
-    // Shed's bound, where the policy enforces it: a worker serves a
-    // request only if it dequeues it inside `request_deadline`. Every
+    // Shed's bound, where the policy enforces it: a serving thread serves
+    // a request only if it dequeues it inside `request_deadline`. Every
     // dequeued request's wait is recorded; those in buckets wholly past
     // the deadline must all have expired, so no served request waited
     // past it. (A served request's latency from its *scheduled* send
@@ -170,8 +170,8 @@ fn shed_bounds_p99_where_block_collapses() {
     );
 }
 
-/// Runs `probe` while a blocker request holds the only worker asleep in
-/// its `store_latency` read, so whatever the probe enqueues ages behind
+/// Runs `probe` while a blocker request holds the only shard's serving
+/// thread asleep in its `store_latency` read, so whatever the probe enqueues ages behind
 /// it.
 fn behind_blocker<T>(router: &Router, probe: impl FnOnce() -> T) -> T {
     let batches = || router.stats(DEFAULT_MODEL).unwrap().batches;
@@ -194,7 +194,7 @@ fn behind_blocker<T>(router: &Router, probe: impl FnOnce() -> T) -> T {
 fn expired_requests_fail_at_dequeue_not_silently() {
     let emb = memcom(5);
     let deadline = Duration::from_millis(25);
-    // Each probe queues behind a blocker the worker serves for 100ms —
+    // Each probe queues behind a blocker served for 100ms —
     // far past the probe's 25ms deadline.
     let router = start(
         &emb,
@@ -254,7 +254,7 @@ fn shed_rejection_reports_the_enqueue_budget() {
             n_shards: 1,
             max_batch: 1,
             queue_depth: 1,
-            // Wedge the worker: the first flush sleeps 400ms, so the
+            // Wedge the serving thread: the first flush sleeps 400ms, so the
             // queue stays occupied while we probe the reject path.
             store_latency: Duration::from_millis(400),
             admission: AdmissionPolicy::Shed {
@@ -273,7 +273,7 @@ fn shed_rejection_reports_the_enqueue_budget() {
         let parker = handle.clone();
         scope.spawn(move || parker.get(1).unwrap());
         std::thread::sleep(Duration::from_millis(50));
-        // Queue full, worker asleep: this push waits out its budget,
+        // Queue full, serving thread asleep: this push waits out its budget,
         // then sheds.
         let t0 = std::time::Instant::now();
         match handle.get(2) {
@@ -459,7 +459,7 @@ fn closed_loop_honors_retry_after_and_reports_mean_backoff() {
     let model = &report.per_model[0];
     // At rejection the queue holds 1 request (it is full) and one batch
     // is in flight: the hint is 1 or 2 batch service times, depending on
-    // whether the worker drained the queue between the reject and the
+    // whether the serving thread drained the queue between the reject and the
     // depth probe.
     assert!(
         model.mean_backoff >= store_latency,

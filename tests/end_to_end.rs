@@ -162,7 +162,7 @@ fn matched_budget_ordering_against_double_hash_and_qr_is_pinned() {
 #[test]
 fn serialized_model_matches_training_stack_everywhere() {
     // Train briefly, serialize, and check on-device logits equal the
-    // training stack's across a batch of eval users.
+    // training stack's, bit for bit, across a batch of eval users.
     let spec = tiny_spec();
     let data = spec.generate(3);
     let config = model_config(&spec, ModelKind::PointwiseRanker);
@@ -192,9 +192,8 @@ fn serialized_model_matches_training_stack_everywhere() {
     for ex in data.eval.iter().take(20) {
         let (device, _) = session.run(&ex.input_ids).expect("device inference");
         let server = model.infer(&ex.input_ids, 1).expect("server inference");
-        for (a, b) in device.iter().zip(server.as_slice()) {
-            assert!((a - b).abs() < 1e-3, "device {a} vs server {b}");
-        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&device), bits(server.as_slice()), "device vs server");
     }
 }
 

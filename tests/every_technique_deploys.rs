@@ -95,10 +95,14 @@ fn all_eleven_method_specs_serialize_and_run_on_device() {
             let [exact, half, int8] = sessions
                 .each_ref()
                 .map(|s| s.run(&ex.input_ids).expect("device inference").0);
-            // The floor test's tolerance: the engine runs the recipe the
-            // training stack ran, over the same f32 table values.
-            let err = max_abs_diff(&exact, server.as_slice());
-            assert!(err < 1e-3, "{label}: device vs server differ by {err}");
+            // Bit for bit: the engine runs the recipe the training stack
+            // ran, over the same f32 table values, in the same float-op
+            // order.
+            assert_eq!(
+                bits(&exact),
+                bits(server.as_slice()),
+                "{label}: device vs server"
+            );
             // Quantized files run the same recipe over rounded tables.
             for (dtype, logits) in [("f16", half), ("int8", int8)] {
                 let err = max_abs_diff(&logits, &exact);
@@ -184,8 +188,11 @@ fn a_technique_defined_outside_core_deploys_everywhere() {
     let (device, _) = InferenceSession::new(parsed).run(&ids).expect("runs");
     let seq = after.reshape(&[1, len, dim]).unwrap();
     let server = head.forward(&seq, Mode::Eval).unwrap();
-    let err = max_abs_diff(&device, server.as_slice());
-    assert!(err < 1e-3, "device vs training stack differ by {err}");
+    assert_eq!(
+        bits(&device),
+        bits(server.as_slice()),
+        "device vs training stack"
+    );
 
     // Serves through a router: rows bit-equal to its own lookup.
     let router = Router::start(ServeConfig::with_shards(2)).expect("router starts");

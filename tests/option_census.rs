@@ -18,7 +18,7 @@ fn config_structs_have_exactly_these_fields() {
     let ServeConfig {
         n_shards,
         max_batch,
-        // Nothing reads it (workers never hold a batch open); frozen `crates/perf` names it — ROADMAP item 1(f).
+        // Nothing reads it (serving never holds a batch open); frozen `crates/perf` names it — ROADMAP item 1(f).
         max_wait,
         queue_depth,
         // Nothing reads it (the store has no cache); frozen `crates/perf` names it — ROADMAP item 1(f).
