@@ -40,7 +40,7 @@ pub enum ErrorCode {
     /// The frame used an unknown protocol version or kind.
     Unsupported = 7,
     /// A server-side failure that is a bug or misconfiguration, not a
-    /// load condition ([`ServeError::WorkerLost`] and friends).
+    /// load condition ([`ServeError::BatchPanicked`] and friends).
     Internal = 8,
 }
 
@@ -261,7 +261,7 @@ mod tests {
             ErrorCode::ShuttingDown
         );
         assert_eq!(
-            error_response_for(1, &ServeError::WorkerLost).code,
+            error_response_for(1, &ServeError::BatchPanicked).code,
             ErrorCode::Internal
         );
     }

@@ -33,7 +33,7 @@
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
-//! | 10 | 1 | dtype hint (`0` = none, then [`Dtype`] codes 1–5: f32, f16, int8, int4, int2) |
+//! | 10 | 1 | dtype hint (`0` = none, else [`Dtype::tag`] + 1: 1–5 = f32, f16, int8, int4, int2) |
 //! | 11 | 8 | deadline in nanoseconds (`0` = no deadline) |
 //! | 19 | 2 | model-name length `m` (≤ [`MAX_MODEL_LEN`]) |
 //! | 21 | m | model name (UTF-8) |
@@ -300,29 +300,6 @@ pub enum Message {
     Error(ErrorResponse),
 }
 
-fn dtype_code(dtype: Option<Dtype>) -> u8 {
-    match dtype {
-        None => 0,
-        Some(Dtype::F32) => 1,
-        Some(Dtype::F16) => 2,
-        Some(Dtype::Int8) => 3,
-        Some(Dtype::Int4) => 4,
-        Some(Dtype::Int2) => 5,
-    }
-}
-
-fn dtype_from_code(code: u8) -> Result<Option<Dtype>, WireError> {
-    Ok(match code {
-        0 => None,
-        1 => Some(Dtype::F32),
-        2 => Some(Dtype::F16),
-        3 => Some(Dtype::Int8),
-        4 => Some(Dtype::Int4),
-        5 => Some(Dtype::Int2),
-        other => return Err(WireError::BadDtype(other)),
-    })
-}
-
 fn duration_to_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
@@ -434,7 +411,7 @@ pub(crate) fn encode_request(
         max: DEFAULT_MAX_FRAME_LEN,
     })?;
     let len_at = begin_frame(out, kind, request_id);
-    out.push(dtype_code(dtype_hint));
+    out.push(dtype_hint.map_or(0, |d| d.tag() + 1));
     out.extend_from_slice(&deadline.map_or(0, duration_to_nanos).to_le_bytes());
     out.extend_from_slice(&model_len.to_le_bytes());
     out.extend_from_slice(model);
@@ -680,7 +657,10 @@ pub(crate) fn decode_frame(payload: &[u8]) -> Result<Frame<'_>, WireError> {
     let request_id = c.u64("request id")?;
     let frame = match kind {
         KIND_LOOKUP | KIND_SCORE => {
-            let dtype_hint = dtype_from_code(c.u8("dtype hint")?)?;
+            let dtype_hint = match c.u8("dtype hint")? {
+                0 => None,
+                code => Some(Dtype::from_tag(code - 1).map_err(|_| WireError::BadDtype(code))?),
+            };
             let deadline_nanos = c.u64("deadline")?;
             let model_len = c.u16("model length")? as usize;
             if model_len > MAX_MODEL_LEN {

@@ -401,11 +401,9 @@ impl InferenceSession {
                     // bytes charged once per tile), and each `acc[c]`
                     // takes `x[i]·w[i][c]` in ascending `i` from 0, then
                     // the bias as the last tile stores — training's
-                    // products-then-bias order, bit for bit, from one
-                    // pass over the kernel. One divergence is left:
-                    // training's matmul skips a zero input where this
-                    // adds `0·w`, which differs only for a ±inf or NaN
-                    // weight.
+                    // products-then-bias order and zero-input skip, bit
+                    // for bit, from one pass over the kernel (training's
+                    // matmul runs the same `dense_tile`).
                     let kernel = &self.tables.head[weight.index];
                     // At least one tile, so a zero-width input still
                     // takes its bias.
@@ -758,6 +756,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_zero_input_facing_a_non_finite_weight_adds_nothing() {
+        // Training's rule: a zero input adds nothing to a dense layer, so
+        // the ±inf and NaN weights of its kernel row (in both tiles) leave
+        // the logits finite, where adding `0·inf` would make them NaN.
+        use memcom_nn::{Layer, Mode};
+        let (in_dim, out_dim) = (DENSE_TILE_ROWS + 3, 9);
+        let mut rng = StdRng::seed_from_u64(46);
+        let emb = MemCom::new(MemComConfig::new(20, in_dim, 4), &mut rng).unwrap();
+        let mut layer = Dense::new(in_dim, out_dim, &mut rng);
+        let zeros = [2, DENSE_TILE_ROWS + 1];
+        let mut weight = layer.weight().clone();
+        for (r, c) in zeros
+            .iter()
+            .flat_map(|&r| (0..out_dim).map(move |c| (r, c)))
+        {
+            let w = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][c % 3];
+            weight.set(&[r, c], w).unwrap();
+        }
+        layer.set_weights(weight, layer.bias().clone()).unwrap();
+        let x: Vec<f32> = (0..in_dim)
+            .map(|i| match zeros.contains(&i) {
+                true => 0.0,
+                false => (i as f32 * 1.3 + 0.2).sin(),
+            })
+            .collect();
+        let input = memcom_tensor::Tensor::from_vec(x.clone(), &[1, in_dim]).unwrap();
+        let want = layer.forward(&input, Mode::Eval).unwrap().into_vec();
+        assert!(want.iter().all(|v| v.is_finite()), "training: {want:?}");
+
+        let mut dense = Sequential::new();
+        dense.push(layer);
+        let bytes = OnDeviceModel::serialize(&emb, &dense, 1, Dtype::F32).unwrap();
+        let session = InferenceSession::new(OnDeviceModel::parse(bytes).unwrap());
+        let mut scratch = HeadScratch::new();
+        scratch.input(1, in_dim).copy_from_slice(&x);
+        let mut got = Vec::new();
+        session
+            .forward_head(1, &mut scratch, &mut got, &mut WorkCounts::default())
+            .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //!   Table-3-style milliseconds.
 //! * [`quant`] — post-training linear quantization (FP16/INT8/INT4/INT2)
 //!   for the Figure-4 precision sweep.
-//! * [`simd`] — the dequantization kernels underneath the decode hot
-//!   path and the tile kernel underneath the engine's dense layers: an
-//!   AVX2 tier, dispatched at runtime where the CPU has it,
-//!   bit-identical to the scalar reference that runs everywhere else.
+//! * [`simd`] — `memcom_tensor::simd`, re-exported: the dequantization
+//!   kernels underneath the decode hot path and the tile kernel
+//!   underneath the engine's dense layers, the one that training's
+//!   `matmul` runs too: an AVX2 tier, dispatched at runtime where the
+//!   CPU has it, bit-identical to the scalar reference that runs
+//!   everywhere else.
 //!
 //! Absolute milliseconds are simulator units calibrated to Table 3's
 //! magnitudes; the reproduced *shape* is what matters — who wins on which
@@ -46,13 +48,13 @@ pub mod error;
 pub mod format;
 pub mod pages;
 pub mod quant;
-pub mod simd;
 pub mod tables;
 
 pub use compute::ComputeUnit;
 pub use engine::{HeadScratch, InferenceSession, RunStats};
 pub use error::OnDeviceError;
 pub use format::{OnDeviceModel, MAGIC};
+pub use memcom_tensor::simd;
 pub use pages::PagedTable;
 pub use quant::{decode_row_into, dequant_error_bound, quantize_row, Dtype};
 pub use simd::{active_kernel, Kernel};

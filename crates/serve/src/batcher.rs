@@ -76,7 +76,7 @@ pub enum FlushReason {
 
 /// What a [`SlabSlot`] carries back: the request's id list and output
 /// slab (returned so the caller can recycle both buffers) plus the
-/// serving outcome. On a worker-lost blanket the buffers come back
+/// serving outcome. On a batch-panicked blanket the buffers come back
 /// empty — they were consumed by the panicking batch.
 #[derive(Debug)]
 pub struct SlabOutcome {
@@ -713,7 +713,7 @@ mod tests {
         assert_eq!(outcome.out, vec![1.0, 2.0, 3.0, 4.0]);
         assert!(outcome.result.is_ok());
         // First write wins: a later fill cannot replace an earlier one.
-        slot.fail(ServeError::WorkerLost);
+        slot.fail(ServeError::BatchPanicked);
         slot.fill(SlabOutcome {
             ids: Vec::new(),
             out: Vec::new(),

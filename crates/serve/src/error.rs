@@ -70,7 +70,7 @@ pub enum ServeError {
     /// The batch holding the request panicked while it was served, so
     /// the caller serving it answered this instead of a result (a bug,
     /// not a load condition).
-    WorkerLost,
+    BatchPanicked,
     /// Error from the simulated mmap / on-device layer.
     OnDevice(OnDeviceError),
 }
@@ -99,7 +99,7 @@ impl fmt::Display for ServeError {
                 f,
                 "request deadline exceeded: queued {queued:?} against a {deadline:?} budget"
             ),
-            ServeError::WorkerLost => write!(f, "serving worker dropped a request"),
+            ServeError::BatchPanicked => write!(f, "the serving caller's batch panicked"),
             ServeError::OnDevice(e) => write!(f, "on-device error: {e}"),
         }
     }

@@ -1146,7 +1146,7 @@ impl RouterHandle {
         }
         // A queued request's caller may be passed the shard's turn before
         // its answer: its request then heads the queue, so the one batch
-        // it serves holds it. A worker-lost blanket returns empty buffers
+        // it serves holds it. A batch-panicked blanket returns empty buffers
         // (the real ones died with the panicking batch); the next call
         // regrows them.
         let queue = &self.inner.shards[shard].queue;
@@ -1166,7 +1166,7 @@ impl RouterHandle {
 /// for one passed a backlog's turn alike: takes one batch with `turn`
 /// and serves it with the shard's scratch. A panic while serving must
 /// not strand blocked requesters: the batch's slots are kept, any left
-/// unfilled are answered `WorkerLost` (fill is first-write-wins), and
+/// unfilled are answered `BatchPanicked` (fill is first-write-wins), and
 /// the caller carries on to its own reply. Ending the turn passes it to
 /// the caller of the oldest request still queued, if any.
 fn serve_turn(inner: &RouterInner, shard_idx: usize, mut turn: Turn<'_, Request>) {
@@ -1183,7 +1183,7 @@ fn serve_turn(inner: &RouterInner, shard_idx: usize, mut turn: Turn<'_, Request>
     }));
     if outcome.is_err() {
         for slot in slots.iter() {
-            slot.fail(ServeError::WorkerLost);
+            slot.fail(ServeError::BatchPanicked);
         }
         batch.clear();
     }
@@ -1357,10 +1357,10 @@ mod tests {
 
     /// A slab whose `out` buffer violates the sizing contract panics the
     /// serving thread mid-batch; the panic blanket must answer every slot
-    /// in the batch with `WorkerLost` and leave the shard serving
+    /// in the batch with `BatchPanicked` and leave the shard serving
     /// afterwards.
     #[test]
-    fn poisoned_slab_slot_fails_batch_but_not_worker() {
+    fn poisoned_slab_slot_fails_batch_but_not_shard() {
         let emb = memcom(3);
         let router = Router::start(ServeConfig {
             n_shards: 1,
@@ -1395,7 +1395,7 @@ mod tests {
             .expect("an idle shard's turn");
         serve_turn(&router.inner, 0, turn);
         let outcome = slot.wait();
-        assert!(matches!(outcome.result, Err(ServeError::WorkerLost)));
+        assert!(matches!(outcome.result, Err(ServeError::BatchPanicked)));
 
         // The shard survived the panic and keeps serving.
         let row = handle.get(7).unwrap();

@@ -130,7 +130,7 @@ impl InferBackend for PanickingBackend {
 }
 
 #[test]
-fn panicking_backend_fails_its_caller_but_not_the_worker() {
+fn panicking_backend_fails_its_batch_but_not_the_shard() {
     let emb = memcom(2, 200);
     // One shard: the shard whose serve turn catches the panic is the one
     // that must serve everything after it.
@@ -154,7 +154,7 @@ fn panicking_backend_fails_its_caller_but_not_the_worker() {
     for _ in 0..3 {
         assert!(matches!(
             faulty.score_batch_into(&ids, &mut scores),
-            Err(ServeError::WorkerLost)
+            Err(ServeError::BatchPanicked)
         ));
         // The same shard answers the next lookup and the next score —
         // on the faulty model's own rows too — and the batch that rode
@@ -288,7 +288,7 @@ struct Tally {
 /// faults: on one shard behind a depth-8 shedding queue, a panicking
 /// caller's turn passes what queued behind it to the caller that
 /// queued it; 8 threads × 300 submits each get one answer — the
-/// compressor's bits, `WorkerLost` or `Overloaded` — that the router's
+/// compressor's bits, `BatchPanicked` or `Overloaded` — that the router's
 /// counters agree with; and a shutdown racing live submitters returns
 /// promptly.
 #[test]
@@ -327,7 +327,7 @@ fn hand_offs_under_faults_answer_every_call_once() {
         .unwrap();
     let handle = router.handle("rows").unwrap();
 
-    // A caller whose turn panics answers itself `WorkerLost`; the request
+    // A caller whose turn panics answers itself `BatchPanicked`; the request
     // that queued behind the turn is passed the turn, and is served.
     let admitted = || router.metrics().stages[0].admission_wait.count();
     std::thread::scope(|scope| {
@@ -343,7 +343,7 @@ fn hand_offs_under_faults_answer_every_call_once() {
         release.send(()).unwrap();
         assert!(matches!(
             holder.join().unwrap(),
-            Err(ServeError::WorkerLost)
+            Err(ServeError::BatchPanicked)
         ));
         let want = bits(emb.lookup(&[7, 8]).unwrap().as_slice());
         assert_eq!(bits(&queued.join().unwrap().unwrap()), want);
@@ -371,8 +371,8 @@ fn hand_offs_under_faults_answer_every_call_once() {
                         assert_eq!(bits(batch.scores()), want, "{ids:?}");
                         tally.ok_rows += ids.len() as u64;
                     }
-                    Err(ServeError::WorkerLost) if faulty => tally.faulty_lost += 1,
-                    Err(ServeError::WorkerLost) => tally.healthy_lost += 1,
+                    Err(ServeError::BatchPanicked) if faulty => tally.faulty_lost += 1,
+                    Err(ServeError::BatchPanicked) => tally.healthy_lost += 1,
                     Err(ServeError::Overloaded { .. }) => tally.shed_rows += ids.len() as u64,
                     Err(other) => panic!("{ids:?}: unexpected {other:?}"),
                 }
@@ -421,7 +421,7 @@ fn hand_offs_under_faults_answer_every_call_once() {
                     match handle.score(&[id]) {
                         Err(ServeError::ShuttingDown) => return,
                         Ok(_)
-                        | Err(ServeError::WorkerLost)
+                        | Err(ServeError::BatchPanicked)
                         | Err(ServeError::Overloaded { .. }) => {}
                         Err(other) => panic!("{id}: unexpected {other:?}"),
                     }

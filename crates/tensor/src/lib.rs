@@ -4,9 +4,17 @@
 //! training stack needs: row-major dense tensors, elementwise ops that
 //! broadcast a row across a batch (a `Dense` bias or a `BatchNorm1d`
 //! parameter `[d]` against `[n, d]` — MEmCom's `v×1` multiplier is applied
-//! row by row in `memcom-core`, not broadcast here), blocked matrix
+//! row by row in `memcom-core`, not broadcast here), matrix
 //! multiplication, axis reductions, activations, and seeded weight
 //! initializers.
+//!
+//! It also holds the kernels both stacks run: [`simd`] carries the
+//! runtime-dispatched row-decode kernels and [`simd::dense_tile`], the
+//! workspace's only dense product — [`ops::matmul`] runs it for
+//! training, and `memcom-ondevice` re-exports the module for the
+//! engine's dense layers and the row codec — and [`f16`](mod@f16) the
+//! half-precision bit conversions that codec's F16 rows use. So a
+//! dense layer computes one function in training and on the device.
 //!
 //! Design notes:
 //! * Everything is `f32` — matching the paper's FP32 training/inference
@@ -34,9 +42,11 @@
 //! ```
 
 pub mod error;
+pub mod f16;
 pub mod init;
 pub mod ops;
 pub mod shape;
+pub mod simd;
 pub mod tensor;
 
 pub use error::TensorError;

@@ -6,15 +6,20 @@
 //! log-softmax for the output layer, and ReLU for activations.
 
 use crate::error::TensorError;
+use crate::simd::dense_tile;
 use crate::tensor::Tensor;
 use crate::Result;
 
-/// Blocked tile edge for [`matmul`]. 32×32 f32 tiles (4 KiB) fit L1 with
-/// room to spare and measured ~3x over the naive loop at e=256.
+/// Inner-dimension rows per [`dense_tile`] call in [`matmul`]: the
+/// height of the on-device engine's dense tiles.
 const TILE: usize = 32;
 
-/// Matrix multiplication `[m, k] × [k, n] → [m, n]` with register-friendly
-/// i-k-j loop ordering and blocking.
+/// Matrix multiplication `[m, k] × [k, n] → [m, n]` through the
+/// workspace's one dense kernel, [`dense_tile`]: for each tile of at
+/// most `TILE` (32) rows of `b`, one call per output row. Each output
+/// starts from 0 and adds `a[i][kk]·b[kk][j]` in ascending `kk`,
+/// skipping every `a[i][kk]` equal to 0.0 (ReLU outputs often are), so
+/// it equals the on-device engine's dense layer bit for bit.
 ///
 /// # Errors
 ///
@@ -50,26 +55,15 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             context: format!("matmul inner dims differ: {} vs {}", k, k2),
         });
     }
-    let av = a.as_slice();
-    let bv = b.as_slice();
     let mut out = vec![0f32; m * n];
-    for i0 in (0..m).step_by(TILE) {
-        let i1 = (i0 + TILE).min(m);
-        for k0 in (0..k).step_by(TILE) {
-            let k1 = (k0 + TILE).min(k);
-            for i in i0..i1 {
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for kk in k0..k1 {
-                    let aik = av[i * k + kk];
-                    if aik == 0.0 {
-                        continue; // ReLU / padded inputs are often zero
-                    }
-                    let b_row = &bv[kk * n..(kk + 1) * n];
-                    for (o, &bj) in out_row.iter_mut().zip(b_row) {
-                        *o += aik * bj;
-                    }
-                }
-            }
+    if n == 0 {
+        return Tensor::from_vec(out, &[m, n]);
+    }
+    for k0 in (0..k).step_by(TILE) {
+        let k1 = (k0 + TILE).min(k);
+        let rows: Vec<&[f32]> = b.as_slice()[k0 * n..k1 * n].chunks_exact(n).collect();
+        for (x, acc) in a.as_slice().chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            dense_tile(&x[k0..k1], &rows, None, acc);
         }
     }
     Tensor::from_vec(out, &[m, n])
@@ -237,6 +231,63 @@ mod tests {
                 let got = c.as_slice()[i * n + j];
                 assert!((want - got).abs() < 1e-3, "({i},{j}): {want} vs {got}");
             }
+        }
+    }
+
+    /// The zero-skipping, row-at-a-time product `matmul` must equal bit
+    /// for bit: each output from 0, `a[i][kk]·b[kk][j]` in ascending
+    /// `kk`, every zero `a[i][kk]` skipped.
+    fn reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0f32; m * n];
+        for i in 0..m {
+            for kk in (0..k).filter(|&kk| a[i * k + kk] != 0.0) {
+                for j in 0..n {
+                    out[i * n + j] += a[i * k + kk] * b[kk * n + j];
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matmul_is_the_zero_skipping_row_at_a_time_product() {
+        // Every third inner index is a zero input (alternating signs)
+        // facing a row of ±inf and NaN weights, so only the skip keeps
+        // the outputs finite; the rest are values in ±1, where any change
+        // of operation order moves bits.
+        let m = 3;
+        for k in [1, 31, 32, 33, 65] {
+            for n in [1, 7, 8, 9, 64, 65] {
+                let faces_zero = |kk: usize| kk % 3 == 1;
+                let a_data: Vec<f32> = (0..m * k)
+                    .map(|i| match faces_zero(i % k) {
+                        true if i % 2 == 0 => 0.0,
+                        true => -0.0,
+                        false => ((i * 37 % 101) as f32 / 50.0 - 1.0).sin(),
+                    })
+                    .collect();
+                let b_data: Vec<f32> = (0..k * n)
+                    .map(|i| match (faces_zero(i / n), i % 3) {
+                        (true, 0) => f32::INFINITY,
+                        (true, 1) => f32::NEG_INFINITY,
+                        (true, _) => f32::NAN,
+                        (false, _) => ((i * 53 % 97) as f32 / 48.0 - 1.0).cos(),
+                    })
+                    .collect();
+                let c = matmul(&t(&a_data, &[m, k]), &t(&b_data, &[k, n])).unwrap();
+                let want = reference(&a_data, &b_data, m, k, n);
+                assert!(want.iter().all(|v| v.is_finite()), "k {k}, n {n}");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(c.as_slice()), bits(&want), "k {k}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_with_a_zero_dimension_returns_zeros() {
+        for (m, k, n) in [(0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)] {
+            let c = matmul(&Tensor::zeros(&[m, k]), &Tensor::ones(&[k, n])).unwrap();
+            assert_eq!(c, Tensor::zeros(&[m, n]), "{m}x{k} · {k}x{n}");
         }
     }
 

@@ -1,19 +1,19 @@
-//! Runtime-dispatched SIMD kernels: row decode and the dense head's
-//! tile kernel, plus the cache-line [`prefetch`] hint the embedding read
-//! loop issues ahead of its rows.
+//! Runtime-dispatched SIMD kernels: row decode and the one dense
+//! product's tile kernel, plus the cache-line [`prefetch`] hint an
+//! embedding read loop issues ahead of its rows.
 //!
-//! Every row read in the serving store and every embedding gather in
-//! the on-device engine funnels through
-//! [`decode_row_into`](crate::quant::decode_row_into), and every dense
-//! layer of the head
-//! ([`InferenceSession::forward_head`](crate::InferenceSession::forward_head))
-//! accumulates through [`dense_tile`], over fp32 kernel rows in their
-//! pages or quantized rows decoded once per tile; this module is the
-//! vector back end underneath both. There are two tiers, selected once
-//! per process by [`active_kernel`]: AVX2 on an `x86_64` CPU that
-//! reports it, and the scalar reference everywhere else (an `x86_64`
-//! without AVX2 included — the reference is compiled at that target's
-//! SSE2 baseline).
+//! The decode kernels are the vector back end under `memcom-ondevice`'s
+//! row codec, through which every row read of the serving store and
+//! every embedding gather of the on-device engine funnels. [`dense_tile`]
+//! is the workspace's only dense accumulate loop: training's
+//! [`matmul`](crate::ops::matmul) runs it over `f32` rows, and the
+//! on-device engine's dense layers over fp32 kernel rows in their pages
+//! or quantized rows decoded once per tile, so device and training
+//! compute one function. There are two tiers, selected once per process
+//! by [`active_kernel`]: AVX2 on an `x86_64` CPU that reports it, and
+//! the scalar reference everywhere else (an `x86_64` without AVX2
+//! included — the reference is compiled at that target's SSE2
+//! baseline).
 //!
 //! **Bit-exactness is a hard contract**: for any input — including
 //! NaNs with arbitrary payloads, infinities, subnormals and signed
@@ -23,25 +23,26 @@
 //! quiet signaling-NaN payloads).
 //!
 //! The tile kernel adds `x[i] * w[i][c]` to each accumulator `acc[c]`
-//! for every kernel row `i` of a tile in ascending `i`, then the bias,
-//! each term as one IEEE multiply rounded to `f32`, then one add —
-//! never fused, on either tier. The scalar reference is the
-//! row-at-a-time loop; the AVX2 tier holds a block of 64 accumulators
-//! in registers across the whole tile instead, so each weight is loaded
-//! once and each accumulator loaded and stored once per tile, but every
-//! output sees the same operations in the same order. So every result
-//! that is not a NaN (subnormals, signed zeros and infinities included)
-//! is bit-identical to [`scalar`]. Where the scalar result is a NaN the
-//! vector result is a NaN too, but its *payload* is not part of the
-//! contract: which operand's payload an x86 multiply or add propagates
-//! depends on the operand order the compiler picked, and no decoded
-//! model weight is a NaN.
+//! for every nonzero input `x[i]` of a tile in ascending `i`, then the
+//! bias, each term as one IEEE multiply rounded to `f32`, then one add —
+//! never fused, on either tier. An input equal to 0.0 (either sign)
+//! adds nothing, so a zero input facing a ±inf or NaN weight leaves the
+//! sum finite. The scalar reference is the row-at-a-time loop; the AVX2
+//! tier holds a block of 64 accumulators in registers across the whole
+//! tile instead, so each weight is loaded once and each accumulator
+//! loaded and stored once per tile, but every output sees the same
+//! operations in the same order. So every result that is not a NaN
+//! (subnormals, signed zeros and infinities included) is bit-identical
+//! to [`scalar`]. Where the scalar result is a NaN the vector result is
+//! a NaN too, but its *payload* is not part of the contract: which
+//! operand's payload an x86 multiply or add propagates depends on the
+//! operand order the compiler picked.
 //!
-//! The `simd_equiv` proptest suite compares the dispatched kernels
-//! with [`scalar`] across all dtypes, dims, alignments and non-finite
-//! inputs, so a tier stays in this module only while a CI leg runs it:
-//! the default leg dispatches to AVX2 (every CI runner has it), the
-//! forced leg below to the reference.
+//! `memcom-ondevice`'s `simd_equiv` proptest suite compares the
+//! dispatched kernels with [`scalar`] across all dtypes, dims,
+//! alignments and non-finite inputs, so a tier stays in this module
+//! only while a CI leg runs it: the default leg dispatches to AVX2
+//! (every CI runner has it), the forced leg below to the reference.
 //!
 //! # Forcing the scalar reference
 //!
@@ -53,7 +54,7 @@
 
 use std::sync::OnceLock;
 
-use crate::quant::f16_bits_to_f32;
+use crate::f16::f16_bits_to_f32;
 
 /// The kernel tier the dispatcher selected for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,6 +87,7 @@ impl std::fmt::Display for Kernel {
 /// detected once per process (CPU features do not change under us, and
 /// the forced-scalar override is meant as a process-wide pin, so the
 /// first call wins).
+#[inline]
 pub fn active_kernel() -> Kernel {
     static ACTIVE: OnceLock<Kernel> = OnceLock::new();
     *ACTIVE.get_or_init(detect)
@@ -115,6 +117,7 @@ fn force_scalar_env() -> bool {
 /// # Panics
 ///
 /// Panics when `bytes` holds fewer than `4 * out.len()` bytes.
+#[inline]
 pub fn copy_f32(bytes: &[u8], out: &mut [f32]) {
     assert!(bytes.len() >= out.len() * 4, "short f32 row");
     match active_kernel() {
@@ -134,6 +137,7 @@ pub fn copy_f32(bytes: &[u8], out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when `bytes` holds fewer than `2 * out.len()` bytes.
+#[inline]
 pub fn decode_f16(bytes: &[u8], out: &mut [f32]) {
     assert!(bytes.len() >= out.len() * 2, "short f16 row");
     match active_kernel() {
@@ -151,6 +155,7 @@ pub fn decode_f16(bytes: &[u8], out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when `bytes` holds fewer than `out.len()` bytes.
+#[inline]
 pub fn dequant_i8(bytes: &[u8], scale: f32, out: &mut [f32]) {
     assert!(bytes.len() >= out.len(), "short int8 row");
     match active_kernel() {
@@ -168,6 +173,7 @@ pub fn dequant_i8(bytes: &[u8], scale: f32, out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when `bytes` holds fewer than `out.len().div_ceil(2)` bytes.
+#[inline]
 pub fn dequant_i4(bytes: &[u8], scale: f32, out: &mut [f32]) {
     assert!(bytes.len() >= out.len().div_ceil(2), "short int4 row");
     match active_kernel() {
@@ -186,6 +192,7 @@ pub fn dequant_i4(bytes: &[u8], scale: f32, out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when `bytes` holds fewer than `out.len().div_ceil(4)` bytes.
+#[inline]
 pub fn dequant_i2(bytes: &[u8], scale: f32, out: &mut [f32]) {
     assert!(bytes.len() >= out.len().div_ceil(4), "short int2 row");
     scalar::dequant_i2(bytes, scale, out);
@@ -240,10 +247,11 @@ mod sealed {
     }
 }
 
-/// The dense head's tile kernel. For every column `c < acc.len()` it
-/// adds `xs[i] * rows[i][c]` for each kernel row `i` of the tile in
-/// ascending `i` — one IEEE multiply rounded to `f32`, then one add,
-/// never fused — and then, when `bias` is given, `bias[c]`. The AVX2
+/// The tile kernel of every dense product. For every column
+/// `c < acc.len()` it adds `xs[i] * rows[i][c]` for each kernel row `i`
+/// of the tile whose input `xs[i]` is nonzero, in ascending `i` — one
+/// IEEE multiply rounded to `f32`, then one add, never fused — and
+/// then, when `bias` is given, `bias[c]`. The AVX2
 /// tier keeps a block of accumulators in registers across the whole
 /// tile, so it loads and stores each accumulator once per call and
 /// each weight once; every output still sees exactly the reference's
@@ -362,9 +370,9 @@ pub mod scalar {
     }
 
     /// Scalar [`dense_tile`](super::dense_tile): the row-at-a-time
-    /// loop — each kernel row's multiply-then-add over every column,
-    /// then the bias — whose per-output operation order every tier
-    /// must reproduce.
+    /// loop — each nonzero input's row, multiply-then-add over every
+    /// column, then the bias — whose per-output operation order every
+    /// tier must reproduce.
     pub fn dense_tile<W: WeightRow + ?Sized>(
         xs: &[f32],
         rows: &[&W],
@@ -372,6 +380,9 @@ pub mod scalar {
         acc: &mut [f32],
     ) {
         for (&x, row) in xs.iter().zip(rows) {
+            if x == 0.0 {
+                continue;
+            }
             for (a, w) in acc.iter_mut().zip(row.weights()) {
                 *a += x * w;
             }
@@ -568,7 +579,9 @@ mod x86 {
         for c in c..n {
             let mut a = acc[c];
             for (&x, row) in xs.iter().zip(rows) {
-                a += x * row.as_f32_ptr().add(c).read_unaligned();
+                if x != 0.0 {
+                    a += x * row.as_f32_ptr().add(c).read_unaligned();
+                }
             }
             if let Some(bias) = bias {
                 a += bias[c];
@@ -578,8 +591,8 @@ mod x86 {
     }
 
     /// Columns `c..c + 8 * REGS`: load their accumulators into `REGS`
-    /// registers, add every row's products in row order, then the bias,
-    /// and store them once.
+    /// registers, add the products of every nonzero input's row in row
+    /// order, then the bias, and store them once.
     // SAFETY: as `dense_tile_avx2`, with `c + 8 * REGS <= acc.len()`.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -596,6 +609,9 @@ mod x86 {
             *v = _mm256_loadu_ps(a.add(8 * j));
         }
         for (&x, row) in xs.iter().zip(rows) {
+            if x == 0.0 {
+                continue;
+            }
             let vx = _mm256_set1_ps(x);
             let w = row.as_f32_ptr().add(c);
             for (j, v) in v.iter_mut().enumerate() {
