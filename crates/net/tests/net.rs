@@ -4,9 +4,10 @@
 //! drain guarantee — multi-client shutdown with exact client/server
 //! counter reconciliation.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use memcom_core::{MemCom, MemComConfig, MethodSpec};
 use memcom_models::{ModelConfig, RecModel};
@@ -874,10 +875,11 @@ fn networked_score_load_reconciles_with_router_counters() {
 }
 
 /// A client whose server went away must fail later sends instead of
-/// hanging: once the reader thread exits on EOF, a freshly inserted
-/// pending ticket has nothing left to answer it, so `send` itself has
-/// to refuse. (Regression: the dead-connection flag is set under the
-/// pending lock precisely so no ticket can be orphaned in the race.)
+/// hanging: once a reader sees EOF and fails the connection, a freshly
+/// inserted pending ticket has nothing left to answer it, so `send`
+/// itself has to refuse. (Regression: the dead-connection flag is set
+/// under the pending lock precisely so no ticket can be orphaned in the
+/// race.)
 #[test]
 fn send_after_server_shutdown_fails_instead_of_hanging() {
     let server = start_server(ServeConfig::default(), NetServerConfig::default());
@@ -904,4 +906,248 @@ fn send_after_server_shutdown_fails_instead_of_hanging() {
         "lookups after server shutdown must settle to ConnectionClosed"
     );
     client.close();
+}
+
+/// Runs `body` on its own thread and fails the test once it has made
+/// no progress for 30 s — the body calls its argument at each step — so
+/// a lost read turn fails the suite instead of hanging it, however slow
+/// the build.
+fn under_watchdog(body: impl FnOnce(&dyn Fn()) + Send + 'static) {
+    let steps = Arc::new(AtomicU64::new(0));
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = {
+        let steps = Arc::clone(&steps);
+        std::thread::spawn(move || {
+            body(&|| {
+                steps.fetch_add(1, Ordering::Relaxed);
+            });
+            let _ = done.send(());
+        })
+    };
+    let (mut seen, mut since) = (0, Instant::now());
+    loop {
+        match finished.recv_timeout(Duration::from_millis(100)) {
+            Ok(()) => return worker.join().unwrap(),
+            // The body panicked: report its panic.
+            Err(RecvTimeoutError::Disconnected) => match worker.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => return,
+            },
+            Err(RecvTimeoutError::Timeout) => {
+                let now = steps.load(Ordering::Relaxed);
+                if now != seen {
+                    (seen, since) = (now, Instant::now());
+                }
+                assert!(
+                    since.elapsed() < Duration::from_secs(30),
+                    "no progress for 30 s after step {seen}: a read turn was lost"
+                );
+            }
+        }
+    }
+}
+
+/// The rows the server must answer for `ids`, looked up in process.
+fn expected_rows(server: &NetServer, model: &str, ids: &[u64]) -> Vec<f32> {
+    let ids: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
+    let rows = server
+        .router()
+        .handle(model)
+        .unwrap()
+        .get_many(&ids)
+        .unwrap();
+    rows.concat()
+}
+
+/// One thread pipelines 400 lookups of 2048 ids on a dim-64 model —
+/// 512 KB replies — before it waits for any. Nobody waits while it
+/// sends, so its `send`s drain the replies already buffered; unread,
+/// they would fill both socket buffers until the server blocked writing
+/// and stopped reading requests, and the next `send` blocked for ever.
+#[test]
+fn one_thread_pipelines_deep_without_a_reader_thread() {
+    under_watchdog(|step| {
+        const WIDE: usize = 64;
+        const IDS: usize = 2048;
+        let router = Router::start(ServeConfig::default()).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let wide = MemCom::new(MemComConfig::new(VOCAB, WIDE, 100), &mut rng).unwrap();
+        router.register(DEFAULT_MODEL, &wide).unwrap();
+        let server = NetServer::start(router, NetServerConfig::default()).unwrap();
+        let client = NetClient::connect(server.local_addr(), NetClientConfig::default()).unwrap();
+
+        let ids_of = |k: u64| -> Vec<u64> {
+            (0..IDS as u64)
+                .map(|j| (k * 7 + j) % VOCAB as u64)
+                .collect()
+        };
+        let tickets: Vec<_> = (0..400)
+            .map(|k| {
+                let ticket = client
+                    .send(RequestKind::Lookup, DEFAULT_MODEL, &ids_of(k), None)
+                    .unwrap();
+                step();
+                ticket
+            })
+            .collect();
+        let first_rows: Vec<Vec<f32>> = (0..400)
+            .map(|k| expected_rows(&server, DEFAULT_MODEL, &ids_of(k)[..1]))
+            .collect();
+        for (ticket, want) in tickets.into_iter().zip(&first_rows) {
+            let rows = ticket.wait().unwrap();
+            assert_eq!(rows.data.len(), IDS * WIDE);
+            assert_eq!(&rows.data[..WIDE], want.as_slice());
+            step();
+        }
+        assert_eq!(client.in_flight(), 0);
+        let stats = client.close();
+        assert_eq!((stats.sent, stats.served), (400, 400));
+        server.shutdown();
+    });
+}
+
+/// Tickets waited in the reverse of their send order: the first wait
+/// reads every earlier reply into its ticket, and the rest find their
+/// answers already in.
+#[test]
+fn tickets_waited_in_reverse_order_all_resolve() {
+    under_watchdog(|_| {
+        let server = start_server(ServeConfig::default(), NetServerConfig::default());
+        let client = NetClient::connect(server.local_addr(), NetClientConfig::default()).unwrap();
+        let ids = |k: u64| [k, k + 500];
+        let tickets: Vec<_> = (0..32)
+            .map(|k| {
+                client
+                    .send(RequestKind::Lookup, DEFAULT_MODEL, &ids(k), None)
+                    .unwrap()
+            })
+            .collect();
+        for (k, ticket) in tickets.into_iter().enumerate().rev() {
+            let rows = ticket.wait().unwrap();
+            assert_eq!(
+                rows.data,
+                expected_rows(&server, DEFAULT_MODEL, &ids(k as u64))
+            );
+        }
+        assert_eq!(client.in_flight(), 0);
+        let stats = client.close();
+        assert_eq!((stats.sent, stats.served), (32, 32));
+        server.shutdown();
+    });
+}
+
+/// Four threads wait on tickets a fifth thread sends them: whoever holds
+/// the read turn answers the others' tickets, and the turn passes among
+/// the waiters until every reply is read.
+#[test]
+fn waiters_on_other_threads_share_the_read_turn() {
+    under_watchdog(|_| {
+        let server = start_server(ServeConfig::default(), NetServerConfig::default());
+        let client = NetClient::connect(server.local_addr(), NetClientConfig::default()).unwrap();
+        let ids = |k: u64| [k % VOCAB as u64, (k * 31) % VOCAB as u64];
+        let want: Vec<Vec<f32>> = (0..400)
+            .map(|k| expected_rows(&server, DEFAULT_MODEL, &ids(k)))
+            .collect();
+        let want = Arc::new(want);
+        let (senders, waiters): (Vec<_>, Vec<_>) = (0..4)
+            .map(|_| {
+                let (send, receive) = std::sync::mpsc::channel::<(usize, Pending)>();
+                let want = Arc::clone(&want);
+                let waiter = std::thread::spawn(move || {
+                    for (k, ticket) in receive {
+                        assert_eq!(ticket.wait().unwrap().data, want[k]);
+                    }
+                });
+                (send, waiter)
+            })
+            .unzip();
+        for k in 0..400 {
+            let ticket = client
+                .send(RequestKind::Lookup, DEFAULT_MODEL, &ids(k as u64), None)
+                .unwrap();
+            senders[k % 4].send((k, ticket)).unwrap();
+        }
+        drop(senders);
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert_eq!(client.in_flight(), 0);
+        let stats = client.close();
+        assert_eq!((stats.sent, stats.served), (400, 400));
+        server.shutdown();
+    });
+}
+
+/// A ticket dropped without a wait forgets its slot at once; its reply
+/// is read and discarded by the next reader, and the connection goes on
+/// serving.
+#[test]
+fn a_dropped_ticket_is_forgotten_and_the_connection_serves_on() {
+    under_watchdog(|_| {
+        let server = start_server(ServeConfig::default(), NetServerConfig::default());
+        let client = NetClient::connect(server.local_addr(), NetClientConfig::default()).unwrap();
+        drop(
+            client
+                .send(RequestKind::Lookup, DEFAULT_MODEL, &[1], None)
+                .unwrap(),
+        );
+        assert_eq!(client.in_flight(), 0);
+        let kept = client
+            .send(RequestKind::Lookup, DEFAULT_MODEL, &[2], None)
+            .unwrap();
+        drop(
+            client
+                .send(RequestKind::Lookup, DEFAULT_MODEL, &[3], None)
+                .unwrap(),
+        );
+        assert_eq!(client.in_flight(), 1);
+        assert_eq!(
+            kept.wait().unwrap().data,
+            expected_rows(&server, DEFAULT_MODEL, &[2])
+        );
+        for k in 0..8 {
+            let rows = client.lookup(DEFAULT_MODEL, &[k]).unwrap();
+            assert_eq!(rows.data, expected_rows(&server, DEFAULT_MODEL, &[k]));
+        }
+        assert_eq!(client.in_flight(), 0);
+        assert_eq!(client.close().sent, 11);
+        server.shutdown();
+    });
+}
+
+/// `close` answers every pending ticket before it returns: the waiter
+/// reading the connection and the waiter queued behind it both get
+/// `ConnectionClosed` at once, not when the slow server would reply.
+#[test]
+fn close_fails_the_tickets_other_threads_wait_on() {
+    under_watchdog(|_| {
+        let slow = ServeConfig {
+            store_latency: Duration::from_secs(2),
+            ..ServeConfig::default()
+        };
+        let server = start_server(slow, NetServerConfig::default());
+        let client = NetClient::connect(server.local_addr(), NetClientConfig::default()).unwrap();
+        let waiters: Vec<_> = (0..2)
+            .map(|k| {
+                let ticket = client
+                    .send(RequestKind::Lookup, DEFAULT_MODEL, &[k], None)
+                    .unwrap();
+                std::thread::spawn(move || {
+                    let err = ticket.wait().unwrap_err();
+                    (err, Instant::now())
+                })
+            })
+            .collect();
+        // Let both block in `wait`: one reading, one queued.
+        std::thread::sleep(Duration::from_millis(100));
+        let closed_at = Instant::now();
+        client.close();
+        for waiter in waiters {
+            let (err, woke) = waiter.join().unwrap();
+            assert!(matches!(err, NetError::ConnectionClosed), "{err:?}");
+            let late = woke.saturating_duration_since(closed_at);
+            assert!(late < Duration::from_secs(1), "woke {late:?} after close");
+        }
+        server.shutdown();
+    });
 }

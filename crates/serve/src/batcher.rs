@@ -90,11 +90,14 @@ pub struct SlabOutcome {
 
 /// The single-consumer response cell a requester blocks on: one
 /// answer, first write wins. The router answers through a [`SlabSlot`];
-/// `memcom-net`'s client answers its tickets through one too.
+/// `memcom-net`'s client answers its tickets through one too. Either may
+/// wake its waiter with a turn instead of an answer
+/// ([`pass_turn`](Self::pass_turn)): a shard's serve turn, or a client
+/// connection's read turn.
 #[derive(Debug)]
 pub struct ReplySlot<T> {
-    /// The answer, and whether a serve turn was passed to the waiter and
-    /// not yet taken.
+    /// The answer, and whether a turn was passed to the waiter and not
+    /// yet taken.
     state: Mutex<(Option<T>, bool)>,
     ready: Condvar,
 }
@@ -128,24 +131,26 @@ impl<T> ReplySlot<T> {
     ///
     /// # Panics
     ///
-    /// Panics when a serve turn is passed to this waiter instead — only
-    /// the router's callers are passed turns, and they wait with
-    /// `wait_or_turn`, which returns it.
+    /// Panics when a turn is passed to this waiter instead — only the
+    /// router's callers and the net client's waiters are passed turns,
+    /// and they wait with [`wait_or_turn`](Self::wait_or_turn), which
+    /// returns it.
     pub fn wait(&self) -> T {
         self.wait_or_turn()
-            .expect("a serve turn was passed to a plain wait")
+            .expect("a turn was passed to a plain wait")
     }
 
-    /// Wakes the waiter with a shard's serve turn instead of an answer
-    /// (see [`Caller`]).
-    pub(crate) fn pass_turn(&self) {
+    /// Wakes the waiter with a turn instead of an answer: a shard's
+    /// serve turn (see [`Caller`]) or a `memcom-net` client connection's
+    /// read turn.
+    pub fn pass_turn(&self) {
         self.state.lock().1 = true;
         self.ready.notify_all();
     }
 
     /// Blocks until the answer arrives and takes it — or returns `None`,
-    /// once, when the serve turn is passed to this waiter first.
-    pub(crate) fn wait_or_turn(&self) -> Option<T> {
+    /// once, when a turn is passed to this waiter first.
+    pub fn wait_or_turn(&self) -> Option<T> {
         let mut state = self.state.lock();
         loop {
             if let Some(answer) = state.0.take() {
